@@ -158,7 +158,6 @@ func main() {
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		slowQuery   = flag.Duration("slow-query", 0, "trace every request and log a structured record with the full span tree for any request slower than this (0 = off)")
 		traceSample = flag.Float64("trace-sample", 0, "probability in [0,1] of tracing an ordinary request into /debug/traces (explain and slow-query tracing work regardless)")
-		noIncr      = flag.Bool("no-incremental", false, "force every clustering pass (feeds and batch queries) onto the from-scratch path; answers are identical, the incremental reuse is just disabled")
 		shardMode   = flag.Bool("shard", false, "serve as a distributed-query shard: enable POST /v1/shard/query, the RPC a coordinator assigns time windows over (mutually exclusive with -shards)")
 		shardList   = flag.String("shards", "", "comma-separated shard base URLs (host:port or http://host:port); serve as a distributed-query coordinator fanning every batch query out over these shards (mutually exclusive with -shard)")
 
@@ -227,7 +226,6 @@ func main() {
 		MaxMonitorsPerFeed: *monitors,
 		MaxEdgesPerTick:    *maxEdges,
 		QueryTimeout:       *reqTimeout,
-		DisableIncremental: *noIncr,
 		Metrics:            reg,
 		Logger:             logger,
 		Tracer:             tracer,

@@ -69,7 +69,6 @@ func main() {
 		limit     = flag.Int("limit", 0, "stop after this many convoys, abandoning the remaining scan (0 = all)")
 		parts     = flag.Int("partitions", 0, "split the time range into this many overlapping windows, mine them independently and merge — the answer is identical, the scan parallelises (0/1 = single pass)")
 		timeout   = flag.Duration("timeout", 0, "abort discovery after this long (0 = no deadline)")
-		noIncr    = flag.Bool("no-incremental", false, "force from-scratch clustering every tick (disables the incremental fast path; answers are identical)")
 	)
 	flag.Parse()
 	if *input == "" {
@@ -122,7 +121,6 @@ func main() {
 		input: *input, m: *m, k: *k, e: *e, algo: *algo, clusterer: *clusterer,
 		delta: *delta, lambda: *lambda, workers: *workers,
 		limit: *limit, partitions: *parts, stats: *stats, explain: *explain, format: *format,
-		noIncremental: *noIncr,
 	}
 	if err := run(ctx, os.Stdout, opts); err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -155,9 +153,6 @@ type options struct {
 	stats      bool
 	explain    bool
 	format     string
-	// noIncremental pins every CMC clustering pass to the from-scratch
-	// path (-no-incremental); the answers never depend on it.
-	noIncremental bool
 }
 
 // loadDB picks the reader by file extension.
@@ -201,9 +196,6 @@ func buildQuery(o options, st *convoys.Stats, log *convoys.ProximityLog) (*convo
 	}
 	if o.partitions > 1 {
 		opts = append(opts, convoys.WithPartitions(o.partitions))
-	}
-	if o.noIncremental {
-		opts = append(opts, convoys.WithIncremental(-1))
 	}
 	if log != nil {
 		if !strings.EqualFold(o.algo, "cmc") {

@@ -100,6 +100,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/tsio"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Core model types.
@@ -256,8 +257,8 @@ func WithStats(st *Stats) QueryOption { return core.WithStats(st) }
 // A threshold in (0, 1] re-clusters only the neighborhoods disturbed since
 // the previous tick whenever the churned fraction of objects stays under
 // it; threshold ≤ 0 disables the fast path entirely. The default (option
-// absent) is DefaultChurnThreshold for serial CMC scans on the default
-// DBSCAN backend. Answers are identical either way — the option trades
+// absent) is DefaultChurnThreshold for CMC scans on the default DBSCAN
+// backend. Answers are identical either way — the option trades
 // memory (carried per-tick state) for per-tick clustering time.
 func WithIncremental(threshold float64) QueryOption { return core.WithIncremental(threshold) }
 
@@ -562,7 +563,7 @@ func ExplainFromTrace(tj TraceJSON) (ExplainJSON, bool) { return serve.ExplainFr
 // ConvoyToJSON renders a convoy in the wire schema, resolving member
 // labels from the database (falling back to "o<ID>").
 func ConvoyToJSON(c Convoy, db *DB) ConvoyJSON {
-	return serve.ConvoyToJSON(c, serve.DBLabels(db))
+	return wire.ConvoyToJSON(c, wire.DBLabels(db))
 }
 
 // MC2 runs the moving-cluster baseline with overlap threshold theta and

@@ -2,14 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/geom"
-	"repro/internal/increment"
 	"repro/internal/model"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // CMC — the Coherent Moving Cluster algorithm (Section 4, Algorithm 1).
@@ -159,140 +158,76 @@ func flushCandidates(live []*candidate, k int64, out *[]Convoy, emit func(*candi
 	}
 }
 
-// cmcScan runs the CMC scan over ticks [lo, hi], optionally restricted to
-// the given ascending object subset, pushing every batch of raw
-// (uncanonicalized) convoys that close at one tick — plus the final flush
-// batch — into emit. emit returning false abandons the scan (no error);
-// cancelling ctx aborts it with ctx.Err() at tick granularity. meter, when
-// non-nil, is atomically bumped once per snapshot clustering pass — the
-// work meter behind Stats.ClusterPasses — and further splits passes into
-// full versus incremental and counts the objects actually re-clustered.
-//
-// incThreshold > 0 enables incremental clustering: each producer keeps an
-// increment.Engine that diffs consecutive snapshots and patches the
-// previous tick's neighborhood structure instead of re-running DBSCAN from
-// scratch, falling back to a rebuild when the dirty fraction exceeds the
-// threshold. The caller only sets it for the default grid-DBSCAN backend
-// (the engine reproduces exactly that backend's answers); cl is still used
-// for the non-incremental path.
-//
-// With workers > 1 the per-tick DBSCAN runs (the quadratic part) execute
-// concurrently while the candidate chaining folds the resulting snapshot
-// clusters strictly in tick order — a pipeline, not a per-tick barrier.
-// Because chainStep consumes exactly the clusters the serial scan would,
-// in exactly the same order, the emitted convoys are identical to the
-// serial scan by construction. On the incremental path the tick domain is
-// split into contiguous per-worker chunks, each owning its own engine
-// (ticks must reach an engine in order for diffing to make sense); the
-// answers are still identical for every worker count — only the counters
-// shift, since every chunk's first tick is a full pass.
-func cmcScan(ctx context.Context, db *model.DB, cl Clusterer, p Params, lo, hi model.Tick, subset []model.ObjectID, workers int, incThreshold float64, meter *scanMeter, emit func([]Convoy) bool) error {
-	span := int64(hi-lo) + 1
-	if span <= 0 {
-		return nil
+// tickSpan returns the number of ticks in [lo, hi] (0 when empty). Walking
+// a time domain as lo+i for i < tickSpan(lo, hi) is the kernel's one way to
+// visit ticks: unlike `for t := lo; t <= hi; t++` it terminates when hi is
+// model.MaxTick, where t++ would wrap. A count that itself overflows
+// saturates.
+func tickSpan(lo, hi model.Tick) int64 {
+	if hi < lo {
+		return 0
 	}
-	if span > int64(maxPipelineSpan) {
-		// Overflowing or absurd time domains take the plain loop; ticks are
-		// still scanned one by one either way.
+	if span := int64(hi-lo) + 1; span > 0 {
+		return span
+	}
+	return math.MaxInt64
+}
+
+// cmcScan is the tick-scan kernel: over ticks [lo, hi], optionally
+// restricted to the given ascending object subset, it clusters every
+// snapshot with a ClusterSource and chains the clusters through one
+// Monitor — exactly what a feed does with pushed ticks — pushing every
+// batch of raw (uncanonicalized) convoys that close at one tick, plus the
+// final flush batch, into emit. emit returning false abandons the scan (no
+// error); cancelling ctx aborts it with ctx.Err() at tick granularity. tm,
+// when non-nil, meters where a sampled scan's time goes.
+//
+// Parallelism is a scheduling policy around that kernel, not a second
+// implementation: the tick domain is cut into contiguous chunks, each
+// clustered sequentially by one worker with its own source from newSource
+// (ticks must reach an incremental engine in order for diffing to make
+// sense), while the monitor folds the cluster lists strictly in tick order
+// on the calling goroutine — a pipeline, not a per-tick barrier. The
+// monitor sees exactly the clusters the serial scan would, in exactly the
+// same order, so the emitted convoys are identical for every worker count
+// and chunk length by construction; only the pass counters shift, since a
+// source's first tick is always a full pass. chunk ≤ 0 gives every worker
+// one contiguous range, capped at maxScanChunk ticks; chunk = 1 bounds how
+// far the workers run ahead of a consumer that stops early to ~3 ticks per
+// worker.
+func cmcScan(ctx context.Context, db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectID, workers, chunk int, newSource func() *ClusterSource, tm *stageTimer, emit func([]Convoy) bool) error {
+	span := tickSpan(lo, hi)
+	if span > maxScanSpan {
+		return fmt.Errorf("core: time domain of %d ticks is too long to scan", span)
+	}
+	if workers < 1 {
 		workers = 1
 	}
-	// When a sampled trace is active, meter where the scan's time goes —
-	// clustering (parallel, summed across workers) versus chaining
-	// (sequential) — and fold the totals into the active span as
-	// accumulated attributes. AddFloat (not synthetic spans) keeps the
-	// explain invariant "Σ child stage durations ≤ parent wall time"
-	// intact under parallelism. tm stays nil on the unsampled path, so
-	// the hot loop pays nothing.
-	tm := newStageTimer(trace.FromContext(ctx))
-	defer tm.flush()
-	produce := func(eng *increment.Engine, i int) [][]model.ObjectID {
-		t := lo + model.Tick(i)
-		var t0 time.Time
-		if tm != nil {
-			t0 = time.Now()
-		}
-		ids, pts := snapshotAt(db, t, subset)
-		var cs [][]model.ObjectID
-		if eng != nil {
-			var pass increment.Pass
-			cs, pass = eng.Tick(ids, pts)
-			meter.addPass(pass)
-		} else {
-			cs = cl.Clusters(ClusterKey{Eps: p.Eps, M: p.M}, TickSnapshot{T: t, IDs: ids, Pts: pts})
-			meter.addPass(increment.Pass{Full: true, Reclustered: len(ids)})
-		}
-		if tm != nil {
-			tm.cluster.Add(int64(time.Since(t0)))
-		}
-		return cs
+	if chunk < 1 {
+		chunk = int(min((span+int64(workers)-1)/int64(workers), maxScanChunk))
 	}
-	newEngine := func() *increment.Engine {
-		if incThreshold <= 0 {
-			return nil
-		}
-		return increment.New(p.Eps, p.M, incThreshold)
-	}
-	var live []*candidate
+	mon := &Monitor{p: p}
 	stopped := false
-	consume := func(i int, clusters [][]model.ObjectID) bool {
-		t := lo + model.Tick(i)
-		var batch []Convoy
-		var t0 time.Time
-		if tm != nil {
-			t0 = time.Now()
-		}
-		live = chainStep(live, clusters, p.M, p.K, t, t, false, &batch, nil)
-		if tm != nil {
-			tm.chain.Add(int64(time.Since(t0)))
-		}
-		if len(batch) > 0 && !emit(batch) {
-			stopped = true
-			return false
-		}
-		return true
+	err := par.OrderedChunks(ctx, int(span), workers, chunk, newSource,
+		func(src *ClusterSource, i int) [][]model.ObjectID {
+			t0 := tm.start()
+			t := lo + model.Tick(i)
+			ids, pts := snapshotAt(db, t, subset)
+			clusters := src.Cluster(TickSnapshot{T: t, IDs: ids, Pts: pts})
+			tm.clustered(t0)
+			return clusters
+		},
+		func(i int, clusters [][]model.ObjectID) bool {
+			t0 := tm.start()
+			batch, _ := mon.AdvanceClusters(lo+model.Tick(i), clusters) // cannot fail: ticks ascend
+			tm.chained(t0)
+			stopped = len(batch) > 0 && !emit(batch)
+			return !stopped
+		})
+	if err != nil || stopped {
+		return err
 	}
-	if workers <= 1 {
-		eng := newEngine()
-		i := 0
-		for t := lo; ; t++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if !consume(i, produce(eng, i)) {
-				return nil
-			}
-			i++
-			if t == hi {
-				break
-			}
-		}
-	} else if incThreshold > 0 {
-		// Incremental + parallel: contiguous per-worker tick chunks, one
-		// engine per chunk. The chunk size is capped so cancellation and
-		// early-stop keep reasonable granularity on huge domains.
-		chunk := int((span + int64(workers) - 1) / int64(workers))
-		if chunk > maxIncrementalChunk {
-			chunk = maxIncrementalChunk
-		}
-		if err := par.OrderedChunks(ctx, int(span), workers, chunk, newEngine, produce, consume); err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	} else {
-		if err := orderedPipeline(ctx, int(span), workers, func(i int) [][]model.ObjectID {
-			return produce(nil, i)
-		}, consume); err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	var batch []Convoy
-	flushCandidates(live, p.K, &batch, nil)
-	if len(batch) > 0 {
+	if batch := mon.Close(); len(batch) > 0 {
 		emit(batch)
 	}
 	return nil
@@ -301,33 +236,34 @@ func cmcScan(ctx context.Context, db *model.DB, cl Clusterer, p Params, lo, hi m
 // cmcWindow collects the raw convoys of a serial, uncancellable CMC scan
 // over [lo, hi] — the refinement step's per-candidate unit of work (the
 // streaming/cancellation granularity is the candidate, so the window scan
-// itself runs to completion). ctx carries only the active trace span —
-// never a deadline — so sampled runs still meter the window's clustering
-// time into the refine span without gaining mid-window cancellation.
-func cmcWindow(ctx context.Context, db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectID, passes *int64) []Convoy {
+// itself runs to completion). passes, when non-nil, is atomically bumped by
+// the window's clustering passes.
+func cmcWindow(db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectID, passes *int64, tm *stageTimer) []Convoy {
+	src := newSource(p.ClusterKey(), DefaultClusterer, 0, nil)
 	var out []Convoy
-	var m scanMeter
-	cmcScan(ctx, db, DefaultClusterer, p, lo, hi, subset, 1, 0, &m, func(batch []Convoy) bool {
-		out = append(out, batch...)
-		return true
-	})
+	// Cannot fail: nothing cancels a background scan, and a candidate's
+	// window lies inside a time domain the filter has already walked.
+	_ = cmcScan(context.Background(), db, p, lo, hi, subset, 1, 0, func() *ClusterSource { return src }, tm,
+		func(batch []Convoy) bool {
+			out = append(out, batch...)
+			return true
+		})
 	if passes != nil {
-		atomic.AddInt64(passes, atomic.LoadInt64(&m.passes))
+		atomic.AddInt64(passes, src.Passes())
 	}
 	return out
 }
 
-// maxPipelineSpan bounds the tick count handed to the parallel pipeline so
-// that the span always fits an int (also on 32-bit platforms); larger —
-// degenerate — domains run serially.
-const maxPipelineSpan = 1 << 30
+// maxScanChunk caps the contiguous tick range one source owns in a parallel
+// scan, so cancellation keeps sub-chunk granularity even on huge time
+// domains. Each chunk's first tick is a full pass, so larger chunks
+// amortize better; 4096 keeps that overhead under 0.03%.
+const maxScanChunk = 4096
 
-// maxIncrementalChunk caps the contiguous tick range one incremental
-// engine owns in a parallel scan, so cancellation and early stop keep
-// sub-chunk granularity even on huge time domains. Each chunk's first tick
-// is a full pass, so larger chunks amortize better; 4096 keeps that
-// overhead under 0.03%.
-const maxIncrementalChunk = 4096
+// maxScanSpan bounds the tick count of one scan so the scheduler's index
+// arithmetic (span plus a chunk) always fits an int, also on 32-bit
+// platforms; no scan that long could finish anyway.
+const maxScanSpan = math.MaxInt / 2
 
 // CMC answers the convoy query over the whole database with the Coherent
 // Moving Cluster algorithm and returns the canonical result.

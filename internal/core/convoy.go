@@ -32,30 +32,41 @@
 // clustering work. The historical entry points (CMC, CMCParallel, Run,
 // CuTS, CuTS+, CuTS*) are thin wrappers over Query.
 //
-// # Parallel execution
+// # One tick-scan kernel, parallel by scheduling
+//
+// A tick is clustered, metered and chained in exactly one place: a
+// ClusterSource turns the tick's snapshot into clusters (from scratch, or
+// by patching the previous tick through an incremental engine the source
+// constructor decides on) and a Monitor chains the cluster lists into
+// convoys. Feeds push ticks through that pair as they arrive; the batch
+// CMC scan (cmcScan — whole database, refinement window or partition)
+// drives the very same pair from a stored database.
 //
 // Every stage of the discovery pipeline is parallel on a bounded worker
-// pool selected by Config.Workers (CMCParallel for the baseline):
+// pool selected by WithWorkers, and parallelism is a scheduling policy
+// around the serial code, never a second implementation:
 //
 //   - simplification runs per trajectory (independent inputs, one result
 //     slot each);
-//   - the CMC scan clusters ticks concurrently while the candidate
-//     chaining folds the snapshot clusters strictly in tick order — a
-//     pipeline, not a per-tick barrier (see orderedPipeline);
-//   - the CuTS filter clusters λ-partitions concurrently and chains the
-//     partition clusters in time order the same way;
-//   - refinement runs per candidate and canonicalizes the union.
+//   - the CMC scan, the CuTS filter's λ-partition scan and candidate
+//     refinement all use the one ordered fold of internal/par
+//     (par.OrderedChunks): the expensive per-index work — clustering a
+//     tick or a partition, refining a candidate — runs on the pool in
+//     contiguous chunks, while a single consumer folds the results
+//     strictly in index order; a pipeline, not a per-index barrier. The
+//     CMC scan only picks the chunk length: one long range per worker for
+//     batch runs (so each worker's source sees consecutive ticks and can
+//     cluster incrementally), single ticks for streams that may stop early.
 //
 // Serial and parallel runs return identical answers *by construction*, not
-// by coincidence: the expensive, parallelized parts (DBSCAN over a tick or
-// partition, simplifying one trajectory, refining one candidate) are pure
-// functions of their inputs, and the only order-sensitive state — the live
-// candidate set advanced by chainStep — is folded by a single consumer
-// that receives exactly the same cluster sequences, in exactly the same
-// order, as the serial loop produces. chainStep itself is reused unchanged
-// between the serial and parallel paths, and property tests pin parallel
-// output to the serial answer for CMC and all three CuTS variants across
-// worker counts.
+// by coincidence: a tick's clusters are a function of that tick's snapshot
+// alone (a source's cross-tick state changes how fast they are computed,
+// never what they are), and the only order-sensitive state — the live
+// candidate set a Monitor advances with chainStep — is folded by a single
+// consumer that receives exactly the same cluster sequences, in exactly
+// the same order, for every worker count and chunk length. Property tests
+// pin parallel, streamed, incremental and partitioned output to the serial
+// from-scratch answer for CMC and all three CuTS variants.
 package core
 
 import (

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dbscan"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/simplify"
 	"repro/internal/trace"
 )
@@ -267,11 +268,7 @@ func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Tra
 		if passes != nil {
 			atomic.AddInt64(passes, 1)
 		}
-		var t0 time.Time
-		if tm != nil {
-			t0 = time.Now()
-			defer func() { tm.cluster.Add(int64(time.Since(t0))) }()
-		}
+		defer tm.clustered(tm.start())
 		var polys []dbscan.Polyline
 		var polyObj []model.ObjectID
 		for _, st := range sts {
@@ -306,17 +303,12 @@ func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Tra
 	}
 
 	var live []*candidate
-	if err := orderedPipeline(ctx, len(wins), fc.Workers,
+	if err := par.OrderedPipeline(ctx, len(wins), fc.Workers,
 		func(i int) [][]model.ObjectID { return partitionClusters(wins[i]) },
 		func(i int, clusters [][]model.ObjectID) bool {
-			var t0 time.Time
-			if tm != nil {
-				t0 = time.Now()
-			}
+			t0 := tm.start()
 			live = chainStep(live, clusters, p.M, p.K, wins[i].w0, wins[i].w1, true, nil, collect)
-			if tm != nil {
-				tm.chain.Add(int64(time.Since(t0)))
-			}
+			tm.chained(t0)
 			return true
 		}); err != nil {
 		return nil, err
@@ -396,14 +388,15 @@ func RefineParallel(db *model.DB, p Params, cands []Candidate, workers int) Resu
 // cancelling ctx aborts with ctx.Err() at candidate granularity. passes
 // meters the snapshot clustering passes of the refinement windows.
 func refineScan(ctx context.Context, db *model.DB, p Params, cands []Candidate, workers int, passes *int64, emit func(i int, raw []Convoy) bool) error {
-	// The window scans get a span-only context: the refine span's timing
-	// attributes accumulate across candidates, while the scans stay
-	// uncancellable mid-window as documented on cmcWindow.
-	wctx := trace.ContextWithSpan(context.Background(), trace.FromContext(ctx))
-	return orderedPipeline(ctx, len(cands), workers,
+	// The window scans share the refine span's timer — their clustering and
+	// chaining time accumulates across candidates — but not ctx: they stay
+	// uncancellable mid-window, as documented on cmcWindow.
+	tm := newStageTimer(trace.FromContext(ctx))
+	defer tm.flush()
+	return par.OrderedPipeline(ctx, len(cands), workers,
 		func(i int) []Convoy {
 			c := cands[i]
-			return cmcWindow(wctx, db, p, c.Start, c.End, c.Support, passes)
+			return cmcWindow(db, p, c.Start, c.End, c.Support, passes, tm)
 		},
 		emit)
 }

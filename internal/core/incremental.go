@@ -8,9 +8,9 @@ import (
 	"repro/internal/increment"
 )
 
-// Incremental per-tick clustering: the CMC scan and the streaming
-// ClusterSource keep the previous tick's grid and neighborhood structure
-// (internal/increment) and re-cluster only the objects that moved,
+// Incremental per-tick clustering: a ClusterSource — driven by a feed or by
+// the CMC scan — keeps the previous tick's grid and neighborhood structure
+// (internal/increment) and re-clusters only the objects that moved,
 // appeared or vanished — plus their affected neighborhoods — falling back
 // to a from-scratch pass whenever the fraction of dirty objects exceeds a
 // churn threshold. The answers are identical either way; only the work
@@ -25,9 +25,9 @@ const DefaultChurnThreshold = increment.DefaultChurnThreshold
 
 // NoIncrementalEnv is the environment kill switch: when set (to any
 // non-empty value) incremental clustering is disabled process-wide and
-// every tick runs the from-scratch pass, regardless of per-query or
-// per-feed settings. It exists so a misbehaving deployment can be forced
-// onto the reference path without a rebuild.
+// every tick runs the from-scratch pass, whatever WithIncremental or
+// SetIncremental ask for. It exists so a misbehaving deployment can be
+// forced onto the reference path without a rebuild.
 const NoIncrementalEnv = "CONVOY_NO_INCREMENTAL"
 
 var incrementalKilled = sync.OnceValue(func() bool {
@@ -38,37 +38,25 @@ var incrementalKilled = sync.OnceValue(func() bool {
 // set (read once per process).
 func IncrementalDisabled() bool { return incrementalKilled() }
 
-// incrementalThreshold resolves the query's effective churn threshold for
-// clusterer cl: 0 means incremental clustering is off (from-scratch every
-// tick); > 0 is the threshold handed to the engine. Incremental is on by
-// default for the CMC algorithm with the grid-DBSCAN backend, off for
-// everything else, and forced off by WithIncremental(-1) or the env kill
-// switch.
-func (q *Query) incrementalThreshold(cl Clusterer) float64 {
-	if q.incremental < 0 || !q.useCMC || IncrementalDisabled() {
-		return 0
-	}
-	if _, ok := cl.(DBSCANClusterer); !ok {
-		return 0
-	}
-	if q.incremental > 0 {
-		return q.incremental
-	}
-	return DefaultChurnThreshold
+// incrementalApplies is the one "does a source carry an engine?" decision:
+// the engine reproduces exactly the default grid-DBSCAN backend's answers,
+// so it applies to that backend at a positive churn threshold, unless the
+// env kill switch is set.
+func incrementalApplies(c Clusterer, threshold float64) bool {
+	_, isDBSCAN := c.(DBSCANClusterer)
+	return isDBSCAN && threshold > 0 && !IncrementalDisabled()
 }
 
 // scanMeter aggregates the clustering-work counters of one discovery run.
-// All fields are updated atomically: the CMC pipeline increments them from
-// worker goroutines.
+// All fields are updated atomically: a parallel scan's sources bump them
+// from worker goroutines.
 type scanMeter struct {
 	passes      int64 // every snapshot/partition clustering pass
 	incremental int64 // CMC passes answered by the incremental engine
 	reclustered int64 // objects actually re-clustered on those passes
 }
 
-// addPass records one CMC snapshot pass. reclustered is the number of
-// objects whose neighborhoods were recomputed (the full population on a
-// from-scratch pass).
+// addPass records one snapshot clustering pass. Safe on nil.
 func (m *scanMeter) addPass(p increment.Pass) {
 	if m == nil {
 		return

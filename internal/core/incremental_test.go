@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -178,5 +179,64 @@ func TestSetIncrementalResetsState(t *testing.T) {
 	}
 	if got := src.Passes(); got != 3 {
 		t.Fatalf("Passes = %d, want 3 (counting both modes)", got)
+	}
+}
+
+// TestTickScanKernelDifferential drives the one tick-scan kernel through
+// every way a CMC query can schedule it — batch Run and collected Seq ×
+// workers × incremental on/off × whole-database or partitioned — and pins
+// every cell to the serial from-scratch answer, which the small database
+// additionally checks against the exhaustive-subset oracle. Parallel Seq
+// runs the chunked scheduler at chunk length one; parallel Run at one
+// contiguous range per worker.
+func TestTickScanKernelDifferential(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		n, ticks  int
+		p         Params
+		withBrute bool
+	}{
+		{"oracle-sized", 10, 40, Params{M: 2, K: 3, Eps: 6}, true},
+		{"population", 40, 160, Params{M: 3, K: 5, Eps: 4}, false},
+	} {
+		for _, moveProb := range []float64{0, 0.05, 1} {
+			db := churnWalkDB(t, 42, tc.n, tc.ticks, moveProb)
+			want, err := NewQuery(WithParams(tc.p), WithCMC(), WithIncremental(-1)).Run(context.Background(), db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatalf("%s churn=%g: fixture has no convoys; the comparison would be vacuous", tc.name, moveProb)
+			}
+			if tc.withBrute {
+				if brute := bruteConvoys(t, db, tc.p); !want.Equal(brute) {
+					t.Fatalf("%s churn=%g: serial from-scratch CMC = %v, oracle = %v", tc.name, moveProb, want, brute)
+				}
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, fromScratch := range []bool{false, true} {
+					for _, partitions := range []int{0, 3} {
+						opts := []Option{WithParams(tc.p), WithCMC(), WithWorkers(workers), WithPartitions(partitions)}
+						if fromScratch {
+							opts = append(opts, WithIncremental(-1))
+						}
+						q := NewQuery(opts...)
+						cell := fmt.Sprintf("%s churn=%g workers=%d fromScratch=%v partitions=%d",
+							tc.name, moveProb, workers, fromScratch, partitions)
+						got, err := q.Run(context.Background(), db)
+						if err != nil {
+							t.Fatalf("%s: Run: %v", cell, err)
+						}
+						if !got.Equal(want) {
+							t.Fatalf("%s: Run = %v, want %v", cell, got, want)
+						}
+						streamed := collectSeq(t, q, context.Background(), db)
+						if len(streamed) != len(want) || !Canonicalize(streamed).Equal(want) {
+							t.Fatalf("%s: collected Seq = %v, want %v", cell, streamed, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

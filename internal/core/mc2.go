@@ -74,7 +74,8 @@ func MC2(db *model.DB, p Params, theta float64) ([]Convoy, error) {
 		out = append(out, Convoy{Objects: ch.common, Start: ch.start, End: ch.end})
 	}
 	var live []*mcChain
-	for t := lo; t <= hi; t++ {
+	for i, n := int64(0), tickSpan(lo, hi); i < n; i++ {
+		t := lo + model.Tick(i)
 		clusters := snapshotClusters(db, DefaultClusterer, p, t, nil)
 		extended := make([]bool, len(clusters))
 		next := make([]*mcChain, 0, len(clusters))

@@ -84,11 +84,12 @@ type ClusterSource struct {
 	c      Clusterer
 	passes int64
 
-	// eng, when non-nil, answers Cluster calls incrementally; lastInc and
-	// lastRecl describe the most recent pass for the feed-level metrics.
-	eng      *increment.Engine
-	lastInc  bool
-	lastRecl int
+	// eng, when non-nil, answers Cluster calls incrementally; last
+	// describes the most recent pass for the feed-level metrics, and meter,
+	// when non-nil, aggregates every pass of the scan the source belongs to.
+	eng   *increment.Engine
+	last  increment.Pass
+	meter *scanMeter
 }
 
 // NewClusterSource validates the key and returns a source with a zeroed
@@ -116,12 +117,18 @@ func NewClusterSourceWith(key ClusterKey, c Clusterer) (*ClusterSource, error) {
 	if key.BackendName() != c.Name() {
 		return nil, fmt.Errorf("core: NewClusterSourceWith: key backend %q does not match clusterer %q", key.BackendName(), c.Name())
 	}
+	return newSource(key, c, DefaultChurnThreshold, nil), nil
+}
+
+// newSource assembles a source over validated arguments — the one
+// constructor behind the public ones and the CMC scan, and so the one place
+// that decides whether a source carries an incremental engine (see
+// SetIncremental). meter, when non-nil, is bumped on every pass.
+func newSource(key ClusterKey, c Clusterer, threshold float64, meter *scanMeter) *ClusterSource {
 	key.Backend = c.Name()
-	s := &ClusterSource{key: key.Canonical(), c: c}
-	if _, ok := c.(DBSCANClusterer); ok && !IncrementalDisabled() {
-		s.eng = increment.New(s.key.Eps, s.key.M, DefaultChurnThreshold)
-	}
-	return s, nil
+	s := &ClusterSource{key: key.Canonical(), c: c, meter: meter}
+	s.SetIncremental(threshold)
+	return s
 }
 
 // Key returns the source's clustering key (canonical).
@@ -146,14 +153,10 @@ func (s *ClusterSource) Incremental() bool { return s.eng != nil }
 // state, so the next pass is a full one. The cluster answers are identical
 // in both modes.
 func (s *ClusterSource) SetIncremental(threshold float64) {
-	if threshold <= 0 {
-		s.eng = nil
-		return
+	s.eng = nil
+	if incrementalApplies(s.c, threshold) {
+		s.eng = increment.New(s.key.Eps, s.key.M, threshold)
 	}
-	if _, ok := s.c.(DBSCANClusterer); !ok || IncrementalDisabled() {
-		return
-	}
-	s.eng = increment.New(s.key.Eps, s.key.M, threshold)
 }
 
 // LastPass describes the source's most recent clustering pass: whether it
@@ -161,7 +164,7 @@ func (s *ClusterSource) SetIncremental(threshold float64) {
 // re-clustered (the full snapshot on a from-scratch pass). It is the hook
 // the serve feed loop uses to split its pass counters.
 func (s *ClusterSource) LastPass() (incremental bool, reclustered int) {
-	return s.lastInc, s.lastRecl
+	return !s.last.Full, s.last.Reclustered
 }
 
 // Cluster runs one clustering pass over a pushed tick snapshot. IDs need
@@ -171,14 +174,16 @@ func (s *ClusterSource) LastPass() (incremental bool, reclustered int) {
 // coordinates, valid edges); Streamer.Advance and the serve feed handler
 // both do this before clustering.
 func (s *ClusterSource) Cluster(snap TickSnapshot) [][]model.ObjectID {
-	s.passes++
+	var out [][]model.ObjectID
 	if s.eng != nil {
-		out, pass := s.eng.Tick(snap.IDs, snap.Pts)
-		s.lastInc, s.lastRecl = !pass.Full, pass.Reclustered
-		return out
+		out, s.last = s.eng.Tick(snap.IDs, snap.Pts)
+	} else {
+		out = s.c.Clusters(s.key, snap)
+		s.last = increment.Pass{Full: true, Reclustered: len(snap.IDs)}
 	}
-	s.lastInc, s.lastRecl = false, len(snap.IDs)
-	return s.c.Clusters(s.key, snap)
+	s.passes++
+	s.meter.addPass(s.last)
+	return out
 }
 
 // Snapshot clusters the object IDs alive at one tick and their positions

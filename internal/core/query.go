@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"runtime"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -50,9 +52,9 @@ type Query struct {
 	// plan for Run; see WithPartitions.
 	partitions int
 
-	// incremental selects the CMC incremental-clustering mode: 0 is the
-	// default (on for the grid-DBSCAN backend at DefaultChurnThreshold),
-	// < 0 is off, > 0 is a custom churn threshold. See WithIncremental.
+	// incremental is the churn threshold handed to the sources a CMC scan
+	// builds (DefaultChurnThreshold unless WithIncremental says otherwise;
+	// ≤ 0 is off).
 	incremental float64
 
 	// Ablation switches, carried for WithConfig round-trips.
@@ -70,7 +72,7 @@ type Option func(*Query)
 // the automatic δ/λ guidelines; the run is serial unless WithWorkers says
 // otherwise.
 func NewQuery(opts ...Option) *Query {
-	q := &Query{variant: VariantCuTSStar}
+	q := &Query{variant: VariantCuTSStar, incremental: DefaultChurnThreshold}
 	for _, o := range opts {
 		o(q)
 	}
@@ -119,7 +121,8 @@ func WithLambda(lambda int64) Option { return func(q *Query) { q.lambda = lambda
 // default — or global, Figure 14).
 func WithTolerance(t dbscan.ToleranceMode) Option { return func(q *Query) { q.tol = t } }
 
-// WithIncremental tunes incremental per-tick clustering on the CMC scan.
+// WithIncremental tunes incremental per-tick clustering on the CMC scan: it
+// hands the threshold to the ClusterSources the scan builds.
 // threshold > 0 sets the churn threshold: the fraction of objects that may
 // move, appear or vanish in one tick before the engine abandons patching
 // the previous tick's structure and rebuilds from scratch. threshold ≤ 0
@@ -135,18 +138,15 @@ func WithTolerance(t dbscan.ToleranceMode) Option { return func(q *Query) { q.to
 // Stats.ClusterPassesIncremental / ObjectsReclustered and the run time
 // change.
 func WithIncremental(threshold float64) Option {
-	return func(q *Query) {
-		if threshold <= 0 {
-			q.incremental = -1
-		} else {
-			q.incremental = threshold
-		}
-	}
+	return func(q *Query) { q.incremental = threshold }
 }
 
 // WithWorkers sets the number of goroutines every pipeline stage may use;
 // ≤ 1 runs serially. The answer set is identical for every worker count.
 func WithWorkers(n int) Option { return func(q *Query) { q.workers = n } }
+
+// DefaultWorkers returns the natural worker count for this machine.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // WithLimit stops discovery after n convoys have been delivered: Seq ends
 // its iteration and Run returns only those answers, in both cases
@@ -341,31 +341,29 @@ func (q *Query) runCMC(ctx context.Context, db *model.DB, cl Clusterer, raw bool
 	if !ok {
 		return nil
 	}
-	incThreshold := q.incrementalThreshold(cl)
-	if incThreshold > 0 && q.workers > 1 && !raw {
-		// Streaming emissions promise a bounded pass overrun when the
-		// consumer breaks early (the Seq early-stop/cancellation bounds).
-		// The per-tick pipeline keeps that bound; the chunked incremental
-		// scan cannot — each chunk's worker clusters its whole contiguous
-		// range ahead of the consumer. Parallel streaming therefore stays
-		// on the from-scratch pipeline; batch collection (which never
-		// stops early) takes the chunked incremental path, and serial
-		// scans are always incremental.
-		incThreshold = 0
+	// Batch collection never stops early, so every worker owns one long
+	// contiguous tick range and clusters it incrementally. Streaming
+	// emissions promise a bounded pass overrun when the consumer breaks
+	// early (the Seq early-stop/cancellation bounds), which only per-tick
+	// scheduling keeps — and a one-tick chunk has no previous tick to
+	// patch, so its sources carry no engine. Serial scans run the whole
+	// span on one source either way.
+	chunk, threshold := 0, q.incremental
+	if !raw && q.workers > 1 {
+		chunk, threshold = 1, 0
 	}
 	ctx, sp := trace.StartSpan(ctx, "scan")
-	sp.Int("ticks", int64(hi-lo)+1)
-	if incThreshold > 0 {
-		sp.Str("incremental", "true")
-	} else {
-		sp.Str("incremental", "false")
-	}
+	sp.Int("ticks", tickSpan(lo, hi)).
+		Str("incremental", strconv.FormatBool(incrementalApplies(cl, threshold)))
 	defer func() {
 		sp.Int("objects_reclustered", atomic.LoadInt64(&meter.reclustered))
 		sp.End()
 	}()
-	sink := emitBatches(raw, emit)
-	return cmcScan(ctx, db, cl, q.p, lo, hi, nil, q.workers, incThreshold, meter, sink)
+	tm := newStageTimer(sp)
+	defer tm.flush()
+	return cmcScan(ctx, db, q.p, lo, hi, nil, q.workers, chunk,
+		func() *ClusterSource { return newSource(q.p.ClusterKey(), cl, threshold, meter) },
+		tm, emitBatches(raw, emit))
 }
 
 // emitBatches adapts a per-convoy emit to cmcScan's per-tick batch

@@ -106,7 +106,8 @@ func ReplayTicks(db *model.DB, fn func(t model.Tick, ids []model.ObjectID, pts [
 	if !ok {
 		return nil
 	}
-	for t := lo; t <= hi; t++ {
+	for i, n := int64(0), tickSpan(lo, hi); i < n; i++ {
+		t := lo + model.Tick(i)
 		ids, pts := db.SnapshotAt(t)
 		if err := fn(t, ids, pts); err != nil {
 			return err

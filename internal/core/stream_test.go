@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -180,5 +181,50 @@ func TestPropStreamEqualsCMC(t *testing.T) {
 			t.Fatalf("iter %d (m=%d k=%d e=%.3f):\nstream = %v\nbatch  = %v",
 				iter, p.M, p.K, p.Eps, got, want)
 		}
+	}
+}
+
+// A database whose last tick is model.MaxTick must not wrap the tick walk:
+// `for t := lo; t <= hi; t++` never terminates there (t++ overflows back
+// below hi), which used to hang MC2 and ReplayTicks (StreamDB bailed out
+// only because its Streamer rejects the wrapped tick). Every walker goes
+// through tickSpan now; this pins that they terminate on the 3-tick domain
+// [MaxTick-2, MaxTick] and that CMC ≡ StreamDB on it.
+func TestTickWalkTerminatesAtMaxTick(t *testing.T) {
+	db := buildDB(t, model.MaxTick-2,
+		[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0)},
+		[]geom.Point{geom.Pt(0, 0.5), geom.Pt(1, 0.5), geom.Pt(2, 0.5)},
+		[]geom.Point{geom.Pt(0, 50), geom.Pt(1, 50), geom.Pt(2, 50)})
+	p := Params{M: 2, K: 2, Eps: 1}
+	type answers struct{ cmc, stream, mc2 Result }
+	done := make(chan answers, 1) // buffered: a late finisher must not block after the timeout
+	go func() {
+		var a answers
+		var err error
+		if a.cmc, err = CMC(db, p); err != nil {
+			t.Error(err)
+		}
+		if a.stream, err = StreamDB(db, p); err != nil {
+			t.Error(err)
+		}
+		if a.mc2, err = MC2(db, p, 0.5); err != nil {
+			t.Error(err)
+		}
+		done <- a
+	}()
+	select {
+	case a := <-done:
+		want := Result{{Objects: ids(0, 1), Start: model.MaxTick - 2, End: model.MaxTick}}
+		if !a.cmc.Equal(want) {
+			t.Fatalf("CMC = %v, want %v", a.cmc, want)
+		}
+		if !a.stream.Equal(a.cmc) {
+			t.Fatalf("StreamDB = %v, CMC = %v", a.stream, a.cmc)
+		}
+		if len(a.mc2) != 1 || !equalSorted(a.mc2[0].Objects, ids(0, 1)) || a.mc2[0].End != model.MaxTick {
+			t.Fatalf("MC2 = %v, want the one ⟨0,1⟩ chain ending at MaxTick", a.mc2)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a tick walk over [MaxTick-2, MaxTick] did not terminate")
 	}
 }

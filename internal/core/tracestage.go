@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -10,9 +11,10 @@ import (
 // clustering work (summed across workers, so it can exceed the stage's
 // wall time) and the sequential chaining fold — and flushes both totals
 // into a span as accumulated attributes (cluster_ms / chain_ms).
-// AddFloat accumulation means nested scans (each refinement candidate
-// runs one) sum into their shared ancestor span instead of overwriting
-// each other.
+// Attributes, not synthetic spans, keep the explain invariant "Σ child
+// stage durations ≤ parent wall time" intact under parallelism. One timer
+// serves a whole stage: every refinement window scan adds into the refine
+// span's timer.
 type stageTimer struct {
 	sp      *trace.Span
 	cluster atomic.Int64 // ns, summed across workers
@@ -26,6 +28,29 @@ func newStageTimer(sp *trace.Span) *stageTimer {
 		return nil
 	}
 	return &stageTimer{sp: sp}
+}
+
+// start returns the clock reading clustered and chained measure from; the
+// unsampled (nil) timer never reads the clock.
+func (tm *stageTimer) start() time.Time {
+	if tm == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// clustered adds the time since t0 to the clustering total. Safe on nil.
+func (tm *stageTimer) clustered(t0 time.Time) {
+	if tm != nil {
+		tm.cluster.Add(int64(time.Since(t0)))
+	}
+}
+
+// chained adds the time since t0 to the chaining total. Safe on nil.
+func (tm *stageTimer) chained(t0 time.Time) {
+	if tm != nil {
+		tm.chain.Add(int64(time.Since(t0)))
+	}
 }
 
 // flush folds the accumulated totals into the span. Safe on nil.

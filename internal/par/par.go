@@ -5,18 +5,24 @@
 // fold is inherently sequential, so two primitives cover everything:
 //
 //   - For — independent jobs with no ordering requirement beyond writing
-//     to distinct result slots (simplification, refinement);
-//   - OrderedPipeline — jobs computed concurrently but *consumed strictly
-//     in input order* by a single fold (the CMC tick scan and the filter's
-//     partition scan, whose candidate chaining must walk time forward).
+//     to distinct result slots (simplification, partitioned mining);
+//   - OrderedChunks — the one ordered fold: the index space is cut into
+//     contiguous chunks, each chunk is produced sequentially on one worker
+//     against a fresh state, and the results are *consumed strictly in
+//     input order* by a single fold on the calling goroutine. The CMC tick
+//     scan picks the chunk length (long chunks let a stateful producer —
+//     the incremental clustering engine — see consecutive ticks; chunks of
+//     one give the tightest early-stop bound). OrderedPipeline is its
+//     stateless chunk-of-one case (the filter's partition scan, candidate
+//     refinement).
 //
 // Both degenerate to plain loops at workers ≤ 1, which is why serial and
-// parallel runs of the pipeline are equal by construction: the same pure
-// per-job results are folded by the same consumer in the same order.
+// parallel runs of the pipeline are equal by construction: the same
+// per-index results are folded by the same consumer in the same order.
 //
 // Both primitives are context-first: cancellation is observed between
 // jobs (serial) or between job pickups (parallel), so an aborted run
-// returns after at most one in-flight job per worker. OrderedPipeline
+// returns after at most one in-flight job per worker. The ordered fold
 // additionally stops early when its consumer declines further results —
 // the hook streaming consumers use to abandon a scan mid-way.
 package par
@@ -97,129 +103,29 @@ feed:
 	return ctx.Err()
 }
 
-// OrderedPipeline computes produce(i) for i in [0, n) on a bounded worker
-// pool and calls consume(i, result) strictly in index order — a pipeline,
-// not a barrier: consume(0) can run while produce(5) is still executing.
-// produce must be pure with respect to shared state; consume runs on the
-// calling goroutine only, so it may fold into unsynchronized state. The
-// window of outstanding results is bounded (~2×workers), which bounds
+// OrderedChunks is the ordered fold: the index space [0, n) is cut into
+// contiguous chunks of the given size, each chunk runs sequentially on one
+// worker against a fresh state from newState, and consume(i, result) is
+// called strictly in index order on the calling goroutine — a pipeline,
+// not a barrier: consume(0) can run while a later chunk is still being
+// produced, and consume may fold into unsynchronized state.
+//
+// Chunks exist for producers that exploit coherence between consecutive
+// indices (the incremental per-tick clustering engine reuses the previous
+// tick's neighborhoods), where per-index scattering would destroy exactly
+// the locality being exploited: parallelism becomes per-worker runs of
+// contiguous ranges, with one cold (from-scratch) index per chunk instead
+// of per index. produce must be pure apart from its own state; chunk ≤ 0
+// selects one chunk per worker. With workers ≤ 1 (or a single chunk) the
+// whole span runs on one state — a plain loop.
+//
+// The window of outstanding chunks is bounded (~2×workers), which bounds
 // memory and applies backpressure to the producers when the fold is slow.
-//
-// consume returns whether the pipeline should continue; returning false
-// abandons the remaining jobs (in-flight produce calls finish and their
-// results are discarded) and OrderedPipeline returns nil. Cancelling ctx
-// has the same draining behavior but returns ctx.Err(). Either way the
-// call returns within roughly one produce per worker of the stop signal.
-func OrderedPipeline[T any](ctx context.Context, n, workers int, produce func(i int) T, consume func(i int, v T) bool) error {
-	workers = norm(workers, n)
-	annotate(ctx, n, workers)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if !consume(i, produce(i)) {
-				return nil
-			}
-		}
-		return nil
-	}
-	// pctx tears the pipeline down on external cancellation or when the
-	// consumer declines further results.
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type job struct {
-		i   int
-		out chan T
-	}
-	jobs := make(chan job)
-	order := make(chan chan T, 2*workers) // in-order result slots; caps the window
-	go func() {
-		defer close(jobs)
-		defer close(order)
-		for i := 0; i < n; i++ {
-			j := job{i: i, out: make(chan T, 1)}
-			select {
-			case order <- j.out: // blocks when the window is full (backpressure)
-			case <-pctx.Done():
-				return
-			}
-			select {
-			case jobs <- j:
-			case <-pctx.Done():
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if pctx.Err() != nil {
-					j.out <- *new(T) // unblock a consumer that already chose this slot
-					continue
-				}
-				j.out <- produce(j.i) // buffered: never blocks
-			}
-		}()
-	}
-	var ret error
-	live := true
-	i := 0
-	for out := range order {
-		if live {
-			select {
-			case v := <-out:
-				if err := ctx.Err(); err != nil {
-					ret, live = err, false
-					cancel()
-				} else if !consume(i, v) {
-					live = false
-					cancel()
-				}
-			case <-ctx.Done():
-				ret, live = ctx.Err(), false
-				cancel()
-			}
-			i++
-			continue
-		}
-		select { // tearing down: discard without ever blocking
-		case <-out:
-		default:
-		}
-	}
-	wg.Wait()
-	if ret == nil && live && i < n {
-		// The feeder tore down before every job was enqueued (e.g. a
-		// pre-cancelled ctx): surface the cancellation. A run whose n
-		// results were all consumed returns nil even if ctx expired at the
-		// very end — exactly like the serial branch, so worker count never
-		// decides whether a completed run counts as cancelled.
-		ret = ctx.Err()
-	}
-	return ret
-}
-
-// OrderedChunks is OrderedPipeline for stateful producers: the index space
-// [0, n) is cut into contiguous chunks of the given size, each chunk runs
-// sequentially on one worker against a fresh state from newState, and the
-// results are still consumed strictly in index order on the calling
-// goroutine. It exists for producers that exploit coherence between
-// consecutive indices (the incremental per-tick clustering engine reuses
-// the previous tick's neighborhoods), where per-index scattering would
-// destroy exactly the locality being exploited: parallelism degrades to
-// per-worker runs of contiguous ranges, with one cold (from-scratch) index
-// per chunk instead of per index.
-//
-// With workers ≤ 1 (or a single chunk) the whole span runs on one state —
-// byte-identical to the serial loop. produce must be pure apart from its
-// own state; chunk ≤ 0 selects one chunk per worker. The in-flight window
-// is bounded (~workers+1 chunks) for backpressure, and teardown mirrors
-// OrderedPipeline: consume returning false abandons the rest and returns
-// nil, a cancelled ctx returns ctx.Err().
+// consume returns whether the fold should continue; returning false
+// abandons the remaining indices (in-flight produce calls finish and their
+// results are discarded) and OrderedChunks returns nil. Cancelling ctx has
+// the same draining behavior but returns ctx.Err(). Either way the call
+// returns within roughly one produce per worker of the stop signal.
 func OrderedChunks[S, T any](ctx context.Context, n, workers, chunk int, newState func() S, produce func(s S, i int) T, consume func(i int, v T) bool) error {
 	if n <= 0 {
 		return nil
@@ -245,6 +151,8 @@ func OrderedChunks[S, T any](ctx context.Context, n, workers, chunk int, newStat
 		}
 		return nil
 	}
+	// pctx tears the pool down on external cancellation or when the
+	// consumer declines further results.
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type job struct {
@@ -252,7 +160,7 @@ func OrderedChunks[S, T any](ctx context.Context, n, workers, chunk int, newStat
 		out    chan T
 	}
 	jobs := make(chan job)
-	order := make(chan job, workers) // in-order chunk slots; caps the window
+	order := make(chan job, 2*workers) // in-order chunk slots; caps the window
 	go func() {
 		defer close(jobs)
 		defer close(order)
@@ -325,9 +233,25 @@ func OrderedChunks[S, T any](ctx context.Context, n, workers, chunk int, newStat
 	wg.Wait()
 	if ret == nil && live && consumed < n {
 		// The feeder tore down before every chunk was enqueued (e.g. a
-		// pre-cancelled ctx): surface the cancellation, exactly like
-		// OrderedPipeline.
+		// pre-cancelled ctx): surface the cancellation. A run whose n
+		// results were all consumed returns nil even if ctx expired at the
+		// very end — exactly like the serial branch, so worker count never
+		// decides whether a completed run counts as cancelled.
 		ret = ctx.Err()
 	}
 	return ret
+}
+
+// OrderedPipeline computes produce(i) for i in [0, n) on a bounded worker
+// pool and calls consume(i, result) strictly in index order — a pipeline,
+// not a barrier: consume(0) can run while produce(5) is still executing.
+// It is OrderedChunks with chunks of one index and no producer state, so
+// produce must be pure with respect to shared state; ordering, the bounded
+// window (~2×workers outstanding results), early stop and cancellation are
+// exactly OrderedChunks'.
+func OrderedPipeline[T any](ctx context.Context, n, workers int, produce func(i int) T, consume func(i int, v T) bool) error {
+	return OrderedChunks(ctx, n, workers, 1,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) T { return produce(i) },
+		consume)
 }

@@ -89,13 +89,6 @@ type Config struct {
 	// (the contact graph a proxgraph monitor clusters is quadratic in the
 	// worst case, so the wire bounds it). Default 65536.
 	MaxEdgesPerTick int
-	// DisableIncremental forces every clustering pass — feed ingestion and
-	// batch queries — onto the from-scratch path (convoyd -no-incremental).
-	// Answers are identical either way; this is the server-wide escape
-	// hatch for the incremental-clustering fast path, overriding per-feed
-	// and per-query requests to enable it. The CONVOY_NO_INCREMENTAL
-	// environment variable does the same process-wide.
-	DisableIncremental bool
 	// Metrics receives the server's instrument families (the convoyd_*
 	// catalogue; see serveMetrics). Nil means a private registry: the
 	// instruments still update and Server.Snapshot/GET /v1/stats still

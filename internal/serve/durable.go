@@ -21,7 +21,7 @@ import (
 // A durable feed (Config.WALDir set) owns WALDir/feeds/<escaped-name>: a
 // manifest recording its creation spec, CRC-framed tick segments holding
 // every accepted batch, and a spec journal holding the dynamic operations
-// (monitor add/remove, incremental flips) tagged with the stream position
+// (monitor add/remove) tagged with the stream position
 // they happened at. Recovery rebuilds a feed by replaying exactly what a
 // client did: the manifest re-creates it, the tick blocks re-ingest
 // through the same applyBatch path live traffic uses, and the journal ops
@@ -58,8 +58,7 @@ func walOptions(cfg Config) wal.Options {
 }
 
 // feedManifest is the creation record stored in a feed's WAL manifest:
-// the normalized creation spec. Incremental is deliberately absent — it
-// flows through the spec journal like every other dynamic change.
+// the normalized creation spec.
 type feedManifest struct {
 	Name      string     `json:"name"`
 	Params    ParamsJSON `json:"params"`
@@ -71,15 +70,13 @@ type feedManifest struct {
 // it exactly (a monitor added after tick 7 starts chaining at the first
 // replayed tick after 7, just like it did live).
 type specOp struct {
-	// Op is "monitor-add", "monitor-remove" or "incremental".
+	// Op is "monitor-add" or "monitor-remove".
 	Op string `json:"op"`
 	// ID names the monitor for the monitor ops.
 	ID string `json:"id,omitempty"`
 	// Params and Clusterer carry a monitor-add's spec.
 	Params    *ParamsJSON `json:"params,omitempty"`
 	Clusterer string      `json:"clusterer,omitempty"`
-	// On carries an incremental flip.
-	On *bool `json:"on,omitempty"`
 	// AfterTick/Started record the feed's stream position at the time of
 	// the op: Started=false means before any tick.
 	AfterTick int64 `json:"after_tick"`
@@ -89,7 +86,10 @@ type specOp struct {
 const (
 	opMonitorAdd    = "monitor-add"
 	opMonitorRemove = "monitor-remove"
-	opIncremental   = "incremental"
+	// opIncremental journaled a per-feed incremental-clustering flip in
+	// PR 9–11 builds. The knob is gone (it never changed an answer), so
+	// replay skips the entry instead of failing recovery on an unknown op.
+	opIncremental = "incremental"
 )
 
 // feedWAL bundles one durable feed's persistence handles. The feed worker
@@ -306,7 +306,6 @@ func (f *feed) applySpecOp(op specOp) error {
 		_, err := f.dropMonitor(op.ID)
 		return err
 	case opIncremental:
-		f.applyIncremental(op.On)
 		return nil
 	default:
 		return fmt.Errorf("unknown spec op %q", op.Op)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // copyTree snapshots a directory tree — the crash image of a running
@@ -205,6 +206,73 @@ func TestDurableFeedTornTailRecovery(t *testing.T) {
 	pushTick(t, tsB.URL, "fleet", vanBatch(7))
 }
 
+// TestRecoverySkipsLegacyIncrementalOp pins WAL back-compat for the removed
+// per-feed incremental knob: spec journals written by PR 9–11 builds can
+// hold {"op":"incremental",…} entries, and a journal with such entries
+// interleaved must recover to exactly the state of the same journal
+// without them — not fail recovery on an unknown op.
+func TestRecoverySkipsLegacyIncrementalOp(t *testing.T) {
+	walRoot := filepath.Join(t.TempDir(), "data")
+	_, ts := newTestServer(t, durableConfig(walRoot))
+	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	for tick := model.Tick(0); tick < 16; tick++ {
+		if tick == 5 {
+			addMonitor(t, ts.URL, "fleet", MonitorSpec{ID: "wide", Params: ParamsJSON{M: 2, K: 3, Eps: 2}})
+		}
+		pushTick(t, ts.URL, "fleet", vanBatch(tick))
+	}
+	want := snapshotFeed(t, ts.URL, "fleet")
+	if len(want.events) == 0 {
+		t.Fatal("fixture closed no convoys; the event comparison would be vacuous")
+	}
+
+	plain := filepath.Join(t.TempDir(), "plain")
+	legacy := filepath.Join(t.TempDir(), "legacy")
+	copyTree(t, walRoot, plain)
+	copyTree(t, walRoot, legacy)
+
+	// Rewrite the legacy image's journal with a flip before the monitor-add
+	// (after tick 2) and one after it (after tick 9), as an old build would
+	// have journaled them.
+	dir := feedWALDir(legacy, "fleet")
+	jnl, entries, _, err := wal.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("journal holds %d entries, want the one monitor-add", len(entries))
+	}
+	if err := os.Remove(filepath.Join(dir, "spec.jnl")); err != nil {
+		t.Fatal(err)
+	}
+	jnl, _, _, err = wal.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range [][]byte{
+		[]byte(`{"op":"incremental","on":false,"after_tick":2,"started":true}`),
+		entries[0],
+		[]byte(`{"op":"incremental","on":true,"after_tick":9,"started":true}`),
+	} {
+		if err := jnl.Append(entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, img := range map[string]string{"plain": plain, "legacy": legacy} {
+		_, tsB := newTestServer(t, durableConfig(img))
+		if got := snapshotFeed(t, tsB.URL, "fleet"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s journal: recovered state diverged\n got: %+v\nwant: %+v", name, got, want)
+		}
+	}
+}
+
 // TestRecoverySkipsDuplicateBatch models at-least-once ingestion across a
 // crash: the log holds the last batch twice, and replay applies it once.
 func TestRecoverySkipsDuplicateBatch(t *testing.T) {
@@ -318,7 +386,7 @@ func TestHistoryQueryMatchesBatch(t *testing.T) {
 			}
 			want := []ConvoyJSON{}
 			for _, c := range res {
-				want = append(want, ConvoyToJSON(c, DBLabels(db)))
+				want = append(want, wire.ConvoyToJSON(c, wire.DBLabels(db)))
 			}
 			sortConvoys(want)
 			got := append([]ConvoyJSON{}, resp.Convoys...)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // A feed is one live position stream behind a dedicated worker goroutine
@@ -95,16 +96,11 @@ type feed struct {
 	passesInc     int64
 	reclustered   int64
 	objectsSeen   int64
-	// incremental is the feed-level knob (FeedSpec.Incremental): nil means
-	// the default (incremental clustering on where it applies), false
-	// forces every source onto the from-scratch path. Applies to sources
-	// created later too.
-	incremental *bool
-	lastTick    model.Tick
-	started     bool
-	ids         map[string]model.ObjectID // label → dense ID
-	labels      []string                  // dense ID → label
-	ticks       int64                     // ingested tick batches
+	lastTick      model.Tick
+	started       bool
+	ids           map[string]model.ObjectID // label → dense ID
+	labels        []string                  // dense ID → label
+	ticks         int64                     // ingested tick batches
 
 	history  []Event // ring of the last cfg.HistoryLimit events
 	nextSeq  uint64  // seq of the next event to emit
@@ -122,7 +118,7 @@ type feed struct {
 // the worker — recovery replays into the quiescent feed first; newFeed
 // starts it immediately.
 func buildFeed(name string, p core.Params, clusterer string, cfg Config, w *feedWAL) (*feed, error) {
-	cl, err := ParseClusterer(clusterer)
+	cl, err := wire.ParseClusterer(clusterer)
 	if err != nil {
 		return nil, badRequest(err)
 	}
@@ -166,7 +162,7 @@ func (f *feed) insertMonitor(id string, p core.Params, clusterer string) error {
 	if len(f.monitors) >= f.cfg.MaxMonitorsPerFeed {
 		return fmt.Errorf("%w (%d)", errTooManyMonitors, f.cfg.MaxMonitorsPerFeed)
 	}
-	cl, err := ParseClusterer(clusterer)
+	cl, err := wire.ParseClusterer(clusterer)
 	if err != nil {
 		return badRequest(err)
 	}
@@ -181,9 +177,6 @@ func (f *feed) insertMonitor(id string, p core.Params, clusterer string) error {
 		src, err := core.NewClusterSourceWith(key, cl)
 		if err != nil {
 			return badRequest(err)
-		}
-		if f.cfg.DisableIncremental || (f.incremental != nil && !*f.incremental) {
-			src.SetIncremental(0)
 		}
 		f.sources[key] = src
 	}
@@ -259,7 +252,7 @@ func (f *feed) emit(monitorID string, c core.Convoy) {
 		Seq:     f.nextSeq,
 		Feed:    f.name,
 		Monitor: monitorID,
-		Convoy: ConvoyToJSON(c, func(id model.ObjectID) string {
+		Convoy: wire.ConvoyToJSON(c, func(id model.ObjectID) string {
 			if id >= 0 && int(id) < len(f.labels) {
 				return f.labels[id]
 			}
@@ -471,7 +464,7 @@ func (f *feed) monitorStatus(fm *feedMonitor) MonitorStatus {
 	st := MonitorStatus{
 		ID:        fm.id,
 		Feed:      f.name,
-		Params:    ParamsToJSON(fm.p),
+		Params:    wire.ParamsToJSON(fm.p),
 		Clusterer: fm.key.BackendName(),
 		Live:      fm.mon.Live(),
 		Closed:    fm.closed,
@@ -487,7 +480,7 @@ func (f *feed) status(ctx context.Context) (FeedStatus, error) {
 	v, err := f.do(ctx, func(f *feed) (any, error) {
 		st := FeedStatus{
 			Name:                     f.name,
-			Params:                   ParamsToJSON(f.p),
+			Params:                   wire.ParamsToJSON(f.p),
 			Clusterer:                f.backend,
 			Ticks:                    f.ticks,
 			Objects:                  len(f.labels),
@@ -517,44 +510,6 @@ func (f *feed) status(ctx context.Context) (FeedStatus, error) {
 	return st, err
 }
 
-// applyIncremental applies the feed-level incremental-clustering knob to
-// every current cluster source and records it for sources created later
-// (worker only, or during recovery replay). nil is a no-op.
-func (f *feed) applyIncremental(on *bool) {
-	if on == nil {
-		return
-	}
-	f.incremental = on
-	for _, src := range f.sources {
-		if *on && !f.cfg.DisableIncremental {
-			src.SetIncremental(core.DefaultChurnThreshold)
-		} else {
-			src.SetIncremental(0)
-		}
-	}
-}
-
-// setIncremental is the client-facing incremental knob. nil leaves the
-// default (incremental on where it applies); false forces the from-scratch
-// path; true restores the default threshold. The server-wide
-// DisableIncremental config and the process kill switch both override a
-// true. On a durable feed the flip is journaled before it applies.
-func (f *feed) setIncremental(ctx context.Context, on *bool) error {
-	if on == nil {
-		return nil
-	}
-	_, err := f.do(ctx, func(f *feed) (any, error) {
-		if f.w != nil {
-			if err := f.appendSpecOp(specOp{Op: opIncremental, On: on}); err != nil {
-				return nil, fmt.Errorf("serve: journal incremental flip: %w", err)
-			}
-		}
-		f.applyIncremental(on)
-		return nil, nil
-	})
-	return err
-}
-
 // addMonitor registers a standing query on the feed at runtime. A monitor
 // added mid-stream starts chaining at the next ingested tick. On a durable
 // feed the registration is journaled after it validates; a journal failure
@@ -566,7 +521,7 @@ func (f *feed) addMonitor(ctx context.Context, id string, p core.Params, cluster
 			return MonitorStatus{}, err
 		}
 		if f.w != nil {
-			pj := ParamsToJSON(p)
+			pj := wire.ParamsToJSON(p)
 			op := specOp{Op: opMonitorAdd, ID: id, Params: &pj, Clusterer: f.monitors[id].key.BackendName()}
 			if err := f.appendSpecOp(op); err != nil {
 				// A just-inserted monitor has no live candidates, so the

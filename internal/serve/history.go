@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/proxgraph"
+	"repro/internal/wire"
 )
 
 // Historical queries: POST /v1/feeds/{name}/query runs a batch convoy
@@ -52,9 +53,6 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 		Ticks:     len(batches),
 	}
 	opts := []core.Option{core.WithParams(pl.res.P), core.WithWorkers(pl.workers)}
-	if s.cfg.DisableIncremental || (pl.req.Incremental != nil && !*pl.req.Incremental) {
-		opts = append(opts, core.WithIncremental(-1))
-	}
 	var db *model.DB
 	if pl.res.Clusterer == proxgraph.Backend {
 		// Cluster the logged contact edges: rebuild the window's edge log
@@ -106,12 +104,12 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 		return HistoryQueryResponse{}, err
 	}
 	if !pl.res.IsCMC {
-		js := StatsToJSON(st)
+		js := wire.StatsToJSON(st)
 		resp.Stats = &js
 	}
-	labels := DBLabels(db)
+	labels := wire.DBLabels(db)
 	for _, c := range res {
-		resp.Convoys = append(resp.Convoys, ConvoyToJSON(c, labels))
+		resp.Convoys = append(resp.Convoys, wire.ConvoyToJSON(c, labels))
 	}
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	return resp, nil

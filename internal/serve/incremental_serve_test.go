@@ -1,9 +1,10 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
-	"strings"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -65,43 +66,6 @@ func TestFeedIncrementalCountersAndReuseRatio(t *testing.T) {
 	}
 }
 
-// "incremental": false in the feed spec pins the feed to from-scratch
-// passes; Config.DisableIncremental does the same server-wide even when
-// the spec asks for the fast path.
-func TestFeedIncrementalKnobOff(t *testing.T) {
-	off := false
-	on := true
-	cases := []struct {
-		name string
-		cfg  Config
-		spec *bool
-	}{
-		{"spec-false", Config{}, &off},
-		{"server-disabled", Config{DisableIncremental: true}, &on},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newTestServer(t, tc.cfg)
-			var st FeedStatus
-			doJSON(t, "POST", ts.URL+"/v1/feeds",
-				FeedSpec{Name: "f", Params: ParamsJSON{M: 2, K: 3, Eps: 1}, Incremental: tc.spec},
-				http.StatusCreated, &st)
-			for tick := model.Tick(0); tick < 5; tick++ {
-				pushTick(t, ts.URL, "f", staticBatch(tick))
-			}
-			var fs FeedStatus
-			doJSON(t, "GET", ts.URL+"/v1/feeds/f", nil, http.StatusOK, &fs)
-			if fs.ClusterPasses != 5 || fs.ClusterPassesIncremental != 0 || fs.ClusterPassesFull != 5 {
-				t.Fatalf("passes = %d (%d full, %d incremental), want 5 full from-scratch passes",
-					fs.ClusterPasses, fs.ClusterPassesFull, fs.ClusterPassesIncremental)
-			}
-			if fs.ReuseRatio != 0 {
-				t.Fatalf("reuse ratio = %g on a from-scratch feed, want 0", fs.ReuseRatio)
-			}
-		})
-	}
-}
-
 // Removing the last monitor on a clustering key releases its source —
 // including the incremental engine's carried state. A re-added monitor
 // with the same key starts from a full pass, never from a stranger's
@@ -139,54 +103,54 @@ func TestMonitorRemovalDropsIncrementalState(t *testing.T) {
 	}
 }
 
-// The per-query incremental knob changes work, never answers — so it is
-// deliberately absent from the cache key, and a ?incremental=false repeat
-// of a cached query is a hit.
-func TestQueryIncrementalKnobOutsideCacheKey(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	const db = "obj,t,x,y\n" +
-		"0,0,0,0\n1,0,0.5,0\n" +
-		"0,1,1,0\n1,1,1.5,0\n" +
-		"0,2,2,0\n1,2,2.5,0\n"
-
-	post := func(url string) QueryResponse {
-		t.Helper()
-		resp, err := http.Post(url, "text/csv", strings.NewReader(db))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var qr QueryResponse
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			t.Fatal(err)
-		}
-		return qr
-	}
-
-	first := post(ts.URL + "/v1/query?m=2&k=3&e=1&algo=cmc")
-	if first.Cache != "miss" || len(first.Convoys) != 1 {
-		t.Fatalf("first query: cache=%q convoys=%+v, want miss with one convoy", first.Cache, first.Convoys)
-	}
-	repeat := post(ts.URL + "/v1/query?m=2&k=3&e=1&algo=cmc&incremental=false")
-	if repeat.Cache != "hit" {
-		t.Fatalf("incremental=false repeat: cache=%q, want hit (knob is not part of the key)", repeat.Cache)
-	}
-	if len(repeat.Convoys) != 1 || repeat.Convoys[0].Start != first.Convoys[0].Start ||
-		repeat.Convoys[0].End != first.Convoys[0].End {
-		t.Fatalf("answers differ across the knob: %+v vs %+v", first.Convoys, repeat.Convoys)
-	}
-
-	// A malformed flag is the client's mistake.
-	resp, err := http.Post(ts.URL+"/v1/query?m=2&k=3&e=1&algo=cmc&incremental=maybe",
-		"text/csv", strings.NewReader(db))
-	if err != nil {
+// The per-feed and per-query "incremental" knobs are gone (incremental ≡
+// from-scratch is property-pinned; CONVOY_NO_INCREMENTAL remains for
+// operators). Clients that still send the old spellings — a feed-create
+// body field, a /v1/query JSON body field, a URL parameter — must keep
+// getting a 2xx and the unchanged answer: no decoder rejects the name.
+func TestRemovedIncrementalSpellingsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "two.csv"), fixtureCSV(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("incremental=maybe: status %d, want 400", resp.StatusCode)
+	_, ts := newTestServer(t, Config{DataDir: dir})
+
+	// Feed create: the field is ignored, so the feed clusters exactly like
+	// one created without it (incrementally, unless the env hatch is set).
+	status := func(spec map[string]any) FeedStatus {
+		t.Helper()
+		spec["name"] = "f"
+		spec["params"] = map[string]any{"m": 2, "k": 3, "e": 1}
+		doJSON(t, "POST", ts.URL+"/v1/feeds", spec, http.StatusCreated, nil)
+		for tick := model.Tick(0); tick < 5; tick++ {
+			pushTick(t, ts.URL, "f", staticBatch(tick))
+		}
+		var fs FeedStatus
+		doJSON(t, "GET", ts.URL+"/v1/feeds/f", nil, http.StatusOK, &fs)
+		doJSON(t, "DELETE", ts.URL+"/v1/feeds/f", nil, http.StatusOK, nil)
+		return fs
+	}
+	if want, got := status(map[string]any{}), status(map[string]any{"incremental": false}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("feed created with \"incremental\": false diverged\n got: %+v\nwant: %+v", got, want)
+	}
+
+	// Batch query: JSON body field and URL parameter, any value.
+	var want QueryResponse
+	doJSON(t, "POST", ts.URL+"/v1/query",
+		map[string]any{"path": "two.csv", "m": 2, "k": 5, "e": 1, "algo": "cmc"}, http.StatusOK, &want)
+	if len(want.Convoys) != 2 {
+		t.Fatalf("reference query = %+v", want)
+	}
+	var body QueryResponse
+	doJSON(t, "POST", ts.URL+"/v1/query",
+		map[string]any{"path": "two.csv", "m": 2, "k": 5, "e": 1, "algo": "cmc", "incremental": false}, http.StatusOK, &body)
+	if !reflect.DeepEqual(body.Convoys, want.Convoys) {
+		t.Fatalf("JSON body with incremental=false: convoys = %+v, want %+v", body.Convoys, want.Convoys)
+	}
+	for _, v := range []string{"false", "true", "maybe"} {
+		got := postQuery(t, ts.URL+"/v1/query?m=2&k=5&e=1&algo=cmc&incremental="+v, fixtureCSV(t), http.StatusOK)
+		if !reflect.DeepEqual(got.Convoys, want.Convoys) {
+			t.Fatalf("?incremental=%s: convoys = %+v, want %+v", v, got.Convoys, want.Convoys)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // serveMetrics bundles every instrument the server updates. One bundle is
@@ -216,7 +217,7 @@ func (m *serveMetrics) bindServer(s *Server) {
 // algoLabel normalizes a client-supplied algorithm name into a bounded
 // label set — arbitrary strings must not mint new metric series.
 func algoLabel(name string) string {
-	if _, _, err := ParseAlgo(name); err != nil {
+	if _, _, err := wire.ParseAlgo(name); err != nil {
 		return "invalid"
 	}
 	if name == "" {

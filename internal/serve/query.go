@@ -485,12 +485,6 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 	var err error
 	var sliceIDs []model.ObjectID // new dense ID → original, when windowed
 	opts := []core.Option{core.WithParams(pl.res.P), core.WithWorkers(pl.workers)}
-	// Like workers, the incremental knob cannot change the answer set — only
-	// how much clustering work each tick costs — so it stays out of the cache
-	// key and is applied here, after the key was computed.
-	if e.cfg.DisableIncremental || (pl.req.Incremental != nil && !*pl.req.Incremental) {
-		opts = append(opts, core.WithIncremental(-1))
-	}
 	if n := pl.res.Spec.Partitions; n > 1 {
 		opts = append(opts, core.WithPartitions(n))
 	}
@@ -555,10 +549,10 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 	}
 	e.cfg.metrics.observeRunStats(pl.res.Algo, st)
 	if !pl.res.IsCMC {
-		js := StatsToJSON(st)
+		js := wire.StatsToJSON(st)
 		resp.Stats = &js
 	}
-	labels := DBLabels(db)
+	labels := wire.DBLabels(db)
 	if sliceIDs != nil {
 		// Unlabeled objects fall back to "o<ID>"; keep that naming anchored
 		// to the original database's IDs, not the sliced copy's dense ones.
@@ -572,7 +566,7 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 	}
 	resp.Convoys = make([]ConvoyJSON, len(res))
 	for i, c := range res {
-		resp.Convoys[i] = ConvoyToJSON(c, labels)
+		resp.Convoys[i] = wire.ConvoyToJSON(c, labels)
 	}
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	// The cache holds the profile-free answer: explain runs share their

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // registry is the named-feed table. It guards only the map — every
@@ -59,7 +60,7 @@ func (r *registry) create(name string, p core.Params, clusterer string) (*feed, 
 	if err := p.Validate(); err != nil {
 		return nil, badRequest(err)
 	}
-	cl, err := ParseClusterer(clusterer)
+	cl, err := wire.ParseClusterer(clusterer)
 	if err != nil {
 		return nil, badRequest(err)
 	}
@@ -83,7 +84,7 @@ func (r *registry) create(name string, p core.Params, clusterer string) (*feed, 
 			// (removing the log) or restarts the server (resurrecting it).
 			return nil, fmt.Errorf("%w: %q (log on disk from an evicted feed; DELETE it or restart to recover)", errFeedExists, name)
 		}
-		if w, err = createFeedWAL(r.cfg, name, ParamsToJSON(p), cl.Name()); err != nil {
+		if w, err = createFeedWAL(r.cfg, name, wire.ParamsToJSON(p), cl.Name()); err != nil {
 			return nil, err
 		}
 	}

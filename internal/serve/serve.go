@@ -395,10 +395,6 @@ func (s *Server) handleCreateFeed(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if err := f.setIncremental(r.Context(), spec.Incremental); err != nil {
-		writeErr(w, err)
-		return
-	}
 	loggerFrom(r.Context(), s.cfg.Logger).Info("feed created",
 		"feed", spec.Name, "m", spec.Params.M, "k", spec.Params.K, "e", spec.Params.Eps)
 	st, err := f.status(r.Context())

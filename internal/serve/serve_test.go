@@ -241,7 +241,7 @@ func TestReplayEqualsCMC(t *testing.T) {
 		}
 
 		_, ts := newTestServer(t, Config{})
-		createFeed(t, ts.URL, "replay", ParamsToJSON(p))
+		createFeed(t, ts.URL, "replay", wire.ParamsToJSON(p))
 		var emitted []core.Convoy
 		collect := func(cs []ConvoyJSON) {
 			for _, c := range cs {

@@ -155,7 +155,7 @@ func (e *queryEngine) computeSharded(ctx context.Context, qsp *trace.Span, t0 ti
 	// Anchor the label↔ID mapping to this coordinator's own parse, so the
 	// merged output is ordered exactly like a single-node answer. Unlabeled
 	// objects use the same "o<ID>" naming ConvoyToJSON emits.
-	labels := DBLabels(db)
+	labels := wire.DBLabels(db)
 	named := func(id model.ObjectID) string {
 		if n := labels(id); n != "" {
 			return n

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -37,30 +36,6 @@ const (
 	AlgoCuTSStar = wire.AlgoCuTSStar
 )
 
-// ParamsToJSON converts core parameters to their wire form.
-func ParamsToJSON(p core.Params) ParamsJSON { return wire.ParamsToJSON(p) }
-
-// ConvoyToJSON renders a convoy with the given label lookup; a lookup
-// returning "" falls back to "o<ID>".
-func ConvoyToJSON(c core.Convoy, label func(model.ObjectID) string) ConvoyJSON {
-	return wire.ConvoyToJSON(c, label)
-}
-
-// DBLabels returns a label lookup backed by a database's trajectory labels.
-func DBLabels(db *model.DB) func(model.ObjectID) string { return wire.DBLabels(db) }
-
-// StatsToJSON converts run statistics to their wire form.
-func StatsToJSON(st core.Stats) StatsJSON { return wire.StatsToJSON(st) }
-
-// ParseAlgo resolves an algorithm name ("" defaults to cuts*). cmc reports
-// true in the first return; otherwise the variant is valid.
-func ParseAlgo(name string) (isCMC bool, v core.Variant, err error) { return wire.ParseAlgo(name) }
-
-// ParseClusterer resolves a clustering backend name from the wire ("" and
-// "dbscan" are the built-in default; "proxgraph" is the graph-connectivity
-// backend clustering each tick's proximity edges).
-func ParseClusterer(name string) (core.Clusterer, error) { return wire.ParseClusterer(name) }
-
 // TicksResponse reports the outcome of a tick ingestion.
 type TicksResponse struct {
 	// Accepted counts the ticks applied (all of them on success).
@@ -89,14 +64,6 @@ type FeedSpec struct {
 	// (default) or "proxgraph" (per-tick proximity edges, see
 	// TickBatch.Edges).
 	Clusterer string `json:"clusterer,omitempty"`
-	// Incremental, when false, forces every clustering pass of this feed
-	// onto the from-scratch path; absent/true keeps the default
-	// (incremental clustering for dbscan monitors, reusing the previous
-	// tick's structure when few objects moved). The answers are identical
-	// either way — this is a performance knob, also forced off server-wide
-	// by Config.DisableIncremental (convoyd -no-incremental) or the
-	// CONVOY_NO_INCREMENTAL environment variable.
-	Incremental *bool `json:"incremental,omitempty"`
 }
 
 // MonitorSpec is the body of POST /v1/feeds/{name}/monitors: one standing

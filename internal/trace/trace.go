@@ -240,15 +240,6 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// ContextWithSpan returns ctx with sp as the active span. A nil sp
-// returns ctx unchanged, preserving the zero-alloc unsampled path.
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, sp)
-}
-
 // StartSpan starts a child of the context's active span. With no active
 // span (the trace is unsampled or tracing is off) it returns (ctx, nil)
 // without allocating — the universal instrumentation entry point for

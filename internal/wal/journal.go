@@ -14,7 +14,7 @@ import (
 const journalName = "spec.jnl"
 
 // Journal is the spec journal: a tiny append-only side log of dynamic
-// feed-specification operations (monitor add/remove, knob flips). Entries
+// feed-specification operations (monitor add/remove). Entries
 // are opaque, newline-free byte strings supplied by the owner; each line
 // is "crc32c-hex space entry newline". Unlike tick segments the journal is
 // never compacted — losing a registration to retention would resurrect

@@ -67,9 +67,6 @@ type QuerySpec struct {
 	// Explain asks for a per-stage timing profile of this query's
 	// discovery run.
 	Explain bool `json:"explain,omitempty"`
-	// Incremental, when false, forces the run's clustering onto the
-	// from-scratch path (a performance knob; the answer is identical).
-	Incremental *bool `json:"incremental,omitempty"`
 }
 
 // querySpecAlias avoids recursing into QuerySpec.UnmarshalJSON.
@@ -207,13 +204,6 @@ func SpecFromURL(q url.Values) (QuerySpec, error) {
 			return s, fmt.Errorf("decode query: bad explain=%q (want a boolean)", raw)
 		}
 	}
-	if raw := q.Get("incremental"); raw != "" {
-		v, perr := strconv.ParseBool(raw)
-		if perr != nil {
-			return s, fmt.Errorf("decode query: bad incremental=%q (want a boolean)", raw)
-		}
-		s.Incremental = &v
-	}
 	return s, nil
 }
 
@@ -255,9 +245,6 @@ func (s QuerySpec) URLValues() url.Values {
 	}
 	if s.Explain {
 		q.Set("explain", "true")
-	}
-	if s.Incremental != nil {
-		q.Set("incremental", strconv.FormatBool(*s.Incremental))
 	}
 	return q
 }

@@ -66,29 +66,26 @@ func TestSpecDecodeFull(t *testing.T) {
 	if s.From == nil || *s.From != 10 || s.To == nil || *s.To != 20 {
 		t.Fatalf("window not decoded: from=%v to=%v", s.From, s.To)
 	}
-	if s.Incremental == nil || *s.Incremental {
-		t.Fatalf("incremental not decoded: %v", s.Incremental)
-	}
+	// "incremental" is a removed knob old clients may still send: it
+	// decodes to nothing rather than to an error.
 }
 
 // TestSpecURLRoundTrip pins URLValues as the inverse of SpecFromURL for a
 // fully-populated spec — the coordinator depends on this to address shards.
 func TestSpecURLRoundTrip(t *testing.T) {
 	from, to := model.Tick(5), model.Tick(42)
-	inc := true
 	in := QuerySpec{
-		Params:      ParamsJSON{M: 2, K: 3, Eps: 4.25},
-		Algo:        "cuts*",
-		Clusterer:   "dbscan",
-		Delta:       0.75,
-		Lambda:      9,
-		Workers:     4,
-		Partitions:  2,
-		From:        &from,
-		To:          &to,
-		TimeoutMS:   250,
-		Explain:     true,
-		Incremental: &inc,
+		Params:     ParamsJSON{M: 2, K: 3, Eps: 4.25},
+		Algo:       "cuts*",
+		Clusterer:  "dbscan",
+		Delta:      0.75,
+		Lambda:     9,
+		Workers:    4,
+		Partitions: 2,
+		From:       &from,
+		To:         &to,
+		TimeoutMS:  250,
+		Explain:    true,
 	}
 	out, err := SpecFromURL(in.URLValues())
 	if err != nil {
@@ -103,9 +100,6 @@ func TestSpecURLRoundTrip(t *testing.T) {
 	}
 	if out.From == nil || *out.From != from || out.To == nil || *out.To != to {
 		t.Fatalf("window lost: from=%v to=%v", out.From, out.To)
-	}
-	if out.Incremental == nil || *out.Incremental != inc {
-		t.Fatalf("incremental lost: %v", out.Incremental)
 	}
 }
 

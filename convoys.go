@@ -419,7 +419,9 @@ func NewClusterSourceWith(key ClusterKey, c Clusterer) (*ClusterSource, error) {
 
 // ReplayTicks walks a stored database tick by tick, calling fn with every
 // interpolated snapshot — the bridge from batch storage to the online
-// interfaces (drive a Streamer, or a convoyd feed, from a file).
+// interfaces (drive a Streamer, or a convoyd feed, from a file). ids and
+// pts are reused from tick to tick: read-only, and valid only until fn
+// returns.
 func ReplayTicks(db *DB, fn func(t Tick, ids []ObjectID, pts []Point) error) error {
 	return core.ReplayTicks(db, fn)
 }

@@ -55,7 +55,11 @@ type TickSnapshot struct {
 // mutate the returned slices. Name identifies the backend; two monitors
 // share a clustering pass only when their keys — including the backend —
 // are equal. Implementations must be safe for concurrent Clusters calls
-// (the parallel CMC pipeline clusters many ticks at once).
+// (the parallel CMC pipeline clusters many ticks at once). The snapshot's
+// slices are lent, not given: a database scan hands out its sweep cursor's
+// buffers (model.Cursor) and overwrites them for the next tick, so an
+// implementation neither modifies nor keeps them, and returns freshly
+// built member lists rather than sub-slices of snap.IDs.
 //
 // Clusterers are stateless across ticks by design — Clusters(key, snap)
 // is a pure function of its arguments. Stateful acceleration (reusing the

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/par"
 )
@@ -66,31 +65,6 @@ func (s *candidateSet) add(objs, support []model.ObjectID, start, end model.Tick
 	}
 	s.index[key] = len(s.cands)
 	s.cands = append(s.cands, &candidate{objs: objs, support: support, start: start, end: end})
-}
-
-// snapshotAt returns the objects alive at tick t and their positions,
-// restricted to subset when non-nil (ascending IDs).
-func snapshotAt(db *model.DB, t model.Tick, subset []model.ObjectID) ([]model.ObjectID, []geom.Point) {
-	if subset == nil {
-		return db.SnapshotAt(t)
-	}
-	var ids []model.ObjectID
-	var pts []geom.Point
-	for _, id := range subset {
-		if pt, ok := db.Traj(id).LocationAt(t); ok {
-			ids = append(ids, id)
-			pts = append(pts, pt)
-		}
-	}
-	return ids, pts
-}
-
-// snapshotClusters clusters the objects alive at tick t with cl, restricted
-// to subset when non-nil (ascending IDs). Cluster member lists are
-// ascending object IDs (the Clusterer contract).
-func snapshotClusters(db *model.DB, cl Clusterer, p Params, t model.Tick, subset []model.ObjectID) [][]model.ObjectID {
-	ids, pts := snapshotAt(db, t, subset)
-	return cl.Clusters(ClusterKey{Eps: p.Eps, M: p.M}, TickSnapshot{T: t, IDs: ids, Pts: pts})
 }
 
 // chainStep advances the candidate generation by one clustering round:
@@ -158,45 +132,47 @@ func flushCandidates(live []*candidate, k int64, out *[]Convoy, emit func(*candi
 	}
 }
 
-// tickSpan returns the number of ticks in [lo, hi] (0 when empty). Walking
-// a time domain as lo+i for i < tickSpan(lo, hi) is the kernel's one way to
-// visit ticks: unlike `for t := lo; t <= hi; t++` it terminates when hi is
-// model.MaxTick, where t++ would wrap. A count that itself overflows
-// saturates.
-func tickSpan(lo, hi model.Tick) int64 {
-	if hi < lo {
-		return 0
-	}
-	if span := int64(hi-lo) + 1; span > 0 {
-		return span
-	}
-	return math.MaxInt64
+// scanState is what one worker carries through a contiguous run of ticks:
+// the source that clusters them and the cursor that sweeps the database
+// under it. Both exploit tick order — the source diffs against the previous
+// snapshot, the cursor steps from it — and neither is shared.
+type scanState struct {
+	src *ClusterSource
+	cur *model.Cursor
 }
 
 // cmcScan is the tick-scan kernel: over ticks [lo, hi], optionally
-// restricted to the given ascending object subset, it clusters every
-// snapshot with a ClusterSource and chains the clusters through one
-// Monitor — exactly what a feed does with pushed ticks — pushing every
-// batch of raw (uncanonicalized) convoys that close at one tick, plus the
-// final flush batch, into emit. emit returning false abandons the scan (no
-// error); cancelling ctx aborts it with ctx.Err() at tick granularity. tm,
-// when non-nil, meters where a sampled scan's time goes.
+// restricted to the given ascending object subset, it sweeps the database's
+// snapshots with a model.Cursor, clusters every one with a ClusterSource
+// and chains the clusters through one Monitor — exactly what a feed does
+// with pushed ticks — pushing every batch of raw (uncanonicalized) convoys
+// that close at one tick, plus the final flush batch, into emit. emit
+// returning false abandons the scan (no error); cancelling ctx aborts it
+// with ctx.Err() at tick granularity. tm, when non-nil, meters where a
+// sampled scan's time goes.
+//
+// The snapshot a source clusters lives in its cursor's buffers and is
+// overwritten by the next tick's, which is why a Clusterer may not keep
+// the slices it is handed: the cluster lists that travel on to the monitor
+// are always freshly built.
 //
 // Parallelism is a scheduling policy around that kernel, not a second
-// implementation: the tick domain is cut into contiguous chunks, each
-// clustered sequentially by one worker with its own source from newSource
-// (ticks must reach an incremental engine in order for diffing to make
-// sense), while the monitor folds the cluster lists strictly in tick order
-// on the calling goroutine — a pipeline, not a per-tick barrier. The
+// implementation: the tick domain is cut into contiguous chunks, each swept
+// and clustered sequentially by one worker with its own state — a source
+// from newSource and a cursor over the one shared sweep plan (ticks must
+// reach an incremental engine, and a cursor, in order for either to save
+// anything) — while the monitor folds the cluster lists strictly in tick
+// order on the calling goroutine — a pipeline, not a per-tick barrier. The
 // monitor sees exactly the clusters the serial scan would, in exactly the
 // same order, so the emitted convoys are identical for every worker count
 // and chunk length by construction; only the pass counters shift, since a
-// source's first tick is always a full pass. chunk ≤ 0 gives every worker
-// one contiguous range, capped at maxScanChunk ticks; chunk = 1 bounds how
-// far the workers run ahead of a consumer that stops early to ~3 ticks per
-// worker.
+// source's first tick is always a full pass (and a cursor's first tick a
+// walk over every trajectory, which is all the chunk = 1 mode ever pays).
+// chunk ≤ 0 gives every worker one contiguous range, capped at
+// maxScanChunk ticks; chunk = 1 bounds how far the workers run ahead of a
+// consumer that stops early to ~3 ticks per worker.
 func cmcScan(ctx context.Context, db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectID, workers, chunk int, newSource func() *ClusterSource, tm *stageTimer, emit func([]Convoy) bool) error {
-	span := tickSpan(lo, hi)
+	span := model.TickSpan(lo, hi)
 	if span > maxScanSpan {
 		return fmt.Errorf("core: time domain of %d ticks is too long to scan", span)
 	}
@@ -206,14 +182,16 @@ func cmcScan(ctx context.Context, db *model.DB, p Params, lo, hi model.Tick, sub
 	if chunk < 1 {
 		chunk = int(min((span+int64(workers)-1)/int64(workers), maxScanChunk))
 	}
+	plan := db.Sweep(subset)
 	mon := &Monitor{p: p}
 	stopped := false
-	err := par.OrderedChunks(ctx, int(span), workers, chunk, newSource,
-		func(src *ClusterSource, i int) [][]model.ObjectID {
+	err := par.OrderedChunks(ctx, int(span), workers, chunk,
+		func() scanState { return scanState{src: newSource(), cur: plan.Cursor()} },
+		func(s scanState, i int) [][]model.ObjectID {
 			t0 := tm.start()
 			t := lo + model.Tick(i)
-			ids, pts := snapshotAt(db, t, subset)
-			clusters := src.Cluster(TickSnapshot{T: t, IDs: ids, Pts: pts})
+			ids, pts := s.cur.At(t)
+			clusters := s.src.Cluster(TickSnapshot{T: t, IDs: ids, Pts: pts})
 			tm.clustered(t0)
 			return clusters
 		},

@@ -40,7 +40,8 @@ func TestTable2Trace(t *testing.T) {
 	p := Params{M: 2, K: 3, Eps: 1.5}
 	// Sanity-check the snapshot clusters match the scripted trace.
 	checkClusters := func(tick model.Tick, want [][]model.ObjectID) {
-		got := snapshotClusters(db, DefaultClusterer, p, tick, nil)
+		ids, pts := db.SnapshotAt(tick)
+		got := DefaultClusterer.Clusters(p.ClusterKey(), TickSnapshot{T: tick, IDs: ids, Pts: pts})
 		if len(got) != len(want) {
 			t.Fatalf("t%d clusters = %v, want %v", tick, got, want)
 		}

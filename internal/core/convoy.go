@@ -40,7 +40,11 @@
 // constructor decides on) and a Monitor chains the cluster lists into
 // convoys. Feeds push ticks through that pair as they arrive; the batch
 // CMC scan (cmcScan — whole database, refinement window or partition)
-// drives the very same pair from a stored database.
+// drives the very same pair from a stored database, whose snapshots it
+// reads by sweeping a model.Cursor through ascending ticks rather than
+// looking every object up again at every tick. The cursor lends out its
+// buffers: a snapshot's ID and point slices are valid until the next tick,
+// for a Clusterer and for ReplayTicks' callback alike.
 //
 // Every stage of the discovery pipeline is parallel on a bounded worker
 // pool selected by WithWorkers, and parallelism is a scheduling policy
@@ -55,8 +59,9 @@
 //     contiguous chunks, while a single consumer folds the results
 //     strictly in index order; a pipeline, not a per-index barrier. The
 //     CMC scan only picks the chunk length: one long range per worker for
-//     batch runs (so each worker's source sees consecutive ticks and can
-//     cluster incrementally), single ticks for streams that may stop early.
+//     batch runs (so each worker's source and cursor see consecutive
+//     ticks and can cluster, and sweep, incrementally), single ticks for
+//     streams that may stop early.
 //
 // Serial and parallel runs return identical answers *by construction*, not
 // by coincidence: a tick's clusters are a function of that tick's snapshot

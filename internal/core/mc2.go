@@ -74,9 +74,11 @@ func MC2(db *model.DB, p Params, theta float64) ([]Convoy, error) {
 		out = append(out, Convoy{Objects: ch.common, Start: ch.start, End: ch.end})
 	}
 	var live []*mcChain
-	for i, n := int64(0), tickSpan(lo, hi); i < n; i++ {
+	cur := db.Sweep(nil).Cursor()
+	for i, n := int64(0), model.TickSpan(lo, hi); i < n; i++ {
 		t := lo + model.Tick(i)
-		clusters := snapshotClusters(db, DefaultClusterer, p, t, nil)
+		ids, pts := cur.At(t)
+		clusters := DefaultClusterer.Clusters(p.ClusterKey(), TickSnapshot{T: t, IDs: ids, Pts: pts})
 		extended := make([]bool, len(clusters))
 		next := make([]*mcChain, 0, len(clusters))
 		index := make(map[string]int)

@@ -353,7 +353,7 @@ func (q *Query) runCMC(ctx context.Context, db *model.DB, cl Clusterer, raw bool
 		chunk, threshold = 1, 0
 	}
 	ctx, sp := trace.StartSpan(ctx, "scan")
-	sp.Int("ticks", tickSpan(lo, hi)).
+	sp.Int("ticks", model.TickSpan(lo, hi)).
 		Str("incremental", strconv.FormatBool(incrementalApplies(cl, threshold)))
 	defer func() {
 		sp.Int("objects_reclustered", atomic.LoadInt64(&meter.reclustered))

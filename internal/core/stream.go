@@ -92,7 +92,9 @@ func (s *Streamer) Close() []Convoy { return s.mon.Close() }
 // and the online interfaces: the serving layer uses it to drive feeds from
 // stored databases, and StreamDB uses it to state the Streamer/CMC
 // equivalence. Iteration stops at the first error from fn, which is
-// returned. An empty database replays zero ticks.
+// returned. An empty database replays zero ticks. The ids and pts handed
+// to fn are the sweep cursor's buffers (model.Cursor): read-only, and valid
+// only until fn returns — copy what must outlive the call.
 //
 // This is deliberately NOT the serving layer's crash-recovery path.
 // ReplayTicks densifies: it visits every tick of the domain and fills
@@ -106,9 +108,10 @@ func ReplayTicks(db *model.DB, fn func(t model.Tick, ids []model.ObjectID, pts [
 	if !ok {
 		return nil
 	}
-	for i, n := int64(0), tickSpan(lo, hi); i < n; i++ {
+	cur := db.Sweep(nil).Cursor()
+	for i, n := int64(0), model.TickSpan(lo, hi); i < n; i++ {
 		t := lo + model.Tick(i)
-		ids, pts := db.SnapshotAt(t)
+		ids, pts := cur.At(t)
 		if err := fn(t, ids, pts); err != nil {
 			return err
 		}

@@ -188,7 +188,7 @@ func TestPropStreamEqualsCMC(t *testing.T) {
 // `for t := lo; t <= hi; t++` never terminates there (t++ overflows back
 // below hi), which used to hang MC2 and ReplayTicks (StreamDB bailed out
 // only because its Streamer rejects the wrapped tick). Every walker goes
-// through tickSpan now; this pins that they terminate on the 3-tick domain
+// through model.TickSpan now; this pins that they terminate on the 3-tick domain
 // [MaxTick-2, MaxTick] and that CMC ≡ StreamDB on it.
 func TestTickWalkTerminatesAtMaxTick(t *testing.T) {
 	db := buildDB(t, model.MaxTick-2,

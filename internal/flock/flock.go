@@ -159,15 +159,10 @@ func Discover(db *model.DB, p Params) ([]Flock, error) {
 		}
 	}
 	var live []*cand
-	for t := lo; t <= hi; t++ {
-		var ids []model.ObjectID
-		var pts []geom.Point
-		for _, tr := range db.Trajectories() {
-			if pt, okk := tr.LocationAt(t); okk {
-				ids = append(ids, tr.ID)
-				pts = append(pts, pt)
-			}
-		}
+	cur := db.Sweep(nil).Cursor()
+	for i, n := int64(0), model.TickSpan(lo, hi); i < n; i++ {
+		t := lo + model.Tick(i)
+		ids, pts := cur.At(t)
 		var groups [][]model.ObjectID
 		if len(ids) >= p.M {
 			for _, g := range discGroupsAt(pts, p.R) {

@@ -3,6 +3,17 @@
 // of timestamped locations with per-object lifespans, possibly irregular
 // sampling (missing ticks), and a DB container that exposes the global
 // statistics used to drive the experiments (Table 3).
+//
+// A database is read one tick at a time: the snapshot O_t is every object
+// alive at t with its location, interpolated by the virtual-location rule
+// where t falls in a sampling gap (Trajectory.LocationAt). Scans visit
+// ticks in ascending order, so they sweep (sweep.go): DB.Sweep plans the
+// trajectories involved and their activation order once, and each worker's
+// Cursor carries the alive set and one sample index per alive trajectory
+// from tick to tick — Cursor.At costs O(alive), allocates nothing in steady
+// state, and lends out buffers that stay valid only until its next call.
+// DB.SnapshotAt is the one-tick case of the same code, and TickSpan the one
+// overflow-safe way to count the ticks of a domain.
 package model
 
 import (
@@ -86,9 +97,15 @@ func (tr *Trajectory) Covers(t Tick) bool { return t >= tr.Start() && t <= tr.En
 // sampleIndex returns the index of the last sample with time ≤ t, or -1 if
 // t precedes the first sample.
 func (tr *Trajectory) sampleIndex(t Tick) int {
-	return sort.Search(len(tr.Samples), func(i int) bool {
-		return tr.Samples[i].T > t
-	}) - 1
+	lo, hi := 0, len(tr.Samples)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); tr.Samples[mid].T > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo - 1
 }
 
 // At returns the recorded location at exactly tick t, if a sample exists.
@@ -108,15 +125,22 @@ func (tr *Trajectory) LocationAt(t Tick) (geom.Point, bool) {
 	if !tr.Covers(t) {
 		return geom.Point{}, false
 	}
-	i := tr.sampleIndex(t)
+	return tr.locate(tr.sampleIndex(t), t), true
+}
+
+// locate is the virtual-location rule itself: the location at tick t of a
+// trajectory covering t, given the index i of its last sample with T ≤ t.
+// LocationAt and the sweep Cursor both end here, so a swept snapshot and a
+// looked-up one agree bit for bit.
+func (tr *Trajectory) locate(i int, t Tick) geom.Point {
 	s := tr.Samples[i]
 	if s.T == t {
-		return s.P, true
+		return s.P
 	}
-	// t is strictly between samples i and i+1 (Covers guarantees i+1 exists).
+	// t is strictly between samples i and i+1 (covering t guarantees i+1 exists).
 	next := tr.Samples[i+1]
 	f := float64(t-s.T) / float64(next.T-s.T)
-	return s.P.Lerp(next.P, f), true
+	return s.P.Lerp(next.P, f)
 }
 
 // Bounds returns the spatial bounding box of all samples.
@@ -254,19 +278,6 @@ func (db *DB) Stats() Stats {
 		s.MissingFraction = 0
 	}
 	return s
-}
-
-// SnapshotAt collects the (interpolated) locations of every object alive at
-// tick t — the Ot of Algorithm 1. The returned slices are parallel: ids[i]
-// is the object whose location is pts[i].
-func (db *DB) SnapshotAt(t Tick) (ids []ObjectID, pts []geom.Point) {
-	for _, tr := range db.trajs {
-		if p, ok := tr.LocationAt(t); ok {
-			ids = append(ids, tr.ID)
-			pts = append(pts, p)
-		}
-	}
-	return ids, pts
 }
 
 // VerifyWithin reports whether every pair of objects drawn from group is

@@ -303,8 +303,10 @@ func FromDB(db *model.DB, r float64) (*Log, error) {
 		}
 		return fmt.Sprintf("o%d", id)
 	}
-	for t := lo; t <= hi; t++ {
-		ids, pts := db.SnapshotAt(t)
+	cur := db.Sweep(nil).Cursor()
+	for k, n := int64(0), model.TickSpan(lo, hi); k < n; k++ {
+		t := lo + model.Tick(k)
+		ids, pts := cur.At(t)
 		for i := range ids {
 			for j := i + 1; j < len(ids); j++ {
 				if geom.D(pts[i], pts[j]) <= r {

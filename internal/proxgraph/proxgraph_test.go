@@ -8,10 +8,13 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/flock"
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/stjoin"
 	"repro/internal/tsio"
 )
 
@@ -287,5 +290,86 @@ func TestSynthesizedDB(t *testing.T) {
 	}
 	if db3.Len() != 4 {
 		t.Fatalf("db3.Len = %d, want 4", db3.Len())
+	}
+}
+
+// A database whose last tick is MaxTick must not wrap a tick walk (`t++`
+// overflows back below hi and the loop never ends). PR 12 fixed CMC,
+// ReplayTicks and MC2; the contact-log bridge, the close-pair join and the
+// flock baseline walked the same way. All three go through model.TickSpan
+// now: on the 3-tick domain [MaxTick-2, MaxTick] they terminate, and the
+// derived contact log holds exactly the brute-force close pairs.
+func TestTickWalksTerminateAtMaxTick(t *testing.T) {
+	const lo = model.MaxTick - 2
+	db := model.NewDB()
+	for i, y := range []float64{0, 0.5, 50} {
+		var samples []model.Sample
+		for k := 0; k < 3; k++ {
+			if i == 1 && k == 1 {
+				continue // o1 skips the middle tick: interpolated at (1, 0.5)
+			}
+			samples = append(samples, model.Sample{T: lo + model.Tick(k), P: geom.Pt(float64(k), y)})
+		}
+		tr, err := model.NewTrajectory(string(rune('a'+i)), samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Add(tr)
+	}
+	type answers struct {
+		log    *Log
+		pairs  []stjoin.Pair
+		flocks []flock.Flock
+	}
+	done := make(chan answers, 1) // buffered: a late finisher must not block after the timeout
+	go func() {
+		var a answers
+		var err error
+		if a.log, err = FromDB(db, 1); err != nil {
+			t.Error(err)
+		}
+		if a.pairs, err = stjoin.CloseSelfJoin(db, 1, stjoin.Full()); err != nil {
+			t.Error(err)
+		}
+		if a.flocks, err = flock.Discover(db, flock.Params{M: 2, K: 3, R: 1}); err != nil {
+			t.Error(err)
+		}
+		done <- a
+	}()
+	var a answers
+	select {
+	case a = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a tick walk over [MaxTick-2, MaxTick] did not terminate")
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	// Brute force: every pair within 1 at every tick, by LocationAt.
+	for k := 0; k < 3; k++ {
+		tick := lo + model.Tick(k)
+		want := 0
+		for i := 0; i < db.Len(); i++ {
+			for j := i + 1; j < db.Len(); j++ {
+				pi, _ := db.Traj(i).LocationAt(tick)
+				pj, _ := db.Traj(j).LocationAt(tick)
+				if geom.D(pi, pj) <= 1 {
+					want++
+				}
+			}
+		}
+		got := a.log.EdgesAt(tick)
+		if len(got) != want || want != 1 {
+			t.Fatalf("tick MaxTick-%d: %d contacts, brute force %d (want the one a–b pair)", 2-k, len(got), want)
+		}
+		if la, lb := a.log.Label(got[0].A), a.log.Label(got[0].B); la != "a" || lb != "b" || got[0].W != 1 {
+			t.Fatalf("tick MaxTick-%d: contact %s–%s w=%g, want a–b w=1", 2-k, la, lb, got[0].W)
+		}
+	}
+	if len(a.pairs) != 1 || a.pairs[0].A != 0 || a.pairs[0].B != 1 || a.pairs[0].First != lo {
+		t.Fatalf("close pairs = %+v, want one (0,1) first at MaxTick-2", a.pairs)
+	}
+	if len(a.flocks) != 1 || a.flocks[0].Start != lo || a.flocks[0].End != model.MaxTick {
+		t.Fatalf("flocks = %+v, want one over the whole domain", a.flocks)
 	}
 }

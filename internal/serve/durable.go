@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/tsio"
 	"repro/internal/wal"
@@ -419,63 +418,4 @@ func walStatusJSON(feed string, fsync wal.FsyncPolicy, st wal.Status, rec Recove
 		}
 	}
 	return out
-}
-
-// window reads the feed's logged batches with from ≤ t ≤ to through the
-// mailbox, serialized against appends.
-func (f *feed) window(ctx context.Context, from, to model.Tick) ([]TickBatch, error) {
-	f.touch()
-	v, err := f.do(ctx, func(f *feed) (any, error) {
-		if f.w == nil {
-			return nil, errNoWAL
-		}
-		return f.readWindow(from, to)
-	})
-	if err != nil {
-		return nil, err
-	}
-	batches, _ := v.([]TickBatch)
-	return batches, nil
-}
-
-// readWindow snapshots the feed's logged batches with from ≤ t ≤ to, in
-// append order — the historical-query read path (worker only).
-func (f *feed) readWindow(from, to model.Tick) ([]TickBatch, error) {
-	var out []TickBatch
-	err := f.w.log.ReadRange(from, to, true, func(blk tsio.TickBlock) error {
-		out = append(out, tickBatch(blk))
-		return nil
-	})
-	return out, err
-}
-
-// windowDB assembles a trajectory database from logged batches — the
-// historical query's bridge into core.Query. Labels intern in replay
-// order; per-object samples are appended in tick order because batches
-// replay in ingestion order and ticks advance strictly.
-func windowDB(batches []TickBatch) (*model.DB, error) {
-	ids := map[string]int{}
-	var samples [][]model.Sample
-	var labels []string
-	for _, b := range batches {
-		for _, pos := range b.Positions {
-			id, ok := ids[pos.ID]
-			if !ok {
-				id = len(labels)
-				ids[pos.ID] = id
-				labels = append(labels, pos.ID)
-				samples = append(samples, nil)
-			}
-			samples[id] = append(samples[id], model.Sample{T: b.T, P: geom.Pt(pos.X, pos.Y)})
-		}
-	}
-	db := model.NewDB()
-	for i, label := range labels {
-		tr, err := model.NewTrajectory(label, samples[i])
-		if err != nil {
-			return nil, fmt.Errorf("serve: window database: %w", err)
-		}
-		db.Add(tr)
-	}
-	return db, nil
 }

@@ -1,23 +1,86 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/proxgraph"
+	"repro/internal/tsio"
 	"repro/internal/wire"
 )
 
 // Historical queries: POST /v1/feeds/{name}/query runs a batch convoy
 // query over the tick window a durable feed's WAL retains. The window
-// streams out of the log exactly as clients ingested it — verbatim ticks,
-// gaps included — and feeds the same core.Query engine batch queries use,
-// so a historical answer over [from, to] equals a batch query over the
-// same stream slice. Unlike /v1/query the answer is never cached: the log
+// comes out of the log exactly as clients ingested it — verbatim ticks,
+// gaps included — and feeds the same core.Query engine batch queries use
+// (which fills sampling gaps by its one virtual-location rule), so a
+// historical answer over [from, to] equals a batch query over the same
+// stream slice. Unlike /v1/query the answer is never cached: the log
 // grows with every tick, so a window's contents are a moving target.
+//
+// The read is record → column: wal.Log.ReadRecords CRC-checks every record
+// of every touched segment and hands out the in-window ones as raw CTK
+// payloads, and tsio.WalkTickBlock validates each while a windowFold
+// appends its fields straight to what the query mines.
+
+// windowFold is the tsio.TickBlockVisitor accumulating a history window:
+// with log nil its positions, as one sample column per object in
+// first-seen order (labels, views into the segment buffer, are interned:
+// copied once per object, looked up without allocating); otherwise its
+// edges, into that contact log.
+type windowFold struct {
+	t       model.Tick // the block being walked
+	ticks   int        // blocks seen
+	ids     map[string]model.ObjectID
+	labels  []string
+	samples [][]model.Sample
+	log     *proxgraph.Log
+	err     error // the first edge the log refused
+}
+
+func (w *windowFold) Block(t model.Tick, _ int) { w.t, w.ticks = t, w.ticks+1 }
+
+func (w *windowFold) Position(label []byte, x, y float64) {
+	if w.log != nil {
+		return
+	}
+	id, ok := w.ids[string(label)]
+	if !ok {
+		id = len(w.labels)
+		w.labels = append(w.labels, string(label))
+		w.ids[w.labels[id]] = id
+		w.samples = append(w.samples, nil)
+	}
+	w.samples[id] = append(w.samples[id], model.Sample{T: w.t, P: geom.Pt(x, y)})
+}
+
+func (w *windowFold) Edges(int) {}
+
+func (w *windowFold) Edge(a, b []byte, wt float64) {
+	if w.log != nil && w.err == nil {
+		w.err = w.log.Add(string(a), string(b), w.t, wt)
+	}
+}
+
+// db assembles the folded columns into a trajectory database — the
+// historical query's bridge into core.Query. Samples are in tick order
+// because records replay in ingestion order and ticks advance strictly.
+func (w *windowFold) db() (*model.DB, error) {
+	db := model.NewDB()
+	for i, label := range w.labels {
+		tr, err := model.NewTrajectory(label, w.samples[i])
+		if err != nil {
+			return nil, fmt.Errorf("serve: window database: %w", err)
+		}
+		db.Add(tr)
+	}
+	return db, nil
+}
 
 // historyQuery validates (through the canonical wire.QuerySpec validator),
 // reads the window and runs the discovery. The run holds a query-pool slot
@@ -39,8 +102,20 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 		defer cancel()
 	}
 	t0 := time.Now()
-	batches, err := f.window(ctx, pl.res.From, pl.res.To)
-	if err != nil {
+	fold := &windowFold{ids: map[string]model.ObjectID{}}
+	if pl.res.Clusterer == proxgraph.Backend {
+		fold.log = proxgraph.NewLog()
+	}
+	// Through the mailbox: serialized against appends.
+	f.touch()
+	if _, err := f.do(ctx, func(f *feed) (any, error) {
+		if f.w == nil {
+			return nil, errNoWAL
+		}
+		return nil, f.w.log.ReadRecords(pl.res.From, pl.res.To, true, func(_ model.Tick, payload []byte) error {
+			return tsio.WalkTickBlock(payload, fold)
+		})
+	}); err != nil {
 		return HistoryQueryResponse{}, err
 	}
 	resp := HistoryQueryResponse{
@@ -50,38 +125,23 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 		Clusterer: pl.res.Clusterer,
 		From:      req.From,
 		To:        req.To,
-		Ticks:     len(batches),
+		Ticks:     fold.ticks,
 	}
 	opts := []core.Option{core.WithParams(pl.res.P), core.WithWorkers(pl.workers)}
 	var db *model.DB
-	if pl.res.Clusterer == proxgraph.Backend {
-		// Cluster the logged contact edges: rebuild the window's edge log
-		// and let the graph backend read it tick by tick, exactly like an
-		// uploaded a,b,t,w contact log.
-		log := proxgraph.NewLog()
-		edges := 0
-		for _, b := range batches {
-			for _, e := range b.Edges {
-				if err := log.Add(e.A, e.B, b.T, e.W); err != nil {
-					return HistoryQueryResponse{}, fmt.Errorf("serve: history window edges: %w", err)
-				}
-				edges++
-			}
-		}
-		if edges == 0 {
-			return resp, nil // no contacts in the window: no convoys
-		}
-		if db, err = log.DB(); err != nil {
-			return HistoryQueryResponse{}, fmt.Errorf("serve: history window edges: %w", err)
+	if log := fold.log; log != nil {
+		// Cluster the logged contact edges: the graph backend reads the
+		// window's edge log tick by tick, exactly like an uploaded a,b,t,w
+		// contact log.
+		if db, err = log.DB(); fold.err != nil || err != nil {
+			return HistoryQueryResponse{}, fmt.Errorf("serve: history window edges: %w", cmp.Or(fold.err, err))
 		}
 		opts = append(opts, core.WithClusterer(log.Clusterer()))
-	} else {
-		if db, err = windowDB(batches); err != nil {
-			return HistoryQueryResponse{}, err
-		}
-		if db.Len() == 0 {
-			return resp, nil // no positions in the window: no convoys
-		}
+	} else if db, err = fold.db(); err != nil {
+		return HistoryQueryResponse{}, err
+	}
+	if db.Len() == 0 {
+		return resp, nil // no positions, or no contacts, in the window: no convoys
 	}
 	resp.Objects = db.Len()
 	if pl.res.IsCMC {

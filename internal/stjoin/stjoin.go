@@ -80,8 +80,14 @@ func CloseJoin(left, right *model.DB, e float64, w Window) ([]Pair, error) {
 	if cell <= 0 {
 		cell = 1
 	}
-	for t := lo; t <= hi; t++ {
-		ids, pts := left.SnapshotAt(t)
+	lcur := left.Sweep(nil).Cursor()
+	var rcur *model.Cursor
+	if !self {
+		rcur = right.Sweep(nil).Cursor()
+	}
+	for i, n := int64(0), model.TickSpan(lo, hi); i < n; i++ {
+		t := lo + model.Tick(i)
+		ids, pts := lcur.At(t)
 		if len(ids) == 0 {
 			continue
 		}
@@ -105,10 +111,9 @@ func CloseJoin(left, right *model.DB, e float64, w Window) ([]Pair, error) {
 				probe(id, pts[i])
 			}
 		} else {
-			for _, tr := range right.Trajectories() {
-				if p, ok := tr.LocationAt(t); ok {
-					probe(tr.ID, p)
-				}
+			rids, rpts := rcur.At(t)
+			for i, id := range rids {
+				probe(id, rpts[i])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package tsio
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -83,4 +84,53 @@ func BenchmarkReadBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// countingVisitor is the cheapest visitor that still looks at everything.
+type countingVisitor struct {
+	labelBytes int
+	sum        float64
+}
+
+func (v *countingVisitor) Block(model.Tick, int) {}
+func (v *countingVisitor) Position(l []byte, x, y float64) {
+	v.labelBytes += len(l)
+	v.sum += x + y
+}
+func (v *countingVisitor) Edges(int) {}
+func (v *countingVisitor) Edge(a, b []byte, w float64) {
+	v.labelBytes += len(a) + len(b)
+	v.sum += w
+}
+
+// BenchmarkTickBlockWalk prices parsing one tick block of 285 positions —
+// a Commute or Truck tick — by the walker (validate and report, nothing
+// kept) and by DecodeTickBlock (the same walk, materialised: a slice and
+// one string per position).
+func BenchmarkTickBlockWalk(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	blk := TickBlock{T: 1234}
+	for i := 0; i < 285; i++ {
+		blk.Positions = append(blk.Positions, TickPosition{Label: fmt.Sprintf("commuter-%03d", i), X: r.Float64() * 2000, Y: r.Float64() * 2000})
+	}
+	data := AppendTickBlock(nil, blk)
+	b.Run("walk", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		var v countingVisitor
+		for b.Loop() {
+			if err := WalkTickBlock(data, &v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			if _, err := DecodeTickBlock(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -102,17 +102,18 @@ func (r *tickBlockReader) varint(what string) (int64, error) {
 	return v, nil
 }
 
-func (r *tickBlockReader) str(what string) (string, error) {
-	n, err := r.uvarint(what + " length")
-	if err != nil {
-		return "", err
+func (r *tickBlockReader) label(what string) ([]byte, error) {
+	n, w := binary.Uvarint(r.data[r.off:])
+	if w <= 0 {
+		return nil, fmt.Errorf("tsio: tick block: truncated %s length", what)
 	}
+	r.off += w
 	if n > uint64(r.remaining()) {
-		return "", fmt.Errorf("tsio: tick block: %s length %d exceeds %d remaining bytes", what, n, r.remaining())
+		return nil, fmt.Errorf("tsio: tick block: %s length %d exceeds %d remaining bytes", what, n, r.remaining())
 	}
-	s := string(r.data[r.off : r.off+int(n)])
+	b := r.data[r.off : r.off+int(n) : r.off+int(n)]
 	r.off += int(n)
-	return s, nil
+	return b, nil
 }
 
 func (r *tickBlockReader) float(what string) (float64, error) {
@@ -124,80 +125,152 @@ func (r *tickBlockReader) float(what string) (float64, error) {
 	return v, nil
 }
 
-// DecodeTickBlock parses one CTK-encoded tick block. The data must contain
-// exactly one block — trailing bytes are an error, since the WAL frames
-// each block as one CRC-checked record. Counts are guarded against the
-// remaining input before any allocation, and non-finite coordinates or
-// weights are rejected like ReadBinary rejects them: a damaged record must
-// fail decoding rather than poison a replayed monitor.
-func DecodeTickBlock(data []byte) (TickBlock, error) {
-	var b TickBlock
-	if len(data) < len(tickBlockMagic) || string(data[:len(tickBlockMagic)]) != string(tickBlockMagic[:]) {
-		return b, fmt.Errorf("tsio: tick block: bad magic (want %q)", tickBlockMagic)
+// header checks the magic and reads the block's tick.
+func (r *tickBlockReader) header() (model.Tick, error) {
+	if len(r.data) < len(tickBlockMagic) || string(r.data[:len(tickBlockMagic)]) != string(tickBlockMagic[:]) {
+		return 0, fmt.Errorf("tsio: tick block: bad magic (want %q)", tickBlockMagic)
 	}
-	r := &tickBlockReader{data: data, off: len(tickBlockMagic)}
+	r.off = len(tickBlockMagic)
 	t, err := r.varint("tick")
+	return model.Tick(t), err
+}
+
+// TickBlockTick reads just the tick of a CTK-encoded block (magic and tick
+// checked, nothing after them): what a log scan needs to decide whether a
+// record is worth more than a validity walk.
+func TickBlockTick(data []byte) (model.Tick, error) {
+	r := tickBlockReader{data: data}
+	return r.header()
+}
+
+// TickBlockVisitor receives the contents of one CTK block from
+// WalkTickBlock, in encoding order: Block first, then every position, then
+// Edges, then every edge. Labels are sub-slices of the walked bytes — no
+// copy, no allocation — so they are only as stable as that buffer and must
+// be copied (or interned) to be kept. A block that turns out damaged has
+// already reported everything before the damage; a visitor's state is only
+// good once the walk returns nil.
+type TickBlockVisitor interface {
+	// Block opens the block: its tick and how many positions follow.
+	Block(t model.Tick, positions int)
+	Position(label []byte, x, y float64)
+	// Edges announces how many edges follow.
+	Edges(n int)
+	Edge(a, b []byte, w float64)
+}
+
+// WalkTickBlock parses one CTK-encoded tick block, reporting its contents
+// to v as it goes; with a nil visitor it only validates. It is the one CTK
+// parser (DecodeTickBlock is a visitor that materialises): the data must
+// contain exactly one block — trailing bytes are an error, since the WAL
+// frames each block as one CRC-checked record. Counts are guarded against
+// the remaining input before they are reported, and non-finite coordinates
+// or weights are rejected like ReadBinary rejects them: a damaged record
+// must fail decoding rather than poison a replayed monitor.
+func WalkTickBlock(data []byte, v TickBlockVisitor) error {
+	r := tickBlockReader{data: data}
+	t, err := r.header()
 	if err != nil {
-		return b, err
+		return err
 	}
-	b.T = model.Tick(t)
 	nPos, err := r.uvarint("position count")
 	if err != nil {
-		return b, err
+		return err
 	}
 	// A position is at least 17 bytes (one-byte label length + two floats),
 	// so the count is bounded by the remaining input.
 	if nPos > uint64(r.remaining())/17 {
-		return b, fmt.Errorf("tsio: tick block: implausible position count %d", nPos)
+		return fmt.Errorf("tsio: tick block: implausible position count %d", nPos)
 	}
-	if nPos > 0 {
-		b.Positions = make([]TickPosition, 0, nPos)
+	if v != nil {
+		v.Block(t, int(nPos))
 	}
 	for i := uint64(0); i < nPos; i++ {
-		var p TickPosition
-		if p.Label, err = r.str("position label"); err != nil {
-			return b, err
+		label, err := r.label("position label")
+		if err != nil {
+			return err
 		}
-		if p.X, err = r.float("position x"); err != nil {
-			return b, err
+		x, err := r.float("position x")
+		if err != nil {
+			return err
 		}
-		if p.Y, err = r.float("position y"); err != nil {
-			return b, err
+		y, err := r.float("position y")
+		if err != nil {
+			return err
 		}
-		if !finite(p.X) || !finite(p.Y) {
-			return b, fmt.Errorf("tsio: tick block: position %d: non-finite coordinates (%g, %g)", i, p.X, p.Y)
+		if !finite(x) || !finite(y) {
+			return fmt.Errorf("tsio: tick block: position %d: non-finite coordinates (%g, %g)", i, x, y)
 		}
-		b.Positions = append(b.Positions, p)
+		if v != nil {
+			v.Position(label, x, y)
+		}
 	}
 	nEdges, err := r.uvarint("edge count")
 	if err != nil {
-		return b, err
+		return err
 	}
 	// An edge is at least 10 bytes (two one-byte label lengths + a float).
 	if nEdges > uint64(r.remaining())/10 {
-		return b, fmt.Errorf("tsio: tick block: implausible edge count %d", nEdges)
+		return fmt.Errorf("tsio: tick block: implausible edge count %d", nEdges)
 	}
-	if nEdges > 0 {
-		b.Edges = make([]TickEdge, 0, nEdges)
+	if v != nil {
+		v.Edges(int(nEdges))
 	}
 	for i := uint64(0); i < nEdges; i++ {
-		var e TickEdge
-		if e.A, err = r.str("edge label"); err != nil {
-			return b, err
+		a, err := r.label("edge label")
+		if err != nil {
+			return err
 		}
-		if e.B, err = r.str("edge label"); err != nil {
-			return b, err
+		b, err := r.label("edge label")
+		if err != nil {
+			return err
 		}
-		if e.W, err = r.float("edge weight"); err != nil {
-			return b, err
+		w, err := r.float("edge weight")
+		if err != nil {
+			return err
 		}
-		if !finite(e.W) {
-			return b, fmt.Errorf("tsio: tick block: edge %d: non-finite weight", i)
+		if !finite(w) {
+			return fmt.Errorf("tsio: tick block: edge %d: non-finite weight", i)
 		}
-		b.Edges = append(b.Edges, e)
+		if v != nil {
+			v.Edge(a, b, w)
+		}
 	}
 	if r.remaining() != 0 {
-		return b, fmt.Errorf("tsio: tick block: %d trailing bytes", r.remaining())
+		return fmt.Errorf("tsio: tick block: %d trailing bytes", r.remaining())
 	}
-	return b, nil
+	return nil
+}
+
+// blockBuilder is the visitor that materialises a TickBlock.
+type blockBuilder struct{ b TickBlock }
+
+func (m *blockBuilder) Block(t model.Tick, positions int) {
+	m.b.T = t
+	if positions > 0 {
+		m.b.Positions = make([]TickPosition, 0, positions)
+	}
+}
+
+func (m *blockBuilder) Position(label []byte, x, y float64) {
+	m.b.Positions = append(m.b.Positions, TickPosition{Label: string(label), X: x, Y: y})
+}
+
+func (m *blockBuilder) Edges(n int) {
+	if n > 0 {
+		m.b.Edges = make([]TickEdge, 0, n)
+	}
+}
+
+func (m *blockBuilder) Edge(a, b []byte, w float64) {
+	m.b.Edges = append(m.b.Edges, TickEdge{A: string(a), B: string(b), W: w})
+}
+
+// DecodeTickBlock parses one CTK-encoded tick block into a TickBlock —
+// WalkTickBlock with a visitor that copies everything out. The block
+// returned beside an error is a fragment, not to be used.
+func DecodeTickBlock(data []byte) (TickBlock, error) {
+	var m blockBuilder
+	err := WalkTickBlock(data, &m)
+	return m.b, err
 }

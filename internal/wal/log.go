@@ -358,13 +358,42 @@ func (l *Log) Replay(fn func(tsio.TickBlock) error) error {
 }
 
 // ReadRange streams the tick blocks with from ≤ t ≤ to through fn in
-// append order, touching only segments whose tick range overlaps the
-// window. With bounded=false the window is ignored and everything is
-// read. Safe to call concurrently with Append: the snapshot taken under
-// the lock bounds each segment read to its validated length, and appends
-// are visible immediately regardless of the fsync policy (reads go
-// through the file system, durability is Sync's concern alone).
+// append order, fully decoded — ReadRecords with a materialising decoder.
+// With bounded=false the window is ignored and everything is read.
 func (l *Log) ReadRange(from, to model.Tick, bounded bool, fn func(tsio.TickBlock) error) error {
+	return l.readRecords(from, to, bounded, func(path string, off int64, _ model.Tick, payload []byte) error {
+		blk, err := tsio.DecodeTickBlock(payload)
+		if err != nil {
+			return corruptAt(path, off, err)
+		}
+		return fn(blk)
+	})
+}
+
+// ReadRecords is the record-level range read: it streams the records with
+// from ≤ t ≤ to through fn in append order as raw CTK payloads (to be
+// parsed with tsio.WalkTickBlock or DecodeTickBlock — that parse is the
+// payload's validation), touching only segments whose tick range overlaps
+// the window. With bounded=false the window is ignored and everything is
+// read. Every record of a touched segment is CRC-checked; t comes from the
+// payload's checked header; a record outside the window is still walked
+// for validity — damage anywhere in a touched segment fails the read — but
+// nothing of it is materialised. The payload is a view into the segment's
+// read buffer, valid only until fn returns.
+//
+// Safe to call concurrently with Append: the snapshot taken under the lock
+// bounds each segment read to its validated length, and appends are
+// visible immediately regardless of the fsync policy (reads go through the
+// file system, durability is Sync's concern alone).
+func (l *Log) ReadRecords(from, to model.Tick, bounded bool, fn func(t model.Tick, payload []byte) error) error {
+	return l.readRecords(from, to, bounded, func(_ string, _ int64, t model.Tick, payload []byte) error {
+		return fn(t, payload)
+	})
+}
+
+// readRecords is ReadRecords with each record's segment path and offset,
+// for callers that report payload damage as segment corruption.
+func (l *Log) readRecords(from, to model.Tick, bounded bool, fn func(path string, off int64, t model.Tick, payload []byte) error) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -373,6 +402,7 @@ func (l *Log) ReadRange(from, to model.Tick, bounded bool, fn func(tsio.TickBloc
 	segs := make([]segmentMeta, len(l.segs))
 	copy(segs, l.segs)
 	l.mu.Unlock()
+	var buf []byte // one read buffer for every segment
 	for _, seg := range segs {
 		if seg.records == 0 {
 			continue
@@ -380,11 +410,23 @@ func (l *Log) ReadRange(from, to model.Tick, bounded bool, fn func(tsio.TickBloc
 		if bounded && seg.hasTick && (seg.last < from || seg.first > to) {
 			continue
 		}
-		err := readSegment(seg.path, seg.bytes, func(b tsio.TickBlock) error {
-			if bounded && (b.T < from || b.T > to) {
+		var err error
+		if buf, err = readPrefix(seg.path, seg.bytes, buf); err != nil {
+			return fmt.Errorf("wal: read segment: %w", err)
+		}
+		err = walkRecords(seg.path, buf, func(off int64, payload []byte) error {
+			t, err := tsio.TickBlockTick(payload)
+			outside := err == nil && bounded && (t < from || t > to)
+			if outside {
+				err = tsio.WalkTickBlock(payload, nil)
+			}
+			if err != nil {
+				return corruptAt(seg.path, off, err)
+			}
+			if outside {
 				return nil
 			}
-			return fn(b)
+			return fn(seg.path, off, t, payload)
 		})
 		if err != nil {
 			return err

@@ -2,9 +2,12 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/tsio"
@@ -129,40 +132,54 @@ func scanSegment(path string, index uint64, allowTorn bool) (scanResult, error) 
 	return res, nil
 }
 
-// readSegment streams one scanned segment's records through fn in order.
-// maxBytes bounds the read to the validated prefix, so a read of the
-// active segment never chases bytes appended after the snapshot was taken.
-func readSegment(path string, maxBytes int64, fn func(tsio.TickBlock) error) error {
-	data, err := os.ReadFile(path)
+// corruptAt is the error for damage found at a record offset of a segment
+// — by the frame checks here, or by whoever decodes the payload.
+func corruptAt(path string, off int64, err error) error {
+	return fmt.Errorf("wal: segment %s: corrupt at offset %d: %w", path, off, err)
+}
+
+// readPrefix reads the first n bytes of a segment file — its validated
+// prefix, so a read of the active segment never loads, let alone chases,
+// bytes appended after the snapshot was taken (fewer if the file is
+// shorter: a file cut below its scanned length is judged by what is left
+// of it). buf is the read buffer, grown as needed and handed back so a
+// multi-segment read allocates (and zeroes) it once.
+func readPrefix(path string, n int64, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("wal: read segment: %w", err)
+		return buf, err
 	}
-	if int64(len(data)) > maxBytes {
-		data = data[:maxBytes]
+	defer f.Close()
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	got, err := io.ReadFull(f, buf)
+	if err == io.ErrUnexpectedEOF || err == io.EOF {
+		err = nil
 	}
+	return buf[:got], err
+}
+
+// walkRecords streams one segment's records through fn in order: each
+// record's offset and its CRC-checked payload, a view into data.
+func walkRecords(path string, data []byte, fn func(off int64, payload []byte) error) error {
 	if len(data) < len(segmentHeader) || string(data[:len(segmentHeader)]) != string(segmentHeader) {
 		return fmt.Errorf("wal: segment %s: bad header", path)
 	}
-	off := int64(len(data[:len(segmentHeader)]))
+	off := int64(len(segmentHeader))
 	for off < int64(len(data)) {
 		rest := int64(len(data)) - off
 		if rest < recordHeaderSize {
-			return fmt.Errorf("wal: segment %s: corrupt at offset %d: short record header", path, off)
+			return corruptAt(path, off, errors.New("short record header"))
 		}
 		n := int64(binary.LittleEndian.Uint32(data[off:]))
 		sum := binary.LittleEndian.Uint32(data[off+4:])
 		if n > maxRecordBytes || n > rest-recordHeaderSize {
-			return fmt.Errorf("wal: segment %s: corrupt at offset %d: record length %d outruns file", path, off, n)
+			return corruptAt(path, off, fmt.Errorf("record length %d outruns file", n))
 		}
 		payload := data[off+recordHeaderSize : off+recordHeaderSize+n]
 		if crc32.Checksum(payload, crcTable) != sum {
-			return fmt.Errorf("wal: segment %s: corrupt at offset %d: record CRC mismatch", path, off)
+			return corruptAt(path, off, errors.New("record CRC mismatch"))
 		}
-		blk, derr := tsio.DecodeTickBlock(payload)
-		if derr != nil {
-			return fmt.Errorf("wal: segment %s: corrupt at offset %d: %w", path, off, derr)
-		}
-		if err := fn(blk); err != nil {
+		if err := fn(off, payload); err != nil {
 			return err
 		}
 		off += recordHeaderSize + n

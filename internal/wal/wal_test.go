@@ -1,10 +1,14 @@
 package wal_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -314,6 +318,104 @@ func TestReadRangeBounded(t *testing.T) {
 	want := []int64{4, 5, 6, 7, 8, 9}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ReadRange(4,9) = %v, want %v", got, want)
+	}
+}
+
+// TestReadRecordsWindowAndDamage pins the record-level range read: the
+// in-window records come out as the raw payloads ReadRange decodes; bytes
+// a concurrent writer left past the validated length of the active segment
+// are never looked at; and damage in an out-of-window record of a touched
+// segment — a flipped payload byte (CRC), or a CRC-blessed payload that is
+// not a tick block — fails ReadRecords and ReadRange alike, with the same
+// segment/offset wrapping, rather than being skipped unread.
+func TestReadRecordsWindowAndDamage(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "feed")
+	// blk(i) frames to 64 bytes (65 from tick 10): ticks 1–3, 4–6, 7–9,
+	// 10–11 and 12 land in five segments.
+	l, err := wal.Create(dir, nil, wal.Options{SegmentBytes: 200})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	defer l.Close()
+	for i := int64(1); i <= 12; i++ {
+		if err := l.Append(blk(i)); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if st := l.Status(); st.Segments != 5 {
+		t.Fatalf("log has %d segments, the test assumes 5", st.Segments)
+	}
+	// A torn frame past the active segment's validated length.
+	active, err := os.OpenFile(tailSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := active.Write([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	active.Close()
+
+	var want []tsio.TickBlock
+	if err := l.ReadRange(5, 11, true, func(b tsio.TickBlock) error {
+		want = append(want, b)
+		return nil
+	}); err != nil {
+		t.Fatalf("ReadRange: %v", err)
+	}
+	var got []tsio.TickBlock
+	if err := l.ReadRecords(5, 11, true, func(tick model.Tick, payload []byte) error {
+		b, err := tsio.DecodeTickBlock(payload)
+		if err != nil || b.T != tick {
+			t.Errorf("record at tick %d decodes to tick %d, %v", tick, b.T, err)
+		}
+		got = append(got, b)
+		return nil
+	}); err != nil {
+		t.Fatalf("ReadRecords: %v", err)
+	}
+	if len(got) != 7 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReadRecords(5,11) = %+v\nReadRange = %+v", got, want)
+	}
+
+	// Segment 2 holds ticks 4–6: tick 4 is outside [5, 11] but its segment
+	// is touched. Its record starts right after the 8-byte segment header.
+	seg := filepath.Join(dir, "00000002.wal")
+	pristine, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBoth := func() (records, blocks error) {
+		nop := func(model.Tick, []byte) error { return nil }
+		return l.ReadRecords(5, 11, true, nop), l.ReadRange(5, 11, true, func(tsio.TickBlock) error { return nil })
+	}
+	damaged := append([]byte(nil), pristine...)
+	damaged[8+8+10] ^= 0xff // a payload byte of tick 4's record
+	if err := os.WriteFile(seg, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recErr, blkErr := readBoth()
+	wantMsg := "wal: segment " + seg + ": corrupt at offset 8: record CRC mismatch"
+	if recErr == nil || blkErr == nil || recErr.Error() != wantMsg || blkErr.Error() != wantMsg {
+		t.Fatalf("flipped out-of-window byte:\nReadRecords: %v\nReadRange:   %v\nwant:        %s", recErr, blkErr, wantMsg)
+	}
+	// Same record, payload replaced by non-CTK bytes with a matching CRC.
+	n := binary.LittleEndian.Uint32(pristine[8:])
+	blessed := append([]byte(nil), pristine...)
+	copy(blessed[16:16+n], bytes.Repeat([]byte{'x'}, int(n)))
+	binary.LittleEndian.PutUint32(blessed[12:], crc32.Checksum(blessed[16:16+n], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(seg, blessed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recErr, blkErr = readBoth()
+	wantMsg = "wal: segment " + seg + ": corrupt at offset 8: tsio: tick block: bad magic"
+	if recErr == nil || blkErr == nil || recErr.Error() != blkErr.Error() || !strings.HasPrefix(recErr.Error(), wantMsg) {
+		t.Fatalf("CRC-blessed garbage payload:\nReadRecords: %v\nReadRange:   %v\nwant prefix: %s", recErr, blkErr, wantMsg)
+	}
+	if err := os.WriteFile(seg, pristine, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if recErr, blkErr = readBoth(); recErr != nil || blkErr != nil {
+		t.Fatalf("restored segment: %v, %v", recErr, blkErr)
 	}
 }
 

@@ -1,5 +1,6 @@
-// Ablation benchmarks isolating the design choices DESIGN.md §6 calls out:
-// Lemma 2 box pruning, CuTS* partition clipping, dominated-candidate
+// Ablation benchmarks isolating the design choices behind the CuTS filter
+// (described in internal/core/cuts.go's header comment, switched off one
+// at a time through core.FilterConfig's No* fields): Lemma 2 box pruning, CuTS* partition clipping, dominated-candidate
 // pruning, the actual-tolerance bounds, and the grid index behind snapshot
 // DBSCAN. Each switch changes only the runtime, never the answer (enforced
 // by core's ablation tests).

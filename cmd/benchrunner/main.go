@@ -6,31 +6,19 @@
 //	benchrunner -exp all -scale 0.05            # every experiment, small scale
 //	benchrunner -exp fig12 -scale 1             # Figure 12 at full Table 3 scale
 //	benchrunner -exp fig12 -json out/           # also write out/BENCH_fig12.json
-//	benchrunner -exp scaling -json out/         # worker-count scaling sweep
-//	benchrunner -exp monitors -json out/        # standing-query fan-out sweep
 //	benchrunner -list                           # list experiment ids
 //
-// Experiment ids follow the paper — table3, fig12 … fig17, fig19 — plus
-// the repository's own "scaling" sweep (workers ∈ {1,2,4,NumCPU}),
-// "monitors" sweep (1..64 standing queries over one feed, shared vs
-// distinct clustering keys) and "soak" (HTTP load scenarios against an
-// in-process convoyd). Scale
-// multiplies the time-domain length of every dataset (1 reproduces the
-// Table 3 sizes; expect minutes of runtime at full scale).
+// The eight experiment ids follow the paper — table3, fig12 … fig17,
+// fig19. Scale multiplies the time-domain length of every dataset (1
+// reproduces the Table 3 sizes; expect minutes of runtime at full scale).
 //
 // -json <dir> additionally writes one BENCH_<exp>.json per experiment run:
 // the machine-readable measurement rows behind the printed tables, tagged
-// with scale and seed — the perf-trajectory files that later runs compare
-// against.
+// with scale and seed.
 //
-// -check-regression compares two scaling bench files by their
-// machine-independent key ratios (parallel speedup per dataset, method
-// and worker count) and exits 1 when the candidate regressed more than
-// -tolerance below the baseline — the CI perf gate:
-//
-//	benchrunner -exp scaling -scale 0.02 -json /tmp/bench
-//	benchrunner -check-regression -baseline bench/BENCH_scaling.json \
-//	    -candidate /tmp/bench/BENCH_scaling.json -tolerance 0.25
+// benchrunner reproduces the paper's evaluation; it is not the repository's
+// benchmark. How fast the system is, and where the time goes, is measured
+// by bench/ladder (see bench/ladder/README.md).
 package main
 
 import (
@@ -45,22 +33,14 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment id (table3, fig12..fig17, fig19, scaling, monitors, cancel, soak, clusterers, increment, wal, distributed) or 'all'")
-		scale     = flag.Float64("scale", 0.05, "time-domain scale (1 = paper's Table 3 sizes)")
-		seed      = flag.Int64("seed", 1, "random seed for data generation")
-		workers   = flag.Int("workers", 1, "goroutines per discovery stage for the experiments (scaling sweeps its own counts)")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		jsonDir   = flag.String("json", "", "directory to write BENCH_<exp>.json measurement files into")
-		check     = flag.Bool("check-regression", false, "compare -candidate against -baseline instead of running experiments")
-		baseline  = flag.String("baseline", "bench/BENCH_scaling.json", "committed scaling bench file (with -check-regression)")
-		candidate = flag.String("candidate", "", "freshly measured scaling bench file (with -check-regression)")
-		tolerance = flag.Float64("tolerance", 0.25, "allowed fractional speedup regression before failing (with -check-regression)")
+		exp     = flag.String("exp", "all", "experiment id (table3, fig12..fig17, fig19) or 'all'")
+		scale   = flag.Float64("scale", 0.05, "time-domain scale (1 = paper's Table 3 sizes)")
+		seed    = flag.Int64("seed", 1, "random seed for data generation")
+		workers = flag.Int("workers", 1, "goroutines per discovery stage for the experiments")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		jsonDir = flag.String("json", "", "directory to write BENCH_<exp>.json measurement files into")
 	)
 	flag.Parse()
-
-	if *check {
-		os.Exit(checkRegression(*baseline, *candidate, *tolerance))
-	}
 
 	if *list {
 		for _, e := range expr.Experiments {
@@ -107,36 +87,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// checkRegression loads both scaling bench files, compares their key
-// ratios and reports; exit status 1 flags a regression, 2 a usage error.
-func checkRegression(baselinePath, candidatePath string, tol float64) int {
-	if candidatePath == "" {
-		fmt.Fprintln(os.Stderr, "benchrunner: -check-regression needs -candidate")
-		return 2
-	}
-	base, err := expr.ReadBenchFile(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		return 2
-	}
-	cand, err := expr.ReadBenchFile(candidatePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		return 2
-	}
-	regs := expr.CompareScaling(base, cand, tol)
-	if len(regs) == 0 {
-		fmt.Printf("benchrunner: no speedup regressions beyond %.0f%% (%s vs %s)\n",
-			tol*100, candidatePath, baselinePath)
-		return 0
-	}
-	fmt.Fprintf(os.Stderr, "benchrunner: %d speedup regression(s) beyond %.0f%%:\n", len(regs), tol*100)
-	for _, r := range regs {
-		fmt.Fprintln(os.Stderr, "  "+r.String())
-	}
-	return 1
 }
 
 // writeBench writes one experiment's measurement file.

@@ -703,7 +703,8 @@ func LoadBinary(path string) (*DB, error) { return tsio.LoadBinary(path) }
 func SaveBinary(path string, db *DB) error { return tsio.SaveBinary(path, db) }
 
 // Synthetic dataset generation (the paper's four datasets are proprietary;
-// these seeded profiles match their Table 3 shape — see DESIGN.md §3).
+// these seeded profiles match their Table 3 shape — see the
+// internal/datagen package comment and each profile's doc comment).
 type (
 	// Profile is a synthetic dataset profile with its query parameters.
 	Profile = datagen.Profile

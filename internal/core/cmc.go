@@ -21,7 +21,7 @@ import (
 //
 // Two bookkeeping refinements close gaps in the printed pseudocode so that
 // the output is exactly the answer set documented in the package comment
-// (both are noted in DESIGN.md):
+// (convoy.go; TestGrowingConvoyTracked pins the first):
 //
 //   - every snapshot cluster also opens a fresh candidate (otherwise a
 //     larger group forming around an existing convoy is never tracked), and

@@ -121,7 +121,7 @@ func TestLifespanLimitsConvoy(t *testing.T) {
 
 // TestGrowingConvoyTracked: when a larger group forms around an existing
 // convoy, both the long small convoy and the shorter big one are reported
-// (the bookkeeping fix documented in DESIGN.md).
+// (the first bookkeeping refinement in cmc.go's header comment).
 func TestGrowingConvoyTracked(t *testing.T) {
 	row := func(y float64, joinAt int) []geom.Point {
 		pts := make([]geom.Point, 8)

@@ -24,7 +24,8 @@ import (
 // exactly like CMC chains snapshot clusters. Overlapping segment-level
 // clusters are merged into disjoint components and each candidate carries a
 // *support set* (the union of every component it passed through); both
-// measures make the refinement provably lossless (see DESIGN.md §6).
+// measures make the refinement provably lossless (see Candidate.Support
+// and dedupCandidates; TestFilterProducesSuperset pins it).
 //
 // Refinement (Algorithm 3): for every candidate, run CMC restricted to the
 // candidate's support objects over the candidate's partition-aligned time
@@ -242,15 +243,17 @@ func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Tra
 	// Partition windows, in time order; each partition's clustering is
 	// independent, so the expensive TRAJ-DBSCAN runs on a worker pool while
 	// the cheap candidate chaining folds the partition clusters strictly in
-	// time order (same pipeline shape as the parallel CMC scan).
+	// time order (same pipeline shape as the parallel CMC scan). Windows
+	// are addressed by index, never by stepping a tick: w0 += λ wraps when
+	// the domain ends near model.MaxTick.
 	type window struct{ w0, w1 model.Tick }
-	var wins []window
-	for w0 := lo; w0 <= hi; w0 += model.Tick(lambda) {
-		w1 := w0 + model.Tick(lambda) - 1
-		if w1 > hi {
-			w1 = hi
+	nWins := lambdaPartitions(lo, hi, lambda)
+	windowAt := func(i int) window {
+		w0 := lo + model.Tick(int64(i)*lambda)
+		if int64(hi-w0) < lambda {
+			return window{w0, hi}
 		}
-		wins = append(wins, window{w0, w1})
+		return window{w0, w0 + model.Tick(lambda) - 1}
 	}
 
 	// partitionClusters assembles the partition's sub-polylines (the
@@ -303,11 +306,12 @@ func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Tra
 	}
 
 	var live []*candidate
-	if err := par.OrderedPipeline(ctx, len(wins), fc.Workers,
-		func(i int) [][]model.ObjectID { return partitionClusters(wins[i]) },
+	if err := par.OrderedPipeline(ctx, nWins, fc.Workers,
+		func(i int) [][]model.ObjectID { return partitionClusters(windowAt(i)) },
 		func(i int, clusters [][]model.ObjectID) bool {
 			t0 := tm.start()
-			live = chainStep(live, clusters, p.M, p.K, wins[i].w0, wins[i].w1, true, nil, collect)
+			w := windowAt(i)
+			live = chainStep(live, clusters, p.M, p.K, w.w0, w.w1, true, nil, collect)
 			tm.chained(t0)
 			return true
 		}); err != nil {
@@ -315,6 +319,13 @@ func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Tra
 	}
 	flushCandidates(live, p.K, nil, collect)
 	return dedupCandidates(out, fc.NoCandidatePruning), nil
+}
+
+// lambdaPartitions returns how many λ-length partitions the filter cuts a
+// non-empty [lo, hi] into: ⌈span/λ⌉ for λ ≥ 1, computed so that neither a
+// domain ending at model.MaxTick nor a huge λ overflows.
+func lambdaPartitions(lo, hi model.Tick, lambda int64) int {
+	return int((model.TickSpan(lo, hi)-1)/lambda) + 1
 }
 
 // dedupCandidates drops candidates whose refinement is covered by another

@@ -54,7 +54,7 @@ func PartitionWindows(lo, hi model.Tick, k int64, n int) []Window {
 	if k < 1 {
 		k = 1
 	}
-	span := int64(hi-lo) + 1
+	span := model.TickSpan(lo, hi)
 	overlap := k - 1
 	if n <= 1 || span <= k || span <= overlap+1 {
 		return []Window{{Lo: lo, Hi: hi}}
@@ -68,12 +68,13 @@ func PartitionWindows(lo, hi model.Tick, k int64, n int) []Window {
 	}
 	var out []Window
 	for start := lo; ; start += model.Tick(stride) {
-		end := start + model.Tick(stride+overlap) - 1
-		if end >= hi {
+		// The last window is recognised by what is left of the domain:
+		// start+stride+overlap may lie past model.MaxTick.
+		if int64(hi-start) < stride+overlap {
 			out = append(out, Window{Lo: start, Hi: hi})
 			break
 		}
-		out = append(out, Window{Lo: start, Hi: end})
+		out = append(out, Window{Lo: start, Hi: start + model.Tick(stride+overlap) - 1})
 	}
 	return out
 }

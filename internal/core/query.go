@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"runtime"
@@ -385,6 +386,15 @@ func emitBatches(raw bool, emit func(Convoy) bool) func([]Convoy) bool {
 	}
 }
 
+// ErrTickDomain rejects a CuTS-family query over a database whose ticks
+// lie beyond ±2^53: simplified segments carry their times as float64, which
+// cannot tell such ticks apart, so the filter's bounds would be computed on
+// the wrong instants. It is the caller's data, not a fault of the run.
+var ErrTickDomain = errors.New("core: the CuTS family cannot represent ticks beyond ±2^53")
+
+// maxExactTick is the largest tick magnitude a float64 holds exactly.
+const maxExactTick = model.Tick(1) << 53
+
 // runCuTS executes the filter-refinement pipeline: simplify (cancellable
 // per trajectory), filter (cancellable per λ-partition), then refinement
 // (cancellable per candidate). In streaming mode candidates are refined in
@@ -392,6 +402,10 @@ func emitBatches(raw bool, emit func(Convoy) bool) func([]Convoy) bool {
 // as no unprocessed candidate window could still dominate them — the
 // start-watermark argument documented on flushReady.
 func (q *Query) runCuTS(ctx context.Context, db *model.DB, raw bool, st *Stats, passes *int64, emit func(Convoy) bool) error {
+	lo, hi, ok := db.TimeRange()
+	if ok && (lo < -maxExactTick || hi > maxExactTick) {
+		return fmt.Errorf("%w: the database spans [%d, %d] (the CMC algorithm has no such limit)", ErrTickDomain, lo, hi)
+	}
 	delta := q.delta
 	if delta <= 0 {
 		delta = ComputeDelta(db, q.p.Eps)
@@ -419,9 +433,8 @@ func (q *Query) runCuTS(ctx context.Context, db *model.DB, raw bool, st *Stats, 
 		lambda = ComputeLambda(db, sts, q.p.K)
 	}
 	st.Lambda = lambda
-	if lo, hi, ok := db.TimeRange(); ok {
-		span := int64(hi-lo) + 1
-		st.NumPartitions = int((span + lambda - 1) / lambda)
+	if ok {
+		st.NumPartitions = lambdaPartitions(lo, hi, lambda)
 	}
 
 	t1 := time.Now()

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -226,5 +229,94 @@ func TestTickWalkTerminatesAtMaxTick(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("a tick walk over [MaxTick-2, MaxTick] did not terminate")
+	}
+}
+
+// pairAndStray is TestTickWalkTerminatesAtMaxTick's database at another
+// start tick: objects 0 and 1 travel together for three ticks, 2 far away.
+func pairAndStray(t *testing.T, start model.Tick) *model.DB {
+	return buildDB(t, start,
+		[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0)},
+		[]geom.Point{geom.Pt(0, 0.5), geom.Pt(1, 0.5), geom.Pt(2, 0.5)},
+		[]geom.Point{geom.Pt(0, 50), geom.Pt(1, 50), geom.Pt(2, 50)})
+}
+
+// The CuTS family — the default algorithm — over the same [MaxTick-2,
+// MaxTick] domain: the filter's λ-window walk stepped `w0 += λ`, which
+// wraps past MaxTick, and it appended windows forever without looking at
+// ctx (a remote hang: three CSV lines pinned a convoyd worker slot past
+// every timeout). The walk is indexed over model.TickSpan now, and because
+// simplified segments carry float64 times, which cannot tell ticks beyond
+// ±2^53 apart, a CuTS query over such a domain is refused with
+// ErrTickDomain instead of mined on the wrong instants. CMC — serial,
+// parallel and partitioned — keeps working there and still equals
+// StreamDB.
+func TestCuTSRefusesTicksBeyondFloat64(t *testing.T) {
+	db := pairAndStray(t, model.MaxTick-2)
+	p := Params{M: 2, K: 2, Eps: 1}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+
+	done := make(chan error, 1) // buffered: a late finisher must not block after the timeout
+	go func() {
+		_, err := NewQuery(WithParams(p)).Run(ctx, db)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrTickDomain) {
+			t.Fatalf("default algorithm over [MaxTick-2, MaxTick]: err = %v, want ErrTickDomain", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the default algorithm over [MaxTick-2, MaxTick] did not return (and ignored its 3 s context)")
+	}
+	for _, v := range []Variant{VariantCuTS, VariantCuTSPlus, VariantCuTSStar} {
+		if _, err := NewQuery(WithParams(p), WithVariant(v)).Run(ctx, db); !errors.Is(err, ErrTickDomain) {
+			t.Errorf("%v: err = %v, want ErrTickDomain", v, err)
+		}
+	}
+
+	want, err := StreamDB(db, p)
+	if err != nil || len(want) != 1 {
+		t.Fatalf("StreamDB = %v, %v; want the one ⟨0,1⟩ convoy", want, err)
+	}
+	for _, opts := range [][]Option{nil, {WithWorkers(4)}, {WithPartitions(2)}, {WithPartitions(3), WithWorkers(2)}} {
+		got, err := NewQuery(append([]Option{WithParams(p), WithCMC()}, opts...)...).Run(ctx, db)
+		if err != nil || !got.Equal(want) {
+			t.Errorf("CMC with %d extra option(s) = %v, %v; want %v", len(opts), got, err, want)
+		}
+	}
+}
+
+// Every window walk is indexed, so neither a domain that ends at MaxTick
+// nor a λ (or partition stride) near MaxInt64 can wrap it: one partition
+// covers the domain, and the answer is the plain one.
+func TestWindowWalksDoNotWrap(t *testing.T) {
+	if got := PartitionWindows(model.MaxTick-3, model.MaxTick, 2, 2); len(got) != 2 ||
+		got[0] != (Window{model.MaxTick - 3, model.MaxTick - 1}) || got[1] != (Window{model.MaxTick - 1, model.MaxTick}) {
+		t.Errorf("PartitionWindows over [MaxTick-3, MaxTick] = %v", got)
+	}
+	if n := lambdaPartitions(model.MaxTick-2, model.MaxTick, 2); n != 2 {
+		t.Errorf("lambdaPartitions over [MaxTick-2, MaxTick], λ=2: %d, want 2", n)
+	}
+
+	// The largest domain CuTS accepts, with the largest λ a caller can ask for.
+	db := pairAndStray(t, maxExactTick-2)
+	p := Params{M: 2, K: 2, Eps: 1}
+	want, err := CMC(db, p)
+	if err != nil || len(want) != 1 {
+		t.Fatalf("CMC = %v, %v", want, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	for _, lambda := range []int64{0, 2, math.MaxInt64} {
+		var st Stats
+		got, err := NewQuery(WithParams(p), WithLambda(lambda), WithStats(&st)).Run(ctx, db)
+		if err != nil || !got.Equal(want) {
+			t.Errorf("CuTS* λ=%d over [2^53-2, 2^53] = %v, %v; want %v", lambda, got, err, want)
+		}
+		if lambda == math.MaxInt64 && st.NumPartitions != 1 {
+			t.Errorf("λ=MaxInt64: %d partitions, want 1", st.NumPartitions)
+		}
 	}
 }

@@ -4,7 +4,8 @@
 // match the statistics reported in Table 3 — object count, time-domain
 // length, mean trajectory length, sampling regularity, lifespan spread —
 // and the structural property each dataset contributes to the evaluation
-// (see DESIGN.md §3 for the substitution rationale).
+// (each profile's doc comment in profiles.go names that property and the
+// paper's own result on the real data).
 //
 // All generation is deterministic in the profile's seed.
 package datagen

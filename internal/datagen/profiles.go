@@ -230,9 +230,8 @@ func Taxi(scale float64, seed int64) Profile {
 // backend: a small campus-scale area where planted groups brush shoulders
 // constantly and background objects wander through. It is not one of the
 // paper's datasets — thresholding pairwise distance at Eps turns each tick
-// into a contact graph (see proxgraph.FromDB), which is how the clusterers
-// benchmark compares the DBSCAN and graph-connectivity backends on equal
-// footing.
+// into a contact graph (see proxgraph.FromDB), which puts the DBSCAN and
+// graph-connectivity backends on equal footing.
 func Contact(scale float64, seed int64) Profile {
 	T := scaleTicks(2000, scale)
 	k := scaleTicks(60, scale)
@@ -272,15 +271,15 @@ func Contact(scale float64, seed int64) Profile {
 // path: a persistent population of ~300 objects where only about 10% move
 // between consecutive ticks (commuters parked at home or the office, a few
 // in transit). It is not one of the paper's datasets and stays out of
-// AllProfiles; the increment benchmark uses it as the favorable end of the
-// churn spectrum.
+// AllProfiles; bench/ladder's feed-commute and history-commute workloads
+// replay it.
 func Commute(scale float64, seed int64) Profile {
 	return CommuteChurn(scale, seed, 0.1)
 }
 
 // CommuteChurn is Commute with an explicit per-tick move probability, so
-// the increment benchmark can sweep churn from near-frozen to
-// every-object-every-tick on an otherwise identical world. Jitter is zero
+// churn can be swept from near-frozen to every-object-every-tick on an
+// otherwise identical world. Jitter is zero
 // on purpose: a parked object reports a bit-identical position, which is
 // what lets the incremental engine skip its neighborhood entirely.
 func CommuteChurn(scale float64, seed int64, churn float64) Profile {

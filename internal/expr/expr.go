@@ -1,13 +1,15 @@
-// Package expr is the experiment harness: one runner per evaluation table
-// and figure of the paper (Table 3, Figures 12–17, Figure 19). Each runner
-// regenerates the corresponding rows/series on the synthetic dataset
-// profiles and prints a paper-style text table.
+// Package expr is the paper's experiment harness: eight runners, one per
+// evaluation table and figure of the paper (Table 3, Figures 12–17,
+// Figure 19). Each runner regenerates the corresponding rows/series on the
+// synthetic dataset profiles and prints a paper-style text table.
 //
 // Absolute numbers differ from the paper (different hardware, language and
 // — necessarily — synthetic data); the point of the harness is the *shape*
 // of each result: which method wins, by roughly what factor, and how the
-// curves move with δ, λ and θ. EXPERIMENTS.md records the paper-vs-measured
-// comparison produced by these runners.
+// curves move with δ, λ and θ. README's "Command-line tools" section shows
+// how to regenerate them with benchrunner. How fast the system itself is —
+// the daemon, feeds, WAL, shards — is measured in one place only,
+// bench/ladder.
 package expr
 
 import (
@@ -33,8 +35,7 @@ type Options struct {
 	// Profiles overrides the default four Table 3 profiles when non-nil.
 	Profiles []datagen.Profile
 	// Workers is the per-stage worker count every experiment's discovery
-	// runs use (≤ 1 = serial). The scaling experiment ignores it and
-	// sweeps its own counts.
+	// runs use (≤ 1 = serial).
 	Workers int
 	// Record, when non-nil, receives one machine-readable measurement per
 	// printed table row (benchrunner -json writes these to BENCH files).
@@ -53,6 +54,17 @@ type Record struct {
 	Param   string             `json:"param,omitempty"`
 	Value   float64            `json:"value,omitempty"`
 	Metrics map[string]float64 `json:"metrics"`
+}
+
+// BenchFile is the schema of the BENCH_<exp>.json measurement files
+// benchrunner -json writes: one experiment's Records tagged with the
+// options that produced them.
+type BenchFile struct {
+	Exp     string   `json:"exp"`
+	Scale   float64  `json:"scale"`
+	Seed    int64    `json:"seed"`
+	Workers int      `json:"workers,omitempty"`
+	Records []Record `json:"records"`
 }
 
 // record forwards a measurement to the recorder, if any.

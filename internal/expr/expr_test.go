@@ -81,14 +81,16 @@ func TestFigure16And17Run(t *testing.T) {
 	if err := Figure16(o); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Car") || !strings.Contains(buf.String(), "Taxi") {
+	if !strings.Contains(buf.String(), "Car") || !strings.Contains(buf.String(), "Taxi") ||
+		!strings.Contains(buf.String(), "tolerance δ\n") || !strings.Contains(buf.String(), "δ  ") {
 		t.Errorf("Figure16 output:\n%s", buf.String())
 	}
 	buf.Reset()
 	if err := Figure17(o); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Truck") || !strings.Contains(buf.String(), "Cattle") {
+	if !strings.Contains(buf.String(), "Truck") || !strings.Contains(buf.String(), "Cattle") ||
+		!strings.Contains(buf.String(), "length λ\n") || !strings.Contains(buf.String(), "λ  ") {
 		t.Errorf("Figure17 output:\n%s", buf.String())
 	}
 }
@@ -99,7 +101,7 @@ func TestFigure19Runs(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "false pos%") || !strings.Contains(out, "0.4") {
+	if !strings.Contains(out, "false pos%") || !strings.Contains(out, "0.4") || !strings.Contains(out, "θ  ") {
 		t.Errorf("Figure19 output:\n%s", out)
 	}
 }
@@ -111,33 +113,20 @@ func TestLookupAndRunAll(t *testing.T) {
 	if _, ok := Lookup("nonsense"); ok {
 		t.Error("nonsense found")
 	}
-	if len(Experiments) != 16 {
-		t.Errorf("expected 16 experiments, got %d", len(Experiments))
-	}
-	if _, ok := Lookup("monitors"); !ok {
-		t.Error("monitors not found")
-	}
-	if _, ok := Lookup("cancel"); !ok {
-		t.Error("cancel not found")
-	}
-	if _, ok := Lookup("soak"); !ok {
-		t.Error("soak not found")
-	}
-	if _, ok := Lookup("increment"); !ok {
-		t.Error("increment not found")
-	}
-	if _, ok := Lookup("clusterers"); !ok {
-		t.Error("clusterers not found")
-	}
-	if _, ok := Lookup("wal"); !ok {
-		t.Error("wal not found")
+	if len(Experiments) != 8 {
+		t.Errorf("expected the paper's 8 experiments, got %d", len(Experiments))
 	}
 	var buf bytes.Buffer
 	if err := RunAll(tinyOptions(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range Experiments {
-		_ = e.Desc
+		if strings.Contains(e.Desc, "Î") {
+			t.Errorf("%s: double-encoded description %q", e.ID, e.Desc)
+		}
+	}
+	if strings.Contains(buf.String(), "Î") {
+		t.Errorf("RunAll output holds double-encoded Greek:\n%s", buf.String())
 	}
 	if len(buf.String()) < 500 {
 		t.Errorf("RunAll output suspiciously short:\n%s", buf.String())
@@ -154,88 +143,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// The scaling experiment must sweep workers on both profiles for both
-// methods, verify parallel ≡ serial internally, and emit the measurement
-// rows BENCH_scaling.json is built from.
-func TestScalingRunsAndRecords(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	var recs []Record
-	o.Record = func(r Record) { recs = append(recs, r) }
-	if err := Scaling(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Scaling:") || !strings.Contains(out, "workers") {
-		t.Errorf("Scaling output:\n%s", out)
-	}
-	sweep := len(workerSweep())
-	want := 2 * 2 * sweep // {Truck, Car} × {CMC, CuTS*} × worker sweep
-	if len(recs) != want {
-		t.Fatalf("records = %d, want %d", len(recs), want)
-	}
-	seen := map[string]bool{}
-	for _, r := range recs {
-		if r.Exp != "scaling" || r.Param != "workers" || r.Value < 1 {
-			t.Errorf("bad record %+v", r)
-		}
-		if _, ok := r.Metrics["time_ms"]; !ok {
-			t.Errorf("record misses time_ms: %+v", r)
-		}
-		if _, ok := r.Metrics["speedup"]; !ok {
-			t.Errorf("record misses speedup: %+v", r)
-		}
-		seen[r.Dataset+"/"+r.Method] = true
-	}
-	for _, key := range []string{"Truck/CMC", "Truck/CuTS*", "Car/CMC", "Car/CuTS*"} {
-		if !seen[key] {
-			t.Errorf("no records for %s", key)
-		}
-	}
-}
-
-// The monitors experiment must sweep the fan-out in both regimes, verify
-// the pass counters and the monitor ≡ Streamer answer internally, and emit
-// the measurement rows BENCH_monitors.json is built from.
-func TestMonitorsRunsAndRecords(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	var recs []Record
-	o.Record = func(r Record) { recs = append(recs, r) }
-	if err := Monitors(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Monitors:") || !strings.Contains(out, "passes") {
-		t.Errorf("Monitors output:\n%s", out)
-	}
-	want := len(monitorFanout) * 2 // fan-out sweep × {shared, distinct}
-	if len(recs) != want {
-		t.Fatalf("records = %d, want %d", len(recs), want)
-	}
-	for _, r := range recs {
-		if r.Exp != "monitors" || r.Param != "monitors" || r.Value < 1 {
-			t.Errorf("bad record %+v", r)
-		}
-		keys, ticks, passes := r.Metrics["keys"], r.Metrics["ticks"], r.Metrics["passes"]
-		if passes != keys*ticks {
-			t.Errorf("record %+v: passes = %g, want keys×ticks = %g", r, passes, keys*ticks)
-		}
-		switch r.Method {
-		case "shared":
-			if keys != 1 {
-				t.Errorf("shared regime with %g keys: %+v", keys, r)
-			}
-		case "distinct":
-			if keys != r.Value {
-				t.Errorf("distinct regime with %g keys over %g monitors: %+v", keys, r.Value, r)
-			}
-		default:
-			t.Errorf("unknown regime %q", r.Method)
-		}
-	}
-}
-
 // Worker counts must not change any experiment's answers: Figure 12 runs
 // its own cross-algorithm equality check internally, so running it with a
 // parallel option set doubles as an end-to-end equivalence test.
@@ -245,77 +152,5 @@ func TestFigure12ParallelWorkers(t *testing.T) {
 	o.Workers = 4
 	if err := Figure12(o); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCancelRecordsRows(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	var recs []Record
-	o.Record = func(r Record) { recs = append(recs, r) }
-	if err := Cancel(o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Cancel: time-to-abort") {
-		t.Errorf("Cancel output:\n%s", buf.String())
-	}
-	// 2 profiles × 2 methods × (1 full + 3 cancel points) = 16 rows.
-	if len(recs) != 16 {
-		t.Fatalf("recorded %d rows, want 16", len(recs))
-	}
-	for _, r := range recs {
-		if r.Exp != "cancel" || r.Param != "cancel_frac" {
-			t.Fatalf("bad record %+v", r)
-		}
-		if r.Metrics["passes_full"] <= 0 {
-			t.Fatalf("record without full pass count: %+v", r)
-		}
-		if r.Metrics["passes"] > r.Metrics["passes_full"] {
-			t.Fatalf("cancelled run did more work than the full run: %+v", r)
-		}
-	}
-}
-
-// The clusterers experiment must run both backends over the Contact
-// profile, prove the m=2 answers agree label-for-label (it errors out
-// otherwise), and emit one measurement row per backend.
-func TestClusterersRunsAndRecords(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	var recs []Record
-	o.Record = func(r Record) { recs = append(recs, r) }
-	if err := Clusterers(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Clusterers:") || !strings.Contains(out, "passes") {
-		t.Errorf("Clusterers output:\n%s", out)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("records = %d, want 2 (one per backend)", len(recs))
-	}
-	byMethod := map[string]Record{}
-	for _, r := range recs {
-		if r.Exp != "clusterers" || r.Dataset != "Contact" {
-			t.Errorf("bad record %+v", r)
-		}
-		for _, m := range []string{"time_ms", "convoys", "passes"} {
-			if _, ok := r.Metrics[m]; !ok {
-				t.Errorf("record misses %s: %+v", m, r)
-			}
-		}
-		byMethod[r.Method] = r
-	}
-	d, g := byMethod["dbscan"], byMethod["proxgraph"]
-	if d.Method == "" || g.Method == "" {
-		t.Fatalf("missing a backend row: %+v", recs)
-	}
-	if d.Metrics["convoys"] != g.Metrics["convoys"] {
-		t.Errorf("convoy counts differ: dbscan %v vs proxgraph %v",
-			d.Metrics["convoys"], g.Metrics["convoys"])
-	}
-	if d.Metrics["passes"] <= 0 || g.Metrics["passes"] <= 0 {
-		t.Errorf("pass counters not recorded: dbscan %v, proxgraph %v",
-			d.Metrics["passes"], g.Metrics["passes"])
 	}
 }

@@ -18,8 +18,8 @@ func toleranceMode(i int) dbscan.ToleranceMode {
 	return dbscan.ActualTolerance
 }
 
-// deltaSweep returns the Î´ values for the Figure 15/16 sweeps: fractions
-// and multiples of the profile's tuned Î´, mirroring the paper's absolute
+// deltaSweep returns the δ values for the Figure 15/16 sweeps: fractions
+// and multiples of the profile's tuned δ, mirroring the paper's absolute
 // sweep ranges.
 func deltaSweep(prof datagen.Profile) []float64 {
 	base := prof.Delta
@@ -29,7 +29,7 @@ func deltaSweep(prof datagen.Profile) []float64 {
 	return []float64{base * 0.25, base * 0.5, base, base * 1.5, base * 2}
 }
 
-// lambdaSweep returns the Î» values for the Figure 17 sweep.
+// lambdaSweep returns the λ values for the Figure 17 sweep.
 func lambdaSweep(prof datagen.Profile) []int64 {
 	base := prof.Lambda
 	if base < 1 {
@@ -57,7 +57,7 @@ func lambdaSweep(prof datagen.Profile) []int64 {
 
 // Figure15 compares the three simplification methods on the Cattle profile
 // (the paper's choice: tiny N, enormous T): vertex reduction (a) and
-// simplification time (b) across the Î´ sweep.
+// simplification time (b) across the δ sweep.
 func Figure15(o Options) error {
 	var cattle *datagen.Profile
 	for _, prof := range o.profiles() {
@@ -74,7 +74,7 @@ func Figure15(o Options) error {
 	db := cattle.Generate()
 	w := tab(o)
 	fmt.Fprintln(w, "Figure 15: trajectory simplification methods (Cattle)")
-	fmt.Fprintln(w, "Î´\tmethod\treduction%\ttime (ms)")
+	fmt.Fprintln(w, "δ\tmethod\treduction%\ttime (ms)")
 	for _, delta := range deltaSweep(*cattle) {
 		for _, m := range []simplify.Method{simplify.DP, simplify.DPPlus, simplify.DPStar} {
 			t0 := time.Now()
@@ -102,13 +102,13 @@ func Figure15(o Options) error {
 }
 
 // figureSweepDelta runs the Figure 16 body for one dataset: refinement
-// units and elapsed time of the CuTS family across the Î´ sweep.
+// units and elapsed time of the CuTS family across the δ sweep.
 func figureSweepDelta(o Options, prof datagen.Profile) error {
 	db := prof.Generate()
 	p := params(prof)
 	w := tab(o)
-	fmt.Fprintf(w, "Figure 16 (%s): effect of simplification tolerance Î´\n", prof.Name)
-	fmt.Fprintln(w, "Î´\tmethod\trefinement units\tcandidates\ttime (ms)")
+	fmt.Fprintf(w, "Figure 16 (%s): effect of simplification tolerance δ\n", prof.Name)
+	fmt.Fprintln(w, "δ\tmethod\trefinement units\tcandidates\ttime (ms)")
 	for _, delta := range deltaSweep(prof) {
 		for _, variant := range []core.Variant{core.VariantCuTS, core.VariantCuTSPlus, core.VariantCuTSStar} {
 			_, st, err := core.Run(db, p, core.Config{Variant: variant, Delta: delta, Lambda: prof.Lambda, Workers: o.Workers})
@@ -129,7 +129,7 @@ func figureSweepDelta(o Options, prof datagen.Profile) error {
 	return w.Flush()
 }
 
-// Figure16 sweeps Î´ on the Car and Taxi profiles (the paper's pair).
+// Figure16 sweeps δ on the Car and Taxi profiles (the paper's pair).
 func Figure16(o Options) error {
 	for _, prof := range o.profiles() {
 		if prof.Name == "Car" || prof.Name == "Taxi" {
@@ -142,13 +142,13 @@ func Figure16(o Options) error {
 }
 
 // figureSweepLambda runs the Figure 17 body for one dataset: refinement
-// units and elapsed time across the Î» sweep.
+// units and elapsed time across the λ sweep.
 func figureSweepLambda(o Options, prof datagen.Profile) error {
 	db := prof.Generate()
 	p := params(prof)
 	w := tab(o)
-	fmt.Fprintf(w, "Figure 17 (%s): effect of time-partition length Î»\n", prof.Name)
-	fmt.Fprintln(w, "Î»\tmethod\trefinement units\tcandidates\ttime (ms)")
+	fmt.Fprintf(w, "Figure 17 (%s): effect of time-partition length λ\n", prof.Name)
+	fmt.Fprintln(w, "λ\tmethod\trefinement units\tcandidates\ttime (ms)")
 	for _, lambda := range lambdaSweep(prof) {
 		for _, variant := range []core.Variant{core.VariantCuTS, core.VariantCuTSPlus, core.VariantCuTSStar} {
 			_, st, err := core.Run(db, p, core.Config{Variant: variant, Delta: prof.Delta, Lambda: lambda, Workers: o.Workers})
@@ -169,7 +169,7 @@ func figureSweepLambda(o Options, prof datagen.Profile) error {
 	return w.Flush()
 }
 
-// Figure17 sweeps Î» on the Truck and Cattle profiles (the paper's pair).
+// Figure17 sweeps λ on the Truck and Cattle profiles (the paper's pair).
 func Figure17(o Options) error {
 	for _, prof := range o.profiles() {
 		if prof.Name == "Truck" || prof.Name == "Cattle" {
@@ -182,11 +182,11 @@ func Figure17(o Options) error {
 }
 
 // Figure19 runs the appendix accuracy study: MC2's false-positive and
-// false-negative percentages against the exact convoy answer across Î¸.
+// false-negative percentages against the exact convoy answer across θ.
 func Figure19(o Options) error {
 	w := tab(o)
 	fmt.Fprintln(w, "Figure 19: discovery quality of MC2 for convoys")
-	fmt.Fprintln(w, "dataset\tÎ¸\treported\treference\tfalse pos%\tfalse neg%")
+	fmt.Fprintln(w, "dataset\tθ\treported\treference\tfalse pos%\tfalse neg%")
 	for _, prof := range o.profiles() {
 		db := prof.Generate()
 		p := params(prof)
@@ -197,7 +197,7 @@ func Figure19(o Options) error {
 		for _, theta := range []float64{0.4, 0.6, 0.8, 1.0} {
 			mc, err := core.MC2(db, p, theta)
 			if err != nil {
-				return fmt.Errorf("expr: Figure19 %s Î¸=%g: %w", prof.Name, theta, err)
+				return fmt.Errorf("expr: Figure19 %s θ=%g: %w", prof.Name, theta, err)
 			}
 			rep := core.CompareAnswers(mc, ref)
 			fmt.Fprintf(w, "%s\t%.1f\t%d\t%d\t%.1f\t%.1f\n",
@@ -226,17 +226,9 @@ var Experiments = []struct {
 	{"fig13", "phase cost breakdown", Figure13},
 	{"fig14", "global vs actual tolerance", Figure14},
 	{"fig15", "simplification method comparison", Figure15},
-	{"fig16", "effect of Î´ (Car, Taxi)", Figure16},
-	{"fig17", "effect of Î» (Truck, Cattle)", Figure17},
+	{"fig16", "effect of δ (Car, Taxi)", Figure16},
+	{"fig17", "effect of λ (Truck, Cattle)", Figure17},
 	{"fig19", "MC2 accuracy for convoys", Figure19},
-	{"scaling", "worker-count scaling (Truck, Car)", Scaling},
-	{"monitors", "standing-query fan-out, shared vs distinct keys (Truck)", Monitors},
-	{"cancel", "time-to-abort and wasted work vs cancel point (Truck, Car)", Cancel},
-	{"soak", "HTTP load scenarios against an in-process convoyd", Soak},
-	{"clusterers", "DBSCAN vs graph-connectivity backend (Contact)", Clusterers},
-	{"increment", "incremental vs from-scratch per-tick clustering (Commute churn sweep, Contact)", Increment},
-	{"wal", "feed ingest throughput per WAL fsync policy vs in-memory, plus recovery replay time", Wal},
-	{"distributed", "partition→mine→merge cost vs partition count, in-process and loopback shards (Truck)", Distributed},
 }
 
 // RunAll executes every experiment in paper order.

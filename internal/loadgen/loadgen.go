@@ -3,7 +3,7 @@
 // latency percentiles per operation, the server's own /metrics counters
 // (convoyd_* plus go_* runtime gauges) scraped after the run, and the
 // per-stage profile of one sampled explain=true query. The cmd/convoyload
-// CLI and the expr "soak" experiment are thin wrappers around Run.
+// CLI is a thin wrapper around Run.
 //
 // Two pacing modes:
 //
@@ -64,7 +64,7 @@ type Options struct {
 	// Seed drives the deterministic payload generation. Default 1.
 	Seed int64
 	// Scale multiplies payload sizes (database sizes, tick batch sizes);
-	// 1 is the CLI default, the soak experiment passes its own.
+	// 1 is the CLI default.
 	Scale float64
 	// Client overrides the HTTP client (default: http.Client with no
 	// timeout — scenarios rely on server-side deadlines).

@@ -28,7 +28,7 @@ func (s *memSampler) read() (heapAlloc, gcPauseSeconds float64) {
 
 // RegisterRuntime registers Go runtime health gauges on the registry —
 // goroutine count, GOMAXPROCS, live heap bytes, and cumulative GC pause
-// seconds — so soak reports and dashboards capture runtime health next
+// seconds — so load reports and dashboards capture runtime health next
 // to request counters. Values are read at exposition time; memory stats
 // are sampled at most once per second. Registering the same registry
 // twice panics, like any duplicate metric registration.

@@ -340,15 +340,17 @@ func TestHistoryQueryMatchesBatch(t *testing.T) {
 		from, to *model.Tick
 		loTick   model.Tick // the window the batches actually span
 		hiTick   model.Tick
+		parts    int // the spec's partitions: the oracle stays single-pass
 	}{
-		{"bounded", ptrTick(3), ptrTick(16), 3, 16},
-		{"unbounded", nil, nil, 0, 19},
-		{"suffix", ptrTick(10), nil, 10, 19},
+		{"bounded", ptrTick(3), ptrTick(16), 3, 16, 0},
+		{"unbounded", nil, nil, 0, 19, 0},
+		{"suffix", ptrTick(10), nil, 10, 19, 0},
+		{"partitions=3", nil, nil, 0, 19, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var resp HistoryQueryResponse
 			doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/query", HistoryQueryRequest{
-				Params: ParamsJSON{M: 2, K: 5, Eps: 1}, From: tc.from, To: tc.to,
+				Params: ParamsJSON{M: 2, K: 5, Eps: 1}, From: tc.from, To: tc.to, Partitions: tc.parts,
 			}, http.StatusOK, &resp)
 			// Like /v1/query, the default backend reports as the empty
 			// clusterer and the historical default algorithm is CMC.
@@ -401,6 +403,13 @@ func TestHistoryQueryMatchesBatch(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/query", HistoryQueryRequest{
 		Params: ParamsJSON{M: 2, K: 5, Eps: 1}, From: ptrTick(9), To: ptrTick(3),
 	}, http.StatusBadRequest, nil)
+
+	// timeout_ms bounds a historical query like any other (it used to be
+	// dropped: only the server's cap applied). One nanosecond has expired
+	// before the window is read.
+	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/query", HistoryQueryRequest{
+		Params: ParamsJSON{M: 2, K: 5, Eps: 1}, TimeoutMS: 1e-6,
+	}, http.StatusGatewayTimeout, nil)
 }
 
 func ptrTick(t model.Tick) *model.Tick { return &t }

@@ -96,11 +96,10 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 	if err != nil {
 		return HistoryQueryResponse{}, err
 	}
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
+	// timeout_ms and the server's cap, whichever is tighter — reading the
+	// window, queueing for a slot and mining all count, as for /v1/query.
+	ctx, cancel := s.q.requestCtx(ctx, pl.req)
+	defer cancel()
 	t0 := time.Now()
 	fold := &windowFold{ids: map[string]model.ObjectID{}}
 	if pl.res.Clusterer == proxgraph.Backend {
@@ -127,8 +126,8 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 		To:        req.To,
 		Ticks:     fold.ticks,
 	}
-	opts := []core.Option{core.WithParams(pl.res.P), core.WithWorkers(pl.workers)}
 	var db *model.DB
+	var cl core.Clusterer
 	if log := fold.log; log != nil {
 		// Cluster the logged contact edges: the graph backend reads the
 		// window's edge log tick by tick, exactly like an uploaded a,b,t,w
@@ -136,7 +135,7 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 		if db, err = log.DB(); fold.err != nil || err != nil {
 			return HistoryQueryResponse{}, fmt.Errorf("serve: history window edges: %w", cmp.Or(fold.err, err))
 		}
-		opts = append(opts, core.WithClusterer(log.Clusterer()))
+		cl = log.Clusterer()
 	} else if db, err = fold.db(); err != nil {
 		return HistoryQueryResponse{}, err
 	}
@@ -144,33 +143,17 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 		return resp, nil // no positions, or no contacts, in the window: no convoys
 	}
 	resp.Objects = db.Len()
-	if pl.res.IsCMC {
-		opts = append(opts, core.WithCMC())
-	} else {
-		opts = append(opts,
-			core.WithVariant(pl.res.Variant),
-			core.WithDelta(pl.res.Spec.Delta),
-			core.WithLambda(pl.res.Spec.Lambda))
-	}
-	var st core.Stats
-	opts = append(opts, core.WithStats(&st))
 	release, err := s.q.acquire(ctx)
 	if err != nil {
 		return HistoryQueryResponse{}, err
 	}
 	defer release()
-	res, err := core.NewQuery(opts...).Run(ctx, db)
+	var st core.Stats
+	res, err := core.NewQuery(pl.options(cl, &st)...).Run(ctx, db)
 	if err != nil {
 		return HistoryQueryResponse{}, err
 	}
-	if !pl.res.IsCMC {
-		js := wire.StatsToJSON(st)
-		resp.Stats = &js
-	}
-	labels := wire.DBLabels(db)
-	for _, c := range res {
-		resp.Convoys = append(resp.Convoys, wire.ConvoyToJSON(c, labels))
-	}
+	resp.Convoys, resp.Stats = pl.render(res, st, wire.DBLabels(db))
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	return resp, nil
 }

@@ -143,11 +143,18 @@ func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 		db   *model.DB
 		opts []core.Option
 		min  int // convoys the case must find, so "both empty" cannot pass
+		// parts, when > 0, is the partition count the run's stats must
+		// report: the spec's partitions reached core.Query (the oracle stays
+		// single-pass — partitioning never changes the answer).
+		parts int
 	}{
-		{"cmc", HistoryQueryRequest{Algo: AlgoCMC}, geo, db, []core.Option{core.WithCMC()}, 2},
-		{"cuts*", HistoryQueryRequest{Algo: wire.AlgoCuTSStar}, geo, db, []core.Option{core.WithVariant(core.VariantCuTSStar)}, 2},
+		{"cmc", HistoryQueryRequest{Algo: AlgoCMC}, geo, db, []core.Option{core.WithCMC()}, 2, 0},
+		{"cmc/partitions=3", HistoryQueryRequest{Algo: AlgoCMC, Partitions: 3}, geo, db, []core.Option{core.WithCMC()}, 2, 0},
+		{"cuts*", HistoryQueryRequest{Algo: wire.AlgoCuTSStar}, geo, db, []core.Option{core.WithVariant(core.VariantCuTSStar)}, 2, 0},
+		{"cuts*/partitions=3", HistoryQueryRequest{Algo: wire.AlgoCuTSStar, Lambda: 2, Partitions: 3}, geo, db,
+			[]core.Option{core.WithVariant(core.VariantCuTSStar), core.WithLambda(2)}, 2, 3},
 		{"proxgraph", HistoryQueryRequest{Clusterer: proxgraph.Backend}, core.Params{M: 2, K: 4, Eps: 0.5}, contactDB,
-			[]core.Option{core.WithCMC(), core.WithClusterer(contacts.Clusterer())}, 2},
+			[]core.Option{core.WithCMC(), core.WithClusterer(contacts.Clusterer())}, 2, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := tc.req
@@ -156,6 +163,9 @@ func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 			doJSON(t, "POST", ts.URL+"/v1/feeds/gaps/query", req, http.StatusOK, &resp)
 			if want := int(to-from) + 1; resp.Ticks != want {
 				t.Fatalf("ticks = %d, want %d", resp.Ticks, want)
+			}
+			if tc.parts > 0 && (resp.Stats == nil || resp.Stats.NumPartitions != tc.parts) {
+				t.Errorf("stats = %+v, want a run over %d partitions", resp.Stats, tc.parts)
 			}
 			res, err := core.NewQuery(append(tc.opts, core.WithParams(tc.p))...).Run(context.Background(), tc.db)
 			if err != nil {

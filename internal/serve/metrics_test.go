@@ -5,6 +5,10 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,4 +285,59 @@ func seedCSVLarge(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestReadmeMetricCatalogueMatchesRegistry holds README's "Metric
+// catalogue" table to what a server actually registers: every convoyd_*
+// family a fresh server exposes (labelled families included — the
+// exposition declares a family before it has a series) has a row, and no
+// row names a family that is gone.
+func TestReadmeMetricCatalogueMatchesRegistry(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	rec := httptest.NewRecorder()
+	srv.MetricsRegistry().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var exported []string
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE convoyd_(\S+) `).FindAllStringSubmatch(rec.Body.String(), -1) {
+		exported = append(exported, m[1])
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### Metric catalogue")
+	if !ok {
+		t.Fatal(`README.md has no "### Metric catalogue" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n#") // up to the next heading
+	var documented []string
+	family := regexp.MustCompile("`([a-z_]+)(?:\\{[^}`]*\\})?`")
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		for _, m := range family.FindAllStringSubmatch(cells[1], -1) { // the "family" column
+			documented = append(documented, m[1])
+		}
+	}
+
+	slices.Sort(exported)
+	slices.Sort(documented)
+	if len(exported) < 30 {
+		t.Fatalf("only %d convoyd_ families scraped: %v", len(exported), exported)
+	}
+	for _, name := range exported {
+		if _, ok := slices.BinarySearch(documented, name); !ok {
+			t.Errorf("convoyd_%s is exported but has no row in README's metric catalogue", name)
+		}
+	}
+	for _, name := range documented {
+		if _, ok := slices.BinarySearch(exported, name); !ok {
+			t.Errorf("README's metric catalogue names convoyd_%s, which the registry does not export", name)
+		}
+	}
+	if dup := len(documented) - len(slices.Compact(slices.Clone(documented))); dup > 0 {
+		t.Errorf("README's metric catalogue names %d families twice", dup)
+	}
 }

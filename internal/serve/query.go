@@ -156,6 +156,42 @@ func (pl queryPlan) key(digest string) string {
 	return key
 }
 
+// options is the one place a validated plan becomes core.Query options:
+// params, workers, partitions, algorithm with its δ/λ, and the stats sink.
+// cl, when non-nil, replaces the default per-tick clusterer (a proxgraph
+// contact log).
+func (pl queryPlan) options(cl core.Clusterer, st *core.Stats) []core.Option {
+	opts := []core.Option{core.WithParams(pl.res.P), core.WithWorkers(pl.workers), core.WithStats(st)}
+	if n := pl.res.Spec.Partitions; n > 1 {
+		opts = append(opts, core.WithPartitions(n))
+	}
+	if cl != nil {
+		opts = append(opts, core.WithClusterer(cl))
+	}
+	if pl.res.IsCMC {
+		return append(opts, core.WithCMC())
+	}
+	return append(opts,
+		core.WithVariant(pl.res.Variant),
+		core.WithDelta(pl.res.Spec.Delta),
+		core.WithLambda(pl.res.Spec.Lambda))
+}
+
+// render puts a run's answer in the wire schema: the convoys named through
+// labels (never nil, so an empty answer encodes as []), and the CuTS
+// filter/refine stats when a CuTS variant ran.
+func (pl queryPlan) render(res core.Result, st core.Stats, labels func(model.ObjectID) string) ([]ConvoyJSON, *StatsJSON) {
+	convoys := make([]ConvoyJSON, len(res))
+	for i, c := range res {
+		convoys[i] = wire.ConvoyToJSON(c, labels)
+	}
+	if pl.res.IsCMC {
+		return convoys, nil
+	}
+	js := wire.StatsToJSON(st)
+	return convoys, &js
+}
+
 func hashBytes(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
@@ -208,21 +244,17 @@ func (e *queryEngine) requestCtx(ctx context.Context, req QueryRequest) (context
 	return context.WithTimeout(ctx, d)
 }
 
-// run answers one batch query over uploaded database bytes, metering
-// outcome, cache state and latency (with the request's trace ID as the
-// latency bucket's exemplar when the request is traced).
-func (e *queryEngine) run(ctx context.Context, data []byte, req QueryRequest) (QueryResponse, error) {
+// run answers one batch query — over the uploaded database bytes, or over
+// the file req.Path references when data is nil — metering outcome, cache
+// state and latency (with the request's trace ID as the latency bucket's
+// exemplar when the request is traced).
+func (e *queryEngine) run(ctx context.Context, data []byte, req QueryRequest) (resp QueryResponse, err error) {
 	t0 := time.Now()
-	resp, err := e.runUpload(ctx, data, req)
-	e.cfg.metrics.observeQuery(algoLabel(req.Algo), resp.Cache, err, time.Since(t0), trace.FromContext(ctx).TraceID())
-	return resp, err
-}
-
-// runPath answers a path-referencing batch query, metering outcome, cache
-// state and latency.
-func (e *queryEngine) runPath(ctx context.Context, req QueryRequest) (QueryResponse, error) {
-	t0 := time.Now()
-	resp, err := e.doRunPath(ctx, req)
+	if data == nil {
+		resp, err = e.runPath(ctx, req)
+	} else {
+		resp, err = e.runUpload(ctx, data, req)
+	}
 	e.cfg.metrics.observeQuery(algoLabel(req.Algo), resp.Cache, err, time.Since(t0), trace.FromContext(ctx).TraceID())
 	return resp, err
 }
@@ -268,13 +300,13 @@ func flightKey(pl queryPlan, digest string) string {
 	return key
 }
 
-// doRunPath answers a path-referencing query. A memo of path → (stat,
+// runPath answers a path-referencing query. A memo of path → (stat,
 // digest) lets repeat queries against an unchanged file hit the cache
 // without touching the disk at all; only a miss (or a changed file) pays
 // the read+hash, and every disk read happens under a worker slot so a
 // burst of cold-path queries cannot hold more than QueryWorkers database
 // files in memory at once.
-func (e *queryEngine) doRunPath(ctx context.Context, req QueryRequest) (QueryResponse, error) {
+func (e *queryEngine) runPath(ctx context.Context, req QueryRequest) (QueryResponse, error) {
 	pl, err := plan(req, e.cfg.MaxWorkersPerQuery)
 	if err != nil {
 		return QueryResponse{}, err
@@ -483,11 +515,8 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 	}
 	var db *model.DB
 	var err error
+	var cl core.Clusterer         // non-default per-tick clusterer, if any
 	var sliceIDs []model.ObjectID // new dense ID → original, when windowed
-	opts := []core.Option{core.WithParams(pl.res.P), core.WithWorkers(pl.workers)}
-	if n := pl.res.Spec.Partitions; n > 1 {
-		opts = append(opts, core.WithPartitions(n))
-	}
 	if pl.res.Clusterer == proxgraph.Backend {
 		// A proxgraph query uploads an edge CSV (a,b,t,w contact log). The
 		// log synthesizes a positionless stand-in database — one row per
@@ -510,7 +539,7 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 			return QueryResponse{}, badRequest(err)
 		}
 		qsp.Str("clusterer", pl.res.Clusterer)
-		opts = append(opts, core.WithClusterer(log.Clusterer()))
+		cl = log.Clusterer()
 	} else {
 		db, err = parseDB(data)
 		if err != nil {
@@ -532,26 +561,13 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 		Digest:    digest,
 		Cache:     "miss",
 	}
-	if pl.res.IsCMC {
-		opts = append(opts, core.WithCMC())
-	} else {
-		opts = append(opts,
-			core.WithVariant(pl.res.Variant),
-			core.WithDelta(pl.res.Spec.Delta),
-			core.WithLambda(pl.res.Spec.Lambda))
-	}
 	var st core.Stats
-	opts = append(opts, core.WithStats(&st))
-	res, err := core.NewQuery(opts...).Run(ctx, db)
+	res, err := core.NewQuery(pl.options(cl, &st)...).Run(ctx, db)
 	qsp.End()
 	if err != nil {
 		return QueryResponse{}, err
 	}
 	e.cfg.metrics.observeRunStats(pl.res.Algo, st)
-	if !pl.res.IsCMC {
-		js := wire.StatsToJSON(st)
-		resp.Stats = &js
-	}
 	labels := wire.DBLabels(db)
 	if sliceIDs != nil {
 		// Unlabeled objects fall back to "o<ID>"; keep that naming anchored
@@ -564,10 +580,7 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 			return fmt.Sprintf("o%d", sliceIDs[id])
 		}
 	}
-	resp.Convoys = make([]ConvoyJSON, len(res))
-	for i, c := range res {
-		resp.Convoys[i] = wire.ConvoyToJSON(c, labels)
-	}
+	resp.Convoys, resp.Stats = pl.render(res, st, labels)
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	// The cache holds the profile-free answer: explain runs share their
 	// result with future plain queries, but a profile always describes the

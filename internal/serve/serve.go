@@ -85,6 +85,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -351,7 +352,9 @@ func statusFor(err error) int {
 		return 499
 	case errors.As(err, &mbe):
 		return http.StatusRequestEntityTooLarge
-	case errors.As(err, &bre):
+	case errors.As(err, &bre), errors.Is(err, core.ErrTickDomain):
+		// The latter is the data's fault too: ticks the CuTS family cannot
+		// represent (algo=cmc mines them).
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
@@ -692,7 +695,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// ?explain=true works uniformly: JSON clients may set it in the
 		// body or on the URL like upload clients.
 		req.Explain = req.Explain || explainParam(r)
-		resp, err = s.q.runPath(r.Context(), req)
+		resp, err = s.q.run(r.Context(), nil, req)
 	} else {
 		req, uerr := queryFromURL(r)
 		if uerr != nil {

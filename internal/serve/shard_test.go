@@ -272,6 +272,12 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 	csv := fixtureCSV(t)
 	_, ts := newTestServer(t, Config{MaxFeeds: 1, MaxBodyBytes: 256})
 	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	// Two objects together over [MaxTick-1, MaxTick]: ticks the default
+	// CuTS* cannot represent. (The upload used to hang the filter's window
+	// walk, pinning a worker slot past timeout_ms and the server's cap.)
+	endOfTime := []byte("obj,t,x,y\n" +
+		"a,9223372036854775806,0,0\na,9223372036854775807,1,0\n" +
+		"b,9223372036854775806,0,0.5\nb,9223372036854775807,1,0.5\n")
 
 	cases := []struct {
 		name   string
@@ -284,6 +290,8 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 		{name: "bad params", method: "POST", url: "/v1/query?m=0&k=5&e=1", raw: []byte("x"), status: http.StatusBadRequest},
 		{name: "inverted window", method: "POST", url: "/v1/query?m=2&k=5&e=1&from=9&to=2", raw: []byte("x"), status: http.StatusBadRequest},
 		{name: "empty upload", method: "POST", url: "/v1/query?m=2&k=5&e=1", status: http.StatusBadRequest},
+		{name: "ticks beyond 2^53 under cuts", method: "POST", url: "/v1/query?m=2&k=2&e=1&timeout_ms=3000", raw: endOfTime,
+			status: http.StatusBadRequest},
 		{name: "path refs disabled", method: "POST", url: "/v1/query",
 			body: map[string]any{"path": "two.csv", "m": 2, "k": 5, "e": 1}, status: http.StatusForbidden},
 		{name: "shard rpc disabled", method: "POST", url: "/v1/shard/query?v=1&m=2&k=5&e=1&from=0&to=9",
@@ -342,6 +350,10 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 				t.Fatalf("Retry-After = %q, want 1", resp.Header.Get("Retry-After"))
 			}
 		})
+	}
+	// The same upload is a fine CMC query.
+	if got := postQuery(t, ts.URL+"/v1/query?m=2&k=2&e=1&algo=cmc", endOfTime, http.StatusOK); len(got.Convoys) != 1 {
+		t.Errorf("algo=cmc over [MaxTick-1, MaxTick] = %+v, want the one ⟨a,b⟩ convoy", got.Convoys)
 	}
 }
 

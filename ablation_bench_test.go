@@ -1,12 +1,14 @@
 // Ablation benchmarks isolating the design choices behind the CuTS filter
 // (described in internal/core/cuts.go's header comment, switched off one
-// at a time through core.FilterConfig's No* fields): Lemma 2 box pruning, CuTS* partition clipping, dominated-candidate
-// pruning, the actual-tolerance bounds, and the grid index behind snapshot
+// at a time through core.WithAblation): Lemma 2 box pruning, CuTS*
+// partition clipping, dominated-candidate pruning, the actual-tolerance
+// bounds (core.WithTolerance), and the grid index behind snapshot
 // DBSCAN. Each switch changes only the runtime, never the answer (enforced
 // by core's ablation tests).
 package convoys_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,16 +18,16 @@ import (
 	"repro/internal/geom"
 )
 
-// benchRunConfig times a full CuTS run under the given configuration on the
-// Cattle profile — the shape that stresses the filter (long histories),
-// which is where the ablation switches matter.
-func benchRunConfig(b *testing.B, cfg core.Config) {
+// benchQuery times a full CuTS run under the given options on the Cattle
+// profile — the shape that stresses the filter (long histories), which is
+// where the ablation switches matter.
+func benchQuery(b *testing.B, opts ...core.Option) {
 	prof := datagen.Cattle(benchScale, benchSeed+100)
 	db := prof.Generate()
-	p := core.Params{M: prof.M, K: prof.K, Eps: prof.Eps}
+	q := core.NewQuery(append(opts, core.WithParams(core.Params{M: prof.M, K: prof.K, Eps: prof.Eps}))...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Run(db, p, cfg); err != nil {
+		if _, err := q.Run(context.Background(), db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,37 +35,37 @@ func benchRunConfig(b *testing.B, cfg core.Config) {
 
 func BenchmarkAblationBoxPrune(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
-		benchRunConfig(b, core.Config{Variant: core.VariantCuTS})
+		benchQuery(b, core.WithVariant(core.VariantCuTS))
 	})
 	b.Run("off", func(b *testing.B) {
-		benchRunConfig(b, core.Config{Variant: core.VariantCuTS, NoBoxPrune: true})
+		benchQuery(b, core.WithVariant(core.VariantCuTS), core.WithAblation(true, false, false))
 	})
 }
 
 func BenchmarkAblationClipTime(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
-		benchRunConfig(b, core.Config{Variant: core.VariantCuTSStar})
+		benchQuery(b, core.WithVariant(core.VariantCuTSStar))
 	})
 	b.Run("off", func(b *testing.B) {
-		benchRunConfig(b, core.Config{Variant: core.VariantCuTSStar, NoClipTime: true})
+		benchQuery(b, core.WithVariant(core.VariantCuTSStar), core.WithAblation(false, true, false))
 	})
 }
 
 func BenchmarkAblationCandidatePruning(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
-		benchRunConfig(b, core.Config{Variant: core.VariantCuTS})
+		benchQuery(b, core.WithVariant(core.VariantCuTS))
 	})
 	b.Run("off", func(b *testing.B) {
-		benchRunConfig(b, core.Config{Variant: core.VariantCuTS, NoCandidatePruning: true})
+		benchQuery(b, core.WithVariant(core.VariantCuTS), core.WithAblation(false, false, true))
 	})
 }
 
 func BenchmarkAblationToleranceMode(b *testing.B) {
 	b.Run("actual", func(b *testing.B) {
-		benchRunConfig(b, core.Config{Variant: core.VariantCuTSStar})
+		benchQuery(b, core.WithVariant(core.VariantCuTSStar))
 	})
 	b.Run("global", func(b *testing.B) {
-		benchRunConfig(b, core.Config{Variant: core.VariantCuTSStar, Tolerance: dbscan.GlobalTolerance})
+		benchQuery(b, core.WithVariant(core.VariantCuTSStar), core.WithTolerance(dbscan.GlobalTolerance))
 	})
 }
 

@@ -11,6 +11,7 @@
 package convoys_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -48,8 +49,9 @@ func BenchmarkFigure12(b *testing.B) {
 		db := prof.Generate()
 		p := core.Params{M: prof.M, K: prof.K, Eps: prof.Eps}
 		b.Run(prof.Name+"/CMC", func(b *testing.B) {
+			q := core.NewQuery(core.WithParams(p), core.WithCMC())
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CMC(db, p); err != nil {
+				if _, err := q.Run(context.Background(), db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -57,8 +59,9 @@ func BenchmarkFigure12(b *testing.B) {
 		for _, variant := range []core.Variant{core.VariantCuTS, core.VariantCuTSPlus, core.VariantCuTSStar} {
 			variant := variant
 			b.Run(prof.Name+"/"+variant.String(), func(b *testing.B) {
+				q := core.NewQuery(core.WithParams(p), core.WithVariant(variant))
 				for i := 0; i < b.N; i++ {
-					if _, _, err := core.Run(db, p, core.Config{Variant: variant}); err != nil {
+					if _, err := q.Run(context.Background(), db); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -49,6 +49,9 @@ import (
 	"strings"
 
 	convoys "repro"
+	"repro/internal/serve"
+	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -240,14 +243,14 @@ func run(ctx context.Context, out io.Writer, o options) error {
 	// -explain: run the same discovery under a private forced trace and
 	// print the stage breakdown (the server's explain=true profile) to
 	// stderr once the results are out.
-	ctx, root := convoys.NewTracer().Start(ctx, "convoyfind", convoys.ForcedTrace())
+	ctx, root := trace.NewTracer().Start(ctx, "convoyfind", trace.Forced())
 	err = discover(ctx, out, o, q, db, &st)
 	root.End()
 	if err != nil {
 		return err
 	}
 	if tj, ok := root.Collect(); ok {
-		if ex, ok := convoys.ExplainFromTrace(tj); ok {
+		if ex, ok := serve.ExplainFromTrace(tj); ok {
 			printExplain(os.Stderr, ex)
 		}
 	}
@@ -256,7 +259,7 @@ func run(ctx context.Context, out io.Writer, o options) error {
 
 // printExplain renders a query profile the way the text formats do:
 // one line per pipeline stage, attributes appended.
-func printExplain(w io.Writer, ex convoys.ExplainJSON) {
+func printExplain(w io.Writer, ex serve.ExplainJSON) {
 	fmt.Fprintf(w, "query profile: total %.3fms (trace %s)\n", ex.TotalMS, ex.TraceID)
 	for _, s := range ex.Stages {
 		fmt.Fprintf(w, "  %-8s %10.3fms", s.Name, s.DurationMS)
@@ -274,6 +277,7 @@ func printExplain(w io.Writer, ex convoys.ExplainJSON) {
 
 // discover executes the query and writes the results in o.format.
 func discover(ctx context.Context, out io.Writer, o options, q *convoys.Query, db *convoys.DB, st *convoys.Stats) error {
+	labels := wire.DBLabels(db)
 	if strings.ToLower(o.format) == "jsonl" {
 		// Streaming: print each convoy the moment the scan closes it.
 		// Breaking on a write error (or the -limit inside the query)
@@ -283,7 +287,7 @@ func discover(ctx context.Context, out io.Writer, o options, q *convoys.Query, d
 			if serr != nil {
 				return serr
 			}
-			if err := enc.Encode(convoys.ConvoyToJSON(c, db)); err != nil {
+			if err := enc.Encode(wire.ConvoyToJSON(c, labels)); err != nil {
 				return err
 			}
 		}
@@ -300,16 +304,16 @@ func discover(ctx context.Context, out io.Writer, o options, q *convoys.Query, d
 		// One wire-schema object per line, like a feed's event payloads.
 		enc := json.NewEncoder(out)
 		for _, c := range res {
-			if err := enc.Encode(convoys.ConvoyToJSON(c, db)); err != nil {
+			if err := enc.Encode(wire.ConvoyToJSON(c, labels)); err != nil {
 				return err
 			}
 		}
 		return nil
 	case "json-array":
 		// The historical -json shape: one indented array.
-		payload := make([]convoys.ConvoyJSON, 0, len(res))
+		payload := make([]wire.ConvoyJSON, 0, len(res))
 		for _, c := range res {
-			payload = append(payload, convoys.ConvoyToJSON(c, db))
+			payload = append(payload, wire.ConvoyToJSON(c, labels))
 		}
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
@@ -320,7 +324,7 @@ func discover(ctx context.Context, out io.Writer, o options, q *convoys.Query, d
 		len(res), o.m, o.k, o.e, o.input, db.Len())
 	for _, c := range res {
 		fmt.Fprintf(out, "  {%s} ticks [%d, %d] (%d points)\n",
-			strings.Join(convoys.ConvoyToJSON(c, db).Objects, ", "), c.Start, c.End, c.Lifetime())
+			strings.Join(wire.ConvoyToJSON(c, labels).Objects, ", "), c.Start, c.End, c.Lifetime())
 	}
 	if o.stats && strings.ToLower(o.algo) != "cmc" {
 		fmt.Fprintf(out, "algorithm %v: δ=%.3g λ=%d workers=%d partitions=%d candidates=%d refinement-units=%.0f\n",

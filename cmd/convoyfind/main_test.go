@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	convoys "repro"
+	"repro/internal/wire"
 )
 
 // runArgs invokes run with the historical positional settings, keeping
@@ -94,9 +95,9 @@ func TestRunJSONOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One wire-schema JSON object per line.
-	var payload []convoys.ConvoyJSON
+	var payload []wire.ConvoyJSON
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var c convoys.ConvoyJSON
+		var c wire.ConvoyJSON
 		if err := json.Unmarshal([]byte(line), &c); err != nil {
 			t.Fatalf("invalid JSON line %q: %v", line, err)
 		}
@@ -121,7 +122,7 @@ func TestRunJSONArrayOutput(t *testing.T) {
 	if err := runArgs(&buf, path, 2, 5, 1, "cuts*", 0, 0, 2, false, "json-array"); err != nil {
 		t.Fatal(err)
 	}
-	var payload []convoys.ConvoyJSON
+	var payload []wire.ConvoyJSON
 	if err := json.Unmarshal(buf.Bytes(), &payload); err != nil {
 		t.Fatalf("invalid JSON array: %v\n%s", err, buf.String())
 	}
@@ -174,10 +175,10 @@ func TestRunJSONLStreamingOutput(t *testing.T) {
 	if err := runArgs(&stream, path, 2, 5, 1, "cmc", 0, 0, 2, false, "jsonl"); err != nil {
 		t.Fatal(err)
 	}
-	decode := func(buf *bytes.Buffer) []convoys.ConvoyJSON {
-		var out []convoys.ConvoyJSON
+	decode := func(buf *bytes.Buffer) []wire.ConvoyJSON {
+		var out []wire.ConvoyJSON
 		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-			var c convoys.ConvoyJSON
+			var c wire.ConvoyJSON
 			if err := json.Unmarshal([]byte(line), &c); err != nil {
 				t.Fatalf("invalid JSONL line %q: %v", line, err)
 			}

@@ -45,8 +45,8 @@
 //	    fmt.Println(c)        // delivered the moment it is final
 //	}
 //
-// Discover, DiscoverWith, CMC and CMCWith are thin wrappers over Query and
-// return identical answers.
+// Query is the library: every discovery starts at NewQuery, and Discover
+// and CMC are its two uncancellable one-line shorthands.
 //
 // # Pluggable clustering backends
 //
@@ -68,19 +68,11 @@
 //
 // # Serving
 //
-// The serve entry points turn the library into a long-running system: a
-// Server hosts named live feeds — each a table of standing convoy queries
-// (monitors) behind its own goroutine, sharing one clustering pass per
-// distinct (e, m, backend) per tick — and a batch query engine with caching, all
-// behind an HTTP/JSON API. NewServer builds one for embedding; the convoyd
-// command wraps it as a standalone daemon:
-//
-//	srv := convoys.NewServer(convoys.ServeConfig{})
-//	defer srv.Close() // drains every feed
-//	http.ListenAndServe(":8764", srv)
-//
-// The subpackages' functionality is re-exported here so that downstream
-// users need a single import.
+// The convoyd daemon — live feeds with standing convoy queries, a cached
+// batch query engine, a write-ahead log, tracing and metrics behind an
+// HTTP/JSON API — is built on this library but is not part of it: embed it
+// by importing internal/serve in-tree, as cmd/convoyd and
+// examples/fleetserver do.
 package convoys
 
 import (
@@ -89,18 +81,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/flock"
 	"repro/internal/geom"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/proxgraph"
-	"repro/internal/serve"
 	"repro/internal/simplify"
-	"repro/internal/stjoin"
-	"repro/internal/trace"
 	"repro/internal/tsio"
-	"repro/internal/wal"
-	"repro/internal/wire"
 )
 
 // Core model types.
@@ -129,8 +114,6 @@ type (
 	Convoy = core.Convoy
 	// Result is a canonical (maximal, sorted) set of convoys.
 	Result = core.Result
-	// Config selects a CuTS variant and its internal parameters.
-	Config = core.Config
 	// Variant names a CuTS family member.
 	Variant = core.Variant
 	// Stats reports phase timings and filter statistics of a CuTS run.
@@ -273,10 +256,6 @@ const DefaultChurnThreshold = core.DefaultChurnThreshold
 // graph-connectivity backend.
 func WithClusterer(c Clusterer) QueryOption { return core.WithClusterer(c) }
 
-// WithConfig applies a legacy Config wholesale — the bridge from
-// DiscoverWith-style configuration to the Query API.
-func WithConfig(cfg Config) QueryOption { return core.WithConfig(cfg) }
-
 // Discover answers the convoy query with the paper's best algorithm
 // (CuTS*) using the automatic δ/λ guidelines of Section 7.4. It is the
 // uncancellable one-liner; use NewQuery for contexts, streaming and
@@ -285,41 +264,17 @@ func Discover(db *DB, p Params) (Result, error) {
 	return core.NewQuery(core.WithParams(p)).Run(context.Background(), db)
 }
 
-// DiscoverWith answers the convoy query with an explicit algorithm
-// configuration and returns run statistics alongside the result.
-//
-// Deprecated: build a Query instead — NewQuery(WithParams(p),
-// WithConfig(cfg), WithStats(&st)).Run(ctx, db) is the same discovery
-// with cancellation, streaming (Seq) and result limits. DiscoverWith
-// remains answer-for-answer identical and is kept for compatibility.
-func DiscoverWith(db *DB, p Params, cfg Config) (Result, Stats, error) {
-	var st Stats
-	res, err := core.NewQuery(core.WithParams(p), core.WithConfig(cfg), core.WithStats(&st)).
-		Run(context.Background(), db)
-	return res, st, err
-}
-
 // CMC answers the convoy query with the Coherent Moving Cluster baseline
 // (Algorithm 1): snapshot DBSCAN at every tick, no filter step. Slower but
-// useful as a reference.
-func CMC(db *DB, p Params) (Result, error) { return CMCWith(db, p, 1) }
-
-// CMCWith is CMC on a bounded worker pool: snapshots cluster concurrently
-// while candidate chaining folds them in tick order, so the answer set is
-// identical to the serial run for every worker count. workers ≤ 1 runs
-// serially; DefaultWorkers() uses every core.
-//
-// Deprecated: build a Query instead — NewQuery(WithParams(p), WithCMC(),
-// WithWorkers(n)).Run(ctx, db) is the same scan with cancellation and
-// streaming. CMCWith remains answer-for-answer identical and is kept for
-// compatibility.
-func CMCWith(db *DB, p Params, workers int) (Result, error) {
-	return core.NewQuery(core.WithParams(p), core.WithCMC(), core.WithWorkers(workers)).
-		Run(context.Background(), db)
+// useful as a reference; serial and uncancellable — use
+// NewQuery(WithParams(p), WithCMC(), WithWorkers(n)) for a worker pool,
+// contexts and streaming.
+func CMC(db *DB, p Params) (Result, error) {
+	return core.NewQuery(core.WithParams(p), core.WithCMC()).Run(context.Background(), db)
 }
 
 // DefaultWorkers returns the natural per-stage worker count for this
-// machine (GOMAXPROCS), for use in Config.Workers and CMCWith.
+// machine (GOMAXPROCS), for use with WithWorkers.
 func DefaultWorkers() int { return core.DefaultWorkers() }
 
 // Streamer discovers convoys incrementally over a live position feed: push
@@ -426,148 +381,6 @@ func ReplayTicks(db *DB, fn func(t Tick, ids []ObjectID, pts []Point) error) err
 	return core.ReplayTicks(db, fn)
 }
 
-// Serving layer (the convoyd subsystem; see the serve package).
-type (
-	// Server is the convoy-monitoring HTTP handler: live feeds plus a
-	// batch query engine. Close it to drain every feed.
-	Server = serve.Server
-	// ServeConfig tunes a Server; the zero value is production-ready.
-	ServeConfig = serve.Config
-	// ConvoyJSON is the wire form of one convoy, shared by the server
-	// and `convoyfind -format json`.
-	ConvoyJSON = serve.ConvoyJSON
-	// ParamsJSON is the wire form of the query parameters (m, k, e).
-	ParamsJSON = serve.ParamsJSON
-	// TickBatch is one tick's positions and/or proximity edges, the feed
-	// ingestion unit.
-	TickBatch = serve.TickBatch
-	// Position is one object's location within a TickBatch.
-	Position = serve.Position
-	// EdgeJSON is one proximity observation within a TickBatch, feeding
-	// graph-connectivity ("proxgraph") monitors.
-	EdgeJSON = serve.EdgeJSON
-	// FeedSpec names a feed and its parameters (feed creation body).
-	FeedSpec = serve.FeedSpec
-	// FeedStatus describes one live feed, including its monitor table.
-	FeedStatus = serve.FeedStatus
-	// FeedEvent is one closed convoy on a feed's event log, tagged with
-	// the monitor that closed it.
-	FeedEvent = serve.Event
-	// MonitorSpec registers a standing convoy query on a feed
-	// (POST /v1/feeds/{name}/monitors body).
-	MonitorSpec = serve.MonitorSpec
-	// MonitorStatus describes one monitor of a feed.
-	MonitorStatus = serve.MonitorStatus
-	// QueryResponse is the batch query answer.
-	QueryResponse = serve.QueryResponse
-	// ServerStats is the read-only counter snapshot returned by
-	// Server.Snapshot and GET /v1/stats.
-	ServerStats = serve.ServerStats
-	// HistoryQueryRequest is a batch convoy query over the tick window a
-	// durable feed's write-ahead log retains
-	// (POST /v1/feeds/{name}/query body).
-	HistoryQueryRequest = serve.HistoryQueryRequest
-	// HistoryQueryResponse is the historical-query answer.
-	HistoryQueryResponse = serve.HistoryQueryResponse
-	// WALStatusJSON describes a durable feed's write-ahead log — segments,
-	// bytes, tick span, fsync time and recovery stats
-	// (GET /v1/feeds/{name}/wal).
-	WALStatusJSON = serve.WALStatusJSON
-	// WALRecoveryJSON summarizes the replay that resurrected a feed after
-	// a restart (nested in WALStatusJSON).
-	WALRecoveryJSON = serve.WALRecoveryJSON
-	// FsyncPolicy says when write-ahead-log appends are forced to stable
-	// storage (ServeConfig.WALFsync; convoyd -wal-fsync).
-	FsyncPolicy = wal.FsyncPolicy
-	// MetricsRegistry holds metric instruments and renders them in the
-	// Prometheus text format (mount its Handler as /metrics). Pass one in
-	// ServeConfig.Metrics to receive the server's convoyd_* families.
-	MetricsRegistry = metrics.Registry
-)
-
-// NewServer builds a convoy-monitoring server; mount it on any mux (it is
-// an http.Handler) and Close it on the way out.
-func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
-
-// NewMetricsRegistry returns an empty metrics registry to hand to
-// ServeConfig.Metrics; srv.MetricsRegistry().Handler() serves the
-// exposition (cmd/convoyd wires this up behind -metrics-addr).
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// Write-ahead-log fsync policies for ServeConfig.WALFsync. FsyncAlways
-// (the zero value) syncs every append; FsyncInterval batches syncs on a
-// timer; FsyncNever leaves flushing to the OS.
-const (
-	FsyncAlways   = wal.FsyncAlways
-	FsyncInterval = wal.FsyncInterval
-	FsyncNever    = wal.FsyncNever
-)
-
-// ParseFsyncPolicy resolves an fsync policy name ("always", "interval",
-// "never"; "" = always) — the convoyd -wal-fsync values.
-func ParseFsyncPolicy(name string) (FsyncPolicy, error) { return wal.ParseFsyncPolicy(name) }
-
-// Request-scoped tracing and query explain profiles (the trace package;
-// see README "Tracing, explain & logging"). A Server traces through
-// ServeConfig.Tracer; library users can trace any Query.Run by starting
-// a span on the context they pass in.
-type (
-	// Tracer samples operations into spans and keeps a bounded ring of
-	// recent completed traces (mount Handler as /debug/traces). The zero
-	// sample ratio never samples on its own; Forced starts and
-	// continued remote traces still record.
-	Tracer = trace.Tracer
-	// TracerOption configures a Tracer under construction.
-	TracerOption = trace.Option
-	// SpanOption configures one Tracer.Start call.
-	SpanOption = trace.StartOption
-	// Span is one timed, attributed operation within a trace. All of its
-	// methods are nil-safe, so unsampled code paths need no branches.
-	Span = trace.Span
-	// TraceJSON is a completed trace: summary fields plus the span tree.
-	TraceJSON = trace.TraceJSON
-	// SpanJSON is the wire form of one span within a TraceJSON tree.
-	SpanJSON = trace.SpanJSON
-	// ExplainJSON is the per-stage timing profile attached to a
-	// QueryResponse when the query asked for explain=true.
-	ExplainJSON = serve.ExplainJSON
-	// ExplainStageJSON is one pipeline stage of an ExplainJSON profile.
-	ExplainStageJSON = serve.ExplainStageJSON
-)
-
-// NewTracer builds a Tracer; with no options it records only forced and
-// remotely-sampled traces (WithTraceSampleRatio adds probabilistic ones).
-func NewTracer(opts ...TracerOption) *Tracer { return trace.NewTracer(opts...) }
-
-// WithTraceSampleRatio samples the given fraction of ordinary
-// (non-forced) Tracer.Start calls into the ring.
-func WithTraceSampleRatio(r float64) TracerOption { return trace.WithSampleRatio(r) }
-
-// ForcedTrace makes one Tracer.Start call record regardless of the
-// sample ratio — the hook behind explain=true and slow-query tracing.
-func ForcedTrace() SpanOption { return trace.Forced() }
-
-// StartSpan opens a child span of the context's active span (the query
-// pipeline's own stages are created this way); when the context carries
-// no sampled span it returns (ctx, nil) at zero cost.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	return trace.StartSpan(ctx, name)
-}
-
-// SpanFromContext returns the context's active span, or nil.
-func SpanFromContext(ctx context.Context) *Span { return trace.FromContext(ctx) }
-
-// ExplainFromTrace distills a collected trace into the wire-schema stage
-// profile (the "run" span's direct children); ok is false when the trace
-// holds no run span.
-func ExplainFromTrace(tj TraceJSON) (ExplainJSON, bool) { return serve.ExplainFromTrace(tj) }
-
-// ConvoyToJSON renders a convoy in the wire schema, resolving member
-// labels from the database (falling back to "o<ID>").
-func ConvoyToJSON(c Convoy, db *DB) ConvoyJSON {
-	return wire.ConvoyToJSON(c, wire.DBLabels(db))
-}
-
 // MC2 runs the moving-cluster baseline with overlap threshold theta and
 // returns its answers cast as convoys (no correctness guarantee — this is
 // the method the paper shows to be unreliable in Figure 19).
@@ -593,66 +406,6 @@ func ComputeDelta(db *DB, e float64) float64 { return core.ComputeDelta(db, e) }
 
 // Canonicalize deduplicates convoys and removes non-maximal answers.
 func Canonicalize(convoys []Convoy) Result { return core.Canonicalize(convoys) }
-
-// Flock discovery (the disc-based baseline the paper's introduction
-// contrasts with convoys; see the lossyflock example).
-type (
-	// FlockParams are the flock query parameters (m, k, disc radius r).
-	FlockParams = flock.Params
-	// Flock is one flock answer.
-	Flock = flock.Flock
-)
-
-// FindFlocks answers the disc-based flock query.
-func FindFlocks(db *DB, p FlockParams) ([]Flock, error) { return flock.Discover(db, p) }
-
-// DBSCAN clusters a point snapshot with radius eps and density threshold
-// minPts (neighborhoods include the point itself); the label slice is
-// parallel to pts with -1 marking noise. It is the default Clusterer
-// flattened to per-point labels; a border point density-reachable from
-// several clusters gets the lowest-numbered one.
-func DBSCAN(pts []Point, eps float64, minPts int) []int {
-	ids := make([]ObjectID, len(pts))
-	for i := range ids {
-		ids[i] = i
-	}
-	labels := make([]int, len(pts))
-	for i := range labels {
-		labels[i] = -1
-	}
-	clusters := core.DefaultClusterer.Clusters(
-		core.ClusterKey{Eps: eps, M: minPts},
-		core.TickSnapshot{IDs: ids, Pts: pts})
-	for ci := len(clusters) - 1; ci >= 0; ci-- {
-		for _, id := range clusters[ci] {
-			labels[id] = ci
-		}
-	}
-	return labels
-}
-
-// Close-pair spatio-temporal join (Section 2.3's pairwise primitive).
-type (
-	// JoinPair is one close-pair join answer.
-	JoinPair = stjoin.Pair
-	// JoinWindow restricts a join to a tick interval.
-	JoinWindow = stjoin.Window
-)
-
-// JoinBetween returns the join window [lo, hi].
-func JoinBetween(lo, hi Tick) JoinWindow { return stjoin.Between(lo, hi) }
-
-// CloseJoin reports every pair (a ∈ left, b ∈ right) within distance e at
-// some tick of the window (zero window = whole common domain).
-func CloseJoin(left, right *DB, e float64, w JoinWindow) ([]JoinPair, error) {
-	return stjoin.CloseJoin(left, right, e, w)
-}
-
-// CloseSelfJoin reports every unordered object pair of db within e at some
-// tick of the window.
-func CloseSelfJoin(db *DB, e float64, w JoinWindow) ([]JoinPair, error) {
-	return stjoin.CloseSelfJoin(db, e, w)
-}
 
 // CSV I/O (format: "obj,t,x,y" with header).
 

@@ -2,10 +2,17 @@ package convoys_test
 
 import (
 	"bytes"
+	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	convoys "repro"
+	"repro/internal/flock"
 )
 
 // smallDB builds a database with one obvious convoy through the façade API.
@@ -44,7 +51,9 @@ func TestDiscoverFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, variant := range []convoys.Variant{convoys.CuTSVariant, convoys.CuTSPlusVariant, convoys.CuTSStarVariant} {
-		got, st, err := convoys.DiscoverWith(db, p, convoys.Config{Variant: variant})
+		var st convoys.Stats
+		got, err := convoys.NewQuery(convoys.WithParams(p), convoys.WithVariant(variant), convoys.WithStats(&st)).
+			Run(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +66,8 @@ func TestDiscoverFacade(t *testing.T) {
 	}
 }
 
-// Parallel facade entry points return exactly the serial answers.
+// Parallel queries built through the facade return exactly the serial
+// answers.
 func TestFacadeParallelWorkers(t *testing.T) {
 	db := smallDB(t)
 	p := convoys.Params{M: 2, K: 5, Eps: 1}
@@ -69,19 +79,22 @@ func TestFacadeParallelWorkers(t *testing.T) {
 		t.Fatalf("DefaultWorkers = %d", convoys.DefaultWorkers())
 	}
 	for _, workers := range []int{2, convoys.DefaultWorkers()} {
-		got, err := convoys.CMCWith(db, p, workers)
+		got, err := convoys.NewQuery(convoys.WithParams(p), convoys.WithCMC(), convoys.WithWorkers(workers)).
+			Run(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(ref) {
-			t.Errorf("CMCWith(%d) = %v, want %v", workers, got, ref)
+			t.Errorf("CMC on %d workers = %v, want %v", workers, got, ref)
 		}
-		res, st, err := convoys.DiscoverWith(db, p, convoys.Config{Workers: workers})
+		var st convoys.Stats
+		res, err := convoys.NewQuery(convoys.WithParams(p), convoys.WithWorkers(workers), convoys.WithStats(&st)).
+			Run(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Equal(ref) {
-			t.Errorf("DiscoverWith(workers=%d) = %v, want %v", workers, res, ref)
+			t.Errorf("CuTS* on %d workers = %v, want %v", workers, res, ref)
 		}
 		if st.Workers != workers {
 			t.Errorf("stats workers = %d, want %d", st.Workers, workers)
@@ -115,9 +128,11 @@ func TestFacadeSimplifyAndDelta(t *testing.T) {
 	}
 }
 
+// The flock baseline left the facade (examples/lossyflock imports
+// internal/flock directly); it still reads the facade's databases.
 func TestFacadeFlocks(t *testing.T) {
 	db := smallDB(t)
-	fs, err := convoys.FindFlocks(db, convoys.FlockParams{M: 2, K: 5, R: 0.5})
+	fs, err := flock.Discover(db, flock.Params{M: 2, K: 5, R: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +141,15 @@ func TestFacadeFlocks(t *testing.T) {
 	}
 }
 
+// The default Clusterer is snapshot DBSCAN: the two near points form the one
+// cluster, the far point is noise.
 func TestFacadeDBSCAN(t *testing.T) {
 	pts := []convoys.Point{convoys.Pt(0, 0), convoys.Pt(0.5, 0), convoys.Pt(10, 10)}
-	labels := convoys.DBSCAN(pts, 1, 2)
-	if labels[0] != 0 || labels[1] != 0 || labels[2] != -1 {
-		t.Errorf("DBSCAN labels = %v", labels)
+	clusters := convoys.DefaultClusterer().Clusters(
+		convoys.ClusterKey{Eps: 1, M: 2},
+		convoys.TickSnapshot{IDs: []convoys.ObjectID{0, 1, 2}, Pts: pts})
+	if !reflect.DeepEqual(clusters, [][]convoys.ObjectID{{0, 1}}) {
+		t.Errorf("DBSCAN clusters = %v, want [[0 1]]", clusters)
 	}
 }
 
@@ -180,5 +199,67 @@ func TestFacadeCanonicalize(t *testing.T) {
 	res := convoys.Canonicalize([]convoys.Convoy{c1, c2})
 	if len(res) != 1 || !res[0].Equal(c1) {
 		t.Errorf("Canonicalize = %v", res)
+	}
+}
+
+// facadeSurface is every exported top-level name of package convoys: the
+// paper's library — model, Query and its options, the streaming engine,
+// clustering backends, simplification, baselines of the accuracy study,
+// file formats, synthetic data — and nothing of the daemon. A name added to
+// convoys.go must be added here, which is the point: the facade grows by
+// decision, not by drift.
+var facadeSurface = []string{
+	"AccuracyReport", "CMC", "Candidate", "Canonicalize", "CarProfile", "CattleProfile",
+	"ClusterKey", "ClusterSource", "Clusterer", "CompareAnswers", "ComputeDelta",
+	"ContactProfile", "Convoy", "CuTSPlusVariant", "CuTSStarVariant", "CuTSVariant", "DB",
+	"DBStats", "DP", "DPPlus", "DPStar", "DefaultChurnThreshold", "DefaultClusterer",
+	"DefaultWorkers", "Discover", "EdgeRecord", "Eps", "GraphClusterer", "GroupSpec", "K",
+	"LoadBinary", "LoadCSV", "LoadEdgeCSV", "LoadProximityLog", "M", "MC2", "Monitor",
+	"NewClusterSource", "NewClusterSourceWith", "NewDB", "NewMonitor", "NewProximityLog",
+	"NewQuery", "NewStreamer", "NewTrajectory", "ObjectID", "Params", "Point", "Profile",
+	"ProxEdge", "ProximityLog", "ProximityLogFromDB", "Pt", "Query", "QueryOption",
+	"ReadBinary", "ReadCSV", "ReadEdgeCSV", "ReadProximityLog", "ReplayTicks", "Result",
+	"S", "Sample", "SaveBinary", "SaveCSV", "SaveEdgeCSV", "Scenario",
+	"SimplifiedTrajectory", "Simplify", "SimplifyMethod", "Stats", "Streamer",
+	"TaxiProfile", "Tick", "TickSnapshot", "Trajectory", "TruckProfile", "Variant",
+	"WithCMC", "WithClusterer", "WithDelta", "WithIncremental", "WithLambda", "WithLimit",
+	"WithParams", "WithPartitions", "WithStats", "WithVariant", "WithWorkers",
+	"WriteBinary", "WriteCSV", "WriteEdgeCSV",
+}
+
+func TestFacadeSurface(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "convoys.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	export := func(id *ast.Ident) {
+		if id.IsExported() {
+			got = append(got, id.Name)
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				export(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					export(s.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						export(id)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, facadeSurface) {
+		t.Errorf("package convoys exports %d names, the golden list has %d:\n got: %v\nwant: %v",
+			len(got), len(facadeSurface), got, facadeSurface)
 	}
 }

@@ -137,18 +137,6 @@ func ExampleWithClusterer() {
 	// [alpha bravo charlie] ticks 1 to 5
 }
 
-func ExampleCloseSelfJoin() {
-	db := convoys.NewDB()
-	a, _ := convoys.NewTrajectory("a", []convoys.Sample{convoys.S(0, 0, 0), convoys.S(1, 5, 0)})
-	b, _ := convoys.NewTrajectory("b", []convoys.Sample{convoys.S(0, 9, 0), convoys.S(1, 5.4, 0)})
-	db.Add(a)
-	db.Add(b)
-	pairs, _ := convoys.CloseSelfJoin(db, 1, convoys.JoinWindow{})
-	fmt.Println(pairs)
-	// Output:
-	// [(o0,o1)@1]
-}
-
 func ExampleSimplify() {
 	tr, _ := convoys.NewTrajectory("t", []convoys.Sample{
 		convoys.S(0, 0, 0), convoys.S(1, 1, 0.05), convoys.S(2, 2, 0), convoys.S(3, 3, 2), convoys.S(4, 4, 0),

@@ -5,8 +5,9 @@
 // queries (monitors) with different lifetime bounds watch the same feed:
 // because they share the clustering key (e, m), the server runs ONE DBSCAN
 // pass per tick and fans the clusters out to both — the multi-monitor
-// streaming engine. The same requests work against a standalone `convoyd`
-// daemon; see the package comment of cmd/convoyd for the curl equivalents.
+// streaming engine. Embedding the server means importing internal/serve
+// in-tree, as cmd/convoyd does; the same requests work against a standalone
+// `convoyd` daemon (curl equivalents in cmd/convoyd's package comment).
 //
 //	go run ./examples/fleetserver
 package main
@@ -22,15 +23,17 @@ import (
 	"net/http"
 	"strings"
 
-	convoys "repro"
+	"repro/internal/metrics"
+	"repro/internal/model"
+	"repro/internal/serve"
 )
 
 func main() {
 	// Host the server in-process on a loopback port, with its instrument
 	// registry mounted as /metrics next to the API — the same layout
 	// `convoyd` serves by default.
-	reg := convoys.NewMetricsRegistry()
-	srv := convoys.NewServer(convoys.ServeConfig{Metrics: reg})
+	reg := metrics.NewRegistry()
+	srv := serve.New(serve.Config{Metrics: reg})
 	defer srv.Close()
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", srv)
@@ -65,16 +68,16 @@ func main() {
 
 	// Create a feed whose default monitor watches for pairs that stay
 	// within distance 1 for five consecutive ticks...
-	post("/v1/feeds", convoys.FeedSpec{
+	post("/v1/feeds", serve.FeedSpec{
 		Name:   "vans",
-		Params: convoys.ParamsJSON{M: 2, K: 5, Eps: 1},
+		Params: serve.ParamsJSON{M: 2, K: 5, Eps: 1},
 	}).Body.Close()
 	// ...and register a second, more patient standing query on the same
 	// feed: same (e, m) — so it shares the per-tick clustering pass with
 	// the default monitor — but a 12-tick lifetime bound.
-	post("/v1/feeds/vans/monitors", convoys.MonitorSpec{
+	post("/v1/feeds/vans/monitors", serve.MonitorSpec{
 		ID:     "long-haul",
-		Params: convoys.ParamsJSON{M: 2, K: 12, Eps: 1},
+		Params: serve.ParamsJSON{M: 2, K: 12, Eps: 1},
 	}).Body.Close()
 
 	// Dispatcher: tail the event stream and print alerts as they happen,
@@ -84,12 +87,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer events.Body.Close()
-	alerts := make(chan convoys.FeedEvent)
+	alerts := make(chan serve.Event)
 	go func() {
 		defer close(alerts)
 		sc := bufio.NewScanner(events.Body)
 		for sc.Scan() {
-			var ev convoys.FeedEvent
+			var ev serve.Event
 			if json.Unmarshal(sc.Bytes(), &ev) == nil {
 				alerts <- ev
 			}
@@ -99,20 +102,20 @@ func main() {
 	// Tracker: vans 0 and 1 drive together from tick 0; van 2 joins at
 	// tick 6; the platoon splits at tick 14 (the livemonitor scenario,
 	// now over the wire).
-	for t := convoys.Tick(0); t < 20; t++ {
+	for t := model.Tick(0); t < 20; t++ {
 		x := float64(t) * 2
-		var pos []convoys.Position
+		var pos []serve.Position
 		switch {
 		case t < 6:
-			pos = []convoys.Position{{ID: "van1", X: x, Y: 0}, {ID: "van2", X: x, Y: 0.8}, {ID: "van3", X: x - 40, Y: 30}}
+			pos = []serve.Position{{ID: "van1", X: x, Y: 0}, {ID: "van2", X: x, Y: 0.8}, {ID: "van3", X: x - 40, Y: 30}}
 		case t < 14:
-			pos = []convoys.Position{{ID: "van1", X: x, Y: 0}, {ID: "van2", X: x, Y: 0.8}, {ID: "van3", X: x, Y: 1.6}}
+			pos = []serve.Position{{ID: "van1", X: x, Y: 0}, {ID: "van2", X: x, Y: 0.8}, {ID: "van3", X: x, Y: 1.6}}
 		default:
-			pos = []convoys.Position{{ID: "van1", X: x, Y: 0}, {ID: "van2", X: x, Y: 40}, {ID: "van3", X: x, Y: 80}}
+			pos = []serve.Position{{ID: "van1", X: x, Y: 0}, {ID: "van2", X: x, Y: 40}, {ID: "van3", X: x, Y: 80}}
 		}
-		resp := post("/v1/feeds/vans/ticks", convoys.TickBatch{T: t, Positions: pos})
+		resp := post("/v1/feeds/vans/ticks", serve.TickBatch{T: t, Positions: pos})
 		var tr struct {
-			Closed []convoys.ConvoyJSON `json:"closed"`
+			Closed []serve.ConvoyJSON `json:"closed"`
 		}
 		decode(resp.Body, &tr)
 		resp.Body.Close()
@@ -128,7 +131,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var st convoys.FeedStatus
+	var st serve.FeedStatus
 	decode(status.Body, &st)
 	status.Body.Close()
 	fmt.Printf("shared clustering: %d monitors, %d ticks, %d DBSCAN passes (%d key group)\n",
@@ -142,7 +145,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var del struct {
-		Drained []convoys.ConvoyJSON `json:"drained"`
+		Drained []serve.ConvoyJSON `json:"drained"`
 	}
 	decode(resp.Body, &del)
 	resp.Body.Close()

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	convoys "repro"
+	"repro/internal/flock"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func main() {
 	}
 
 	// Flock query: everyone must fit in a disc of radius 1.2.
-	flocks, err := convoys.FindFlocks(db, convoys.FlockParams{M: 3, K: ticks, R: 1.2})
+	flocks, err := flock.Discover(db, flock.Params{M: 3, K: ticks, R: 1.2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,27 +13,28 @@ func TestPropAblationSwitchesPreserveAnswers(t *testing.T) {
 	for iter := 0; iter < 15; iter++ {
 		db := randomDB(r, 4+r.Intn(4), 10+r.Intn(10))
 		p := Params{M: 2, K: int64(2 + r.Intn(3)), Eps: 1 + r.Float64()*2}
-		want, err := CMC(db, p)
+		want, err := runCMC(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		delta := 0.2 + r.Float64()*2
 		lambda := int64(1 + r.Intn(5))
 		for _, variant := range []Variant{VariantCuTS, VariantCuTSStar} {
-			for _, cfg := range []Config{
-				{Variant: variant, Delta: delta, Lambda: lambda, NoBoxPrune: true},
-				{Variant: variant, Delta: delta, Lambda: lambda, NoClipTime: true},
-				{Variant: variant, Delta: delta, Lambda: lambda, NoCandidatePruning: true},
-				{Variant: variant, Delta: delta, Lambda: lambda,
-					NoBoxPrune: true, NoClipTime: true, NoCandidatePruning: true},
+			// noBoxPrune, noClipTime, noCandPruning
+			for _, off := range [][3]bool{
+				{true, false, false},
+				{false, true, false},
+				{false, false, true},
+				{true, true, true},
 			} {
-				got, _, err := Run(db, p, cfg)
+				got, _, err := runQuery(db, p, WithVariant(variant), WithDelta(delta), WithLambda(lambda),
+					WithAblation(off[0], off[1], off[2]))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !got.Equal(want) {
-					t.Fatalf("iter %d %v cfg %+v:\ngot  = %v\nwant = %v",
-						iter, variant, cfg, got, want)
+					t.Fatalf("iter %d %v δ=%g λ=%d ablation %v:\ngot  = %v\nwant = %v",
+						iter, variant, delta, lambda, off, got, want)
 				}
 			}
 		}
@@ -47,15 +48,13 @@ func TestCandidatePruningCoversDropped(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		db := randomDB(r, 4+r.Intn(4), 12+r.Intn(8))
 		p := Params{M: 2, K: int64(2 + r.Intn(3)), Eps: 1 + r.Float64()*2}
-		cfgBase := Config{Variant: VariantCuTS, Delta: 0.5, Lambda: 2}
+		base := []Option{WithVariant(VariantCuTS), WithDelta(0.5), WithLambda(2)}
 
-		_, stPruned, err := Run(db, p, cfgBase)
+		_, stPruned, err := runQuery(db, p, base...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfgOff := cfgBase
-		cfgOff.NoCandidatePruning = true
-		_, stRaw, err := Run(db, p, cfgOff)
+		_, stRaw, err := runQuery(db, p, append(base, WithAblation(false, false, true))...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/dbscan"
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -83,25 +81,7 @@ func (DBSCANClusterer) Name() string { return DefaultBackend }
 // Clusters returns the maximal density-connected sets of the snapshot
 // positions at (key.Eps, key.M).
 func (DBSCANClusterer) Clusters(key ClusterKey, snap TickSnapshot) [][]model.ObjectID {
-	if len(snap.IDs) < key.M {
-		return nil
-	}
-	idxClusters := dbscan.SnapshotClustersMaximal(snap.Pts, key.Eps, key.M)
-	clusters := make([][]model.ObjectID, len(idxClusters))
-	for ci, c := range idxClusters {
-		objs := make([]model.ObjectID, len(c))
-		for i, idx := range c {
-			objs[i] = snap.IDs[idx]
-		}
-		// Index clusters are ascending, so objs is already sorted when the
-		// snapshot IDs are (database replays); live feeds push arbitrary
-		// orders and pay the sort.
-		if !sort.IntsAreSorted(objs) {
-			sort.Ints(objs)
-		}
-		clusters[ci] = objs
-	}
-	return clusters
+	return dbscan.SnapshotClusters(snap.IDs, snap.Pts, key.Eps, key.M)
 }
 
 // DefaultClusterer is the built-in DBSCAN backend, used wherever no

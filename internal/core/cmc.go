@@ -242,17 +242,3 @@ const maxScanChunk = 4096
 // arithmetic (span plus a chunk) always fits an int, also on 32-bit
 // platforms; no scan that long could finish anyway.
 const maxScanSpan = math.MaxInt / 2
-
-// CMC answers the convoy query over the whole database with the Coherent
-// Moving Cluster algorithm and returns the canonical result.
-func CMC(db *model.DB, p Params) (Result, error) {
-	return CMCParallel(db, p, 1)
-}
-
-// CMCParallel is CMC with a bounded worker pool clustering ticks
-// concurrently (see cmcScan); workers ≤ 1 is the serial scan and the
-// answer set is identical for every worker count. It is a thin wrapper
-// over Query; use Query directly for cancellation and streaming results.
-func CMCParallel(db *model.DB, p Params, workers int) (Result, error) {
-	return NewQuery(WithParams(p), WithCMC(), WithWorkers(workers)).Run(context.Background(), db)
-}

@@ -17,7 +17,7 @@ func TestFigure4Example(t *testing.T) {
 		[]geom.Point{geom.Pt(5, 0), geom.Pt(5, 1), geom.Pt(5, 2), geom.Pt(5, 3)},         // o1
 		[]geom.Point{geom.Pt(5.5, 0), geom.Pt(5.5, 1), geom.Pt(5.5, 2), geom.Pt(20, 20)}, // o2 leaves at t4
 	)
-	res, err := CMC(db, Params{M: 2, K: 3, Eps: 1})
+	res, err := runCMC(db, Params{M: 2, K: 3, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestTable2Trace(t *testing.T) {
 	checkClusters(2, [][]model.ObjectID{{1, 2, 3}})
 	checkClusters(3, [][]model.ObjectID{{0, 3}, {1, 2}})
 
-	res, err := CMC(db, p)
+	res, err := runCMC(db, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFigure2aConvoyNotMovingCluster(t *testing.T) {
 		[]geom.Point{geom.Pt(3, 0), geom.Pt(30, 1), geom.Pt(30, 2)}, // leaves after t1
 	)
 	p := Params{M: 3, K: 3, Eps: 1.2}
-	res, err := CMC(db, p)
+	res, err := runCMC(db, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMissingSamplesInterpolated(t *testing.T) {
 		[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0), geom.Pt(4, 0)},
 		[]geom.Point{geom.Pt(0, 0.5), absent, absent, geom.Pt(3, 0.5), geom.Pt(4, 0.5)},
 	)
-	res, err := CMC(db, Params{M: 2, K: 5, Eps: 1})
+	res, err := runCMC(db, Params{M: 2, K: 5, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestLifespanLimitsConvoy(t *testing.T) {
 		[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0), geom.Pt(4, 0), geom.Pt(5, 0)},
 		[]geom.Point{geom.Pt(0, 0.5), geom.Pt(1, 0.5), geom.Pt(2, 0.5), absent, absent, absent},
 	)
-	res, err := CMC(db, Params{M: 2, K: 3, Eps: 1})
+	res, err := runCMC(db, Params{M: 2, K: 3, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestGrowingConvoyTracked(t *testing.T) {
 		row(1.0, 4), // o2 joins at t4
 		row(1.5, 4), // o3 joins at t4
 	)
-	res, err := CMC(db, Params{M: 2, K: 3, Eps: 0.6})
+	res, err := runCMC(db, Params{M: 2, K: 3, Eps: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestShrinkingConvoyReported(t *testing.T) {
 		row(0.5, -1), // o1 stays
 		row(1.0, 4),  // o2 leaves at t4
 	)
-	res, err := CMC(db, Params{M: 2, K: 3, Eps: 0.6})
+	res, err := runCMC(db, Params{M: 2, K: 3, Eps: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,16 +187,16 @@ func TestShrinkingConvoyReported(t *testing.T) {
 }
 
 func TestCMCEmptyAndDegenerate(t *testing.T) {
-	res, err := CMC(model.NewDB(), Params{M: 2, K: 2, Eps: 1})
+	res, err := runCMC(model.NewDB(), Params{M: 2, K: 2, Eps: 1})
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty DB: %v, %v", res, err)
 	}
-	if _, err := CMC(model.NewDB(), Params{M: 0, K: 2, Eps: 1}); err == nil {
+	if _, err := runCMC(model.NewDB(), Params{M: 0, K: 2, Eps: 1}); err == nil {
 		t.Error("invalid params accepted")
 	}
 	// One object, m=1, k=1: the object alone is a convoy at every tick.
 	db := buildDB(t, 0, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)})
-	res, err = CMC(db, Params{M: 1, K: 1, Eps: 1})
+	res, err = runCMC(db, Params{M: 1, K: 1, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCMCNoConvoyBelowLifetime(t *testing.T) {
 		[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(50, 0)},
 		[]geom.Point{geom.Pt(0, 0.5), geom.Pt(1, 0.5), geom.Pt(90, 0)},
 	)
-	res, err := CMC(db, Params{M: 2, K: 3, Eps: 1})
+	res, err := runCMC(db, Params{M: 2, K: 3, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestPropCMCMatchesBruteForce(t *testing.T) {
 			K:   int64(1 + r.Intn(4)),
 			Eps: 0.5 + r.Float64()*2.5,
 		}
-		got, err := CMC(db, p)
+		got, err := runCMC(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}

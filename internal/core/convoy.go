@@ -29,8 +29,7 @@
 // incremental iterator yielding convoys as the scan closes them.
 // Cancellation is observed at tick, λ-partition and candidate
 // granularity; breaking out of Seq (or WithLimit) abandons the remaining
-// clustering work. The historical entry points (CMC, CMCParallel, Run,
-// CuTS, CuTS+, CuTS*) are thin wrappers over Query.
+// clustering work.
 //
 // # One tick-scan kernel, parallel by scheduling
 //

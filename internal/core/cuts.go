@@ -78,44 +78,6 @@ func (v Variant) Bound() dbscan.BoundKind {
 	return dbscan.BoundDLL
 }
 
-// Config carries the internal parameters of the CuTS family. The zero value
-// of Delta/Lambda requests the automatic guidelines of Section 7.4.
-type Config struct {
-	// Variant selects CuTS, CuTS+ or CuTS*.
-	Variant Variant
-	// Delta is the simplification tolerance δ; ≤ 0 means "use the
-	// ComputeDelta guideline".
-	Delta float64
-	// Lambda is the time-partition length λ in ticks; ≤ 0 means "use the
-	// ComputeLambda guideline".
-	Lambda int64
-	// Tolerance selects actual (default, tighter — Figure 14) or global
-	// per-segment tolerances in the filter bounds.
-	Tolerance dbscan.ToleranceMode
-
-	// Ablation switches. None of them affects the answer set (tests
-	// enforce this); they exist so benchmarks can isolate the cost/benefit
-	// of individual design choices.
-
-	// NoBoxPrune disables the Lemma 2 box-distance pruning.
-	NoBoxPrune bool
-	// NoClipTime disables the CuTS*-only clipping of segments to the
-	// partition window.
-	NoClipTime bool
-	// NoCandidatePruning disables the dominated-candidate elimination
-	// before refinement.
-	NoCandidatePruning bool
-
-	// Workers sets the number of goroutines every stage of the pipeline
-	// may use: trajectories simplify concurrently, filter partitions
-	// cluster concurrently (chaining stays sequential in partition order),
-	// and candidates refine concurrently. 0 or 1 runs serially. The answer
-	// set is identical for every worker count — the parallel stages
-	// compute exactly the serial stages' intermediate results and the
-	// sequential folds consume them in the serial order.
-	Workers int
-}
-
 // FilterConfig bundles the resolved filter-step inputs.
 type FilterConfig struct {
 	Lambda             int64
@@ -202,8 +164,7 @@ func (s Stats) VertexReduction() float64 {
 
 // Filter runs the CuTS filter step over already-simplified trajectories and
 // returns the candidate set. Exposed separately so the experiment harness
-// can time and instrument the phases; most callers use Query (or the Run
-// wrapper).
+// can time and instrument the phases; most callers use Query.
 func Filter(db *model.DB, p Params, sts []*simplify.Trajectory, fc FilterConfig) []Candidate {
 	cands, _ := filterScan(context.Background(), db, p, sts, fc, nil)
 	return cands
@@ -306,8 +267,10 @@ func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Tra
 	}
 
 	var live []*candidate
-	if err := par.OrderedPipeline(ctx, nWins, fc.Workers,
-		func(i int) [][]model.ObjectID { return partitionClusters(windowAt(i)) },
+	// One partition per chunk and no producer state: a partition is
+	// clustered from its own polylines alone.
+	if err := par.OrderedChunks(ctx, nWins, fc.Workers, 1, func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) [][]model.ObjectID { return partitionClusters(windowAt(i)) },
 		func(i int, clusters [][]model.ObjectID) bool {
 			t0 := tm.start()
 			w := windowAt(i)
@@ -377,15 +340,9 @@ func dedupCandidates(cands []Candidate, noPruning bool) []Candidate {
 // candidate's support objects and time window, returning the canonical
 // union of the discovered convoys.
 func Refine(db *model.DB, p Params, cands []Candidate) Result {
-	return RefineParallel(db, p, cands, 1)
-}
-
-// RefineParallel is Refine with a worker pool: candidates are independent,
-// so their window-restricted CMC runs execute concurrently; the union is
-// canonicalized, making the answer identical to the serial run.
-func RefineParallel(db *model.DB, p Params, cands []Candidate, workers int) Result {
 	var all []Convoy
-	refineScan(context.Background(), db, p, cands, workers, nil, func(_ int, raw []Convoy) bool {
+	// Cannot fail: nothing cancels a background scan.
+	_ = refineScan(context.Background(), db, p, cands, 1, nil, func(_ int, raw []Convoy) bool {
 		all = append(all, raw...)
 		return true
 	})
@@ -404,38 +361,10 @@ func refineScan(ctx context.Context, db *model.DB, p Params, cands []Candidate, 
 	// uncancellable mid-window, as documented on cmcWindow.
 	tm := newStageTimer(trace.FromContext(ctx))
 	defer tm.flush()
-	return par.OrderedPipeline(ctx, len(cands), workers,
-		func(i int) []Convoy {
+	return par.OrderedChunks(ctx, len(cands), workers, 1, func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) []Convoy {
 			c := cands[i]
 			return cmcWindow(db, p, c.Start, c.End, c.Support, passes, tm)
 		},
 		emit)
-}
-
-// Run executes the chosen CuTS variant end to end and returns the canonical
-// convoy result plus run statistics. Delta/Lambda ≤ 0 in cfg invoke the
-// Section 7.4 guidelines. It is a thin wrapper over Query; use Query
-// directly for cancellation, streaming results and result limits.
-func Run(db *model.DB, p Params, cfg Config) (Result, Stats, error) {
-	var st Stats
-	res, err := NewQuery(WithParams(p), WithConfig(cfg), WithStats(&st)).Run(context.Background(), db)
-	return res, st, err
-}
-
-// CuTS answers the convoy query with the base CuTS algorithm (DP + DLL).
-func CuTS(db *model.DB, p Params, delta float64, lambda int64) (Result, error) {
-	res, _, err := Run(db, p, Config{Variant: VariantCuTS, Delta: delta, Lambda: lambda})
-	return res, err
-}
-
-// CuTSPlus answers the convoy query with CuTS+ (DP+ + DLL).
-func CuTSPlus(db *model.DB, p Params, delta float64, lambda int64) (Result, error) {
-	res, _, err := Run(db, p, Config{Variant: VariantCuTSPlus, Delta: delta, Lambda: lambda})
-	return res, err
-}
-
-// CuTSStar answers the convoy query with CuTS* (DP* + D*).
-func CuTSStar(db *model.DB, p Params, delta float64, lambda int64) (Result, error) {
-	res, _, err := Run(db, p, Config{Variant: VariantCuTSStar, Delta: delta, Lambda: lambda})
-	return res, err
 }

@@ -33,7 +33,7 @@ func TestCuTSFigure4Example(t *testing.T) {
 	p := Params{M: 2, K: 3, Eps: 1}
 	want := Result{{Objects: ids(1, 2), Start: 1, End: 3}}
 	for _, variant := range []Variant{VariantCuTS, VariantCuTSPlus, VariantCuTSStar} {
-		res, _, err := Run(db, p, Config{Variant: variant, Delta: 0.5, Lambda: 2})
+		res, _, err := runQuery(db, p, WithVariant(variant), WithDelta(0.5), WithLambda(2))
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}
@@ -49,7 +49,7 @@ func TestCuTSStatsSanity(t *testing.T) {
 		[]geom.Point{geom.Pt(0, 0.4), geom.Pt(1, 0.4), geom.Pt(2, 0.4), geom.Pt(3, 0.4), geom.Pt(4, 0.4), geom.Pt(5, 0.4)},
 	)
 	p := Params{M: 2, K: 4, Eps: 1}
-	res, st, err := Run(db, p, Config{Variant: VariantCuTS, Delta: 0.2, Lambda: 3})
+	res, st, err := runQuery(db, p, WithVariant(VariantCuTS), WithDelta(0.2), WithLambda(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestCandidateRefinementUnits(t *testing.T) {
 
 func TestCuTSInvalidParams(t *testing.T) {
 	db := buildDB(t, 0, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)})
-	if _, _, err := Run(db, Params{M: 0, K: 1, Eps: 1}, Config{}); err == nil {
+	if _, _, err := runQuery(db, Params{M: 0, K: 1, Eps: 1}); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
 
 func TestCuTSEmptyDB(t *testing.T) {
-	res, st, err := Run(model.NewDB(), Params{M: 2, K: 2, Eps: 1}, Config{Variant: VariantCuTSStar})
+	res, st, err := runQuery(model.NewDB(), Params{M: 2, K: 2, Eps: 1}, WithVariant(VariantCuTSStar))
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty DB: res=%v err=%v", res, err)
 	}
@@ -115,7 +115,7 @@ func TestFilterProducesSuperset(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		db := randomDB(r, 4+r.Intn(4), 10+r.Intn(12))
 		p := Params{M: 2, K: int64(2 + r.Intn(3)), Eps: 0.8 + r.Float64()*2}
-		truth, err := CMC(db, p)
+		truth, err := runCMC(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,26 +158,23 @@ func TestPropCuTSFamilyEqualsCMC(t *testing.T) {
 			K:   int64(1 + r.Intn(4)),
 			Eps: 0.5 + r.Float64()*2.5,
 		}
-		want, err := CMC(db, p)
+		want, err := runCMC(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, variant := range []Variant{VariantCuTS, VariantCuTSPlus, VariantCuTSStar} {
-			cfg := Config{
-				Variant: variant,
-				Delta:   r.Float64() * 3, // any δ must preserve correctness
-				Lambda:  int64(1 + r.Intn(7)),
+			delta := r.Float64() * 3 // any δ must preserve correctness
+			lambda := int64(1 + r.Intn(7))
+			if delta == 0 {
+				delta = 0.01
 			}
-			if cfg.Delta == 0 {
-				cfg.Delta = 0.01
-			}
-			got, _, err := Run(db, p, cfg)
+			got, _, err := runQuery(db, p, WithVariant(variant), WithDelta(delta), WithLambda(lambda))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
 				t.Fatalf("iter %d %v (m=%d k=%d e=%.3f δ=%.3f λ=%d):\ngot  = %v\nwant = %v",
-					iter, variant, p.M, p.K, p.Eps, cfg.Delta, cfg.Lambda, got, want)
+					iter, variant, p.M, p.K, p.Eps, delta, lambda, got, want)
 			}
 		}
 	}
@@ -190,13 +187,13 @@ func TestPropCuTSGuidelinesAndGlobalTolEqualCMC(t *testing.T) {
 	for iter := 0; iter < 12; iter++ {
 		db := randomDB(r, 4+r.Intn(4), 10+r.Intn(10))
 		p := Params{M: 2, K: int64(2 + r.Intn(3)), Eps: 1 + r.Float64()*2}
-		want, err := CMC(db, p)
+		want, err := runCMC(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, variant := range []Variant{VariantCuTS, VariantCuTSStar} {
 			// Automatic guidelines.
-			got, st, err := Run(db, p, Config{Variant: variant})
+			got, st, err := runQuery(db, p, WithVariant(variant))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,12 +202,11 @@ func TestPropCuTSGuidelinesAndGlobalTolEqualCMC(t *testing.T) {
 					variant, st.Delta, st.Lambda, got, want)
 			}
 			// Global tolerance mode.
-			got, _, err = Run(db, p, Config{
-				Variant:   variant,
-				Delta:     0.5 + r.Float64(),
-				Lambda:    int64(1 + r.Intn(5)),
-				Tolerance: dbscan.GlobalTolerance,
-			})
+			got, _, err = runQuery(db, p,
+				WithVariant(variant),
+				WithDelta(0.5+r.Float64()),
+				WithLambda(int64(1+r.Intn(5))),
+				WithTolerance(dbscan.GlobalTolerance))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +245,7 @@ func TestPlantedConvoysAllAlgorithms(t *testing.T) {
 	db := buildDB(t, 0, rows...)
 	p := Params{M: 2, K: 10, Eps: 1.5}
 
-	want, err := CMC(db, p)
+	want, err := runCMC(db, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +273,7 @@ func TestPlantedConvoysAllAlgorithms(t *testing.T) {
 	}
 	check("CMC", want)
 	for _, variant := range []Variant{VariantCuTS, VariantCuTSPlus, VariantCuTSStar} {
-		res, _, err := Run(db, p, Config{Variant: variant})
+		res, _, err := runQuery(db, p, WithVariant(variant))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,11 +15,11 @@ func TestPropRunsAreDeterministic(t *testing.T) {
 		db := randomDB(r, 4+r.Intn(4), 10+r.Intn(10))
 		p := Params{M: 2, K: int64(2 + r.Intn(3)), Eps: 1 + r.Float64()*2}
 
-		ref, err := CMC(db, p)
+		ref, err := runCMC(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := CMC(db, p)
+		again, err := runCMC(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,12 +28,12 @@ func TestPropRunsAreDeterministic(t *testing.T) {
 		}
 
 		for _, variant := range []Variant{VariantCuTS, VariantCuTSStar} {
-			cfg := Config{Variant: variant, Delta: 0.7, Lambda: 3}
-			res1, st1, err := Run(db, p, cfg)
+			opts := []Option{WithVariant(variant), WithDelta(0.7), WithLambda(3)}
+			res1, st1, err := runQuery(db, p, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res2, st2, err := Run(db, p, cfg)
+			res2, st2, err := runQuery(db, p, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ func figure2aDB(t *testing.T) *model.DB {
 func TestFigure2aMC2MissesConvoy(t *testing.T) {
 	db := figure2aDB(t)
 	p := Params{M: 3, K: 3, Eps: 1.2}
-	convoys, err := CMC(db, p)
+	convoys, err := runCMC(db, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFigure2bMC2FalsePositive(t *testing.T) {
 		[]geom.Point{geom.Pt(40, 0), geom.Pt(3, 1), geom.Pt(3, 2)},  // o3: joins at t2
 	)
 	p := Params{M: 3, K: 3, Eps: 1.2}
-	convoys, err := CMC(db, p)
+	convoys, err := runCMC(db, p)
 	if err != nil {
 		t.Fatal(err)
 	}

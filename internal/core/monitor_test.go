@@ -131,7 +131,7 @@ func TestPropMonitorsEqualStreamers(t *testing.T) {
 		}
 		for i, mon := range monitors {
 			emitted[i] = append(emitted[i], mon.Close()...)
-			want, err := StreamDB(db, paramSets[i])
+			want, err := streamDB(db, paramSets[i])
 			if err != nil {
 				t.Fatal(err)
 			}

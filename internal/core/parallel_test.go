@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -22,12 +23,12 @@ func TestPropParallelPipelineEqualsSerial(t *testing.T) {
 		db := randomDB(r, 4+r.Intn(4), 10+r.Intn(10))
 		p := Params{M: 2, K: int64(2 + r.Intn(3)), Eps: 1 + r.Float64()*2}
 
-		serialCMC, err := CMC(db, p)
+		serialCMC, err := runCMC(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range workerCounts() {
-			got, err := CMCParallel(db, p, workers)
+			got, _, err := runQuery(db, p, WithCMC(), WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +38,7 @@ func TestPropParallelPipelineEqualsSerial(t *testing.T) {
 		}
 
 		for _, variant := range []Variant{VariantCuTS, VariantCuTSPlus, VariantCuTSStar} {
-			serial, serialStats, err := Run(db, p, Config{Variant: variant, Workers: 1})
+			serial, serialStats, err := runQuery(db, p, WithVariant(variant), WithWorkers(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +46,7 @@ func TestPropParallelPipelineEqualsSerial(t *testing.T) {
 				t.Fatalf("%v: serial stats workers = %d", variant, serialStats.Workers)
 			}
 			for _, workers := range workerCounts() {
-				par, stats, err := Run(db, p, Config{Variant: variant, Workers: workers})
+				par, stats, err := runQuery(db, p, WithVariant(variant), WithWorkers(workers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,12 +74,12 @@ func TestPropParallelRefineEqualsSerial(t *testing.T) {
 	for iter := 0; iter < 15; iter++ {
 		db := randomDB(r, 4+r.Intn(4), 10+r.Intn(10))
 		p := Params{M: 2, K: int64(2 + r.Intn(3)), Eps: 1 + r.Float64()*2}
-		serial, _, err := Run(db, p, Config{Variant: VariantCuTSStar, Workers: 1})
+		serial, _, err := runQuery(db, p, WithVariant(VariantCuTSStar), WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, runtime.NumCPU()} {
-			parallel, _, err := Run(db, p, Config{Variant: VariantCuTSStar, Workers: workers})
+			parallel, _, err := runQuery(db, p, WithVariant(VariantCuTSStar), WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,18 +96,29 @@ func TestRefineParallelEdgeCases(t *testing.T) {
 		[]geom.Point{geom.Pt(0, 0.5), geom.Pt(1, 0.5), geom.Pt(2, 0.5), geom.Pt(3, 0.5)},
 	)
 	p := Params{M: 2, K: 3, Eps: 1}
+	refine := func(cands []Candidate, workers int) Result {
+		var all []Convoy
+		err := refineScan(context.Background(), db, p, cands, workers, nil, func(_ int, raw []Convoy) bool {
+			all = append(all, raw...)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Canonicalize(all)
+	}
 	// No candidates.
-	if got := RefineParallel(db, p, nil, 8); len(got) != 0 {
+	if got := refine(nil, 8); len(got) != 0 {
 		t.Errorf("no candidates produced %v", got)
 	}
 	// One candidate with more workers than work.
 	c := Candidate{Objects: ids(0, 1), Support: ids(0, 1), Start: 0, End: 3}
-	got := RefineParallel(db, p, []Candidate{c}, 16)
+	got := refine([]Candidate{c}, 16)
 	if len(got) != 1 || got[0].Lifetime() != 4 {
 		t.Errorf("single candidate refine = %v", got)
 	}
 	// Duplicated candidates across many workers still canonicalize.
-	got = RefineParallel(db, p, []Candidate{c, c, c, c, c}, 3)
+	got = refine([]Candidate{c, c, c, c, c}, 3)
 	if len(got) != 1 {
 		t.Errorf("duplicate candidates refine = %v", got)
 	}

@@ -34,9 +34,6 @@ import (
 // λ-partition and candidate granularity, so cancelling mid-run returns
 // ctx.Err() within roughly one unit of clustering work per worker; a
 // cancelled run never returns a partial Result.
-//
-// The legacy entry points (CMC, CMCParallel, Run, CuTS…) are thin wrappers
-// over Query and remain answer-for-answer identical.
 type Query struct {
 	p         Params
 	useCMC    bool
@@ -58,7 +55,7 @@ type Query struct {
 	// ≤ 0 is off).
 	incremental float64
 
-	// Ablation switches, carried for WithConfig round-trips.
+	// Ablation switches; see WithAblation.
 	noBoxPrune    bool
 	noClipTime    bool
 	noCandPruning bool
@@ -162,32 +159,14 @@ func WithLimit(n int) Option { return func(q *Query) { q.limit = n } }
 // Stats.ClusterPasses meters how much work the abort saved.
 func WithStats(st *Stats) Option { return func(q *Query) { q.statsOut = st } }
 
-// withAblation sets the paper's Section 7 ablation switches (no pruning
-// step has a public builder; they exist for WithConfig and the ablation
-// benchmarks).
-func withAblation(noBoxPrune, noClipTime, noCandPruning bool) Option {
+// WithAblation sets the paper's Section 7 ablation switches on the CuTS
+// filter: no Lemma 2 box pruning, no CuTS*-only clipping of segments to the
+// partition window, no dominated-candidate elimination before refinement.
+// None of them changes the answer set (tests enforce this); they exist so
+// benchmarks can isolate the cost and benefit of each design choice.
+func WithAblation(noBoxPrune, noClipTime, noCandPruning bool) Option {
 	return func(q *Query) {
 		q.noBoxPrune, q.noClipTime, q.noCandPruning = noBoxPrune, noClipTime, noCandPruning
-	}
-}
-
-// WithConfig applies a legacy Config wholesale — the bridge the old
-// Run/DiscoverWith entry points use, composed purely from the public
-// option builders (plus the ablation switches) so the two surfaces cannot
-// drift. Config.Variant always applies (Query has no "unset" variant), so
-// combine WithConfig with WithCMC only after it.
-func WithConfig(cfg Config) Option {
-	return func(q *Query) {
-		for _, o := range []Option{
-			WithVariant(cfg.Variant),
-			WithDelta(cfg.Delta),
-			WithLambda(cfg.Lambda),
-			WithTolerance(cfg.Tolerance),
-			WithWorkers(cfg.Workers),
-			withAblation(cfg.NoBoxPrune, cfg.NoClipTime, cfg.NoCandidatePruning),
-		} {
-			o(q)
-		}
 	}
 }
 
@@ -326,7 +305,7 @@ func (q *Query) stream(ctx context.Context, db *model.DB, emit func(Convoy) bool
 }
 
 // collect executes the query with raw emissions appended to out — the
-// batch path, answer-for-answer identical to the pre-Query algorithms.
+// batch path.
 func (q *Query) collect(ctx context.Context, db *model.DB, out *[]Convoy) error {
 	return q.run(ctx, db, true, func(c Convoy) bool {
 		*out = append(*out, c)

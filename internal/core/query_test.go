@@ -34,14 +34,14 @@ func collectSeq(t *testing.T, q *Query, ctx context.Context, db *model.DB) []Con
 	return out
 }
 
-// Query.Run must equal the legacy entry points answer-for-answer, for all
+// Query.Run must equal the serial CMC reference answer-for-answer, for all
 // four algorithms across worker counts.
 func TestPropQueryRunEqualsLegacyAPI(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 6; iter++ {
 		db := randomDB(r, 4+r.Intn(5), 12+r.Intn(12))
 		p := Params{M: 2, K: int64(2 + r.Intn(3)), Eps: 1 + r.Float64()*2}
-		refCMC, err := CMCParallel(db, p, 1)
+		refCMC, err := runCMC(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,22 +58,17 @@ func TestPropQueryRunEqualsLegacyAPI(t *testing.T) {
 				}
 			}
 		}
-		// The legacy Config path must round-trip through WithConfig.
-		cfg := Config{Variant: VariantCuTSStar, Delta: 0.7, Lambda: 3, Workers: 2}
-		legacy, legacySt, err := Run(db, p, cfg)
+		// Explicit δ/λ/workers settings reach the run: same answer, and the
+		// stats report exactly what was asked for.
+		got, st, err := runQuery(db, p, WithVariant(VariantCuTSStar), WithDelta(0.7), WithLambda(3), WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st Stats
-		viaQuery, err := NewQuery(WithParams(p), WithConfig(cfg), WithStats(&st)).Run(context.Background(), db)
-		if err != nil {
-			t.Fatal(err)
+		if !got.Equal(refCMC) {
+			t.Fatal("query with explicit δ/λ differs from CMC reference")
 		}
-		if !legacy.Equal(viaQuery) {
-			t.Fatal("WithConfig query differs from legacy Run")
-		}
-		if st.NumCandidates != legacySt.NumCandidates || st.Lambda != legacySt.Lambda || st.Delta != legacySt.Delta {
-			t.Fatalf("stats mismatch: %+v vs %+v", st, legacySt)
+		if st.Variant != VariantCuTSStar || st.Delta != 0.7 || st.Lambda != 3 || st.Workers != 2 {
+			t.Fatalf("stats do not echo the options: %+v", st)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func (s *Streamer) Close() []Convoy { return s.mon.Close() }
 // domain, calling fn with the snapshot of every tick (the same interpolated
 // Ot that CMC clusters, Section 4). It is the bridge between batch storage
 // and the online interfaces: the serving layer uses it to drive feeds from
-// stored databases, and StreamDB uses it to state the Streamer/CMC
+// stored databases, and the tests use it to state the Streamer/CMC
 // equivalence. Iteration stops at the first error from fn, which is
 // returned. An empty database replays zero ticks. The ids and pts handed
 // to fn are the sweep cursor's buffers (model.Cursor): read-only, and valid
@@ -117,26 +117,4 @@ func ReplayTicks(db *model.DB, fn func(t model.Tick, ids []model.ObjectID, pts [
 		}
 	}
 	return nil
-}
-
-// StreamDB replays a stored database through a Streamer tick by tick
-// (interpolating gaps exactly like CMC) and returns the canonicalized
-// emissions — by construction equal to CMC(db, p). Exists mostly for tests
-// and as executable documentation of the Streamer contract.
-func StreamDB(db *model.DB, p Params) (Result, error) {
-	s, err := NewStreamer(p)
-	if err != nil {
-		return nil, err
-	}
-	var all []Convoy
-	err = ReplayTicks(db, func(t model.Tick, ids []model.ObjectID, pts []geom.Point) error {
-		got, err := s.Advance(t, ids, pts)
-		all = append(all, got...)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	all = append(all, s.Close()...)
-	return Canonicalize(all), nil
 }

@@ -161,6 +161,27 @@ func TestStreamerUnsortedIDs(t *testing.T) {
 	}
 }
 
+// streamDB replays a stored database through a Streamer tick by tick
+// (interpolating gaps exactly like CMC) and returns the canonicalized
+// emissions — the executable statement of the Streamer contract.
+func streamDB(db *model.DB, p Params) (Result, error) {
+	s, err := NewStreamer(p)
+	if err != nil {
+		return nil, err
+	}
+	var all []Convoy
+	err = ReplayTicks(db, func(t model.Tick, ids []model.ObjectID, pts []geom.Point) error {
+		got, err := s.Advance(t, ids, pts)
+		all = append(all, got...)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	all = append(all, s.Close()...)
+	return Canonicalize(all), nil
+}
+
 // The equivalence contract: replaying any database through the Streamer and
 // canonicalizing equals the batch CMC answer.
 func TestPropStreamEqualsCMC(t *testing.T) {
@@ -172,11 +193,11 @@ func TestPropStreamEqualsCMC(t *testing.T) {
 			K:   int64(1 + r.Intn(4)),
 			Eps: 0.5 + r.Float64()*2.5,
 		}
-		want, err := CMC(db, p)
+		want, err := runCMC(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := StreamDB(db, p)
+		got, err := streamDB(db, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,10 +210,10 @@ func TestPropStreamEqualsCMC(t *testing.T) {
 
 // A database whose last tick is model.MaxTick must not wrap the tick walk:
 // `for t := lo; t <= hi; t++` never terminates there (t++ overflows back
-// below hi), which used to hang MC2 and ReplayTicks (StreamDB bailed out
-// only because its Streamer rejects the wrapped tick). Every walker goes
+// below hi), which used to hang MC2 and ReplayTicks (a Streamer replay bailed
+// out only because it rejects the wrapped tick). Every walker goes
 // through model.TickSpan now; this pins that they terminate on the 3-tick domain
-// [MaxTick-2, MaxTick] and that CMC ≡ StreamDB on it.
+// [MaxTick-2, MaxTick] and that CMC ≡ the Streamer replay on it.
 func TestTickWalkTerminatesAtMaxTick(t *testing.T) {
 	db := buildDB(t, model.MaxTick-2,
 		[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0)},
@@ -204,10 +225,10 @@ func TestTickWalkTerminatesAtMaxTick(t *testing.T) {
 	go func() {
 		var a answers
 		var err error
-		if a.cmc, err = CMC(db, p); err != nil {
+		if a.cmc, err = runCMC(db, p); err != nil {
 			t.Error(err)
 		}
-		if a.stream, err = StreamDB(db, p); err != nil {
+		if a.stream, err = streamDB(db, p); err != nil {
 			t.Error(err)
 		}
 		if a.mc2, err = MC2(db, p, 0.5); err != nil {
@@ -222,7 +243,7 @@ func TestTickWalkTerminatesAtMaxTick(t *testing.T) {
 			t.Fatalf("CMC = %v, want %v", a.cmc, want)
 		}
 		if !a.stream.Equal(a.cmc) {
-			t.Fatalf("StreamDB = %v, CMC = %v", a.stream, a.cmc)
+			t.Fatalf("streamDB = %v, CMC = %v", a.stream, a.cmc)
 		}
 		if len(a.mc2) != 1 || !equalSorted(a.mc2[0].Objects, ids(0, 1)) || a.mc2[0].End != model.MaxTick {
 			t.Fatalf("MC2 = %v, want the one ⟨0,1⟩ chain ending at MaxTick", a.mc2)
@@ -250,7 +271,7 @@ func pairAndStray(t *testing.T, start model.Tick) *model.DB {
 // ±2^53 apart, a CuTS query over such a domain is refused with
 // ErrTickDomain instead of mined on the wrong instants. CMC — serial,
 // parallel and partitioned — keeps working there and still equals
-// StreamDB.
+// the Streamer replay.
 func TestCuTSRefusesTicksBeyondFloat64(t *testing.T) {
 	db := pairAndStray(t, model.MaxTick-2)
 	p := Params{M: 2, K: 2, Eps: 1}
@@ -276,9 +297,9 @@ func TestCuTSRefusesTicksBeyondFloat64(t *testing.T) {
 		}
 	}
 
-	want, err := StreamDB(db, p)
+	want, err := streamDB(db, p)
 	if err != nil || len(want) != 1 {
-		t.Fatalf("StreamDB = %v, %v; want the one ⟨0,1⟩ convoy", want, err)
+		t.Fatalf("streamDB = %v, %v; want the one ⟨0,1⟩ convoy", want, err)
 	}
 	for _, opts := range [][]Option{nil, {WithWorkers(4)}, {WithPartitions(2)}, {WithPartitions(3), WithWorkers(2)}} {
 		got, err := NewQuery(append([]Option{WithParams(p), WithCMC()}, opts...)...).Run(ctx, db)
@@ -303,7 +324,7 @@ func TestWindowWalksDoNotWrap(t *testing.T) {
 	// The largest domain CuTS accepts, with the largest λ a caller can ask for.
 	db := pairAndStray(t, maxExactTick-2)
 	p := Params{M: 2, K: 2, Eps: 1}
-	want, err := CMC(db, p)
+	want, err := runCMC(db, p)
 	if err != nil || len(want) != 1 {
 		t.Fatalf("CMC = %v, %v", want, err)
 	}

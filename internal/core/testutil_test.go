@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -11,6 +12,22 @@ import (
 
 // absent marks a missing sample in test position tables.
 var absent = geom.Pt(math.NaN(), math.NaN())
+
+// runCMC answers the query with serial CMC — the reference the other
+// algorithms and execution strategies are compared against.
+func runCMC(db *model.DB, p Params) (Result, error) {
+	return NewQuery(WithParams(p), WithCMC()).Run(context.Background(), db)
+}
+
+// runQuery answers the query under the given options (CuTS* with the
+// automatic δ/λ guidelines unless they say otherwise) and returns the run's
+// statistics alongside the result.
+func runQuery(db *model.DB, p Params, opts ...Option) (Result, Stats, error) {
+	var st Stats
+	opts = append([]Option{WithParams(p), WithStats(&st)}, opts...)
+	res, err := NewQuery(opts...).Run(context.Background(), db)
+	return res, st, err
+}
 
 // buildDB constructs a database from per-object position rows: rows[i][j] is
 // object i's position at tick startTick+j, with `absent` producing a

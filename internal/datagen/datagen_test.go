@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -137,7 +138,7 @@ func TestPlantedGroupFoundAsConvoy(t *testing.T) {
 		Jitter:     0.2,
 	}
 	db := sc.Generate()
-	res, err := core.CMC(db, core.Params{M: 3, K: 30, Eps: 3})
+	res, err := core.NewQuery(core.WithParams(core.Params{M: 3, K: 30, Eps: 3}), core.WithCMC()).Run(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/model"
 )
 
 // This file provides the two clustering views the convoy pipeline needs on
@@ -156,6 +157,36 @@ func SnapshotAdjacency(pts []geom.Point, eps float64, minPts int) Adjacency {
 // point snapshot — the per-tick clusters CMC consumes.
 func SnapshotClustersMaximal(pts []geom.Point, eps float64, minPts int) [][]int {
 	return ClusterMaximal(SnapshotAdjacency(pts, eps, minPts))
+}
+
+// SnapshotClusters is SnapshotClustersMaximal in object IDs: ids[i] names
+// the object at pts[i], and every cluster comes back as a freshly built
+// ascending ID list. It is the stateless per-tick clustering — the default
+// backend's, and the incremental engine's answer to a snapshot it cannot
+// patch. Mismatched slice lengths have no meaningful answer and return nil.
+func SnapshotClusters(ids []model.ObjectID, pts []geom.Point, eps float64, minPts int) [][]model.ObjectID {
+	if len(ids) != len(pts) || len(ids) < minPts {
+		return nil
+	}
+	idxClusters := SnapshotClustersMaximal(pts, eps, minPts)
+	if len(idxClusters) == 0 {
+		return nil
+	}
+	clusters := make([][]model.ObjectID, len(idxClusters))
+	for ci, c := range idxClusters {
+		objs := make([]model.ObjectID, len(c))
+		for i, idx := range c {
+			objs[i] = ids[idx]
+		}
+		// Index clusters are ascending, so objs is already sorted when the
+		// snapshot IDs are (database replays); live feeds push arbitrary
+		// orders and pay the sort.
+		if !sort.IntsAreSorted(objs) {
+			sort.Ints(objs)
+		}
+		clusters[ci] = objs
+	}
+	return clusters
 }
 
 // PolylineAdjacency builds the segment-level neighborhood graph over the

@@ -2,7 +2,6 @@ package dbscan
 
 import (
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/simplify"
 )
@@ -157,62 +156,4 @@ func (p PolylineDistanceParams) maxTol(pl Polyline) float64 {
 		return p.GlobalDelta
 	}
 	return pl.MaxTol
-}
-
-// ClusterPolylines runs TRAJ-DBSCAN (the density clustering of Algorithm 2,
-// line 11) over the partition's sub-polylines. Two polylines are neighbors
-// when their time spans intersect and some time-overlapping segment pair
-// passes the bound dist ≤ e + δ(l'q) + δ(l'i) (Lemma 1 for DLL, Lemma 3 for
-// D*). Candidate enumeration goes through a rectangle grid, and Lemma 2
-// (box-distance pruning with δmax) rejects far polylines before any segment
-// pair is examined.
-//
-// The returned labels are parallel to polys; Noise marks unclustered
-// polylines.
-func ClusterPolylines(polys []Polyline, minPts int, p PolylineDistanceParams) []int {
-	// Index polyline MBRs. Cell size: the search radius scale, kept ≥ a
-	// small floor so degenerate inputs (e = 0, δ = 0) still index.
-	maxTolAll := 0.0
-	for i := range polys {
-		if t := p.maxTol(polys[i]); t > maxTolAll {
-			maxTolAll = t
-		}
-	}
-	cell := p.Eps + 2*maxTolAll
-	if cell <= 0 {
-		cell = 1
-	}
-	rects := make([]geom.Rect, len(polys))
-	for i := range polys {
-		rects[i] = polys[i].Bounds
-	}
-	idx := grid.NewRectIndex(rects, cell)
-
-	var cand []int
-	neighbors := func(i int, buf []int) []int {
-		q := &polys[i]
-		qTol := p.maxTol(*q)
-		query := q.Bounds.Inflate(p.Eps + qTol + maxTolAll)
-		cand = idx.Intersecting(query, cand[:0])
-		for _, j := range cand {
-			o := &polys[j]
-			if j == i {
-				buf = append(buf, j)
-				continue
-			}
-			// Time spans must intersect at all.
-			if o.T1 < q.T0 || q.T1 < o.T0 {
-				continue
-			}
-			// Lemma 2: prune by box distance before touching segments.
-			if geom.Dmin(q.Bounds, o.Bounds) > p.Eps+qTol+p.maxTol(*o) {
-				continue
-			}
-			if withinBound(*q, *o, p) {
-				buf = append(buf, j)
-			}
-		}
-		return buf
-	}
-	return Generic(len(polys), minPts, neighbors)
 }

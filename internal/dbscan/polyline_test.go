@@ -3,6 +3,7 @@ package dbscan
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -121,6 +122,29 @@ func TestGlobalToleranceLooserThanActual(t *testing.T) {
 	}
 }
 
+// componentLabels flattens PolylineComponents — TRAJ-DBSCAN as the CuTS
+// filter runs it (Algorithm 2, line 11) — to one label per polyline, Noise
+// for the unclustered, checking on the way that box pruning, on or off,
+// yields the same components.
+func componentLabels(t *testing.T, polys []Polyline, minPts int, p PolylineDistanceParams) []int {
+	t.Helper()
+	comps := PolylineComponents(polys, minPts, p)
+	p.NoBoxPrune = !p.NoBoxPrune
+	if other := PolylineComponents(polys, minPts, p); !reflect.DeepEqual(comps, other) {
+		t.Fatalf("components depend on box pruning: %v vs %v", comps, other)
+	}
+	labels := make([]int, len(polys))
+	for i := range labels {
+		labels[i] = Noise
+	}
+	for ci, comp := range comps {
+		for _, i := range comp {
+			labels[i] = ci
+		}
+	}
+	return labels
+}
+
 func TestClusterPolylinesTwoGroups(t *testing.T) {
 	// Objects 0,1 travel together near y=0; objects 2,3 near y=100.
 	var polys []Polyline
@@ -130,7 +154,7 @@ func TestClusterPolylinesTwoGroups(t *testing.T) {
 		st := simplify.Simplify(tr, 0.5, simplify.DP)
 		polys = append(polys, polyOf(st))
 	}
-	labels := ClusterPolylines(polys, 2, PolylineDistanceParams{Eps: 2, Bound: BoundDLL})
+	labels := componentLabels(t, polys, 2, PolylineDistanceParams{Eps: 2, Bound: BoundDLL})
 	if NumClusters(labels) != 2 {
 		t.Fatalf("want 2 clusters, labels = %v", labels)
 	}
@@ -146,7 +170,7 @@ func TestClusterPolylinesNoise(t *testing.T) {
 		tr.ID = i
 		polys = append(polys, polyOf(simplify.Simplify(tr, 0.5, simplify.DP)))
 	}
-	labels := ClusterPolylines(polys, 2, PolylineDistanceParams{Eps: 2, Bound: BoundDLL})
+	labels := componentLabels(t, polys, 2, PolylineDistanceParams{Eps: 2, Bound: BoundDLL})
 	if labels[2] != Noise {
 		t.Errorf("far polyline should be noise: %v", labels)
 	}
@@ -161,7 +185,7 @@ func TestClusterPolylinesZeroEps(t *testing.T) {
 		tr.ID = i
 		polys = append(polys, polyOf(simplify.Simplify(tr, 0, simplify.DP)))
 	}
-	labels := ClusterPolylines(polys, 2, PolylineDistanceParams{Eps: 0, Bound: BoundDLL})
+	labels := componentLabels(t, polys, 2, PolylineDistanceParams{Eps: 0, Bound: BoundDLL})
 	if labels[0] != labels[1] || labels[0] == Noise {
 		t.Errorf("coincident tracks should cluster at e=0: %v", labels)
 	}
@@ -242,8 +266,10 @@ func TestPropLemmaBoundsNeverDismiss(t *testing.T) {
 	}
 }
 
-// Property: ClusterPolylines with the Lemma-2 pruning and grid index agrees
-// with a brute-force Generic clustering over the same withinBound predicate.
+// Property: PolylineAdjacency — grid candidate enumeration, with the
+// Lemma-2 box pruning on and off — finds exactly the neighborhoods a
+// brute-force scan over the same withinBound predicate finds, so the
+// components the CuTS filter chains are the brute-force components.
 func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 40; iter++ {
@@ -255,8 +281,7 @@ func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 		}
 		params := PolylineDistanceParams{Eps: 0.5 + r.Float64()*4, Bound: BoundDLL}
 		minPts := 1 + r.Intn(4)
-		got := ClusterPolylines(polys, minPts, params)
-		want := Generic(n, minPts, func(i int, buf []int) []int {
+		want := BuildAdjacency(n, minPts, func(i int, buf []int) []int {
 			for j := 0; j < n; j++ {
 				if i == j || withinBound(polys[i], polys[j], params) {
 					buf = append(buf, j)
@@ -264,9 +289,14 @@ func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 			}
 			return buf
 		})
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("label mismatch at %d: grid=%v brute=%v", i, got, want)
+		for _, noBoxPrune := range []bool{false, true} {
+			params.NoBoxPrune = noBoxPrune
+			got := PolylineAdjacency(polys, minPts, params)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("NoBoxPrune=%v: adjacency mismatch: grid=%v brute=%v", noBoxPrune, got, want)
+			}
+			if gc, wc := PolylineComponents(polys, minPts, params), ClusterComponents(want); !reflect.DeepEqual(gc, wc) {
+				t.Fatalf("NoBoxPrune=%v: component mismatch: grid=%v brute=%v", noBoxPrune, gc, wc)
 			}
 		}
 	}

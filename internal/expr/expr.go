@@ -13,6 +13,7 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -20,7 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/model"
+	"repro/internal/dbscan"
 )
 
 // Options configure a harness run.
@@ -105,14 +106,6 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000.0)
 }
 
-// timedCMC runs CMC with the options' worker count and reports the result
-// with its wall time.
-func timedCMC(db *model.DB, p core.Params, workers int) (core.Result, time.Duration, error) {
-	t0 := time.Now()
-	res, err := core.CMCParallel(db, p, workers)
-	return res, time.Since(t0), err
-}
-
 // Table3 prints the dataset statistics, the parameter settings (paper
 // values rescaled next to the guideline-derived values), and the number of
 // convoys CuTS* discovers — the reproduction of Table 3.
@@ -124,7 +117,9 @@ func Table3(o Options) error {
 		db := prof.Generate()
 		st := db.Stats()
 		p := params(prof)
-		res, runStats, err := core.Run(db, p, core.Config{Variant: core.VariantCuTSStar, Workers: o.Workers})
+		var runStats core.Stats
+		res, err := core.NewQuery(core.WithParams(p), core.WithWorkers(o.Workers), core.WithStats(&runStats)).
+			Run(context.Background(), db)
 		if err != nil {
 			return fmt.Errorf("expr: Table3 %s: %w", prof.Name, err)
 		}
@@ -154,7 +149,9 @@ func Figure12(o Options) error {
 	for _, prof := range o.profiles() {
 		db := prof.Generate()
 		p := params(prof)
-		ref, cmcTime, err := timedCMC(db, p, o.Workers)
+		t0 := time.Now()
+		ref, err := core.NewQuery(core.WithParams(p), core.WithCMC(), core.WithWorkers(o.Workers)).Run(context.Background(), db)
+		cmcTime := time.Since(t0)
 		if err != nil {
 			return fmt.Errorf("expr: Figure12 %s: %w", prof.Name, err)
 		}
@@ -162,7 +159,9 @@ func Figure12(o Options) error {
 			Metrics: map[string]float64{"time_ms": msf(cmcTime)}})
 		var times [3]time.Duration
 		for i, variant := range []core.Variant{core.VariantCuTS, core.VariantCuTSPlus, core.VariantCuTSStar} {
-			res, st, err := core.Run(db, p, core.Config{Variant: variant, Workers: o.Workers})
+			var st core.Stats
+			res, err := core.NewQuery(core.WithParams(p), core.WithVariant(variant), core.WithWorkers(o.Workers), core.WithStats(&st)).
+				Run(context.Background(), db)
 			if err != nil {
 				return fmt.Errorf("expr: Figure12 %s %v: %w", prof.Name, variant, err)
 			}
@@ -197,7 +196,9 @@ func Figure13(o Options) error {
 		db := prof.Generate()
 		p := params(prof)
 		for _, variant := range []core.Variant{core.VariantCuTS, core.VariantCuTSPlus, core.VariantCuTSStar} {
-			_, st, err := core.Run(db, p, core.Config{Variant: variant, Workers: o.Workers})
+			var st core.Stats
+			_, err := core.NewQuery(core.WithParams(p), core.WithVariant(variant), core.WithWorkers(o.Workers), core.WithStats(&st)).
+				Run(context.Background(), db)
 			if err != nil {
 				return fmt.Errorf("expr: Figure13 %s %v: %w", prof.Name, variant, err)
 			}
@@ -226,19 +227,17 @@ func Figure14(o Options) error {
 		p := params(prof)
 		var cands [2]int
 		var times [2]time.Duration
-		for i, tol := range []int{1, 0} { // GlobalTolerance = 1, ActualTolerance = 0
-			_, st, err := core.Run(db, p, core.Config{
-				Variant:   core.VariantCuTSStar,
-				Tolerance: toleranceMode(tol),
-				Workers:   o.Workers,
-			})
+		for i, tol := range []dbscan.ToleranceMode{dbscan.GlobalTolerance, dbscan.ActualTolerance} {
+			var st core.Stats
+			_, err := core.NewQuery(core.WithParams(p), core.WithTolerance(tol), core.WithWorkers(o.Workers), core.WithStats(&st)).
+				Run(context.Background(), db)
 			if err != nil {
 				return fmt.Errorf("expr: Figure14 %s: %w", prof.Name, err)
 			}
 			cands[i] = st.NumCandidates
 			times[i] = st.TotalTime()
 			mode := "global"
-			if tol == 0 {
+			if tol == dbscan.ActualTolerance {
 				mode = "actual"
 			}
 			o.record(Record{Exp: "fig14", Dataset: prof.Name, Method: mode,

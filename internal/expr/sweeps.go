@@ -1,22 +1,14 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/dbscan"
 	"repro/internal/simplify"
 )
-
-// toleranceMode converts the Figure 14 loop index into the dbscan mode.
-func toleranceMode(i int) dbscan.ToleranceMode {
-	if i == 1 {
-		return dbscan.GlobalTolerance
-	}
-	return dbscan.ActualTolerance
-}
 
 // deltaSweep returns the δ values for the Figure 15/16 sweeps: fractions
 // and multiples of the profile's tuned δ, mirroring the paper's absolute
@@ -111,7 +103,9 @@ func figureSweepDelta(o Options, prof datagen.Profile) error {
 	fmt.Fprintln(w, "δ\tmethod\trefinement units\tcandidates\ttime (ms)")
 	for _, delta := range deltaSweep(prof) {
 		for _, variant := range []core.Variant{core.VariantCuTS, core.VariantCuTSPlus, core.VariantCuTSStar} {
-			_, st, err := core.Run(db, p, core.Config{Variant: variant, Delta: delta, Lambda: prof.Lambda, Workers: o.Workers})
+			var st core.Stats
+			_, err := core.NewQuery(core.WithParams(p), core.WithVariant(variant), core.WithDelta(delta), core.WithLambda(prof.Lambda), core.WithWorkers(o.Workers), core.WithStats(&st)).
+				Run(context.Background(), db)
 			if err != nil {
 				return fmt.Errorf("expr: Figure16 %s %v: %w", prof.Name, variant, err)
 			}
@@ -151,7 +145,9 @@ func figureSweepLambda(o Options, prof datagen.Profile) error {
 	fmt.Fprintln(w, "λ\tmethod\trefinement units\tcandidates\ttime (ms)")
 	for _, lambda := range lambdaSweep(prof) {
 		for _, variant := range []core.Variant{core.VariantCuTS, core.VariantCuTSPlus, core.VariantCuTSStar} {
-			_, st, err := core.Run(db, p, core.Config{Variant: variant, Delta: prof.Delta, Lambda: lambda, Workers: o.Workers})
+			var st core.Stats
+			_, err := core.NewQuery(core.WithParams(p), core.WithVariant(variant), core.WithDelta(prof.Delta), core.WithLambda(lambda), core.WithWorkers(o.Workers), core.WithStats(&st)).
+				Run(context.Background(), db)
 			if err != nil {
 				return fmt.Errorf("expr: Figure17 %s %v: %w", prof.Name, variant, err)
 			}
@@ -190,7 +186,7 @@ func Figure19(o Options) error {
 	for _, prof := range o.profiles() {
 		db := prof.Generate()
 		p := params(prof)
-		ref, err := core.CMCParallel(db, p, o.Workers)
+		ref, err := core.NewQuery(core.WithParams(p), core.WithCMC(), core.WithWorkers(o.Workers)).Run(context.Background(), db)
 		if err != nil {
 			return fmt.Errorf("expr: Figure19 %s: %w", prof.Name, err)
 		}

@@ -1,6 +1,7 @@
 package flock
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestPropEveryFlockInsideSomeConvoy(t *testing.T) {
 		if len(flocks) == 0 {
 			continue
 		}
-		convoys, err := core.CMC(db, core.Params{M: m, K: k, Eps: 2 * radius})
+		convoys, err := core.NewQuery(core.WithParams(core.Params{M: m, K: k, Eps: 2 * radius}), core.WithCMC()).Run(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}

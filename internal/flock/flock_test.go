@@ -1,6 +1,7 @@
 package flock
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -154,7 +155,7 @@ func TestLossyFlockProblem(t *testing.T) {
 		t.Fatalf("expected the disc to clip the group to 3 members, got %v", flocks)
 	}
 
-	convoys, err := core.CMC(db, core.Params{M: 3, K: ticks, Eps: 1.2})
+	convoys, err := core.NewQuery(core.WithParams(core.Params{M: 3, K: ticks, Eps: 1.2}), core.WithCMC()).Run(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}

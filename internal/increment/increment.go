@@ -159,7 +159,7 @@ func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectI
 		e.Reset()
 		e.fullPasses++
 		e.reclustered += int64(n)
-		return statelessClusters(ids, pts, e.eps, e.m), Pass{Full: true, Reclustered: n}
+		return dbscan.SnapshotClusters(ids, pts, e.eps, e.m), Pass{Full: true, Reclustered: n}
 	}
 	e.gen++
 	g := e.gen
@@ -496,29 +496,6 @@ func (e *Engine) emit() [][]model.ObjectID {
 		e.members = members[:0]
 	}
 	sort.Slice(out, func(i, j int) bool { return lessIDs(out[i], out[j]) })
-	return out
-}
-
-// statelessClusters is the reference path for degenerate snapshots: map
-// dbscan.SnapshotClustersMaximal's index clusters to ids. A length
-// mismatch has no meaningful answer and returns nil.
-func statelessClusters(ids []model.ObjectID, pts []geom.Point, eps float64, m int) [][]model.ObjectID {
-	if len(ids) != len(pts) {
-		return nil
-	}
-	cls := dbscan.SnapshotClustersMaximal(pts, eps, m)
-	if len(cls) == 0 {
-		return nil
-	}
-	out := make([][]model.ObjectID, len(cls))
-	for ci, c := range cls {
-		objs := make([]model.ObjectID, len(c))
-		for i, idx := range c {
-			objs[i] = ids[idx]
-		}
-		sort.Ints(objs)
-		out[ci] = objs
-	}
 	return out
 }
 

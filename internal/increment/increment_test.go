@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/dbscan"
 	"repro/internal/geom"
 	"repro/internal/model"
 )
@@ -14,7 +15,7 @@ import (
 // reference is the from-scratch answer the Engine must match, canonicalized
 // into the Engine's cluster-list order (ascending member list).
 func reference(ids []model.ObjectID, pts []geom.Point, eps float64, m int) [][]model.ObjectID {
-	out := statelessClusters(ids, pts, eps, m)
+	out := dbscan.SnapshotClusters(ids, pts, eps, m)
 	sort.Slice(out, func(i, j int) bool { return lessIDs(out[i], out[j]) })
 	return out
 }

@@ -12,9 +12,8 @@
 //     input order* by a single fold on the calling goroutine. The CMC tick
 //     scan picks the chunk length (long chunks let a stateful producer —
 //     the incremental clustering engine — see consecutive ticks; chunks of
-//     one give the tightest early-stop bound). OrderedPipeline is its
-//     stateless chunk-of-one case (the filter's partition scan, candidate
-//     refinement).
+//     one give the tightest early-stop bound); the filter's partition scan
+//     and candidate refinement run it with chunks of one and no state.
 //
 // Both degenerate to plain loops at workers ≤ 1, which is why serial and
 // parallel runs of the pipeline are equal by construction: the same
@@ -240,18 +239,4 @@ func OrderedChunks[S, T any](ctx context.Context, n, workers, chunk int, newStat
 		ret = ctx.Err()
 	}
 	return ret
-}
-
-// OrderedPipeline computes produce(i) for i in [0, n) on a bounded worker
-// pool and calls consume(i, result) strictly in index order — a pipeline,
-// not a barrier: consume(0) can run while produce(5) is still executing.
-// It is OrderedChunks with chunks of one index and no producer state, so
-// produce must be pure with respect to shared state; ordering, the bounded
-// window (~2×workers outstanding results), early stop and cancellation are
-// exactly OrderedChunks'.
-func OrderedPipeline[T any](ctx context.Context, n, workers int, produce func(i int) T, consume func(i int, v T) bool) error {
-	return OrderedChunks(ctx, n, workers, 1,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) T { return produce(i) },
-		consume)
 }

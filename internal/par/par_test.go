@@ -8,14 +8,23 @@ import (
 	"time"
 )
 
-// OrderedPipeline must deliver results to the consumer strictly in index
+// pipeline is OrderedChunks as the filter's partition scan and candidate
+// refinement call it: chunks of one index and no producer state.
+func pipeline[T any](ctx context.Context, n, workers int, produce func(i int) T, consume func(i int, v T) bool) error {
+	return OrderedChunks(ctx, n, workers, 1,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) T { return produce(i) },
+		consume)
+}
+
+// The pipeline must deliver results to the consumer strictly in index
 // order no matter how the workers interleave.
 func TestOrderedPipelineOrdering(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
 		const n = 500
 		var produced atomic.Int64
 		next := 0
-		err := OrderedPipeline(context.Background(), n, workers,
+		err := pipeline(context.Background(), n, workers,
 			func(i int) int {
 				produced.Add(1)
 				return i * i
@@ -40,7 +49,7 @@ func TestOrderedPipelineOrdering(t *testing.T) {
 }
 
 func TestOrderedPipelineEmpty(t *testing.T) {
-	err := OrderedPipeline(context.Background(), 0, 4,
+	err := pipeline(context.Background(), 0, 4,
 		func(i int) int { t.Fatal("produce called"); return 0 },
 		func(i int, v int) bool { t.Fatal("consume called"); return true })
 	if err != nil {
@@ -56,7 +65,7 @@ func TestOrderedPipelineEarlyStop(t *testing.T) {
 		const n, stopAt = 1000, 10
 		var produced atomic.Int64
 		consumed := 0
-		err := OrderedPipeline(context.Background(), n, workers,
+		err := pipeline(context.Background(), n, workers,
 			func(i int) int { produced.Add(1); return i },
 			func(i int, v int) bool {
 				consumed++
@@ -84,7 +93,7 @@ func TestOrderedPipelineCancel(t *testing.T) {
 		const n, cancelAt = 1000, 7
 		ctx, cancel := context.WithCancel(context.Background())
 		consumedAfter := 0
-		err := OrderedPipeline(ctx, n, workers,
+		err := pipeline(ctx, n, workers,
 			func(i int) int { return i },
 			func(i int, v int) bool {
 				if i == cancelAt {
@@ -110,7 +119,7 @@ func TestOrderedPipelinePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		err := OrderedPipeline(ctx, 100, workers,
+		err := pipeline(ctx, 100, workers,
 			func(i int) int { return i },
 			func(i int, v int) bool { t.Fatal("consume called"); return true })
 		if !errors.Is(err, context.Canceled) {
@@ -163,7 +172,7 @@ func TestOrderedPipelineCancelWhileProducing(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- OrderedPipeline(ctx, 50, 4,
+		done <- pipeline(ctx, 50, 4,
 			func(i int) int {
 				if i > 0 {
 					<-release // jobs past the first hang until released

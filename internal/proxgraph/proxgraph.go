@@ -226,6 +226,22 @@ func (l *Log) Records() []tsio.EdgeRecord {
 	return out
 }
 
+// Window copies the records inside [lo, hi] into a fresh log — the contact
+// log's form of a time slice: per-tick clusters are a pure function of that
+// tick's edges, so dropping out-of-window records is exact.
+func (l *Log) Window(lo, hi model.Tick) (*Log, error) {
+	out := NewLog()
+	for _, r := range l.Records() {
+		if r.T < lo || r.T > hi {
+			continue
+		}
+		if err := out.AddRecord(r); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // Clusterer returns the log's graph-connectivity backend: a Clusterer
 // that resolves each tick's edges from this log, for batch queries over
 // DB() (core.WithClusterer(log.Clusterer())).

@@ -14,7 +14,6 @@ import (
 	"repro/internal/flock"
 	"repro/internal/geom"
 	"repro/internal/model"
-	"repro/internal/stjoin"
 	"repro/internal/tsio"
 )
 
@@ -167,7 +166,7 @@ func TestDBSCANEquivalenceM2(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		db := randomWalkDB(t, rand.New(rand.NewSource(int64(100+trial))))
 		p := core.Params{M: 2, K: 2, Eps: 1.5}
-		want, err := core.CMC(db, p)
+		want, err := core.NewQuery(core.WithParams(p), core.WithCMC()).Run(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,9 +294,8 @@ func TestSynthesizedDB(t *testing.T) {
 
 // A database whose last tick is MaxTick must not wrap a tick walk (`t++`
 // overflows back below hi and the loop never ends). PR 12 fixed CMC,
-// ReplayTicks and MC2; the contact-log bridge, the close-pair join and the
-// flock baseline walked the same way. All three go through model.TickSpan
-// now: on the 3-tick domain [MaxTick-2, MaxTick] they terminate, and the
+// ReplayTicks and MC2; the contact-log bridge and the flock baseline walked
+// the same way. Both go through model.TickSpan now: on the 3-tick domain [MaxTick-2, MaxTick] they terminate, and the
 // derived contact log holds exactly the brute-force close pairs.
 func TestTickWalksTerminateAtMaxTick(t *testing.T) {
 	const lo = model.MaxTick - 2
@@ -318,7 +316,6 @@ func TestTickWalksTerminateAtMaxTick(t *testing.T) {
 	}
 	type answers struct {
 		log    *Log
-		pairs  []stjoin.Pair
 		flocks []flock.Flock
 	}
 	done := make(chan answers, 1) // buffered: a late finisher must not block after the timeout
@@ -326,9 +323,6 @@ func TestTickWalksTerminateAtMaxTick(t *testing.T) {
 		var a answers
 		var err error
 		if a.log, err = FromDB(db, 1); err != nil {
-			t.Error(err)
-		}
-		if a.pairs, err = stjoin.CloseSelfJoin(db, 1, stjoin.Full()); err != nil {
 			t.Error(err)
 		}
 		if a.flocks, err = flock.Discover(db, flock.Params{M: 2, K: 3, R: 1}); err != nil {
@@ -365,9 +359,6 @@ func TestTickWalksTerminateAtMaxTick(t *testing.T) {
 		if la, lb := a.log.Label(got[0].A), a.log.Label(got[0].B); la != "a" || lb != "b" || got[0].W != 1 {
 			t.Fatalf("tick MaxTick-%d: contact %s–%s w=%g, want a–b w=1", 2-k, la, lb, got[0].W)
 		}
-	}
-	if len(a.pairs) != 1 || a.pairs[0].A != 0 || a.pairs[0].B != 1 || a.pairs[0].First != lo {
-		t.Fatalf("close pairs = %+v, want one (0,1) first at MaxTick-2", a.pairs)
 	}
 	if len(a.flocks) != 1 || a.flocks[0].Start != lo || a.flocks[0].End != model.MaxTick {
 		t.Fatalf("flocks = %+v, want one over the whole domain", a.flocks)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/proxgraph"
+	"repro/internal/trace"
 	"repro/internal/tsio"
 	"repro/internal/wire"
 )
@@ -83,15 +84,19 @@ func (w *windowFold) db() (*model.DB, error) {
 }
 
 // historyQuery validates (through the canonical wire.QuerySpec validator),
-// reads the window and runs the discovery. The run holds a query-pool slot
-// like a batch query, so a burst of historical queries cannot starve the
-// engine.
-func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequest) (HistoryQueryResponse, error) {
-	if req.Algo == "" {
-		// A historical query replays a live stream's ticks, where CMC is
-		// the canonical semantics; the CuTS family stays opt-in.
-		req.Algo = AlgoCMC
-	}
+// reads the window and runs the discovery, metered as an uncached query.
+// The run holds a query-pool slot like a batch query, so a burst of
+// historical queries cannot starve the engine, and is traced and explained
+// like one.
+func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequest) (resp HistoryQueryResponse, err error) {
+	// A historical query replays a live stream's ticks, where CMC is the
+	// canonical semantics; the CuTS family stays opt-in.
+	req.Algo = cmp.Or(req.Algo, AlgoCMC)
+	t0 := time.Now()
+	reqSpan := trace.FromContext(ctx)
+	defer func() {
+		s.cfg.metrics.observeQuery(algoLabel(req.Algo), "none", err, time.Since(t0), reqSpan.TraceID())
+	}()
 	pl, err := plan(QueryRequest{QuerySpec: req}, s.cfg.MaxWorkersPerQuery)
 	if err != nil {
 		return HistoryQueryResponse{}, err
@@ -100,7 +105,8 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 	// window, queueing for a slot and mining all count, as for /v1/query.
 	ctx, cancel := s.q.requestCtx(ctx, pl.req)
 	defer cancel()
-	t0 := time.Now()
+	ctx, qsp := s.q.startQuery(ctx, pl, reqSpan)
+	defer qsp.End() // idempotent; mine ends it before collecting the profile
 	fold := &windowFold{ids: map[string]model.ObjectID{}}
 	if pl.res.Clusterer == proxgraph.Backend {
 		fold.log = proxgraph.NewLog()
@@ -117,7 +123,7 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 	}); err != nil {
 		return HistoryQueryResponse{}, err
 	}
-	resp := HistoryQueryResponse{
+	resp = HistoryQueryResponse{
 		Convoys:   []ConvoyJSON{},
 		Params:    pl.res.Spec.Params,
 		Algo:      pl.res.Algo,
@@ -148,12 +154,9 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 		return HistoryQueryResponse{}, err
 	}
 	defer release()
-	var st core.Stats
-	res, err := core.NewQuery(pl.options(cl, &st)...).Run(ctx, db)
-	if err != nil {
+	if resp.Convoys, resp.Stats, resp.Explain, err = s.q.mine(ctx, qsp, pl, db, cl, wire.DBLabels(db)); err != nil {
 		return HistoryQueryResponse{}, err
 	}
-	resp.Convoys, resp.Stats = pl.render(res, st, wire.DBLabels(db))
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	return resp, nil
 }

@@ -212,6 +212,57 @@ func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 	}
 }
 
+// A historical query is explained and metered like a batch one: with
+// "explain": true it returns the run's stage profile (stages summing to no
+// more than the total), every op lands on convoyd_queries_total under
+// cache="none" and feeds the per-algorithm run-stat counters, and without
+// explain the body carries no profile at all.
+func TestHistoryQueryExplainAndMetrics(t *testing.T) {
+	srv, ts := newTestServer(t, durableConfig(filepath.Join(t.TempDir(), "data")))
+	createFeed(t, ts.URL, "gaps", ParamsJSON{M: 2, K: 4, Eps: 1})
+	for tick := model.Tick(0); tick <= 12; tick++ {
+		pushTick(t, ts.URL, "gaps", gapBatch(tick))
+	}
+	url := ts.URL + "/v1/feeds/gaps/query"
+	req := HistoryQueryRequest{Params: ParamsJSON{M: 2, K: 4, Eps: 1}}
+
+	var plain map[string]json.RawMessage
+	doJSON(t, "POST", url, req, http.StatusOK, &plain)
+	if _, has := plain["explain"]; has {
+		t.Fatalf("plain history query carries a profile: %s", plain["explain"])
+	}
+
+	req.Explain = true
+	var cmc, star HistoryQueryResponse
+	doJSON(t, "POST", url, req, http.StatusOK, &cmc)
+	wantStages(t, cmc.Explain, "scan")
+	if len(cmc.Convoys) == 0 {
+		t.Fatal("explain query found no convoys; a and b travel together throughout")
+	}
+	req.Algo = wire.AlgoCuTSStar
+	doJSON(t, "POST", url, req, http.StatusOK, &star)
+	wantStages(t, star.Explain, "simplify", "filter", "refine")
+
+	req.Algo = "nope"
+	doJSON(t, "POST", url, req, http.StatusBadRequest, nil)
+
+	samples := scrape(t, srv)
+	for series, want := range map[string]float64{
+		`convoyd_queries_total{algo="cmc",cache="none",outcome="ok"}`:              2,
+		`convoyd_queries_total{algo="cuts*",cache="none",outcome="ok"}`:            1,
+		`convoyd_queries_total{algo="invalid",cache="none",outcome="bad_request"}`: 1,
+		`convoyd_query_seconds_count{algo="cmc",outcome="ok"}`:                     2,
+		`convoyd_query_stats_total{stat="cluster_passes",algo="cmc"}`:              2 * 13,
+	} {
+		if got := samples[series]; got != want {
+			t.Errorf("%s = %g, want %g", series, got, want)
+		}
+	}
+	if got := samples[`convoyd_query_stats_total{stat="candidates",algo="cuts*"}`]; got < 1 {
+		t.Errorf("CuTS* history run left no candidates on convoyd_query_stats_total: %g", got)
+	}
+}
+
 // BenchmarkHistoryWindowDB prices what a historical query does before it
 // mines: a 1 000-tick window of a 3 000-tick, ≈ 300-object log (Commute at
 // scale 1, 4 MiB segments) read record → column into the model.DB the

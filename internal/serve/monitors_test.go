@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -176,7 +177,7 @@ func TestPropFeedMonitorsEqualStreamers(t *testing.T) {
 		}
 
 		for _, spec := range all {
-			want, err := core.StreamDB(db, spec.Params.Params())
+			want, err := core.NewQuery(core.WithParams(spec.Params.Params()), core.WithCMC()).Run(context.Background(), db)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -177,21 +177,6 @@ func (pl queryPlan) options(cl core.Clusterer, st *core.Stats) []core.Option {
 		core.WithLambda(pl.res.Spec.Lambda))
 }
 
-// render puts a run's answer in the wire schema: the convoys named through
-// labels (never nil, so an empty answer encodes as []), and the CuTS
-// filter/refine stats when a CuTS variant ran.
-func (pl queryPlan) render(res core.Result, st core.Stats, labels func(model.ObjectID) string) ([]ConvoyJSON, *StatsJSON) {
-	convoys := make([]ConvoyJSON, len(res))
-	for i, c := range res {
-		convoys[i] = wire.ConvoyToJSON(c, labels)
-	}
-	if pl.res.IsCMC {
-		return convoys, nil
-	}
-	js := wire.StatsToJSON(st)
-	return convoys, &js
-}
-
 func hashBytes(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
@@ -481,37 +466,88 @@ func (e *queryEngine) storePathDigest(full string, st os.FileInfo, digest string
 // referenced.
 const maxPathDigests = 256
 
-// compute parses the database and runs the planned algorithm under the
-// given context; the caller holds a worker slot. Cancelled computations
-// return the context error and never touch the cache.
-//
-// The flight context is detached from any single request, so when the run
-// is traced (the initiating request was sampled, or asked for explain) it
-// roots its own "query" trace rather than parenting under a span that may
-// end — or be shared with other waiters — while the run is still going.
-// The http_trace_id attribute joins the two traces in /debug/traces.
-func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, pl queryPlan, reqSpan *trace.Span) (QueryResponse, error) {
-	e.cfg.metrics.queryComputes.Inc()
-	if e.onComputeStart != nil {
-		e.onComputeStart()
-	}
+// startQuery roots a discovery's own "query" trace — never a child of the
+// request's: a batch run lives on a flight context whose initiating
+// request's span may end, or be shared with other waiters, mid-run. It is
+// forced when that request was sampled (reqSpan; http_trace_id joins the
+// two traces in /debug/traces) or asked for explain.
+func (e *queryEngine) startQuery(ctx context.Context, pl queryPlan, reqSpan *trace.Span) (context.Context, *trace.Span) {
 	var sopts []trace.StartOption
 	if pl.req.Explain || reqSpan != nil {
 		sopts = append(sopts, trace.Forced())
 	}
 	ctx, qsp := e.cfg.Tracer.Start(ctx, "query", sopts...)
-	qsp.Str("algo", pl.res.Algo).Str("digest", digest)
+	qsp.Str("algo", pl.res.Algo)
 	if reqSpan != nil {
 		qsp.Str("http_trace_id", reqSpan.TraceID())
 	}
-	defer qsp.End() // idempotent; the success path ends it before Collect
+	return ctx, qsp
+}
+
+// mine is the one place the server runs a planned discovery, batch or
+// historical: the run under qsp (ended here, so the profile can be
+// collected), its statistics into the per-algorithm counters, and the
+// answer in the wire schema — convoys named through labels (never nil, so
+// an empty answer encodes as []), stats when a CuTS variant ran, the stage
+// profile when the request asked for explain. A non-nil cl replaces the
+// default per-tick clusterer.
+func (e *queryEngine) mine(ctx context.Context, qsp *trace.Span, pl queryPlan, db *model.DB, cl core.Clusterer, labels func(model.ObjectID) string) (convoys []ConvoyJSON, stats *StatsJSON, explain *ExplainJSON, err error) {
+	var st core.Stats
+	res, err := core.NewQuery(pl.options(cl, &st)...).Run(ctx, db)
+	qsp.End()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	e.cfg.metrics.observeRunStats(pl.res.Algo, st)
+	convoys = make([]ConvoyJSON, len(res))
+	for i, c := range res {
+		convoys[i] = wire.ConvoyToJSON(c, labels)
+	}
+	if !pl.res.IsCMC {
+		js := wire.StatsToJSON(st)
+		stats = &js
+	}
+	if pl.req.Explain {
+		if tj, ok := qsp.Collect(); ok {
+			if ex, ok := ExplainFromTrace(tj); ok {
+				explain = &ex
+			}
+		}
+	}
+	return convoys, stats, explain, nil
+}
+
+// compute parses the database and runs the planned algorithm under the
+// given context; the caller holds a worker slot. Cancelled computations
+// return the context error and never touch the cache.
+func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, pl queryPlan, reqSpan *trace.Span) (QueryResponse, error) {
+	e.cfg.metrics.queryComputes.Inc()
+	if e.onComputeStart != nil {
+		e.onComputeStart()
+	}
+	ctx, qsp := e.startQuery(ctx, pl, reqSpan)
+	qsp.Str("digest", digest)
+	defer qsp.End() // idempotent; mine ends it before collecting the profile
 	t0 := time.Now()
+	resp := QueryResponse{
+		Convoys:   []ConvoyJSON{},
+		Params:    pl.res.Spec.Params,
+		Algo:      pl.res.Algo,
+		Clusterer: pl.res.Clusterer,
+		From:      pl.req.From,
+		To:        pl.req.To,
+		Digest:    digest,
+		Cache:     "miss",
+	}
 	if len(e.cfg.Shards) > 0 {
 		// Coordinator mode: fan the query out over the shard fleet and merge
 		// the partials. Placed here — under the flight — so sharded queries
 		// inherit the cache, the dedup of identical concurrent queries and
 		// the worker-slot bound exactly like local ones.
-		return e.computeSharded(ctx, qsp, t0, digest, data, pl)
+		if err := e.computeSharded(ctx, qsp, &resp, data, pl); err != nil {
+			return QueryResponse{}, err
+		}
+		return e.answered(resp, pl, t0, nil), nil
 	}
 	var db *model.DB
 	var err error
@@ -530,7 +566,7 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 			// Window the contact log by keeping only the records inside
 			// [from, to] — the per-tick clusters are a pure function of that
 			// tick's edges, so the windowed log answers the windowed query.
-			if log, lerr = windowLog(log, pl.res.From, pl.res.To); lerr != nil {
+			if log, lerr = log.Window(pl.res.From, pl.res.To); lerr != nil {
 				return QueryResponse{}, badRequest(lerr)
 			}
 		}
@@ -552,22 +588,6 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 			db, sliceIDs = core.SliceTime(db, pl.res.From, pl.res.To)
 		}
 	}
-	resp := QueryResponse{
-		Params:    pl.res.Spec.Params,
-		Algo:      pl.res.Algo,
-		Clusterer: pl.res.Clusterer,
-		From:      pl.req.From,
-		To:        pl.req.To,
-		Digest:    digest,
-		Cache:     "miss",
-	}
-	var st core.Stats
-	res, err := core.NewQuery(pl.options(cl, &st)...).Run(ctx, db)
-	qsp.End()
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	e.cfg.metrics.observeRunStats(pl.res.Algo, st)
 	labels := wire.DBLabels(db)
 	if sliceIDs != nil {
 		// Unlabeled objects fall back to "o<ID>"; keep that naming anchored
@@ -580,39 +600,24 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 			return fmt.Sprintf("o%d", sliceIDs[id])
 		}
 	}
-	resp.Convoys, resp.Stats = pl.render(res, st, labels)
-	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
-	// The cache holds the profile-free answer: explain runs share their
-	// result with future plain queries, but a profile always describes the
-	// request that asked for it, never a stranger's cached run.
-	if e.lru != nil {
-		e.lru.put(pl.key(digest), resp)
+	var explain *ExplainJSON
+	if resp.Convoys, resp.Stats, explain, err = e.mine(ctx, qsp, pl, db, cl, labels); err != nil {
+		return QueryResponse{}, err
 	}
-	if pl.req.Explain {
-		if tj, ok := qsp.Collect(); ok {
-			if ex, ok := ExplainFromTrace(tj); ok {
-				resp.Explain = &ex
-			}
-		}
-	}
-	return resp, nil
+	return e.answered(resp, pl, t0, explain), nil
 }
 
-// windowLog copies the records inside [lo, hi] into a fresh contact log —
-// the proxgraph form of a time slice (per-tick clusters are a pure
-// function of that tick's edges, so dropping out-of-window records is
-// exact).
-func windowLog(log *proxgraph.Log, lo, hi model.Tick) (*proxgraph.Log, error) {
-	out := proxgraph.NewLog()
-	for _, r := range log.Records() {
-		if r.T < lo || r.T > hi {
-			continue
-		}
-		if err := out.AddRecord(r); err != nil {
-			return nil, err
-		}
+// answered completes a computed answer: elapsed time, a cache entry, and
+// only then the profile — explain runs share their result with later plain
+// queries, but a profile always describes the request that asked for it,
+// never a stranger's cached run.
+func (e *queryEngine) answered(resp QueryResponse, pl queryPlan, t0 time.Time, explain *ExplainJSON) QueryResponse {
+	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
+	if e.lru != nil {
+		e.lru.put(pl.key(resp.Digest), resp)
 	}
-	return out, nil
+	resp.Explain = explain
+	return resp
 }
 
 // lruCache is a minimal mutex-guarded LRU over string keys.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -235,7 +236,7 @@ func TestReplayEqualsCMC(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		db := randomDB(t, seed)
 		p := core.Params{M: 3, K: 4, Eps: 1.5}
-		want, err := core.CMC(db, p)
+		want, err := core.NewQuery(core.WithParams(p), core.WithCMC()).Run(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}

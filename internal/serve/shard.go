@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/model"
@@ -90,44 +89,28 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 // computeSharded is the coordinator's compute step: parse the database
 // only to anchor the time range and the label↔ID mapping, fan the query
 // out over the shard fleet (one overlapping window each), and merge the
-// partial answers into the exact global answer. The caller holds a worker
-// slot and the flight for this cache key, exactly like a local compute.
-func (e *queryEngine) computeSharded(ctx context.Context, qsp *trace.Span, t0 time.Time, digest string, data []byte, pl queryPlan) (QueryResponse, error) {
+// partial answers into the exact global answer, filled into resp (compute's
+// answer header). The caller holds a worker slot and the flight for this
+// cache key, exactly like a local compute.
+func (e *queryEngine) computeSharded(ctx context.Context, qsp *trace.Span, resp *QueryResponse, data []byte, pl queryPlan) error {
 	var db *model.DB
 	var err error
 	if pl.res.Clusterer == proxgraph.Backend {
 		log, lerr := proxgraph.ReadLog(bytes.NewReader(data))
 		if lerr != nil {
-			return QueryResponse{}, badRequest(lerr)
+			return badRequest(lerr)
 		}
 		if db, err = log.DB(); err != nil {
-			return QueryResponse{}, badRequest(err)
+			return badRequest(err)
 		}
 	} else {
 		if db, err = parseDB(data); err != nil {
-			return QueryResponse{}, badRequest(err)
+			return badRequest(err)
 		}
-	}
-	resp := QueryResponse{
-		Convoys:   []ConvoyJSON{},
-		Params:    pl.res.Spec.Params,
-		Algo:      pl.res.Algo,
-		Clusterer: pl.res.Clusterer,
-		From:      pl.req.From,
-		To:        pl.req.To,
-		Digest:    digest,
-		Cache:     "miss",
-	}
-	done := func() (QueryResponse, error) {
-		resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
-		if e.lru != nil {
-			e.lru.put(pl.key(digest), resp)
-		}
-		return resp, nil
 	}
 	lo, hi, ok := db.TimeRange()
 	if !ok {
-		return done() // empty database: empty answer
+		return nil // empty database: empty answer
 	}
 	// A client from/to intersects with the data's own range; an empty
 	// intersection is an empty answer, not an error.
@@ -138,14 +121,14 @@ func (e *queryEngine) computeSharded(ctx context.Context, qsp *trace.Span, t0 ti
 		hi = pl.res.To
 	}
 	if lo > hi {
-		return done()
+		return nil
 	}
 	spec := pl.res.Spec
 	spec.Explain = false // profiles describe local runs; shards answer data only
 	co := dist.Coordinator{Shards: e.cfg.Shards}
 	shardResps, windows, err := co.Query(ctx, data, spec, lo, hi)
 	if err != nil {
-		return QueryResponse{}, err
+		return err
 	}
 	qsp.Int("shards", int64(len(windows)))
 	parts := make([][]ConvoyJSON, len(shardResps))
@@ -171,9 +154,9 @@ func (e *queryEngine) computeSharded(ctx context.Context, qsp *trace.Span, t0 ti
 		func(lb string) (model.ObjectID, bool) { id, ok := index[lb]; return id, ok },
 		named)
 	if err != nil {
-		return QueryResponse{}, err
+		return err
 	}
 	resp.Convoys = merged
 	resp.Shards = len(windows)
-	return done()
+	return nil
 }

@@ -325,6 +325,9 @@ type HistoryQueryResponse struct {
 	Stats *StatsJSON `json:"stats,omitempty"`
 	// ElapsedMS is the wall time of the window read plus the discovery run.
 	ElapsedMS float64 `json:"elapsed_ms"`
+	// Explain is the per-stage timing profile, present only when the request
+	// asked for it ("explain": true).
+	Explain *ExplainJSON `json:"explain,omitempty"`
 }
 
 // WALStatusJSON is the answer of GET /v1/feeds/{name}/wal: one durable

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/par"
@@ -40,39 +40,61 @@ type candidate struct {
 
 func (c *candidate) lifetime() int64 { return int64(c.end-c.start) + 1 }
 
-// candidateSet accumulates next-generation candidates with object-set
-// deduplication (keeping the earliest start and unioned support).
+// candidateSet builds one generation of candidates with object-set
+// deduplication (keeping the earliest start and unioned support). Whoever
+// advances a chain — a Monitor, the CuTS filter — owns one and hands it to
+// every chainStep, so at steady state a step allocates only the candidates
+// that are new. The zero value is ready to use.
 type candidateSet struct {
-	index map[string]int
+	// index maps a hash of the object set to the candidate's position in
+	// cands; unequal sets whose hashes collide probe on at hash+1.
+	index map[uint64]int
 	cands []*candidate
-}
-
-func newCandidateSet() *candidateSet {
-	return &candidateSet{index: make(map[string]int)}
+	free  []*candidate                  // the generations chainStep retired, for reuse
+	inter []model.ObjectID              // chainStep's scratch: the intersection being sized up
+	hash  func([]model.ObjectID) uint64 // nil means hashIDs; the collision test overrides it
 }
 
 func (s *candidateSet) add(objs, support []model.ObjectID, start, end model.Tick) {
-	key := setKey(objs)
-	if i, ok := s.index[key]; ok {
-		ex := s.cands[i]
-		if start < ex.start {
-			ex.start = start
-		}
-		if !equalSorted(support, ex.support) {
-			ex.support = unionSorted(ex.support, support)
-		}
-		return
+	h := hashIDs(objs)
+	if s.hash != nil {
+		h = s.hash(objs)
 	}
-	s.index[key] = len(s.cands)
-	s.cands = append(s.cands, &candidate{objs: objs, support: support, start: start, end: end})
+	for ; ; h++ {
+		i, ok := s.index[h]
+		if !ok {
+			break
+		}
+		if ex := s.cands[i]; equalSorted(ex.objs, objs) {
+			if start < ex.start {
+				ex.start = start
+			}
+			if !equalSorted(support, ex.support) {
+				ex.support = unionSorted(ex.support, support)
+			}
+			return
+		}
+	}
+	s.index[h] = len(s.cands)
+	var c *candidate
+	if n := len(s.free); n > 0 {
+		c, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		c = new(candidate)
+	}
+	*c = candidate{objs: objs, support: support, start: start, end: end}
+	s.cands = append(s.cands, c)
 }
 
 // chainStep advances the candidate generation by one clustering round:
 // intersect every live candidate with every cluster, report candidates that
 // die with sufficient lifetime, and open fresh candidates for the clusters.
 // endTick is the tick (or partition end) the new generation extends to;
-// freshStart is the start assigned to brand-new candidates.
+// freshStart is the start assigned to brand-new candidates. The new
+// generation is built in next and returned; live's slice becomes next's
+// buffer for the step after, so the caller must let go of it.
 func chainStep(
+	next *candidateSet,
 	live []*candidate,
 	clusters [][]model.ObjectID,
 	m int, k int64,
@@ -81,22 +103,31 @@ func chainStep(
 	out *[]Convoy,
 	emit func(*candidate),
 ) []*candidate {
-	next := newCandidateSet()
+	if next.index == nil {
+		next.index = make(map[uint64]int)
+	}
+	clear(next.index)
 	for _, v := range live {
 		survived := false
 		for _, c := range clusters {
-			inter := intersectSorted(v.objs, c)
-			if len(inter) < m {
+			// Sized up in scratch before anything is kept: most pairs
+			// share fewer than m objects, and a candidate that survives
+			// whole keeps its own (immutable) list.
+			next.inter = appendCommon(next.inter[:0], v.objs, c)
+			if len(next.inter) < m {
 				continue
+			}
+			inter := v.objs
+			if len(next.inter) == len(v.objs) {
+				survived = true
+			} else {
+				inter = slices.Clone(next.inter)
 			}
 			var support []model.ObjectID
 			if trackSupport {
 				support = unionSorted(v.support, c)
 			}
 			next.add(inter, support, v.start, endTick)
-			if len(inter) == len(v.objs) {
-				survived = true
-			}
 		}
 		if !survived && v.lifetime() >= k {
 			if out != nil {
@@ -114,7 +145,12 @@ func chainStep(
 		}
 		next.add(c, support, freshStart, endTick)
 	}
-	return next.cands
+	// Nothing refers to the old generation any more (reports and emit copy
+	// what they keep): its structs and its slice serve the steps to come.
+	gen := next.cands
+	next.free = append(next.free, live...)
+	next.cands = live[:0]
+	return gen
 }
 
 // flushCandidates reports every remaining live candidate with sufficient
@@ -214,10 +250,10 @@ func cmcScan(ctx context.Context, db *model.DB, p Params, lo, hi model.Tick, sub
 // cmcWindow collects the raw convoys of a serial, uncancellable CMC scan
 // over [lo, hi] — the refinement step's per-candidate unit of work (the
 // streaming/cancellation granularity is the candidate, so the window scan
-// itself runs to completion). passes, when non-nil, is atomically bumped by
-// the window's clustering passes.
-func cmcWindow(db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectID, passes *int64, tm *stageTimer) []Convoy {
-	src := newSource(p.ClusterKey(), DefaultClusterer, 0, nil)
+// itself runs to completion). src clusters the window's ticks; it is the
+// refinement worker's, carried from window to window for its warm buffers
+// (a source answers for the snapshot it is given whatever it saw before).
+func cmcWindow(db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectID, src *ClusterSource, tm *stageTimer) []Convoy {
 	var out []Convoy
 	// Cannot fail: nothing cancels a background scan, and a candidate's
 	// window lies inside a time domain the filter has already walked.
@@ -226,9 +262,6 @@ func cmcWindow(db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectI
 			out = append(out, batch...)
 			return true
 		})
-	if passes != nil {
-		atomic.AddInt64(passes, src.Passes())
-	}
 	return out
 }
 

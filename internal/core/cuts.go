@@ -140,12 +140,12 @@ type Stats struct {
 	ClusterPasses int64
 	// ClusterPassesFull and ClusterPassesIncremental split ClusterPasses
 	// by how the pass was answered: a from-scratch clustering run versus
-	// the incremental engine patching the previous tick's structure (CMC
-	// scans only — CuTS filter partitions and refinement windows always
-	// count as full). ObjectsReclustered sums, over the CMC scan's passes,
-	// the objects whose neighborhoods were actually recomputed; on a
-	// low-churn feed it is far below ClusterPasses × population, which is
-	// exactly the work the incremental path saves.
+	// the incremental engine patching the previous tick's structure
+	// (snapshot passes only: CMC scans and refinement windows — CuTS filter
+	// partitions always count as full). ObjectsReclustered sums, over the
+	// snapshot passes, the objects whose neighborhoods were actually
+	// recomputed; on a low-churn feed it is far below ClusterPasses ×
+	// population, which is exactly the work the incremental path saves.
 	ClusterPassesFull        int64
 	ClusterPassesIncremental int64
 	ObjectsReclustered       int64
@@ -267,6 +267,7 @@ func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Tra
 	}
 
 	var live []*candidate
+	var next candidateSet
 	// One partition per chunk and no producer state: a partition is
 	// clustered from its own polylines alone.
 	if err := par.OrderedChunks(ctx, nWins, fc.Workers, 1, func() struct{} { return struct{}{} },
@@ -274,7 +275,7 @@ func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Tra
 		func(i int, clusters [][]model.ObjectID) bool {
 			t0 := tm.start()
 			w := windowAt(i)
-			live = chainStep(live, clusters, p.M, p.K, w.w0, w.w1, true, nil, collect)
+			live = chainStep(&next, live, clusters, p.M, p.K, w.w0, w.w1, true, nil, collect)
 			tm.chained(t0)
 			return true
 		}); err != nil {
@@ -342,7 +343,7 @@ func dedupCandidates(cands []Candidate, noPruning bool) []Candidate {
 func Refine(db *model.DB, p Params, cands []Candidate) Result {
 	var all []Convoy
 	// Cannot fail: nothing cancels a background scan.
-	_ = refineScan(context.Background(), db, p, cands, 1, nil, func(_ int, raw []Convoy) bool {
+	_ = refineScan(context.Background(), db, p, cands, 1, DefaultChurnThreshold, nil, func(_ int, raw []Convoy) bool {
 		all = append(all, raw...)
 		return true
 	})
@@ -353,18 +354,22 @@ func Refine(db *model.DB, p Params, cands []Candidate) Result {
 // pool, pushing every candidate's raw window convoys into emit strictly in
 // candidate order (an ordered pipeline, like the tick and partition
 // scans). emit returning false abandons the remaining candidates;
-// cancelling ctx aborts with ctx.Err() at candidate granularity. passes
-// meters the snapshot clustering passes of the refinement windows.
-func refineScan(ctx context.Context, db *model.DB, p Params, cands []Candidate, workers int, passes *int64, emit func(i int, raw []Convoy) bool) error {
+// cancelling ctx aborts with ctx.Err() at candidate granularity. The
+// windows are clustered by the same kind of source as a CMC scan's ticks —
+// threshold is the query's WithIncremental value, so ≤ 0 or the env kill
+// switch keep refinement on the stateless path too — and meter counts
+// their passes.
+func refineScan(ctx context.Context, db *model.DB, p Params, cands []Candidate, workers int, threshold float64, meter *scanMeter, emit func(i int, raw []Convoy) bool) error {
 	// The window scans share the refine span's timer — their clustering and
 	// chaining time accumulates across candidates — but not ctx: they stay
 	// uncancellable mid-window, as documented on cmcWindow.
 	tm := newStageTimer(trace.FromContext(ctx))
 	defer tm.flush()
-	return par.OrderedChunks(ctx, len(cands), workers, 1, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) []Convoy {
+	return par.OrderedChunks(ctx, len(cands), workers, 1,
+		func() *ClusterSource { return newSource(p.ClusterKey(), DefaultClusterer, threshold, meter) },
+		func(src *ClusterSource, i int) []Convoy {
 			c := cands[i]
-			return cmcWindow(db, p, c.Start, c.End, c.Support, passes, tm)
+			return cmcWindow(db, p, c.Start, c.End, c.Support, src, tm)
 		},
 		emit)
 }

@@ -8,15 +8,15 @@ import (
 	"repro/internal/increment"
 )
 
-// Incremental per-tick clustering: a ClusterSource — driven by a feed or by
-// the CMC scan — keeps the previous tick's grid and neighborhood structure
-// (internal/increment) and re-clusters only the objects that moved,
-// appeared or vanished — plus their affected neighborhoods — falling back
-// to a from-scratch pass whenever the fraction of dirty objects exceeds a
-// churn threshold. The answers are identical either way; only the work
-// changes. The fast path applies to the default grid-DBSCAN backend only:
-// other backends define their own density notion and always run
-// from scratch.
+// Incremental per-tick clustering: a ClusterSource — driven by a feed, by
+// the CMC scan or by a CuTS refinement window — keeps the previous tick's
+// neighborhood structure (internal/increment) and re-clusters only the
+// objects that moved, appeared or vanished — plus their affected
+// neighborhoods — falling back to a from-scratch pass whenever the fraction
+// of dirty objects exceeds a churn threshold. The answers are identical
+// either way; only the work changes. The fast path applies to the default
+// grid-DBSCAN backend only: other backends define their own density notion
+// and always run from scratch.
 
 // DefaultChurnThreshold is the dirty-object fraction above which the
 // incremental engine abandons patching and rebuilds the tick from scratch

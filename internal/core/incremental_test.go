@@ -240,3 +240,53 @@ func TestTickScanKernelDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestRefinementClustersThroughTheEngine pins the refinement step to the
+// same per-tick kernel as the CMC scan: under the default threshold a CuTS*
+// run's refinement windows are clustered by an engine (on a frozen database
+// most of their passes come back incremental — something only an engine
+// produces), under WithIncremental(-1) by the stateless path alone (no
+// incremental pass anywhere: no source ever carried an engine), and nothing
+// but the pass split differs — same convoys, same pass count, same
+// refinement units, for every worker count.
+func TestRefinementClustersThroughTheEngine(t *testing.T) {
+	if IncrementalDisabled() {
+		t.Skipf("%s set: incremental path unavailable", NoIncrementalEnv)
+	}
+	p := Params{M: 3, K: 5, Eps: 4}
+	for _, moveProb := range []float64{0, 0.05, 1} {
+		db := churnWalkDB(t, 42, 40, 160, moveProb)
+		want, err := runCMC(db, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			on, onSt, err := runQuery(db, p, WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			off, offSt, err := runQuery(db, p, WithWorkers(workers), WithIncremental(-1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !on.Equal(want) || !off.Equal(want) {
+				t.Fatalf("churn=%g workers=%d: CuTS* = %v (engine) / %v (stateless), CMC = %v", moveProb, workers, on, off, want)
+			}
+			if onSt.ClusterPasses != offSt.ClusterPasses || onSt.RefineUnits != offSt.RefineUnits || onSt.NumCandidates != offSt.NumCandidates {
+				t.Fatalf("churn=%g workers=%d: work differs: passes %d vs %d, refine units %g vs %g, candidates %d vs %d", moveProb, workers,
+					onSt.ClusterPasses, offSt.ClusterPasses, onSt.RefineUnits, offSt.RefineUnits, onSt.NumCandidates, offSt.NumCandidates)
+			}
+			if onSt.NumCandidates == 0 {
+				t.Fatalf("churn=%g: fixture has no candidates; the comparison would be vacuous", moveProb)
+			}
+			if offSt.ClusterPassesIncremental != 0 || offSt.ClusterPassesFull != offSt.ClusterPasses {
+				t.Fatalf("churn=%g workers=%d: WithIncremental(-1) made %d incremental passes of %d", moveProb, workers,
+					offSt.ClusterPassesIncremental, offSt.ClusterPasses)
+			}
+			if moveProb == 0 && onSt.ClusterPassesIncremental == 0 {
+				t.Fatalf("workers=%d: frozen database, yet no refinement pass was incremental (%d passes): refinement bypasses the engine",
+					workers, onSt.ClusterPasses)
+			}
+		}
+	}
+}

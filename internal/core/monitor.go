@@ -209,6 +209,7 @@ func (s *ClusterSource) Snapshot(ids []model.ObjectID, pts []geom.Point) [][]mod
 type Monitor struct {
 	p        Params
 	live     []*candidate
+	next     candidateSet // the generation chainStep builds, reused every tick
 	lastTick model.Tick
 	started  bool
 	closed   bool
@@ -247,10 +248,10 @@ func (m *Monitor) AdvanceClusters(t model.Tick, clusters [][]model.ObjectID) ([]
 	var out []Convoy
 	if m.started && t > m.lastTick+1 {
 		// Tick gap: every live candidate dies at lastTick.
-		m.live = chainStep(m.live, nil, m.p.M, m.p.K, t, t, false, &out, nil)
+		m.live = chainStep(&m.next, m.live, nil, m.p.M, m.p.K, t, t, false, &out, nil)
 	}
 	m.lastTick, m.started = t, true
-	m.live = chainStep(m.live, clusters, m.p.M, m.p.K, t, t, false, &out, nil)
+	m.live = chainStep(&m.next, m.live, clusters, m.p.M, m.p.K, t, t, false, &out, nil)
 	sortResult(out)
 	return out, nil
 }

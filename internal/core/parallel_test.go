@@ -98,7 +98,7 @@ func TestRefineParallelEdgeCases(t *testing.T) {
 	p := Params{M: 2, K: 3, Eps: 1}
 	refine := func(cands []Candidate, workers int) Result {
 		var all []Convoy
-		err := refineScan(context.Background(), db, p, cands, workers, nil, func(_ int, raw []Convoy) bool {
+		err := refineScan(context.Background(), db, p, cands, workers, DefaultChurnThreshold, nil, func(_ int, raw []Convoy) bool {
 			all = append(all, raw...)
 			return true
 		})

@@ -51,8 +51,8 @@ type Query struct {
 	partitions int
 
 	// incremental is the churn threshold handed to the sources a CMC scan
-	// builds (DefaultChurnThreshold unless WithIncremental says otherwise;
-	// ≤ 0 is off).
+	// or a refinement builds (DefaultChurnThreshold unless WithIncremental
+	// says otherwise; ≤ 0 is off).
 	incremental float64
 
 	// Ablation switches; see WithAblation.
@@ -119,21 +119,22 @@ func WithLambda(lambda int64) Option { return func(q *Query) { q.lambda = lambda
 // default — or global, Figure 14).
 func WithTolerance(t dbscan.ToleranceMode) Option { return func(q *Query) { q.tol = t } }
 
-// WithIncremental tunes incremental per-tick clustering on the CMC scan: it
-// hands the threshold to the ClusterSources the scan builds.
+// WithIncremental tunes the per-tick clustering of every snapshot the query
+// clusters — the CMC scan's ticks and the CuTS family's refinement windows,
+// which are that same scan over each candidate: it hands the threshold to
+// the ClusterSources they build.
 // threshold > 0 sets the churn threshold: the fraction of objects that may
 // move, appear or vanish in one tick before the engine abandons patching
 // the previous tick's structure and rebuilds from scratch. threshold ≤ 0
-// disables incremental clustering entirely (every tick runs from-scratch
+// takes the engine out entirely (every tick runs stateless from-scratch
 // DBSCAN — the reference path).
 //
-// Without this option incremental clustering is on by default at
-// DefaultChurnThreshold whenever it applies: the CMC algorithm with the
-// default grid-DBSCAN backend. It never applies to the CuTS family (their
-// clustering is over simplified polylines) or to non-default backends, and
-// the CONVOY_NO_INCREMENTAL environment variable force-disables it
-// process-wide. The answer set is identical with and without — only
-// Stats.ClusterPassesIncremental / ObjectsReclustered and the run time
+// Without this option the engine is on at DefaultChurnThreshold wherever it
+// applies: the default grid-DBSCAN backend. It never applies to the CuTS
+// filter (which clusters simplified polylines, not snapshots) or to
+// non-default backends, and the CONVOY_NO_INCREMENTAL environment variable
+// takes it out process-wide. The answer set is identical with and without —
+// only Stats.ClusterPassesIncremental / ObjectsReclustered and the run time
 // change.
 func WithIncremental(threshold float64) Option {
 	return func(q *Query) { q.incremental = threshold }
@@ -288,7 +289,7 @@ func (q *Query) run(ctx context.Context, db *model.DB, raw bool, emit func(Convo
 	if q.useCMC {
 		return q.runCMC(ctx, db, cl, raw, &meter, emit)
 	}
-	return q.runCuTS(ctx, db, raw, &st, &meter.passes, emit)
+	return q.runCuTS(ctx, db, raw, &st, &meter, emit)
 }
 
 // stream executes the query with canonical streaming emissions, applying
@@ -380,7 +381,7 @@ const maxExactTick = model.Tick(1) << 53
 // ascending window-start order and discovered convoys are released as soon
 // as no unprocessed candidate window could still dominate them — the
 // start-watermark argument documented on flushReady.
-func (q *Query) runCuTS(ctx context.Context, db *model.DB, raw bool, st *Stats, passes *int64, emit func(Convoy) bool) error {
+func (q *Query) runCuTS(ctx context.Context, db *model.DB, raw bool, st *Stats, meter *scanMeter, emit func(Convoy) bool) error {
 	lo, hi, ok := db.TimeRange()
 	if ok && (lo < -maxExactTick || hi > maxExactTick) {
 		return fmt.Errorf("%w: the database spans [%d, %d] (the CMC algorithm has no such limit)", ErrTickDomain, lo, hi)
@@ -428,7 +429,7 @@ func (q *Query) runCuTS(ctx context.Context, db *model.DB, raw bool, st *Stats, 
 		NoClipTime:         q.noClipTime,
 		NoCandidatePruning: q.noCandPruning,
 		Workers:            q.workers,
-	}, passes)
+	}, &meter.passes)
 	st.FilterTime = time.Since(t1)
 	if err != nil {
 		fsp.End()
@@ -447,7 +448,7 @@ func (q *Query) runCuTS(ctx context.Context, db *model.DB, raw bool, st *Stats, 
 	defer rsp.End()
 	defer func() { st.RefineTime = time.Since(t2) }()
 	if raw {
-		return refineScan(rctx, db, q.p, cands, q.workers, passes, func(_ int, raw []Convoy) bool {
+		return refineScan(rctx, db, q.p, cands, q.workers, q.incremental, meter, func(_ int, raw []Convoy) bool {
 			for _, c := range raw {
 				if !emit(c) {
 					return false
@@ -456,7 +457,7 @@ func (q *Query) runCuTS(ctx context.Context, db *model.DB, raw bool, st *Stats, 
 			return true
 		})
 	}
-	return q.refineStreaming(rctx, db, cands, passes, emit)
+	return q.refineStreaming(rctx, db, cands, meter, emit)
 }
 
 // refineStreaming refines candidates in ascending window-start order and
@@ -470,7 +471,7 @@ func (q *Query) runCuTS(ctx context.Context, db *model.DB, raw bool, st *Stats, 
 // already been produced — v is final and safe to release. The canonFilter
 // keeps the released set maximal and duplicate-free, so collecting the
 // stream equals the canonical batch answer.
-func (q *Query) refineStreaming(ctx context.Context, db *model.DB, cands []Candidate, passes *int64, emit func(Convoy) bool) error {
+func (q *Query) refineStreaming(ctx context.Context, db *model.DB, cands []Candidate, meter *scanMeter, emit func(Convoy) bool) error {
 	ordered := make([]Candidate, len(cands))
 	copy(ordered, cands)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -501,7 +502,7 @@ func (q *Query) refineStreaming(ctx context.Context, db *model.DB, cands []Candi
 	}
 
 	stopped := false
-	err := refineScan(ctx, db, q.p, ordered, q.workers, passes, func(i int, raw []Convoy) bool {
+	err := refineScan(ctx, db, q.p, ordered, q.workers, q.incremental, meter, func(i int, raw []Convoy) bool {
 		pending = append(pending, raw...)
 		if i+1 < len(ordered) && !flushReady(ordered[i+1].Start, false) {
 			stopped = true

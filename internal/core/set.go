@@ -13,7 +13,11 @@ import (
 // intersectSorted returns the intersection of two ascending slices as a new
 // ascending slice (nil when empty).
 func intersectSorted(a, b []model.ObjectID) []model.ObjectID {
-	var out []model.ObjectID
+	return appendCommon(nil, a, b)
+}
+
+// appendCommon appends the intersection of two ascending slices to dst.
+func appendCommon(dst, a, b []model.ObjectID) []model.ObjectID {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -22,12 +26,12 @@ func intersectSorted(a, b []model.ObjectID) []model.ObjectID {
 		case a[i] > b[j]:
 			j++
 		default:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	return out
+	return dst
 }
 
 // unionSorted returns the union of two ascending slices as a new ascending
@@ -97,6 +101,16 @@ func containsSorted(a []model.ObjectID, x model.ObjectID) bool {
 		}
 	}
 	return lo < len(a) && a[lo] == x
+}
+
+// hashIDs hashes an ID list (FNV-1a over the IDs as 64-bit words). Equal
+// lists hash equal; users compare the lists themselves on a match.
+func hashIDs(a []model.ObjectID) uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range a {
+		h = (h ^ uint64(x)) * 1099511628211
+	}
+	return h
 }
 
 // setKey encodes an ascending slice as a compact string usable as a map key.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -141,5 +142,57 @@ func TestPropSetKeyRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCandidateSetHashCollision forces every object set onto one hash: the
+// set must still merge equal object sets (earliest start, unioned support)
+// and keep unequal ones apart, and a Monitor chaining through such a set
+// must emit exactly what one with the real hash emits.
+func TestCandidateSetHashCollision(t *testing.T) {
+	collide := func([]model.ObjectID) uint64 { return 7 }
+	s := candidateSet{index: map[uint64]int{}, hash: collide}
+	s.add(ids(1, 2), ids(1, 2), 5, 9)
+	s.add(ids(3, 4), ids(3, 4), 2, 9)
+	s.add(ids(1, 2), ids(1, 2, 8), 3, 9)
+	s.add(ids(1, 2, 3), nil, 4, 9)
+	s.add(ids(3, 4), ids(3, 4), 6, 9)
+	want := []candidate{
+		{objs: ids(1, 2), support: ids(1, 2, 8), start: 3, end: 9},
+		{objs: ids(3, 4), support: ids(3, 4), start: 2, end: 9},
+		{objs: ids(1, 2, 3), start: 4, end: 9},
+	}
+	if len(s.cands) != len(want) {
+		t.Fatalf("%d candidates, want %d", len(s.cands), len(want))
+	}
+	for i, w := range want {
+		if got := *s.cands[i]; !reflect.DeepEqual(got, w) {
+			t.Errorf("candidate %d = %+v, want %+v", i, got, w)
+		}
+	}
+
+	r := rand.New(rand.NewSource(5))
+	p := Params{M: 2, K: 2, Eps: 1}
+	plain, forced := &Monitor{p: p}, &Monitor{p: p, next: candidateSet{hash: collide}}
+	emitted := 0
+	for tick := model.Tick(0); tick < 300; tick++ {
+		var clusters [][]model.ObjectID
+		for c := r.Intn(4); c > 0; c-- {
+			if set := randomSortedSet(r, 5, 8); len(set) >= p.M {
+				clusters = append(clusters, set)
+			}
+		}
+		a, _ := plain.AdvanceClusters(tick, clusters)
+		b, _ := forced.AdvanceClusters(tick, clusters)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("tick %d: colliding hash emitted %v, real hash %v", tick, b, a)
+		}
+		emitted += len(a)
+	}
+	if a, b := plain.Close(), forced.Close(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("flush: colliding hash emitted %v, real hash %v", b, a)
+	}
+	if emitted == 0 {
+		t.Fatal("the cluster stream closed no convoy; the comparison would be vacuous")
 	}
 }

@@ -14,15 +14,40 @@ import (
 // asserts after every tick that the Engine's clusters equal the
 // from-scratch DBSCAN answer. The id space is kept small (64 ids) so the
 // diff machinery sees heavy slot reuse, and the world is byte-scaled
-// (coordinates 0..255 at ε=8) so clusters actually form and dissolve.
+// (coordinates 0..255 at ε=8) so clusters actually form and dissolve. The
+// high bit of a tick's op-count byte walks a crowd of allPairsMax−4 further
+// objects in or out at once: the population then jumps across allPairsMax
+// in one tick (a full pass on the other side of the constant), and while
+// the crowd is in, the scripted objects move it one at a time through
+// allPairsMax−1, allPairsMax and allPairsMax+1 on incremental ticks.
 func FuzzIncrementalTicks(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0, 10, 10, 0, 1, 12, 10, 0, 2, 14, 10})
 	f.Add([]byte{2, 2, 0, 1, 1, 1, 1, 2, 9, 9, 200, 200, 3, 3, 5})
+	// Three objects; the crowd walks in (max−1, all-pairs); two more appear
+	// one by one (max, max+1: incremental, on the grid); a nudge; the crowd
+	// walks out and back in at exactly max (all-pairs), out, and in at max+1
+	// (full pass on the grid); two objects leave one by one; out again.
+	f.Add([]byte{
+		3, 0, 0, 10, 10, 0, 1, 12, 10, 0, 2, 14, 10,
+		0x80,
+		1, 0, 3, 16, 10,
+		1, 0, 4, 18, 10,
+		1, 2, 0, 9,
+		0x81, 1, 4,
+		0x80,
+		0x81, 0, 4, 18, 10,
+		0x80,
+		1, 1, 0,
+		1, 1, 1,
+		0x80,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const eps, m = 8.0, 2
+		const crowd = allPairsMax - 4
 		e := New(eps, m, DefaultChurnThreshold)
 		pos := map[model.ObjectID]geom.Point{}
+		crowdIn := false
 		next := func() (byte, bool) {
 			if len(data) == 0 {
 				return 0, false
@@ -35,6 +60,18 @@ func FuzzIncrementalTicks(f *testing.F) {
 			nops, ok := next()
 			if !ok {
 				break
+			}
+			if nops&0x80 != 0 {
+				crowdIn = !crowdIn
+				for j := 0; j < crowd; j++ {
+					if id := model.ObjectID(64 + j); crowdIn {
+						// Rows 10 apart, neighbors in a row 13, 13 or 4
+						// apart: some pairs within ε, most not.
+						pos[id] = geom.Pt(float64(10*(j%16)+3*(j%3)), float64(60+10*(j/16)))
+					} else {
+						delete(pos, id)
+					}
+				}
 			}
 			for op := 0; op < int(nops%8); op++ {
 				kind, ok := next()

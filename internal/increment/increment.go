@@ -20,10 +20,18 @@
 //
 // When the diff is not worth it the Engine falls back: a churn fraction
 // above the configured threshold, the first tick, and a Reset all trigger
-// a full (but still stateful and grid-accelerated) rebuild; degenerate
-// input — duplicate IDs, non-finite coordinates, mismatched slice lengths
-// — drops all state and takes the stateless reference path, so garbage
-// input can never corrupt the incremental state.
+// a full (but still stateful) rebuild; degenerate input — duplicate IDs,
+// non-finite coordinates, mismatched slice lengths — drops all state and
+// takes the stateless reference path, so garbage input can never corrupt
+// the incremental state.
+//
+// The full rebuild is a production path in its own right, not only a
+// fallback: on data where everything moves every tick (the paper's Truck
+// and Cattle, a CuTS refinement window over a handful of objects) every
+// pass is one. It therefore allocates nothing at steady state beyond the
+// cluster lists it returns (TestFullPassSteadyStateAllocs), and it picks
+// its neighborhood scan by snapshot size: all pairs up to allPairsMax
+// objects, the grid above.
 //
 // An Engine is single-stream state: it is NOT safe for concurrent use.
 // Every Tick answers exactly for the snapshot it is given no matter what
@@ -34,13 +42,21 @@
 package increment
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dbscan"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/model"
 )
+
+// allPairsMax is the largest snapshot a full pass clusters without the grid:
+// up to this many objects, testing every pair in slot order costs less than
+// bucketing the points and sorting what the 3×3 cell scans return, and the
+// neighborhoods come out ascending by construction. The two scans break
+// even between 128 and 192 objects (BenchmarkFullPassNeighborhoods: all
+// pairs wins 6× at 12, 2.2× at 64, 1.3× at 128 and loses 1.1× at 192).
+const allPairsMax = 128
 
 // DefaultChurnThreshold is the churn fraction above which an incremental
 // tick is abandoned for a full rebuild. Diffing costs roughly one
@@ -73,7 +89,8 @@ type Engine struct {
 	// below for as long as it stays alive; slots of vanished objects are
 	// recycled through free. Working in slots keeps the hot loops on
 	// contiguous memory instead of map lookups.
-	slotOf map[model.ObjectID]int32
+	slotOf map[model.ObjectID]int32 // filled lazily, see mapSlots
+	mapped bool
 	idOf   []model.ObjectID
 	alive  []bool
 	pos    []geom.Point
@@ -104,7 +121,8 @@ type Engine struct {
 	memberTag uint64
 	memberGen []uint64 // slot → memberTag of the component collecting it
 	queue     []int32
-	members   []int32
+	members   []int32 // member slots of every cluster of the tick, back to back
+	ends      []int   // cluster i is members[ends[i-1]:ends[i]]
 
 	fullPasses  int64
 	incPasses   int64
@@ -118,14 +136,14 @@ type Engine struct {
 // full rebuild (≤ 0 rebuilds every tick — useful only for tests; callers
 // wanting "off" should simply not route through an Engine).
 func New(eps float64, m int, churnThreshold float64) *Engine {
-	return &Engine{eps: eps, m: m, churn: churnThreshold}
+	return &Engine{eps: eps, m: m, churn: churnThreshold, slotOf: make(map[model.ObjectID]int32)}
 }
 
 // Reset drops all cross-tick state (the next Tick is a full pass). The
 // lifetime counters are preserved.
 func (e *Engine) Reset() {
 	e.started = false
-	clear(e.slotOf)
+	e.mapped = false
 	e.idOf = e.idOf[:0]
 	e.alive = e.alive[:0]
 	e.pos = e.pos[:0]
@@ -188,6 +206,7 @@ func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectI
 			}
 		}
 	case e.started:
+		e.mapSlots()
 		for i, id := range ids {
 			s, ok := e.slotOf[id]
 			if !ok {
@@ -329,18 +348,13 @@ func (e *Engine) cleanInput(ids []model.ObjectID, pts []geom.Point) bool {
 func (e *Engine) rebuild(ids []model.ObjectID, pts []geom.Point) {
 	n := len(ids)
 	e.ensureSlots(n)
-	if e.slotOf == nil {
-		e.slotOf = make(map[model.ObjectID]int32, n)
-	} else {
-		clear(e.slotOf)
-	}
+	e.mapped = false
 	e.free = e.free[:0]
 	e.aliveSlots = e.aliveSlots[:0]
 	e.snapSlot = growTo(e.snapSlot, n)
 	g := e.gen
 	for i := 0; i < n; i++ {
 		s := int32(i)
-		e.slotOf[ids[i]] = s
 		e.idOf[i] = ids[i]
 		e.alive[i] = true
 		e.pos[i] = pts[i]
@@ -349,12 +363,56 @@ func (e *Engine) rebuild(ids []model.ObjectID, pts []geom.Point) {
 		e.snapSlot[i] = s
 		e.aliveSlots = append(e.aliveSlots, s)
 	}
-	e.resetGrid(pts)
-	for i := 0; i < n; i++ {
-		e.nh[i] = e.neighborhood(pts[i], e.nh[i][:0])
+	if n <= allPairsMax {
+		e.allPairs(pts)
+	} else {
+		e.gridPairs(pts)
 	}
 	e.prevIDs = append(e.prevIDs[:0], ids...)
 	e.started = true
+}
+
+// gridPairs fills every neighborhood of a rebuilt snapshot from the grid.
+func (e *Engine) gridPairs(pts []geom.Point) {
+	e.resetGrid(pts)
+	for i, p := range pts {
+		e.nh[i] = e.neighborhood(p, e.nh[i][:0])
+	}
+}
+
+// allPairs fills every neighborhood of a rebuilt snapshot (slot = snapshot
+// index) by testing each pair once with the grid's predicate. Slot i's list
+// receives the slots below i while they are the outer loop, then i itself,
+// then the slots above it: ascending without a sort.
+func (e *Engine) allPairs(pts []geom.Point) {
+	eps2 := e.eps * e.eps
+	for i := range pts {
+		e.nh[i] = e.nh[i][:0]
+	}
+	for i, p := range pts {
+		e.nh[i] = append(e.nh[i], int32(i))
+		for j := i + 1; j < len(pts); j++ {
+			if geom.D2(p, pts[j]) <= eps2 {
+				e.nh[i] = append(e.nh[i], int32(j))
+				e.nh[j] = append(e.nh[j], int32(i))
+			}
+		}
+	}
+}
+
+// mapSlots brings slotOf up to date with the alive slots. A full pass leaves
+// the map stale, because only the diff of a tick whose id sequence changed
+// reads it — and on a stream that rebuilds every tick that is a small share
+// of the ticks; from here on the incremental pass maintains it.
+func (e *Engine) mapSlots() {
+	if e.mapped {
+		return
+	}
+	clear(e.slotOf)
+	for _, s := range e.aliveSlots {
+		e.slotOf[e.idOf[s]] = s
+	}
+	e.mapped = true
 }
 
 // ensureSlots grows every slot-indexed array to length n, preserving the
@@ -410,7 +468,7 @@ func (e *Engine) neighborhood(p geom.Point, dst []int32) []int32 {
 	for _, i := range e.cand {
 		dst = append(dst, e.snapSlot[i])
 	}
-	sortInt32(dst)
+	slices.Sort(dst)
 	return dst
 }
 
@@ -451,20 +509,20 @@ func (e *Engine) recompute(i int32, pts []geom.Point, g uint64) {
 // cluster per core component, holding its cores plus every border in a
 // core's neighborhood (borders may belong to several clusters, exactly
 // like dbscan.ClusterMaximal). Member lists come out as ascending ids; the
-// cluster list is ordered by ascending member list.
+// cluster list is ordered by ascending member list. The lists are carved
+// from one arena allocated per tick, never reused: a parallel scan hands
+// them to its consumer long after the engine has moved on.
 func (e *Engine) emit() [][]model.ObjectID {
 	e.emitGen++
 	eg := e.emitGen
-	var out [][]model.ObjectID
+	members, ends := e.members[:0], e.ends[:0]
 	for _, s := range e.aliveSlots {
 		if len(e.nh[s]) < e.m || e.visited[s] == eg {
 			continue
 		}
 		e.memberTag++
 		tag := e.memberTag
-		queue := e.queue[:0]
-		members := e.members[:0]
-		queue = append(queue, s)
+		queue := append(e.queue[:0], s)
 		e.visited[s] = eg
 		for head := 0; head < len(queue); head++ {
 			c := queue[head]
@@ -486,16 +544,26 @@ func (e *Engine) emit() [][]model.ObjectID {
 				}
 			}
 		}
-		ids := make([]model.ObjectID, len(members))
-		for i, sl := range members {
+		e.queue = queue
+		ends = append(ends, len(members))
+	}
+	e.members, e.ends = members, ends
+	if len(ends) == 0 {
+		return nil
+	}
+	arena := make([]model.ObjectID, len(members))
+	out := make([][]model.ObjectID, len(ends))
+	lo := 0
+	for ci, hi := range ends {
+		ids := arena[lo:hi:hi]
+		for i, sl := range members[lo:hi] {
 			ids[i] = e.idOf[sl]
 		}
-		sort.Ints(ids)
-		out = append(out, ids)
-		e.queue = queue
-		e.members = members[:0]
+		slices.Sort(ids)
+		out[ci] = ids
+		lo = hi
 	}
-	sort.Slice(out, func(i, j int) bool { return lessIDs(out[i], out[j]) })
+	slices.SortFunc(out, slices.Compare[[]model.ObjectID])
 	return out
 }
 
@@ -507,10 +575,6 @@ func growTo[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // searchInt32 returns the insertion index of v in ascending s and whether
@@ -545,13 +609,4 @@ func insertSorted(s []int32, v int32) []int32 {
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
-}
-
-func lessIDs(a, b []model.ObjectID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/dbscan"
@@ -15,13 +15,11 @@ import (
 // reference is the from-scratch answer the Engine must match, canonicalized
 // into the Engine's cluster-list order (ascending member list).
 func reference(ids []model.ObjectID, pts []geom.Point, eps float64, m int) [][]model.ObjectID {
-	out := dbscan.SnapshotClusters(ids, pts, eps, m)
-	sort.Slice(out, func(i, j int) bool { return lessIDs(out[i], out[j]) })
-	return out
+	return sortClusters(dbscan.SnapshotClusters(ids, pts, eps, m))
 }
 
 func sortClusters(cs [][]model.ObjectID) [][]model.ObjectID {
-	sort.Slice(cs, func(i, j int) bool { return lessIDs(cs[i], cs[j]) })
+	slices.SortFunc(cs, slices.Compare[[]model.ObjectID])
 	return cs
 }
 
@@ -254,5 +252,67 @@ func TestEngineSlotReuse(t *testing.T) {
 	}
 	if _, inc, _, _ := e.Counters(); inc == 0 {
 		t.Fatalf("rotating population at low move churn should stay incremental")
+	}
+}
+
+// TestEngineAcrossAllPairsMax walks a population back and forth over the
+// constant that picks a full pass's neighborhood scan — all-pairs up to
+// allPairsMax, the grid above it — and holds every tick to the reference.
+// A scripted prefix parks the population at allPairsMax−1, allPairsMax and
+// allPairsMax+1 on full passes (everyone moved) and on incremental ones (a
+// few did: those run on the grid whatever the size, patching neighborhoods
+// the other scan may have built), then a random walk keeps crossing in both
+// directions between consecutive ticks.
+func TestEngineAcrossAllPairsMax(t *testing.T) {
+	const eps, m, extent = 6.0, 3, 60.0
+	r := rand.New(rand.NewSource(17))
+	pool := make([]geom.Point, allPairsMax+16)
+	ids := make([]model.ObjectID, len(pool))
+	for i := range pool {
+		ids[i] = i
+		pool[i] = geom.Pt(r.Float64()*extent, r.Float64()*extent)
+	}
+	type step struct {
+		n        int
+		moveProb float64
+	}
+	steps := []step{
+		{allPairsMax - 1, 1}, {allPairsMax - 1, 0.03}, {allPairsMax, 0.03}, {allPairsMax + 1, 0.03},
+		{allPairsMax + 1, 1}, {allPairsMax, 1}, {allPairsMax, 0.03}, {allPairsMax - 1, 0.03},
+		{allPairsMax - 1, 1}, {allPairsMax + 1, 1}, {allPairsMax + 1, 0.03}, {allPairsMax, 0.03},
+		{allPairsMax + 16, 1}, {allPairsMax - 16, 1}, {allPairsMax + 16, 0.03}, {allPairsMax - 16, 0.03},
+	}
+	for len(steps) < 300 {
+		s := step{allPairsMax - 8 + r.Intn(17), 0.03}
+		if r.Intn(3) == 0 {
+			s.moveProb = 1
+		}
+		steps = append(steps, s)
+	}
+	e := New(eps, m, DefaultChurnThreshold)
+	var fullSmall, fullGrid, incSmall, incGrid int
+	for tick, s := range steps {
+		for i := 0; i < s.n; i++ {
+			if r.Float64() < s.moveProb {
+				pool[i] = clampPt(pool[i].X+r.NormFloat64()*2, pool[i].Y+r.NormFloat64()*2, extent)
+			}
+		}
+		pass := checkTick(t, e, ids[:s.n], pool[:s.n], eps, m, tick)
+		if wantFull := tick == 0 || s.moveProb == 1; tick < 12 && pass.Full != wantFull {
+			t.Fatalf("tick %d (n=%d, moving %g): full=%v, want %v", tick, s.n, s.moveProb, pass.Full, wantFull)
+		}
+		switch small := s.n <= allPairsMax; {
+		case pass.Full && small:
+			fullSmall++
+		case pass.Full:
+			fullGrid++
+		case small:
+			incSmall++
+		default:
+			incGrid++
+		}
+	}
+	if fullSmall < 20 || fullGrid < 20 || incSmall < 20 || incGrid < 20 {
+		t.Fatalf("walk too one-sided: %d/%d full passes at/below and above allPairsMax, %d/%d incremental", fullSmall, fullGrid, incSmall, incGrid)
 	}
 }

@@ -102,7 +102,7 @@ func readErr(path string, err error) error {
 // parseDB sniffs the format (CTB magic versus CSV) and parses the bytes.
 func parseDB(data []byte) (*model.DB, error) {
 	if bytes.HasPrefix(data, []byte("CTB1")) {
-		return tsio.ReadBinary(bytes.NewReader(data))
+		return tsio.DecodeBinary(data)
 	}
 	return tsio.ReadCSV(bytes.NewReader(data))
 }

@@ -290,6 +290,10 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 		{name: "bad params", method: "POST", url: "/v1/query?m=0&k=5&e=1", raw: []byte("x"), status: http.StatusBadRequest},
 		{name: "inverted window", method: "POST", url: "/v1/query?m=2&k=5&e=1&from=9&to=2", raw: []byte("x"), status: http.StatusBadRequest},
 		{name: "empty upload", method: "POST", url: "/v1/query?m=2&k=5&e=1", status: http.StatusBadRequest},
+		// Eleven bytes of CTB promising 2³¹−1 samples: the reader used to
+		// reserve them (51 GB) and die of an out-of-memory throw.
+		{name: "ctb count beyond the upload", method: "POST", url: "/v1/query?m=3&k=180&e=8&algo=cmc",
+			raw: []byte("CTB1\x01\x00\xff\xff\xff\xff\x07"), status: http.StatusBadRequest},
 		{name: "ticks beyond 2^53 under cuts", method: "POST", url: "/v1/query?m=2&k=2&e=1&timeout_ms=3000", raw: endOfTime,
 			status: http.StatusBadRequest},
 		{name: "path refs disabled", method: "POST", url: "/v1/query",
@@ -350,6 +354,12 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 				t.Fatalf("Retry-After = %q, want 1", resp.Header.Get("Retry-After"))
 			}
 		})
+	}
+	// None of it took the server down.
+	if resp, err := http.Get(ts.URL + "/v1/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the sweep: %v, %v", resp, err)
+	} else {
+		resp.Body.Close()
 	}
 	// The same upload is a fine CMC query.
 	if got := postQuery(t, ts.URL+"/v1/query?m=2&k=2&e=1&algo=cmc", endOfTime, http.StatusOK); len(got.Convoys) != 1 {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/geom"
 	"repro/internal/model"
 )
@@ -69,20 +71,24 @@ func BenchmarkWriteBinary(b *testing.B) {
 	}
 }
 
+// BenchmarkReadBinary prices the CTB decoder on the two shapes the ladder
+// uploads: Truck (276 short trajectories) and a Cattle herd (13 long ones).
 func BenchmarkReadBinary(b *testing.B) {
-	db := benchDB()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, db); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+	for _, prof := range []datagen.Profile{datagen.Truck(1, 1), datagen.Cattle(0.15, 1)} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, prof.Generate()); err != nil {
 			b.Fatal(err)
 		}
+		data := buf.Bytes()
+		b.Run(strings.ToLower(prof.Name), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package tsio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -93,87 +94,105 @@ func WriteBinary(w io.Writer, db *model.DB) error {
 	return nil
 }
 
-// maxReasonableCount guards length prefixes against corrupted or hostile
-// inputs before any allocation happens.
-const maxReasonableCount = 1 << 31
-
-// ReadBinary parses a CTB stream into a database.
+// ReadBinary parses a CTB stream into a database: it reads the stream to
+// its end and hands the bytes to DecodeBinary. (io.Copy, not io.ReadAll: a
+// bytes.Reader then lands in the buffer in one exact-size copy.)
 func ReadBinary(r io.Reader) (*model.DB, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("tsio: read magic: %w", err)
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, fmt.Errorf("tsio: read: %w", err)
 	}
-	if magic != binaryMagic {
+	return DecodeBinary(buf.Bytes())
+}
+
+// Minimum encoded sizes, which bound every count prefix by the bytes that
+// are left before anything is allocated for it: a sample is a one-byte tick
+// and two floats, an object a one-byte label length, a one-byte sample
+// count and one sample.
+const (
+	minSampleBytes = 1 + 16
+	minObjectBytes = 2 + minSampleBytes
+)
+
+// DecodeBinary parses CTB bytes into a database — the one CTB decoder. It
+// walks the slice in place: the only allocations are what the database
+// keeps (per object its label, samples and trajectory). Corrupted or
+// hostile input fails with an error; a count or length the remaining bytes
+// cannot hold is rejected before it sizes an allocation.
+func DecodeBinary(data []byte) (*model.DB, error) {
+	if len(data) < len(binaryMagic) {
+		return nil, fmt.Errorf("tsio: read magic: %w", io.ErrUnexpectedEOF)
+	}
+	if magic := [4]byte(data); magic != binaryMagic {
 		return nil, fmt.Errorf("tsio: bad magic %q (want %q)", magic, binaryMagic)
 	}
-	readFloat := func() (float64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
+	data = data[len(binaryMagic):]
+	// uvarint consumes one varint; n ≤ 0 leaves data alone and fails.
+	uvarint := func() (uint64, bool) {
+		v, n := binary.Uvarint(data)
+		if n <= 0 {
+			return 0, false
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
+		data = data[n:]
+		return v, true
 	}
-	numObjects, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("tsio: object count: %w", err)
+	numObjects, ok := uvarint()
+	if !ok {
+		return nil, fmt.Errorf("tsio: object count: truncated or malformed")
 	}
-	if numObjects > maxReasonableCount {
-		return nil, fmt.Errorf("tsio: implausible object count %d", numObjects)
+	if numObjects > uint64(len(data)/minObjectBytes) {
+		return nil, fmt.Errorf("tsio: object count %d exceeds what %d bytes can hold", numObjects, len(data))
 	}
 	db := model.NewDB()
 	for o := uint64(0); o < numObjects; o++ {
-		labelLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("tsio: object %d label length: %w", o, err)
+		labelLen, ok := uvarint()
+		if !ok {
+			return nil, fmt.Errorf("tsio: object %d label length: truncated or malformed", o)
 		}
-		if labelLen > maxReasonableCount {
-			return nil, fmt.Errorf("tsio: object %d: implausible label length %d", o, labelLen)
+		if labelLen > uint64(len(data)) {
+			return nil, fmt.Errorf("tsio: object %d: label length %d exceeds the %d bytes left", o, labelLen, len(data))
 		}
-		label := make([]byte, labelLen)
-		if _, err := io.ReadFull(br, label); err != nil {
-			return nil, fmt.Errorf("tsio: object %d label: %w", o, err)
-		}
-		numSamples, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("tsio: object %d sample count: %w", o, err)
+		label := string(data[:labelLen])
+		data = data[labelLen:]
+		numSamples, ok := uvarint()
+		if !ok {
+			return nil, fmt.Errorf("tsio: object %d sample count: truncated or malformed", o)
 		}
 		if numSamples == 0 {
 			return nil, fmt.Errorf("tsio: object %d has no samples", o)
 		}
-		if numSamples > maxReasonableCount {
-			return nil, fmt.Errorf("tsio: object %d: implausible sample count %d", o, numSamples)
+		if numSamples > uint64(len(data)/minSampleBytes) {
+			return nil, fmt.Errorf("tsio: object %d: sample count %d exceeds what %d bytes can hold", o, numSamples, len(data))
 		}
-		samples := make([]model.Sample, 0, numSamples)
+		samples := make([]model.Sample, numSamples)
 		var tick model.Tick
-		for i := uint64(0); i < numSamples; i++ {
+		for i := range samples {
 			if i == 0 {
-				v, err := binary.ReadVarint(br)
-				if err != nil {
-					return nil, fmt.Errorf("tsio: object %d first tick: %w", o, err)
+				v, n := binary.Varint(data)
+				if n <= 0 {
+					return nil, fmt.Errorf("tsio: object %d first tick: truncated or malformed", o)
 				}
+				data = data[n:]
 				tick = model.Tick(v)
 			} else {
-				d, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, fmt.Errorf("tsio: object %d tick delta: %w", o, err)
+				d, ok := uvarint()
+				if !ok {
+					return nil, fmt.Errorf("tsio: object %d tick delta: truncated or malformed", o)
 				}
 				tick += model.Tick(d) + 1
 			}
-			x, err := readFloat()
-			if err != nil {
-				return nil, fmt.Errorf("tsio: object %d sample %d x: %w", o, i, err)
+			if len(data) < 16 {
+				return nil, fmt.Errorf("tsio: object %d sample %d: truncated coordinates", o, i)
 			}
-			y, err := readFloat()
-			if err != nil {
-				return nil, fmt.Errorf("tsio: object %d sample %d y: %w", o, i, err)
-			}
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			y := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
+			data = data[16:]
 			if !finite(x) || !finite(y) {
 				return nil, fmt.Errorf("tsio: object %d sample %d: non-finite coordinates (%g, %g)", o, i, x, y)
 			}
-			samples = append(samples, model.Sample{T: tick, P: geom.Pt(x, y)})
+			samples[i] = model.Sample{T: tick, P: geom.Pt(x, y)}
 		}
-		tr, err := model.NewTrajectory(string(label), samples)
+		tr, err := model.NewTrajectory(label, samples)
 		if err != nil {
 			return nil, fmt.Errorf("tsio: object %d: %w", o, err)
 		}
@@ -198,10 +217,9 @@ func SaveBinary(path string, db *model.DB) (err error) {
 
 // LoadBinary reads a database from a CTB file.
 func LoadBinary(path string) (*model.DB, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("tsio: %w", err)
 	}
-	defer f.Close()
-	return ReadBinary(f)
+	return DecodeBinary(data)
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -107,6 +109,53 @@ func TestBinaryCorruption(t *testing.T) {
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01)
 	if _, err := ReadBinary(bytes.NewReader(huge)); err == nil {
 		t.Error("implausible object count accepted")
+	}
+}
+
+// oversizedCounts are CTB streams whose length prefixes promise more than
+// the input holds: for each of the three prefixes a 2³¹−1 "bomb" and a
+// count just one above what the remaining bytes could encode, padded so
+// that the named check is the one that fires. The first is the 11-byte
+// upload that used to make the reader reserve 2³¹ samples (51 GB) and take
+// the process down with an out-of-memory throw no recover can catch.
+var oversizedCounts = []struct {
+	name, data, rejectedAt string
+}{
+	{"11-byte upload", "CTB1\x01\x00\xff\xff\xff\xff\x07", "object count"},
+	{"sample count bomb", "CTB1\x01\x00\xff\xff\xff\xff\x07" + strings.Repeat("\x00", 16), "sample count"},
+	{"three samples in room for two", "CTB1\x01\x00\x03" + strings.Repeat("\x00", 17+17+16), "sample count"},
+	{"label length bomb", "CTB1\x01\xff\xff\xff\xff\x07" + strings.Repeat("\x00", 18), "label length"},
+	{"19-byte label in 18 bytes", "CTB1\x01\x13" + strings.Repeat("\x00", 18), "label length"},
+	{"three objects in room for two", "CTB1\x03" + strings.Repeat("\x00\x01"+strings.Repeat("\x00", 17), 2), "object count"},
+}
+
+// Regression: counts and lengths are bounded by the bytes that are left
+// before they size anything, so a hostile prefix costs an error, not memory.
+func TestDecodeRejectsCountsBeyondInput(t *testing.T) {
+	for _, tc := range oversizedCounts {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBinary([]byte(tc.data))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.rejectedAt) {
+			t.Errorf("%s: error %v, want a rejected %s", tc.name, err, tc.rejectedAt)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: rejecting %d bytes of input allocated %d bytes", tc.name, len(tc.data), grew)
+		}
+		if _, err := ReadBinary(strings.NewReader(tc.data)); err == nil {
+			t.Errorf("%s: accepted by ReadBinary", tc.name)
+		}
+	}
+	// The same shapes with honest counts decode: two objects of one sample,
+	// one object of two.
+	for _, honest := range []string{
+		"CTB1\x02" + strings.Repeat("\x00\x01"+strings.Repeat("\x00", 17), 2),
+		"CTB1\x01\x00\x02" + strings.Repeat("\x00", 17+17),
+	} {
+		if db, err := DecodeBinary([]byte(honest)); err != nil || db.SumTrajLen() != 2 {
+			t.Fatalf("honest counts rejected: %v, %v", db, err)
+		}
 	}
 }
 

@@ -86,6 +86,9 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(append(append([]byte(nil), "CTB1\x01\x01a\x01\x00"...),
 		0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0)) // x = NaN
 	f.Add([]byte("CTB1\xff\xff\xff\xff\xff\xff\xff\xff\x7f")) // huge object count
+	for _, tc := range oversizedCounts {
+		f.Add([]byte(tc.data))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

@@ -23,9 +23,11 @@
 // schema the convoyd server speaks (objects, start, end, lifetime), so
 // pipelines can mix CLI and server output; -format jsonl is the streaming
 // variant, printing each convoy the moment the scan closes it instead of
-// waiting for the full answer (with -limit the scan stops after that many).
-// -format json-array (and its older spelling, the -json flag) wraps the
-// same objects in one indented JSON array.
+// waiting for the full answer. With -limit the scan stops after that many:
+// it returns within one clustering pass per worker and abandons everything
+// but the few chunks of ticks (or candidates) already in flight — the bound
+// documented on Query.Seq. -format json-array wraps the same objects in one
+// indented JSON array.
 //
 // -explain traces the discovery and prints the per-stage timing profile
 // (the same stage breakdown POST /v1/query?...&explain=true returns) to
@@ -67,9 +69,8 @@ func main() {
 		stats     = flag.Bool("stats", false, "print phase timings and filter statistics")
 		explain   = flag.Bool("explain", false, "print the per-stage timing profile to stderr after the results")
 		format    = flag.String("format", "text", "output format: text, json (NDJSON), jsonl (NDJSON, streamed as found) or json-array")
-		asJSON    = flag.Bool("json", false, "deprecated alias for -format json-array (ignored when -format is given)")
 		workers   = flag.Int("workers", 0, "goroutines per discovery stage (0 = all CPU cores, 1 = serial)")
-		limit     = flag.Int("limit", 0, "stop after this many convoys, abandoning the remaining scan (0 = all)")
+		limit     = flag.Int("limit", 0, "stop after this many convoys, abandoning the scan beyond the chunks already in flight (0 = all)")
 		parts     = flag.Int("partitions", 0, "split the time range into this many overlapping windows, mine them independently and merge — the answer is identical, the scan parallelises (0/1 = single pass)")
 		timeout   = flag.Duration("timeout", 0, "abort discovery after this long (0 = no deadline)")
 	)
@@ -78,18 +79,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "convoyfind: -input is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *asJSON {
-		// Honor an explicit -format over the deprecated alias.
-		formatSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "format" {
-				formatSet = true
-			}
-		})
-		if !formatSet {
-			*format = "json-array"
-		}
 	}
 	if *workers <= 0 {
 		*workers = convoys.DefaultWorkers()
@@ -280,8 +269,8 @@ func discover(ctx context.Context, out io.Writer, o options, q *convoys.Query, d
 	labels := wire.DBLabels(db)
 	if strings.ToLower(o.format) == "jsonl" {
 		// Streaming: print each convoy the moment the scan closes it.
-		// Breaking on a write error (or the -limit inside the query)
-		// abandons the remaining clustering work.
+		// Breaking on a write error (or the -limit inside the query) stops
+		// the scan within one clustering pass per worker.
 		enc := json.NewEncoder(out)
 		for c, serr := range q.Seq(ctx, db) {
 			if serr != nil {
@@ -310,7 +299,7 @@ func discover(ctx context.Context, out io.Writer, o options, q *convoys.Query, d
 		}
 		return nil
 	case "json-array":
-		// The historical -json shape: one indented array.
+		// One indented array.
 		payload := make([]wire.ConvoyJSON, 0, len(res))
 		for _, c := range res {
 			payload = append(payload, wire.ConvoyToJSON(c, labels))

@@ -34,9 +34,10 @@
 //
 // NewQuery is the context-first form of the same query — the one to reach
 // for in servers and pipelines. A Query is built from functional options
-// and executed with Run (the batch answer, honoring ctx at tick, partition
-// and candidate granularity) or Seq (an iterator yielding convoys as the
-// scan closes them; breaking out stops the remaining clustering work):
+// and executed with Seq (an iterator yielding convoys as the scan closes
+// them, honoring ctx at tick, partition and candidate granularity; breaking
+// out stops every worker at its next unit of work) or Run (that stream
+// collected into the canonical batch answer — one schedule serves both):
 //
 //	q := convoys.NewQuery(convoys.M(3), convoys.K(180), convoys.Eps(8),
 //	    convoys.WithWorkers(convoys.DefaultWorkers()))
@@ -170,10 +171,10 @@ func S(t Tick, x, y float64) Sample { return Sample{T: t, P: geom.Pt(x, y)} }
 type (
 	// Query is one convoy discovery question — parameters, algorithm,
 	// worker count, optional result limit — built with NewQuery and
-	// executed with Run (batch) or Seq (streaming). Both honor their
-	// context at tick/partition/candidate granularity, so cancelling a
-	// query aborts its clustering pipeline within about one unit of work
-	// per worker.
+	// executed with Seq (streaming) or Run (the collected stream). Both
+	// honor their context at tick/partition/candidate granularity, so
+	// cancelling a query aborts its clustering pipeline within about one
+	// unit of work per worker.
 	Query = core.Query
 	// QueryOption configures a Query under construction.
 	QueryOption = core.Option
@@ -217,11 +218,13 @@ func WithDelta(delta float64) QueryOption { return core.WithDelta(delta) }
 func WithLambda(lambda int64) QueryOption { return core.WithLambda(lambda) }
 
 // WithWorkers sets the goroutines per pipeline stage (≤ 1 = serial); the
-// answer set is identical for every worker count.
+// answer set is identical for every worker count, and Run, Seq and limited
+// runs are scheduled alike (contiguous chunks of ticks per worker).
 func WithWorkers(n int) QueryOption { return core.WithWorkers(n) }
 
 // WithLimit stops discovery after n convoys have been delivered,
-// abandoning the remaining clustering work.
+// abandoning the clustering work beyond the few chunks already in flight
+// (the bound documented on Query.Seq).
 func WithLimit(n int) QueryOption { return core.WithLimit(n) }
 
 // WithPartitions splits the database's time range into n overlapping

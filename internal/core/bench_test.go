@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/model"
+	"repro/internal/par"
 )
 
 // truckParams are the ladder's truck-cmc parameters.
@@ -51,4 +53,90 @@ func BenchmarkTruckCMC(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(db.SumTrajLen()), "point-ticks/op")
+}
+
+// BenchmarkScanSchedule holds the one schedule to its word: Truck CMC as
+// batch Run and as a Seq collected to its end, serial and at two workers.
+// The two rows of a worker count are the same scan and must agree within
+// noise (run-w1 is BenchmarkTruckCMC); before PR 18 a parallel Seq was
+// scheduled a tick at a time and seq-w2 cost 60× run-w2.
+func BenchmarkScanSchedule(b *testing.B) {
+	db := datagen.Truck(1, 1).Generate()
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		q := NewQuery(WithParams(truckParams), WithCMC(), WithWorkers(workers))
+		b.Run(fmt.Sprintf("run-w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if res, err := q.Run(ctx, db); err != nil || len(res) == 0 {
+					b.Fatalf("%d convoys, %v", len(res), err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("seq-w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				convoys := 0
+				for _, err := range q.Seq(ctx, db) {
+					if err != nil {
+						b.Fatal(err)
+					}
+					convoys++
+				}
+				if convoys == 0 {
+					b.Fatal("the stream yielded no convoy")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScanChunk is the table behind the scanChunk constant: cmcScan's
+// fold — cursor → source → monitor over par.OrderedChunks — at two workers
+// with the chunk cap swept. Truck has a dozen objects alive and all of them
+// moving, so a chunk costs its cold cursor walk and its share of scheduling;
+// Commute has ≈ 285 alive at 10 % churn, so a chunk starts with a fresh
+// engine and a full pass where every other tick patches the last — the
+// cold-start cost on record.
+func BenchmarkScanChunk(b *testing.B) {
+	commute := datagen.Commute(1, 1)
+	for _, ds := range []struct {
+		name string
+		db   *model.DB
+		p    Params
+	}{
+		{"truck", datagen.Truck(1, 1).Generate(), truckParams},
+		{"commute", commute.Generate(), Params{M: commute.M, K: commute.K, Eps: commute.Eps}},
+	} {
+		const workers = 2
+		lo, hi, _ := ds.db.TimeRange()
+		span := int(model.TickSpan(lo, hi))
+		plan := ds.db.Sweep(nil)
+		for _, limit := range []int{32, 128, 512, 4096} {
+			b.Run(fmt.Sprintf("%s-w%d/cap%d", ds.name, workers, limit), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					mon := &Monitor{p: ds.p}
+					convoys := 0
+					err := par.OrderedChunks(context.Background(), span, workers, min((span+workers-1)/workers, limit),
+						func() scanState {
+							return scanState{src: newSource(ds.p.ClusterKey(), DefaultClusterer, DefaultChurnThreshold, nil), cur: plan.Cursor()}
+						},
+						func(s scanState, i int) [][]model.ObjectID {
+							t := lo + model.Tick(i)
+							ids, pts := s.cur.At(t)
+							return s.src.Cluster(TickSnapshot{T: t, IDs: ids, Pts: pts})
+						},
+						func(i int, clusters [][]model.ObjectID) bool {
+							out, _ := mon.AdvanceClusters(lo+model.Tick(i), clusters) // cannot fail: ticks ascend
+							convoys += len(out)
+							return true
+						})
+					if convoys += len(mon.Close()); err != nil || convoys == 0 {
+						b.Fatalf("%d convoys, %v", convoys, err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -193,21 +193,26 @@ type scanState struct {
 // are always freshly built.
 //
 // Parallelism is a scheduling policy around that kernel, not a second
-// implementation: the tick domain is cut into contiguous chunks, each swept
-// and clustered sequentially by one worker with its own state — a source
-// from newSource and a cursor over the one shared sweep plan (ticks must
-// reach an incremental engine, and a cursor, in order for either to save
-// anything) — while the monitor folds the cluster lists strictly in tick
-// order on the calling goroutine — a pipeline, not a per-tick barrier. The
-// monitor sees exactly the clusters the serial scan would, in exactly the
-// same order, so the emitted convoys are identical for every worker count
-// and chunk length by construction; only the pass counters shift, since a
-// source's first tick is always a full pass (and a cursor's first tick a
-// walk over every trajectory, which is all the chunk = 1 mode ever pays).
-// chunk ≤ 0 gives every worker one contiguous range, capped at
-// maxScanChunk ticks; chunk = 1 bounds how far the workers run ahead of a
-// consumer that stops early to ~3 ticks per worker.
-func cmcScan(ctx context.Context, db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectID, workers, chunk int, newSource func() *ClusterSource, tm *stageTimer, emit func([]Convoy) bool) error {
+// implementation, and there is one schedule whoever consumes the scan: the
+// tick domain is cut into contiguous chunks of min(⌈span/workers⌉,
+// scanChunk) ticks, each swept and clustered sequentially by one worker with
+// its own state — a source from newSource and a cursor over the one shared
+// sweep plan (ticks must reach an incremental engine, and a cursor, in order
+// for either to save anything) — while the monitor folds the cluster lists
+// strictly in tick order on the calling goroutine — a pipeline, not a
+// per-tick barrier. The monitor sees exactly the clusters the serial scan
+// would, in exactly the same order, so the emitted convoys are identical for
+// every worker count by construction; only the pass counters shift, since a
+// source's first tick is always a full pass (and a cursor's first tick a walk
+// over every trajectory). A serial scan is a plain loop on one state.
+//
+// Stopping is bounded in the unit the schedule has. Workers test for the
+// stop before every tick, so the call returns within one clustering pass per
+// worker of emit declining or ctx ending; the ticks already clustered by then
+// are at most consumed + (2·workers + 1)·scanChunk — the ticks folded so far
+// plus par.OrderedChunks' window of outstanding chunks — and exactly the
+// ticks folded when serial.
+func cmcScan(ctx context.Context, db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectID, workers int, newSource func() *ClusterSource, tm *stageTimer, emit func([]Convoy) bool) error {
 	span := model.TickSpan(lo, hi)
 	if span > maxScanSpan {
 		return fmt.Errorf("core: time domain of %d ticks is too long to scan", span)
@@ -215,9 +220,7 @@ func cmcScan(ctx context.Context, db *model.DB, p Params, lo, hi model.Tick, sub
 	if workers < 1 {
 		workers = 1
 	}
-	if chunk < 1 {
-		chunk = int(min((span+int64(workers)-1)/int64(workers), maxScanChunk))
-	}
+	chunk := int(min((span+int64(workers)-1)/int64(workers), scanChunk))
 	plan := db.Sweep(subset)
 	mon := &Monitor{p: p}
 	stopped := false
@@ -257,7 +260,7 @@ func cmcWindow(db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectI
 	var out []Convoy
 	// Cannot fail: nothing cancels a background scan, and a candidate's
 	// window lies inside a time domain the filter has already walked.
-	_ = cmcScan(context.Background(), db, p, lo, hi, subset, 1, 0, func() *ClusterSource { return src }, tm,
+	_ = cmcScan(context.Background(), db, p, lo, hi, subset, 1, func() *ClusterSource { return src }, tm,
 		func(batch []Convoy) bool {
 			out = append(out, batch...)
 			return true
@@ -265,11 +268,16 @@ func cmcWindow(db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectI
 	return out
 }
 
-// maxScanChunk caps the contiguous tick range one source owns in a parallel
-// scan, so cancellation keeps sub-chunk granularity even on huge time
-// domains. Each chunk's first tick is a full pass, so larger chunks
-// amortize better; 4096 keeps that overhead under 0.03%.
-const maxScanChunk = 4096
+// scanChunk caps the contiguous tick range one worker clusters on one source
+// and one cursor in a parallel scan. A chunk starts cold — a fresh source
+// growing its buffers, a full pass, a cursor walk over every trajectory —
+// which argues for long chunks; a short domain must still cut into enough
+// chunks to keep every worker busy to the end, and a consumer that stops
+// early has (2·workers + 1) chunks of work in flight behind it, which argues
+// for short ones. 512 is the measured knee on Truck; on a dense low-churn
+// stream the cold start still shows (BenchmarkScanChunk; table in CHANGES.md,
+// PR 18).
+const scanChunk = 512
 
 // maxScanSpan bounds the tick count of one scan so the scheduler's index
 // arithmetic (span plus a chunk) always fits an int, also on 32-bit

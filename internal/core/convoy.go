@@ -25,11 +25,12 @@
 //
 // Query is the primary execution surface: built from functional options
 // (NewQuery(M(3), K(180), Eps(8), WithVariant(...), WithWorkers(n))) and
-// run with Run(ctx, db) — the batch answer — or Seq(ctx, db) — an
-// incremental iterator yielding convoys as the scan closes them.
-// Cancellation is observed at tick, λ-partition and candidate
-// granularity; breaking out of Seq (or WithLimit) abandons the remaining
-// clustering work.
+// run with Seq(ctx, db) — an incremental iterator yielding convoys as the
+// scan closes them — or Run(ctx, db) — that stream collected into the
+// canonical batch answer. Cancellation is observed at tick, λ-partition
+// and candidate granularity; breaking out of Seq (or WithLimit) stops every
+// worker at its next unit of work and abandons all but the scheduler's
+// window of chunks already in flight (the bound is on Seq).
 //
 // # One tick-scan kernel, parallel by scheduling
 //
@@ -57,10 +58,10 @@
 //     tick or a partition, refining a candidate — runs on the pool in
 //     contiguous chunks, while a single consumer folds the results
 //     strictly in index order; a pipeline, not a per-index barrier. The
-//     CMC scan only picks the chunk length: one long range per worker for
-//     batch runs (so each worker's source and cursor see consecutive
-//     ticks and can cluster, and sweep, incrementally), single ticks for
-//     streams that may stop early.
+//     CMC scan has one schedule whoever consumes it: contiguous chunks of
+//     min(⌈span/workers⌉, scanChunk) ticks, so each worker's source and
+//     cursor see consecutive ticks and can cluster, and sweep,
+//     incrementally.
 //
 // Serial and parallel runs return identical answers *by construction*, not
 // by coincidence: a tick's clusters are a function of that tick's snapshot
@@ -68,9 +69,9 @@
 // never what they are), and the only order-sensitive state — the live
 // candidate set a Monitor advances with chainStep — is folded by a single
 // consumer that receives exactly the same cluster sequences, in exactly
-// the same order, for every worker count and chunk length. Property tests
-// pin parallel, streamed, incremental and partitioned output to the serial
-// from-scratch answer for CMC and all three CuTS variants.
+// the same order, for every worker count. Property tests pin parallel,
+// streamed, incremental and partitioned output to the serial from-scratch
+// answer for CMC and all three CuTS variants.
 package core
 
 import (

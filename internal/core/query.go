@@ -141,7 +141,9 @@ func WithIncremental(threshold float64) Option {
 }
 
 // WithWorkers sets the number of goroutines every pipeline stage may use;
-// ≤ 1 runs serially. The answer set is identical for every worker count.
+// ≤ 1 runs serially. The answer set is identical for every worker count, and
+// so is the schedule for Run, Seq and limited runs: a parallel tick scan
+// always hands each worker contiguous chunks of ticks.
 func WithWorkers(n int) Option { return func(q *Query) { q.workers = n } }
 
 // DefaultWorkers returns the natural worker count for this machine.
@@ -149,7 +151,8 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // WithLimit stops discovery after n convoys have been delivered: Seq ends
 // its iteration and Run returns only those answers, in both cases
-// abandoning the remaining clustering work (≤ 0 means unlimited). Limited
+// abandoning the remaining clustering work beyond what was already in flight
+// (the chunk-unit bound documented on Seq; ≤ 0 means unlimited). Limited
 // answers are served in stream order — the order convoys close in time —
 // which is a prefix of the work, not of the canonically sorted Result.
 func WithLimit(n int) Option { return func(q *Query) { q.limit = n } }
@@ -175,26 +178,21 @@ func WithAblation(noBoxPrune, noClipTime, noCandPruning bool) Option {
 func (q *Query) Params() Params { return q.p }
 
 // Run answers the query over the whole database and returns the canonical
-// result. Cancelling ctx aborts the discovery pipeline at tick/partition/
-// candidate granularity and returns ctx.Err(); with WithLimit the run
-// stops early and returns the first convoys delivered (canonicalized
-// among themselves).
+// result: the collected Seq, canonicalized. (Exact whatever order the raw
+// emissions arrive in: the stream only ever drops one that a released convoy
+// dominates, so its maximal elements are theirs.) Cancelling ctx aborts the
+// discovery pipeline at tick/partition/candidate granularity and returns
+// ctx.Err(); with WithLimit the run stops early and returns the first
+// convoys delivered (canonicalized among themselves).
 func (q *Query) Run(ctx context.Context, db *model.DB) (Result, error) {
 	if q.partitions > 1 && (q.clusterer == nil || q.clusterer.Name() == DefaultBackend) {
 		return q.runPartitioned(ctx, db)
 	}
 	var out []Convoy
-	var err error
-	if q.limit > 0 {
-		// A limited run is a collected stream: the canonical filter in the
-		// streaming path guarantees the delivered prefix is maximal.
-		err = q.stream(ctx, db, func(c Convoy) bool {
-			out = append(out, c)
-			return true
-		})
-	} else {
-		err = q.collect(ctx, db, &out)
-	}
+	err := q.stream(ctx, db, func(c Convoy) bool {
+		out = append(out, c)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -204,16 +202,23 @@ func (q *Query) Run(ctx context.Context, db *model.DB) (Result, error) {
 // Seq answers the query incrementally: it returns an iterator yielding
 // convoys as the scan closes them — CMC candidates the tick their chain
 // dies, CuTS candidates as their refinement windows complete — instead of
-// materializing the full Result first. Breaking out of the loop stops the
-// underlying pipeline (in-flight clustering finishes, nothing new starts),
-// so an early exit does strictly less clustering work than a full run;
-// WithLimit breaks automatically after n convoys.
+// materializing the full Result first. WithLimit breaks automatically after
+// n convoys.
 //
-// Collecting the whole sequence yields exactly the convoys of Run, in
-// stream order rather than canonical order: every yielded convoy is an
-// exact maximal answer and none is yielded twice. On failure — including
-// ctx cancellation — the iterator yields one final (zero Convoy, error)
-// pair and stops.
+// Breaking out of the loop stops the underlying pipeline on the schedule
+// every run uses (there is no separate streaming schedule): workers test for
+// the stop before each unit of work, so Seq returns within one clustering
+// pass per worker, and nothing new starts. What had already started is
+// bounded by the scheduler's window, in its unit: a CMC scan that had folded
+// c ticks has clustered at most c + (2·workers + 1)·scanChunk of them
+// (scanChunk = 512 ticks; exactly c when serial), a CuTS refinement that had
+// folded c candidates has refined at most c + 2·workers + 1.
+//
+// Collecting the whole sequence yields exactly the convoys of Run — Run is
+// that collection, canonically sorted — in stream order rather than
+// canonical order: every yielded convoy is an exact maximal answer and none
+// is yielded twice. On failure — including ctx cancellation — the iterator
+// yields one final (zero Convoy, error) pair and stops.
 func (q *Query) Seq(ctx context.Context, db *model.DB) iter.Seq2[Convoy, error] {
 	return func(yield func(Convoy, error) bool) {
 		broke := false
@@ -230,12 +235,11 @@ func (q *Query) Seq(ctx context.Context, db *model.DB) iter.Seq2[Convoy, error] 
 	}
 }
 
-// run is the shared execution core behind Run and Seq. raw selects the
-// emission mode: raw emissions (batch collection, canonicalized by the
-// caller at the end) versus canonical streaming (each emitted convoy is
-// final — see canonFilter). emit receives convoys one at a time and
-// returns false to stop the pipeline.
-func (q *Query) run(ctx context.Context, db *model.DB, raw bool, emit func(Convoy) bool) error {
+// run is the execution core under stream: it validates the query, opens the
+// "run" span, meters the clustering work into the WithStats target and drives
+// the selected algorithm. Every convoy handed to emit is final (maximal,
+// never repeated — see canonFilter); emit returns false to stop the pipeline.
+func (q *Query) run(ctx context.Context, db *model.DB, emit func(Convoy) bool) error {
 	st := Stats{Variant: q.variant, Workers: q.workers}
 	if st.Workers < 1 {
 		st.Workers = 1
@@ -287,16 +291,17 @@ func (q *Query) run(ctx context.Context, db *model.DB, raw bool, emit func(Convo
 		sp.End()
 	}()
 	if q.useCMC {
-		return q.runCMC(ctx, db, cl, raw, &meter, emit)
+		return q.runCMC(ctx, db, cl, &meter, emit)
 	}
-	return q.runCuTS(ctx, db, raw, &st, &meter, emit)
+	return q.runCuTS(ctx, db, &st, &meter, emit)
 }
 
-// stream executes the query with canonical streaming emissions, applying
-// the result limit.
+// stream is the one way Run and Seq reach the pipeline: it executes the
+// query, handing emit each final convoy as it is released, and applies the
+// result limit.
 func (q *Query) stream(ctx context.Context, db *model.DB, emit func(Convoy) bool) error {
 	delivered := 0
-	return q.run(ctx, db, false, func(c Convoy) bool {
+	return q.run(ctx, db, func(c Convoy) bool {
 		if !emit(c) {
 			return false
 		}
@@ -305,59 +310,36 @@ func (q *Query) stream(ctx context.Context, db *model.DB, emit func(Convoy) bool
 	})
 }
 
-// collect executes the query with raw emissions appended to out — the
-// batch path.
-func (q *Query) collect(ctx context.Context, db *model.DB, out *[]Convoy) error {
-	return q.run(ctx, db, true, func(c Convoy) bool {
-		*out = append(*out, c)
-		return true
-	})
-}
-
 // runCMC scans the whole time domain with the CMC algorithm, clustering
-// each tick with cl, pushing closed convoys through the chosen emission
-// mode.
-func (q *Query) runCMC(ctx context.Context, db *model.DB, cl Clusterer, raw bool, meter *scanMeter, emit func(Convoy) bool) error {
+// each tick with cl — through sources at the query's incremental threshold,
+// on cmcScan's one schedule — and releasing closed convoys as they become
+// final.
+func (q *Query) runCMC(ctx context.Context, db *model.DB, cl Clusterer, meter *scanMeter, emit func(Convoy) bool) error {
 	lo, hi, ok := db.TimeRange()
 	if !ok {
 		return nil
 	}
-	// Batch collection never stops early, so every worker owns one long
-	// contiguous tick range and clusters it incrementally. Streaming
-	// emissions promise a bounded pass overrun when the consumer breaks
-	// early (the Seq early-stop/cancellation bounds), which only per-tick
-	// scheduling keeps — and a one-tick chunk has no previous tick to
-	// patch, so its sources carry no engine. Serial scans run the whole
-	// span on one source either way.
-	chunk, threshold := 0, q.incremental
-	if !raw && q.workers > 1 {
-		chunk, threshold = 1, 0
-	}
 	ctx, sp := trace.StartSpan(ctx, "scan")
 	sp.Int("ticks", model.TickSpan(lo, hi)).
-		Str("incremental", strconv.FormatBool(incrementalApplies(cl, threshold)))
+		Str("incremental", strconv.FormatBool(incrementalApplies(cl, q.incremental)))
 	defer func() {
 		sp.Int("objects_reclustered", atomic.LoadInt64(&meter.reclustered))
 		sp.End()
 	}()
 	tm := newStageTimer(sp)
 	defer tm.flush()
-	return cmcScan(ctx, db, q.p, lo, hi, nil, q.workers, chunk,
-		func() *ClusterSource { return newSource(q.p.ClusterKey(), cl, threshold, meter) },
-		tm, emitBatches(raw, emit))
+	return cmcScan(ctx, db, q.p, lo, hi, nil, q.workers,
+		func() *ClusterSource { return newSource(q.p.ClusterKey(), cl, q.incremental, meter) },
+		tm, emitBatches(emit))
 }
 
 // emitBatches adapts a per-convoy emit to cmcScan's per-tick batch
-// emissions. In raw mode batches pass through unfiltered; in streaming
-// mode each batch is reduced by a canonFilter first, so every convoy
+// emissions: each batch is reduced by a canonFilter first, so every convoy
 // handed to emit is final (maximal, never repeated).
-func emitBatches(raw bool, emit func(Convoy) bool) func([]Convoy) bool {
+func emitBatches(emit func(Convoy) bool) func([]Convoy) bool {
 	var f canonFilter
 	return func(batch []Convoy) bool {
-		if !raw {
-			batch = f.reduce(batch)
-		}
-		for _, c := range batch {
+		for _, c := range f.reduce(batch) {
 			if !emit(c) {
 				return false
 			}
@@ -377,11 +359,11 @@ const maxExactTick = model.Tick(1) << 53
 
 // runCuTS executes the filter-refinement pipeline: simplify (cancellable
 // per trajectory), filter (cancellable per λ-partition), then refinement
-// (cancellable per candidate). In streaming mode candidates are refined in
-// ascending window-start order and discovered convoys are released as soon
-// as no unprocessed candidate window could still dominate them — the
-// start-watermark argument documented on flushReady.
-func (q *Query) runCuTS(ctx context.Context, db *model.DB, raw bool, st *Stats, meter *scanMeter, emit func(Convoy) bool) error {
+// (cancellable per candidate). Candidates are refined in ascending
+// window-start order and discovered convoys are released as soon as no
+// unprocessed candidate window could still dominate them — the
+// start-watermark argument documented on refineStreaming.
+func (q *Query) runCuTS(ctx context.Context, db *model.DB, st *Stats, meter *scanMeter, emit func(Convoy) bool) error {
 	lo, hi, ok := db.TimeRange()
 	if ok && (lo < -maxExactTick || hi > maxExactTick) {
 		return fmt.Errorf("%w: the database spans [%d, %d] (the CMC algorithm has no such limit)", ErrTickDomain, lo, hi)
@@ -447,16 +429,6 @@ func (q *Query) runCuTS(ctx context.Context, db *model.DB, raw bool, st *Stats, 
 	rsp.Int("candidates", int64(st.NumCandidates)).Float("refine_units", st.RefineUnits)
 	defer rsp.End()
 	defer func() { st.RefineTime = time.Since(t2) }()
-	if raw {
-		return refineScan(rctx, db, q.p, cands, q.workers, q.incremental, meter, func(_ int, raw []Convoy) bool {
-			for _, c := range raw {
-				if !emit(c) {
-					return false
-				}
-			}
-			return true
-		})
-	}
 	return q.refineStreaming(rctx, db, cands, meter, emit)
 }
 
@@ -525,7 +497,8 @@ func (q *Query) refineStreaming(ctx context.Context, db *model.DB, cands []Candi
 // never emits a convoy that dominates an earlier batch's survivor — true
 // for the CMC tick scan (a dominator must outlive its subsets, so it
 // closes at the same tick or never) and for the start-ordered refinement
-// stream (see refineStreaming); the Seq ≡ Run property tests pin it down.
+// stream (see refineStreaming); TestPropSeqCollectEqualsRun pins it down (a
+// late dominator would make the stream longer than its own canonical form).
 type canonFilter struct {
 	released []Convoy
 }
@@ -536,7 +509,12 @@ func (f *canonFilter) reduce(batch []Convoy) []Convoy {
 	if len(batch) == 0 {
 		return nil
 	}
-	canon := Canonicalize(batch)
+	// A lone convoy is canonical among itself, and most ticks that close any
+	// convoy close one.
+	canon := batch
+	if len(batch) > 1 {
+		canon = Canonicalize(batch)
+	}
 	out := canon[:0]
 	for _, c := range canon {
 		dominated := false

@@ -76,6 +76,12 @@ func TestPropQueryRunEqualsLegacyAPI(t *testing.T) {
 // Collecting Seq must reproduce the batch Result exactly — every yielded
 // convoy a maximal answer, none repeated, none missing — for all four
 // algorithms across worker counts.
+//
+// Run is the collected Seq, canonicalized, so its side here is no longer an
+// independent reference: what this still pins is that every yielded convoy is
+// maximal and none repeats (a stream longer than its canonical form fails the
+// length check). The independent references are TestPropStreamEqualsCMC (a
+// Streamer fed tick by tick), the CuTS ≡ CMC suites and bruteConvoys.
 func TestPropSeqCollectEqualsRun(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 6; iter++ {
@@ -102,6 +108,68 @@ func TestPropSeqCollectEqualsRun(t *testing.T) {
 	}
 }
 
+// A parallel stream is the batch scan, not a schedule of its own. On a frozen
+// database (nobody moves) every tick but a source's first is an incremental
+// pass, so the pass split counts the sources a scan built: a Seq collected to
+// its end and a limited run must report what batch Run does at the same
+// worker count — one full pass per chunk, the rest incremental — and all
+// three must stay stateless under WithIncremental(-1).
+func TestParallelStreamRunsTheBatchSchedule(t *testing.T) {
+	if IncrementalDisabled() {
+		t.Skipf("%s set: incremental path unavailable", NoIncrementalEnv)
+	}
+	const workers, chunks = 4, 5
+	const ticks = (chunks-1)*scanChunk + 100 // the cap, not ⌈span/workers⌉, cuts this domain
+	rows := make([][]geom.Point, 5)
+	for o := range rows {
+		at := geom.Pt(0.4*float64(o), 0) // o0..o2 ride together for good
+		if o >= 3 {
+			at = geom.Pt(100*float64(o), 0)
+		}
+		rows[o] = make([]geom.Point, ticks)
+		for i := range rows[o] {
+			rows[o][i] = at
+		}
+	}
+	db := buildDB(t, 0, rows...)
+	ctx := context.Background()
+	passSplit := func(st Stats) [3]int64 {
+		return [3]int64{st.ClusterPasses, st.ClusterPassesFull, st.ClusterPassesIncremental}
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Option
+		want [3]int64
+	}{
+		{"engine", WithIncremental(DefaultChurnThreshold), [3]int64{ticks, chunks, ticks - chunks}},
+		{"stateless", WithIncremental(-1), [3]int64{ticks, ticks, 0}},
+	} {
+		query := func(st *Stats, extra ...Option) *Query {
+			opts := []Option{WithParams(Params{M: 3, K: 5, Eps: 1}), WithCMC(), WithWorkers(workers), tc.opt, WithStats(st)}
+			return NewQuery(append(opts, extra...)...)
+		}
+		var batch, seq, limited Stats
+		if res, err := query(&batch).Run(ctx, db); err != nil || len(res) != 1 {
+			t.Fatalf("%s: Run = %v, %v; want the one convoy", tc.name, res, err)
+		}
+		if got := collectSeq(t, query(&seq), ctx, db); len(got) != 1 {
+			t.Fatalf("%s: Seq yielded %v, want the one convoy", tc.name, got)
+		}
+		if res, err := query(&limited, WithLimit(1)).Run(ctx, db); err != nil || len(res) != 1 {
+			t.Fatalf("%s: limited Run = %v, %v; want the one convoy", tc.name, res, err)
+		}
+		if got := passSplit(batch); got != tc.want {
+			t.Errorf("%s: Run passes/full/incremental = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := passSplit(seq); got != passSplit(batch) {
+			t.Errorf("%s: Seq passes/full/incremental = %v, Run's = %v", tc.name, got, passSplit(batch))
+		}
+		if got := limited.ClusterPassesIncremental > 0; got != (tc.want[2] > 0) {
+			t.Errorf("%s: limited run made %d incremental passes of %d", tc.name, limited.ClusterPassesIncremental, limited.ClusterPasses)
+		}
+	}
+}
+
 // earlyConvoyDB builds a database whose only convoy closes near the start
 // of a long time domain: o0 and o1 ride together for `togetherTicks`
 // ticks, then separate while everyone keeps reporting until `total`.
@@ -121,11 +189,27 @@ func earlyConvoyDB(t *testing.T, togetherTicks, total int) *model.DB {
 	return buildDB(t, 0, rows...)
 }
 
+// earlyStopTicks is a tick domain on which the early-stop bound of the widest
+// pool the tests below run (workers = 4) is a twentieth of a full scan.
+const earlyStopTicks = 20 * (2*4 + 1) * scanChunk
+
+// earlyStopBound is the bound the Seq doc comment states for a CMC scan that
+// stops after folding consumed ticks: a serial scan is a plain loop and has
+// clustered exactly those; a parallel one may have par.OrderedChunks' window
+// of 2·workers + 1 chunks in flight beyond them.
+func earlyStopBound(consumed, workers int) int64 {
+	if workers <= 1 {
+		return int64(consumed)
+	}
+	return int64(consumed + (2*workers+1)*scanChunk)
+}
+
 // Breaking out of Seq after the first convoy must abandon the scan: the
-// clustering-pass meter stays near the break point instead of covering the
-// whole time domain. This is the early-stop acceptance bound.
+// clustering-pass meter stays within the scheduler's window of the break
+// point instead of covering the whole time domain. This is the early-stop
+// acceptance bound.
 func TestSeqEarlyBreakDoesLessClusteringWork(t *testing.T) {
-	const together, total = 5, 400
+	const together, total = 5, earlyStopTicks
 	db := earlyConvoyDB(t, together, total)
 	p := Params{M: 2, K: 3, Eps: 1}
 	for _, workers := range []int{1, 4} {
@@ -148,9 +232,8 @@ func TestSeqEarlyBreakDoesLessClusteringWork(t *testing.T) {
 		if len(got) != 1 || got[0].End != model.Tick(together-1) {
 			t.Fatalf("workers=%d: first yield = %v, want the [0,%d] convoy", workers, got, together-1)
 		}
-		// The convoy closes at tick `together`; the pipeline may overrun by
-		// its bounded window (~3 jobs per worker).
-		bound := int64(together + 1 + 3*workers + 2)
+		// The convoy closes at tick `together`, the (together+1)-th folded.
+		bound := earlyStopBound(together+1, workers)
 		if early.ClusterPasses > bound {
 			t.Fatalf("workers=%d: early break still made %d passes (bound %d, full %d)",
 				workers, early.ClusterPasses, bound, full.ClusterPasses)
@@ -216,11 +299,12 @@ func TestWithLimitStopsCuTSRefinementEarly(t *testing.T) {
 	}
 }
 
-// Cancelling mid-run must surface ctx.Err() within about one tick of work
-// per worker: the pass meter stops near the cancellation point instead of
-// covering the whole domain. This is the cancellation-latency bound.
+// Cancelling mid-run must surface ctx.Err() with no more clustering done
+// than the scheduler's window allows: the pass meter stops within the
+// early-stop bound of the cancellation point instead of covering the whole
+// domain. This is the cancellation-latency bound.
 func TestSeqCancelLatencyBound(t *testing.T) {
-	const together, total = 5, 400
+	const together, total = 5, earlyStopTicks
 	db := earlyConvoyDB(t, together, total)
 	p := Params{M: 2, K: 3, Eps: 1}
 	for _, workers := range []int{1, 4} {
@@ -244,8 +328,8 @@ func TestSeqCancelLatencyBound(t *testing.T) {
 		if !errors.Is(seqErr, context.Canceled) {
 			t.Fatalf("workers=%d: Seq error = %v, want context.Canceled", workers, seqErr)
 		}
-		bound := int64(together + 1 + 3*workers + 2)
-		if st.ClusterPasses > bound {
+		bound := earlyStopBound(together+1, workers)
+		if st.ClusterPasses > bound || st.ClusterPasses >= total {
 			t.Fatalf("workers=%d: cancellation still made %d passes (bound %d, domain %d)",
 				workers, st.ClusterPasses, bound, total)
 		}

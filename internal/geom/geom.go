@@ -89,12 +89,6 @@ func Seg(a, b Point) Segment { return Segment{A: a, B: b} }
 // String renders the segment as "A–B".
 func (s Segment) String() string { return fmt.Sprintf("%v–%v", s.A, s.B) }
 
-// Length returns the Euclidean length of the segment.
-func (s Segment) Length() float64 { return D(s.A, s.B) }
-
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
-
 // At returns the point A + f·(B−A); f is not clamped.
 func (s Segment) At(f float64) Point { return s.A.Lerp(s.B, f) }
 
@@ -135,19 +129,6 @@ func (s Segment) ClosestPoint(p Point) Point {
 // on segment l (Definition 1).
 func DPL(p Point, l Segment) float64 {
 	return D(p, l.ClosestPoint(p))
-}
-
-// DPLine returns the perpendicular distance from p to the *infinite line*
-// through l.A and l.B. If the segment is degenerate it falls back to the
-// point distance. This is the distance used by the classic Douglas–Peucker
-// split test.
-func DPLine(p Point, l Segment) float64 {
-	ab := l.B.Sub(l.A)
-	den := ab.Norm()
-	if den == 0 {
-		return D(p, l.A)
-	}
-	return math.Abs(ab.Cross(p.Sub(l.A))) / den
 }
 
 // segmentsIntersect reports whether the two closed segments share at least

@@ -98,21 +98,6 @@ func TestDPLDegenerateSegment(t *testing.T) {
 	if got := DPL(Pt(5, 6), l); !almostEqual(got, 5) {
 		t.Errorf("DPL to degenerate segment = %g, want 5", got)
 	}
-	if got := DPLine(Pt(5, 6), l); !almostEqual(got, 5) {
-		t.Errorf("DPLine to degenerate segment = %g, want 5", got)
-	}
-}
-
-func TestDPLine(t *testing.T) {
-	l := Seg(Pt(0, 0), Pt(10, 0))
-	// DPLine measures distance to the infinite line, so a point past the
-	// endpoint still projects perpendicularly.
-	if got := DPLine(Pt(15, 3), l); !almostEqual(got, 3) {
-		t.Errorf("DPLine = %g, want 3", got)
-	}
-	if got := DPL(Pt(15, 3), l); !almostEqual(got, math.Hypot(5, 3)) {
-		t.Errorf("DPL = %g, want %g", got, math.Hypot(5, 3))
-	}
 }
 
 func TestDLL(t *testing.T) {
@@ -215,12 +200,6 @@ func TestDmin(t *testing.T) {
 
 func TestSegmentHelpers(t *testing.T) {
 	s := Seg(Pt(0, 0), Pt(10, 0))
-	if got := s.Length(); !almostEqual(got, 10) {
-		t.Errorf("Length = %g", got)
-	}
-	if got := s.Midpoint(); got != Pt(5, 0) {
-		t.Errorf("Midpoint = %v", got)
-	}
 	if got := s.At(0.25); got != Pt(2.5, 0) {
 		t.Errorf("At = %v", got)
 	}
@@ -283,7 +262,7 @@ func TestPropDPLIsMinOverSamples(t *testing.T) {
 				minSample = d
 			}
 		}
-		if got < minSample-l.Length()/128 {
+		if got < minSample-D(l.A, l.B)/128 {
 			t.Fatalf("DPL=%g implausibly below sampled min %g", got, minSample)
 		}
 	}

@@ -174,11 +174,6 @@ func TestParseRoundTrip(t *testing.T) {
 	if got := Sum(m, "z_seconds"); got != 0 {
 		t.Errorf("Sum(z_seconds) = %g, want 0 (only _bucket/_sum/_count series exist)", got)
 	}
-	fams := Families(m)
-	joined := strings.Join(fams, ",")
-	if !strings.Contains(joined, "x_total") || !strings.Contains(joined, "z_seconds_bucket") {
-		t.Errorf("families = %v", fams)
-	}
 }
 
 func TestParseErrors(t *testing.T) {

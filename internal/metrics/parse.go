@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -67,15 +66,6 @@ func ParseText(r io.Reader) (map[string]float64, error) {
 	return out, nil
 }
 
-// FamilyName extracts the family of a parsed series key — the part before
-// the label set.
-func FamilyName(key string) string {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i]
-	}
-	return key
-}
-
 // Sum adds up every series of exactly the given family in a ParseText
 // result: `family` and `family{...}` match; `family_bucket` and other
 // suffixed families do not.
@@ -87,20 +77,4 @@ func Sum(samples map[string]float64, family string) float64 {
 		}
 	}
 	return total
-}
-
-// Families lists the distinct family names of a ParseText result,
-// sorted — a convenience for reports that enumerate what a server
-// exposes.
-func Families(samples map[string]float64) []string {
-	seen := make(map[string]bool)
-	for k := range samples {
-		seen[FamilyName(k)] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

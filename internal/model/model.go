@@ -164,15 +164,6 @@ func (tr *Trajectory) Clip(lo, hi Tick) *Trajectory {
 	return &Trajectory{ID: tr.ID, Label: tr.Label, Samples: tr.Samples[i:j]}
 }
 
-// Points returns the sample locations in time order.
-func (tr *Trajectory) Points() []geom.Point {
-	pts := make([]geom.Point, len(tr.Samples))
-	for i, s := range tr.Samples {
-		pts[i] = s.P
-	}
-	return pts
-}
-
 // DB is a trajectory database: a set of trajectories with dense ObjectIDs.
 type DB struct {
 	trajs   []*Trajectory
@@ -278,28 +269,6 @@ func (db *DB) Stats() Stats {
 		s.MissingFraction = 0
 	}
 	return s
-}
-
-// VerifyWithin reports whether every pair of objects drawn from group is
-// within the given distance at tick t, using interpolated locations. Objects
-// not alive at t make the check fail. Used by tests and the flock baseline.
-func (db *DB) VerifyWithin(group []ObjectID, t Tick, dist float64) bool {
-	pts := make([]geom.Point, len(group))
-	for i, id := range group {
-		p, ok := db.Traj(id).LocationAt(t)
-		if !ok {
-			return false
-		}
-		pts[i] = p
-	}
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if geom.D(pts[i], pts[j]) > dist {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // SumTrajLen returns Σ|oi|, the total number of recorded points.

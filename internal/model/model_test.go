@@ -61,10 +61,6 @@ func TestTrajectoryAccessors(t *testing.T) {
 	if got := tr.Bounds(); got != (geom.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 8}) {
 		t.Errorf("Bounds = %v", got)
 	}
-	pts := tr.Points()
-	if len(pts) != 3 || pts[1] != geom.Pt(4, 0) {
-		t.Errorf("Points = %v", pts)
-	}
 }
 
 func TestLocationAtInterpolation(t *testing.T) {
@@ -209,22 +205,6 @@ func TestSnapshotAt(t *testing.T) {
 	ids, _ = db.SnapshotAt(20)
 	if len(ids) != 1 || ids[0] != 2 {
 		t.Errorf("SnapshotAt(20) ids = %v", ids)
-	}
-}
-
-func TestVerifyWithin(t *testing.T) {
-	db := NewDB()
-	db.Add(mustTraj(t, "a", s(0, 0, 0), s(10, 10, 0)))
-	db.Add(mustTraj(t, "b", s(0, 1, 0), s(10, 11, 0)))
-	db.Add(mustTraj(t, "c", s(0, 50, 50)))
-	if !db.VerifyWithin([]ObjectID{0, 1}, 5, 1.5) {
-		t.Error("a,b should be within 1.5 at t=5")
-	}
-	if db.VerifyWithin([]ObjectID{0, 1}, 5, 0.5) {
-		t.Error("a,b should not be within 0.5")
-	}
-	if db.VerifyWithin([]ObjectID{0, 2}, 5, 1000) {
-		t.Error("c is not alive at t=5; check must fail")
 	}
 }
 

@@ -10,10 +10,10 @@
 //     contiguous chunks, each chunk is produced sequentially on one worker
 //     against a fresh state, and the results are *consumed strictly in
 //     input order* by a single fold on the calling goroutine. The CMC tick
-//     scan picks the chunk length (long chunks let a stateful producer —
-//     the incremental clustering engine — see consecutive ticks; chunks of
-//     one give the tightest early-stop bound); the filter's partition scan
-//     and candidate refinement run it with chunks of one and no state.
+//     scan runs it with long chunks (a stateful producer — the incremental
+//     clustering engine, the sweep cursor — must see consecutive ticks to
+//     save anything); the filter's partition scan and candidate refinement
+//     run it with chunks of one.
 //
 // Both degenerate to plain loops at workers ≤ 1, which is why serial and
 // parallel runs of the pipeline are equal by construction: the same
@@ -114,12 +114,14 @@ feed:
 // tick's neighborhoods), where per-index scattering would destroy exactly
 // the locality being exploited: parallelism becomes per-worker runs of
 // contiguous ranges, with one cold (from-scratch) index per chunk instead
-// of per index. produce must be pure apart from its own state; chunk ≤ 0
-// selects one chunk per worker. With workers ≤ 1 (or a single chunk) the
-// whole span runs on one state — a plain loop.
+// of per index. produce must be pure apart from its own state; chunk must be
+// ≥ 1. With workers ≤ 1 (or a single chunk) the whole span runs on one
+// state — a plain loop.
 //
-// The window of outstanding chunks is bounded (~2×workers), which bounds
-// memory and applies backpressure to the producers when the fold is slow.
+// The window of outstanding chunks is bounded — the one being consumed plus
+// 2×workers queued behind it — which bounds memory, applies backpressure to
+// the producers when the fold is slow, and bounds the work a stop abandons:
+// at most (2×workers + 1)×chunk indices beyond those consumed were produced.
 // consume returns whether the fold should continue; returning false
 // abandons the remaining indices (in-flight produce calls finish and their
 // results are discarded) and OrderedChunks returns nil. Cancelling ctx has
@@ -128,12 +130,6 @@ feed:
 func OrderedChunks[S, T any](ctx context.Context, n, workers, chunk int, newState func() S, produce func(s S, i int) T, consume func(i int, v T) bool) error {
 	if n <= 0 {
 		return nil
-	}
-	if chunk < 1 {
-		chunk = (n + workers - 1) / workers
-		if chunk < 1 {
-			chunk = 1
-		}
 	}
 	nchunks := (n + chunk - 1) / chunk
 	workers = norm(workers, nchunks)

@@ -205,7 +205,7 @@ type chunkTag struct {
 
 func TestOrderedChunksOrderingAndContiguity(t *testing.T) {
 	for _, tc := range []struct{ n, workers, chunk int }{
-		{100, 1, 0}, {100, 4, 7}, {100, 4, 0}, {5, 8, 2}, {1, 3, 10}, {64, 3, 64},
+		{100, 1, 100}, {100, 4, 7}, {100, 4, 25}, {5, 8, 2}, {1, 3, 10}, {64, 3, 64},
 	} {
 		var nextState int64
 		newState := func() *int64 {

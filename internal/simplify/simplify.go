@@ -123,22 +123,6 @@ type Trajectory struct {
 // Len returns |o'|: the number of kept points.
 func (st *Trajectory) Len() int { return len(st.Keep) }
 
-// ReductionRatio returns the vertex reduction 1 − |o'|/|o| in [0, 1), the
-// quantity plotted in Figure 15(a).
-func (st *Trajectory) ReductionRatio() float64 {
-	n := st.Orig.Len()
-	if n == 0 {
-		return 0
-	}
-	return 1 - float64(len(st.Keep))/float64(n)
-}
-
-// TimeInterval returns the simplified trajectory's time interval o'.τ, which
-// equals the original trajectory's interval.
-func (st *Trajectory) TimeInterval() (lo, hi model.Tick) {
-	return st.Orig.Start(), st.Orig.End()
-}
-
 // SegmentCovering returns the index of a segment whose time interval covers
 // tick t, or -1. Boundary ticks belong to the earlier segment.
 func (st *Trajectory) SegmentCovering(t model.Tick) int {

@@ -395,14 +395,3 @@ func TestMethodString(t *testing.T) {
 		t.Error("unknown method should still stringify")
 	}
 }
-
-func TestReductionRatio(t *testing.T) {
-	tr := mustTraj(t, s(0, 0, 0), s(1, 1, 0.01), s(2, 2, 0), s(3, 3, 0.01), s(4, 4, 0))
-	st := Simplify(tr, 1, DP)
-	if st.Len() != 2 {
-		t.Fatalf("expected full collapse, kept %v", st.Keep)
-	}
-	if got := st.ReductionRatio(); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("ReductionRatio = %g, want 0.6", got)
-	}
-}

@@ -466,9 +466,6 @@ func (l *Log) Status() Status {
 	return st
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close syncs and closes the active segment and stops the interval-sync
 // goroutine. The files stay on disk; Open resumes them. Safe to call
 // twice.

@@ -217,14 +217,10 @@ func cmcScan(ctx context.Context, db *model.DB, p Params, lo, hi model.Tick, sub
 	if span > maxScanSpan {
 		return fmt.Errorf("core: time domain of %d ticks is too long to scan", span)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := int(min((span+int64(workers)-1)/int64(workers), scanChunk))
 	plan := db.Sweep(subset)
 	mon := &Monitor{p: p}
 	stopped := false
-	err := par.OrderedChunks(ctx, int(span), workers, chunk,
+	err := par.OrderedChunks(ctx, int(span), workers, scanChunkFor(span, workers),
 		func() scanState { return scanState{src: newSource(), cur: plan.Cursor()} },
 		func(s scanState, i int) [][]model.ObjectID {
 			t0 := tm.start()
@@ -278,6 +274,14 @@ func cmcWindow(db *model.DB, p Params, lo, hi model.Tick, subset []model.ObjectI
 // stream the cold start still shows (BenchmarkScanChunk; table in CHANGES.md,
 // PR 18).
 const scanChunk = 512
+
+// scanChunkFor returns the chunk length of a scan over n consecutive indices
+// — ticks for the tick scan, λ-partitions for the filter's — on the given
+// worker count: min(⌈n/workers⌉, scanChunk).
+func scanChunkFor(n int64, workers int) int {
+	w := int64(max(workers, 1))
+	return int(min((n+w-1)/w, scanChunk))
+}
 
 // maxScanSpan bounds the tick count of one scan so the scheduler's index
 // arithmetic (span plus a chunk) always fits an int, also on 32-bit

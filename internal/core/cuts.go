@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -26,6 +28,13 @@ import (
 // *support set* (the union of every component it passed through); both
 // measures make the refinement provably lossless (see Candidate.Support
 // and dedupCandidates; TestFilterProducesSuperset pins it).
+//
+// The partition scan is the tick scan's shape (filterScan): the partitions
+// are walked in order by a cursor over the simplified segments' start and
+// end events — O(alive) per partition, no search — and clustered on a
+// scratch that is reset, never rebuilt, so a partition allocates only the
+// cluster lists it hands to the chain (TestFilterSweepMatchesSearch,
+// TestFilterSteadyStateAllocs).
 //
 // Refinement (Algorithm 3): for every candidate, run CMC restricted to the
 // candidate's support objects over the candidate's partition-aligned time
@@ -87,10 +96,10 @@ type FilterConfig struct {
 	NoBoxPrune         bool
 	NoClipTime         bool
 	NoCandidatePruning bool
-	// Workers clusters λ-partitions concurrently (each partition's
-	// TRAJ-DBSCAN is independent; candidate chaining stays sequential in
-	// partition order, so the candidate set is identical to a serial run).
-	// 0 or 1 runs serially.
+	// Workers clusters contiguous runs of λ-partitions concurrently (each
+	// partition's TRAJ-DBSCAN is independent; candidate chaining stays
+	// sequential in partition order, so the candidate set is identical to a
+	// serial run). 0 or 1 runs serially.
 	Workers int
 }
 
@@ -128,7 +137,7 @@ type Stats struct {
 	RefineUnits   float64       // Σ candidate refinement units
 	VertexKept    int           // Σ |o'| over all simplified trajectories
 	VertexTotal   int           // Σ |o| over all original trajectories
-	SimplifyTime  time.Duration // phase timings (Figure 13)
+	SimplifyTime  time.Duration // phase timings (Figure 13); simplify includes choosing δ
 	FilterTime    time.Duration
 	RefineTime    time.Duration
 	// ClusterPasses counts clustering passes actually run: snapshot DBSCAN
@@ -174,18 +183,20 @@ func Filter(db *model.DB, p Params, sts []*simplify.Trajectory, fc FilterConfig)
 // cancelling ctx aborts the partition scan at λ-partition granularity and
 // returns ctx.Err() with a nil candidate set; passes, when non-nil, is
 // atomically incremented once per partition TRAJ-DBSCAN pass.
+//
+// The scan is scheduled exactly like the tick scan (cmcScan): the partitions
+// are cut into contiguous chunks of scanChunkFor partitions, each swept and
+// clustered in order by one worker on its own filterScratch — a cursor over
+// the simplified segments, which saves its searches only if it sees
+// consecutive windows, and the polyline, clip and adjacency buffers — while
+// the cheap candidate chaining folds the partition clusters strictly in time
+// order on the calling goroutine. The fold sees what a serial scan would, so
+// the candidate set is identical for every worker count.
 func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Trajectory, fc FilterConfig, passes *int64) ([]Candidate, error) {
-	lambda, bound := fc.Lambda, fc.Bound
+	lambda := fc.Lambda
 	lo, hi, ok := db.TimeRange()
 	if !ok {
 		return nil, nil
-	}
-	distParams := dbscan.PolylineDistanceParams{
-		Eps:         p.Eps,
-		Bound:       bound,
-		Tolerance:   fc.Tolerance,
-		GlobalDelta: fc.Delta,
-		NoBoxPrune:  fc.NoBoxPrune,
 	}
 	if lambda < 1 {
 		lambda = 1
@@ -201,81 +212,38 @@ func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Tra
 		})
 	}
 
-	// Partition windows, in time order; each partition's clustering is
-	// independent, so the expensive TRAJ-DBSCAN runs on a worker pool while
-	// the cheap candidate chaining folds the partition clusters strictly in
-	// time order (same pipeline shape as the parallel CMC scan). Windows
-	// are addressed by index, never by stepping a tick: w0 += λ wraps when
-	// the domain ends near model.MaxTick.
-	type window struct{ w0, w1 model.Tick }
+	// Partition windows, in time order. Windows are addressed by index,
+	// never by stepping a tick: w0 += λ wraps when the domain ends near
+	// model.MaxTick.
 	nWins := lambdaPartitions(lo, hi, lambda)
-	windowAt := func(i int) window {
-		w0 := lo + model.Tick(int64(i)*lambda)
+	windowAt := func(i int) (w0, w1 model.Tick) {
+		w0 = lo + model.Tick(int64(i)*lambda)
 		if int64(hi-w0) < lambda {
-			return window{w0, hi}
+			return w0, hi
 		}
-		return window{w0, w0 + model.Tick(lambda) - 1}
+		return w0, w0 + model.Tick(lambda) - 1
 	}
 
-	// partitionClusters assembles the partition's sub-polylines (the
-	// structure G of Algorithm 2) — for each object, the run of simplified
-	// segments whose time intervals intersect [w0, w1] — and clusters them.
-	// Under the D* bound the segments are clipped to the partition window —
-	// the synchronous DP* tolerance licenses that (see
-	// simplify.Segment.ClipTime), shrinking both the bounding boxes and the
-	// CPA distances; the free-space DLL bound must keep whole segments,
-	// which is exactly why the paper calls the CuTS* filter tighter
-	// (Section 6.2).
 	tm := newStageTimer(trace.FromContext(ctx))
 	defer tm.flush()
-	partitionClusters := func(w window) [][]model.ObjectID {
-		if passes != nil {
-			atomic.AddInt64(passes, 1)
-		}
-		defer tm.clustered(tm.start())
-		var polys []dbscan.Polyline
-		var polyObj []model.ObjectID
-		for _, st := range sts {
-			sLo, sHi := st.SegmentsOverlapping(w.w0, w.w1)
-			if sLo >= sHi {
-				continue
-			}
-			segs := st.Segments[sLo:sHi]
-			if bound == dbscan.BoundDStar && !fc.NoClipTime {
-				clipped := make([]simplify.Segment, len(segs))
-				for i, sg := range segs {
-					clipped[i] = sg.ClipTime(w.w0, w.w1)
-				}
-				segs = clipped
-			}
-			polys = append(polys, dbscan.NewPolyline(st.Object, segs))
-			polyObj = append(polyObj, st.Object)
-		}
-		if len(polys) < p.M {
-			return nil
-		}
-		comps := dbscan.PolylineComponents(polys, p.M, distParams)
-		clusters := make([][]model.ObjectID, len(comps))
-		for ci, comp := range comps {
-			objs := make([]model.ObjectID, len(comp))
-			for i, pi := range comp {
-				objs[i] = polyObj[pi] // polyObj ascending ⇒ objs ascending
-			}
-			clusters[ci] = objs
-		}
-		return clusters
-	}
-
+	pf := newPartitionFilter(sts, p, fc)
 	var live []*candidate
 	var next candidateSet
-	// One partition per chunk and no producer state: a partition is
-	// clustered from its own polylines alone.
-	if err := par.OrderedChunks(ctx, nWins, fc.Workers, 1, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) [][]model.ObjectID { return partitionClusters(windowAt(i)) },
+	if err := par.OrderedChunks(ctx, nWins, fc.Workers, scanChunkFor(int64(nWins), fc.Workers),
+		pf.scratch,
+		func(s *filterScratch, i int) [][]model.ObjectID {
+			if passes != nil {
+				atomic.AddInt64(passes, 1)
+			}
+			t0 := tm.start()
+			clusters := s.clusters(windowAt(i))
+			tm.clustered(t0)
+			return clusters
+		},
 		func(i int, clusters [][]model.ObjectID) bool {
 			t0 := tm.start()
-			w := windowAt(i)
-			live = chainStep(&next, live, clusters, p.M, p.K, w.w0, w.w1, true, nil, collect)
+			w0, w1 := windowAt(i)
+			live = chainStep(&next, live, clusters, p.M, p.K, w0, w1, true, nil, collect)
 			tm.chained(t0)
 			return true
 		}); err != nil {
@@ -283,6 +251,181 @@ func filterScan(ctx context.Context, db *model.DB, p Params, sts []*simplify.Tra
 	}
 	flushCandidates(live, p.K, nil, collect)
 	return dedupCandidates(out, fc.NoCandidatePruning), nil
+}
+
+// partitionFilter is the read-only half of the filter's partition scan, built
+// once and shared by every worker: what to cluster and under which bound.
+type partitionFilter struct {
+	sts   []*simplify.Trajectory
+	order []int // indices into sts by ascending (first segment's start, index)
+	m     int
+	// clip: under the D* bound the segments are clipped to the partition
+	// window — the synchronous DP* tolerance licenses that (see
+	// simplify.Segment.ClipTime), shrinking both the bounding boxes and the
+	// CPA distances; the free-space DLL bound must keep whole segments, which
+	// is exactly why the paper calls the CuTS* filter tighter (Section 6.2).
+	clip bool
+	dist dbscan.PolylineDistanceParams
+}
+
+func newPartitionFilter(sts []*simplify.Trajectory, p Params, fc FilterConfig) *partitionFilter {
+	pf := &partitionFilter{
+		sts:   sts,
+		order: make([]int, 0, len(sts)),
+		m:     p.M,
+		clip:  fc.Bound == dbscan.BoundDStar && !fc.NoClipTime,
+		dist: dbscan.PolylineDistanceParams{
+			Eps:         p.Eps,
+			Bound:       fc.Bound,
+			Tolerance:   fc.Tolerance,
+			GlobalDelta: fc.Delta,
+			NoBoxPrune:  fc.NoBoxPrune,
+		},
+	}
+	for i, st := range sts {
+		if len(st.Segments) > 0 {
+			pf.order = append(pf.order, i)
+		}
+	}
+	slices.SortStableFunc(pf.order, func(a, b int) int {
+		return cmp.Compare(sts[a].Segments[0].StartTick(), sts[b].Segments[0].StartTick())
+	})
+	return pf
+}
+
+// filterScratch is what one worker carries through a contiguous run of
+// λ-partitions: the cursor that sweeps the simplified segments under them and
+// every buffer a partition's clustering fills. Both are reset, not rebuilt,
+// from one partition to the next, so a partition like the ones before it
+// allocates only the cluster lists it hands on.
+type filterScratch struct {
+	pf    *partitionFilter
+	cur   segCursor
+	polys []dbscan.Polyline
+	clips []simplify.Segment
+	pc    dbscan.PolylineClusterer
+}
+
+func (pf *partitionFilter) scratch() *filterScratch {
+	return &filterScratch{pf: pf, cur: segCursor{sts: pf.sts, order: pf.order}}
+}
+
+// clusters assembles the sub-polylines of partition [w0, w1] (the structure
+// G of Algorithm 2) — for each object, the run of simplified segments whose
+// time intervals intersect the window — and clusters them. Windows must come
+// in ascending order. The cluster lists are the caller's: ascending object
+// IDs carved from one fresh arena (they travel on to the candidate chain,
+// long after the scratch has moved on).
+func (s *filterScratch) clusters(w0, w1 model.Tick) [][]model.ObjectID {
+	pf := s.pf
+	alive := s.cur.advance(w0, w1)
+	if len(alive) < pf.m {
+		return nil
+	}
+	polys, clips := s.polys[:0], s.clips[:0]
+	if pf.clip {
+		// Sized before any polyline slices into it: the arena must not move.
+		total := 0
+		for _, a := range alive {
+			total += a.hi - a.lo
+		}
+		clips = slices.Grow(clips, total)
+	}
+	for _, a := range alive {
+		st := pf.sts[a.id]
+		segs := st.Segments[a.lo:a.hi]
+		if len(segs) == 0 {
+			continue
+		}
+		if pf.clip {
+			from := len(clips)
+			for _, sg := range segs {
+				clips = append(clips, sg.ClipTime(w0, w1))
+			}
+			segs = clips[from:len(clips):len(clips)]
+		}
+		polys = append(polys, dbscan.NewPolyline(st.Object, segs))
+	}
+	s.polys, s.clips = polys, clips
+	if len(polys) < pf.m {
+		return nil
+	}
+	// Components come back as polyline indices, ascending; sts — and so
+	// polys — is in ascending object order, so mapping in place keeps them
+	// sorted (model.ObjectID is an int).
+	comps := s.pc.Components(polys, pf.m, pf.dist)
+	for _, comp := range comps {
+		for i, pi := range comp {
+			comp[i] = polys[pi].Object
+		}
+	}
+	return comps
+}
+
+// aliveSegs is one trajectory under a segCursor's window: sts[id], and the
+// half-open range [lo, hi) of its segments whose intervals intersect it.
+type aliveSegs struct{ id, lo, hi int }
+
+// segCursor sweeps a set of simplified trajectories through ascending time
+// windows — model.Cursor's idiom applied to simplify.Trajectory.Segments. It
+// keeps the trajectories alive in the last window in sts order and, for
+// each, the range of segments that intersected it; the next window moves
+// every range forward over the segments the step passed, drops the
+// trajectories that ended, and merges in the ones that began. That costs
+// O(alive), where asking every trajectory with SegmentsOverlapping costs two
+// binary searches per trajectory per window; the search is kept for the one
+// place it is needed, a trajectory's admission — which is also how a cursor
+// that starts mid-domain, or skips windows, finds its place.
+type segCursor struct {
+	sts   []*simplify.Trajectory
+	order []int // indices into sts by ascending first-segment start; shared
+	next  int   // the prefix of order already admitted (or found over)
+	alive []aliveSegs
+}
+
+// advance moves the cursor to window [w0, w1], which must begin after the
+// previous one did, and returns the trajectories with a segment in it (one
+// whose segments leave a gap around the window stays, with an empty range).
+// The slice is the cursor's own: valid, and not to be written, until the
+// next call.
+func (c *segCursor) advance(w0, w1 model.Tick) []aliveSegs {
+	w := 0
+	for _, a := range c.alive {
+		segs := c.sts[a.id].Segments
+		for a.lo < len(segs) && segs[a.lo].EndTick() < w0 {
+			a.lo++
+		}
+		if a.lo == len(segs) {
+			continue
+		}
+		a.hi = max(a.hi, a.lo)
+		for a.hi < len(segs) && segs[a.hi].StartTick() <= w1 {
+			a.hi++
+		}
+		c.alive[w] = a
+		w++
+	}
+	c.alive = c.alive[:w]
+	for ; c.next < len(c.order); c.next++ {
+		id := c.order[c.next]
+		st := c.sts[id]
+		if st.Segments[0].StartTick() > w1 {
+			break
+		}
+		lo, hi := st.SegmentsOverlapping(w0, w1)
+		if lo == hi {
+			continue // over before this window: a cursor that began late, or skipped
+		}
+		// Insert in sts order; arrivals are few against the alive set.
+		at := len(c.alive)
+		c.alive = append(c.alive, aliveSegs{})
+		for at > 0 && c.alive[at-1].id > id {
+			c.alive[at] = c.alive[at-1]
+			at--
+		}
+		c.alive[at] = aliveSegs{id, lo, hi}
+	}
+	return c.alive
 }
 
 // lambdaPartitions returns how many λ-length partitions the filter cuts a

@@ -17,9 +17,9 @@ const deltaSampleDivisor = 10
 
 // ComputeDelta derives a simplification tolerance δ from the data following
 // the Section 7.4 heuristic: run Douglas–Peucker with δ = 0 over a sample
-// of trajectories, record the split deviations in ascending order, keep
-// those below e, find the largest gap between adjacent values and select
-// the smaller endpoint of that gap; finally average the per-trajectory
+// of trajectories, record the split deviations below e in ascending order,
+// find the largest gap between adjacent values and select the smaller
+// endpoint of that gap; finally average the per-trajectory
 // selections. Falls back to e/2 when the data yields no usable profile
 // (e.g., everything collinear).
 func ComputeDelta(db *model.DB, e float64) float64 {
@@ -38,13 +38,7 @@ func ComputeDelta(db *model.DB, e float64) float64 {
 	var sum float64
 	var count int
 	for i := 0; i < n; i += stride {
-		dists := simplify.SplitDistances(db.Traj(i), simplify.DP)
-		// Keep the ascending prefix below e.
-		hi := 0
-		for hi < len(dists) && dists[hi] < e {
-			hi++
-		}
-		dists = dists[:hi]
+		dists := simplify.SplitDistances(db.Traj(i), simplify.DP, e)
 		if len(dists) == 0 {
 			continue
 		}

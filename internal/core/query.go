@@ -357,9 +357,10 @@ var ErrTickDomain = errors.New("core: the CuTS family cannot represent ticks bey
 // maxExactTick is the largest tick magnitude a float64 holds exactly.
 const maxExactTick = model.Tick(1) << 53
 
-// runCuTS executes the filter-refinement pipeline: simplify (cancellable
-// per trajectory), filter (cancellable per λ-partition), then refinement
-// (cancellable per candidate). Candidates are refined in ascending
+// runCuTS executes the filter-refinement pipeline: simplify (the δ
+// guideline when no δ was given, then cancellable per trajectory), filter
+// (cancellable per λ-partition), then refinement (cancellable per
+// candidate). Candidates are refined in ascending
 // window-start order and discovered convoys are released as soon as no
 // unprocessed candidate window could still dominate them — the
 // start-watermark argument documented on refineStreaming.
@@ -368,15 +369,16 @@ func (q *Query) runCuTS(ctx context.Context, db *model.DB, st *Stats, meter *sca
 	if ok && (lo < -maxExactTick || hi > maxExactTick) {
 		return fmt.Errorf("%w: the database spans [%d, %d] (the CMC algorithm has no such limit)", ErrTickDomain, lo, hi)
 	}
-	delta := q.delta
-	if delta <= 0 {
-		delta = ComputeDelta(db, q.p.Eps)
-	}
-	st.Delta = delta
-
+	// Choosing δ is a Douglas–Peucker run of its own (the guideline's δ = 0
+	// profile), so it is timed and traced as part of the simplify stage.
 	t0 := time.Now()
 	sctx, ssp := trace.StartSpan(ctx, "simplify")
-	ssp.Float("delta", delta)
+	delta, auto := q.delta, int64(0)
+	if delta <= 0 {
+		delta, auto = ComputeDelta(db, q.p.Eps), 1
+	}
+	st.Delta = delta
+	ssp.Float("delta", delta).Int("delta_auto", auto)
 	sts, err := simplify.SimplifyAllWorkers(sctx, db, delta, q.variant.SimplifyMethod(), q.workers)
 	st.SimplifyTime = time.Since(t0)
 	if err != nil {

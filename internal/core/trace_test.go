@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -190,5 +192,45 @@ func BenchmarkQueryNoTrace(b *testing.B) {
 		if _, err := q.Run(ctx, db); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDeltaGuidelineIsInTheSimplifyStage: choosing δ is a Douglas–Peucker
+// run of its own — a fifth of an automatic-δ CuTS* query on the ladder's
+// cattle herd when nothing accounted for it — so it belongs to the simplify
+// stage's time and span. With it there the three stage times account for
+// the wall time of Run; a query that brings its δ runs no guideline, and its
+// simplify span says so.
+func TestDeltaGuidelineIsInTheSimplifyStage(t *testing.T) {
+	db := datagen.Cattle(0.15, 101).Generate()
+	best := 0.0
+	for attempt := 0; attempt < 3 && best < 0.9; attempt++ { // a ratio of clocks: retry a run something preempted
+		var st Stats
+		q := NewQuery(WithParams(cattleParams), WithVariant(VariantCuTSStar), WithStats(&st))
+		t0 := time.Now()
+		if _, err := q.Run(context.Background(), db); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(t0)
+		best = math.Max(best, float64(st.TotalTime())/float64(wall))
+	}
+	if best < 0.9 {
+		t.Errorf("simplify + filter + refine account for %.0f %% of Run's wall time, want ≥ 90 %%", 100*best)
+	}
+
+	simplifySpan := func(opts ...Option) *trace.SpanJSON {
+		q := NewQuery(append([]Option{WithParams(cattleParams), WithVariant(VariantCuTSStar)}, opts...)...)
+		sp := traceQuery(t, q, db).Root.Find("simplify")
+		if sp == nil {
+			t.Fatal("no simplify span")
+		}
+		return sp
+	}
+	auto, given := simplifySpan(), simplifySpan(WithDelta(274.2))
+	if auto.Attr("delta_auto") != "1" || given.Attr("delta_auto") != "0" {
+		t.Errorf("delta_auto = %q with the guideline, %q with WithDelta; want 1 and 0", auto.Attr("delta_auto"), given.Attr("delta_auto"))
+	}
+	if given.Attr("delta") != "274.2" {
+		t.Errorf("simplify span reports δ = %s, want the 274.2 it was given", given.Attr("delta"))
 	}
 }

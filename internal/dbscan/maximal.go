@@ -1,6 +1,7 @@
 package dbscan
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -100,24 +101,34 @@ func ClusterMaximal(adj Adjacency) [][]int {
 // into one component. Members sorted ascending; components ordered by their
 // smallest core index; noise omitted.
 func ClusterComponents(adj Adjacency) [][]int {
-	n := len(adj.NH)
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
+	var f componentFill
+	return f.components(adj)
+}
+
+// componentFill is ClusterComponents' flood fill with its buffers kept, for
+// a caller that fills one graph after another.
+type componentFill struct {
+	comp  []int // component of each item, -1 while it has none
+	queue []int // every component's members back to back, in flood order
+	ends  []int // ends[c]: where component c's members end in queue
+}
+
+// components reports the components as fresh lists carved from one arena.
+func (f *componentFill) components(adj Adjacency) [][]int {
+	comp, queue, ends := f.comp[:0], f.queue[:0], f.ends[:0]
+	for range adj.NH {
+		comp = append(comp, -1)
 	}
-	var comps [][]int
-	var queue []int
-	for i := 0; i < n; i++ {
+	for i := range adj.NH {
 		if !adj.Core[i] || comp[i] >= 0 {
 			continue
 		}
-		cid := len(comps)
+		cid := len(ends)
 		comp[i] = cid
-		queue = append(queue[:0], i)
-		var members []int
-		for head := 0; head < len(queue); head++ {
+		head := len(queue)
+		queue = append(queue, i)
+		for ; head < len(queue); head++ {
 			c := queue[head]
-			members = append(members, c)
 			// c is in the component; expand through its neighborhood. A
 			// border expands only toward cores (border–border pairs are not
 			// edges), a core expands toward everyone.
@@ -131,8 +142,19 @@ func ClusterComponents(adj Adjacency) [][]int {
 				}
 			}
 		}
-		sort.Ints(members)
-		comps = append(comps, members)
+		ends = append(ends, len(queue))
+	}
+	f.comp, f.queue, f.ends = comp, queue, ends
+	if len(ends) == 0 {
+		return nil
+	}
+	arena := slices.Clone(queue)
+	comps := make([][]int, len(ends))
+	lo := 0
+	for ci, hi := range ends {
+		comps[ci] = arena[lo:hi:hi]
+		slices.Sort(comps[ci])
+		lo = hi
 	}
 	return comps
 }
@@ -187,57 +209,4 @@ func SnapshotClusters(ids []model.ObjectID, pts []geom.Point, eps float64, minPt
 		clusters[ci] = objs
 	}
 	return clusters
-}
-
-// PolylineAdjacency builds the segment-level neighborhood graph over the
-// partition's sub-polylines under the configured distance bound, with
-// Lemma 2 box pruning and grid candidate enumeration.
-func PolylineAdjacency(polys []Polyline, minPts int, p PolylineDistanceParams) Adjacency {
-	if len(polys) == 0 {
-		return Adjacency{}
-	}
-	maxTolAll := 0.0
-	for i := range polys {
-		if t := p.maxTol(polys[i]); t > maxTolAll {
-			maxTolAll = t
-		}
-	}
-	cell := p.Eps + 2*maxTolAll
-	if cell <= 0 {
-		cell = 1
-	}
-	rects := make([]geom.Rect, len(polys))
-	for i := range polys {
-		rects[i] = polys[i].Bounds
-	}
-	idx := grid.NewRectIndex(rects, cell)
-	var cand []int
-	return BuildAdjacency(len(polys), minPts, func(i int, buf []int) []int {
-		q := &polys[i]
-		qTol := p.maxTol(*q)
-		cand = idx.Intersecting(q.Bounds.Inflate(p.Eps+qTol+maxTolAll), cand[:0])
-		for _, j := range cand {
-			if j == i {
-				buf = append(buf, j)
-				continue
-			}
-			o := &polys[j]
-			if o.T1 < q.T0 || q.T1 < o.T0 {
-				continue
-			}
-			if !p.NoBoxPrune && geom.Dmin(q.Bounds, o.Bounds) > p.Eps+qTol+p.maxTol(*o) {
-				continue
-			}
-			if withinBound(*q, *o, p) {
-				buf = append(buf, j)
-			}
-		}
-		return buf
-	})
-}
-
-// PolylineComponents returns the merged disjoint segment-level components
-// used by the CuTS filter step (Algorithm 2, line 11).
-func PolylineComponents(polys []Polyline, minPts int, p PolylineDistanceParams) [][]int {
-	return ClusterComponents(PolylineAdjacency(polys, minPts, p))
 }

@@ -35,6 +35,12 @@ func polyOf(st *simplify.Trajectory) Polyline {
 	return NewPolyline(st.Object, st.Segments)
 }
 
+// withinBoundOK is withinBound's answer alone.
+func withinBoundOK(a, b *Polyline, p *PolylineDistanceParams) bool {
+	ok, _ := withinBound(a, b, p)
+	return ok
+}
+
 func TestNewPolylineAggregates(t *testing.T) {
 	tr := lineTraj(t, 0, 0, 1, 0, 5, 10, func(i model.Tick) (float64, float64) {
 		if i == 4 {
@@ -62,7 +68,7 @@ func TestOmegaDisjointTimeIsInf(t *testing.T) {
 	if w := Omega(a, b, p); !math.IsInf(w, 1) {
 		t.Errorf("Omega with disjoint times = %g, want +Inf", w)
 	}
-	if withinBound(a, b, p) {
+	if withinBoundOK(&a, &b, &p) {
 		t.Error("withinBound with disjoint times must be false")
 	}
 }
@@ -78,11 +84,11 @@ func TestOmegaParallelTracks(t *testing.T) {
 	if math.Abs(w-3) > 1e-9 {
 		t.Errorf("Omega = %g, want 3", w)
 	}
-	if withinBound(a, b, p) {
+	if withinBoundOK(&a, &b, &p) {
 		t.Error("withinBound at gap 3 with e=1 must be false")
 	}
 	p.Eps = 3
-	if !withinBound(a, b, p) {
+	if !withinBoundOK(&a, &b, &p) {
 		t.Error("withinBound at gap 3 with e=3 must be true")
 	}
 }
@@ -94,10 +100,10 @@ func TestDStarBoundTighterThanDLL(t *testing.T) {
 	b := polyOf(simplify.Simplify(lineTraj(t, -2, 0, 1, 0, 0, 20, nil), 0.1, simplify.DPStar))
 	dll := PolylineDistanceParams{Eps: 1, Bound: BoundDLL}
 	dstar := PolylineDistanceParams{Eps: 1, Bound: BoundDStar}
-	if !withinBound(a, b, dll) {
+	if !withinBoundOK(&a, &b, &dll) {
 		t.Error("DLL bound should (loosely) accept the follower pair")
 	}
-	if withinBound(a, b, dstar) {
+	if withinBoundOK(&a, &b, &dstar) {
 		t.Error("D* bound should reject the follower pair at e=1")
 	}
 	wd := Omega(a, b, dstar)
@@ -117,7 +123,7 @@ func TestGlobalToleranceLooserThanActual(t *testing.T) {
 	if Omega(a, b, global) > Omega(a, b, actual)+1e-12 {
 		t.Error("global-tolerance omega should be ≤ actual-tolerance omega")
 	}
-	if withinBound(a, b, actual) && !withinBound(a, b, global) {
+	if withinBoundOK(&a, &b, &actual) && !withinBoundOK(&a, &b, &global) {
 		t.Error("anything accepted under actual tolerance must be accepted under global")
 	}
 }
@@ -128,9 +134,9 @@ func TestGlobalToleranceLooserThanActual(t *testing.T) {
 // yields the same components.
 func componentLabels(t *testing.T, polys []Polyline, minPts int, p PolylineDistanceParams) []int {
 	t.Helper()
-	comps := PolylineComponents(polys, minPts, p)
+	comps := new(PolylineClusterer).Components(polys, minPts, p)
 	p.NoBoxPrune = !p.NoBoxPrune
-	if other := PolylineComponents(polys, minPts, p); !reflect.DeepEqual(comps, other) {
+	if other := new(PolylineClusterer).Components(polys, minPts, p); !reflect.DeepEqual(comps, other) {
 		t.Fatalf("components depend on box pruning: %v vs %v", comps, other)
 	}
 	labels := make([]int, len(polys))
@@ -232,7 +238,7 @@ func TestPropLemmaBoundsNeverDismiss(t *testing.T) {
 			pa := polyOf(simplify.Simplify(a, delta, cfg.method))
 			pb := polyOf(simplify.Simplify(b, delta, cfg.method))
 			params := PolylineDistanceParams{Eps: e, Bound: cfg.bound}
-			accepted := withinBound(pa, pb, params)
+			accepted := withinBoundOK(&pa, &pb, &params)
 			// Scan every shared tick for a true close encounter.
 			lo := a.Start()
 			if b.Start() > lo {
@@ -258,7 +264,7 @@ func TestPropLemmaBoundsNeverDismiss(t *testing.T) {
 				gparams := params
 				gparams.Tolerance = GlobalTolerance
 				gparams.GlobalDelta = delta
-				if !withinBound(pa, pb, gparams) {
+				if !withinBoundOK(&pa, &pb, &gparams) {
 					t.Fatalf("%v: global tolerance rejected a pair accepted under actual tolerance", cfg.method)
 				}
 			}
@@ -266,12 +272,14 @@ func TestPropLemmaBoundsNeverDismiss(t *testing.T) {
 	}
 }
 
-// Property: PolylineAdjacency — grid candidate enumeration, with the
-// Lemma-2 box pruning on and off — finds exactly the neighborhoods a
-// brute-force scan over the same withinBound predicate finds, so the
-// components the CuTS filter chains are the brute-force components.
+// Property: PolylineClusterer.Adjacency — grid candidate enumeration, with
+// the Lemma-2 box pruning on and off, on one clusterer reused from set to
+// set — finds exactly the neighborhoods a brute-force scan over the same
+// withinBound predicate, asked both ways round, finds, so the components
+// the CuTS filter chains are the brute-force components.
 func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
+	var pc PolylineClusterer
 	for iter := 0; iter < 40; iter++ {
 		n := 2 + r.Intn(25)
 		polys := make([]Polyline, n)
@@ -283,7 +291,7 @@ func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 		minPts := 1 + r.Intn(4)
 		want := BuildAdjacency(n, minPts, func(i int, buf []int) []int {
 			for j := 0; j < n; j++ {
-				if i == j || withinBound(polys[i], polys[j], params) {
+				if i == j || withinBoundOK(&polys[i], &polys[j], &params) {
 					buf = append(buf, j)
 				}
 			}
@@ -291,11 +299,11 @@ func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 		})
 		for _, noBoxPrune := range []bool{false, true} {
 			params.NoBoxPrune = noBoxPrune
-			got := PolylineAdjacency(polys, minPts, params)
+			got := pc.Adjacency(polys, minPts, params)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("NoBoxPrune=%v: adjacency mismatch: grid=%v brute=%v", noBoxPrune, got, want)
 			}
-			if gc, wc := PolylineComponents(polys, minPts, params), ClusterComponents(want); !reflect.DeepEqual(gc, wc) {
+			if gc, wc := pc.Components(polys, minPts, params), ClusterComponents(want); !reflect.DeepEqual(gc, wc) {
 				t.Fatalf("NoBoxPrune=%v: component mismatch: grid=%v brute=%v", noBoxPrune, gc, wc)
 			}
 		}

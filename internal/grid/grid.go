@@ -94,15 +94,7 @@ func (idx *PointIndex) Reset(pts []geom.Point) {
 			idx.cell *= 2
 		}
 	}
-	// Reslicing within capacity keeps the hidden buckets' backing arrays;
-	// the clear loop above already emptied every populated bucket, so a
-	// resurrected bucket is always empty.
-	n := idx.nx * idx.ny
-	if n <= cap(idx.cells) {
-		idx.cells = idx.cells[:n]
-	} else {
-		idx.cells = append(idx.cells[:cap(idx.cells)], make([][]int, n-cap(idx.cells))...)
-	}
+	idx.cells = resizeCells(idx.cells, idx.nx*idx.ny)
 	for i, p := range pts {
 		c := idx.cellOf(p)
 		if len(idx.cells[c]) == 0 {
@@ -110,6 +102,16 @@ func (idx *PointIndex) Reset(pts []geom.Point) {
 		}
 		idx.cells[c] = append(idx.cells[c], i)
 	}
+}
+
+// resizeCells reslices a Reset's cell array to n buckets. Reslicing within
+// capacity keeps the hidden buckets' backing arrays; the caller has already
+// emptied every populated bucket, so a resurrected bucket is always empty.
+func resizeCells(cells [][]int, n int) [][]int {
+	if n <= cap(cells) {
+		return cells[:n]
+	}
+	return append(cells[:cap(cells)], make([][]int, n-cap(cells))...)
 }
 
 // finiteExtent reports whether a grid extent is usable: non-finite widths
@@ -161,13 +163,16 @@ const maxRectCells = 1 << 20
 // RectIndex is a uniform grid over rectangles; each rectangle is registered
 // in every cell it overlaps. The grid is a dense array sized to the bounding
 // box of the indexed rectangles (hash maps proved to dominate the filter
-// step's profile), so construction cost is O(rects + cells) and queries
-// touch only slice memory. Construct with NewRectIndex.
+// step's profile), so indexing costs O(rects + cells touched) and queries
+// touch only slice memory. The zero value is an empty index; Reset fills it,
+// and refills it for the next rectangle set on the same cell buckets — the
+// filter's partition after partition — as PointIndex.Reset does for points.
 type RectIndex struct {
 	cell       float64
 	origin     geom.Point
 	nx, ny     int
 	cells      [][]int
+	used       []int // non-empty cell indices, for O(rects) clearing
 	rects      []geom.Rect
 	visited    []int // query generation stamps for deduplication
 	gen        int
@@ -179,27 +184,44 @@ type RectIndex struct {
 // to it (resolution cap). Empty rectangles are skipped (they can never
 // match a query).
 func NewRectIndex(rects []geom.Rect, cell float64) *RectIndex {
+	idx := &RectIndex{}
+	idx.Reset(rects, cell)
+	return idx
+}
+
+// Reset re-indexes the given rectangles at the given cell size, exactly as
+// NewRectIndex would, but on the index's own buffers: only the buckets the
+// previous set populated are cleared, and their backing arrays stay, so
+// Resets over similar sets settle into a steady state with no allocation.
+// The caller keeps ownership of rects; cell must be > 0.
+func (idx *RectIndex) Reset(rects []geom.Rect, cell float64) {
 	if cell <= 0 {
 		panic("grid: cell size must be positive")
 	}
+	for _, c := range idx.used {
+		idx.cells[c] = idx.cells[c][:0]
+	}
+	idx.used = idx.used[:0]
 	bounds := geom.EmptyRect()
 	for _, r := range rects {
 		bounds = bounds.Union(r)
 	}
-	idx := &RectIndex{
-		cell:       cell,
-		rects:      rects,
-		visited:    make([]int, len(rects)),
-		everything: bounds,
+	idx.cell, idx.rects, idx.everything = cell, rects, bounds
+	// Stale stamps are harmless: gen only grows, so none equals a later one.
+	if len(rects) <= cap(idx.visited) {
+		idx.visited = idx.visited[:len(rects)]
+	} else {
+		idx.visited = make([]int, len(rects))
 	}
 	if bounds.IsEmpty() {
-		return idx
+		idx.nx, idx.ny, idx.cells = 0, 0, idx.cells[:0]
+		return
 	}
 	idx.origin = geom.Pt(bounds.MinX, bounds.MinY)
 	w := bounds.MaxX - bounds.MinX
 	h := bounds.MaxY - bounds.MinY
 	if !finiteExtent(w, h) {
-		// Defensive single-cell fallback, like NewPointIndex: NaN/Inf
+		// Defensive single-cell fallback, like PointIndex: NaN/Inf
 		// rectangle bounds must not panic the allocation below. The
 		// everything-box becomes the whole plane — a poisoned union would
 		// fail every Intersects pre-check and hide the finite rectangles.
@@ -223,7 +245,7 @@ func NewRectIndex(rects []geom.Rect, cell float64) *RectIndex {
 			idx.cell *= 2
 		}
 	}
-	idx.cells = make([][]int, idx.nx*idx.ny)
+	idx.cells = resizeCells(idx.cells, idx.nx*idx.ny)
 	for i, r := range rects {
 		if r.IsEmpty() {
 			continue
@@ -232,11 +254,14 @@ func NewRectIndex(rects []geom.Rect, cell float64) *RectIndex {
 		for cx := lox; cx <= hix; cx++ {
 			row := cx * idx.ny
 			for cy := loy; cy <= hiy; cy++ {
-				idx.cells[row+cy] = append(idx.cells[row+cy], i)
+				c := row + cy
+				if len(idx.cells[c]) == 0 {
+					idx.used = append(idx.used, c)
+				}
+				idx.cells[c] = append(idx.cells[c], i)
 			}
 		}
 	}
-	return idx
 }
 
 // cellRange returns the clamped cell-coordinate range covered by r. Queries
@@ -264,7 +289,7 @@ func clampCell(c, n int) int {
 // query, deduplicated, and returns the extended slice. Not safe for
 // concurrent use (the dedup stamps are shared state).
 func (idx *RectIndex) Intersecting(query geom.Rect, dst []int) []int {
-	if query.IsEmpty() || idx.cells == nil || !query.Intersects(idx.everything) {
+	if query.IsEmpty() || len(idx.cells) == 0 || !query.Intersects(idx.everything) {
 		return dst
 	}
 	idx.gen++

@@ -298,6 +298,63 @@ func TestPointIndexResetNoAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestRectIndexResetEquivalence: a reused RectIndex answers every query as a
+// fresh one over the same rectangles and cell size would, in the same order,
+// across sets that grow, shrink, empty out, change cell size and pass
+// through the non-finite fallback; and Resets over same-shaped sets settle
+// into zero allocations (the filter resets one index per λ-partition).
+func TestRectIndexResetEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	randRects := func(n int, extent float64) []geom.Rect {
+		rects := make([]geom.Rect, n)
+		for i := range rects {
+			x, y := r.Float64()*extent-extent/2, r.Float64()*extent
+			rects[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + r.Float64()*10, MaxY: y + r.Float64()*10}
+		}
+		return rects
+	}
+	sets := [][]geom.Rect{}
+	for _, n := range []int{40, 7, 0, 120, 40} {
+		sets = append(sets, randRects(n, 10+r.Float64()*90))
+	}
+	sets = append(sets,
+		[]geom.Rect{geom.EmptyRect()},
+		[]geom.Rect{{MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1}, {MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}}, // fallback path
+		sets[0]) // recover from fallback
+
+	var reused RectIndex
+	for si, rects := range sets {
+		cell := 1 + r.Float64()*8
+		reused.Reset(rects, cell)
+		fresh := NewRectIndex(rects, cell)
+		for q := 0; q < 50; q++ {
+			x, y := r.Float64()*120-60, r.Float64()*120-60
+			query := geom.Rect{MinX: x, MinY: y, MaxX: x + r.Float64()*20, MaxY: y + r.Float64()*20}
+			got, want := reused.Intersecting(query, nil), fresh.Intersecting(query, nil)
+			if len(got) != len(want) {
+				t.Fatalf("set %d: Intersecting(%v) = %v, fresh index says %v", si, query, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("set %d: Intersecting(%v) = %v, fresh index says %v", si, query, got, want)
+				}
+			}
+		}
+		if reused.Len() != fresh.Len() {
+			t.Fatalf("set %d: Len = %d, want %d", si, reused.Len(), fresh.Len())
+		}
+	}
+
+	rects := randRects(300, 100)
+	for i := 0; i < 10; i++ { // warm the buckets across varied layouts
+		copy(rects, randRects(300, 100))
+		reused.Reset(rects, 5)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { reused.Reset(rects, 5) }); allocs > 0 {
+		t.Fatalf("steady-state Reset allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 // BenchmarkPointIndexRebuild contrasts the per-tick grid rebuild idioms:
 // constructing a fresh index versus Reset on a reused one.
 func BenchmarkPointIndexRebuild(b *testing.B) {

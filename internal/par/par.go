@@ -10,10 +10,11 @@
 //     contiguous chunks, each chunk is produced sequentially on one worker
 //     against a fresh state, and the results are *consumed strictly in
 //     input order* by a single fold on the calling goroutine. The CMC tick
-//     scan runs it with long chunks (a stateful producer — the incremental
-//     clustering engine, the sweep cursor — must see consecutive ticks to
-//     save anything); the filter's partition scan and candidate refinement
-//     run it with chunks of one.
+//     scan and the filter's partition scan run it with long chunks (a
+//     stateful producer — the incremental clustering engine, the sweep
+//     cursors over samples and over simplified segments, the filter's
+//     scratch — must see consecutive indices to save anything); candidate
+//     refinement runs it with chunks of one.
 //
 // Both degenerate to plain loops at workers ≤ 1, which is why serial and
 // parallel runs of the pipeline are equal by construction: the same

@@ -1,6 +1,7 @@
 package simplify
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestSplitDistancesAllMethods(t *testing.T) {
 		s(0, 0, 0), s(1, 1, 2), s(2, 2, -1), s(3, 3, 3), s(4, 4, 0), s(5, 5, 1),
 	)
 	for _, m := range []Method{DP, DPPlus, DPStar} {
-		dists := SplitDistances(tr, m)
+		dists := SplitDistances(tr, m, math.Inf(1))
 		if len(dists) == 0 {
 			t.Errorf("%v: empty profile", m)
 			continue

@@ -21,11 +21,24 @@
 // All implementations are iterative (explicit stack) so multi-hundred-
 // thousand-point trajectories (the Cattle dataset's shape) cannot overflow
 // the goroutine stack.
+//
+// The cost of the division process is its scan for a split point, and each
+// method has one split kernel for it (splitFarthest, splitFarthestSync,
+// splitMiddle): the chord's invariants are computed once per range, and the
+// two farthest-point methods compare squared deviations and take a single
+// exact deviation (one math.Hypot) at the arg-max. What that guarantees is
+// stated on farthest: every recorded tolerance is the exact deviation of a
+// real sample, and it is the range's maximum to within the rounding the
+// deviation itself carries. Simplify and SplitDistances both run on the
+// kernels; reference_test.go keeps the per-sample formulation they replaced
+// and holds them to it bit for bit.
 package simplify
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -123,20 +136,10 @@ type Trajectory struct {
 // Len returns |o'|: the number of kept points.
 func (st *Trajectory) Len() int { return len(st.Keep) }
 
-// SegmentCovering returns the index of a segment whose time interval covers
-// tick t, or -1. Boundary ticks belong to the earlier segment.
-func (st *Trajectory) SegmentCovering(t model.Tick) int {
-	i := sort.Search(len(st.Segments), func(i int) bool {
-		return st.Segments[i].EndTick() >= t
-	})
-	if i < len(st.Segments) && st.Segments[i].StartTick() <= t {
-		return i
-	}
-	return -1
-}
-
 // SegmentsOverlapping returns the half-open index range [lo, hi) of segments
-// whose time intervals intersect [from, to].
+// whose time intervals intersect [from, to], by binary search. The filter's
+// segment cursor uses it once per trajectory, to find its place, and steps
+// from there.
 func (st *Trajectory) SegmentsOverlapping(from, to model.Tick) (lo, hi int) {
 	lo = sort.Search(len(st.Segments), func(i int) bool {
 		return st.Segments[i].EndTick() >= from
@@ -150,24 +153,15 @@ func (st *Trajectory) SegmentsOverlapping(from, to model.Tick) (lo, hi int) {
 	return lo, hi
 }
 
-// deviation returns the deviation of sample idx from the chord between
-// samples i and j under the given method: segment distance for DP/DP+,
-// synchronous time-ratio distance for DP*.
-func deviation(samples []model.Sample, i, j, idx int, m Method) float64 {
-	chord := geom.Seg(samples[i].P, samples[j].P)
-	if m != DPStar {
-		return geom.DPL(samples[idx].P, chord)
-	}
-	ti, tj, t := samples[i].T, samples[j].T, samples[idx].T
-	var ref geom.Point
-	if tj == ti {
-		ref = samples[i].P
-	} else {
-		f := float64(t-ti) / float64(tj-ti)
-		ref = samples[i].P.Lerp(samples[j].P, f)
-	}
-	return geom.D(samples[idx].P, ref)
-}
+// The split kernels. A range's scan needs of its chord only where it starts
+// (ax, ay), how far it reaches (dx, dy) and the denominator of a sample's
+// position along it — the chord's squared length under the segment distance
+// of DP and DP+, its duration under the synchronous distance of DP*. The
+// kernels compute those once per range and keep them in registers; a sample
+// then costs a handful of multiplications and one division. Each sample's
+// offset from the chord (ex, ey) comes out of the same arithmetic, in the
+// same order, as geom.DPL and geom.Point.Lerp would produce it, so its
+// length is bit for bit the deviation those would report.
 
 // splitPoint scans the interior of [i, j] and returns
 //
@@ -178,41 +172,131 @@ func deviation(samples []model.Sample, i, j, idx int, m Method) float64 {
 // DP and DP* split at the farthest point; DP+ splits at the point closest to
 // the middle among those exceeding delta (Section 6.1).
 func splitPoint(samples []model.Sample, i, j int, delta float64, m Method) (maxDist float64, split int) {
-	split = -1
-	if m == DPPlus {
-		mid := (i + j) / 2
-		bestMidDist := j - i // larger than any |idx−mid| in range
-		for idx := i + 1; idx < j; idx++ {
-			d := deviation(samples, i, j, idx, m)
-			if d > maxDist {
-				maxDist = d
-			}
-			if d > delta {
-				md := idx - mid
-				if md < 0 {
-					md = -md
-				}
-				if md < bestMidDist {
-					bestMidDist = md
-					split = idx
-				}
-			}
-		}
-		return maxDist, split
+	switch m {
+	case DPPlus:
+		return splitMiddle(samples, i, j, delta)
+	case DPStar:
+		return splitFarthestSync(samples, i, j, delta)
+	default:
+		return splitFarthest(samples, i, j, delta)
 	}
-	for idx := i + 1; idx < j; idx++ {
-		d := deviation(samples, i, j, idx, m)
+}
+
+// offSegment returns p minus the point closest to it on the chord from
+// (ax, ay) over (dx, dy), of squared length den: the chord's point at
+// fraction f ∈ [0, 1] (a chord of no length is its start). Small enough to
+// inline, so the kernels' invariants stay in registers.
+func offSegment(ax, ay, dx, dy, den float64, p geom.Point) (ex, ey float64) {
+	f := 0.0
+	if den != 0 {
+		f = ((p.X-ax)*dx + (p.Y-ay)*dy) / den
+		if f < 0 {
+			f = 0
+		} else if f > 1 {
+			f = 1
+		}
+	}
+	return p.X - (ax + f*dx), p.Y - (ay + f*dy)
+}
+
+// splitFarthest is the DP kernel: it ranks the interior samples by their
+// squared segment distance to the chord and takes one root, at the arg-max.
+func splitFarthest(samples []model.Sample, i, j int, delta float64) (float64, int) {
+	ax, ay := samples[i].P.X, samples[i].P.Y
+	dx, dy := samples[j].P.X-ax, samples[j].P.Y-ay
+	den := dx*dx + dy*dy
+	var best, bx, by float64
+	at := -1
+	for k, s := range samples[i+1 : j] {
+		ex, ey := offSegment(ax, ay, dx, dy, den, s.P)
+		if d2 := ex*ex + ey*ey; d2 > best {
+			best, bx, by, at = d2, ex, ey, i+1+k
+		}
+	}
+	return farthest(best, bx, by, at, delta)
+}
+
+// splitFarthestSync is the DP* kernel: splitFarthest under the synchronous
+// distance — a sample against the chord's position at the sample's own time.
+func splitFarthestSync(samples []model.Sample, i, j int, delta float64) (float64, int) {
+	ax, ay, t0 := samples[i].P.X, samples[i].P.Y, samples[i].T
+	dx, dy := samples[j].P.X-ax, samples[j].P.Y-ay
+	dt := float64(samples[j].T - t0)
+	if dt == 0 { // a chord of no duration stands still at its start
+		dx, dy, dt = 0, 0, 1
+	}
+	var best, bx, by float64
+	at := -1
+	for k, s := range samples[i+1 : j] {
+		f := float64(s.T-t0) / dt
+		ex, ey := s.P.X-(ax+f*dx), s.P.Y-(ay+f*dy)
+		if d2 := ex*ex + ey*ey; d2 > best {
+			best, bx, by, at = d2, ex, ey, i+1+k
+		}
+	}
+	return farthest(best, bx, by, at, delta)
+}
+
+// farthest turns a squared scan's arg-max — sample at, offset (ex, ey) from
+// the chord, squared deviation best — into splitPoint's answer.
+//
+// What the one root guarantees: the recorded deviation is the exact
+// deviation of a real sample, never an estimate, so a tolerance is never
+// overstated; and a sample the squares rank below the arg-max can exceed it
+// only where the two deviations agree to within the rounding of two products
+// and a sum — the tolerance is the range's maximum to within a few units in
+// its last place, which is also all geom.DPL itself promises. Dividing at
+// either of two such samples is a valid Douglas–Peucker step.
+func farthest(best, ex, ey float64, at int, delta float64) (float64, int) {
+	if at < 0 {
+		return 0, -1
+	}
+	if math.IsInf(best, 1) {
+		// Squares beyond 1e308 cannot rank the samples, so the range may not
+		// be closed on their word. Dividing it is always sound.
+		return best, at
+	}
+	d := math.Hypot(ex, ey)
+	if d <= delta {
+		return d, -1
+	}
+	return d, at
+}
+
+// splitMiddle is the DP+ kernel. Its choice depends on every sample's own
+// d > delta, not on a maximum, so it keeps the root per sample and saves the
+// chord set-up only.
+func splitMiddle(samples []model.Sample, i, j int, delta float64) (maxDist float64, split int) {
+	ax, ay := samples[i].P.X, samples[i].P.Y
+	dx, dy := samples[j].P.X-ax, samples[j].P.Y-ay
+	den := dx*dx + dy*dy
+	split = -1
+	mid := (i + j) / 2
+	bestMidDist := j - i // larger than any |idx−mid| in range
+	for k, s := range samples[i+1 : j] {
+		d := math.Hypot(offSegment(ax, ay, dx, dy, den, s.P))
 		if d > maxDist {
 			maxDist = d
-			if d > delta {
-				split = idx
+		}
+		if d > delta {
+			md := i + 1 + k - mid
+			if md < 0 {
+				md = -md
+			}
+			if md < bestMidDist {
+				bestMidDist = md
+				split = i + 1 + k
 			}
 		}
 	}
-	if maxDist <= delta {
-		split = -1
-	}
 	return maxDist, split
+}
+
+// keptSample is a sample the division keeps, with the actual tolerance of
+// the segment that ends at it.
+type keptSample struct {
+	idx int
+	tol float64
 }
 
 // Simplify reduces tr to a simplified trajectory with tolerance delta using
@@ -236,44 +320,43 @@ func Simplify(tr *model.Trajectory, delta float64, m Method) *Trajectory {
 	samples := tr.Samples
 	type frame struct{ i, j int }
 	// Process ranges in order so kept indices come out sorted: a stack where
-	// we always push the right half first.
+	// we always push the right half first. A range that is not divided is
+	// therefore final in segment order, and its tolerance rides with its end.
 	stack := make([]frame, 0, 64)
 	stack = append(stack, frame{0, n - 1})
-	keep := []int{0}
-	segTol := make(map[[2]int]float64)
+	var kept []keptSample
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if fr.j <= fr.i+1 {
-			keep = append(keep, fr.j)
-			segTol[[2]int{fr.i, fr.j}] = 0
+			kept = append(kept, keptSample{fr.j, 0})
 			continue
 		}
 		maxDist, split := splitPoint(samples, fr.i, fr.j, delta, m)
 		if split < 0 {
-			keep = append(keep, fr.j)
-			segTol[[2]int{fr.i, fr.j}] = maxDist
+			kept = append(kept, keptSample{fr.j, maxDist})
 			continue
 		}
 		stack = append(stack, frame{split, fr.j})
 		stack = append(stack, frame{fr.i, split})
 	}
 
-	st.Keep = keep
-	st.Segments = make([]Segment, 0, len(keep)-1)
-	for s := 0; s+1 < len(keep); s++ {
-		i, j := keep[s], keep[s+1]
-		tol := segTol[[2]int{i, j}]
-		a, b := samples[i], samples[j]
-		st.Segments = append(st.Segments, Segment{
+	st.Keep = make([]int, len(kept)+1)
+	st.Segments = make([]Segment, len(kept))
+	i := 0
+	for s, k := range kept {
+		a, b := samples[i], samples[k.idx]
+		st.Keep[s+1] = k.idx
+		st.Segments[s] = Segment{
 			TimedSegment: geom.TimedSeg(a.P, b.P, float64(a.T), float64(b.T)),
 			StartIdx:     i,
-			EndIdx:       j,
-			Tolerance:    tol,
-		})
-		if tol > st.Tolerance {
-			st.Tolerance = tol
+			EndIdx:       k.idx,
+			Tolerance:    k.tol,
 		}
+		if k.tol > st.Tolerance {
+			st.Tolerance = k.tol
+		}
+		i = k.idx
 	}
 	return st
 }
@@ -302,12 +385,12 @@ func SimplifyAllWorkers(ctx context.Context, db *model.DB, delta float64, m Meth
 }
 
 // SplitDistances runs the division process with δ = 0 and returns the split
-// deviation recorded at every division step, sorted ascending. This is the
-// tolerance profile the δ-selection guideline of Section 7.4 inspects for
-// its largest-gap heuristic. Collinear interior points terminate ranges
-// early (their deviation is 0), exactly as a δ = 0 run of the real
-// algorithm would.
-func SplitDistances(tr *model.Trajectory, m Method) []float64 {
+// deviations below the given bound (+Inf for all of them), sorted ascending. This is the tolerance profile the δ-selection guideline of
+// Section 7.4 inspects for its largest-gap heuristic — it only looks below
+// e, so only that part is kept and sorted. Collinear interior points
+// terminate ranges early (their deviation is 0), exactly as a δ = 0 run of
+// the real algorithm would.
+func SplitDistances(tr *model.Trajectory, m Method, below float64) []float64 {
 	n := tr.Len()
 	if n < 3 {
 		return nil
@@ -326,10 +409,12 @@ func SplitDistances(tr *model.Trajectory, m Method) []float64 {
 		if split < 0 {
 			continue
 		}
-		dists = append(dists, maxDist)
+		if maxDist < below {
+			dists = append(dists, maxDist)
+		}
 		stack = append(stack, frame{split, fr.j})
 		stack = append(stack, frame{fr.i, split})
 	}
-	sort.Float64s(dists)
+	slices.Sort(dists)
 	return dists
 }

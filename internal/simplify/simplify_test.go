@@ -20,11 +20,20 @@ func mustTraj(t *testing.T, samples ...model.Sample) *model.Trajectory {
 	return tr
 }
 
+// segmentCovering returns the index of a segment whose time interval covers
+// tick t, or -1. Boundary ticks belong to the earlier segment.
+func segmentCovering(st *Trajectory, t model.Tick) int {
+	if lo, hi := st.SegmentsOverlapping(t, t); lo < hi {
+		return lo
+	}
+	return -1
+}
+
 // synchronousDeviation is the DP* error of sample idx against the covering
 // simplified segment: distance to the segment position at the same tick.
 func synchronousDeviation(st *Trajectory, idx int) float64 {
 	sm := st.Orig.Samples[idx]
-	si := st.SegmentCovering(sm.T)
+	si := segmentCovering(st, sm.T)
 	if si < 0 {
 		return math.Inf(1)
 	}
@@ -34,7 +43,7 @@ func synchronousDeviation(st *Trajectory, idx int) float64 {
 // segmentDeviation is the DP/DP+ error: DPL to the covering segment.
 func segmentDeviation(st *Trajectory, idx int) float64 {
 	sm := st.Orig.Samples[idx]
-	si := st.SegmentCovering(sm.T)
+	si := segmentCovering(st, sm.T)
 	if si < 0 {
 		return math.Inf(1)
 	}
@@ -127,8 +136,8 @@ func TestFigure10DPVersusDPPlus(t *testing.T) {
 	// The paper's Section 6.1 claim is about the chosen split point's
 	// deviation at each division step: DP+ picks δ4 (=1.2) where DP picks
 	// δ6 (=1.5), i.e., the split deviation of DP+ is ≤ DP's.
-	devDP := deviation(tr.Samples, 0, 6, 5, DP)      // p6 against p1p7
-	devDPP := deviation(tr.Samples, 0, 6, 3, DPPlus) // p4 against p1p7
+	devDP := refDeviation(tr.Samples, 0, 6, 5, DP)      // p6 against p1p7
+	devDPP := refDeviation(tr.Samples, 0, 6, 3, DPPlus) // p4 against p1p7
 	if devDPP > devDP {
 		t.Errorf("DP+ split deviation %g > DP split deviation %g", devDPP, devDP)
 	}
@@ -161,11 +170,11 @@ func TestSingleSampleTrajectory(t *testing.T) {
 	if sg.T0 != 7 || sg.T1 != 7 || sg.A != geom.Pt(3, 4) {
 		t.Errorf("degenerate segment = %+v", sg)
 	}
-	if st.SegmentCovering(7) != 0 {
-		t.Error("SegmentCovering(7) failed on degenerate segment")
+	if segmentCovering(st, 7) != 0 {
+		t.Error("segmentCovering(7) failed on degenerate segment")
 	}
-	if st.SegmentCovering(8) != -1 {
-		t.Error("SegmentCovering(8) should miss")
+	if segmentCovering(st, 8) != -1 {
+		t.Error("segmentCovering(8) should miss")
 	}
 }
 
@@ -191,8 +200,8 @@ func TestSegmentCoveringAndOverlap(t *testing.T) {
 		{0, 0}, {2, 0}, {3, 0}, {4, 1}, {7, 1}, {8, 2}, {12, 2}, {13, -1}, {-1, -1},
 	}
 	for _, c := range cases {
-		if got := st.SegmentCovering(c.t); got != c.want {
-			t.Errorf("SegmentCovering(%d) = %d, want %d", c.t, got, c.want)
+		if got := segmentCovering(st, c.t); got != c.want {
+			t.Errorf("segmentCovering(%d) = %d, want %d", c.t, got, c.want)
 		}
 	}
 	lo, hi := st.SegmentsOverlapping(2, 8)
@@ -256,7 +265,7 @@ func TestPropToleranceGuarantee(t *testing.T) {
 				if dev > delta+1e-9 {
 					t.Fatalf("%v: sample %d deviates %g > δ=%g", m, idx, dev, delta)
 				}
-				si := st.SegmentCovering(tr.Samples[idx].T)
+				si := segmentCovering(st, tr.Samples[idx].T)
 				if dev > st.Segments[si].Tolerance+1e-9 {
 					t.Fatalf("%v: sample %d deviates %g > recorded segment tolerance %g",
 						m, idx, dev, st.Segments[si].Tolerance)
@@ -367,7 +376,7 @@ func TestSimplifyAll(t *testing.T) {
 func TestSplitDistances(t *testing.T) {
 	// Zig-zag with distinct amplitudes: δ=0 DP visits every interior point.
 	tr := mustTraj(t, s(0, 0, 0), s(1, 1, 3), s(2, 2, 0), s(3, 3, 1), s(4, 4, 0))
-	dists := SplitDistances(tr, DP)
+	dists := SplitDistances(tr, DP, math.Inf(1))
 	if len(dists) == 0 {
 		t.Fatal("no split distances recorded")
 	}
@@ -377,12 +386,12 @@ func TestSplitDistances(t *testing.T) {
 		}
 	}
 	// Short trajectories yield nothing.
-	if got := SplitDistances(mustTraj(t, s(0, 0, 0), s(1, 1, 1)), DP); got != nil {
+	if got := SplitDistances(mustTraj(t, s(0, 0, 0), s(1, 1, 1)), DP, math.Inf(1)); got != nil {
 		t.Errorf("2-point trajectory: %v", got)
 	}
 	// Collinear: every split distance is 0… in fact no split happens at all.
 	col := mustTraj(t, s(0, 0, 0), s(1, 1, 1), s(2, 2, 2))
-	if got := SplitDistances(col, DP); len(got) != 0 {
+	if got := SplitDistances(col, DP, math.Inf(1)); len(got) != 0 {
 		t.Errorf("collinear split distances: %v", got)
 	}
 }

@@ -74,11 +74,31 @@ func (idx *PointIndex) Reset(pts []geom.Point) {
 		idx.nx, idx.ny = 0, 0
 		return
 	}
-	bounds := geom.RectOf(pts...)
-	idx.origin = geom.Pt(bounds.MinX, bounds.MinY)
-	w := bounds.MaxX - bounds.MinX
-	h := bounds.MaxY - bounds.MinY
-	if !finiteExtent(w, h) {
+	// The bounds by plain comparisons: geom.RectOf's math.Min/math.Max do
+	// not inline, and this loop runs once per clustered tick. A comparison
+	// skips a NaN where math.Min would carry it into the extent, hence the
+	// flag (±Inf reaches the extent on its own).
+	minX, minY, maxX, maxY := pts[0].X, pts[0].Y, pts[0].X, pts[0].Y
+	hasNaN := false
+	for _, p := range pts {
+		if p.X < minX {
+			minX = p.X
+		} else if p.X > maxX {
+			maxX = p.X
+		}
+		if p.Y < minY {
+			minY = p.Y
+		} else if p.Y > maxY {
+			maxY = p.Y
+		}
+		if p.X != p.X || p.Y != p.Y {
+			hasNaN = true
+		}
+	}
+	idx.origin = geom.Pt(minX, minY)
+	w := maxX - minX
+	h := maxY - minY
+	if hasNaN || !finiteExtent(w, h) {
 		idx.origin = geom.Pt(0, 0)
 		idx.nx, idx.ny = 1, 1
 	} else {

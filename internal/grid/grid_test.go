@@ -190,6 +190,38 @@ func TestPointIndexNonFiniteDefensive(t *testing.T) {
 	}
 }
 
+// Reset finds its bounds by comparisons, which a NaN fails silently where
+// math.Min carried it into the extent: wherever the poison sits — first,
+// between finite points, last — and whichever coordinate it is in, the
+// index must still be the one-cell fallback, on a fresh index and on a
+// reused one.
+func TestPointIndexNonFiniteFallsBackToOneCell(t *testing.T) {
+	nan := math.NaN()
+	clean := []geom.Point{geom.Pt(0, 0), geom.Pt(0.5, 0), geom.Pt(3, 7), geom.Pt(10, 10)}
+	reused := NewPointIndex(clean, 1.0)
+	for _, poison := range []geom.Point{
+		geom.Pt(nan, 0), geom.Pt(0, nan), geom.Pt(nan, nan),
+		geom.Pt(math.Inf(1), 0), geom.Pt(math.Inf(-1), 0), geom.Pt(0, math.Inf(1)), geom.Pt(0, math.Inf(-1)),
+	} {
+		for at := range clean {
+			pts := append([]geom.Point(nil), clean...)
+			pts[at] = poison
+			fresh := NewPointIndex(pts, 1.0)
+			reused.Reset(pts)
+			for _, idx := range []*PointIndex{fresh, reused} {
+				if idx.nx != 1 || idx.ny != 1 || len(idx.cells) != 1 {
+					t.Errorf("poison %v at %d: grid is %d×%d (%d cells), want the one-cell fallback",
+						poison, at, idx.nx, idx.ny, len(idx.cells))
+				}
+			}
+			reused.Reset(clean)
+			if reused.nx < 2 {
+				t.Fatalf("clean points after poison %v: grid is %d×%d", poison, reused.nx, reused.ny)
+			}
+		}
+	}
+}
+
 func TestRectIndexNonFiniteDefensive(t *testing.T) {
 	nan := math.NaN()
 	rects := []geom.Rect{

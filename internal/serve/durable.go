@@ -267,7 +267,7 @@ func recoverFeed(cfg Config, dir string) (*feed, error) {
 		if err := applyOps(blk.T, true); err != nil {
 			return err
 		}
-		if _, err := f.applyBatch(tickBatch(blk)); err != nil {
+		if _, err := f.applyBatch(tickBatch(blk), nil); err != nil {
 			return fmt.Errorf("replay tick %d: %w", blk.T, err)
 		}
 		f.w.recovery.ReplayedTicks++

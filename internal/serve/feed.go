@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -299,10 +301,11 @@ func (f *feed) ingest(ctx context.Context, batches []TickBatch) (TicksResponse, 
 	// backpressure lag as a client experiences it.
 	t0 := time.Now()
 	defer func() { f.cfg.metrics.feedIngestSeconds.Observe(time.Since(t0).Seconds()) }()
+	sp := trace.FromContext(ctx)
 	v, err := f.do(ctx, func(f *feed) (any, error) {
 		resp := TicksResponse{Closed: []ConvoyJSON{}}
 		for _, b := range batches {
-			closed, err := f.applyBatch(b)
+			closed, err := f.applyBatch(b, sp)
 			resp.Closed = append(resp.Closed, closed...)
 			if err != nil {
 				return resp, err
@@ -320,8 +323,10 @@ func (f *feed) ingest(ctx context.Context, batches []TickBatch) (TicksResponse, 
 // to the WAL after validation and *before* any monitor advances — the
 // write-ahead contract: an acknowledged batch is re-applied by recovery,
 // a rejected one leaves no trace on disk or in memory. Returns the
-// convoys the batch closed.
-func (f *feed) applyBatch(b TickBatch) ([]ConvoyJSON, error) {
+// convoys the batch closed. sp, the sampled request's apply span (nil
+// otherwise, and in recovery), accumulates where the batch's time went as
+// wal_append_ms, cluster_ms and chain_ms.
+func (f *feed) applyBatch(b TickBatch, sp *trace.Span) ([]ConvoyJSON, error) {
 	ids := make([]model.ObjectID, len(b.Positions))
 	pts := make([]geom.Point, len(b.Positions))
 	// Labels interned for this batch are rolled back if any validation
@@ -348,13 +353,7 @@ func (f *feed) applyBatch(b TickBatch) ([]ConvoyJSON, error) {
 			// non-finite geometry.
 			return nil, reject(fmt.Errorf("tick %d: position %q has non-finite coordinates (%g, %g)", b.T, pos.ID, pos.X, pos.Y))
 		}
-		id, ok := f.ids[pos.ID]
-		if !ok {
-			id = len(f.labels)
-			f.ids[pos.ID] = id
-			f.labels = append(f.labels, pos.ID)
-		}
-		ids[i] = id
+		ids[i] = f.intern(pos.ID)
 		pts[i] = geom.Pt(pos.X, pos.Y)
 	}
 	if dup, ok := core.FirstDuplicateID(ids); ok {
@@ -385,16 +384,7 @@ func (f *feed) applyBatch(b TickBatch) ([]ConvoyJSON, error) {
 			if !geom.Finite(e.W) || e.W < 0 {
 				return nil, reject(fmt.Errorf("tick %d: edge %d (%q, %q) has bad weight %g (want finite ≥ 0)", b.T, i, e.A, e.B, e.W))
 			}
-			intern := func(label string) model.ObjectID {
-				id, ok := f.ids[label]
-				if !ok {
-					id = len(f.labels)
-					f.ids[label] = id
-					f.labels = append(f.labels, label)
-				}
-				return id
-			}
-			edges[i] = core.ProxEdge{A: intern(e.A), B: intern(e.B), W: e.W}
+			edges[i] = core.ProxEdge{A: f.intern(e.A), B: f.intern(e.B), W: e.W}
 		}
 	}
 	if f.started && b.T <= f.lastTick {
@@ -405,7 +395,10 @@ func (f *feed) applyBatch(b TickBatch) ([]ConvoyJSON, error) {
 	if f.w != nil && !f.recovering {
 		// Log-before-apply. A batch the log refuses is rolled back whole —
 		// the feed must never hold state its recovery cannot reproduce.
-		if err := f.w.log.Append(tickBlock(b)); err != nil {
+		t0 := stageStart(sp)
+		err := f.w.log.Append(tickBlock(b))
+		stageEnd(sp, "wal_append_ms", t0)
+		if err != nil {
 			rollback()
 			return nil, fmt.Errorf("serve: wal append: %w", err)
 		}
@@ -415,6 +408,7 @@ func (f *feed) applyBatch(b TickBatch) ([]ConvoyJSON, error) {
 	snap := core.TickSnapshot{T: b.T, IDs: ids, Pts: pts, Edges: edges}
 	clusters := make(map[core.ClusterKey][][]model.ObjectID, len(f.sources))
 	var tickFull, tickInc, tickRecl int64
+	t0 := stageStart(sp)
 	for key, src := range f.sources {
 		clusters[key] = src.Cluster(snap)
 		f.clusterPasses++
@@ -426,6 +420,7 @@ func (f *feed) applyBatch(b TickBatch) ([]ConvoyJSON, error) {
 			tickRecl += int64(recl)
 		}
 	}
+	stageEnd(sp, "cluster_ms", t0)
 	f.passesFull += tickFull
 	f.passesInc += tickInc
 	f.reclustered += tickRecl
@@ -439,6 +434,7 @@ func (f *feed) applyBatch(b TickBatch) ([]ConvoyJSON, error) {
 	f.cfg.metrics.feedReclustered.Add(float64(tickRecl))
 	f.cfg.metrics.feedObjectsSeen.Add(float64(len(ids) * len(f.sources)))
 	var out []ConvoyJSON
+	t0 = stageStart(sp)
 	for _, fm := range f.order {
 		closed, err := fm.mon.AdvanceClusters(b.T, clusters[fm.key])
 		if err != nil {
@@ -452,11 +448,44 @@ func (f *feed) applyBatch(b TickBatch) ([]ConvoyJSON, error) {
 			out = append(out, f.history[len(f.history)-1].Convoy)
 		}
 	}
+	stageEnd(sp, "chain_ms", t0)
 	f.lastTick, f.started = b.T, true
 	f.ticks++
 	f.cfg.metrics.feedTicks.Inc()
 	f.cfg.metrics.feedPositions.Add(float64(len(b.Positions)))
 	return out, nil
+}
+
+// intern returns the dense ID of a label, assigning the next one to a label
+// the feed has not seen (worker only). A new label is cloned: a decoded
+// batch's labels are substrings of its request body, which the label table
+// must not keep alive.
+func (f *feed) intern(label string) model.ObjectID {
+	id, ok := f.ids[label]
+	if !ok {
+		label = strings.Clone(label)
+		id = len(f.labels)
+		f.ids[label] = id
+		f.labels = append(f.labels, label)
+	}
+	return id
+}
+
+// stageStart and stageEnd time one stage of an applied batch into an
+// attribute of the request's apply span, accumulating across the batches of
+// one request. Without a span — the unsampled request — neither reads the
+// clock.
+func stageStart(sp *trace.Span) time.Time {
+	if sp == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func stageEnd(sp *trace.Span, key string, t0 time.Time) {
+	if sp != nil {
+		sp.AddFloat(key, msFloat(time.Since(t0)))
+	}
 }
 
 // monitorStatus snapshots one monitor's counters (worker only).

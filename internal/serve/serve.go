@@ -498,37 +498,63 @@ func (s *Server) handleDeleteMonitor(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// decodeTicks accepts either {"ticks":[...]} or a single bare tick batch
-// {"t":..., "positions":[...]} (or {"t":..., "edges":[...]} for a
-// proximity-only batch).
-func decodeTicks(r io.Reader) ([]TickBatch, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, badRequest(fmt.Errorf("decode ticks: %w", err))
+// readBody reads a request body whole into a buffer sized once from
+// Content-Length — io.ReadAll regrows from 512 bytes, seven times for a
+// 300-position tick. The length is only a capacity hint, floored for a
+// chunked body that declares none and capped so that a header's word alone
+// cannot reserve more than 1 MiB: the read runs to EOF whatever the header
+// said, behind ServeHTTP's MaxBytesReader.
+func readBody(r *http.Request) ([]byte, error) {
+	buf := make([]byte, 0, min(max(r.ContentLength, 512), 1<<20)+1) // +1: the read that reports EOF needs room
+	for {
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
 	}
-	var req TicksRequest
-	if err := json.Unmarshal(data, &req); err == nil && req.Ticks != nil {
-		return req.Ticks, nil
-	}
-	var one TickBatch
-	if err := json.Unmarshal(data, &one); err == nil && (one.Positions != nil || one.Edges != nil) {
-		return []TickBatch{one}, nil
-	}
-	return nil, badRequest(errors.New(`decode ticks: want {"ticks":[{"t":0,"positions":[...]}]} or one bare batch`))
 }
 
+// decodeTicks reads and decodes the body of a ticks POST (wire.DecodeTicks:
+// {"ticks":[...]} or one bare batch). The batches' labels point into one
+// copy of the body that lives as long as they do.
+func decodeTicks(r *http.Request) ([]TickBatch, int, error) {
+	data, err := readBody(r)
+	if err != nil {
+		return nil, 0, badRequest(fmt.Errorf("decode ticks: %w", err))
+	}
+	batches, err := wire.DecodeTicks(data)
+	if err != nil {
+		return nil, len(data), badRequest(err)
+	}
+	return batches, len(data), nil
+}
+
+// handleTicks ingests tick batches. On a sampled request the http span gets
+// two children, decode (read + parse) and apply (mailbox wait + the feed
+// worker's work, split further by applyBatch's stage attributes).
 func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	f, err := s.reg.get(r.PathValue("name"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	batches, err := decodeTicks(r.Body)
+	_, sp := trace.StartSpan(r.Context(), "decode")
+	batches, size, err := decodeTicks(r)
+	sp.Int("bytes", int64(size)).Int("ticks", int64(len(batches))).End()
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	resp, err := f.ingest(r.Context(), batches)
+	ctx, sp := trace.StartSpan(r.Context(), "apply")
+	resp, err := f.ingest(ctx, batches)
+	sp.End()
 	if err != nil {
 		// The accepted prefix is permanently applied; the client needs
 		// to know how far the batch got to resume past it, so the uniform

@@ -41,7 +41,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // doJSON runs one request with an optional JSON body and decodes the
 // response into out (when non-nil), checking the status code.
-func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any) {
+func doJSON(t testing.TB, method, url string, body any, wantStatus int, out any) {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {

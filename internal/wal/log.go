@@ -47,6 +47,9 @@ type Log struct {
 	activeSince time.Time
 	dirty       bool // unsynced bytes in the active segment
 	closed      bool
+	// frame is Append's record buffer, reused from one append to the next
+	// (l.mu held); one past maxKeptFrame is dropped after its write.
+	frame []byte
 
 	lastSync        time.Time
 	appendedRecords int64
@@ -240,8 +243,13 @@ func (l *Log) Append(b tsio.TickBlock) error {
 	if l.closed {
 		return errClosed
 	}
-	payload := tsio.AppendTickBlock(nil, b)
-	frame := appendRecord(nil, payload)
+	// The record is built in place — header room, then the payload encoded
+	// straight behind it — in the buffer the previous append left.
+	frame := append(l.frame[:0], make([]byte, recordHeaderSize)...)
+	frame = frameRecord(tsio.AppendTickBlock(frame, b))
+	if l.frame = frame; cap(frame) > maxKeptFrame {
+		l.frame = nil
+	}
 	tail := &l.segs[len(l.segs)-1]
 	if tail.records > 0 &&
 		(tail.bytes+int64(len(frame)) > l.opt.SegmentBytes ||

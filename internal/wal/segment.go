@@ -40,12 +40,18 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // segmentName formats the file name of the segment with the given index.
 func segmentName(index uint64) string { return fmt.Sprintf("%08d.wal", index) }
 
-// appendRecord appends the framed record to dst and returns the extension.
-func appendRecord(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+// frameRecord fills in the header of a record built in place — buf is
+// recordHeaderSize reserved bytes followed by the payload — and returns buf.
+func frameRecord(buf []byte) []byte {
+	payload := buf[recordHeaderSize:]
+	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
+	return buf
 }
+
+// maxKeptFrame bounds the record buffer a Log keeps between appends: an
+// occasional huge batch must not pin its size for the life of the feed.
+const maxKeptFrame = 1 << 20
 
 // segmentMeta is the in-memory summary of one segment file.
 type segmentMeta struct {

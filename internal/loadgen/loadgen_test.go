@@ -86,10 +86,10 @@ func TestMixedScenarioMatchesServerCounters(t *testing.T) {
 	if rep.ServerError != "" {
 		t.Errorf("ServerError = %q, want none", rep.ServerError)
 	}
-	if rep.Explain == nil || len(rep.Explain.Stages) == 0 {
+	if rep.Explain == nil || len(rep.Explain.Stages) != 2 {
 		t.Errorf("no explain sample in report: %+v", rep.Explain)
-	} else if rep.Explain.Stages[0].Name != "scan" {
-		t.Errorf("explain sample stages = %+v, want the cmc scan", rep.Explain.Stages)
+	} else if st := rep.Explain.Stages; st[0].Name != "load" || st[1].Name != "scan" {
+		t.Errorf("explain sample stages = %+v, want the load and the cmc scan", st)
 	}
 	if rep.Server["go_goroutines"] <= 0 {
 		t.Errorf("no go_goroutines gauge in scraped view: %v", rep.Server)

@@ -31,6 +31,12 @@ import (
 //	query_stats_total{stat,algo}      core run stats folded per algorithm
 //	                                  (cluster_passes, candidates, refine_units, …)
 //	cache_entries                     LRU result-cache size
+//	dataset_loads_total{outcome}      query inputs made minable; outcome =
+//	                                  resident (parsed before, re-verified
+//	                                  by digest) | parsed
+//	datasets_resident_bytes           decoded bytes the dataset store holds
+//	                                  (≤ 4 × MaxBodyBytes)
+//	dataset_evictions_total           datasets evicted to stay in budget
 //	feeds                             live feeds
 //	feeds_created_total               feeds created
 //	feeds_deleted_total               feeds deleted over HTTP
@@ -79,6 +85,9 @@ type serveMetrics struct {
 	queryInflight *metrics.Gauge
 	queryComputes *metrics.Counter
 	queryStats    *metrics.CounterVec
+
+	datasetLoads     *metrics.CounterVec
+	datasetEvictions *metrics.Counter
 
 	feedTicks         *metrics.Counter
 	feedPositions     *metrics.Counter
@@ -136,6 +145,11 @@ func newServeMetrics(reg *metrics.Registry) *serveMetrics {
 	m.queryStats = reg.CounterVec("convoyd_query_stats_total",
 		"Core discovery-run statistics accumulated per algorithm (see core.Stats.Each).",
 		"stat", "algo")
+	m.datasetLoads = reg.CounterVec("convoyd_dataset_loads_total",
+		"Query inputs made minable, by outcome: resident (content this server parsed before, re-verified by digest) or parsed.",
+		"outcome")
+	m.datasetEvictions = reg.Counter("convoyd_dataset_evictions_total",
+		"Parsed datasets evicted, least recently used first, to keep the store within its byte budget.")
 	m.feedTicks = reg.Counter("convoyd_feed_ticks_total",
 		"Tick batches ingested across all feeds; rate() of this is the tick rate.")
 	m.feedPositions = reg.Counter("convoyd_feed_positions_total",
@@ -212,6 +226,10 @@ func (m *serveMetrics) bindServer(s *Server) {
 		}
 		return float64(s.q.lru.len())
 	})
+	m.reg.GaugeFunc("convoyd_datasets_resident_bytes",
+		"Decoded bytes of the parsed datasets retained by content digest; at most 4 x MaxBodyBytes.", func() float64 {
+			return float64(s.q.datasets.size())
+		})
 }
 
 // algoLabel normalizes a client-supplied algorithm name into a bounded

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +53,21 @@ func wantStages(t *testing.T, ex *ExplainJSON, want ...string) {
 	}
 }
 
+// wantLoad checks a batch profile's first stage: where the dataset came
+// from, how many bytes it was, and a timing for each step of the load.
+func wantLoad(t *testing.T, ex *ExplainJSON, dataset string, bytes int) {
+	t.Helper()
+	load := ex.Stages[0]
+	if load.Name != "load" || load.Attrs["dataset"] != dataset || load.Attrs["bytes"] != strconv.Itoa(bytes) {
+		t.Fatalf("load stage = %+v, want dataset=%s bytes=%d", load, dataset, bytes)
+	}
+	for _, attr := range []string{"read_ms", "digest_ms", "decode_ms"} {
+		if _, err := strconv.ParseFloat(load.Attrs[attr], 64); err != nil {
+			t.Errorf("load stage %s = %q: %v", attr, load.Attrs[attr], err)
+		}
+	}
+}
+
 // TestQueryExplainStages pins the ?explain=true contract end to end: the
 // stage set matches the algorithm, stage durations nest inside the total,
 // and explain queries always run the discovery (cache bypassed on the way
@@ -64,13 +80,15 @@ func TestQueryExplainStages(t *testing.T) {
 	body := fixtureCSV(t)
 
 	cmc := postQuery(t, ts.URL+"/v1/query?m=2&k=5&e=1&algo=cmc&explain=true", body, http.StatusOK)
-	wantStages(t, cmc.Explain, "scan")
+	wantStages(t, cmc.Explain, "load", "scan")
+	wantLoad(t, cmc.Explain, "parsed", len(body))
 	if cmc.Cache != "miss" {
 		t.Fatalf("explain query cache = %q, want miss", cmc.Cache)
 	}
 
 	star := postQuery(t, ts.URL+"/v1/query?m=2&k=5&e=1&explain=true", body, http.StatusOK)
-	wantStages(t, star.Explain, "simplify", "filter", "refine")
+	wantStages(t, star.Explain, "load", "simplify", "filter", "refine")
+	wantLoad(t, star.Explain, "resident", len(body)) // parsed by the query before
 
 	// A plain query has no profile and hits the cache the explain run fed.
 	plain := postQuery(t, ts.URL+"/v1/query?m=2&k=5&e=1&algo=cmc", body, http.StatusOK)
@@ -86,7 +104,7 @@ func TestQueryExplainStages(t *testing.T) {
 	if again.Cache != "miss" {
 		t.Fatalf("repeat explain query cache = %q, want miss (recomputed)", again.Cache)
 	}
-	wantStages(t, again.Explain, "scan")
+	wantStages(t, again.Explain, "load", "scan")
 
 	// A malformed explain value is a 400, not a silent false.
 	resp, err := http.Post(ts.URL+"/v1/query?m=2&k=5&e=1&explain=banana", "text/csv", bytes.NewReader(body))
@@ -127,7 +145,8 @@ func TestQueryExplainJSONBody(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
-	wantStages(t, qr.Explain, "scan")
+	wantStages(t, qr.Explain, "load", "scan")
+	wantLoad(t, qr.Explain, "parsed", len(fixtureCSV(t)))
 }
 
 // TestTraceparentThroughHTTP pins the W3C round trip: a sampled incoming

@@ -8,11 +8,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -45,6 +48,14 @@ type queryEngine struct {
 	// evicts the coldest entries instead of growing without limit.
 	digests *lruCache
 
+	// datasets keeps parsed databases by content digest, LRU within a budget
+	// of decoded bytes (datasetBudgetBodies × MaxBodyBytes), so a query over
+	// content this server has parsed before skips the decode. A *model.DB is
+	// read-only once built, so concurrent queries mine one copy. An entry is
+	// only ever mined by a query that hashed its own input to the entry's
+	// key — the memo above never vouches for one (see load).
+	datasets *lruCache
+
 	// flights dedupes identical in-flight queries by cache key.
 	fmu     sync.Mutex
 	flights map[string]*flight
@@ -61,13 +72,14 @@ var (
 
 func newQueryEngine(cfg Config) *queryEngine {
 	e := &queryEngine{
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.QueryWorkers),
-		digests: newLRUCache(maxPathDigests),
-		flights: make(map[string]*flight),
+		cfg:      cfg,
+		sem:      make(chan struct{}, cfg.QueryWorkers),
+		digests:  newLRUCache(maxPathDigests),
+		datasets: newLRUCache(datasetBudgetBodies * cfg.MaxBodyBytes),
+		flights:  make(map[string]*flight),
 	}
 	if cfg.CacheEntries > 0 {
-		e.lru = newLRUCache(cfg.CacheEntries)
+		e.lru = newLRUCache(int64(cfg.CacheEntries))
 	}
 	return e
 }
@@ -94,10 +106,12 @@ func (e *queryEngine) resolve(path string) (string, error) {
 // must not reach clients.
 func readErr(path string, err error) error {
 	if errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("%w: %q", errDBNotFound, path)
+		return notFound(path)
 	}
 	return fmt.Errorf("serve: read database %q: %v", path, errors.Unwrap(err))
 }
+
+func notFound(path string) error { return fmt.Errorf("%w: %q", errDBNotFound, path) }
 
 // parseDB sniffs the format (CTB magic versus CSV) and parses the bytes.
 func parseDB(data []byte) (*model.DB, error) {
@@ -177,9 +191,53 @@ func (pl queryPlan) options(cl core.Clusterer, st *core.Stats) []core.Option {
 		core.WithLambda(pl.res.Spec.Lambda))
 }
 
-func hashBytes(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+func hashBytes(data []byte) string { return hexDigest(sha256.Sum256(data)) }
+
+func hexDigest(sum [sha256.Size]byte) string { return hex.EncodeToString(sum[:]) }
+
+// streamHasher is the pooled state of one streamed digest: hashing a file
+// through it allocates nothing and never holds more than buf of the file.
+type streamHasher struct {
+	h   hash.Hash
+	buf [256 << 10]byte
+	sum [sha256.Size]byte
+}
+
+var streamHashers = sync.Pool{New: func() any { return &streamHasher{h: sha256.New()} }}
+
+// hashStream digests r to its end, adding the bytes seen and the time spent
+// reading and hashing them to st. The read loop is spelled out because
+// io.Copy would hand an *os.File's bytes over through a buffer of its own.
+func hashStream(r io.Reader, st *loadStats) ([sha256.Size]byte, error) {
+	s := streamHashers.Get().(*streamHasher)
+	defer streamHashers.Put(s)
+	s.h.Reset()
+	for {
+		t0 := time.Now()
+		n, err := r.Read(s.buf[:])
+		t1 := time.Now()
+		s.h.Write(s.buf[:n])
+		st.read += t1.Sub(t0)
+		st.digest += time.Since(t1)
+		st.bytes += int64(n)
+		if err == io.EOF {
+			s.h.Sum(s.sum[:0])
+			return s.sum, nil
+		}
+		if err != nil {
+			return [sha256.Size]byte{}, err
+		}
+	}
+}
+
+// hashFile is hashStream over the file at full.
+func hashFile(full string, st *loadStats) ([sha256.Size]byte, error) {
+	f, err := os.Open(full)
+	if err != nil {
+		return [sha256.Size]byte{}, err
+	}
+	defer f.Close()
+	return hashStream(f, st)
 }
 
 // cached returns the LRU answer for the key, marked as a hit.
@@ -262,6 +320,12 @@ func (e *queryEngine) runUpload(ctx context.Context, data []byte, req QueryReque
 			return resp, nil
 		}
 	}
+	return e.fly(ctx, key, pl, source{digest: digest, data: data})
+}
+
+// fly runs the planned query over src as the flight for key — or joins the
+// one already in the air — computing under a worker slot.
+func (e *queryEngine) fly(ctx context.Context, key string, pl queryPlan, src source) (QueryResponse, error) {
 	reqSpan := trace.FromContext(ctx)
 	return e.shared(ctx, key, func(fctx context.Context) (QueryResponse, error) {
 		release, err := e.acquire(fctx)
@@ -269,7 +333,7 @@ func (e *queryEngine) runUpload(ctx context.Context, data []byte, req QueryReque
 			return QueryResponse{}, err
 		}
 		defer release()
-		return e.compute(fctx, digest, data, pl, reqSpan)
+		return e.compute(fctx, pl, src, reqSpan)
 	})
 }
 
@@ -288,9 +352,9 @@ func flightKey(pl queryPlan, digest string) string {
 // runPath answers a path-referencing query. A memo of path → (stat,
 // digest) lets repeat queries against an unchanged file hit the cache
 // without touching the disk at all; only a miss (or a changed file) pays
-// the read+hash, and every disk read happens under a worker slot so a
-// burst of cold-path queries cannot hold more than QueryWorkers database
-// files in memory at once.
+// the hash, and every disk read happens under a worker slot so a burst of
+// cold-path queries cannot hold more than QueryWorkers database files in
+// memory at once.
 func (e *queryEngine) runPath(ctx context.Context, req QueryRequest) (QueryResponse, error) {
 	pl, err := plan(req, e.cfg.MaxWorkersPerQuery)
 	if err != nil {
@@ -306,22 +370,28 @@ func (e *queryEngine) runPath(ctx context.Context, req QueryRequest) (QueryRespo
 	if err != nil {
 		return QueryResponse{}, readErr(req.Path, err)
 	}
+	if !st.Mode().IsRegular() {
+		// A directory would fail the read with a server-fault class, and a
+		// FIFO would hold its worker slot until somebody wrote to it.
+		return QueryResponse{}, notFound(req.Path)
+	}
 	digest, ok := e.pathDigest(full, st)
 	if !ok {
 		// Cold memo: the digest (the cache and dedup key) requires reading
-		// the file. Hash under a briefly-held worker slot and drop the
-		// bytes — the flight re-reads below, so cold queries queued for a
-		// compute slot never pin file contents in memory while they wait.
+		// the file. Stream it through the hash under a briefly-held worker
+		// slot, keeping none of it — the flight reads again below, so cold
+		// queries queued for a compute slot never pin file contents in
+		// memory while they wait.
 		release, aerr := e.acquire(ctx)
 		if aerr != nil {
 			return QueryResponse{}, aerr
 		}
-		data, rerr := os.ReadFile(full)
+		sum, herr := hashFile(full, new(loadStats))
 		release()
-		if rerr != nil {
-			return QueryResponse{}, readErr(req.Path, rerr)
+		if herr != nil {
+			return QueryResponse{}, readErr(req.Path, herr)
 		}
-		digest = hashBytes(data)
+		digest = hexDigest(sum)
 		e.storePathDigest(full, st, digest)
 	}
 	if !pl.req.Explain {
@@ -329,22 +399,7 @@ func (e *queryEngine) runPath(ctx context.Context, req QueryRequest) (QueryRespo
 			return resp, nil
 		}
 	}
-	reqSpan := trace.FromContext(ctx)
-	return e.shared(ctx, flightKey(pl, digest), func(fctx context.Context) (QueryResponse, error) {
-		release, err := e.acquire(fctx)
-		if err != nil {
-			return QueryResponse{}, err
-		}
-		defer release()
-		data, rerr := os.ReadFile(full) // under the compute slot
-		if rerr != nil {
-			return QueryResponse{}, readErr(req.Path, rerr)
-		}
-		// The file may have changed since the digest was memoized; hash
-		// what was actually read, so the answer is always cached under its
-		// true content digest and can never poison another content's key.
-		return e.compute(fctx, hashBytes(data), data, pl, reqSpan)
-	})
+	return e.fly(ctx, flightKey(pl, digest), pl, source{digest: digest, path: req.Path, full: full})
 }
 
 // flight is one in-flight discovery run shared by every concurrent query
@@ -457,7 +512,7 @@ func (e *queryEngine) pathDigest(full string, st os.FileInfo) (string, bool) {
 }
 
 func (e *queryEngine) storePathDigest(full string, st os.FileInfo, digest string) {
-	e.digests.put(full, pathDigestEntry{mtime: st.ModTime(), size: st.Size(), digest: digest})
+	e.digests.put(full, pathDigestEntry{mtime: st.ModTime(), size: st.Size(), digest: digest}, 1)
 }
 
 // maxPathDigests bounds the digest memo; the least recently used path is
@@ -517,18 +572,139 @@ func (e *queryEngine) mine(ctx context.Context, qsp *trace.Span, pl queryPlan, d
 	return convoys, stats, explain, nil
 }
 
-// compute parses the database and runs the planned algorithm under the
+// source is what a query mines, as its request named it: an upload's bytes
+// under their digest, or a file under the digest its stat-keyed memo holds —
+// a hint that load must confirm against the bytes before anything trusts it.
+type source struct {
+	digest string
+	data   []byte // the upload; nil for a path query
+	path   string // the client's spelling, for error messages
+	full   string // the same file inside the data dir
+}
+
+// loaded is a query's input, ready to mine.
+type loaded struct {
+	// digest is the SHA-256 of the bytes db (or log) was parsed from, taken
+	// by this request.
+	digest string
+	// data is those bytes; nil when a resident dataset was confirmed by a
+	// streamed hash, which keeps none.
+	data []byte
+	db   *model.DB
+	// log replaces db for a proxgraph query, whose input is an a,b,t,w
+	// contact log.
+	log *proxgraph.Log
+}
+
+// loadStats is what one load cost, for its span.
+type loadStats struct {
+	bytes                int64
+	read, digest, decode time.Duration
+}
+
+// load turns src into a database the miner may read, under a "load" span.
+// A path query's bytes are hashed here, as the file holds them now, and a
+// resident dataset is mined only when that hash equals its key: a file
+// swapped behind an unchanged stat costs its query one more read — never a
+// stale parse, never an answer cached under another content's digest.
+func (e *queryEngine) load(ctx context.Context, pl queryPlan, src source) (in loaded, err error) {
+	_, sp := trace.StartSpan(ctx, "load")
+	defer sp.End()
+	var st loadStats
+	outcome := "parsed"
+	defer func() {
+		if err != nil {
+			return
+		}
+		e.cfg.metrics.datasetLoads.With(outcome).Inc()
+		sp.Str("dataset", outcome).Int("bytes", st.bytes).
+			Float("read_ms", msFloat(st.read)).
+			Float("digest_ms", msFloat(st.digest)).
+			Float("decode_ms", msFloat(st.decode))
+	}()
+	contactLog := pl.res.Clusterer == proxgraph.Backend
+	if src.data == nil {
+		// A coordinator ships the bytes to its shards and a contact log is
+		// parsed from them every time; any other query needs only the proof
+		// that the file still holds what the resident dataset was parsed from.
+		if db, ok := e.datasets.get(src.digest); ok && !contactLog && len(e.cfg.Shards) == 0 {
+			sum, herr := hashFile(src.full, &st)
+			if herr != nil {
+				return loaded{}, readErr(src.path, herr)
+			}
+			if hexDigest(sum) == src.digest {
+				outcome = "resident"
+				return loaded{digest: src.digest, db: db.(*model.DB)}, nil
+			}
+		}
+		t0 := time.Now()
+		if src.data, err = os.ReadFile(src.full); err != nil {
+			return loaded{}, readErr(src.path, err)
+		}
+		t1 := time.Now()
+		src.digest = hashBytes(src.data)
+		st.read += t1.Sub(t0)
+		st.digest += time.Since(t1)
+	}
+	st.bytes = int64(len(src.data))
+	in = loaded{digest: src.digest, data: src.data}
+	t0 := time.Now()
+	resident := false
+	if contactLog {
+		in.log, err = proxgraph.ReadLog(bytes.NewReader(in.data))
+	} else {
+		in.db, resident, err = e.dataset(in.digest, in.data)
+	}
+	if err != nil {
+		return loaded{}, badRequest(err) // unparseable database
+	}
+	if resident {
+		outcome = "resident"
+	} else {
+		st.decode = time.Since(t0)
+	}
+	return in, nil
+}
+
+// datasetBudgetBodies sizes the dataset store in units of the largest
+// upload the server accepts (MaxBodyBytes).
+const datasetBudgetBodies = 4
+
+// dataset is get-or-parse: the database resident under digest, or data —
+// whose hash the caller vouches digest is — parsed and retained under it. A
+// dataset larger than the whole budget is returned without being kept, and
+// two first touches of one content may both parse it; the later put wins.
+func (e *queryEngine) dataset(digest string, data []byte) (db *model.DB, resident bool, err error) {
+	if v, ok := e.datasets.get(digest); ok {
+		return v.(*model.DB), true, nil
+	}
+	if db, err = parseDB(data); err != nil {
+		return nil, false, err
+	}
+	cost := int64(db.SumTrajLen()) * int64(unsafe.Sizeof(model.Sample{}))
+	for _, tr := range db.Trajectories() {
+		cost += int64(len(tr.Label))
+	}
+	e.cfg.metrics.datasetEvictions.Add(float64(e.datasets.put(digest, db, cost)))
+	return db, false, nil
+}
+
+// compute loads the database and runs the planned algorithm under the
 // given context; the caller holds a worker slot. Cancelled computations
 // return the context error and never touch the cache.
-func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, pl queryPlan, reqSpan *trace.Span) (QueryResponse, error) {
+func (e *queryEngine) compute(ctx context.Context, pl queryPlan, src source, reqSpan *trace.Span) (QueryResponse, error) {
 	e.cfg.metrics.queryComputes.Inc()
 	if e.onComputeStart != nil {
 		e.onComputeStart()
 	}
 	ctx, qsp := e.startQuery(ctx, pl, reqSpan)
-	qsp.Str("digest", digest)
 	defer qsp.End() // idempotent; mine ends it before collecting the profile
 	t0 := time.Now()
+	in, err := e.load(ctx, pl, src)
+	if err != nil {
+		return QueryResponse{}, err
+	}
+	qsp.Str("digest", in.digest)
 	resp := QueryResponse{
 		Convoys:   []ConvoyJSON{},
 		Params:    pl.res.Spec.Params,
@@ -536,7 +712,7 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 		Clusterer: pl.res.Clusterer,
 		From:      pl.req.From,
 		To:        pl.req.To,
-		Digest:    digest,
+		Digest:    in.digest,
 		Cache:     "miss",
 	}
 	if len(e.cfg.Shards) > 0 {
@@ -544,49 +720,38 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 		// the partials. Placed here — under the flight — so sharded queries
 		// inherit the cache, the dedup of identical concurrent queries and
 		// the worker-slot bound exactly like local ones.
-		if err := e.computeSharded(ctx, qsp, &resp, data, pl); err != nil {
+		if err := e.computeSharded(ctx, qsp, &resp, in, pl); err != nil {
 			return QueryResponse{}, err
 		}
 		return e.answered(resp, pl, t0, nil), nil
 	}
-	var db *model.DB
-	var err error
+	db := in.db
 	var cl core.Clusterer         // non-default per-tick clusterer, if any
 	var sliceIDs []model.ObjectID // new dense ID → original, when windowed
-	if pl.res.Clusterer == proxgraph.Backend {
+	if log := in.log; log != nil {
 		// A proxgraph query uploads an edge CSV (a,b,t,w contact log). The
 		// log synthesizes a positionless stand-in database — one row per
 		// object spanning its first to last contact — and the clusterer
 		// reads the contact graph itself, tick by tick, from the log.
-		log, lerr := proxgraph.ReadLog(bytes.NewReader(data))
-		if lerr != nil {
-			return QueryResponse{}, badRequest(lerr)
-		}
 		if pl.res.Windowed {
 			// Window the contact log by keeping only the records inside
 			// [from, to] — the per-tick clusters are a pure function of that
 			// tick's edges, so the windowed log answers the windowed query.
-			if log, lerr = log.Window(pl.res.From, pl.res.To); lerr != nil {
-				return QueryResponse{}, badRequest(lerr)
+			if log, err = log.Window(pl.res.From, pl.res.To); err != nil {
+				return QueryResponse{}, badRequest(err)
 			}
 		}
-		db, err = log.DB()
-		if err != nil {
+		if db, err = log.DB(); err != nil {
 			return QueryResponse{}, badRequest(err)
 		}
 		qsp.Str("clusterer", pl.res.Clusterer)
 		cl = log.Clusterer()
-	} else {
-		db, err = parseDB(data)
-		if err != nil {
-			return QueryResponse{}, badRequest(err) // unparseable database
-		}
-		if pl.res.Windowed {
-			// Interpolation-aware slice: real samples inside the window plus
-			// virtual boundary samples, so the windowed answer equals the
-			// full answer restricted to [from, to].
-			db, sliceIDs = core.SliceTime(db, pl.res.From, pl.res.To)
-		}
+	} else if pl.res.Windowed {
+		// Interpolation-aware slice: real samples inside the window plus
+		// virtual boundary samples, so the windowed answer equals the
+		// full answer restricted to [from, to]. The slice is a copy — the
+		// resident database is shared and never written.
+		db, sliceIDs = core.SliceTime(db, pl.res.From, pl.res.To)
 	}
 	labels := wire.DBLabels(db)
 	if sliceIDs != nil {
@@ -614,30 +779,34 @@ func (e *queryEngine) compute(ctx context.Context, digest string, data []byte, p
 func (e *queryEngine) answered(resp QueryResponse, pl queryPlan, t0 time.Time, explain *ExplainJSON) QueryResponse {
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	if e.lru != nil {
-		e.lru.put(pl.key(resp.Digest), resp)
+		e.lru.put(pl.key(resp.Digest), resp, 1)
 	}
 	resp.Explain = explain
 	return resp
 }
 
-// lruCache is a minimal mutex-guarded LRU over string keys.
+// lruCache is a minimal mutex-guarded LRU over string keys. Each entry
+// carries a cost and the cache holds at most budget of it: 1 apiece makes
+// budget an entry count, a dataset's decoded size makes it a byte budget.
 type lruCache struct {
-	cap   int
-	mu    sync.Mutex
-	order *list.List // front = most recent; values are *lruEntry
-	items map[string]*list.Element
+	budget int64
+	mu     sync.Mutex
+	cost   int64      // Σ entry costs; ≤ budget between calls
+	order  *list.List // front = most recent; values are *lruEntry
+	items  map[string]*list.Element
 }
 
 type lruEntry struct {
-	key string
-	val any
+	key  string
+	val  any
+	cost int64
 }
 
-func newLRUCache(capacity int) *lruCache {
+func newLRUCache(budget int64) *lruCache {
 	return &lruCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element),
+		budget: budget,
+		order:  list.New(),
+		items:  make(map[string]*list.Element),
 	}
 }
 
@@ -652,25 +821,43 @@ func (c *lruCache) get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-func (c *lruCache) put(key string, val any) {
+// put stores val under key at the given cost and reports how many least
+// recently used entries it evicted to stay within the budget. A value that
+// would not fit an empty cache is not stored (and evicts nothing).
+func (c *lruCache) put(key string, val any, cost int64) (evicted int) {
+	if cost > c.budget {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).val = val
+		ent := el.Value.(*lruEntry)
+		c.cost += cost - ent.cost
+		ent.val, ent.cost = val, cost
 		c.order.MoveToFront(el)
-		return
+	} else {
+		c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val, cost: cost})
+		c.cost += cost
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val})
-	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.items, last.Value.(*lruEntry).key)
+	for c.cost > c.budget {
+		last := c.order.Remove(c.order.Back()).(*lruEntry)
+		delete(c.items, last.key)
+		c.cost -= last.cost
+		evicted++
 	}
+	return evicted
 }
 
-// len reports the number of cached entries (for tests).
+// len reports the number of cached entries.
 func (c *lruCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
+}
+
+// size reports the total cost of the cached entries.
+func (c *lruCache) size() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cost
 }

@@ -404,6 +404,30 @@ func TestErrorPaths(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/query",
 		QueryRequest{Path: "x.csv", QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 2, Eps: 1}}},
 		http.StatusForbidden, nil)
+
+	// A path that names something other than a regular file names no
+	// database: 404 like a missing one, never the read's own failure as a
+	// 500 — and never a worker slot parked on a FIFO nobody writes to.
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{".", "sub", "sub/"}
+	if err := mkfifo(filepath.Join(dir, "pipe")); err == nil {
+		paths = append(paths, "pipe")
+	} else {
+		t.Logf("no FIFO row: %v", err)
+	}
+	_, dts := newTestServer(t, Config{DataDir: dir})
+	for _, path := range paths {
+		var ej ErrorJSON
+		doJSON(t, "POST", dts.URL+"/v1/query",
+			QueryRequest{Path: path, QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 2, Eps: 1}}},
+			http.StatusNotFound, &ej)
+		if ej.Error.Code != wire.CodeNotFound {
+			t.Errorf("path %q: error code %q, want %q", path, ej.Error.Code, wire.CodeNotFound)
+		}
+	}
 }
 
 // fixtureCSV renders the convoyfind test fixture: two pairs traveling
@@ -689,12 +713,12 @@ func TestServerCloseDrainsFeeds(t *testing.T) {
 
 func TestLRUCacheEviction(t *testing.T) {
 	c := newLRUCache(2)
-	c.put("a", 1)
-	c.put("b", 2)
+	c.put("a", 1, 1)
+	c.put("b", 2, 1)
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("c", 3) // evicts b (least recently used)
+	c.put("c", 3, 1) // evicts b (least recently used)
 	if _, ok := c.get("b"); ok {
 		t.Error("b survived eviction")
 	}
@@ -707,12 +731,31 @@ func TestLRUCacheEviction(t *testing.T) {
 	if c.len() != 2 {
 		t.Errorf("len = %d", c.len())
 	}
-	c.put("a", 10) // update moves to front, no growth
+	c.put("a", 10, 1) // update moves to front, no growth
 	if v, _ := c.get("a"); v != 10 {
 		t.Errorf("a = %v", v)
 	}
 	if c.len() != 2 {
 		t.Errorf("len after update = %d", c.len())
+	}
+
+	// Entries of unequal cost: the budget bounds their sum, one put may
+	// evict several, and what would not fit an empty cache is not stored.
+	c = newLRUCache(10)
+	c.put("a", 1, 4)
+	c.put("b", 2, 4)
+	if n := c.put("c", 3, 8); n != 2 || c.len() != 1 || c.size() != 8 {
+		t.Errorf("put of cost 8 into 4+4 of 10: evicted %d, len %d, size %d; want 2, 1, 8", n, c.len(), c.size())
+	}
+	if n := c.put("d", 4, 11); n != 0 || c.len() != 1 || c.size() != 8 {
+		t.Errorf("put over the whole budget: evicted %d, len %d, size %d; want it ignored", n, c.len(), c.size())
+	}
+	if _, ok := c.get("d"); ok {
+		t.Error("an entry costing more than the budget was stored")
+	}
+	c.put("c", 3, 2) // re-costing an entry moves the total
+	if c.size() != 2 {
+		t.Errorf("size after re-costing = %d, want 2", c.size())
 	}
 }
 

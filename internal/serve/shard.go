@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/model"
-	"repro/internal/proxgraph"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -86,25 +84,18 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// computeSharded is the coordinator's compute step: parse the database
-// only to anchor the time range and the label↔ID mapping, fan the query
-// out over the shard fleet (one overlapping window each), and merge the
-// partial answers into the exact global answer, filled into resp (compute's
-// answer header). The caller holds a worker slot and the flight for this
-// cache key, exactly like a local compute.
-func (e *queryEngine) computeSharded(ctx context.Context, qsp *trace.Span, resp *QueryResponse, data []byte, pl queryPlan) error {
-	var db *model.DB
-	var err error
-	if pl.res.Clusterer == proxgraph.Backend {
-		log, lerr := proxgraph.ReadLog(bytes.NewReader(data))
-		if lerr != nil {
-			return badRequest(lerr)
-		}
-		if db, err = log.DB(); err != nil {
-			return badRequest(err)
-		}
-	} else {
-		if db, err = parseDB(data); err != nil {
+// computeSharded is the coordinator's compute step: the loaded database
+// only anchors the time range and the label↔ID mapping; the query itself
+// fans out over the shard fleet (one overlapping window each, the raw bytes
+// to every shard) and the partial answers merge into the exact global
+// answer, filled into resp (compute's answer header). The caller holds a
+// worker slot and the flight for this cache key, exactly like a local
+// compute.
+func (e *queryEngine) computeSharded(ctx context.Context, qsp *trace.Span, resp *QueryResponse, in loaded, pl queryPlan) error {
+	db := in.db
+	if in.log != nil {
+		var err error
+		if db, err = in.log.DB(); err != nil {
 			return badRequest(err)
 		}
 	}
@@ -126,7 +117,7 @@ func (e *queryEngine) computeSharded(ctx context.Context, qsp *trace.Span, resp 
 	spec := pl.res.Spec
 	spec.Explain = false // profiles describe local runs; shards answer data only
 	co := dist.Coordinator{Shards: e.cfg.Shards}
-	shardResps, windows, err := co.Query(ctx, data, spec, lo, hi)
+	shardResps, windows, err := co.Query(ctx, in.data, spec, lo, hi)
 	if err != nil {
 		return err
 	}

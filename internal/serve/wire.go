@@ -259,13 +259,15 @@ type QueryResponse struct {
 // and the latency histogram exemplars on /metrics.
 type ExplainJSON struct {
 	TraceID string `json:"trace_id"`
-	// TotalMS is the discovery run's wall time (the run span's duration).
-	// Stage durations are nested inside it, so their sum never exceeds it.
+	// TotalMS is the wall time from the start of the load (of the discovery
+	// run, where there is no load stage) to the end of the run. Stages lie
+	// inside it one after another, so their sum never exceeds it.
 	TotalMS float64 `json:"total_ms"`
-	// Stages lists the run's pipeline stages in execution order — scan for
-	// CMC; simplify, filter, refine for the CuTS family — with each
-	// stage's wall time and annotations (fan-out, candidate counts,
-	// accumulated cluster/chain milliseconds, …).
+	// Stages lists the pipeline stages in execution order — load, for a
+	// batch query; then scan for CMC, or simplify, filter, refine for the
+	// CuTS family — with each stage's wall time and annotations (where the
+	// dataset came from, fan-out, candidate counts, accumulated
+	// cluster/chain milliseconds, …).
 	Stages []ExplainStageJSON `json:"stages"`
 }
 
@@ -278,8 +280,11 @@ type ExplainStageJSON struct {
 
 // ExplainFromTrace derives a query profile from a completed trace: the
 // first span named "run" (the core entry point) provides the total, its
-// direct children the stages. ok is false when the trace has no run span —
-// a trace that never reached the core (e.g. an unparseable database).
+// direct children the stages. A "load" span — the server's step before the
+// run: read, digest, decode, or a resident dataset re-verified — is listed
+// as the first stage, and the total then runs from its start to the run's
+// end. ok is false when the trace has no run span — a trace that never
+// reached the core (e.g. an unparseable database).
 func ExplainFromTrace(tj trace.TraceJSON) (ExplainJSON, bool) {
 	if tj.Root == nil {
 		return ExplainJSON{}, false
@@ -288,13 +293,15 @@ func ExplainFromTrace(tj trace.TraceJSON) (ExplainJSON, bool) {
 	if run == nil {
 		return ExplainJSON{}, false
 	}
-	out := ExplainJSON{
-		TraceID: tj.TraceID,
-		TotalMS: run.DurationMS,
-		Stages:  make([]ExplainStageJSON, len(run.Children)),
+	out := ExplainJSON{TraceID: tj.TraceID, TotalMS: run.DurationMS}
+	stages := run.Children
+	if load := tj.Root.Find("load"); load != nil {
+		out.TotalMS = run.OffsetMS + run.DurationMS - load.OffsetMS
+		stages = append([]*trace.SpanJSON{load}, stages...)
 	}
-	for i, c := range run.Children {
-		out.Stages[i] = ExplainStageJSON{Name: c.Name, DurationMS: c.DurationMS, Attrs: c.Attrs}
+	out.Stages = make([]ExplainStageJSON, 0, len(stages))
+	for _, c := range stages {
+		out.Stages = append(out.Stages, ExplainStageJSON{Name: c.Name, DurationMS: c.DurationMS, Attrs: c.Attrs})
 	}
 	return out, true
 }

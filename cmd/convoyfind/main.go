@@ -6,18 +6,25 @@
 //	           [-clusterer dbscan|proxgraph] [-workers N] [-partitions N] [-limit N] [-timeout 30s]
 //	           [-stats] [-explain] [-format text|json|jsonl|json-array]
 //
-// The input format is "obj,t,x,y" with a header line (see the tsio
-// package). The convoy parameters follow the paper: m is the minimum group
+// The input is "obj,t,x,y" CSV with a header line or the binary CTB format
+// (see the tsio package), told apart by the file's first bytes, not its
+// name. The convoy parameters follow the paper: m is the minimum group
 // size, k the minimum lifetime in time points, e the density-connection
-// distance. The algorithm defaults to CuTS*, the paper's fastest; δ and λ
-// default to the automatic guidelines of Section 7.4.
+// distance.
+//
+// The flags spell a wire.QuerySpec — the query convoyd's POST /v1/query
+// takes — and wire.QuerySpec.Normalize is the only validator and defaulter
+// behind them, so a flag means here what its field means there and a
+// rejection is worded the same on both: the algorithm defaults to CuTS*,
+// the paper's fastest; δ and λ default to the automatic guidelines of
+// Section 7.4; m and k must be ≥ 1.
 //
 // -clusterer proxgraph swaps the per-tick clustering backend: the input is
 // then an "a,b,t,w" contact log (weighted proximity edges, no coordinates)
 // and a convoy is a group staying graph-connected at weight ≥ e for k
 // consecutive ticks. The graph backend runs under CMC only — the CuTS
-// filter bounds are DBSCAN-specific — so -algo defaults to cmc and any
-// other explicit -algo is rejected.
+// filter bounds are DBSCAN-specific — so -algo then defaults to cmc and a
+// CuTS variant is rejected.
 //
 // -format json emits one JSON object per convoy (NDJSON) in the same wire
 // schema the convoyd server speaks (objects, start, end, lifetime), so
@@ -39,6 +46,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -50,19 +58,21 @@ import (
 	"sort"
 	"strings"
 
-	convoys "repro"
-	"repro/internal/serve"
+	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/proxgraph"
 	"repro/internal/trace"
+	"repro/internal/tsio"
 	"repro/internal/wire"
 )
 
 func main() {
 	var (
-		input     = flag.String("input", "", "input file: CSV (obj,t,x,y with header) or binary .ctb; required")
+		input     = flag.String("input", "", "input file: CSV (obj,t,x,y with header) or binary CTB; required")
 		m         = flag.Int("m", 2, "minimum number of objects in a convoy")
 		k         = flag.Int64("k", 2, "minimum convoy lifetime in time points")
 		e         = flag.Float64("e", 1, "density-connection distance threshold")
-		algo      = flag.String("algo", "cuts*", "algorithm: cmc, cuts, cuts+ or cuts* (defaults to cmc under -clusterer proxgraph)")
+		algo      = flag.String("algo", "", "algorithm: cmc, cuts, cuts+ or cuts* (default cuts*; cmc under -clusterer proxgraph)")
 		clusterer = flag.String("clusterer", "dbscan", "clustering backend: dbscan (positions) or proxgraph (input is an a,b,t,w contact log)")
 		delta     = flag.Float64("delta", 0, "simplification tolerance δ (0 = automatic guideline)")
 		lambda    = flag.Int64("lambda", 0, "time-partition length λ (0 = automatic guideline)")
@@ -81,21 +91,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *workers <= 0 {
-		*workers = convoys.DefaultWorkers()
-	}
-	if strings.EqualFold(*clusterer, "proxgraph") {
-		// The graph backend runs under CMC only; an untouched -algo follows
-		// the backend rather than fighting it, an explicit one is honored
-		// (and rejected below if it names a CuTS variant).
-		algoSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "algo" {
-				algoSet = true
-			}
-		})
-		if !algoSet {
-			*algo = "cmc"
-		}
+		*workers = core.DefaultWorkers()
 	}
 
 	// Ctrl-C cancels the discovery pipeline (the run returns ctx.Err()
@@ -147,67 +143,36 @@ type options struct {
 	format     string
 }
 
-// loadDB picks the reader by file extension.
-func loadDB(input string) (*convoys.DB, error) {
-	if strings.HasSuffix(strings.ToLower(input), ".ctb") {
-		return convoys.LoadBinary(input)
+// spec spells the options as the wire's query: the one vocabulary the CLI
+// shares with convoyd, validated and defaulted by its Normalize alone.
+func (o options) spec() wire.QuerySpec {
+	return wire.QuerySpec{
+		Params:     wire.ParamsJSON{M: o.m, K: o.k, Eps: o.e},
+		Algo:       o.algo,
+		Clusterer:  o.clusterer,
+		Delta:      o.delta,
+		Lambda:     o.lambda,
+		Partitions: o.partitions,
 	}
-	return convoys.LoadCSV(input)
 }
 
-// load reads the input for the selected backend: a trajectory database for
-// dbscan, a contact log (plus its synthesized stand-in database) for
-// proxgraph.
-func load(o options) (*convoys.DB, *convoys.ProximityLog, error) {
-	switch strings.ToLower(o.clusterer) {
-	case "", "dbscan":
-		db, err := loadDB(o.input)
+// load reads the input the resolved query mines: a trajectory database, or
+// — under the proxgraph backend — a contact log as its stand-in database
+// plus the clusterer reading the log's edges.
+func load(input string, res wire.Resolved) (*model.DB, core.Clusterer, error) {
+	data, err := os.ReadFile(input)
+	if err != nil {
+		return nil, nil, err
+	}
+	if res.Clusterer != proxgraph.Backend {
+		db, err := tsio.Decode(data)
 		return db, nil, err
-	case "proxgraph":
-		log, err := convoys.LoadProximityLog(o.input)
-		if err != nil {
-			return nil, nil, err
-		}
-		db, err := log.DB()
-		return db, log, err
-	default:
-		return nil, nil, fmt.Errorf("unknown clusterer %q (want dbscan or proxgraph)", o.clusterer)
 	}
-}
-
-// buildQuery assembles the Query for the options, directing statistics
-// into st. A non-nil log swaps in the graph-connectivity backend.
-func buildQuery(o options, st *convoys.Stats, log *convoys.ProximityLog) (*convoys.Query, error) {
-	opts := []convoys.QueryOption{
-		convoys.M(o.m), convoys.K(o.k), convoys.Eps(o.e),
-		convoys.WithDelta(o.delta), convoys.WithLambda(o.lambda),
-		convoys.WithWorkers(o.workers), convoys.WithStats(st),
+	log, err := proxgraph.ReadLog(bytes.NewReader(data))
+	if err != nil {
+		return nil, nil, err
 	}
-	if o.limit > 0 {
-		opts = append(opts, convoys.WithLimit(o.limit))
-	}
-	if o.partitions > 1 {
-		opts = append(opts, convoys.WithPartitions(o.partitions))
-	}
-	if log != nil {
-		if !strings.EqualFold(o.algo, "cmc") {
-			return nil, fmt.Errorf("clusterer proxgraph requires -algo cmc (the CuTS filter bounds are DBSCAN-specific; got %q)", o.algo)
-		}
-		opts = append(opts, convoys.WithClusterer(log.Clusterer()))
-	}
-	switch strings.ToLower(o.algo) {
-	case "cmc":
-		opts = append(opts, convoys.WithCMC())
-	case "cuts":
-		opts = append(opts, convoys.WithVariant(convoys.CuTSVariant))
-	case "cuts+":
-		opts = append(opts, convoys.WithVariant(convoys.CuTSPlusVariant))
-	case "cuts*":
-		opts = append(opts, convoys.WithVariant(convoys.CuTSStarVariant))
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q (want cmc, cuts, cuts+ or cuts*)", o.algo)
-	}
-	return convoys.NewQuery(opts...), nil
+	return res.ContactLog(log)
 }
 
 func run(ctx context.Context, out io.Writer, o options) error {
@@ -216,15 +181,21 @@ func run(ctx context.Context, out io.Writer, o options) error {
 	default:
 		return fmt.Errorf("unknown format %q (want text, json, jsonl or json-array)", o.format)
 	}
-	db, log, err := load(o)
+	res, err := o.spec().Normalize()
 	if err != nil {
 		return err
 	}
-	var st convoys.Stats
-	q, err := buildQuery(o, &st, log)
+	db, cl, err := load(o.input, res)
 	if err != nil {
 		return err
 	}
+	var st core.Stats
+	opts := res.Options(o.workers, cl, &st)
+	if o.limit > 0 {
+		opts = append(opts, core.WithLimit(o.limit))
+	}
+	q := core.NewQuery(opts...)
+	o.stats = o.stats && !res.IsCMC // CMC has no filter statistics to print
 
 	if !o.explain {
 		return discover(ctx, out, o, q, db, &st)
@@ -239,7 +210,7 @@ func run(ctx context.Context, out io.Writer, o options) error {
 		return err
 	}
 	if tj, ok := root.Collect(); ok {
-		if ex, ok := serve.ExplainFromTrace(tj); ok {
+		if ex, ok := wire.ExplainFromTrace(tj); ok {
 			printExplain(os.Stderr, ex)
 		}
 	}
@@ -248,7 +219,7 @@ func run(ctx context.Context, out io.Writer, o options) error {
 
 // printExplain renders a query profile the way the text formats do:
 // one line per pipeline stage, attributes appended.
-func printExplain(w io.Writer, ex serve.ExplainJSON) {
+func printExplain(w io.Writer, ex wire.ExplainJSON) {
 	fmt.Fprintf(w, "query profile: total %.3fms (trace %s)\n", ex.TotalMS, ex.TraceID)
 	for _, s := range ex.Stages {
 		fmt.Fprintf(w, "  %-8s %10.3fms", s.Name, s.DurationMS)
@@ -265,7 +236,7 @@ func printExplain(w io.Writer, ex serve.ExplainJSON) {
 }
 
 // discover executes the query and writes the results in o.format.
-func discover(ctx context.Context, out io.Writer, o options, q *convoys.Query, db *convoys.DB, st *convoys.Stats) error {
+func discover(ctx context.Context, out io.Writer, o options, q *core.Query, db *model.DB, st *core.Stats) error {
 	labels := wire.DBLabels(db)
 	if strings.ToLower(o.format) == "jsonl" {
 		// Streaming: print each convoy the moment the scan closes it.
@@ -315,7 +286,7 @@ func discover(ctx context.Context, out io.Writer, o options, q *convoys.Query, d
 		fmt.Fprintf(out, "  {%s} ticks [%d, %d] (%d points)\n",
 			strings.Join(wire.ConvoyToJSON(c, labels).Objects, ", "), c.Start, c.End, c.Lifetime())
 	}
-	if o.stats && strings.ToLower(o.algo) != "cmc" {
+	if o.stats {
 		fmt.Fprintf(out, "algorithm %v: δ=%.3g λ=%d workers=%d partitions=%d candidates=%d refinement-units=%.0f\n",
 			st.Variant, st.Delta, st.Lambda, st.Workers, st.NumPartitions, st.NumCandidates, st.RefineUnits)
 		fmt.Fprintf(out, "timings: simplify=%v filter=%v refine=%v total=%v (vertex reduction %.1f%%)\n",

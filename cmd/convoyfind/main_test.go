@@ -6,12 +6,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	convoys "repro"
+	"repro/internal/datagen"
+	"repro/internal/proxgraph"
+	"repro/internal/serve"
+	"repro/internal/tsio"
 	"repro/internal/wire"
 )
 
@@ -84,6 +91,21 @@ func TestRunBinaryInput(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "2 convoy(s)") {
 		t.Errorf("binary input output:\n%s", buf.String())
+	}
+	// The bytes decide the format, as they always did for a server upload:
+	// a CTB file named *.csv and a CSV named *.ctb both load.
+	for from, to := range map[string]string{path: "ctb-inside.csv", writeFixture(t, dir, "two.csv"): "csv-inside.ctb"} {
+		swapped := filepath.Join(dir, to)
+		if err := os.Rename(from, swapped); err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		if err := runArgs(&buf, swapped, 2, 5, 1, "cuts*", 0, 0, 2, false, "text"); err != nil {
+			t.Fatalf("%s: %v", to, err)
+		}
+		if !strings.Contains(buf.String(), "2 convoy(s)") {
+			t.Errorf("%s output:\n%s", to, buf.String())
+		}
 	}
 }
 
@@ -277,8 +299,8 @@ func TestRunProxgraphContactLog(t *testing.T) {
 		input: path, m: 3, k: 3, e: 1, algo: "cuts*", clusterer: "proxgraph",
 		workers: 1, format: "text",
 	})
-	if err == nil || !strings.Contains(err.Error(), "-algo cmc") {
-		t.Fatalf("cuts* under proxgraph: err = %v, want -algo cmc guidance", err)
+	if err == nil || !strings.Contains(err.Error(), "algo=cmc") {
+		t.Fatalf("cuts* under proxgraph: err = %v, want algo=cmc guidance", err)
 	}
 	err = run(context.Background(), &buf, options{
 		input: path, m: 3, k: 3, e: 1, algo: "cmc", clusterer: "voronoi",
@@ -294,5 +316,138 @@ func TestRunProxgraphContactLog(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("trajectory CSV accepted as a contact log")
+	}
+}
+
+// TestCLIAndServerAgree holds the one query front-end: a spec run through
+// convoyfind's run and through POST /v1/query yields the same convoys, byte
+// for byte as wire JSON, and a spec wire rejects is rejected in the same
+// words on both sides.
+func TestCLIAndServerAgree(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	prof := datagen.Contact(0.2, 1)
+	db := prof.Generate()
+	log, err := proxgraph.FromDB(db, prof.Eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	positions, contacts := filepath.Join(dir, "positions.ctb"), filepath.Join(dir, "contacts.csv")
+	if err := tsio.SaveBinary(positions, db); err != nil {
+		t.Fatal(err)
+	}
+	var edges bytes.Buffer
+	if err := tsio.WriteEdgeCSV(&edges, log.Records()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(contacts, edges.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// server posts the input with the options' spec on the URL, as an upload
+	// client does, and returns the answer as convoyfind -format json prints
+	// it — or the error envelope's message.
+	server := func(o options) (string, error) {
+		data, err := os.ReadFile(o.input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/query?"+o.spec().URLValues().Encode(), "application/octet-stream", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusBadRequest {
+			var env wire.ErrorJSON
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatalf("error envelope %q: %v", body, err)
+			}
+			return "", errors.New(env.Error.Message)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/query: %d %s", resp.StatusCode, body)
+		}
+		var qr serve.QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		enc := json.NewEncoder(&out)
+		for _, c := range qr.Convoys {
+			if err := enc.Encode(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out.String(), nil
+	}
+
+	base := options{m: prof.M, k: prof.K, e: prof.Eps, workers: 2, format: "json"}
+	var specs []options
+	for _, algo := range []string{"", "cmc", "cuts", "cuts+", "cuts*"} {
+		o := base
+		o.input, o.algo = positions, algo
+		specs = append(specs, o)
+		o.delta, o.lambda = 1.5, 12 // given, not the automatic guidelines
+		specs = append(specs, o)
+	}
+	for _, algo := range []string{"", "cmc", "CMC"} {
+		o := base
+		o.input, o.algo, o.clusterer, o.e = contacts, algo, "proxgraph", 1
+		specs = append(specs, o)
+	}
+	for _, o := range specs {
+		name := fmt.Sprintf("algo=%q clusterer=%q delta=%g lambda=%d", o.algo, o.clusterer, o.delta, o.lambda)
+		var cli bytes.Buffer
+		if err := run(context.Background(), &cli, o); err != nil {
+			t.Fatalf("%s: convoyfind: %v", name, err)
+		}
+		got, err := server(o)
+		if err != nil {
+			t.Fatalf("%s: server: %v", name, err)
+		}
+		if got != cli.String() {
+			t.Errorf("%s: server and convoyfind disagree\nserver:\n%s\nconvoyfind:\n%s", name, got, cli.String())
+		}
+		if cli.Len() == 0 {
+			t.Errorf("%s: no convoys — the comparison is vacuous", name)
+		}
+	}
+
+	reject := func(mut func(*options)) options {
+		o := base
+		o.input = positions
+		mut(&o)
+		return o
+	}
+	for name, o := range map[string]options{
+		"unknown algorithm": reject(func(o *options) { o.algo = "nope" }),
+		"unknown clusterer": reject(func(o *options) { o.clusterer = "voronoi" }),
+		"cuts under proxgraph": reject(func(o *options) {
+			o.input, o.clusterer, o.algo = contacts, "proxgraph", "cuts"
+		}),
+		"cuts* under proxgraph": reject(func(o *options) {
+			o.input, o.clusterer, o.algo = contacts, "proxgraph", "cuts*"
+		}),
+		"m < 1": reject(func(o *options) { o.m = 0 }),
+		"k < 1": reject(func(o *options) { o.k = 0 }),
+	} {
+		cliErr := run(context.Background(), io.Discard, o)
+		_, srvErr := server(o)
+		if cliErr == nil || srvErr == nil {
+			t.Errorf("%s: convoyfind err = %v, server err = %v; want both rejected", name, cliErr, srvErr)
+			continue
+		}
+		if cliErr.Error() != srvErr.Error() {
+			t.Errorf("%s: worded differently\nconvoyfind: %s\nserver:     %s", name, cliErr, srvErr)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -60,6 +61,10 @@ func BenchmarkTruckCMC(b *testing.B) {
 // The two rows of a worker count are the same scan and must agree within
 // noise (run-w1 is BenchmarkTruckCMC); before PR 18 a parallel Seq was
 // scheduled a tick at a time and seq-w2 cost 60× run-w2.
+//
+// The plan/ rows are the table behind ROADMAP item 5: the paper's four
+// profiles under CMC and CuTS*, serial and at two workers, as the single-pass
+// plan (p1) and as WithPartitions(2)'s partition → mine → merge (p2).
 func BenchmarkScanSchedule(b *testing.B) {
 	db := datagen.Truck(1, 1).Generate()
 	ctx := context.Background()
@@ -88,6 +93,28 @@ func BenchmarkScanSchedule(b *testing.B) {
 				}
 			}
 		})
+	}
+	for _, prof := range datagen.AllProfiles(1, 1) {
+		db := prof.Generate()
+		for _, algo := range []struct {
+			name string
+			opt  Option
+		}{{"cmc", WithCMC()}, {"cuts*", WithVariant(VariantCuTSStar)}} {
+			for _, workers := range []int{1, 2} {
+				for _, partitions := range []int{1, 2} {
+					q := NewQuery(WithParams(Params{M: prof.M, K: prof.K, Eps: prof.Eps}), algo.opt,
+						WithWorkers(workers), WithPartitions(partitions))
+					b.Run(fmt.Sprintf("plan/%s/%s/w%d-p%d", strings.ToLower(prof.Name), algo.name, workers, partitions), func(b *testing.B) {
+						b.ReportAllocs()
+						for b.Loop() {
+							if _, err := q.Run(ctx, db); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }
 

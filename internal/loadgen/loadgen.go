@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // Options configure one load run.
@@ -142,7 +143,7 @@ type Report struct {
 	// Explain is the per-stage timing profile of one sampled
 	// explain=true query issued after the load window (nil when the
 	// sample failed or the server predates explain).
-	Explain *serve.ExplainJSON `json:"explain,omitempty"`
+	Explain *wire.ExplainJSON `json:"explain,omitempty"`
 }
 
 // msBuckets are latency buckets in milliseconds for the client-side view.
@@ -347,7 +348,7 @@ func Run(ctx context.Context, o Options) (Report, error) {
 // database and returns its stage profile — every report carries one
 // per-stage view of the server's query pipeline. A failed sample (old
 // server, transport error) degrades to nil, never to a failed run.
-func sampleExplain(ctx context.Context, c *client, o Options) *serve.ExplainJSON {
+func sampleExplain(ctx context.Context, c *client, o Options) *wire.ExplainJSON {
 	db := synthCSV(scaled(8, o.Scale, 6, 24), scaled(20, o.Scale, 12, 60), o.Seed)
 	data, code, err := c.doRead(ctx, "explain_sample", "POST",
 		"/v1/query?m=3&k=4&e=1.5&algo=cmc&explain=true", "text/csv", db)

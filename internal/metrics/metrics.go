@@ -384,6 +384,28 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // With returns the counter for the label values, creating it on first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.with(values).c }
 
+// Sum adds up the family's counters whose label values match: match holds
+// one value per label, "" standing for any. The whole family is Sum() with
+// every value "".
+func (v *CounterVec) Sum(match ...string) float64 {
+	if len(match) != len(v.f.labels) {
+		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", v.f.name, len(v.f.labels), len(match)))
+	}
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	total := 0.0
+next:
+	for _, s := range v.f.series {
+		for i, want := range match {
+			if want != "" && s.labelValues[i] != want {
+				continue next
+			}
+		}
+		total += s.c.Value()
+	}
+	return total
+}
+
 // A GaugeVec is a gauge family partitioned by label values.
 type GaugeVec struct{ f *family }
 

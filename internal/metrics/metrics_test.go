@@ -65,6 +65,15 @@ func TestVecLabels(t *testing.T) {
 	if got := v.With("cuts*", "ok").Value(); got != 1 {
 		t.Errorf("cuts*/ok = %g, want 1", got)
 	}
+	v.With("cmc", "timeout").Add(2)
+	for _, tc := range []struct {
+		algo, outcome string
+		want          float64
+	}{{"", "", 7}, {"cmc", "", 6}, {"", "ok", 5}, {"cmc", "timeout", 2}, {"cuts", "", 0}} {
+		if got := v.Sum(tc.algo, tc.outcome); got != tc.want {
+			t.Errorf("Sum(%q, %q) = %g, want %g", tc.algo, tc.outcome, got, tc.want)
+		}
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("wrong label arity did not panic")

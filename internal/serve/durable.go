@@ -13,6 +13,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/tsio"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Durable feeds: the glue between the serve layer and internal/wal.
@@ -221,7 +222,12 @@ func recoverFeed(cfg Config, dir string) (*feed, error) {
 		return nil, err
 	}
 	w := &feedWAL{log: log, jnl: jnl}
-	f, err := buildFeed(mf.Name, mf.Params.Params(), mf.Clusterer, cfg, w)
+	cl, err := wire.ParseClusterer(mf.Clusterer)
+	if err != nil {
+		w.close()
+		return nil, err
+	}
+	f, err := buildFeed(mf.Name, mf.Params.Params(), cl, cfg, w)
 	if err != nil {
 		w.close()
 		return nil, err
@@ -300,7 +306,11 @@ func (f *feed) applySpecOp(op specOp) error {
 		if op.Params != nil {
 			p = *op.Params
 		}
-		return f.insertMonitor(op.ID, p.Params(), op.Clusterer)
+		cl, err := wire.ParseClusterer(op.Clusterer)
+		if err != nil {
+			return err
+		}
+		return f.insertMonitor(op.ID, p.Params(), cl)
 	case opMonitorRemove:
 		_, err := f.dropMonitor(op.ID)
 		return err

@@ -104,8 +104,10 @@ type feed struct {
 	labels        []string                  // dense ID → label
 	ticks         int64                     // ingested tick batches
 
-	history  []Event // ring of the last cfg.HistoryLimit events
-	nextSeq  uint64  // seq of the next event to emit
+	// history is a ring of the last cfg.HistoryLimit events: once full, the
+	// event numbered seq lives at seq % HistoryLimit.
+	history  []Event
+	nextSeq  uint64 // seq of the next event to emit
 	subs     map[chan Event]struct{}
 	draining bool
 
@@ -116,14 +118,11 @@ type feed struct {
 	recovering bool
 }
 
-// buildFeed assembles a feed with its default monitor but does not start
-// the worker — recovery replays into the quiescent feed first; newFeed
-// starts it immediately.
-func buildFeed(name string, p core.Params, clusterer string, cfg Config, w *feedWAL) (*feed, error) {
-	cl, err := wire.ParseClusterer(clusterer)
-	if err != nil {
-		return nil, badRequest(err)
-	}
+// buildFeed assembles a feed with its default monitor, clustered by cl (the
+// caller resolved the client's spelling, once), but does not start the
+// worker — recovery replays into the quiescent feed first; newFeed starts it
+// immediately.
+func buildFeed(name string, p core.Params, cl core.Clusterer, cfg Config, w *feedWAL) (*feed, error) {
 	f := &feed{
 		name:     name,
 		p:        p,
@@ -138,15 +137,15 @@ func buildFeed(name string, p core.Params, clusterer string, cfg Config, w *feed
 		w:        w,
 	}
 	// The worker goroutine doesn't run yet, so the table is safe to touch.
-	if err := f.insertMonitor(DefaultMonitorID, p, clusterer); err != nil {
+	if err := f.insertMonitor(DefaultMonitorID, p, cl); err != nil {
 		return nil, err
 	}
 	f.lastActive.Store(time.Now().UnixNano())
 	return f, nil
 }
 
-func newFeed(name string, p core.Params, clusterer string, cfg Config, w *feedWAL) (*feed, error) {
-	f, err := buildFeed(name, p, clusterer, cfg, w)
+func newFeed(name string, p core.Params, cl core.Clusterer, cfg Config, w *feedWAL) (*feed, error) {
+	f, err := buildFeed(name, p, cl, cfg, w)
 	if err != nil {
 		return nil, err
 	}
@@ -157,16 +156,12 @@ func newFeed(name string, p core.Params, clusterer string, cfg Config, w *feedWA
 // insertMonitor adds a monitor to the table and ensures a cluster source
 // for its key — (e, m) plus the clustering backend — exists (worker only,
 // or before the worker starts).
-func (f *feed) insertMonitor(id string, p core.Params, clusterer string) error {
+func (f *feed) insertMonitor(id string, p core.Params, cl core.Clusterer) error {
 	if _, ok := f.monitors[id]; ok {
 		return fmt.Errorf("%w: %q", errMonitorExists, id)
 	}
 	if len(f.monitors) >= f.cfg.MaxMonitorsPerFeed {
 		return fmt.Errorf("%w (%d)", errTooManyMonitors, f.cfg.MaxMonitorsPerFeed)
-	}
-	cl, err := wire.ParseClusterer(clusterer)
-	if err != nil {
-		return badRequest(err)
 	}
 	mon, err := core.NewMonitor(p)
 	if err != nil {
@@ -246,10 +241,10 @@ func (f *feed) do(ctx context.Context, op func(*feed) (any, error)) (any, error)
 }
 
 // emit appends one closed convoy to the history ring, tagged with the
-// monitor that closed it, and fans it out to subscribers. A subscriber
-// whose buffer is full is cut off (its channel closed); it can reconnect
-// and replay with ?since=.
-func (f *feed) emit(monitorID string, c core.Convoy) {
+// monitor that closed it, fans it out to subscribers and returns the event.
+// A subscriber whose buffer is full is cut off (its channel closed); it can
+// reconnect and replay with ?since=.
+func (f *feed) emit(monitorID string, c core.Convoy) Event {
 	ev := Event{
 		Seq:     f.nextSeq,
 		Feed:    f.name,
@@ -263,11 +258,11 @@ func (f *feed) emit(monitorID string, c core.Convoy) {
 	}
 	f.nextSeq++
 	f.cfg.metrics.feedEvents.Inc()
-	if len(f.history) >= f.cfg.HistoryLimit {
-		n := copy(f.history, f.history[1:])
-		f.history = f.history[:n]
+	if len(f.history) < f.cfg.HistoryLimit {
+		f.history = append(f.history, ev)
+	} else {
+		f.history[ev.Seq%uint64(len(f.history))] = ev
 	}
-	f.history = append(f.history, ev)
 	for ch := range f.subs {
 		select {
 		case ch <- ev:
@@ -276,6 +271,7 @@ func (f *feed) emit(monitorID string, c core.Convoy) {
 			close(ch)
 		}
 	}
+	return ev
 }
 
 // drainMonitor closes one monitor, emits its still-open convoys as tagged
@@ -283,9 +279,8 @@ func (f *feed) emit(monitorID string, c core.Convoy) {
 func (f *feed) drainMonitor(fm *feedMonitor) []ConvoyJSON {
 	out := []ConvoyJSON{}
 	for _, c := range fm.mon.Close() {
-		f.emit(fm.id, c)
+		out = append(out, f.emit(fm.id, c).Convoy)
 		fm.closed++
-		out = append(out, f.history[len(f.history)-1].Convoy)
 	}
 	return out
 }
@@ -443,9 +438,8 @@ func (f *feed) applyBatch(b TickBatch, sp *trace.Span) ([]ConvoyJSON, error) {
 			return out, fmt.Errorf("serve: monitor %q: %w", fm.id, err)
 		}
 		for _, c := range closed {
-			f.emit(fm.id, c)
+			out = append(out, f.emit(fm.id, c).Convoy)
 			fm.closed++
-			out = append(out, f.history[len(f.history)-1].Convoy)
 		}
 	}
 	stageEnd(sp, "chain_ms", t0)
@@ -545,8 +539,12 @@ func (f *feed) status(ctx context.Context) (FeedStatus, error) {
 // unwinds the insert so memory and disk cannot disagree.
 func (f *feed) addMonitor(ctx context.Context, id string, p core.Params, clusterer string) (MonitorStatus, error) {
 	f.touch()
+	cl, err := wire.ParseClusterer(clusterer)
+	if err != nil {
+		return MonitorStatus{}, badRequest(err)
+	}
 	v, err := f.do(ctx, func(f *feed) (any, error) {
-		if err := f.insertMonitor(id, p, clusterer); err != nil {
+		if err := f.insertMonitor(id, p, cl); err != nil {
 			return MonitorStatus{}, err
 		}
 		if f.w != nil {
@@ -656,13 +654,13 @@ func (f *feed) eventsSince(ctx context.Context, since uint64) (EventsResponse, e
 	return resp, err
 }
 
-// replay copies the retained events with seq ≥ since (worker only).
+// replay copies the retained events with seq ≥ since, oldest first (worker
+// only).
 func (f *feed) replay(since uint64) []Event {
 	out := []Event{}
-	for _, ev := range f.history {
-		if ev.Seq >= since {
-			out = append(out, ev)
-		}
+	n := uint64(len(f.history))
+	for seq := max(since, f.nextSeq-n); seq < f.nextSeq; seq++ {
+		out = append(out, f.history[seq%n])
 	}
 	return out
 }

@@ -101,7 +101,7 @@ func TestQueryUploadRejectsNonFiniteCSV(t *testing.T) {
 // reachable from embedding Go code via serve.New + custom handlers, and
 // defense in depth is cheap), so it is exercised at that level.
 func TestFeedIngestRejectsNonFinitePositions(t *testing.T) {
-	f, err := newFeed("poison", mustParams(t), "", Config{}.withDefaults(), nil)
+	f, err := newFeed("poison", mustParams(t), core.DefaultClusterer, Config{}.withDefaults(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

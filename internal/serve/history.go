@@ -94,13 +94,15 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 	req.Algo = cmp.Or(req.Algo, AlgoCMC)
 	t0 := time.Now()
 	reqSpan := trace.FromContext(ctx)
+	algo := algoInvalid
 	defer func() {
-		s.cfg.metrics.observeQuery(algoLabel(req.Algo), "none", err, time.Since(t0), reqSpan.TraceID())
+		s.cfg.metrics.observeQuery(algo, "none", err, time.Since(t0), reqSpan.TraceID())
 	}()
 	pl, err := plan(QueryRequest{QuerySpec: req}, s.cfg.MaxWorkersPerQuery)
 	if err != nil {
 		return HistoryQueryResponse{}, err
 	}
+	algo = pl.res.Algo
 	// timeout_ms and the server's cap, whichever is tighter — reading the
 	// window, queueing for a slot and mining all count, as for /v1/query.
 	ctx, cancel := s.q.requestCtx(ctx, pl.req)
@@ -134,14 +136,16 @@ func (s *Server) historyQuery(ctx context.Context, f *feed, req HistoryQueryRequ
 	}
 	var db *model.DB
 	var cl core.Clusterer
-	if log := fold.log; log != nil {
+	if fold.log != nil {
 		// Cluster the logged contact edges: the graph backend reads the
 		// window's edge log tick by tick, exactly like an uploaded a,b,t,w
 		// contact log.
-		if db, err = log.DB(); fold.err != nil || err != nil {
-			return HistoryQueryResponse{}, fmt.Errorf("serve: history window edges: %w", cmp.Or(fold.err, err))
+		if err = fold.err; err == nil {
+			db, cl, err = pl.res.ContactLog(fold.log)
 		}
-		cl = log.Clusterer()
+		if err != nil {
+			return HistoryQueryResponse{}, fmt.Errorf("serve: history window edges: %w", err)
+		}
 	} else if db, err = fold.db(); err != nil {
 		return HistoryQueryResponse{}, err
 	}

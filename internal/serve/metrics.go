@@ -5,12 +5,10 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/wire"
 )
 
 // serveMetrics bundles every instrument the server updates. One bundle is
@@ -113,13 +111,6 @@ type serveMetrics struct {
 	walReplayedTicks   *metrics.Counter
 	walTruncatedBytes  *metrics.Counter
 	walRecoverySeconds *metrics.Gauge
-
-	// Unregistered side counters backing the ServerStats snapshot: the
-	// labeled families above cannot be summed per label value without
-	// iterating series, so the snapshot-relevant slices are counted twice —
-	// once in the vec for /metrics, once here for Snapshot.
-	queriesTotal, cacheHits, cacheMisses, cacheDedups metrics.Counter
-	queriesCanceled, queriesTimedOut, queriesRejected metrics.Counter
 }
 
 // newServeMetrics registers the server's instrument families on reg.
@@ -232,17 +223,10 @@ func (m *serveMetrics) bindServer(s *Server) {
 		})
 }
 
-// algoLabel normalizes a client-supplied algorithm name into a bounded
-// label set — arbitrary strings must not mint new metric series.
-func algoLabel(name string) string {
-	if _, _, err := wire.ParseAlgo(name); err != nil {
-		return "invalid"
-	}
-	if name == "" {
-		return AlgoCuTSStar
-	}
-	return strings.ToLower(name)
-}
+// algoInvalid is the algo label of a query whose spec wire rejected: such a
+// query has no resolved algorithm, and an arbitrary client string must not
+// mint a metric series.
+const algoInvalid = "invalid"
 
 // outcomeOf classifies a query error for the outcome label.
 func outcomeOf(err error) string {
@@ -272,24 +256,6 @@ func (m *serveMetrics) observeQuery(algo, cache string, err error, d time.Durati
 	outcome := outcomeOf(err)
 	m.queries.With(algo, cache, outcome).Inc()
 	m.querySeconds.With(algo, outcome).ObserveExemplar(d.Seconds(), traceID, unixNow())
-
-	m.queriesTotal.Inc()
-	switch cache {
-	case "hit":
-		m.cacheHits.Inc()
-	case "miss":
-		m.cacheMisses.Inc()
-	case "dedup":
-		m.cacheDedups.Inc()
-	}
-	switch outcome {
-	case "canceled":
-		m.queriesCanceled.Inc()
-	case "timeout":
-		m.queriesTimedOut.Inc()
-	case "bad_request":
-		m.queriesRejected.Inc()
-	}
 }
 
 // observeRunStats folds one discovery run's core statistics into the
@@ -429,14 +395,14 @@ func (s *Server) Snapshot() ServerStats {
 		ClusterPassesIncremental: int64(m.feedPassesInc.Value()),
 		ObjectsReclustered:       int64(m.feedReclustered.Value()),
 		ObjectsSeen:              int64(m.feedObjectsSeen.Value()),
-		Queries:                  int64(m.queriesTotal.Value()),
+		Queries:                  int64(m.queries.Sum("", "", "")),
 		QueryComputes:            int64(m.queryComputes.Value()),
-		CacheHits:                int64(m.cacheHits.Value()),
-		CacheMisses:              int64(m.cacheMisses.Value()),
-		CacheDedups:              int64(m.cacheDedups.Value()),
-		QueriesCanceled:          int64(m.queriesCanceled.Value()),
-		QueriesTimedOut:          int64(m.queriesTimedOut.Value()),
-		QueriesRejected:          int64(m.queriesRejected.Value()),
+		CacheHits:                int64(m.queries.Sum("", "hit", "")),
+		CacheMisses:              int64(m.queries.Sum("", "miss", "")),
+		CacheDedups:              int64(m.queries.Sum("", "dedup", "")),
+		QueriesCanceled:          int64(m.queries.Sum("", "", "canceled")),
+		QueriesTimedOut:          int64(m.queries.Sum("", "", "timeout")),
+		QueriesRejected:          int64(m.queries.Sum("", "", "bad_request")),
 		QueryInflight:            int64(m.queryInflight.Value()),
 		WALAppendedRecords:       int64(m.walAppendedRecords.Value()),
 		WALAppendedBytes:         int64(m.walAppendedBytes.Value()),

@@ -113,14 +113,6 @@ func readErr(path string, err error) error {
 
 func notFound(path string) error { return fmt.Errorf("%w: %q", errDBNotFound, path) }
 
-// parseDB sniffs the format (CTB magic versus CSV) and parses the bytes.
-func parseDB(data []byte) (*model.DB, error) {
-	if bytes.HasPrefix(data, []byte("CTB1")) {
-		return tsio.DecodeBinary(data)
-	}
-	return tsio.ReadCSV(bytes.NewReader(data))
-}
-
 // queryPlan is a validated query: the canonical spec resolved by the one
 // shared validator (wire.QuerySpec.Normalize) plus the server-side worker
 // clamp.
@@ -168,27 +160,6 @@ func (pl queryPlan) key(digest string) string {
 		key += fmt.Sprintf("|w%d:%d", pl.res.From, pl.res.To)
 	}
 	return key
-}
-
-// options is the one place a validated plan becomes core.Query options:
-// params, workers, partitions, algorithm with its δ/λ, and the stats sink.
-// cl, when non-nil, replaces the default per-tick clusterer (a proxgraph
-// contact log).
-func (pl queryPlan) options(cl core.Clusterer, st *core.Stats) []core.Option {
-	opts := []core.Option{core.WithParams(pl.res.P), core.WithWorkers(pl.workers), core.WithStats(st)}
-	if n := pl.res.Spec.Partitions; n > 1 {
-		opts = append(opts, core.WithPartitions(n))
-	}
-	if cl != nil {
-		opts = append(opts, core.WithClusterer(cl))
-	}
-	if pl.res.IsCMC {
-		return append(opts, core.WithCMC())
-	}
-	return append(opts,
-		core.WithVariant(pl.res.Variant),
-		core.WithDelta(pl.res.Spec.Delta),
-		core.WithLambda(pl.res.Spec.Lambda))
 }
 
 func hashBytes(data []byte) string { return hexDigest(sha256.Sum256(data)) }
@@ -290,37 +261,36 @@ func (e *queryEngine) requestCtx(ctx context.Context, req QueryRequest) (context
 // run answers one batch query — over the uploaded database bytes, or over
 // the file req.Path references when data is nil — metering outcome, cache
 // state and latency (with the request's trace ID as the latency bucket's
-// exemplar when the request is traced).
+// exemplar when the request is traced). Both kinds share everything but how
+// their source is named: plan, deadline, cache first, then load+compute
+// under a worker slot, deduplicating identical concurrent queries.
 func (e *queryEngine) run(ctx context.Context, data []byte, req QueryRequest) (resp QueryResponse, err error) {
 	t0 := time.Now()
-	if data == nil {
-		resp, err = e.runPath(ctx, req)
-	} else {
-		resp, err = e.runUpload(ctx, data, req)
-	}
-	e.cfg.metrics.observeQuery(algoLabel(req.Algo), resp.Cache, err, time.Since(t0), trace.FromContext(ctx).TraceID())
-	return resp, err
-}
-
-// runUpload: cache first, then parse+compute under a worker slot,
-// deduplicating identical concurrent queries.
-func (e *queryEngine) runUpload(ctx context.Context, data []byte, req QueryRequest) (QueryResponse, error) {
+	algo := algoInvalid
+	defer func() {
+		e.cfg.metrics.observeQuery(algo, resp.Cache, err, time.Since(t0), trace.FromContext(ctx).TraceID())
+	}()
 	pl, err := plan(req, e.cfg.MaxWorkersPerQuery)
 	if err != nil {
 		return QueryResponse{}, err
 	}
+	algo = pl.res.Algo
 	ctx, cancel := e.requestCtx(ctx, req)
 	defer cancel()
-	digest := hashBytes(data)
-	key := flightKey(pl, digest)
+	var src source
+	if data != nil {
+		src = source{digest: hashBytes(data), data: data}
+	} else if src, err = e.pathSource(ctx, req.Path); err != nil {
+		return QueryResponse{}, err
+	}
 	if !pl.req.Explain {
 		// An explain query bypasses the cache read: the profile must
 		// describe a run this request actually performed.
-		if resp, ok := e.cached(key); ok {
+		if resp, ok := e.cached(pl.key(src.digest)); ok {
 			return resp, nil
 		}
 	}
-	return e.fly(ctx, key, pl, source{digest: digest, data: data})
+	return e.fly(ctx, flightKey(pl, src.digest), pl, src)
 }
 
 // fly runs the planned query over src as the flight for key — or joins the
@@ -349,57 +319,46 @@ func flightKey(pl queryPlan, digest string) string {
 	return key
 }
 
-// runPath answers a path-referencing query. A memo of path → (stat,
-// digest) lets repeat queries against an unchanged file hit the cache
-// without touching the disk at all; only a miss (or a changed file) pays
-// the hash, and every disk read happens under a worker slot so a burst of
-// cold-path queries cannot hold more than QueryWorkers database files in
-// memory at once.
-func (e *queryEngine) runPath(ctx context.Context, req QueryRequest) (QueryResponse, error) {
-	pl, err := plan(req, e.cfg.MaxWorkersPerQuery)
+// pathSource names the file a path-referencing query mines. A memo of path
+// → (stat, digest) lets repeat queries against an unchanged file hit the
+// cache without touching the disk at all; only a cold memo (or a changed
+// file) pays the hash, and every disk read happens under a worker slot so a
+// burst of cold-path queries cannot hold more than QueryWorkers database
+// files in memory at once.
+func (e *queryEngine) pathSource(ctx context.Context, path string) (source, error) {
+	full, err := e.resolve(path)
 	if err != nil {
-		return QueryResponse{}, err
-	}
-	ctx, cancel := e.requestCtx(ctx, req)
-	defer cancel()
-	full, err := e.resolve(req.Path)
-	if err != nil {
-		return QueryResponse{}, err
+		return source{}, err
 	}
 	st, err := os.Stat(full)
 	if err != nil {
-		return QueryResponse{}, readErr(req.Path, err)
+		return source{}, readErr(path, err)
 	}
 	if !st.Mode().IsRegular() {
 		// A directory would fail the read with a server-fault class, and a
 		// FIFO would hold its worker slot until somebody wrote to it.
-		return QueryResponse{}, notFound(req.Path)
+		return source{}, notFound(path)
 	}
 	digest, ok := e.pathDigest(full, st)
 	if !ok {
 		// Cold memo: the digest (the cache and dedup key) requires reading
 		// the file. Stream it through the hash under a briefly-held worker
-		// slot, keeping none of it — the flight reads again below, so cold
+		// slot, keeping none of it — the flight reads again in load, so cold
 		// queries queued for a compute slot never pin file contents in
 		// memory while they wait.
 		release, aerr := e.acquire(ctx)
 		if aerr != nil {
-			return QueryResponse{}, aerr
+			return source{}, aerr
 		}
 		sum, herr := hashFile(full, new(loadStats))
 		release()
 		if herr != nil {
-			return QueryResponse{}, readErr(req.Path, herr)
+			return source{}, readErr(path, herr)
 		}
 		digest = hexDigest(sum)
 		e.storePathDigest(full, st, digest)
 	}
-	if !pl.req.Explain {
-		if resp, hit := e.cached(pl.key(digest)); hit {
-			return resp, nil
-		}
-	}
-	return e.fly(ctx, flightKey(pl, digest), pl, source{digest: digest, path: req.Path, full: full})
+	return source{digest: digest, path: path, full: full}, nil
 }
 
 // flight is one in-flight discovery run shared by every concurrent query
@@ -548,7 +507,7 @@ func (e *queryEngine) startQuery(ctx context.Context, pl queryPlan, reqSpan *tra
 // default per-tick clusterer.
 func (e *queryEngine) mine(ctx context.Context, qsp *trace.Span, pl queryPlan, db *model.DB, cl core.Clusterer, labels func(model.ObjectID) string) (convoys []ConvoyJSON, stats *StatsJSON, explain *ExplainJSON, err error) {
 	var st core.Stats
-	res, err := core.NewQuery(pl.options(cl, &st)...).Run(ctx, db)
+	res, err := core.NewQuery(pl.res.Options(pl.workers, cl, &st)...).Run(ctx, db)
 	qsp.End()
 	if err != nil {
 		return nil, nil, nil, err
@@ -564,7 +523,7 @@ func (e *queryEngine) mine(ctx context.Context, qsp *trace.Span, pl queryPlan, d
 	}
 	if pl.req.Explain {
 		if tj, ok := qsp.Collect(); ok {
-			if ex, ok := ExplainFromTrace(tj); ok {
+			if ex, ok := wire.ExplainFromTrace(tj); ok {
 				explain = &ex
 			}
 		}
@@ -591,9 +550,10 @@ type loaded struct {
 	// streamed hash, which keeps none.
 	data []byte
 	db   *model.DB
-	// log replaces db for a proxgraph query, whose input is an a,b,t,w
-	// contact log.
-	log *proxgraph.Log
+	// cl is nil for a trajectory database. A proxgraph query's input is an
+	// a,b,t,w contact log instead: db is then the log's stand-in database,
+	// already cut to the query's window, and cl reads the log's edges.
+	cl core.Clusterer
 }
 
 // loadStats is what one load cost, for its span.
@@ -651,7 +611,10 @@ func (e *queryEngine) load(ctx context.Context, pl queryPlan, src source) (in lo
 	t0 := time.Now()
 	resident := false
 	if contactLog {
-		in.log, err = proxgraph.ReadLog(bytes.NewReader(in.data))
+		var log *proxgraph.Log
+		if log, err = proxgraph.ReadLog(bytes.NewReader(in.data)); err == nil {
+			in.db, in.cl, err = pl.res.ContactLog(log)
+		}
 	} else {
 		in.db, resident, err = e.dataset(in.digest, in.data)
 	}
@@ -678,7 +641,7 @@ func (e *queryEngine) dataset(digest string, data []byte) (db *model.DB, residen
 	if v, ok := e.datasets.get(digest); ok {
 		return v.(*model.DB), true, nil
 	}
-	if db, err = parseDB(data); err != nil {
+	if db, err = tsio.Decode(data); err != nil {
 		return nil, false, err
 	}
 	cost := int64(db.SumTrajLen()) * int64(unsafe.Sizeof(model.Sample{}))
@@ -725,48 +688,21 @@ func (e *queryEngine) compute(ctx context.Context, pl queryPlan, src source, req
 		}
 		return e.answered(resp, pl, t0, nil), nil
 	}
-	db := in.db
-	var cl core.Clusterer         // non-default per-tick clusterer, if any
-	var sliceIDs []model.ObjectID // new dense ID → original, when windowed
-	if log := in.log; log != nil {
-		// A proxgraph query uploads an edge CSV (a,b,t,w contact log). The
-		// log synthesizes a positionless stand-in database — one row per
-		// object spanning its first to last contact — and the clusterer
-		// reads the contact graph itself, tick by tick, from the log.
-		if pl.res.Windowed {
-			// Window the contact log by keeping only the records inside
-			// [from, to] — the per-tick clusters are a pure function of that
-			// tick's edges, so the windowed log answers the windowed query.
-			if log, err = log.Window(pl.res.From, pl.res.To); err != nil {
-				return QueryResponse{}, badRequest(err)
-			}
-		}
-		if db, err = log.DB(); err != nil {
-			return QueryResponse{}, badRequest(err)
-		}
+	db, labels := in.db, wire.DBLabels(in.db)
+	if in.cl != nil {
 		qsp.Str("clusterer", pl.res.Clusterer)
-		cl = log.Clusterer()
 	} else if pl.res.Windowed {
 		// Interpolation-aware slice: real samples inside the window plus
 		// virtual boundary samples, so the windowed answer equals the
 		// full answer restricted to [from, to]. The slice is a copy — the
-		// resident database is shared and never written.
+		// resident database is shared and never written — and renumbers
+		// densely, so the labels stay anchored to the original IDs.
+		var sliceIDs []model.ObjectID
 		db, sliceIDs = core.SliceTime(db, pl.res.From, pl.res.To)
-	}
-	labels := wire.DBLabels(db)
-	if sliceIDs != nil {
-		// Unlabeled objects fall back to "o<ID>"; keep that naming anchored
-		// to the original database's IDs, not the sliced copy's dense ones.
-		orig := labels
-		labels = func(id model.ObjectID) string {
-			if name := orig(id); name != "" {
-				return name
-			}
-			return fmt.Sprintf("o%d", sliceIDs[id])
-		}
+		labels = wire.DBLabels(db, sliceIDs...)
 	}
 	var explain *ExplainJSON
-	if resp.Convoys, resp.Stats, explain, err = e.mine(ctx, qsp, pl, db, cl, labels); err != nil {
+	if resp.Convoys, resp.Stats, explain, err = e.mine(ctx, qsp, pl, db, in.cl, labels); err != nil {
 		return QueryResponse{}, err
 	}
 	return e.answered(resp, pl, t0, explain), nil

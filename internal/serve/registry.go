@@ -88,7 +88,7 @@ func (r *registry) create(name string, p core.Params, clusterer string) (*feed, 
 			return nil, err
 		}
 	}
-	f, err := newFeed(name, p, clusterer, r.cfg, w)
+	f, err := newFeed(name, p, cl, r.cfg, w)
 	if err != nil {
 		if w != nil {
 			_ = w.close()

@@ -100,7 +100,7 @@ func TestRegistryEvictIdle(t *testing.T) {
 // must not keep an abandoned feed alive), while ingestion does.
 func TestIdleClockTouchSemantics(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	f, err := newFeed("clock", testParams(), "", cfg, nil)
+	f, err := newFeed("clock", testParams(), core.DefaultClusterer, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

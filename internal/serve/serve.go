@@ -361,7 +361,7 @@ func statusFor(err error) int {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "feeds": len(s.reg.list())})
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "feeds": s.reg.count()})
 }
 
 // handleStats serves the read-only counter snapshot — the JSON twin of
@@ -519,6 +519,19 @@ func readBody(r *http.Request) ([]byte, error) {
 			buf = append(buf, 0)[:len(buf)]
 		}
 	}
+}
+
+// readUpload reads the database a batch query or a shard RPC carries as its
+// body; an empty one is the client's mistake.
+func readUpload(r *http.Request) ([]byte, error) {
+	data, err := readBody(r)
+	if err != nil {
+		return nil, fmt.Errorf("read upload: %w", err)
+	}
+	if len(data) == 0 {
+		return nil, badRequest(errors.New("decode query: empty database upload"))
+	}
+	return data, nil
 }
 
 // decodeTicks reads and decodes the body of a ticks POST (wire.DecodeTicks:
@@ -708,12 +721,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // lambda, workers).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var (
-		resp QueryResponse
+		req  QueryRequest
+		data []byte // the upload; nil for a path query
 		err  error
 	)
 	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if ct == "application/json" {
-		var req QueryRequest
 		if err = json.NewDecoder(r.Body).Decode(&req); err != nil {
 			writeErr(w, badRequest(fmt.Errorf("decode query: %w", err)))
 			return
@@ -721,24 +734,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// ?explain=true works uniformly: JSON clients may set it in the
 		// body or on the URL like upload clients.
 		req.Explain = req.Explain || explainParam(r)
-		resp, err = s.q.run(r.Context(), nil, req)
 	} else {
-		req, uerr := queryFromURL(r)
-		if uerr != nil {
-			writeErr(w, uerr)
+		if req, err = queryFromURL(r); err == nil {
+			data, err = readUpload(r)
+		}
+		if err != nil {
+			writeErr(w, err)
 			return
 		}
-		data, rerr := io.ReadAll(r.Body)
-		if rerr != nil {
-			writeErr(w, fmt.Errorf("read upload: %w", rerr))
-			return
-		}
-		if len(data) == 0 {
-			writeErr(w, badRequest(errors.New("decode query: empty database upload")))
-			return
-		}
-		resp, err = s.q.run(r.Context(), data, req)
 	}
+	resp, err := s.q.run(r.Context(), data, req)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -111,6 +111,51 @@ func vanBatch(t model.Tick) TickBatch {
 	}
 }
 
+// The event history is a ring: past HistoryLimit the oldest events are
+// overwritten in place, polls still replay the retained ones oldest first,
+// ?since= pages across the wrap, and each tick answers with the convoy its
+// own event carries.
+func TestFeedHistoryRingWraps(t *testing.T) {
+	_, ts := newTestServer(t, Config{HistoryLimit: 4})
+	createFeed(t, ts.URL, "ring", ParamsJSON{M: 2, K: 1, Eps: 1})
+	// a and b meet on even ticks and part on odd ones: event n is the
+	// one-tick convoy at tick 2n, closed by tick 2n+1.
+	const events = 11
+	for tick := model.Tick(0); tick < 2*events; tick++ {
+		resp := pushTick(t, ts.URL, "ring", TickBatch{T: tick, Positions: []Position{
+			{ID: "a", X: 0, Y: 0}, {ID: "b", X: 0, Y: float64(tick%2) * 10}}})
+		if tick%2 == 0 {
+			continue
+		}
+		if len(resp.Closed) != 1 || resp.Closed[0].Start != tick-1 {
+			t.Fatalf("tick %d closed %+v, want the convoy at tick %d", tick, resp.Closed, tick-1)
+		}
+	}
+	for _, tc := range []struct {
+		since string
+		want  []uint64
+	}{
+		{"", []uint64{7, 8, 9, 10}},
+		{"?since=2", []uint64{7, 8, 9, 10}}, // overwritten: the retained tail answers
+		{"?since=7", []uint64{7, 8, 9, 10}},
+		{"?since=9", []uint64{9, 10}}, // slots 1, 2 of the ring: across the wrap
+		{"?since=11", nil},
+		{"?since=100", nil},
+	} {
+		var poll EventsResponse
+		doJSON(t, "GET", ts.URL+"/v1/feeds/ring/convoys"+tc.since, nil, http.StatusOK, &poll)
+		if poll.NextSeq != events || len(poll.Events) != len(tc.want) {
+			t.Fatalf("poll%s = %d events, next_seq %d; want seqs %v, next_seq %d", tc.since, len(poll.Events), poll.NextSeq, tc.want, events)
+		}
+		for i, ev := range poll.Events {
+			if ev.Seq != tc.want[i] || ev.Convoy.Start != model.Tick(2*ev.Seq) {
+				t.Errorf("poll%s event %d = seq %d, convoy at tick %d; want seq %d at tick %d",
+					tc.since, i, ev.Seq, ev.Convoy.Start, tc.want[i], 2*tc.want[i])
+			}
+		}
+	}
+}
+
 func TestFeedLifecycleEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -48,33 +47,29 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest(fmt.Errorf("serve: shard RPC version %q unsupported (want v=%d)", v, wire.ShardRPCVersion)))
 		return
 	}
-	spec, err := wire.SpecFromURL(q)
+	req, err := queryFromURL(r)
 	if err != nil {
-		writeErr(w, badRequest(err))
+		writeErr(w, err)
 		return
 	}
-	if spec.From == nil || spec.To == nil {
+	if req.From == nil || req.To == nil {
 		writeErr(w, badRequest(errors.New("serve: shard query requires an explicit from/to window")))
 		return
 	}
-	data, err := io.ReadAll(r.Body)
+	data, err := readUpload(r)
 	if err != nil {
-		writeErr(w, fmt.Errorf("read upload: %w", err))
+		writeErr(w, err)
 		return
 	}
-	if len(data) == 0 {
-		writeErr(w, badRequest(errors.New("serve: empty database upload")))
-		return
-	}
-	resp, err := s.q.run(r.Context(), data, QueryRequest{QuerySpec: spec})
+	resp, err := s.q.run(r.Context(), data, req)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, wire.ShardQueryResponse{
 		V:         wire.ShardRPCVersion,
-		From:      *spec.From,
-		To:        *spec.To,
+		From:      *req.From,
+		To:        *req.To,
 		Convoys:   resp.Convoys,
 		Digest:    resp.Digest,
 		Algo:      resp.Algo,
@@ -93,12 +88,6 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 // compute.
 func (e *queryEngine) computeSharded(ctx context.Context, qsp *trace.Span, resp *QueryResponse, in loaded, pl queryPlan) error {
 	db := in.db
-	if in.log != nil {
-		var err error
-		if db, err = in.log.DB(); err != nil {
-			return badRequest(err)
-		}
-	}
 	lo, hi, ok := db.TimeRange()
 	if !ok {
 		return nil // empty database: empty answer
@@ -127,15 +116,8 @@ func (e *queryEngine) computeSharded(ctx context.Context, qsp *trace.Span, resp 
 		parts[i] = sr.Convoys
 	}
 	// Anchor the label↔ID mapping to this coordinator's own parse, so the
-	// merged output is ordered exactly like a single-node answer. Unlabeled
-	// objects use the same "o<ID>" naming ConvoyToJSON emits.
-	labels := wire.DBLabels(db)
-	named := func(id model.ObjectID) string {
-		if n := labels(id); n != "" {
-			return n
-		}
-		return fmt.Sprintf("o%d", id)
-	}
+	// merged output is ordered exactly like a single-node answer.
+	named := wire.DBLabels(db)
 	index := make(map[string]model.ObjectID, db.Len())
 	for i := db.Len() - 1; i >= 0; i-- { // first occurrence wins on duplicates
 		id := model.ObjectID(i)

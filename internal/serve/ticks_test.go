@@ -12,6 +12,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -182,7 +183,7 @@ func TestTickSpansCoverRequest(t *testing.T) {
 // request body, and the label table outlives requests — so after a tick the
 // feed must hold equal labels that share no memory with the batch's.
 func TestInternClonesLabel(t *testing.T) {
-	f, err := newFeed("f", mustParams(t), "", Config{}.withDefaults(), nil)
+	f, err := newFeed("f", mustParams(t), core.DefaultClusterer, Config{}.withDefaults(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,17 @@ import (
 // binaryMagic identifies the format and its version.
 var binaryMagic = [4]byte{'C', 'T', 'B', '1'}
 
+// Decode parses a trajectory database held in memory, in either format: a
+// body that opens with the CTB magic is binary, anything else is CSV. Every
+// surface that is handed bytes — an upload, a file under the server's data
+// dir, convoyfind's -input — tells the two apart here, never by a file name.
+func Decode(data []byte) (*model.DB, error) {
+	if bytes.HasPrefix(data, binaryMagic[:]) {
+		return DecodeBinary(data)
+	}
+	return ReadCSV(bytes.NewReader(data))
+}
+
 // WriteBinary writes the database in CTB format.
 func WriteBinary(w io.Writer, db *model.DB) error {
 	bw := bufio.NewWriter(w)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/proxgraph"
 )
 
 // SpecVersion is the current query schema version. A QuerySpec with V 0
@@ -250,7 +251,8 @@ func (s QuerySpec) URLValues() url.Values {
 }
 
 // Resolved is the validated, defaulted form of a QuerySpec — what
-// Normalize returns and every execution layer consumes.
+// Normalize returns and every surface runs: Options turns it into the
+// core.Query, ContactLog into the input of a graph-backend run.
 type Resolved struct {
 	// Spec is the normalized spec: algorithm lowercased and defaulted,
 	// clusterer canonical ("" for the default backend), V set.
@@ -271,8 +273,9 @@ type Resolved struct {
 }
 
 // Normalize validates the spec and resolves every default — the single
-// validator behind every query surface. The returned error is a client
-// mistake by construction (servers answer 400).
+// validator behind every query surface (convoyd's routes and convoyfind's
+// flags alike). The returned error is a client mistake by construction
+// (servers answer 400).
 func (s QuerySpec) Normalize() (Resolved, error) {
 	var r Resolved
 	if s.V != 0 && s.V != SpecVersion {
@@ -284,16 +287,28 @@ func (s QuerySpec) Normalize() (Resolved, error) {
 	}
 	if cl.Name() != core.DefaultBackend {
 		r.Clusterer = cl.Name()
-		// The CuTS family's filter step depends on Euclidean DBSCAN bounds,
-		// so a graph backend only runs under CMC — which is therefore the
-		// default algorithm for proxgraph queries rather than cuts*.
-		if s.Algo == "" {
+	}
+	if s.Algo == "" {
+		s.Algo = DefaultAlgo
+		if r.Clusterer != "" {
+			// The CuTS family's filter step depends on Euclidean DBSCAN
+			// bounds, so a graph backend only runs under CMC — which is
+			// therefore what a proxgraph query that names no algorithm gets.
 			s.Algo = AlgoCMC
 		}
 	}
-	r.IsCMC, r.Variant, err = ParseAlgo(s.Algo)
-	if err != nil {
-		return r, err
+	r.Algo = strings.ToLower(s.Algo)
+	switch r.Algo {
+	case AlgoCMC:
+		r.IsCMC = true
+	case AlgoCuTS:
+		r.Variant = core.VariantCuTS
+	case AlgoCuTSPlus:
+		r.Variant = core.VariantCuTSPlus
+	case AlgoCuTSStar:
+		r.Variant = core.VariantCuTSStar
+	default:
+		return r, fmt.Errorf("unknown algorithm %q (want cmc, cuts, cuts+ or cuts*)", s.Algo)
 	}
 	if r.Clusterer != "" && !r.IsCMC {
 		return r, fmt.Errorf("clusterer %q requires algo=cmc (the CuTS filter bounds are DBSCAN-specific; got algo=%q)",
@@ -332,14 +347,51 @@ func (s QuerySpec) Normalize() (Resolved, error) {
 		// queries share cache keys.
 		s.Delta, s.Lambda = 0, 0
 	}
-	algo := s.Algo
-	if algo == "" {
-		algo = AlgoCuTSStar
-	}
-	r.Algo = strings.ToLower(algo)
 	s.V = SpecVersion
 	s.Algo = r.Algo
 	s.Clusterer = r.Clusterer
 	r.Spec = s
 	return r, nil
+}
+
+// Options is the one place a resolved spec becomes core.Query options:
+// params, partitions, the algorithm with its δ/λ, and the stats sink.
+// workers is the caller's to decide — a server clamps the spec's request to
+// its cap, convoyfind uses every core — and cl, when non-nil, replaces the
+// default per-tick clusterer (see ContactLog).
+func (r Resolved) Options(workers int, cl core.Clusterer, st *core.Stats) []core.Option {
+	opts := []core.Option{core.WithParams(r.P), core.WithWorkers(workers), core.WithStats(st)}
+	if n := r.Spec.Partitions; n > 1 {
+		opts = append(opts, core.WithPartitions(n))
+	}
+	if cl != nil {
+		opts = append(opts, core.WithClusterer(cl))
+	}
+	if r.IsCMC {
+		return append(opts, core.WithCMC())
+	}
+	return append(opts,
+		core.WithVariant(r.Variant),
+		core.WithDelta(r.Spec.Delta),
+		core.WithLambda(r.Spec.Lambda))
+}
+
+// ContactLog is the one place a contact log (the a,b,t,w input of a
+// proxgraph query) becomes what a run mines: the records inside the
+// resolved window — per-tick clusters are a pure function of that tick's
+// edges, so dropping the others is exact — as the positionless stand-in
+// database, one row per object spanning its first to last contact, plus the
+// clusterer that reads the contact graph itself, tick by tick, from the log.
+func (r Resolved) ContactLog(log *proxgraph.Log) (*model.DB, core.Clusterer, error) {
+	if lo, hi, ok := log.TimeRange(); ok && (lo < r.From || hi > r.To) {
+		var err error
+		if log, err = log.Window(r.From, r.To); err != nil {
+			return nil, nil, err
+		}
+	}
+	db, err := log.DB()
+	if err != nil {
+		return nil, nil, err
+	}
+	return db, log.Clusterer(), nil
 }

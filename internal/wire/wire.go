@@ -1,8 +1,15 @@
 // Package wire is the canonical JSON schema of the convoy query API: the
 // one place the parameter vocabulary, validation rules and error envelope
-// live. The HTTP server (internal/serve), the CLIs (convoyfind -format
-// json, convoyload) and the coordinator↔shard RPC (internal/dist) all
-// speak these types, so a query means the same thing on every surface.
+// live. The HTTP server (internal/serve), the CLIs (convoyfind, convoyload)
+// and the coordinator↔shard RPC (internal/dist) all speak these types, so a
+// query means the same thing on every surface.
+//
+// It is also the one front-end between a request and a run: a QuerySpec —
+// decoded from JSON, from a URL, or spelled by convoyfind's flags — becomes
+// a Resolved through Normalize (every validation, every default), and a
+// Resolved becomes core.Query options through Options (and a contact log
+// its input through ContactLog). No surface validates, defaults or
+// translates a query on its own; a new query decision is a field here.
 //
 // Ticks travel as plain int64 and object identities as string labels —
 // dense ObjectIDs are a per-database implementation detail that must not
@@ -43,8 +50,8 @@ type ConvoyJSON struct {
 	Lifetime int64 `json:"lifetime"`
 }
 
-// ConvoyToJSON renders a convoy with the given label lookup; a lookup
-// returning "" falls back to "o<ID>".
+// ConvoyToJSON renders a convoy with the given label lookup; an object the
+// lookup does not name (nil lookup, or "") is called "o<ID>".
 func ConvoyToJSON(c core.Convoy, label func(model.ObjectID) string) ConvoyJSON {
 	out := ConvoyJSON{
 		Objects:  make([]string, len(c.Objects)),
@@ -58,20 +65,34 @@ func ConvoyToJSON(c core.Convoy, label func(model.ObjectID) string) ConvoyJSON {
 			name = label(id)
 		}
 		if name == "" {
-			name = fmt.Sprintf("o%d", id)
+			name = unlabeled(id)
 		}
 		out.Objects[i] = name
 	}
 	return out
 }
 
-// DBLabels returns a label lookup backed by a database's trajectory labels.
-func DBLabels(db *model.DB) func(model.ObjectID) string {
+// unlabeled is what an object without a label is called on the wire.
+func unlabeled(id model.ObjectID) string { return fmt.Sprintf("o%d", id) }
+
+// DBLabels is the one label lookup over a database: a trajectory's label,
+// or "o<ID>" for an unlabeled one ("" only for an ID the database does not
+// hold). When db is a time slice of the database the client named
+// (core.SliceTime renumbers densely), orig is the slice's new → original ID
+// table, and an unlabeled object keeps the name its original ID gives it,
+// whatever the window.
+func DBLabels(db *model.DB, orig ...model.ObjectID) func(model.ObjectID) string {
 	return func(id model.ObjectID) string {
 		if id < 0 || id >= db.Len() {
 			return ""
 		}
-		return db.Traj(id).Label
+		if label := db.Traj(id).Label; label != "" {
+			return label
+		}
+		if orig != nil {
+			id = orig[id]
+		}
+		return unlabeled(id)
 	}
 }
 
@@ -159,22 +180,10 @@ const (
 	AlgoCuTSStar = "cuts*"
 )
 
-// ParseAlgo resolves an algorithm name ("" defaults to cuts*). cmc reports
-// true in the first return; otherwise the variant is valid.
-func ParseAlgo(name string) (isCMC bool, v core.Variant, err error) {
-	switch strings.ToLower(name) {
-	case AlgoCMC:
-		return true, 0, nil
-	case AlgoCuTS:
-		return false, core.VariantCuTS, nil
-	case AlgoCuTSPlus:
-		return false, core.VariantCuTSPlus, nil
-	case AlgoCuTSStar, "":
-		return false, core.VariantCuTSStar, nil
-	default:
-		return false, 0, fmt.Errorf("unknown algorithm %q (want cmc, cuts, cuts+ or cuts*)", name)
-	}
-}
+// DefaultAlgo is the algorithm of a query that names none (Normalize
+// resolves it; a graph backend's is cmc instead): the one place every
+// surface's default lives.
+const DefaultAlgo = AlgoCuTSStar
 
 // ParseClusterer resolves a clustering backend name from the wire ("" and
 // "dbscan" are the built-in default; "proxgraph" is the graph-connectivity

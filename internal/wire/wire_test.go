@@ -1,13 +1,18 @@
 package wire
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/proxgraph"
 )
 
 // TestSpecDecodeCompat pins every legacy body spelling: flat m/k/e, the
@@ -215,6 +220,63 @@ func TestErrorEnvelope(t *testing.T) {
 	for status, code := range codes {
 		if got := CodeForStatus(status); got != code {
 			t.Errorf("CodeForStatus(%d) = %q, want %q", status, got, code)
+		}
+	}
+}
+
+// An unlabeled object is "o<ID>" by the ID the client's database gave it,
+// not by the dense one a time slice renumbers it to, and a contact log is
+// cut to the resolved window — the two decisions every surface takes here.
+func TestLabelsAndContactLogFollowTheWindow(t *testing.T) {
+	db := model.NewDB()
+	for i, span := range [][2]model.Tick{{0, 3}, {0, 9}, {5, 9}} {
+		label := ""
+		if i == 2 {
+			label = "named"
+		}
+		tr, err := model.NewTrajectory(label, []model.Sample{
+			{T: span[0], P: geom.Pt(0, float64(i))}, {T: span[1], P: geom.Pt(9, float64(i))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Add(tr)
+	}
+	sliced, orig := core.SliceTime(db, 5, 9) // object 0 ended at tick 3: 1 and 2 become 0 and 1
+	c := core.Convoy{Objects: []model.ObjectID{0, 1}, Start: 5, End: 9}
+	if got := ConvoyToJSON(c, DBLabels(sliced, orig...)).Objects; !reflect.DeepEqual(got, []string{"o1", "named"}) {
+		t.Errorf("windowed names = %v, want [o1 named]", got)
+	}
+	if got := ConvoyToJSON(c, DBLabels(db)).Objects; !reflect.DeepEqual(got, []string{"o0", "o1"}) {
+		t.Errorf("unwindowed names = %v, want [o0 o1]", got)
+	}
+
+	log := proxgraph.NewLog()
+	for tick := model.Tick(0); tick < 10; tick++ {
+		if err := log.Add("a", "b", tick, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from, to := model.Tick(3), model.Tick(6)
+	for _, spec := range []QuerySpec{
+		{Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "proxgraph"},
+		{Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "proxgraph", From: &from, To: &to},
+	} {
+		res, err := spec.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdb, cl, err := res.ContactLog(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st core.Stats
+		got, err := core.NewQuery(res.Options(1, cl, &st)...).Run(context.Background(), cdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.Convoy{Objects: []model.ObjectID{0, 1}, Start: max(res.From, 0), End: min(res.To, 9)}
+		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+			t.Errorf("window [%d, %d]: convoys = %v, want [%v]", res.From, res.To, got, want)
 		}
 	}
 }

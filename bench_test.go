@@ -1,45 +1,29 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// section (Table 3, Figures 12–17, Figure 19). Each BenchmarkTableX /
-// BenchmarkFigureX times the corresponding experiment end to end on the
-// synthetic dataset profiles at a reduced time scale; BenchmarkFigure12 and
-// BenchmarkFigure15 additionally expose per-dataset / per-method
-// sub-benchmarks so `-bench` output shows the paper's series directly.
+// Benchmarks of the paper's algorithms on the synthetic dataset profiles:
+// BenchmarkFigure12 times each algorithm on each profile (the paper's
+// total-query-time comparison), BenchmarkFigure15 each simplification method
+// on Cattle, and BenchmarkDiscover the façade's one-call path.
 //
-// To print the paper-style tables (rather than time them), run
+// The paper's evaluation itself — the claims behind Table 3 and Figures
+// 12–19, with their tables under -v — is a test:
 //
-//	go run ./cmd/benchrunner -exp all -scale 0.1
+//	go test -v -run TestPaperClaims ./internal/oracle
 package convoys_test
 
 import (
 	"context"
-	"io"
 	"testing"
 
 	convoys "repro"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/expr"
 	"repro/internal/simplify"
 )
 
-// benchScale keeps the full `go test -bench=.` run in the minutes range
-// while preserving every experiment's relative shape.
+// benchScale keeps the full `go test -bench=.` run short while preserving
+// every profile's relative shape.
 const benchScale = 0.02
 
 const benchSeed = 1
-
-func benchOptions() expr.Options {
-	return expr.Options{Scale: benchScale, Seed: benchSeed, Out: io.Discard}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if err := expr.Table3(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkFigure12 times each discovery algorithm on each dataset profile
 // (the paper's total-query-time comparison). Data generation is excluded
@@ -70,24 +54,6 @@ func BenchmarkFigure12(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure13(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if err := expr.Figure13(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure14(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if err := expr.Figure14(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFigure15 times each simplification method on the Cattle profile
 // (the paper's vertex-reduction/time comparison), one sub-benchmark per
 // method at the profile's tuned δ.
@@ -102,41 +68,6 @@ func BenchmarkFigure15(b *testing.B) {
 				simplify.SimplifyAll(db, delta, m)
 			}
 		})
-	}
-	b.Run("harness", func(b *testing.B) {
-		o := benchOptions()
-		for i := 0; i < b.N; i++ {
-			if err := expr.Figure15(o); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkFigure16(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if err := expr.Figure16(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure17(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if err := expr.Figure17(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure19(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if err := expr.Figure19(o); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -263,26 +263,3 @@ func randomDB(r *rand.Rand, nObjects, nTicks int) *model.DB {
 	}
 	return db
 }
-
-// The oracle property: CMC equals the exhaustive-subset brute-force answer
-// on small random databases.
-func TestPropCMCMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(55))
-	for iter := 0; iter < 40; iter++ {
-		db := randomDB(r, 3+r.Intn(5), 8+r.Intn(10))
-		p := Params{
-			M:   1 + r.Intn(3),
-			K:   int64(1 + r.Intn(4)),
-			Eps: 0.5 + r.Float64()*2.5,
-		}
-		got, err := runCMC(db, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteConvoys(t, db, p)
-		if !got.Equal(want) {
-			t.Fatalf("iter %d (m=%d k=%d e=%.3f):\nCMC  = %v\nbrute = %v",
-				iter, p.M, p.K, p.Eps, got, want)
-		}
-	}
-}

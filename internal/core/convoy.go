@@ -69,9 +69,10 @@
 // never what they are), and the only order-sensitive state — the live
 // candidate set a Monitor advances with chainStep — is folded by a single
 // consumer that receives exactly the same cluster sequences, in exactly
-// the same order, for every worker count. Property tests pin parallel,
-// streamed, incremental and partitioned output to the serial from-scratch
-// answer for CMC and all three CuTS variants.
+// the same order, for every worker count. A differential harness pins
+// parallel, streamed, incremental and partitioned output of CMC and all
+// three CuTS variants to internal/oracle, a naive transcription of the
+// definition above.
 package core
 
 import (

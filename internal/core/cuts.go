@@ -27,7 +27,7 @@ import (
 // clusters are merged into disjoint components and each candidate carries a
 // *support set* (the union of every component it passed through); both
 // measures make the refinement provably lossless (see Candidate.Support
-// and dedupCandidates; TestFilterProducesSuperset pins it).
+// and dedupCandidates; the differential harness pins it).
 //
 // The partition scan is the tick scan's shape (filterScan): the partitions
 // are walked in order by a cursor over the simplified segments' start and

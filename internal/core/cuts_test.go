@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dbscan"
@@ -107,118 +108,9 @@ func TestCuTSEmptyDB(t *testing.T) {
 	}
 }
 
-// TestFilterProducesSuperset: every convoy found by CMC lies within some
-// filter candidate (objects within support, interval within window) — the
-// filter's no-false-dismissal guarantee in isolation.
-func TestFilterProducesSuperset(t *testing.T) {
-	r := rand.New(rand.NewSource(91))
-	for iter := 0; iter < 30; iter++ {
-		db := randomDB(r, 4+r.Intn(4), 10+r.Intn(12))
-		p := Params{M: 2, K: int64(2 + r.Intn(3)), Eps: 0.8 + r.Float64()*2}
-		truth, err := runCMC(db, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, variant := range []Variant{VariantCuTS, VariantCuTSPlus, VariantCuTSStar} {
-			delta := r.Float64() * 2
-			lambda := int64(1 + r.Intn(6))
-			sts := simplify.SimplifyAll(db, delta, variant.SimplifyMethod())
-			cands := Filter(db, p, sts, FilterConfig{
-				Lambda:    lambda,
-				Bound:     variant.Bound(),
-				Tolerance: dbscan.ActualTolerance,
-				Delta:     delta,
-			})
-			for _, cv := range truth {
-				covered := false
-				for _, cand := range cands {
-					if cand.Start <= cv.Start && cv.End <= cand.End && subsetSorted(cv.Objects, cand.Support) {
-						covered = true
-						break
-					}
-				}
-				if !covered {
-					t.Fatalf("%v (δ=%.2f λ=%d): convoy %v not covered by any candidate %+v",
-						variant, delta, lambda, cv, cands)
-				}
-			}
-		}
-	}
-}
-
-// The paper's central guarantee (Lemmas 1–3 + refinement): the CuTS family
-// returns exactly the CMC answer for any δ and λ. This is the
-// cross-algorithm equivalence property test.
-func TestPropCuTSFamilyEqualsCMC(t *testing.T) {
-	r := rand.New(rand.NewSource(140))
-	for iter := 0; iter < 30; iter++ {
-		db := randomDB(r, 3+r.Intn(5), 8+r.Intn(12))
-		p := Params{
-			M:   1 + r.Intn(3),
-			K:   int64(1 + r.Intn(4)),
-			Eps: 0.5 + r.Float64()*2.5,
-		}
-		want, err := runCMC(db, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, variant := range []Variant{VariantCuTS, VariantCuTSPlus, VariantCuTSStar} {
-			delta := r.Float64() * 3 // any δ must preserve correctness
-			lambda := int64(1 + r.Intn(7))
-			if delta == 0 {
-				delta = 0.01
-			}
-			got, _, err := runQuery(db, p, WithVariant(variant), WithDelta(delta), WithLambda(lambda))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("iter %d %v (m=%d k=%d e=%.3f δ=%.3f λ=%d):\ngot  = %v\nwant = %v",
-					iter, variant, p.M, p.K, p.Eps, delta, lambda, got, want)
-			}
-		}
-	}
-}
-
-// Same equivalence with the automatic δ/λ guidelines and with global
-// tolerances (Figure 14's configuration switch must not affect answers).
-func TestPropCuTSGuidelinesAndGlobalTolEqualCMC(t *testing.T) {
-	r := rand.New(rand.NewSource(222))
-	for iter := 0; iter < 12; iter++ {
-		db := randomDB(r, 4+r.Intn(4), 10+r.Intn(10))
-		p := Params{M: 2, K: int64(2 + r.Intn(3)), Eps: 1 + r.Float64()*2}
-		want, err := runCMC(db, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, variant := range []Variant{VariantCuTS, VariantCuTSStar} {
-			// Automatic guidelines.
-			got, st, err := runQuery(db, p, WithVariant(variant))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("%v auto (δ=%.3f λ=%d):\ngot  = %v\nwant = %v",
-					variant, st.Delta, st.Lambda, got, want)
-			}
-			// Global tolerance mode.
-			got, _, err = runQuery(db, p,
-				WithVariant(variant),
-				WithDelta(0.5+r.Float64()),
-				WithLambda(int64(1+r.Intn(5))),
-				WithTolerance(dbscan.GlobalTolerance))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("%v global-tol:\ngot  = %v\nwant = %v", variant, got, want)
-			}
-		}
-	}
-}
-
-// Planted-convoy integration test at a slightly larger scale: three convoys
-// of known composition must be recovered exactly by all four algorithms.
+// Planted-convoy integration test at a slightly larger scale: the oracle's
+// answer holds the three convoys of known composition, and all four
+// algorithms answer exactly that.
 func TestPlantedConvoysAllAlgorithms(t *testing.T) {
 	const ticks = 60
 	r := rand.New(rand.NewSource(7))
@@ -245,38 +137,19 @@ func TestPlantedConvoysAllAlgorithms(t *testing.T) {
 	db := buildDB(t, 0, rows...)
 	p := Params{M: 2, K: 10, Eps: 1.5}
 
-	want, err := runCMC(db, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, got Result) {
-		t.Helper()
-		if !got.Equal(want) {
-			t.Errorf("%s:\ngot  = %v\nwant = %v", name, got, want)
-		}
-		for _, expected := range []Convoy{
-			{Objects: ids(0, 1, 2), Start: 0, End: 29},
-			{Objects: ids(3, 4, 5, 6), Start: 20, End: 59},
-			{Objects: ids(7, 8), Start: 10, End: 49},
-		} {
-			found := false
-			for _, c := range got {
-				if c.Equal(expected) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("%s: planted convoy %v missing from %v", name, expected, got)
-			}
+	want := oracleAnswer(db, p)
+	for _, planted := range []Convoy{
+		{Objects: ids(0, 1, 2), Start: 0, End: 29},
+		{Objects: ids(3, 4, 5, 6), Start: 20, End: 59},
+		{Objects: ids(7, 8), Start: 10, End: 49},
+	} {
+		if !slices.ContainsFunc(want, planted.Equal) {
+			t.Errorf("planted convoy %v missing from the oracle's answer %v", planted, want)
 		}
 	}
-	check("CMC", want)
-	for _, variant := range []Variant{VariantCuTS, VariantCuTSPlus, VariantCuTSStar} {
-		res, _, err := runQuery(db, p, WithVariant(variant))
-		if err != nil {
-			t.Fatal(err)
+	for _, algo := range queryAlgos {
+		if res, _, err := runQuery(db, p, algo.opt); err != nil || !res.Equal(want) {
+			t.Errorf("%s = %v (%v), want %v", algo.name, res, err, want)
 		}
-		check(variant.String(), res)
 	}
 }

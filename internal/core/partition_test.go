@@ -98,7 +98,7 @@ func TestSliceTimeInterpolates(t *testing.T) {
 
 // convoyDB builds a randomized database with engineered convoy structure:
 // objects joining and leaving shared anchors, sampling gaps, staggered
-// lifespans — the adversarial inputs for the merged ≡ single-pass property.
+// lifespans — adversarial inputs for the partitioned plan.
 func convoyDB(t *testing.T, rng *rand.Rand) *model.DB {
 	t.Helper()
 	const (
@@ -149,45 +149,6 @@ func convoyDB(t *testing.T, rng *rand.Rand) *model.DB {
 	return db
 }
 
-// TestPartitionedEquivalence is the acceptance property test: the
-// partitioned plan returns exactly the single-pass answer for every
-// algorithm variant, partition count and worker count. Run under -race it
-// also exercises the parallel per-partition mining.
-func TestPartitionedEquivalence(t *testing.T) {
-	p := Params{M: 2, K: 3, Eps: 4}
-	algos := []struct {
-		name string
-		opt  Option
-	}{
-		{"cmc", WithCMC()},
-		{"cuts", WithVariant(VariantCuTS)},
-		{"cuts+", WithVariant(VariantCuTSPlus)},
-		{"cuts*", WithVariant(VariantCuTSStar)},
-	}
-	for seed := int64(1); seed <= 4; seed++ {
-		db := convoyDB(t, rand.New(rand.NewSource(seed)))
-		for _, algo := range algos {
-			want, err := NewQuery(WithParams(p), algo.opt).Run(context.Background(), db)
-			if err != nil {
-				t.Fatalf("seed %d %s single-pass: %v", seed, algo.name, err)
-			}
-			for _, parts := range []int{1, 2, 3, 7} {
-				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("seed%d/%s/p%d/w%d", seed, algo.name, parts, workers)
-					got, err := NewQuery(WithParams(p), algo.opt,
-						WithPartitions(parts), WithWorkers(workers)).Run(context.Background(), db)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !got.Equal(want) {
-						t.Fatalf("%s: partitioned ≠ single-pass\npartitioned:\n%v\nsingle-pass:\n%v", name, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // boundaryDB lays out hand-checked scenarios around the window boundary at
 // tick 5 (PartitionWindows(0, 9, 2, 2) = [0,5], [4,9]). Objects are glued
 // (distance 0) when listed at the same anchor.
@@ -200,21 +161,18 @@ func scenarioWindows(t *testing.T, k int64) []Window {
 	return ws
 }
 
-// runBoth runs the query single-pass and partitioned (both via
-// WithPartitions and via the explicit SliceTime/MergePartials pipeline)
-// and requires all three answers to be identical.
+// runBoth runs the query partitioned, via WithPartitions and via the
+// explicit SliceTime/MergePartials pipeline, and requires both answers to
+// be the oracle's.
 func runBoth(t *testing.T, db *model.DB, p Params, n int) Result {
 	t.Helper()
-	want, err := NewQuery(WithParams(p), WithCMC()).Run(context.Background(), db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleAnswer(db, p)
 	got, err := NewQuery(WithParams(p), WithCMC(), WithPartitions(n)).Run(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
-		t.Fatalf("WithPartitions(%d) ≠ single-pass\ngot:\n%v\nwant:\n%v", n, got, want)
+		t.Fatalf("WithPartitions(%d) ≠ oracle\ngot:\n%v\nwant:\n%v", n, got, want)
 	}
 	// The explicit pipeline: slice, mine, remap, merge.
 	lo, hi, _ := db.TimeRange()
@@ -230,7 +188,7 @@ func runBoth(t *testing.T, db *model.DB, p Params, n int) Result {
 	}
 	merged := MergePartials(ws, parts, p)
 	if !merged.Equal(want) {
-		t.Fatalf("MergePartials ≠ single-pass\nmerged:\n%v\nwant:\n%v", merged, want)
+		t.Fatalf("MergePartials ≠ oracle\nmerged:\n%v\nwant:\n%v", merged, want)
 	}
 	return want
 }
@@ -248,52 +206,96 @@ func expect(t *testing.T, res Result, members []model.ObjectID, lo, hi model.Tic
 	t.Fatalf("result missing %v; got:\n%v", want, res)
 }
 
+// mergeCase is one of the hand-built scenarios around the windows a
+// partitioned run cuts; the differential harness runs them as a family too.
+type mergeCase struct {
+	name  string
+	db    *model.DB
+	p     Params
+	parts int
+}
+
+func mergeCases(t *testing.T) []mergeCase {
+	return []mergeCase{
+		mergeBoundarySpan(t), mergeThreePartitions(t), mergeLifetimeExactlyKInOverlap(t), mergeLeaveAndRejoin(t),
+	}
+}
+
+// mergeBoundarySpan: a convoy exactly spanning the partition boundary.
+func mergeBoundarySpan(t *testing.T) mergeCase {
+	p := Params{M: 2, K: 4, Eps: 1}
+	scenarioWindows(t, p.K) // sanity: [0,5],[4,9] shape (overlap k−1 = 3 → recompute)
+	db := grid(t, 2, 10, func(o, tk int) geom.Point {
+		if tk >= 3 && tk <= 8 {
+			return geom.Pt(50, 50)
+		}
+		return geom.Pt(float64(o)*5, float64(tk)*2)
+	})
+	return mergeCase{"boundary-span", db, p, 2}
+}
+
+// mergeThreePartitions: a convoy straddling three partitions.
+func mergeThreePartitions(t *testing.T) mergeCase {
+	db := grid(t, 2, 12, func(o, tk int) geom.Point {
+		if tk >= 1 && tk <= 10 {
+			return geom.Pt(5, 5)
+		}
+		return geom.Pt(float64(o)*5, 20)
+	})
+	return mergeCase{"three-partitions", db, Params{M: 2, K: 3, Eps: 1}, 3}
+}
+
+// mergeLifetimeExactlyKInOverlap: convoys of lifetime exactly k that end
+// (or start) exactly at the shared boundary tick.
+func mergeLifetimeExactlyKInOverlap(t *testing.T) mergeCase {
+	p := Params{M: 2, K: 2, Eps: 1}
+	ws := scenarioWindows(t, p.K) // [0,5],[5,9]: the overlap is tick 5 alone
+	if ws[0].Hi != 5 || ws[1].Lo != 5 {
+		t.Fatalf("unexpected overlap %v", ws)
+	}
+	db := grid(t, 4, 10, func(o, tk int) geom.Point {
+		switch {
+		case o < 2 && (tk == 4 || tk == 5): // ends at the boundary tick
+			return geom.Pt(7, 7)
+		case o >= 2 && (tk == 5 || tk == 6): // starts at the boundary tick
+			return geom.Pt(30, 30)
+		}
+		return geom.Pt(float64(o)*5+40, float64(tk)*2)
+	})
+	return mergeCase{"exactly-k-in-overlap", db, p, 2}
+}
+
+// mergeLeaveAndRejoin: o0, o1 together the whole time; o2 with them only on
+// [0,5]; o3 joins the group on [2,4], leaves, and rejoins on [7,9].
+func mergeLeaveAndRejoin(t *testing.T) mergeCase {
+	p := Params{M: 2, K: 2, Eps: 1}
+	scenarioWindows(t, p.K) // [0,5],[4,9]
+	db := grid(t, 4, 10, func(o, tk int) geom.Point {
+		if o < 2 || o == 2 && tk <= 5 || o == 3 && (tk >= 2 && tk <= 4 || tk >= 7) {
+			return geom.Pt(20, 20)
+		}
+		return geom.Pt(float64(o)*5+40, float64(tk)*2)
+	})
+	return mergeCase{"leave-and-rejoin", db, p, 2}
+}
+
 // TestMergeBoundarySpan: a convoy exactly spanning the partition boundary
 // is reassembled from its two partials.
 func TestMergeBoundarySpan(t *testing.T) {
-	p := Params{M: 2, K: 4, Eps: 1}
-	scenarioWindows(t, p.K) // sanity: [0,5],[4,9] shape (overlap k−1 = 3 → recompute)
-	together := func(tk model.Tick) bool { return tk >= 3 && tk <= 8 }
-	rows := make([][]geom.Point, 2)
-	for o := range rows {
-		row := make([]geom.Point, 10)
-		for tk := 0; tk < 10; tk++ {
-			if together(model.Tick(tk)) {
-				row[tk] = geom.Pt(50, 50)
-			} else {
-				row[tk] = geom.Pt(float64(o)*100, float64(tk)*10)
-			}
-		}
-		rows[o] = row
-	}
-	db := buildDB(t, 0, rows...)
-	res := runBoth(t, db, p, 2)
+	c := mergeBoundarySpan(t)
+	res := runBoth(t, c.db, c.p, c.parts)
 	expect(t, res, []model.ObjectID{0, 1}, 3, 8)
 }
 
 // TestMergeThreePartitions: a convoy straddling three partitions is
 // stitched through the middle window.
 func TestMergeThreePartitions(t *testing.T) {
-	p := Params{M: 2, K: 3, Eps: 1}
-	const ticks = 12
-	rows := make([][]geom.Point, 2)
-	for o := range rows {
-		row := make([]geom.Point, ticks)
-		for tk := 0; tk < ticks; tk++ {
-			if tk >= 1 && tk <= 10 {
-				row[tk] = geom.Pt(5, 5)
-			} else {
-				row[tk] = geom.Pt(float64(o)*100, 90)
-			}
-		}
-		rows[o] = row
-	}
-	db := buildDB(t, 0, rows...)
-	lo, hi, _ := db.TimeRange()
-	if ws := PartitionWindows(lo, hi, p.K, 3); len(ws) != 3 {
+	c := mergeThreePartitions(t)
+	lo, hi, _ := c.db.TimeRange()
+	if ws := PartitionWindows(lo, hi, c.p.K, 3); len(ws) != 3 {
 		t.Fatalf("want 3 windows, got %v", ws)
 	}
-	res := runBoth(t, db, p, 3)
+	res := runBoth(t, c.db, c.p, c.parts)
 	expect(t, res, []model.ObjectID{0, 1}, 1, 10)
 }
 
@@ -302,28 +304,8 @@ func TestMergeThreePartitions(t *testing.T) {
 // full to only one window — the other sees a sub-k fragment it never
 // reports — and must come out exactly once.
 func TestMergeLifetimeExactlyKInOverlap(t *testing.T) {
-	p := Params{M: 2, K: 2, Eps: 1}
-	ws := scenarioWindows(t, p.K) // [0,5],[5,9]: the overlap is tick 5 alone
-	if ws[0].Hi != 5 || ws[1].Lo != 5 {
-		t.Fatalf("unexpected overlap %v", ws)
-	}
-	rows := make([][]geom.Point, 4)
-	for o := range rows {
-		row := make([]geom.Point, 10)
-		for tk := 0; tk < 10; tk++ {
-			switch {
-			case o < 2 && (tk == 4 || tk == 5): // ends at the boundary tick
-				row[tk] = geom.Pt(7, 7)
-			case o >= 2 && (tk == 5 || tk == 6): // starts at the boundary tick
-				row[tk] = geom.Pt(30, 30)
-			default:
-				row[tk] = geom.Pt(float64(o)*100+300, float64(tk)*10)
-			}
-		}
-		rows[o] = row
-	}
-	db := buildDB(t, 0, rows...)
-	res := runBoth(t, db, p, 2)
+	c := mergeLifetimeExactlyKInOverlap(t)
+	res := runBoth(t, c.db, c.p, c.parts)
 	expect(t, res, []model.ObjectID{0, 1}, 4, 5)
 	expect(t, res, []model.ObjectID{2, 3}, 5, 6)
 	if len(res) != 2 {
@@ -333,36 +315,10 @@ func TestMergeLifetimeExactlyKInOverlap(t *testing.T) {
 
 // TestMergeLeaveAndRejoin: an object that leaves the group exactly at the
 // boundary (shrinking the convoy) and one that rejoins later must not be
-// stitched across the gap; the shrunken convoy extends exactly.
+// stitched across the gap (4+1=5 < 7); the shrunken convoy extends exactly.
 func TestMergeLeaveAndRejoin(t *testing.T) {
-	p := Params{M: 2, K: 2, Eps: 1}
-	scenarioWindows(t, p.K) // [0,5],[4,9]
-	// o0, o1 together the whole time; o2 with them only on [0,5]; o3 joins
-	// the group on [2,4], leaves, and rejoins on [7,9] — two separate
-	// answers that must not merge (5 and 7 are not adjacent... 4+1=5 < 7).
-	rows := make([][]geom.Point, 4)
-	for o := range rows {
-		row := make([]geom.Point, 10)
-		for tk := 0; tk < 10; tk++ {
-			at := func(cond bool) geom.Point {
-				if cond {
-					return geom.Pt(20, 20)
-				}
-				return geom.Pt(float64(o)*100+200, float64(tk)*10)
-			}
-			switch o {
-			case 0, 1:
-				row[tk] = at(true)
-			case 2:
-				row[tk] = at(tk <= 5)
-			case 3:
-				row[tk] = at((tk >= 2 && tk <= 4) || tk >= 7)
-			}
-		}
-		rows[o] = row
-	}
-	db := buildDB(t, 0, rows...)
-	res := runBoth(t, db, p, 2)
+	c := mergeLeaveAndRejoin(t)
+	res := runBoth(t, c.db, c.p, c.parts)
 	expect(t, res, []model.ObjectID{0, 1}, 0, 9)
 	expect(t, res, []model.ObjectID{0, 1, 2}, 0, 5)
 	expect(t, res, []model.ObjectID{0, 1, 2, 3}, 2, 4)

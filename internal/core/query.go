@@ -499,7 +499,7 @@ func (q *Query) refineStreaming(ctx context.Context, db *model.DB, cands []Candi
 // never emits a convoy that dominates an earlier batch's survivor — true
 // for the CMC tick scan (a dominator must outlive its subsets, so it
 // closes at the same tick or never) and for the start-ordered refinement
-// stream (see refineStreaming); TestPropSeqCollectEqualsRun pins it down (a
+// stream (see refineStreaming); the differential harness pins it down (a
 // late dominator would make the stream longer than its own canonical form).
 type canonFilter struct {
 	released []Convoy

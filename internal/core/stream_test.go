@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -180,32 +179,6 @@ func streamDB(db *model.DB, p Params) (Result, error) {
 	}
 	all = append(all, s.Close()...)
 	return Canonicalize(all), nil
-}
-
-// The equivalence contract: replaying any database through the Streamer and
-// canonicalizing equals the batch CMC answer.
-func TestPropStreamEqualsCMC(t *testing.T) {
-	r := rand.New(rand.NewSource(271))
-	for iter := 0; iter < 25; iter++ {
-		db := randomDB(r, 3+r.Intn(5), 8+r.Intn(12))
-		p := Params{
-			M:   1 + r.Intn(3),
-			K:   int64(1 + r.Intn(4)),
-			Eps: 0.5 + r.Float64()*2.5,
-		}
-		want, err := runCMC(db, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := streamDB(db, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("iter %d (m=%d k=%d e=%.3f):\nstream = %v\nbatch  = %v",
-				iter, p.M, p.K, p.Eps, got, want)
-		}
-	}
 }
 
 // A database whose last tick is model.MaxTick must not wrap the tick walk:

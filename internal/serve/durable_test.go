@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -325,8 +324,8 @@ func sortConvoys(cs []ConvoyJSON) {
 }
 
 // TestHistoryQueryMatchesBatch is the acceptance check for historical
-// replay: a from/to query against the WAL answers exactly like a batch
-// core.Query over a database built from the same window of the stream.
+// replay: a from/to query against the WAL answers exactly what the oracle
+// answers over a database built from the same window of the stream.
 func TestHistoryQueryMatchesBatch(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	_, ts := newTestServer(t, durableConfig(walRoot))
@@ -362,7 +361,7 @@ func TestHistoryQueryMatchesBatch(t *testing.T) {
 			}
 
 			// The oracle: the same window, assembled into a trajectory
-			// database by hand, through the same batch engine.
+			// database by hand, answered by internal/oracle.
 			db := model.NewDB()
 			for _, id := range []string{"a", "b", "c"} {
 				var samples []model.Sample
@@ -379,22 +378,15 @@ func TestHistoryQueryMatchesBatch(t *testing.T) {
 				}
 				db.Add(tr)
 			}
-			res, err := core.NewQuery(
-				core.WithParams(core.Params{M: 2, K: 5, Eps: 1}),
-				core.WithCMC(),
-			).Run(context.Background(), db)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want := []ConvoyJSON{}
-			for _, c := range res {
+			for _, c := range oracleAnswer(db, core.Params{M: 2, K: 5, Eps: 1}) {
 				want = append(want, wire.ConvoyToJSON(c, wire.DBLabels(db)))
 			}
 			sortConvoys(want)
 			got := append([]ConvoyJSON{}, resp.Convoys...)
 			sortConvoys(got)
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("historical query diverged from the batch oracle\n got: %+v\nwant: %+v", got, want)
+				t.Errorf("historical query diverged from the oracle\n got: %+v\nwant: %+v", got, want)
 			}
 		})
 	}

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"net/http"
-	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -99,8 +97,8 @@ func TestMonitorLimit(t *testing.T) {
 }
 
 // The acceptance property: each of N monitors registered on one feed emits
-// (after canonicalization) exactly what a standalone Streamer with the same
-// (m, k, e) emits over the same tick sequence — and the feed's
+// (after canonicalization) exactly the oracle's answer for its (m, k, e)
+// over the same tick sequence — and the feed's
 // clustering-pass counter proves monitors sharing (e, m) triggered exactly
 // one DBSCAN pass per tick.
 func TestPropFeedMonitorsEqualStreamers(t *testing.T) {
@@ -123,18 +121,7 @@ func TestPropFeedMonitorsEqualStreamers(t *testing.T) {
 
 		emitted := map[string][]core.Convoy{}
 		collect := func(monitor string, cs []ConvoyJSON) {
-			for _, c := range cs {
-				objs := make([]model.ObjectID, len(c.Objects))
-				for i, label := range c.Objects {
-					id, err := strconv.Atoi(label)
-					if err != nil {
-						t.Fatalf("label %q: %v", label, err)
-					}
-					objs[i] = id
-				}
-				sort.Ints(objs)
-				emitted[monitor] = append(emitted[monitor], core.Convoy{Objects: objs, Start: c.Start, End: c.End})
-			}
+			emitted[monitor] = append(emitted[monitor], wireConvoys(t, cs)...)
 		}
 
 		ticks := int64(0)
@@ -177,13 +164,10 @@ func TestPropFeedMonitorsEqualStreamers(t *testing.T) {
 		}
 
 		for _, spec := range all {
-			want, err := core.NewQuery(core.WithParams(spec.Params.Params()), core.WithCMC()).Run(context.Background(), db)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracleAnswer(db, spec.Params.Params())
 			got := core.Canonicalize(emitted[spec.ID])
 			if !got.Equal(want) {
-				t.Fatalf("seed %d monitor %q (m=%d k=%d e=%g): feed answer differs from standalone Streamer\ngot:\n%v\nwant:\n%v",
+				t.Fatalf("seed %d monitor %q (m=%d k=%d e=%g): feed answer differs from the oracle\ngot:\n%v\nwant:\n%v",
 					seed, spec.ID, spec.Params.M, spec.Params.K, spec.Params.Eps, got, want)
 			}
 		}

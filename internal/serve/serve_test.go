@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/oracle"
 	"repro/internal/tsio"
 	"repro/internal/wire"
 )
@@ -274,55 +274,84 @@ func randomDB(t *testing.T, seed int64) *model.DB {
 	return db
 }
 
-// TestReplayEqualsCMC enforces the acceptance property: replaying any
-// database tick-by-tick through a convoyd feed and canonicalizing the
-// emitted convoys equals the batch CMC answer on the same database.
-func TestReplayEqualsCMC(t *testing.T) {
+// oracleAnswer is internal/oracle's answer to the query, in core's type.
+func oracleAnswer(db *model.DB, p core.Params) core.Result {
+	var out core.Result
+	for _, c := range oracle.Convoys(db, p.M, p.K, p.Eps) {
+		out = append(out, core.Convoy(c))
+	}
+	return out
+}
+
+// wireConvoys turns a feed's wire convoys, labelled by decimal object IDs,
+// back into core convoys.
+func wireConvoys(t *testing.T, cs []ConvoyJSON) []core.Convoy {
+	t.Helper()
+	var out []core.Convoy
+	for _, c := range cs {
+		objs := make([]model.ObjectID, len(c.Objects))
+		for i, label := range c.Objects {
+			id, err := strconv.Atoi(label)
+			if err != nil {
+				t.Fatalf("label %q: %v", label, err)
+			}
+			objs[i] = id
+		}
+		// Wire order follows the feed's first-seen label order, not the
+		// original IDs; restore the canonical order.
+		sort.Ints(objs)
+		out = append(out, core.Convoy{Objects: objs, Start: c.Start, End: c.End})
+	}
+	return out
+}
+
+// TestReplayEqualsOracle enforces the acceptance property: replaying any
+// database tick by tick through a convoyd feed and canonicalizing the
+// emitted convoys equals the oracle's answer on the same database — also
+// when the feed is durable and the server is restarted halfway from a
+// crash image of its WAL, so the second half runs on recovered state.
+func TestReplayEqualsOracle(t *testing.T) {
+	p := core.Params{M: 3, K: 4, Eps: 1.5}
 	for seed := int64(1); seed <= 3; seed++ {
 		db := randomDB(t, seed)
-		p := core.Params{M: 3, K: 4, Eps: 1.5}
-		want, err := core.NewQuery(core.WithParams(p), core.WithCMC()).Run(context.Background(), db)
-		if err != nil {
-			t.Fatal(err)
+		want := oracleAnswer(db, p)
+		if len(want) == 0 {
+			t.Fatalf("seed %d: no convoys; the comparison would be vacuous", seed)
 		}
-
-		_, ts := newTestServer(t, Config{})
-		createFeed(t, ts.URL, "replay", wire.ParamsToJSON(p))
-		var emitted []core.Convoy
-		collect := func(cs []ConvoyJSON) {
-			for _, c := range cs {
-				objs := make([]model.ObjectID, len(c.Objects))
-				for i, label := range c.Objects {
-					id, err := strconv.Atoi(label)
-					if err != nil {
-						t.Fatalf("label %q: %v", label, err)
-					}
-					objs[i] = id
+		lo, hi, _ := db.TimeRange()
+		for _, restart := range []bool{false, true} {
+			cfg, walRoot := Config{}, filepath.Join(t.TempDir(), "data")
+			if restart {
+				cfg = durableConfig(walRoot)
+			}
+			_, ts := newTestServer(t, cfg)
+			base := ts.URL
+			createFeed(t, base, "replay", wire.ParamsToJSON(p))
+			var emitted []core.Convoy
+			err := core.ReplayTicks(db, func(tick model.Tick, ids []model.ObjectID, pts []geom.Point) error {
+				if restart && tick == lo+(hi-lo)/2 {
+					img := filepath.Join(t.TempDir(), "restart")
+					copyTree(t, walRoot, img)
+					_, tsB := newTestServer(t, durableConfig(img))
+					base = tsB.URL
 				}
-				// Wire order follows the feed's first-seen label order,
-				// not the original IDs; restore the canonical order.
-				sort.Ints(objs)
-				emitted = append(emitted, core.Convoy{Objects: objs, Start: c.Start, End: c.End})
+				batch := TickBatch{T: tick, Positions: make([]Position, len(ids))}
+				for i, id := range ids {
+					batch.Positions[i] = Position{ID: strconv.Itoa(id), X: pts[i].X, Y: pts[i].Y}
+				}
+				emitted = append(emitted, wireConvoys(t, pushTick(t, base, "replay", batch).Closed)...)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		err = core.ReplayTicks(db, func(tick model.Tick, ids []model.ObjectID, pts []geom.Point) error {
-			batch := TickBatch{T: tick, Positions: make([]Position, len(ids))}
-			for i, id := range ids {
-				batch.Positions[i] = Position{ID: strconv.Itoa(id), X: pts[i].X, Y: pts[i].Y}
-			}
-			collect(pushTick(t, ts.URL, "replay", batch).Closed)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var del FeedCloseResponse
-		doJSON(t, "DELETE", ts.URL+"/v1/feeds/replay", nil, http.StatusOK, &del)
-		collect(del.Drained)
+			var del FeedCloseResponse
+			doJSON(t, "DELETE", base+"/v1/feeds/replay", nil, http.StatusOK, &del)
+			emitted = append(emitted, wireConvoys(t, del.Drained)...)
 
-		got := core.Canonicalize(emitted)
-		if !got.Equal(want) {
-			t.Fatalf("seed %d: replayed answer differs from CMC\ngot:\n%v\nwant:\n%v", seed, got, want)
+			if got := core.Canonicalize(emitted); !got.Equal(want) {
+				t.Fatalf("seed %d restart=%v: replayed answer differs from the oracle\ngot:\n%v\nwant:\n%v", seed, restart, got, want)
+			}
 		}
 	}
 }

@@ -318,6 +318,10 @@ func (s QuerySpec) Normalize() (Resolved, error) {
 	if err := r.P.Validate(); err != nil {
 		return r, err
 	}
+	// The URL form parses "NaN" and "Inf", which no distance threshold is.
+	if math.IsNaN(r.P.Eps) || math.IsInf(r.P.Eps, 0) {
+		return r, fmt.Errorf("e must be a finite distance (got %g)", r.P.Eps)
+	}
 	if s.Workers < 0 {
 		return r, fmt.Errorf("workers must be ≥ 0 (got %d)", s.Workers)
 	}
@@ -347,6 +351,12 @@ func (s QuerySpec) Normalize() (Resolved, error) {
 		// queries share cache keys.
 		s.Delta, s.Lambda = 0, 0
 	}
+	// A δ or λ that is not positive (NaN included) asks for the automatic
+	// guideline, which is what 0 spells — the one spelling URLValues keeps.
+	if !(s.Delta > 0) {
+		s.Delta = 0
+	}
+	s.Lambda = max(s.Lambda, 0)
 	s.V = SpecVersion
 	s.Algo = r.Algo
 	s.Clusterer = r.Clusterer

@@ -167,6 +167,18 @@ func TestNormalize(t *testing.T) {
 		}
 	})
 
+	t.Run("nonpositive_cuts_knobs_are_automatic", func(t *testing.T) {
+		s := base
+		s.Delta, s.Lambda = math.NaN(), -3
+		r, err := s.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Spec.Delta != 0 || r.Spec.Lambda != 0 {
+			t.Fatalf("δ/λ ≤ 0 not spelled 0: %+v", r.Spec)
+		}
+	})
+
 	rejects := []struct {
 		name   string
 		mutate func(*QuerySpec)
@@ -177,6 +189,8 @@ func TestNormalize(t *testing.T) {
 		{"bad_clusterer", func(s *QuerySpec) { s.Clusterer = "kmeans" }, "unknown clusterer"},
 		{"proxgraph_cuts", func(s *QuerySpec) { s.Clusterer = "proxgraph"; s.Algo = "cuts" }, "requires algo=cmc"},
 		{"bad_params", func(s *QuerySpec) { s.Params.M = 0 }, "m"},
+		{"nan_e", func(s *QuerySpec) { s.Params.Eps = math.NaN() }, "finite"},
+		{"inf_e", func(s *QuerySpec) { s.Params.Eps = math.Inf(1) }, "finite"},
 		{"neg_workers", func(s *QuerySpec) { s.Workers = -1 }, "workers"},
 		{"neg_partitions", func(s *QuerySpec) { s.Partitions = -2 }, "partitions"},
 		{"nan_timeout", func(s *QuerySpec) { s.TimeoutMS = math.NaN() }, "timeout_ms"},

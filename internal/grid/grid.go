@@ -1,4 +1,4 @@
-// Package grid provides uniform hash-grid spatial indexes used to accelerate
+// Package grid provides uniform-grid spatial indexes used to accelerate
 // the ε-neighborhood searches at the heart of DBSCAN (snapshot clustering)
 // and of the CuTS filter step (range search over simplified sub-polylines).
 //
@@ -7,10 +7,11 @@
 // caller-chosen size — for DBSCAN the natural cell size is the query radius
 // e, which confines every radius-e search to a 3×3 cell block.
 //
-// Candidate enumeration is deterministic: cells are scanned in row-major
-// order and entries within a cell preserve insertion order, so identical
-// inputs yield identical candidate orders (which keeps the clustering — and
-// therefore the whole discovery pipeline — reproducible).
+// Candidate enumeration is deterministic: identical inputs (and, for a
+// PointIndex, identical Insert/Remove/Move histories) yield identical
+// candidate orders, which keeps the clustering — and therefore the whole
+// discovery pipeline — reproducible. The order itself is the index's
+// business: callers that need one sort.
 package grid
 
 import (
@@ -19,152 +20,230 @@ import (
 	"repro/internal/geom"
 )
 
-// maxPointCells caps the dense point-grid resolution; when the data extent
-// divided by the requested cell size would exceed it, the cell size is
-// grown.
-const maxPointCells = 1 << 20
+// maxCellCoord clamps a PointIndex's absolute cell coordinates, so that a
+// huge or non-finite coordinate maps to a border cell instead of
+// overflowing the conversion. Clamping is monotone, so every point within
+// r of a query still lands in the query's (clamped) cell block.
+const maxCellCoord = 1 << 30
 
-// PointIndex is a uniform grid over points, stored as a dense array sized
-// to the points' bounding box (hash-map grids dominated the clustering
-// profile). The zero value is not usable; construct with NewPointIndex.
-// The index is reusable across point sets via Reset, which keeps the cell
-// buckets' backing arrays — the per-tick rebuild in snapshot clustering
-// would otherwise churn the allocator.
+// noLink ends a bucket chain; absent marks an id that is not indexed.
+const (
+	noLink = -1
+	absent = -2
+)
+
+// PointIndex is a uniform grid over points, sized to the points rather than
+// to their extent: a point's absolute cell coordinates are hashed into a
+// table of about two buckets per point, and each bucket chains its points
+// through per-point links. Building costs O(points) whatever the extent —
+// 285 points spread over a 2 000-unit world at cell 10 need no 200 × 200
+// cell array — and the index is maintained in place: Insert, Remove and
+// Move touch one point, and a point that moves within its cell costs a
+// position store.
+//
+// Points are named by dense ids: Reset(pts) indexes ids 0..len(pts)−1, and
+// Insert adds any id (growing the id space). The index keeps its own copy
+// of the positions. The zero value is not usable; construct with
+// NewPointIndex. Reset reuses every array, so repeated Resets over similar
+// point sets settle into a steady state with no allocation.
 type PointIndex struct {
-	baseCell float64 // requested cell size; Reset re-derives cell from it
-	cell     float64
-	origin   geom.Point
-	nx, ny   int
-	cells    [][]int
-	used     []int // non-empty cell indices, for O(points) clearing
-	pts      []geom.Point
+	cell  float64
+	pts   []geom.Point // id → position (the index's own copy)
+	key   []uint64     // id → packed cell coordinates
+	next  []int32      // id → next id in its bucket, or noLink
+	prev  []int32      // id → previous id in its bucket, noLink at the head, absent if not indexed
+	head  []int32      // bucket → first id, or noLink
+	shift uint         // 64 − log2(len(head)), for the multiplicative hash
+	n     int          // indexed points
 }
 
-// NewPointIndex builds an index over pts with the given cell size (possibly
-// grown to respect the resolution cap). The caller keeps ownership of pts;
-// the index stores a copy of the slice header only. cell must be > 0.
+// NewPointIndex builds an index over pts with the given cell size. cell
+// must be > 0.
 //
-// The constructor is defensive against degenerate geometry: when any
-// coordinate is NaN or ±Inf the grid would compute a non-finite extent (and
-// a bogus cell count could panic the allocation), so the index falls back
-// to a single cell holding every point. Queries stay correct — the radius
-// test still runs per point — just unaccelerated.
+// Degenerate geometry is harmless: a NaN or ±Inf coordinate, like a huge
+// finite one, lands in a clamped border cell, and a non-finite point
+// matches no query of finite r² (its distance to anything is NaN or +Inf).
 func NewPointIndex(pts []geom.Point, cell float64) *PointIndex {
 	if cell <= 0 {
 		panic("grid: cell size must be positive")
 	}
-	idx := &PointIndex{baseCell: cell}
+	idx := &PointIndex{cell: cell}
 	idx.Reset(pts)
 	return idx
 }
 
-// Reset re-indexes the given points in place, exactly as if the index had
-// been rebuilt with NewPointIndex at the original cell size, but reusing
-// the cell buckets' backing arrays. Only the buckets that were populated
-// are cleared (O(points), not O(cells)), so repeated Resets over similar
-// point sets settle into a steady state with no per-call allocation.
+// Reset re-indexes the given points in place — ids 0..len(pts)−1, nothing
+// else — exactly as if the index had been rebuilt with NewPointIndex at the
+// original cell size, but reusing the index's arrays.
 func (idx *PointIndex) Reset(pts []geom.Point) {
-	for _, c := range idx.used {
-		idx.cells[c] = idx.cells[c][:0]
+	n := len(pts)
+	idx.pts = append(idx.pts[:0], pts...)
+	idx.key = growTo(idx.key, n)
+	idx.next = growTo(idx.next, n)
+	idx.prev = growTo(idx.prev, n)
+	idx.sizeTable(n)
+	// Head insertion in reverse leaves every chain in ascending id order.
+	for i := n - 1; i >= 0; i-- {
+		idx.link(int32(i))
 	}
-	idx.used = idx.used[:0]
-	idx.cell = idx.baseCell
-	idx.pts = pts
-	if len(pts) == 0 {
-		idx.nx, idx.ny = 0, 0
-		return
+	idx.n = n
+}
+
+// sizeTable empties the bucket table and sizes it to a power of two of at
+// least 2n buckets.
+func (idx *PointIndex) sizeTable(n int) {
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
 	}
-	// The bounds by plain comparisons: geom.RectOf's math.Min/math.Max do
-	// not inline, and this loop runs once per clustered tick. A comparison
-	// skips a NaN where math.Min would carry it into the extent, hence the
-	// flag (±Inf reaches the extent on its own).
-	minX, minY, maxX, maxY := pts[0].X, pts[0].Y, pts[0].X, pts[0].Y
-	hasNaN := false
-	for _, p := range pts {
-		if p.X < minX {
-			minX = p.X
-		} else if p.X > maxX {
-			maxX = p.X
-		}
-		if p.Y < minY {
-			minY = p.Y
-		} else if p.Y > maxY {
-			maxY = p.Y
-		}
-		if p.X != p.X || p.Y != p.Y {
-			hasNaN = true
+	idx.head = growTo(idx.head, 1<<bits)
+	for b := range idx.head {
+		idx.head[b] = noLink
+	}
+	idx.shift = 64 - bits
+}
+
+// Insert indexes point i at p. i must not be indexed; ids past the current
+// id space are added to it (the ids in between stay absent).
+func (idx *PointIndex) Insert(i int, p geom.Point) {
+	if i < len(idx.prev) && idx.prev[i] != absent {
+		panic("grid: Insert of an indexed point")
+	}
+	for len(idx.prev) <= i {
+		idx.pts = append(idx.pts, geom.Point{})
+		idx.key = append(idx.key, 0)
+		idx.next = append(idx.next, noLink)
+		idx.prev = append(idx.prev, absent)
+	}
+	if 2*(idx.n+1) > len(idx.head) {
+		idx.grow()
+	}
+	idx.pts[i] = p
+	idx.link(int32(i))
+	idx.n++
+}
+
+// Remove drops point i from the index. i must be indexed.
+func (idx *PointIndex) Remove(i int) {
+	if i >= len(idx.prev) || idx.prev[i] == absent {
+		panic("grid: Remove of a point not indexed")
+	}
+	idx.unlink(int32(i))
+	idx.n--
+}
+
+// Move puts the indexed point i at p, relinking it only when its cell
+// changes.
+func (idx *PointIndex) Move(i int, p geom.Point) {
+	if i >= len(idx.prev) || idx.prev[i] == absent {
+		panic("grid: Move of a point not indexed")
+	}
+	idx.pts[i] = p
+	if idx.cellKey(p) != idx.key[i] {
+		idx.unlink(int32(i))
+		idx.link(int32(i))
+	}
+}
+
+// grow doubles the bucket table and rehashes every indexed point.
+func (idx *PointIndex) grow() {
+	idx.sizeTable(len(idx.head))
+	for i := len(idx.prev) - 1; i >= 0; i-- {
+		if idx.prev[i] != absent {
+			idx.link(int32(i))
 		}
 	}
-	idx.origin = geom.Pt(minX, minY)
-	w := maxX - minX
-	h := maxY - minY
-	if hasNaN || !finiteExtent(w, h) {
-		idx.origin = geom.Pt(0, 0)
-		idx.nx, idx.ny = 1, 1
+}
+
+// link pushes i, at idx.pts[i], onto the head of its bucket's chain.
+func (idx *PointIndex) link(i int32) {
+	k := idx.cellKey(idx.pts[i])
+	b := idx.bucket(k)
+	idx.key[i] = k
+	idx.next[i], idx.prev[i] = idx.head[b], noLink
+	if h := idx.head[b]; h != noLink {
+		idx.prev[h] = i
+	}
+	idx.head[b] = i
+}
+
+// unlink takes i out of its bucket's chain and marks it absent.
+func (idx *PointIndex) unlink(i int32) {
+	next, prev := idx.next[i], idx.prev[i]
+	if prev == noLink {
+		idx.head[idx.bucket(idx.key[i])] = next
 	} else {
-		for {
-			nx := int(w/idx.cell) + 1
-			ny := int(h/idx.cell) + 1
-			// Division-based cap: nx*ny can wrap the int range on huge
-			// (finite) extents, so never form the product.
-			if nx > 0 && ny > 0 && nx <= maxPointCells && ny <= maxPointCells/nx {
-				idx.nx, idx.ny = nx, ny
-				break
-			}
-			idx.cell *= 2
-		}
+		idx.next[prev] = next
 	}
-	idx.cells = resizeCells(idx.cells, idx.nx*idx.ny)
-	for i, p := range pts {
-		c := idx.cellOf(p)
-		if len(idx.cells[c]) == 0 {
-			idx.used = append(idx.used, c)
-		}
-		idx.cells[c] = append(idx.cells[c], i)
+	if next != noLink {
+		idx.prev[next] = prev
 	}
+	idx.prev[i] = absent
 }
 
-// resizeCells reslices a Reset's cell array to n buckets. Reslicing within
-// capacity keeps the hidden buckets' backing arrays; the caller has already
-// emptied every populated bucket, so a resurrected bucket is always empty.
-func resizeCells(cells [][]int, n int) [][]int {
-	if n <= cap(cells) {
-		return cells[:n]
+// cellKey packs p's clamped cell coordinates into one comparable key.
+func (idx *PointIndex) cellKey(p geom.Point) uint64 {
+	return packCell(cellCoord(p.X/idx.cell), cellCoord(p.Y/idx.cell))
+}
+
+func packCell(cx, cy int32) uint64 { return uint64(uint32(cx))<<32 | uint64(uint32(cy)) }
+
+// bucket hashes a cell key onto the table (Fibonacci hashing: the high
+// bits of the product mix both coordinates).
+func (idx *PointIndex) bucket(k uint64) int {
+	return int((k * 0x9E3779B97F4A7C15) >> idx.shift)
+}
+
+// cellCoord is the clamped cell coordinate of v, a coordinate already
+// divided by the cell size. NaN clamps to the low border.
+func cellCoord(v float64) int32 {
+	c := math.Floor(v)
+	if !(c >= -maxCellCoord) {
+		return -maxCellCoord
 	}
-	return append(cells[:cap(cells)], make([][]int, n-cap(cells))...)
+	if c > maxCellCoord {
+		return maxCellCoord
+	}
+	return int32(c)
 }
 
-// finiteExtent reports whether a grid extent is usable: non-finite widths
-// arise from NaN/Inf input coordinates and would corrupt the cell math
-// (the shared predicate is geom.Finite).
-func finiteExtent(w, h float64) bool {
-	return geom.Finite(w) && geom.Finite(h)
-}
-
-func (idx *PointIndex) cellOf(p geom.Point) int {
-	cx := clampCell(int(math.Floor((p.X-idx.origin.X)/idx.cell)), idx.nx)
-	cy := clampCell(int(math.Floor((p.Y-idx.origin.Y)/idx.cell)), idx.ny)
-	return cx*idx.ny + cy
-}
-
-// Within appends to dst the indices of all points within distance r of p
-// (inclusive) and returns the extended slice. Results appear in cell
-// row-major order, insertion order within a cell.
+// Within appends to dst the ids of all indexed points within distance r of
+// p (inclusive) and returns the extended slice, in no particular order
+// (deterministic for a given index history). A negative or NaN r matches
+// nothing.
 func (idx *PointIndex) Within(p geom.Point, r float64, dst []int) []int {
-	if len(idx.pts) == 0 {
+	return within(idx, p, r, dst)
+}
+
+// Within32 is Within for callers that keep their ids as int32.
+func (idx *PointIndex) Within32(p geom.Point, r float64, dst []int32) []int32 {
+	return within(idx, p, r, dst)
+}
+
+func within[T int | int32](idx *PointIndex, p geom.Point, r float64, dst []T) []T {
+	if idx.n == 0 || !(r >= 0) {
 		return dst
 	}
-	lox := clampCell(int(math.Floor((p.X-r-idx.origin.X)/idx.cell)), idx.nx)
-	hix := clampCell(int(math.Floor((p.X+r-idx.origin.X)/idx.cell)), idx.nx)
-	loy := clampCell(int(math.Floor((p.Y-r-idx.origin.Y)/idx.cell)), idx.ny)
-	hiy := clampCell(int(math.Floor((p.Y+r-idx.origin.Y)/idx.cell)), idx.ny)
 	r2 := r * r
+	lox, hix := cellCoord((p.X-r)/idx.cell), cellCoord((p.X+r)/idx.cell)
+	loy, hiy := cellCoord((p.Y-r)/idx.cell), cellCoord((p.Y+r)/idx.cell)
+	// A block of more cells than the table has buckets costs more to probe
+	// than a scan of every point; and once r² overflows, even an infinite
+	// distance matches, which no cell block bounds.
+	if math.IsInf(r2, 1) || (int64(hix)-int64(lox)+1)*(int64(hiy)-int64(loy)+1) > int64(len(idx.head)) {
+		for i, q := range idx.pts {
+			if idx.prev[i] != absent && geom.D2(p, q) <= r2 {
+				dst = append(dst, T(i))
+			}
+		}
+		return dst
+	}
 	for cx := lox; cx <= hix; cx++ {
-		row := cx * idx.ny
 		for cy := loy; cy <= hiy; cy++ {
-			for _, i := range idx.cells[row+cy] {
-				if geom.D2(p, idx.pts[i]) <= r2 {
-					dst = append(dst, i)
+			k := packCell(cx, cy)
+			for i := idx.head[idx.bucket(k)]; i != noLink; i = idx.next[i] {
+				if idx.key[i] == k && geom.D2(p, idx.pts[i]) <= r2 {
+					dst = append(dst, T(i))
 				}
 			}
 		}
@@ -173,7 +252,15 @@ func (idx *PointIndex) Within(p geom.Point, r float64, dst []int) []int {
 }
 
 // Len returns the number of indexed points.
-func (idx *PointIndex) Len() int { return len(idx.pts) }
+func (idx *PointIndex) Len() int { return idx.n }
+
+// growTo reslices s to length n, reallocating only past its capacity.
+func growTo[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
 
 // maxRectCells caps the dense rect-grid resolution; when the data extent
 // divided by the requested cell size would exceed it, the cell size is
@@ -240,8 +327,8 @@ func (idx *RectIndex) Reset(rects []geom.Rect, cell float64) {
 	idx.origin = geom.Pt(bounds.MinX, bounds.MinY)
 	w := bounds.MaxX - bounds.MinX
 	h := bounds.MaxY - bounds.MinY
-	if !finiteExtent(w, h) {
-		// Defensive single-cell fallback, like PointIndex: NaN/Inf
+	if !geom.Finite(w) || !geom.Finite(h) {
+		// Defensive single-cell fallback: NaN/Inf
 		// rectangle bounds must not panic the allocation below. The
 		// everything-box becomes the whole plane — a poisoned union would
 		// fail every Intersects pre-check and hide the finite rectangles.
@@ -265,7 +352,9 @@ func (idx *RectIndex) Reset(rects []geom.Rect, cell float64) {
 			idx.cell *= 2
 		}
 	}
-	idx.cells = resizeCells(idx.cells, idx.nx*idx.ny)
+	// Reslicing within capacity keeps the hidden buckets' backing arrays;
+	// every populated bucket was emptied above, so a resurrected one is empty.
+	idx.cells = growTo(idx.cells, idx.nx*idx.ny)
 	for i, r := range rects {
 		if r.IsEmpty() {
 			continue

@@ -1,8 +1,10 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -190,36 +192,67 @@ func TestPointIndexNonFiniteDefensive(t *testing.T) {
 	}
 }
 
-// Reset finds its bounds by comparisons, which a NaN fails silently where
-// math.Min carried it into the extent: wherever the poison sits — first,
-// between finite points, last — and whichever coordinate it is in, the
-// index must still be the one-cell fallback, on a fresh index and on a
-// reused one.
+// A NaN or ±Inf coordinate used to drive the dense grid's extent
+// non-finite (and a bogus cell count could panic the allocation), so the
+// grid fell back to one cell. The hashed grid clamps such a point into a
+// border cell instead. Wherever the poison sits and whichever coordinate it
+// is in, the poisoned point must never match, and every finite query must
+// answer exactly what it answers without the poison — on a fresh index and
+// on one reused across poisoned and clean sets.
 func TestPointIndexNonFiniteFallsBackToOneCell(t *testing.T) {
 	nan := math.NaN()
 	clean := []geom.Point{geom.Pt(0, 0), geom.Pt(0.5, 0), geom.Pt(3, 7), geom.Pt(10, 10)}
+	queries := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 6.5), geom.Pt(10, 9), geom.Pt(-1e300, 5)}
+	check := func(what string, idx *PointIndex, pts []geom.Point) {
+		t.Helper()
+		for _, q := range queries {
+			for _, r := range []float64{0, 1, 8, 20} {
+				got := sorted(idx.Within(q, r, nil))
+				var want []int
+				for i, p := range pts {
+					if geom.D2(q, p) <= r*r {
+						want = append(want, i)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s: Within(%v, %g) = %v, want %v", what, q, r, got, want)
+				}
+			}
+		}
+	}
 	reused := NewPointIndex(clean, 1.0)
 	for _, poison := range []geom.Point{
 		geom.Pt(nan, 0), geom.Pt(0, nan), geom.Pt(nan, nan),
 		geom.Pt(math.Inf(1), 0), geom.Pt(math.Inf(-1), 0), geom.Pt(0, math.Inf(1)), geom.Pt(0, math.Inf(-1)),
 	} {
 		for at := range clean {
-			pts := append([]geom.Point(nil), clean...)
+			pts := slices.Clone(clean)
 			pts[at] = poison
 			fresh := NewPointIndex(pts, 1.0)
 			reused.Reset(pts)
 			for _, idx := range []*PointIndex{fresh, reused} {
-				if idx.nx != 1 || idx.ny != 1 || len(idx.cells) != 1 {
-					t.Errorf("poison %v at %d: grid is %d×%d (%d cells), want the one-cell fallback",
-						poison, at, idx.nx, idx.ny, len(idx.cells))
+				what := fmt.Sprintf("poison %v at %d", poison, at)
+				check(what, idx, pts) // the brute force skips the poison on its own
+				for _, r := range []float64{0, 1, 1e300} {
+					for _, hit := range idx.Within(poison, r, nil) {
+						if hit == at {
+							t.Errorf("%s: a query at the poison, r=%g, matched it", what, r)
+						}
+					}
+				}
+				if got := sorted(idx.Within(geom.Pt(0, 0), 100, nil)); slices.Contains(got, at) {
+					t.Errorf("%s: the poisoned point matched a finite query: %v", what, got)
 				}
 			}
 			reused.Reset(clean)
-			if reused.nx < 2 {
-				t.Fatalf("clean points after poison %v: grid is %d×%d", poison, reused.nx, reused.ny)
-			}
+			check(fmt.Sprintf("clean points after poison %v", poison), reused, clean)
 		}
 	}
+}
+
+func sorted(s []int) []int {
+	slices.Sort(s)
+	return s
 }
 
 func TestRectIndexNonFiniteDefensive(t *testing.T) {
@@ -388,25 +421,33 @@ func TestRectIndexResetEquivalence(t *testing.T) {
 }
 
 // BenchmarkPointIndexRebuild contrasts the per-tick grid rebuild idioms:
-// constructing a fresh index versus Reset on a reused one.
+// constructing a fresh index versus Reset on a reused one — over 1 000
+// points packed at five per cell, and (the -sparse rows) over 285 points
+// spread across Commute's 2 000-unit world at e = 10, where an index sized
+// to the extent rather than to the points would pay for 40 000 cells.
 func BenchmarkPointIndexRebuild(b *testing.B) {
-	r := rand.New(rand.NewSource(37))
-	pts := make([]geom.Point, 1000)
-	for i := range pts {
-		pts[i] = geom.Pt(r.Float64()*200, r.Float64()*200)
+	for _, fx := range []struct {
+		suffix       string
+		n            int
+		extent, cell float64
+	}{{"", 1000, 200, 5}, {"-sparse", 285, 2000, 10}} {
+		r := rand.New(rand.NewSource(37))
+		pts := make([]geom.Point, fx.n)
+		for i := range pts {
+			pts[i] = geom.Pt(r.Float64()*fx.extent, r.Float64()*fx.extent)
+		}
+		b.Run("new"+fx.suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				NewPointIndex(pts, fx.cell)
+			}
+		})
+		b.Run("reset"+fx.suffix, func(b *testing.B) {
+			idx := NewPointIndex(pts, fx.cell)
+			b.ReportAllocs()
+			for b.Loop() {
+				idx.Reset(pts)
+			}
+		})
 	}
-	b.Run("new", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			NewPointIndex(pts, 5.0)
-		}
-	})
-	b.Run("reset", func(b *testing.B) {
-		idx := NewPointIndex(pts, 5.0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			idx.Reset(pts)
-		}
-	})
 }

@@ -3,6 +3,7 @@
 package increment
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -50,6 +51,30 @@ func TestFullPassSteadyStateAllocs(t *testing.T) {
 		}
 		if withClusters == 0 || (n == 12 && without == 0) {
 			t.Fatalf("n=%d: %d ticks with clusters, %d without: the fixture does not exercise both", n, withClusters, without)
+		}
+	}
+}
+
+// TestFirstTickAllocsIndependentOfExtent pins the grid to its points: a
+// fresh engine's first Tick over 285 objects — a full pass on the grid —
+// allocates O(n) bytes whether the objects share a 170-unit square or are
+// strewn across a world a million (or a billion) units wide. A grid sized to
+// the extent spent up to 24 MiB on that tick.
+func TestFirstTickAllocsIndependentOfExtent(t *testing.T) {
+	const n = 285
+	for _, extent := range []float64{170, 2000, 1e6, 1e9} {
+		ids, frames := orbitWorld(n, 1, 1, extent, orbitEps)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e := New(orbitEps, 3, DefaultChurnThreshold)
+		if _, pass := e.Tick(ids, frames[0]); !pass.Full {
+			t.Fatal("a fresh engine's first tick was not a full pass")
+		}
+		runtime.ReadMemStats(&after)
+		// The tick costs ≈ 190 B per object: slot arrays, neighborhoods, the
+		// grid's per-point arrays and the answer.
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 512*n {
+			t.Errorf("extent %g: the first tick allocated %d bytes, want ≤ %d (512 per object)", extent, bytes, 512*n)
 		}
 	}
 }

@@ -24,8 +24,13 @@ const orbitEps = 8.0
 // pass each tick); moveEvery = 10 moves a rotating tenth of them (10 % churn:
 // incremental passes), each still closing its circle within the period.
 func orbitFrames(n, period, moveEvery int) ([]model.ObjectID, [][]geom.Point) {
+	return orbitWorld(n, period, moveEvery, 10*math.Sqrt(float64(n)), orbitEps)
+}
+
+// orbitWorld is orbitFrames in a square world of the given side, with
+// orbits scaled to eps.
+func orbitWorld(n, period, moveEvery int, extent, eps float64) ([]model.ObjectID, [][]geom.Point) {
 	r := rand.New(rand.NewSource(int64(n)))
-	extent := 10 * math.Sqrt(float64(n))
 	ids := make([]model.ObjectID, n)
 	center := make([]geom.Point, n)
 	radius := make([]float64, n)
@@ -33,7 +38,7 @@ func orbitFrames(n, period, moveEvery int) ([]model.ObjectID, [][]geom.Point) {
 	for i := range ids {
 		ids[i] = i
 		center[i] = geom.Pt(r.Float64()*extent, r.Float64()*extent)
-		radius[i] = (0.5 + 2.5*r.Float64()) * orbitEps
+		radius[i] = (0.5 + 2.5*r.Float64()) * eps
 		phase[i] = 2 * math.Pi * r.Float64()
 	}
 	frames := make([][]geom.Point, period)
@@ -53,22 +58,31 @@ func orbitFrames(n, period, moveEvery int) ([]model.ObjectID, [][]geom.Point) {
 // BenchmarkEngineTick prices one Tick of a warm engine, per layer: full-nN
 // is a full pass over N objects that all moved (Truck's regime at N ≈ 12–31,
 // a dense feed's above), on both sides of allPairsMax; churn10-n285 is the
-// incremental pass of a Commute-sized feed where a tenth moved.
+// incremental pass of a Commute-sized feed where a tenth moved, packed into
+// ≈ 170 units — and churn10-n285-sparse the same in Commute's own 2 000-unit
+// world at e = 10, where a grid sized to the extent would span 40 000 cells.
 func BenchmarkEngineTick(b *testing.B) {
 	for _, bc := range []struct {
 		name         string
 		n, moveEvery int
+		extent, eps  float64 // 0: orbitFrames' world
 	}{
-		{"full-n12", 12, 1},
-		{"full-n31", 31, 1},
-		{"full-n64", 64, 1},
-		{"full-n285", 285, 1},
-		{"churn10-n285", 285, 10},
+		{"full-n12", 12, 1, 0, 0},
+		{"full-n31", 31, 1, 0, 0},
+		{"full-n64", 64, 1, 0, 0},
+		{"full-n285", 285, 1, 0, 0},
+		{"churn10-n285", 285, 10, 0, 0},
+		{"churn10-n285-sparse", 285, 10, 2000, 10},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			const period = 100
 			ids, frames := orbitFrames(bc.n, period, bc.moveEvery)
-			e := New(orbitEps, 3, DefaultChurnThreshold)
+			eps := orbitEps
+			if bc.extent > 0 {
+				eps = bc.eps
+				ids, frames = orbitWorld(bc.n, period, bc.moveEvery, bc.extent, eps)
+			}
+			e := New(eps, 3, DefaultChurnThreshold)
 			for _, pts := range frames {
 				e.Tick(ids, pts)
 			}

@@ -31,7 +31,8 @@
 // pass is one. It therefore allocates nothing at steady state beyond the
 // cluster lists it returns (TestFullPassSteadyStateAllocs), and it picks
 // its neighborhood scan by snapshot size: all pairs up to allPairsMax
-// objects, the grid above.
+// objects, the grid above. The incremental pass never rebuilds the grid it
+// queries: it inserts, removes and moves the dirty objects only.
 //
 // An Engine is single-stream state: it is NOT safe for concurrent use.
 // Every Tick answers exactly for the snapshot it is given no matter what
@@ -107,8 +108,13 @@ type Engine struct {
 	snapSlot   []int32          // snapshot index → slot
 	dup        map[model.ObjectID]struct{}
 
-	idx  *grid.PointIndex
-	cand []int // grid query scratch
+	// idx is the grid over slot space: slot s at pos[s]. While gridOK it
+	// holds exactly the alive slots, and the incremental pass maintains it
+	// (insert, remove, move); a full pass on the grid rebuilds it, and an
+	// all-pairs pass or a Reset leaves it stale until the next incremental
+	// pass rebuilds it.
+	idx    *grid.PointIndex
+	gridOK bool
 
 	movedIdx    []int32 // scratch: snapshot indices of moved objects
 	appearedIdx []int32 // scratch: snapshot indices of appeared objects
@@ -144,6 +150,7 @@ func New(eps float64, m int, churnThreshold float64) *Engine {
 func (e *Engine) Reset() {
 	e.started = false
 	e.mapped = false
+	e.gridOK = false
 	e.idOf = e.idOf[:0]
 	e.alive = e.alive[:0]
 	e.pos = e.pos[:0]
@@ -243,17 +250,23 @@ func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectI
 	// Incremental pass. Phase 1: allocate slots for appeared objects and
 	// stamp every dirty slot, so the patch phases can tell clean neighbors
 	// (whose lists must be edited in place) from dirty ones (recomputed
-	// from the grid anyway).
+	// from the grid anyway). A maintained grid follows each change.
 	for _, i := range appeared {
 		s := e.allocSlot(ids[i], pts[i])
 		e.snapSlot[i] = s
 		e.seen[s] = g
 		e.dirtyGen[s] = g
+		if e.gridOK {
+			e.idx.Insert(int(s), pts[i])
+		}
 	}
 	for _, i := range moved {
 		s := e.snapSlot[i]
 		e.dirtyGen[s] = g
 		e.pos[s] = pts[i]
+		if e.gridOK {
+			e.idx.Move(int(s), pts[i])
+		}
 	}
 
 	// Phase 2: unlink vanished objects from their clean neighbors. Marking
@@ -261,6 +274,9 @@ func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectI
 	// each other.
 	for _, s := range vanished {
 		e.alive[s] = false
+		if e.gridOK {
+			e.idx.Remove(int(s))
+		}
 	}
 	for _, s := range vanished {
 		for _, q := range e.nh[s] {
@@ -271,19 +287,21 @@ func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectI
 		}
 	}
 
-	// Phase 3: re-bucket the grid over the new snapshot — O(n) inserts
-	// with reused buckets, no distance math (see grid.Reset).
-	e.resetGrid(pts)
+	// Phase 3: a stale grid (the last full pass went all-pairs) is rebuilt
+	// over the alive slots once; from here on it is maintained.
+	if !e.gridOK {
+		e.indexSlots()
+	}
 
 	// Phase 4: recompute each dirty object's neighborhood and patch the
 	// symmetric entries of its clean neighbors. Both sides of every edge
 	// use the same predicate on the same positions, so the adjacency ends
 	// up exactly the from-scratch one.
 	for _, i := range appeared {
-		e.recompute(i, pts, g)
+		e.recompute(e.snapSlot[i], g)
 	}
 	for _, i := range moved {
-		e.recompute(i, pts, g)
+		e.recompute(e.snapSlot[i], g)
 	}
 
 	// Phase 5: retire vanished slots and refresh the tick bookkeeping.
@@ -365,6 +383,7 @@ func (e *Engine) rebuild(ids []model.ObjectID, pts []geom.Point) {
 	}
 	if n <= allPairsMax {
 		e.allPairs(pts)
+		e.gridOK = false
 	} else {
 		e.gridPairs(pts)
 	}
@@ -372,9 +391,11 @@ func (e *Engine) rebuild(ids []model.ObjectID, pts []geom.Point) {
 	e.started = true
 }
 
-// gridPairs fills every neighborhood of a rebuilt snapshot from the grid.
+// gridPairs fills every neighborhood of a rebuilt snapshot (slot =
+// snapshot index) from the grid, rebuilt over the snapshot.
 func (e *Engine) gridPairs(pts []geom.Point) {
-	e.resetGrid(pts)
+	e.index().Reset(pts)
+	e.gridOK = true
 	for i, p := range pts {
 		e.nh[i] = e.neighborhood(p, e.nh[i][:0])
 	}
@@ -449,37 +470,45 @@ func (e *Engine) allocSlot(id model.ObjectID, p geom.Point) int32 {
 	return s
 }
 
-func (e *Engine) resetGrid(pts []geom.Point) {
+// index returns the slot-space grid, made on first use.
+func (e *Engine) index() *grid.PointIndex {
 	if e.idx == nil {
 		cell := e.eps
 		if cell <= 0 {
 			cell = 1 // mirror dbscan.SnapshotAdjacency's degenerate-ε cell
 		}
-		e.idx = grid.NewPointIndex(pts, cell)
-		return
+		e.idx = grid.NewPointIndex(nil, cell)
 	}
-	e.idx.Reset(pts)
+	return e.idx
+}
+
+// indexSlots rebuilds the grid over the alive slots.
+func (e *Engine) indexSlots() {
+	idx := e.index()
+	idx.Reset(e.pos)
+	for s, alive := range e.alive {
+		if !alive {
+			idx.Remove(s)
+		}
+	}
+	e.gridOK = true
 }
 
 // neighborhood returns the ascending slot list of the points within eps of
 // p (self included), appended to dst.
 func (e *Engine) neighborhood(p geom.Point, dst []int32) []int32 {
-	e.cand = e.idx.Within(p, e.eps, e.cand[:0])
-	for _, i := range e.cand {
-		dst = append(dst, e.snapSlot[i])
-	}
+	dst = e.idx.Within32(p, e.eps, dst)
 	slices.Sort(dst)
 	return dst
 }
 
-// recompute rebuilds the neighborhood of the dirty snapshot index i and
-// patches the symmetric entries of its clean neighbors: edges only in the
-// old list are removed from their other endpoint, edges only in the new
-// list are inserted. Dirty endpoints are skipped — they recompute their
-// own lists from the same grid.
-func (e *Engine) recompute(i int32, pts []geom.Point, g uint64) {
-	s := e.snapSlot[i]
-	newNH := e.neighborhood(pts[i], e.newNH[:0])
+// recompute rebuilds the neighborhood of the dirty slot s and patches the
+// symmetric entries of its clean neighbors: edges only in the old list are
+// removed from their other endpoint, edges only in the new list are
+// inserted. Dirty endpoints are skipped — they recompute their own lists
+// from the same grid.
+func (e *Engine) recompute(s int32, g uint64) {
+	newNH := e.neighborhood(e.pos[s], e.newNH[:0])
 	old := e.nh[s]
 	oi, ni := 0, 0
 	for oi < len(old) || ni < len(newNH) {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -34,29 +35,69 @@ import (
 // first-seen order (labels, views into the segment buffer, are interned:
 // copied once per object, looked up without allocating); otherwise its
 // edges, into that contact log.
+//
+// A feed names its objects in much the same order tick after tick, so a
+// label is first checked against the object at the same position in the
+// previous block, and the intern map is asked only on a mismatch. Folds
+// come from foldPool and go back once the query that mined their columns
+// returns, so a stream of history queries reuses the columns' capacity
+// instead of regrowing ~300 of them per query.
 type windowFold struct {
 	t       model.Tick // the block being walked
 	ticks   int        // blocks seen
 	ids     map[string]model.ObjectID
 	labels  []string
 	samples [][]model.Sample
-	log     *proxgraph.Log
-	err     error // the first edge the log refused
+	// prev holds the objects of the previous block by position, cur those
+	// of the block being walked.
+	prev, cur []model.ObjectID
+	log       *proxgraph.Log
+	err       error // the first edge the log refused
 }
 
-func (w *windowFold) Block(t model.Tick, _ int) { w.t, w.ticks = t, w.ticks+1 }
+var foldPool = sync.Pool{New: func() any { return &windowFold{ids: map[string]model.ObjectID{}} }}
+
+// newWindowFold takes an empty fold from the pool.
+func newWindowFold() *windowFold { return foldPool.Get().(*windowFold) }
+
+// release empties the fold and returns it to the pool, keeping its
+// columns' capacity. Nothing may use the fold, or a database built from
+// it, afterwards.
+func (w *windowFold) release() {
+	clear(w.ids)
+	clear(w.labels) // drop the label strings; the columns are overwritten on reuse
+	w.t, w.ticks, w.labels, w.samples = 0, 0, w.labels[:0], w.samples[:0]
+	w.prev, w.cur, w.log, w.err = w.prev[:0], w.cur[:0], nil, nil
+	foldPool.Put(w)
+}
+
+func (w *windowFold) Block(t model.Tick, _ int) {
+	w.t, w.ticks = t, w.ticks+1
+	w.prev, w.cur = w.cur, w.prev[:0]
+}
 
 func (w *windowFold) Position(label []byte, x, y float64) {
 	if w.log != nil {
 		return
 	}
-	id, ok := w.ids[string(label)]
-	if !ok {
+	k := len(w.cur)
+	var id model.ObjectID
+	if k < len(w.prev) && w.labels[w.prev[k]] == string(label) {
+		id = w.prev[k]
+	} else if known, ok := w.ids[string(label)]; ok {
+		id = known
+	} else {
 		id = len(w.labels)
 		w.labels = append(w.labels, string(label))
 		w.ids[w.labels[id]] = id
-		w.samples = append(w.samples, nil)
+		if id < cap(w.samples) {
+			w.samples = w.samples[:id+1]
+			w.samples[id] = w.samples[id][:0]
+		} else {
+			w.samples = append(w.samples, nil)
+		}
 	}
+	w.cur = append(w.cur, id)
 	w.samples[id] = append(w.samples[id], model.Sample{T: w.t, P: geom.Pt(x, y)})
 }
 
@@ -109,7 +150,8 @@ func (s *Server) historyQuery(ctx context.Context, f *feed.Feed, req HistoryQuer
 	defer cancel()
 	ctx, qsp := s.q.startQuery(ctx, pl, reqSpan)
 	defer qsp.End() // idempotent; mine ends it before collecting the profile
-	fold := &windowFold{ids: map[string]model.ObjectID{}}
+	fold := newWindowFold()
+	defer fold.release() // after mine: the database's trajectories are the fold's columns
 	if pl.res.Clusterer == proxgraph.Backend {
 		fold.log = proxgraph.NewLog()
 	}

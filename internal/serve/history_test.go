@@ -267,7 +267,8 @@ func TestHistoryQueryExplainAndMetrics(t *testing.T) {
 // BenchmarkHistoryWindowDB prices what a historical query does before it
 // mines: a 1 000-tick window of a 3 000-tick, ≈ 300-object log (Commute at
 // scale 1, 4 MiB segments) read record → column into the model.DB the
-// query sweeps.
+// query sweeps, on a pooled fold as historyQuery takes one — so after the
+// first iteration the columns are reused, not regrown.
 func BenchmarkHistoryWindowDB(b *testing.B) {
 	db := datagen.Commute(1, 1).Generate()
 	log, err := wal.Create(filepath.Join(b.TempDir(), "feed"), nil, wal.Options{Fsync: wal.FsyncNever, SegmentBytes: 4 << 20})
@@ -287,7 +288,7 @@ func BenchmarkHistoryWindowDB(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		fold := &windowFold{ids: map[string]model.ObjectID{}}
+		fold := newWindowFold() // as historyQuery does: pooled, released after use
 		err := log.ReadRecords(1000, 1999, true, func(_ model.Tick, payload []byte) error {
 			return tsio.WalkTickBlock(payload, fold)
 		})
@@ -298,5 +299,6 @@ func BenchmarkHistoryWindowDB(b *testing.B) {
 		if err != nil || fold.ticks != 1000 || window.Len() < 250 {
 			b.Fatalf("window: %d ticks, %d objects, %v", fold.ticks, window.Len(), err)
 		}
+		fold.release()
 	}
 }

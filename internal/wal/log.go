@@ -54,6 +54,11 @@ type Log struct {
 	// frame is Append's record buffer, reused from one append to the next
 	// (l.mu held); one past maxKeptFrame is dropped after its write.
 	frame []byte
+	// reader is the range reads' scratch — the segment read buffer and the
+	// segment list snapshot — kept from one read to the next. A read takes
+	// it out under l.mu and puts it back when done, so concurrent reads
+	// never share it: one that finds it taken makes its own.
+	reader *readScratch
 
 	lastSync        time.Time
 	appendedRecords int64
@@ -436,19 +441,24 @@ func (l *Log) readRecords(from, to model.Tick, bounded bool, fn func(path string
 		l.mu.Unlock()
 		return errClosed
 	}
-	segs := make([]segmentMeta, len(l.segs))
-	copy(segs, l.segs)
+	rs := l.reader
+	l.reader = nil
+	if rs == nil {
+		rs = new(readScratch)
+	}
+	rs.segs = append(rs.segs[:0], l.segs...)
 	l.mu.Unlock()
-	var buf []byte // one read buffer for every segment
-	for _, seg := range segs {
+	defer l.putReader(rs)
+	for _, seg := range rs.segs {
 		if seg.records == 0 {
 			continue
 		}
 		if bounded && seg.hasTick && (seg.last < from || seg.first > to) {
 			continue
 		}
-		var err error
-		if buf, err = readPrefix(l.opt.FS, seg.path, seg.bytes, buf); err != nil {
+		buf, err := readPrefix(l.opt.FS, seg.path, seg.bytes, rs.buf)
+		rs.buf = buf // one read buffer for every segment, and every read
+		if err != nil {
 			return fmt.Errorf("wal: read segment: %w", err)
 		}
 		err = walkRecords(seg.path, buf, func(off int64, payload []byte) error {
@@ -470,6 +480,22 @@ func (l *Log) readRecords(from, to model.Tick, bounded bool, fn func(path string
 		}
 	}
 	return nil
+}
+
+// readScratch is what one range read works in; see Log.reader.
+type readScratch struct {
+	buf  []byte
+	segs []segmentMeta
+}
+
+// putReader hands a read's scratch back for the next read. A closed log
+// keeps none.
+func (l *Log) putReader(rs *readScratch) {
+	l.mu.Lock()
+	if !l.closed {
+		l.reader = rs
+	}
+	l.mu.Unlock()
 }
 
 // Status snapshots the log's meters.
@@ -517,6 +543,7 @@ func (l *Log) Close() error {
 		err = fmt.Errorf("wal: close segment: %w", cerr)
 	}
 	l.closed = true
+	l.reader = nil
 	l.opt.Observer.OnSegments(-len(l.segs))
 	close(l.stop)
 	l.mu.Unlock()

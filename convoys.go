@@ -359,7 +359,9 @@ func ProximityLogFromDB(db *DB, r float64) (*ProximityLog, error) {
 
 // NewMonitor returns a standing convoy query consuming per-tick cluster
 // lists (see Monitor.AdvanceClusters); pair it with a ClusterSource at
-// Params.ClusterKey().
+// Params.ClusterKey(). The Monitor keeps the lists it is given, so a caller
+// never writes a list once it has pushed it — a reused buffer would corrupt
+// the open candidates.
 func NewMonitor(p Params) (*Monitor, error) { return core.NewMonitor(p) }
 
 // NewClusterSource returns a per-tick snapshot clustering stage for the

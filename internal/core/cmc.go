@@ -53,7 +53,27 @@ type candidateSet struct {
 	free  []*candidate                  // the generations chainStep retired, for reuse
 	inter []model.ObjectID              // chainStep's scratch: the intersection being sized up
 	hash  func([]model.ObjectID) uint64 // nil means hashIDs; the collision test overrides it
+
+	// last is the cluster list of the last step (nil after a step with no
+	// cluster); cluster lists are immutable, so keeping it costs nothing.
+	// stable caches whether last is pairwise disjoint with every cluster at
+	// least m objects — worked out once per distinct list, the first time
+	// the list repeats.
+	last   [][]model.ObjectID
+	stable stability
+	// fullSteps turns the repeat shortcut off; only the differential test
+	// sets it.
+	fullSteps bool
 }
+
+// stability is candidateSet.stable: not yet worked out, or the answer.
+type stability int8
+
+const (
+	stabilityUnknown stability = iota
+	stabilityStable
+	stabilityUnstable
+)
 
 func (s *candidateSet) add(objs, support []model.ObjectID, start, end model.Tick) {
 	h := hashIDs(objs)
@@ -90,9 +110,26 @@ func (s *candidateSet) add(objs, support []model.ObjectID, start, end model.Tick
 // intersect every live candidate with every cluster, report candidates that
 // die with sufficient lifetime, and open fresh candidates for the clusters.
 // endTick is the tick (or partition end) the new generation extends to;
-// freshStart is the start assigned to brand-new candidates. The new
-// generation is built in next and returned; live's slice becomes next's
-// buffer for the step after, so the caller must let go of it.
+// freshStart is the start assigned to brand-new candidates, later than the
+// start of every live candidate (steps ascend). The new generation is built
+// in next and returned; live's slice becomes next's buffer for the step
+// after, so the caller must let go of it. next keeps clusters (the lists
+// are immutable; fresh candidates alias them anyway).
+//
+// A step whose clusters value-equal the last step's, when that list is
+// stable — pairwise disjoint, every cluster at least m objects — is decided
+// without intersecting anything: live was built from that very list, so
+// every live candidate v lies inside exactly one cluster c (whole, as a
+// fresh cluster, or as an intersection of at least m objects). Then v ∩ c =
+// v keeps at least m objects and v ∩ c′ = ∅ for every other cluster c′, so
+// v survives into its own entry, in live order, and nothing dies; v's
+// support already contains c (it was unioned in when v was last built);
+// and each fresh cluster dedupes into the live entry equal to it, whose
+// start is earlier than freshStart. The full step would return the same
+// generation in the same order, each candidate's end moved to endTick, and
+// report nothing — so that is what the shortcut does, without the index or
+// a single allocation. A step with no cluster (a tick gap, an empty tick)
+// forgets the last list.
 func chainStep(
 	next *candidateSet,
 	live []*candidate,
@@ -103,6 +140,12 @@ func chainStep(
 	out *[]Convoy,
 	emit func(*candidate),
 ) []*candidate {
+	if next.repeats(clusters, m) {
+		for _, v := range live {
+			v.end = endTick
+		}
+		return live
+	}
 	if next.index == nil {
 		next.index = make(map[uint64]int)
 	}
@@ -153,6 +196,56 @@ func chainStep(
 	return gen
 }
 
+// repeats reports whether clusters value-equal the last step's list and
+// that list is stable, and otherwise remembers clusters as the last list.
+func (s *candidateSet) repeats(clusters [][]model.ObjectID, m int) bool {
+	if len(clusters) == 0 {
+		s.last = nil
+		return false
+	}
+	if !sameClusters(clusters, s.last) {
+		s.last, s.stable = clusters, stabilityUnknown
+		return false
+	}
+	if s.stable == stabilityUnknown {
+		s.stable = stabilityUnstable
+		if disjointAtLeast(clusters, m, &s.inter) {
+			s.stable = stabilityStable
+		}
+	}
+	return s.stable == stabilityStable && !s.fullSteps
+}
+
+// sameClusters reports whether two cluster lists hold the same clusters in
+// the same order. A list handed out again (increment.Engine's, on a
+// repeated tick) is recognised without reading it: lists are never written.
+func sameClusters(a, b [][]model.ObjectID) bool {
+	if len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] {
+		return true
+	}
+	return slices.EqualFunc(a, b, slices.Equal[[]model.ObjectID])
+}
+
+// disjointAtLeast reports whether every cluster has at least m objects and
+// no object is in two clusters, sorting the objects in scratch.
+func disjointAtLeast(clusters [][]model.ObjectID, m int, scratch *[]model.ObjectID) bool {
+	all := (*scratch)[:0]
+	for _, c := range clusters {
+		if len(c) < m {
+			return false
+		}
+		all = append(all, c...)
+	}
+	*scratch = all
+	slices.Sort(all)
+	for i := 1; i < len(all); i++ {
+		if all[i] == all[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
 // flushCandidates reports every remaining live candidate with sufficient
 // lifetime at the end of the scan.
 func flushCandidates(live []*candidate, k int64, out *[]Convoy, emit func(*candidate)) {
@@ -190,7 +283,8 @@ type scanState struct {
 // The snapshot a source clusters lives in its cursor's buffers and is
 // overwritten by the next tick's, which is why a Clusterer may not keep
 // the slices it is handed: the cluster lists that travel on to the monitor
-// are always freshly built.
+// are built apart from the snapshot and never written again (an engine
+// hands a repeated tick's lists out again, and the monitor keeps them).
 //
 // Parallelism is a scheduling policy around that kernel, not a second
 // implementation, and there is one schedule whoever consumes the scan: the

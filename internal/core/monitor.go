@@ -238,6 +238,12 @@ func (m *Monitor) LastTick() (model.Tick, bool) { return m.lastTick, m.started }
 // (every live candidate dies at the last seen tick, like a tick with no
 // clusters). It returns the convoys that closed at this tick: groups whose
 // togetherness ended at t−1 (or earlier, for a tick gap) with lifetime ≥ k.
+//
+// The Monitor keeps the lists it is given: open candidates share the member
+// lists, and the monitor compares the next tick's list against this one. So
+// clusters and its member lists must stay unwritten from here on — hand
+// over freshly built lists, or lists handed over before, never a buffer the
+// caller fills again.
 func (m *Monitor) AdvanceClusters(t model.Tick, clusters [][]model.ObjectID) ([]Convoy, error) {
 	if m.closed {
 		return nil, fmt.Errorf("core: AdvanceClusters on closed Monitor")
@@ -271,11 +277,12 @@ func (m *Monitor) Close() []Convoy {
 }
 
 // FirstDuplicateID reports a repeated object ID in a pushed snapshot — the
-// shared validation used by Streamer.Advance and the serve feed handler
-// (a repeated ID would cluster with itself and corrupt candidate sets,
-// emitting convoys like ⟨o1,o1,o2⟩). The common case — IDs already
-// ascending, as database replays produce — is checked with a linear scan
-// and no allocation; unsorted snapshots fall back to a set.
+// validation Streamer.Advance runs, and the answer a feed's own check over
+// its dense interned IDs gives too (a repeated ID would cluster with itself
+// and corrupt candidate sets, emitting convoys like ⟨o1,o1,o2⟩). The common
+// case — IDs already ascending, as database replays produce — is checked
+// with a linear scan and no allocation; unsorted snapshots fall back to a
+// set.
 func FirstDuplicateID(ids []model.ObjectID) (model.ObjectID, bool) {
 	sorted := true
 	for i := 1; i < len(ids); i++ {

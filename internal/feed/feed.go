@@ -100,6 +100,10 @@ type Feed struct {
 	ids           map[string]model.ObjectID // label → dense ID
 	labels        []string                  // dense ID → label
 	ticks         int64                     // ingested tick batches
+	// seenIn and batchGen are applyBatch's duplicate-ID check: seenIn[id]
+	// == batchGen marks an ID already present in the batch being validated.
+	seenIn   []uint64
+	batchGen uint64
 
 	// history is a ring of the last cfg.HistoryLimit events: once full, the
 	// event numbered seq lives at seq % HistoryLimit.
@@ -343,10 +347,10 @@ func (f *Feed) applyBatch(b wire.TickBatch, sp *trace.Span) ([]wire.ConvoyJSON, 
 		ids[i] = f.intern(pos.ID)
 		pts[i] = geom.Pt(pos.X, pos.Y)
 	}
-	if dup, ok := core.FirstDuplicateID(ids); ok {
+	if dup, ok := f.firstDuplicate(ids); ok {
 		// A repeated ID would cluster with itself and fake a convoy
-		// out of one real object (the same shared check the core
-		// Streamer runs).
+		// out of one real object (the check core.FirstDuplicateID
+		// makes for the Streamer).
 		label := f.labels[dup]
 		return nil, reject(fmt.Errorf("tick %d: duplicate id %q", b.T, label))
 	}
@@ -451,6 +455,24 @@ func (f *Feed) intern(label string) model.ObjectID {
 		f.labels = append(f.labels, label)
 	}
 	return id
+}
+
+// firstDuplicate reports the first repeated ID of a batch — the ID
+// core.FirstDuplicateID reports — without its set (worker only). The IDs
+// are interned, so dense: a stamp per label does, whatever order the batch
+// lists them in.
+func (f *Feed) firstDuplicate(ids []model.ObjectID) (model.ObjectID, bool) {
+	if n := len(f.labels); len(f.seenIn) < n {
+		f.seenIn = append(f.seenIn, make([]uint64, n-len(f.seenIn))...)
+	}
+	f.batchGen++
+	for _, id := range ids {
+		if f.seenIn[id] == f.batchGen {
+			return id, true
+		}
+		f.seenIn[id] = f.batchGen
+	}
+	return 0, false
 }
 
 // stageStart and stageEnd time one stage of an applied batch into an

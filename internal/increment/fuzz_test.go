@@ -20,6 +20,9 @@ import (
 // in one tick (a full pass on the other side of the constant), and while
 // the crowd is in, the scripted objects move it one at a time through
 // allPairsMax−1, allPairsMax and allPairsMax+1 on incremental ticks.
+// The engine hands a repeated tick's lists out again, so nothing may write
+// a list once returned: after every tick, every list returned so far must
+// still hold the ids it was returned with.
 func FuzzIncrementalTicks(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0, 10, 10, 0, 1, 12, 10, 0, 2, 14, 10})
@@ -48,6 +51,8 @@ func FuzzIncrementalTicks(f *testing.F) {
 		e := New(eps, m, DefaultChurnThreshold)
 		pos := map[model.ObjectID]geom.Point{}
 		crowdIn := false
+		type handedOut struct{ got, ids [][]model.ObjectID }
+		var returned []handedOut
 		next := func() (byte, bool) {
 			if len(data) == 0 {
 				return 0, false
@@ -109,9 +114,15 @@ func FuzzIncrementalTicks(f *testing.F) {
 			}
 			got, pass := e.Tick(ids, pts)
 			want := reference(ids, pts, eps, m)
-			if !reflect.DeepEqual(sortClusters(got), want) {
+			if !reflect.DeepEqual(got, want) { // both ordered by ascending member list
 				t.Fatalf("tick %d (full=%v): incremental diverged from reference\n got %v\nwant %v",
 					tick, pass.Full, got, want)
+			}
+			returned = append(returned, handedOut{got, want})
+			for i, r := range returned {
+				if !reflect.DeepEqual(r.got, r.ids) {
+					t.Fatalf("tick %d: the lists returned at tick %d changed to %v, were %v", tick, i, r.got, r.ids)
+				}
 			}
 		}
 	})

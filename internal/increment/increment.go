@@ -29,7 +29,8 @@
 // fallback: on data where everything moves every tick (the paper's Truck
 // and Cattle, a CuTS refinement window over a handful of objects) every
 // pass is one. It therefore allocates nothing at steady state beyond the
-// cluster lists it returns (TestFullPassSteadyStateAllocs), and it picks
+// cluster lists it returns, and nothing at all on a tick whose clusters
+// repeat the last tick's (TestFullPassSteadyStateAllocs), and it picks
 // its neighborhood scan by snapshot size: all pairs up to allPairsMax
 // objects, the grid above. The incremental pass never rebuilds the grid it
 // queries: it inserts, removes and moves the dirty objects only.
@@ -130,6 +131,13 @@ type Engine struct {
 	members   []int32 // member slots of every cluster of the tick, back to back
 	ends      []int   // cluster i is members[ends[i-1]:ends[i]]
 
+	// The tick's cluster lists are built and sorted in scratch (idsBuf,
+	// lists) and compared against last, the lists the engine handed out
+	// most recently: a tick that repeats them hands them out again.
+	idsBuf []model.ObjectID
+	lists  [][]model.ObjectID
+	last   [][]model.ObjectID
+
 	fullPasses  int64
 	incPasses   int64
 	reclustered int64
@@ -174,7 +182,9 @@ func (e *Engine) Counters() (full, incremental, reclustered, seen int64) {
 // Tick advances the engine by one snapshot (parallel ids/pts slices,
 // consecutive ticks of one stream) and returns its maximal DBSCAN clusters
 // — each an ascending id list, the cluster list ordered by ascending
-// member list — plus what the pass did.
+// member list — plus what the pass did. The lists are the caller's to keep
+// and read: a later tick whose clusters repeat them hands the same lists
+// out again, and the engine never writes one it has returned.
 func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectID, Pass) {
 	n := len(ids)
 	e.objectsSeen += int64(n)
@@ -538,9 +548,12 @@ func (e *Engine) recompute(s int32, g uint64) {
 // cluster per core component, holding its cores plus every border in a
 // core's neighborhood (borders may belong to several clusters, exactly
 // like dbscan.ClusterMaximal). Member lists come out as ascending ids; the
-// cluster list is ordered by ascending member list. The lists are carved
-// from one arena allocated per tick, never reused: a parallel scan hands
-// them to its consumer long after the engine has moved on.
+// cluster list is ordered by ascending member list. The lists are built in
+// scratch; when they equal the ones handed out last, those are handed out
+// again (nothing is allocated), and otherwise they are copied into one
+// fresh arena. Either way a returned list is never written afterwards: a
+// parallel scan hands them to its consumer long after the engine has moved
+// on, and a Monitor keeps them.
 func (e *Engine) emit() [][]model.ObjectID {
 	e.emitGen++
 	eg := e.emitGen
@@ -580,19 +593,33 @@ func (e *Engine) emit() [][]model.ObjectID {
 	if len(ends) == 0 {
 		return nil
 	}
-	arena := make([]model.ObjectID, len(members))
-	out := make([][]model.ObjectID, len(ends))
+	buf := growTo(e.idsBuf, len(members))
+	lists := e.lists[:0]
 	lo := 0
-	for ci, hi := range ends {
-		ids := arena[lo:hi:hi]
+	for _, hi := range ends {
+		ids := buf[lo:hi:hi]
 		for i, sl := range members[lo:hi] {
 			ids[i] = e.idOf[sl]
 		}
 		slices.Sort(ids)
-		out[ci] = ids
+		lists = append(lists, ids)
 		lo = hi
 	}
-	slices.SortFunc(out, slices.Compare[[]model.ObjectID])
+	slices.SortFunc(lists, slices.Compare[[]model.ObjectID])
+	e.idsBuf, e.lists = buf, lists
+	if slices.EqualFunc(lists, e.last, slices.Equal[[]model.ObjectID]) {
+		return e.last
+	}
+	arena := make([]model.ObjectID, len(members))
+	out := make([][]model.ObjectID, len(lists))
+	lo = 0
+	for ci, ids := range lists {
+		hi := lo + len(ids)
+		out[ci] = arena[lo:hi:hi]
+		copy(out[ci], ids)
+		lo = hi
+	}
+	e.last = out
 	return out
 }
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	convoyd -addr :8764 [-data dir] [-idle 10m] [-query-workers 8] [-cache 64] [-max-monitors 64] [-max-edges-per-tick 65536] [-request-timeout 30s]
+//	convoyd -addr :8764 [-data dir] [-idle 10m] [-query-workers 8] [-cache 64] [-max-monitors 64] [-request-timeout 30s]
 //	        [-data-dir dir] [-no-wal] [-wal-fsync always|interval|never] [-wal-fsync-interval 100ms]
 //	        [-wal-segment-bytes 4194304] [-wal-segment-age 0] [-wal-retain-ticks 0]
 //	        [-shard | -shards host:port,host:port,...]
@@ -19,19 +19,18 @@
 //	curl -X POST 'localhost:8764/v1/query?m=3&k=180&e=8' --data-binary @trucks.csv
 //
 // Any number of standing queries can watch one feed; monitors sharing
-// (e, m) and a clustering backend share one clustering pass per tick, and
-// events are tagged with the monitor that closed them:
+// (e, m) share one clustering pass per tick, and events are tagged with the
+// monitor that closed them:
 //
 //	curl -X POST localhost:8764/v1/feeds/fleet/monitors \
 //	     -d '{"id":"long-haul","params":{"m":2,"k":30,"e":1}}'
 //	curl 'localhost:8764/v1/feeds/fleet/convoys?monitor=long-haul'
 //	curl -X DELETE localhost:8764/v1/feeds/fleet/monitors/long-haul
 //
-// Feeds and monitors created with "clusterer":"proxgraph" cluster per-tick
-// proximity edges instead of positions — tick batches then carry
-// "edges":[{"a":...,"b":...,"w":...}] (capped by -max-edges-per-tick), so
-// coordinate-free contact streams work end to end. Batch queries take the
-// same backend with ?clusterer=proxgraph over an "a,b,t,w" contact CSV.
+// Feeds, monitors and queries cluster positions with the paper's DBSCAN.
+// "clusterer":"dbscan" is accepted as a legacy spelling; any other backend
+// answers 400: convoys in an "a,b,t,w" contact log are a library option,
+// convoys.WithClusterer(log.Clusterer()), shown in examples/contactlog.
 //
 // # Durable feeds
 //
@@ -150,7 +149,6 @@ func main() {
 		cache       = flag.Int("cache", 0, "batch-query LRU cache entries (0 = default 64, negative = off)")
 		history     = flag.Int("history", 0, "closed-convoy events retained per feed (0 = default 1024)")
 		monitors    = flag.Int("max-monitors", 0, "standing queries allowed per feed (0 = default 64)")
-		maxEdges    = flag.Int("max-edges-per-tick", 0, "proximity edges allowed in one tick batch (0 = default 65536)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "server-side cap on one batch query's wall time; queries past it abort mid-run and answer 504 (0 = uncapped)")
 		metricsAddr = flag.String("metrics-addr", "", "separate listen address for /metrics, /debug/vars, /debug/traces and -pprof (empty = mount them on the main address)")
 		pprofOn     = flag.Bool("pprof", false, "also serve /debug/pprof/* on the metrics address (or the main address when -metrics-addr is empty)")
@@ -224,7 +222,6 @@ func main() {
 		CacheEntries:       *cache,
 		HistoryLimit:       *history,
 		MaxMonitorsPerFeed: *monitors,
-		MaxEdgesPerTick:    *maxEdges,
 		QueryTimeout:       *reqTimeout,
 		Metrics:            reg,
 		Logger:             logger,

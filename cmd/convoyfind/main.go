@@ -3,7 +3,7 @@
 // Usage:
 //
 //	convoyfind -input traj.csv -m 3 -k 180 -e 8 [-algo cuts*] [-delta δ] [-lambda λ]
-//	           [-clusterer dbscan|proxgraph] [-workers N] [-partitions N] [-limit N] [-timeout 30s]
+//	           [-workers N] [-partitions N] [-limit N] [-timeout 30s]
 //	           [-stats] [-explain] [-format text|json|jsonl|json-array]
 //
 // The input is "obj,t,x,y" CSV with a header line or the binary CTB format
@@ -19,12 +19,9 @@
 // the paper's fastest; δ and λ default to the automatic guidelines of
 // Section 7.4; m and k must be ≥ 1.
 //
-// -clusterer proxgraph swaps the per-tick clustering backend: the input is
-// then an "a,b,t,w" contact log (weighted proximity edges, no coordinates)
-// and a convoy is a group staying graph-connected at weight ≥ e for k
-// consecutive ticks. The graph backend runs under CMC only — the CuTS
-// filter bounds are DBSCAN-specific — so -algo then defaults to cmc and a
-// CuTS variant is rejected.
+// Clustering is the paper's DBSCAN over positions. Convoys in an "a,b,t,w"
+// contact log (internal/proxgraph) are a library option,
+// convoys.WithClusterer(log.Clusterer()) — see examples/contactlog.
 //
 // -format json emits one JSON object per convoy (NDJSON) in the same wire
 // schema the convoyd server speaks (objects, start, end, lifetime), so
@@ -46,7 +43,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -60,7 +56,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/proxgraph"
 	"repro/internal/trace"
 	"repro/internal/tsio"
 	"repro/internal/wire"
@@ -68,21 +63,20 @@ import (
 
 func main() {
 	var (
-		input     = flag.String("input", "", "input file: CSV (obj,t,x,y with header) or binary CTB; required")
-		m         = flag.Int("m", 2, "minimum number of objects in a convoy")
-		k         = flag.Int64("k", 2, "minimum convoy lifetime in time points")
-		e         = flag.Float64("e", 1, "density-connection distance threshold")
-		algo      = flag.String("algo", "", "algorithm: cmc, cuts, cuts+ or cuts* (default cuts*; cmc under -clusterer proxgraph)")
-		clusterer = flag.String("clusterer", "dbscan", "clustering backend: dbscan (positions) or proxgraph (input is an a,b,t,w contact log)")
-		delta     = flag.Float64("delta", 0, "simplification tolerance δ (0 = automatic guideline)")
-		lambda    = flag.Int64("lambda", 0, "time-partition length λ (0 = automatic guideline)")
-		stats     = flag.Bool("stats", false, "print phase timings and filter statistics")
-		explain   = flag.Bool("explain", false, "print the per-stage timing profile to stderr after the results")
-		format    = flag.String("format", "text", "output format: text, json (NDJSON), jsonl (NDJSON, streamed as found) or json-array")
-		workers   = flag.Int("workers", 0, "goroutines per discovery stage (0 = all CPU cores, 1 = serial)")
-		limit     = flag.Int("limit", 0, "stop after this many convoys, abandoning the scan beyond the chunks already in flight (0 = all)")
-		parts     = flag.Int("partitions", 0, "split the time range into this many overlapping windows, mine them independently and merge — the answer is identical, the scan parallelises (0/1 = single pass)")
-		timeout   = flag.Duration("timeout", 0, "abort discovery after this long (0 = no deadline)")
+		input   = flag.String("input", "", "input file: CSV (obj,t,x,y with header) or binary CTB; required")
+		m       = flag.Int("m", 2, "minimum number of objects in a convoy")
+		k       = flag.Int64("k", 2, "minimum convoy lifetime in time points")
+		e       = flag.Float64("e", 1, "density-connection distance threshold")
+		algo    = flag.String("algo", "", "algorithm: cmc, cuts, cuts+ or cuts* (default cuts*)")
+		delta   = flag.Float64("delta", 0, "simplification tolerance δ (0 = automatic guideline)")
+		lambda  = flag.Int64("lambda", 0, "time-partition length λ (0 = automatic guideline)")
+		stats   = flag.Bool("stats", false, "print phase timings and filter statistics")
+		explain = flag.Bool("explain", false, "print the per-stage timing profile to stderr after the results")
+		format  = flag.String("format", "text", "output format: text, json (NDJSON), jsonl (NDJSON, streamed as found) or json-array")
+		workers = flag.Int("workers", 0, "goroutines per discovery stage (0 = all CPU cores, 1 = serial)")
+		limit   = flag.Int("limit", 0, "stop after this many convoys, abandoning the scan beyond the chunks already in flight (0 = all)")
+		parts   = flag.Int("partitions", 0, "split the time range into this many overlapping windows, mine them independently and merge — the answer is identical, the scan parallelises (0/1 = single pass)")
+		timeout = flag.Duration("timeout", 0, "abort discovery after this long (0 = no deadline)")
 	)
 	flag.Parse()
 	if *input == "" {
@@ -106,7 +100,7 @@ func main() {
 	}
 
 	opts := options{
-		input: *input, m: *m, k: *k, e: *e, algo: *algo, clusterer: *clusterer,
+		input: *input, m: *m, k: *k, e: *e, algo: *algo,
 		delta: *delta, lambda: *lambda, workers: *workers,
 		limit: *limit, partitions: *parts, stats: *stats, explain: *explain, format: *format,
 	}
@@ -124,16 +118,15 @@ func main() {
 
 // options carries one invocation's settings.
 type options struct {
-	input     string
-	m         int
-	k         int64
-	e         float64
-	algo      string
-	clusterer string
-	delta     float64
-	lambda    int64
-	workers   int
-	limit     int
+	input   string
+	m       int
+	k       int64
+	e       float64
+	algo    string
+	delta   float64
+	lambda  int64
+	workers int
+	limit   int
 	// partitions splits the scan into overlapping time windows mined
 	// independently and merged (-partitions); the answer never depends
 	// on it.
@@ -149,30 +142,10 @@ func (o options) spec() wire.QuerySpec {
 	return wire.QuerySpec{
 		Params:     wire.ParamsJSON{M: o.m, K: o.k, Eps: o.e},
 		Algo:       o.algo,
-		Clusterer:  o.clusterer,
 		Delta:      o.delta,
 		Lambda:     o.lambda,
 		Partitions: o.partitions,
 	}
-}
-
-// load reads the input the resolved query mines: a trajectory database, or
-// — under the proxgraph backend — a contact log as its stand-in database
-// plus the clusterer reading the log's edges.
-func load(input string, res wire.Resolved) (*model.DB, core.Clusterer, error) {
-	data, err := os.ReadFile(input)
-	if err != nil {
-		return nil, nil, err
-	}
-	if res.Clusterer != proxgraph.Backend {
-		db, err := tsio.Decode(data)
-		return db, nil, err
-	}
-	log, err := proxgraph.ReadLog(bytes.NewReader(data))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.ContactLog(log)
 }
 
 func run(ctx context.Context, out io.Writer, o options) error {
@@ -185,12 +158,16 @@ func run(ctx context.Context, out io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	db, cl, err := load(o.input, res)
+	data, err := os.ReadFile(o.input)
+	if err != nil {
+		return err
+	}
+	db, err := tsio.Decode(data)
 	if err != nil {
 		return err
 	}
 	var st core.Stats
-	opts := res.Options(o.workers, cl, &st)
+	opts := res.Options(o.workers, &st)
 	if o.limit > 0 {
 		opts = append(opts, core.WithLimit(o.limit))
 	}

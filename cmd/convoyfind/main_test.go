@@ -10,13 +10,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	convoys "repro"
 	"repro/internal/datagen"
-	"repro/internal/proxgraph"
 	"repro/internal/serve"
 	"repro/internal/tsio"
 	"repro/internal/wire"
@@ -264,58 +264,38 @@ func TestRunCancelled(t *testing.T) {
 	}
 }
 
-// -clusterer proxgraph reads an "a,b,t,w" contact log and discovers the
-// hand-checked convoy {a,b,c}@[1,5]: a–b and b–c in contact over ticks
-// 1..5, a weak d–a contact below e, a trailing a–b contact below m.
+// mainArgsEnv carries the arguments TestRunProxgraphContactLog runs main
+// with in a child process of the test binary.
+const mainArgsEnv = "CONVOYFIND_TEST_MAIN_ARGS"
+
+// TestRunProxgraphContactLog: convoyfind clusters positions only — convoys
+// in an "a,b,t,w" contact log are the library's (convoys.WithClusterer, see
+// examples/contactlog) — so -clusterer is an unknown flag, whatever backend
+// it names: the process exits 2 before it reads the input.
 func TestRunProxgraphContactLog(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "contacts.csv")
-	csv := "a,b,t,w\n"
-	for tick := 1; tick <= 5; tick++ {
-		csv += fmt.Sprintf("a,b,%d,1\nb,c,%d,1\n", tick, tick)
+	if args := os.Getenv(mainArgsEnv); args != "" {
+		os.Args = append([]string{"convoyfind"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
 	}
-	csv += "d,a,1,0.5\na,b,6,1\n"
-	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "contacts.csv")
+	if err := os.WriteFile(path, []byte("a,b,t,w\na,b,1,1\na,b,2,1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	err := run(context.Background(), &buf, options{
-		input: path, m: 3, k: 3, e: 1, algo: "cmc", clusterer: "proxgraph",
-		workers: 2, format: "text",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "1 convoy(s)") || !strings.Contains(out, "{a, b, c}") ||
-		!strings.Contains(out, "ticks [1, 5]") {
-		t.Fatalf("proxgraph output:\n%s", out)
-	}
-
-	// The CuTS family is rejected under the graph backend; so are unknown
-	// backends and trajectory bytes where a contact log is expected.
-	err = run(context.Background(), &buf, options{
-		input: path, m: 3, k: 3, e: 1, algo: "cuts*", clusterer: "proxgraph",
-		workers: 1, format: "text",
-	})
-	if err == nil || !strings.Contains(err.Error(), "algo=cmc") {
-		t.Fatalf("cuts* under proxgraph: err = %v, want algo=cmc guidance", err)
-	}
-	err = run(context.Background(), &buf, options{
-		input: path, m: 3, k: 3, e: 1, algo: "cmc", clusterer: "voronoi",
-		workers: 1, format: "text",
-	})
-	if err == nil {
-		t.Fatal("unknown clusterer accepted")
-	}
-	traj := writeFixture(t, dir, "two.csv")
-	err = run(context.Background(), &buf, options{
-		input: traj, m: 2, k: 5, e: 1, algo: "cmc", clusterer: "proxgraph",
-		workers: 1, format: "text",
-	})
-	if err == nil {
-		t.Fatal("trajectory CSV accepted as a contact log")
+	for _, backend := range []string{"proxgraph", "dbscan"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRunProxgraphContactLog$")
+		cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(
+			[]string{"-input", path, "-m", "2", "-k", "2", "-e", "1", "-algo", "cmc", "-clusterer", backend}, "\n"))
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-clusterer %s: err = %v, want exit status 2\nstderr: %s", backend, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "-clusterer") || stdout.Len() != 0 {
+			t.Fatalf("-clusterer %s: stdout %q, stderr %q; want only a usage error naming the flag", backend, stdout.String(), stderr.String())
+		}
 	}
 }
 
@@ -331,21 +311,8 @@ func TestCLIAndServerAgree(t *testing.T) {
 		srv.Close()
 	}()
 	prof := datagen.Contact(0.2, 1)
-	db := prof.Generate()
-	log, err := proxgraph.FromDB(db, prof.Eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	positions, contacts := filepath.Join(dir, "positions.ctb"), filepath.Join(dir, "contacts.csv")
-	if err := tsio.SaveBinary(positions, db); err != nil {
-		t.Fatal(err)
-	}
-	var edges bytes.Buffer
-	if err := tsio.WriteEdgeCSV(&edges, log.Records()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(contacts, edges.Bytes(), 0o644); err != nil {
+	positions := filepath.Join(t.TempDir(), "positions.ctb")
+	if err := tsio.SaveBinary(positions, prof.Generate()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -399,13 +366,8 @@ func TestCLIAndServerAgree(t *testing.T) {
 		o.delta, o.lambda = 1.5, 12 // given, not the automatic guidelines
 		specs = append(specs, o)
 	}
-	for _, algo := range []string{"", "cmc", "CMC"} {
-		o := base
-		o.input, o.algo, o.clusterer, o.e = contacts, algo, "proxgraph", 1
-		specs = append(specs, o)
-	}
 	for _, o := range specs {
-		name := fmt.Sprintf("algo=%q clusterer=%q delta=%g lambda=%d", o.algo, o.clusterer, o.delta, o.lambda)
+		name := fmt.Sprintf("algo=%q delta=%g lambda=%d", o.algo, o.delta, o.lambda)
 		var cli bytes.Buffer
 		if err := run(context.Background(), &cli, o); err != nil {
 			t.Fatalf("%s: convoyfind: %v", name, err)
@@ -430,15 +392,8 @@ func TestCLIAndServerAgree(t *testing.T) {
 	}
 	for name, o := range map[string]options{
 		"unknown algorithm": reject(func(o *options) { o.algo = "nope" }),
-		"unknown clusterer": reject(func(o *options) { o.clusterer = "voronoi" }),
-		"cuts under proxgraph": reject(func(o *options) {
-			o.input, o.clusterer, o.algo = contacts, "proxgraph", "cuts"
-		}),
-		"cuts* under proxgraph": reject(func(o *options) {
-			o.input, o.clusterer, o.algo = contacts, "proxgraph", "cuts*"
-		}),
-		"m < 1": reject(func(o *options) { o.m = 0 }),
-		"k < 1": reject(func(o *options) { o.k = 0 }),
+		"m < 1":             reject(func(o *options) { o.m = 0 }),
+		"k < 1":             reject(func(o *options) { o.k = 0 }),
 	} {
 		cliErr := run(context.Background(), io.Discard, o)
 		_, srvErr := server(o)

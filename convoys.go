@@ -65,7 +65,8 @@
 //
 // Custom backends plug in the same way (WithClusterer, or
 // NewClusterSourceWith for the streaming engine); only CMC accepts them —
-// the CuTS filter bounds are DBSCAN-specific theorems.
+// the CuTS filter bounds are DBSCAN-specific theorems. Backends are a
+// library option: the convoyd daemon and the CLIs cluster positions only.
 //
 // # Serving
 //
@@ -298,9 +299,8 @@ type (
 	// sharing a ClusterKey from one ClusterSource and each tick costs one
 	// DBSCAN pass, not N.
 	Monitor = core.Monitor
-	// ClusterKey is the clustering configuration (e, m, backend) that
-	// determines snapshot clusters; monitors sharing a key can share a
-	// source. The zero Backend means the default DBSCAN backend.
+	// ClusterKey is the clustering configuration (e, m) that determines
+	// snapshot clusters; monitors sharing a key can share a source.
 	ClusterKey = core.ClusterKey
 	// ClusterSource computes per-tick snapshot clusters at one ClusterKey
 	// and counts its clustering passes.
@@ -313,14 +313,15 @@ type (
 	// Clusterer is a per-tick clustering backend: it partitions one tick's
 	// snapshot into candidate groups of at least ClusterKey.M members.
 	// DefaultClusterer is the paper's grid-indexed DBSCAN over positions;
-	// GraphClusterer clusters the snapshot's proximity edges instead.
+	// GraphClusterer clusters a contact log's edges at the snapshot's tick
+	// instead.
 	Clusterer = core.Clusterer
-	// TickSnapshot is one tick's input to a Clusterer: object IDs with
-	// their positions, plus optional proximity edges.
+	// TickSnapshot is one tick's input to a Clusterer: the tick and the
+	// object IDs alive at it with their positions.
 	TickSnapshot = core.TickSnapshot
 	// ProxEdge is one weighted proximity observation between two objects
-	// within a TickSnapshot.
-	ProxEdge = core.ProxEdge
+	// of a ProximityLog (ProximityLog.EdgesAt).
+	ProxEdge = proxgraph.Edge
 	// ProximityLog is a coordinate-free contact log: timestamped weighted
 	// edges between labeled objects (read from "a,b,t,w" CSV). Its
 	// Clusterer method yields a graph-connectivity backend over the log,
@@ -334,10 +335,9 @@ type (
 func DefaultClusterer() Clusterer { return core.DefaultClusterer }
 
 // GraphClusterer returns the graph-connectivity backend: clusters are
-// connected components of the snapshot's proximity edges with weight ≥ e,
-// ignoring positions entirely. A nil log clusters only the edges carried in
-// each TickSnapshot (the streaming form); a non-nil log supplies edges for
-// snapshots that carry none (the batch form — pair it with log.DB()).
+// connected components of the log's proximity edges at the snapshot's tick
+// with weight ≥ e, ignoring positions entirely (pair it with log.DB(), the
+// log's stand-in database). A nil log has no edges, so no clusters.
 func GraphClusterer(log *ProximityLog) Clusterer { return proxgraph.Clusterer{Log: log} }
 
 // NewProximityLog returns an empty contact log; fill it with Add.
@@ -364,15 +364,14 @@ func ProximityLogFromDB(db *DB, r float64) (*ProximityLog, error) {
 // the open candidates.
 func NewMonitor(p Params) (*Monitor, error) { return core.NewMonitor(p) }
 
-// NewClusterSource returns a per-tick snapshot clustering stage for the
-// key, shareable by every Monitor whose parameters have that ClusterKey.
-// The key's backend must be the default; pass custom backends to
-// NewClusterSourceWith.
+// NewClusterSource returns a per-tick snapshot DBSCAN stage for the key,
+// shareable by every Monitor whose parameters have that ClusterKey.
 func NewClusterSource(key ClusterKey) (*ClusterSource, error) { return core.NewClusterSource(key) }
 
 // NewClusterSourceWith returns a clustering stage running the given
-// backend (nil = default DBSCAN). The key's Backend must name c — sources
-// are shared by key, so the key must pin the backend that computes it.
+// backend (nil = default DBSCAN). The source owns its backend: monitors
+// fed from one source share its clusters, so share a source only among
+// monitors that mean the same backend.
 func NewClusterSourceWith(key ClusterKey, c Clusterer) (*ClusterSource, error) {
 	return core.NewClusterSourceWith(key, c)
 }

@@ -3,6 +3,7 @@ package convoys_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -199,6 +200,110 @@ func TestFacadeCanonicalize(t *testing.T) {
 	res := convoys.Canonicalize([]convoys.Convoy{c1, c2})
 	if len(res) != 1 || !res[0].Equal(c1) {
 		t.Errorf("Canonicalize = %v", res)
+	}
+}
+
+// labeled renders convoys in label space, sorted — the common ground of
+// two databases that number the same objects differently.
+func labeled(res convoys.Result, label func(convoys.ObjectID) string) []string {
+	out := []string{}
+	for _, c := range res {
+		names := make([]string, len(c.Objects))
+		for i, id := range c.Objects {
+			names[i] = label(id)
+		}
+		sort.Strings(names)
+		out = append(out, fmt.Sprintf("%v@[%d,%d]", names, c.Start, c.End))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestGraphClustererWindow is the contact-log query the daemon no longer
+// takes, through the library: GraphClusterer over a hand-checked a,b,t,w
+// log finds its one convoy (under CMC only), and over ProximityLogFromDB's
+// log cut to a window by Log.Window it answers exactly what DBSCAN answers
+// over the positions in that window at m = 2, where the two density
+// notions coincide.
+func TestGraphClustererWindow(t *testing.T) {
+	ctx := context.Background()
+	// a–b and b–c in contact over ticks 1..5 (a convoy {a,b,c} under m=3,
+	// k=3, e=1 by transitivity), a weak d–a contact below the threshold,
+	// and an undersized trailing a–b contact.
+	csv := "a,b,t,w\n"
+	for tick := 1; tick <= 5; tick++ {
+		csv += fmt.Sprintf("a,b,%d,1\nb,c,%d,1\n", tick, tick)
+	}
+	csv += "d,a,1,0.5\na,b,6,1\n"
+	log, err := convoys.ReadProximityLog(strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ldb, err := log.DB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph := []convoys.QueryOption{convoys.M(3), convoys.K(3), convoys.Eps(1), convoys.WithClusterer(convoys.GraphClusterer(log))}
+	res, err := convoys.NewQuery(append(graph, convoys.WithCMC())...).Run(ctx, ldb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := labeled(res, log.Label); !reflect.DeepEqual(got, []string{"[a b c]@[1,5]"}) {
+		t.Fatalf("contact-log convoys = %v, want [a b c]@[1,5]", got)
+	}
+	if _, err := convoys.NewQuery(graph...).Run(ctx, ldb); err == nil || !strings.Contains(err.Error(), "CMC") {
+		t.Fatalf("graph backend under CuTS*: err = %v, want the CMC requirement", err)
+	}
+
+	prof := convoys.ContactProfile(0.2, 1)
+	db := prof.Generate()
+	full, err := convoys.ProximityLogFromDB(db, prof.Eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi, _ := db.TimeRange()
+	mid := lo + (hi-lo)/2
+	for _, w := range [][2]convoys.Tick{{lo, hi}, {lo + 7, mid}, {mid - 40, hi - 3}} {
+		// DBSCAN over the window: every object is sampled at every tick of
+		// its span, so keeping the in-window samples is the exact slice.
+		wdb := convoys.NewDB()
+		for _, tr := range db.Trajectories() {
+			var in []convoys.Sample
+			for _, s := range tr.Samples {
+				if s.T >= w[0] && s.T <= w[1] {
+					in = append(in, s)
+				}
+			}
+			if len(in) == 0 {
+				continue
+			}
+			wtr, err := convoys.NewTrajectory(tr.Label, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wdb.Add(wtr)
+		}
+		want, err := convoys.NewQuery(convoys.M(2), convoys.K(prof.K), convoys.Eps(prof.Eps), convoys.WithCMC()).Run(ctx, wdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wlog, err := full.Window(w[0], w[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wldb, err := wlog.DB()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := convoys.NewQuery(convoys.M(2), convoys.K(prof.K), convoys.Eps(1), convoys.WithCMC(),
+			convoys.WithClusterer(convoys.GraphClusterer(wlog))).Run(ctx, wldb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantL := labeled(want, func(id convoys.ObjectID) string { return wdb.Traj(id).Label })
+		if gotL := labeled(got, wlog.Label); len(wantL) == 0 || !reflect.DeepEqual(gotL, wantL) {
+			t.Errorf("window %v: graph convoys %v, DBSCAN convoys %v; want equal and non-empty", w, gotL, wantL)
+		}
 	}
 }
 

@@ -8,39 +8,25 @@ import (
 
 // The per-tick clustering stage is pluggable: the convoy definition only
 // needs *some* notion of density-connected groups per time point — the
-// paper instantiates it with Euclidean DBSCAN, but the CMC chaining (and
-// the whole streaming engine on top of it) is agnostic to where the
-// clusters come from. A Clusterer computes one tick's clusters from a
-// snapshot; the built-in DBSCANClusterer reproduces the paper exactly,
-// and internal/proxgraph clusters coordinate-free proximity logs
-// (co-presence edges) with the same machinery. The CuTS filter step is
-// NOT pluggable — its pruning bounds are theorems about Euclidean DBSCAN
-// over polylines — so custom clusterers pair with the CMC algorithm.
+// paper instantiates it with Euclidean DBSCAN, but the CMC chaining is
+// agnostic to where the clusters come from. A Clusterer computes one
+// tick's clusters from a snapshot; the built-in DBSCANClusterer reproduces
+// the paper exactly, and internal/proxgraph clusters coordinate-free
+// proximity logs it holds itself. The CuTS filter step is NOT pluggable —
+// its pruning bounds are theorems about Euclidean DBSCAN over polylines —
+// so custom clusterers pair with the CMC algorithm. It is a library
+// option: the daemon and the CLIs cluster positions with DBSCAN only.
 
-// DefaultBackend is the name of the built-in grid-DBSCAN backend. A
-// ClusterKey whose Backend field is empty means this backend, so keys
-// predating pluggable clusterers keep their meaning.
+// DefaultBackend is the Name of the built-in grid-DBSCAN backend.
 const DefaultBackend = "dbscan"
 
-// ProxEdge is one proximity observation between two objects at a tick:
-// the input of graph-connectivity clusterers. W is the edge weight (e.g.
-// contact duration or signal strength); a backend thresholds it against
-// the clustering key's Eps.
-type ProxEdge struct {
-	A, B model.ObjectID
-	W    float64
-}
-
-// TickSnapshot is everything one tick exposes to a Clusterer: the alive
-// object IDs with their positions (parallel slices; geometric backends
-// use these) and/or the tick's proximity edges (graph backends use
-// these). Either part may be empty — a coordinate-free feed carries only
-// edges, a trajectory database only positions.
+// TickSnapshot is everything one tick exposes to a Clusterer: the tick and
+// the alive object IDs with their positions (parallel slices). A backend
+// that clusters something other than positions looks its input up by T.
 type TickSnapshot struct {
-	T     model.Tick
-	IDs   []model.ObjectID
-	Pts   []geom.Point
-	Edges []ProxEdge
+	T   model.Tick
+	IDs []model.ObjectID
+	Pts []geom.Point
 }
 
 // Clusterer computes the per-tick density-connected groups the convoy
@@ -50,14 +36,13 @@ type TickSnapshot struct {
 // cluster has ≥ key.M members, member lists are ascending object IDs, and
 // the output is deterministic in the snapshot. Clusters may overlap (the
 // DBSCAN backend's maximal sets share border points); callers never
-// mutate the returned slices. Name identifies the backend; two monitors
-// share a clustering pass only when their keys — including the backend —
-// are equal. Implementations must be safe for concurrent Clusters calls
-// (the parallel CMC pipeline clusters many ticks at once). The snapshot's
-// slices are lent, not given: a database scan hands out its sweep cursor's
-// buffers (model.Cursor) and overwrites them for the next tick, so an
-// implementation neither modifies nor keeps them, and returns freshly
-// built member lists rather than sub-slices of snap.IDs.
+// mutate the returned slices. Name identifies the backend. Implementations
+// must be safe for concurrent Clusters calls (the parallel CMC pipeline
+// clusters many ticks at once). The snapshot's slices are lent, not given:
+// a database scan hands out its sweep cursor's buffers (model.Cursor) and
+// overwrites them for the next tick, so an implementation neither modifies
+// nor keeps them, and returns freshly built member lists rather than
+// sub-slices of snap.IDs.
 //
 // Clusterers are stateless across ticks by design — Clusters(key, snap)
 // is a pure function of its arguments. Stateful acceleration (reusing the
@@ -72,7 +57,7 @@ type Clusterer interface {
 
 // DBSCANClusterer is the paper's per-tick clustering: maximal
 // density-connected sets (grid-accelerated snapshot DBSCAN) over the
-// snapshot positions, ignoring edges. The zero value is ready to use.
+// snapshot positions. The zero value is ready to use.
 type DBSCANClusterer struct{}
 
 // Name returns DefaultBackend.

@@ -12,15 +12,23 @@ import (
 	"repro/internal/model"
 )
 
+// contact is one weighted proximity edge of componentClusterer's log.
+type contact struct {
+	a, b model.ObjectID
+	w    float64
+}
+
 // componentClusterer is a minimal non-default backend for tests: connected
-// components of the snapshot edges at weight ≥ key.Eps (the proxgraph
-// semantics, reimplemented here because core's internal tests cannot
-// import proxgraph without a cycle).
-type componentClusterer struct{}
+// components of its own per-tick contact log at weight ≥ key.Eps, looked
+// up by the snapshot's tick (the proxgraph semantics, reimplemented here
+// because core's internal tests cannot import proxgraph without a cycle).
+type componentClusterer struct {
+	log map[model.Tick][]contact
+}
 
 func (componentClusterer) Name() string { return "components" }
 
-func (componentClusterer) Clusters(key ClusterKey, snap TickSnapshot) [][]model.ObjectID {
+func (c componentClusterer) Clusters(key ClusterKey, snap TickSnapshot) [][]model.ObjectID {
 	parent := map[model.ObjectID]model.ObjectID{}
 	var find func(model.ObjectID) model.ObjectID
 	find = func(x model.ObjectID) model.ObjectID {
@@ -33,9 +41,9 @@ func (componentClusterer) Clusters(key ClusterKey, snap TickSnapshot) [][]model.
 		parent[x] = r
 		return r
 	}
-	for _, e := range snap.Edges {
-		if e.W >= key.Eps {
-			parent[find(e.A)] = find(e.B)
+	for _, e := range c.log[snap.T] {
+		if e.w >= key.Eps {
+			parent[find(e.a)] = find(e.b)
 		}
 	}
 	groups := map[model.ObjectID][]model.ObjectID{}
@@ -129,79 +137,75 @@ func TestWithClustererRequiresCMC(t *testing.T) {
 	}
 }
 
-// TestClusterSourceBackendKeys covers the sharing identity (satellite:
-// monitor-table key isolation at the core level): equal (e, m) with
-// different backends are different keys, so two sources never share — and
-// a key lying about its backend is rejected.
+// TestClusterSourceBackendKeys: a source owns its clusterer, so the key is
+// (e, m) alone — two sources at one key with different backends share the
+// key, not the clusters. Each answers its own backend's clusters; the
+// default constructors both run DBSCAN; an invalid key is refused whatever
+// the backend.
 func TestClusterSourceBackendKeys(t *testing.T) {
-	base := ClusterKey{Eps: 2, M: 2}
-	def, err := NewClusterSource(base)
+	key := ClusterKey{Eps: 2, M: 2}
+	def, err := NewClusterSource(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := NewClusterSourceWith(ClusterKey{Eps: 2, M: 2, Backend: "components"}, componentClusterer{})
+	comp, err := NewClusterSourceWith(key, componentClusterer{log: map[model.Tick][]contact{3: {{0, 1, 5}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Key() == comp.Key() {
-		t.Fatal("distinct backends share a ClusterKey")
-	}
-	if def.Key() != base.Canonical() || def.Key().BackendName() != DefaultBackend {
-		t.Fatalf("default key = %+v", def.Key())
-	}
-
-	// Both spellings of the default backend canonicalize to one key.
-	spelled, err := NewClusterSourceWith(ClusterKey{Eps: 2, M: 2, Backend: DefaultBackend}, nil)
+	spelled, err := NewClusterSourceWith(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spelled.Key() != def.Key() {
-		t.Fatalf("default-backend spellings diverge: %+v vs %+v", spelled.Key(), def.Key())
+	if def.Key() != key || comp.Key() != key || spelled.Key() != key {
+		t.Fatalf("keys = %+v / %+v / %+v, want %+v for all three", def.Key(), comp.Key(), spelled.Key(), key)
+	}
+	if comp.Clusterer().Name() != "components" || def.Clusterer().Name() != DefaultBackend ||
+		spelled.Clusterer().Name() != DefaultBackend {
+		t.Fatalf("clusterer names = %q/%q/%q", comp.Clusterer().Name(), def.Clusterer().Name(), spelled.Clusterer().Name())
+	}
+	for _, c := range []Clusterer{nil, componentClusterer{}} {
+		if _, err := NewClusterSourceWith(ClusterKey{Eps: 2, M: 0}, c); err == nil {
+			t.Errorf("m = 0 accepted with clusterer %v", c)
+		}
 	}
 
-	// A key naming a backend other than the clusterer's is a lie.
-	if _, err := NewClusterSourceWith(base, componentClusterer{}); err == nil {
-		t.Error("key backend mismatch accepted")
-	}
-	// NewClusterSource cannot resolve foreign backends by name.
-	if _, err := NewClusterSource(ClusterKey{Eps: 2, M: 2, Backend: "components"}); err == nil {
-		t.Error("NewClusterSource resolved a non-default backend")
-	}
-
-	// Pass counters are independent per source; Cluster and the Snapshot
-	// shorthand both count.
+	// The same snapshot, two answers: the objects are far apart (no DBSCAN
+	// cluster) but in contact at tick 3. Pass counters are independent per
+	// source; Cluster and the Snapshot shorthand both count.
 	snap := TickSnapshot{
-		IDs:   []model.ObjectID{0, 1},
-		Pts:   []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)},
-		Edges: []ProxEdge{{A: 0, B: 1, W: 5}},
+		T:   3,
+		IDs: []model.ObjectID{0, 1},
+		Pts: []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0)},
 	}
 	if got := comp.Cluster(snap); len(got) != 1 || got[0][0] != 0 || got[0][1] != 1 {
 		t.Fatalf("component cluster = %v", got)
 	}
-	def.Snapshot(snap.IDs, snap.Pts)
-	def.Snapshot(snap.IDs, snap.Pts)
-	if def.Passes() != 2 || comp.Passes() != 1 {
-		t.Fatalf("passes = %d/%d, want 2/1", def.Passes(), comp.Passes())
+	if got := def.Cluster(snap); len(got) != 0 {
+		t.Fatalf("dbscan cluster = %v, want none", got)
 	}
-	if comp.Clusterer().Name() != "components" || def.Clusterer().Name() != DefaultBackend {
-		t.Fatalf("clusterer names = %q/%q", comp.Clusterer().Name(), def.Clusterer().Name())
+	def.Snapshot(snap.IDs, snap.Pts)
+	if def.Passes() != 2 || comp.Passes() != 1 || spelled.Passes() != 0 {
+		t.Fatalf("passes = %d/%d/%d, want 2/1/0", def.Passes(), comp.Passes(), spelled.Passes())
 	}
 }
 
-// TestMonitorBackendIsolation runs the same edge-augmented stream through
-// a DBSCAN monitor and a component monitor at identical (e, m, k): the
-// component backend chains the edge graph (one long convoy), while DBSCAN
-// chains positions (none — the points are spread out), proving the
-// backends answer different queries and must never share a pass.
+// TestMonitorBackendIsolation runs the same stream through a DBSCAN
+// monitor and a component monitor at identical (e, m, k), each fed by its
+// own source at the one ClusterKey: the component backend chains its
+// contact log (one long convoy), while DBSCAN chains positions (none — the
+// points are spread out). Equal keys do not make a shared pass; sharing a
+// source does, and these two must not.
 func TestMonitorBackendIsolation(t *testing.T) {
 	p := Params{M: 2, K: 3, Eps: 1}
 	defSrc, err := NewClusterSource(p.ClusterKey())
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := p.ClusterKey()
-	key.Backend = "components"
-	compSrc, err := NewClusterSourceWith(key, componentClusterer{})
+	contacts := map[model.Tick][]contact{}
+	for tick := model.Tick(1); tick <= 4; tick++ {
+		contacts[tick] = []contact{{0, 1, 1}} // in contact at every tick
+	}
+	compSrc, err := NewClusterSourceWith(p.ClusterKey(), componentClusterer{log: contacts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +220,9 @@ func TestMonitorBackendIsolation(t *testing.T) {
 	var defOut, compOut []Convoy
 	for tick := model.Tick(1); tick <= 4; tick++ {
 		snap := TickSnapshot{
-			T:     tick,
-			IDs:   []model.ObjectID{0, 1},
-			Pts:   []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0)}, // far apart
-			Edges: []ProxEdge{{A: 0, B: 1, W: 1}},               // yet in contact
+			T:   tick,
+			IDs: []model.ObjectID{0, 1},
+			Pts: []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0)}, // far apart
 		}
 		d, err := defMon.AdvanceClusters(tick, defSrc.Cluster(snap))
 		if err != nil {

@@ -22,47 +22,20 @@ import (
 // is the 1-monitor special case wiring one source to one monitor.
 
 // ClusterKey identifies a clustering configuration: the density-connection
-// distance e, the density threshold m, and the clustering backend. Monitors
-// whose parameters share a key can share one ClusterSource (and thus one
-// clustering pass per tick); distinct backends never share, even at equal
-// (e, m) — their clusters mean different things.
+// distance e and the density threshold m. Monitors whose parameters share a
+// key can share one ClusterSource (and thus one clustering pass per tick).
+// The key does not name a backend: a source owns its Clusterer, so whether
+// two monitors share a pass is decided by whether they share the source.
 type ClusterKey struct {
 	Eps float64
 	M   int
-	// Backend names the Clusterer computing the clusters; empty means
-	// DefaultBackend (grid-DBSCAN), so zero-value keys and keys from before
-	// pluggable backends keep their meaning. Compare keys for sharing via
-	// Canonical (or with both sides' BackendName) so the two spellings of
-	// the default never split a group.
-	Backend string
 }
 
 // ClusterKey returns the clustering key of the parameters: the (e, m) part
-// that determines the snapshot clusters, independent of the lifetime k. The
-// backend is left empty (= DefaultBackend).
+// that determines the snapshot clusters, independent of the lifetime k.
 func (p Params) ClusterKey() ClusterKey { return ClusterKey{Eps: p.Eps, M: p.M} }
 
-// BackendName returns the key's backend with the empty spelling resolved to
-// DefaultBackend.
-func (k ClusterKey) BackendName() string {
-	if k.Backend == "" {
-		return DefaultBackend
-	}
-	return k.Backend
-}
-
-// Canonical returns the key with the default backend normalized to the
-// empty spelling, so canonical keys are comparable with == (map keys,
-// sharing checks) regardless of how the default was written.
-func (k ClusterKey) Canonical() ClusterKey {
-	if k.Backend == DefaultBackend {
-		k.Backend = ""
-	}
-	return k
-}
-
-// Validate reports whether the key is usable (same bounds as Params; any
-// backend name is allowed — resolution is the caller's concern).
+// Validate reports whether the key is usable (same bounds as Params).
 func (k ClusterKey) Validate() error {
 	return Params{M: k.M, K: 1, Eps: k.Eps}.Validate()
 }
@@ -93,29 +66,19 @@ type ClusterSource struct {
 }
 
 // NewClusterSource validates the key and returns a source with a zeroed
-// pass counter, clustering with the backend the key names (only the
-// built-in DefaultBackend can be resolved by name here; other backends go
-// through NewClusterSourceWith).
+// pass counter, clustering with the default grid-DBSCAN backend.
 func NewClusterSource(key ClusterKey) (*ClusterSource, error) {
-	if key.BackendName() != DefaultBackend {
-		return nil, fmt.Errorf("core: NewClusterSource: unknown backend %q (pass the Clusterer to NewClusterSourceWith)", key.Backend)
-	}
 	return NewClusterSourceWith(key, nil)
 }
 
 // NewClusterSourceWith validates the key and returns a source clustering
-// with c (nil means DefaultClusterer). A key naming a different backend
-// than c is rejected — the key is the sharing identity, so it must tell
-// the truth about who computes the clusters. The stored key is canonical.
+// with c (nil means DefaultClusterer).
 func NewClusterSourceWith(key ClusterKey, c Clusterer) (*ClusterSource, error) {
 	if c == nil {
 		c = DefaultClusterer
 	}
 	if err := key.Validate(); err != nil {
 		return nil, err
-	}
-	if key.BackendName() != c.Name() {
-		return nil, fmt.Errorf("core: NewClusterSourceWith: key backend %q does not match clusterer %q", key.BackendName(), c.Name())
 	}
 	return newSource(key, c, DefaultChurnThreshold, nil), nil
 }
@@ -125,13 +88,12 @@ func NewClusterSourceWith(key ClusterKey, c Clusterer) (*ClusterSource, error) {
 // that decides whether a source carries an incremental engine (see
 // SetIncremental). meter, when non-nil, is bumped on every pass.
 func newSource(key ClusterKey, c Clusterer, threshold float64, meter *scanMeter) *ClusterSource {
-	key.Backend = c.Name()
-	s := &ClusterSource{key: key.Canonical(), c: c, meter: meter}
+	s := &ClusterSource{key: key, c: c, meter: meter}
 	s.SetIncremental(threshold)
 	return s
 }
 
-// Key returns the source's clustering key (canonical).
+// Key returns the source's clustering key.
 func (s *ClusterSource) Key() ClusterKey { return s.key }
 
 // Clusterer returns the backend computing the source's clusters.
@@ -171,8 +133,8 @@ func (s *ClusterSource) LastPass() (incremental bool, reclustered int) {
 // not be sorted; cluster member lists come out ascending (the Clusterer
 // contract). The caller is responsible for snapshot validation (parallel
 // IDs/Pts slices, no duplicate IDs — see FirstDuplicateID, finite
-// coordinates, valid edges); Streamer.Advance and the serve feed handler
-// both do this before clustering.
+// coordinates); Streamer.Advance and the feed runtime both do this before
+// clustering.
 func (s *ClusterSource) Cluster(snap TickSnapshot) [][]model.ObjectID {
 	var out [][]model.ObjectID
 	if s.eng != nil {
@@ -187,8 +149,8 @@ func (s *ClusterSource) Cluster(snap TickSnapshot) [][]model.ObjectID {
 }
 
 // Snapshot clusters the object IDs alive at one tick and their positions
-// (parallel slices) — the positions-only special case of Cluster, for
-// geometric backends.
+// (parallel slices) — Cluster without a tick, for backends that read
+// positions only.
 func (s *ClusterSource) Snapshot(ids []model.ObjectID, pts []geom.Point) [][]model.ObjectID {
 	return s.Cluster(TickSnapshot{IDs: ids, Pts: pts})
 }

@@ -249,8 +249,8 @@ func sortIDs(ids []model.ObjectID) {
 // convoys are not final until the merge, so there is nothing to stream
 // early), and a non-default clusterer keeps the single-pass plan — a
 // backend like proxgraph clusters its own side data in its own ID space,
-// which a sliced database cannot re-index. (The serving layer windows
-// proxgraph queries by slicing the edge log itself.)
+// which a sliced database cannot re-index. (Window a contact log by
+// slicing the log itself: proxgraph.Log.Window.)
 func WithPartitions(n int) Option { return func(q *Query) { q.partitions = n } }
 
 // runPartitioned executes the partition → local-mine → merge plan behind

@@ -52,7 +52,7 @@ func TestFirstDuplicateMatchesCore(t *testing.T) {
 func TestUnsortedDuplicateRejected(t *testing.T) {
 	r := NewRegistry(Config{})
 	defer r.CloseAll()
-	f, err := r.Create("f", core.Params{M: 2, K: 2, Eps: 1}, "")
+	f, err := r.Create("f", core.Params{M: 2, K: 2, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

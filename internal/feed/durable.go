@@ -36,11 +36,14 @@ import (
 // reproduce those ticks verbatim, gaps included.
 
 // manifest is the creation record stored in a feed's WAL manifest: the
-// normalized creation spec.
+// normalized creation spec. Clusterer is only read: older builds wrote the
+// default monitor's backend there, and a log naming any but the default
+// fails recovery (wire.CheckClusterer) rather than replaying contact feeds
+// as position feeds.
 type manifest struct {
 	Name      string          `json:"name"`
 	Params    wire.ParamsJSON `json:"params"`
-	Clusterer string          `json:"clusterer"`
+	Clusterer string          `json:"clusterer,omitempty"`
 }
 
 // specOp is one spec-journal entry: a dynamic feed-specification change,
@@ -52,7 +55,8 @@ type specOp struct {
 	Op string `json:"op"`
 	// ID names the monitor for the monitor ops.
 	ID string `json:"id,omitempty"`
-	// Params and Clusterer carry a monitor-add's spec.
+	// Params carries a monitor-add's spec; Clusterer is the legacy backend
+	// older builds journaled beside it, only read, as on the manifest.
 	Params    *wire.ParamsJSON `json:"params,omitempty"`
 	Clusterer string           `json:"clusterer,omitempty"`
 	// AfterTick/Started record the feed's stream position at the time of
@@ -104,8 +108,8 @@ func (f *Feed) appendSpecOp(op specOp) error {
 
 // createLog initialises a fresh log for a feed being created; the caller
 // has already checked no log exists under the name.
-func createLog(cfg Config, name string, p wire.ParamsJSON, clusterer string) (*durable, error) {
-	meta, err := json.Marshal(manifest{Name: name, Params: p, Clusterer: clusterer})
+func createLog(cfg Config, name string, p wire.ParamsJSON) (*durable, error) {
+	meta, err := json.Marshal(manifest{Name: name, Params: p})
 	if err != nil {
 		return nil, fmt.Errorf("feed: encode feed manifest: %w", err)
 	}
@@ -142,12 +146,11 @@ func recoverFeed(cfg Config, dir string) (*Feed, error) {
 		return nil, err
 	}
 	w := &durable{log: log, jnl: jnl}
-	cl, err := wire.ParseClusterer(mf.Clusterer)
-	if err != nil {
+	if err := wire.CheckClusterer(mf.Clusterer); err != nil {
 		w.close()
 		return nil, err
 	}
-	f, err := build(mf.Name, mf.Params.Params(), cl, cfg, w)
+	f, err := build(mf.Name, mf.Params.Params(), cfg, w)
 	if err != nil {
 		w.close()
 		return nil, err
@@ -227,11 +230,10 @@ func (f *Feed) applySpecOp(op specOp) error {
 		if op.Params != nil {
 			p = *op.Params
 		}
-		cl, err := wire.ParseClusterer(op.Clusterer)
-		if err != nil {
+		if err := wire.CheckClusterer(op.Clusterer); err != nil {
 			return err
 		}
-		return f.insertMonitor(op.ID, p.Params(), cl)
+		return f.insertMonitor(op.ID, p.Params())
 	case opMonitorRemove:
 		_, err := f.dropMonitor(op.ID)
 		return err

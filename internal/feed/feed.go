@@ -20,11 +20,9 @@ import (
 // with a bounded command mailbox. It hosts a *table of monitors* — standing
 // convoy queries, each a core.Monitor with its own (m, k, e), added and
 // removed at runtime — over the single ingested stream. Per tick the worker
-// runs one clustering pass per *distinct* ClusterKey (e, m, backend) among
-// the live monitors and fans the clusters out to every monitor in the
-// group, so N monitors sharing a key cost one clustering pass, not N —
-// while monitors with equal (e, m) but different backends (DBSCAN over
-// positions vs proxgraph over contact edges) never share.
+// runs one DBSCAN pass per *distinct* ClusterKey (e, m) among the live
+// monitors and fans the clusters out to every monitor in the group, so N
+// monitors sharing a key cost one clustering pass, not N.
 //
 // All feed state — the monitor table, the label→ID mapping, the event
 // history, the subscriber set — is owned by the worker and touched by no
@@ -52,21 +50,18 @@ type reply struct {
 // the feed's stream.
 type monitor struct {
 	id string
-	p  core.Params
-	// key is the monitor's canonical clustering key — (e, m) plus the
-	// backend — the identity it shares a ClusterSource under. Monitors with
-	// equal (e, m) but different backends never share a pass.
-	key    core.ClusterKey
+	// p is the monitor's query; p.ClusterKey() is the identity it shares a
+	// ClusterSource under.
+	p      core.Params
 	mon    *core.Monitor
 	closed uint64 // events this monitor has emitted
 }
 
 // Feed is one registered feed; its methods are safe for concurrent use.
 type Feed struct {
-	name    string
-	p       core.Params // creation params (the default monitor's)
-	backend string      // creation clusterer name (the default monitor's)
-	cfg     Config
+	name string
+	p    core.Params // creation params (the default monitor's)
+	cfg  Config
 
 	cmds chan command
 	// done is closed after the worker drains; senders select on it so a
@@ -119,14 +114,12 @@ type Feed struct {
 	recovering bool
 }
 
-// build assembles a feed with its default monitor, clustered by cl (the
-// caller resolved the client's spelling, once), but does not start the
+// build assembles a feed with its default monitor but does not start the
 // worker — recovery replays into the quiescent feed first.
-func build(name string, p core.Params, cl core.Clusterer, cfg Config, w *durable) (*Feed, error) {
+func build(name string, p core.Params, cfg Config, w *durable) (*Feed, error) {
 	f := &Feed{
 		name:     name,
 		p:        p,
-		backend:  cl.Name(),
 		cfg:      cfg,
 		cmds:     make(chan command, cfg.FeedBuffer),
 		done:     make(chan struct{}),
@@ -137,7 +130,7 @@ func build(name string, p core.Params, cl core.Clusterer, cfg Config, w *durable
 		w:        w,
 	}
 	// The worker goroutine doesn't run yet, so the table is safe to touch.
-	if err := f.insertMonitor(DefaultMonitorID, p, cl); err != nil {
+	if err := f.insertMonitor(DefaultMonitorID, p); err != nil {
 		return nil, err
 	}
 	f.touch()
@@ -145,9 +138,8 @@ func build(name string, p core.Params, cl core.Clusterer, cfg Config, w *durable
 }
 
 // insertMonitor adds a monitor to the table and ensures a cluster source
-// for its key — (e, m) plus the clustering backend — exists (worker only,
-// or before the worker starts).
-func (f *Feed) insertMonitor(id string, p core.Params, cl core.Clusterer) error {
+// for its key exists (worker only, or before the worker starts).
+func (f *Feed) insertMonitor(id string, p core.Params) error {
 	if _, ok := f.monitors[id]; ok {
 		return fmt.Errorf("%w: %q", ErrMonitorExists, id)
 	}
@@ -159,16 +151,14 @@ func (f *Feed) insertMonitor(id string, p core.Params, cl core.Clusterer) error 
 		return Invalid(err)
 	}
 	key := p.ClusterKey()
-	key.Backend = cl.Name()
-	key = key.Canonical()
 	if _, ok := f.sources[key]; !ok {
-		src, err := core.NewClusterSourceWith(key, cl)
+		src, err := core.NewClusterSource(key)
 		if err != nil {
 			return Invalid(err)
 		}
 		f.sources[key] = src
 	}
-	fm := &monitor{id: id, p: p, key: key, mon: mon}
+	fm := &monitor{id: id, p: p, mon: mon}
 	f.monitors[id] = fm
 	f.cfg.Observer.OnMonitors(1)
 	at := sort.Search(len(f.order), func(i int) bool { return f.order[i].id >= id })
@@ -354,30 +344,6 @@ func (f *Feed) applyBatch(b wire.TickBatch, sp *trace.Span) ([]wire.ConvoyJSON, 
 		label := f.labels[dup]
 		return nil, reject(fmt.Errorf("tick %d: duplicate id %q", b.T, label))
 	}
-	// Proximity edges are validated like positions: non-finite or
-	// negative weights, self-loops and empty labels poison the
-	// contact graph the same way NaN poisons distance math. Unknown
-	// endpoint labels are interned (an edge can mention an object
-	// with no position this tick) and roll back with the batch.
-	if len(b.Edges) > f.cfg.MaxEdgesPerTick {
-		return nil, reject(fmt.Errorf("tick %d: %d edges exceed the per-tick limit %d", b.T, len(b.Edges), f.cfg.MaxEdgesPerTick))
-	}
-	var edges []core.ProxEdge
-	if len(b.Edges) > 0 {
-		edges = make([]core.ProxEdge, len(b.Edges))
-		for i, e := range b.Edges {
-			if e.A == "" || e.B == "" {
-				return nil, reject(fmt.Errorf("tick %d: edge %d has an empty object label", b.T, i))
-			}
-			if e.A == e.B {
-				return nil, reject(fmt.Errorf("tick %d: edge %d is a self-loop on %q", b.T, i, e.A))
-			}
-			if !geom.Finite(e.W) || e.W < 0 {
-				return nil, reject(fmt.Errorf("tick %d: edge %d (%q, %q) has bad weight %g (want finite ≥ 0)", b.T, i, e.A, e.B, e.W))
-			}
-			edges[i] = core.ProxEdge{A: f.intern(e.A), B: f.intern(e.B), W: e.W}
-		}
-	}
 	if f.started && b.T <= f.lastTick {
 		// Tick monotonicity is a feed-level invariant: it must fail
 		// before any monitor advances, or the table would desync.
@@ -394,9 +360,8 @@ func (f *Feed) applyBatch(b wire.TickBatch, sp *trace.Span) ([]wire.ConvoyJSON, 
 			return nil, fmt.Errorf("feed: wal append: %w", err)
 		}
 	}
-	// One clustering pass per distinct (e, m, backend) among live
-	// monitors.
-	snap := core.TickSnapshot{T: b.T, IDs: ids, Pts: pts, Edges: edges}
+	// One clustering pass per distinct (e, m) among live monitors.
+	snap := core.TickSnapshot{T: b.T, IDs: ids, Pts: pts}
 	clusters := make(map[core.ClusterKey][][]model.ObjectID, len(f.sources))
 	m := TickMeters{
 		Positions:   len(b.Positions),
@@ -424,7 +389,7 @@ func (f *Feed) applyBatch(b wire.TickBatch, sp *trace.Span) ([]wire.ConvoyJSON, 
 	var out []wire.ConvoyJSON
 	t0 = stageStart(sp)
 	for _, fm := range f.order {
-		closed, err := fm.mon.AdvanceClusters(b.T, clusters[fm.key])
+		closed, err := fm.mon.AdvanceClusters(b.T, clusters[fm.p.ClusterKey()])
 		if err != nil {
 			// Unreachable after the feed-level tick check; surface
 			// as an internal error rather than corrupting the table.
@@ -504,12 +469,6 @@ func tickBlock(b wire.TickBatch) tsio.TickBlock {
 			blk.Positions[i] = tsio.TickPosition{Label: p.ID, X: p.X, Y: p.Y}
 		}
 	}
-	if len(b.Edges) > 0 {
-		blk.Edges = make([]tsio.TickEdge, len(b.Edges))
-		for i, e := range b.Edges {
-			blk.Edges[i] = tsio.TickEdge{A: e.A, B: e.B, W: e.W}
-		}
-	}
 	return blk
 }
 
@@ -523,24 +482,17 @@ func tickBatch(blk tsio.TickBlock) wire.TickBatch {
 			b.Positions[i] = wire.Position{ID: p.Label, X: p.X, Y: p.Y}
 		}
 	}
-	if len(blk.Edges) > 0 {
-		b.Edges = make([]wire.EdgeJSON, len(blk.Edges))
-		for i, e := range blk.Edges {
-			b.Edges[i] = wire.EdgeJSON{A: e.A, B: e.B, W: e.W}
-		}
-	}
 	return b
 }
 
 // monitorStatus snapshots one monitor's counters (worker only).
 func (f *Feed) monitorStatus(fm *monitor) wire.MonitorStatus {
 	st := wire.MonitorStatus{
-		ID:        fm.id,
-		Feed:      f.name,
-		Params:    wire.ParamsToJSON(fm.p),
-		Clusterer: fm.key.BackendName(),
-		Live:      fm.mon.Live(),
-		Closed:    fm.closed,
+		ID:     fm.id,
+		Feed:   f.name,
+		Params: wire.ParamsToJSON(fm.p),
+		Live:   fm.mon.Live(),
+		Closed: fm.closed,
 	}
 	if t, ok := fm.mon.LastTick(); ok {
 		st.LastTick = &t
@@ -554,7 +506,6 @@ func (f *Feed) Status(ctx context.Context) (wire.FeedStatus, error) {
 		st := wire.FeedStatus{
 			Name:                     f.name,
 			Params:                   wire.ParamsToJSON(f.p),
-			Clusterer:                f.backend,
 			Ticks:                    f.ticks,
 			Objects:                  len(f.labels),
 			Closed:                   f.nextSeq,
@@ -587,22 +538,18 @@ func (f *Feed) Status(ctx context.Context) (wire.FeedStatus, error) {
 // added mid-stream starts chaining at the next ingested tick. On a durable
 // feed the registration is journaled after it validates; a journal failure
 // unwinds the insert so memory and disk cannot disagree.
-func (f *Feed) AddMonitor(ctx context.Context, id string, p core.Params, clusterer string) (wire.MonitorStatus, error) {
+func (f *Feed) AddMonitor(ctx context.Context, id string, p core.Params) (wire.MonitorStatus, error) {
 	if !ValidName(id) {
 		return wire.MonitorStatus{}, Invalid(fmt.Errorf("feed: invalid monitor id %q", id))
 	}
 	f.touch()
-	cl, err := wire.ParseClusterer(clusterer)
-	if err != nil {
-		return wire.MonitorStatus{}, Invalid(err)
-	}
 	v, err := f.do(ctx, func(f *Feed) (any, error) {
-		if err := f.insertMonitor(id, p, cl); err != nil {
+		if err := f.insertMonitor(id, p); err != nil {
 			return wire.MonitorStatus{}, err
 		}
 		if f.w != nil {
 			pj := wire.ParamsToJSON(p)
-			op := specOp{Op: opMonitorAdd, ID: id, Params: &pj, Clusterer: f.monitors[id].key.BackendName()}
+			op := specOp{Op: opMonitorAdd, ID: id, Params: &pj}
 			if err := f.appendSpecOp(op); err != nil {
 				// A just-inserted monitor has no live candidates, so the
 				// unwind drains nothing and emits no events.
@@ -660,15 +607,15 @@ func (f *Feed) dropMonitor(id string) ([]wire.ConvoyJSON, error) {
 			break
 		}
 	}
-	shared := false
+	key, shared := fm.p.ClusterKey(), false
 	for _, other := range f.monitors {
-		if other.key == fm.key {
+		if other.p.ClusterKey() == key {
 			shared = true
 			break
 		}
 	}
 	if !shared {
-		delete(f.sources, fm.key)
+		delete(f.sources, key)
 	}
 	return drained, nil
 }

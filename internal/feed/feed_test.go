@@ -30,12 +30,12 @@ func pair(t model.Tick, extra ...wire.Position) wire.TickBatch {
 func TestInternClonesLabel(t *testing.T) {
 	r := NewRegistry(Config{})
 	defer r.CloseAll()
-	f, err := r.Create("f", core.Params{M: 2, K: 2, Eps: 1}, "")
+	f, err := r.Create("f", core.Params{M: 2, K: 2, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	batches, err := wire.DecodeTicks([]byte(
-		`{"t":1,"positions":[{"id":"alpha","x":0,"y":0},{"id":"beta","x":1,"y":0}],"edges":[{"a":"alpha","b":"gamma","w":1}]}`))
+		`{"t":1,"positions":[{"id":"alpha","x":0,"y":0},{"id":"beta","x":1,"y":0}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +46,9 @@ func TestInternClonesLabel(t *testing.T) {
 	for _, p := range batches[0].Positions {
 		sent[p.ID] = unsafe.StringData(p.ID)
 	}
-	sent["gamma"] = unsafe.StringData(batches[0].Edges[0].B)
 	_, err = f.do(context.Background(), func(f *Feed) (any, error) {
-		if len(f.labels) != 3 || len(f.ids) != 3 {
-			t.Errorf("feed interned %d labels / %d ids, want 3", len(f.labels), len(f.ids))
+		if len(f.labels) != 2 || len(f.ids) != 2 {
+			t.Errorf("feed interned %d labels / %d ids, want 2", len(f.labels), len(f.ids))
 		}
 		for _, label := range f.labels {
 			if unsafe.StringData(label) == sent[label] {
@@ -86,7 +85,7 @@ func TestEvictionReleasesLogHandles(t *testing.T) {
 	cfg := Config{WALDir: t.TempDir()}
 	r := NewRegistry(cfg)
 	defer r.CloseAll()
-	f, err := r.Create("fleet", core.Params{M: 2, K: 2, Eps: 1}, "")
+	f, err := r.Create("fleet", core.Params{M: 2, K: 2, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +114,19 @@ func TestInvalidNamesRefused(t *testing.T) {
 	cfg := Config{WALDir: t.TempDir()}
 	r := NewRegistry(cfg)
 	defer r.CloseAll()
-	f, err := r.Create("fleet", core.Params{M: 2, K: 2, Eps: 1}, "")
+	f, err := r.Create("fleet", core.Params{M: 2, K: 2, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"", ".", "..", "a/b", "a b"} {
 		var inv *InvalidError
-		if _, err := r.Create(name, core.Params{M: 2, K: 2, Eps: 1}, ""); !errors.As(err, &inv) {
+		if _, err := r.Create(name, core.Params{M: 2, K: 2, Eps: 1}); !errors.As(err, &inv) {
 			t.Errorf("Create(%q) = %v, want an InvalidError", name, err)
 		}
 		if _, err := r.Remove(context.Background(), name); !errors.Is(err, ErrNoFeed) {
 			t.Errorf("Remove(%q) = %v, want ErrNoFeed", name, err)
 		}
-		if _, err := f.AddMonitor(context.Background(), name, core.Params{M: 2, K: 3, Eps: 1}, ""); !errors.As(err, &inv) {
+		if _, err := f.AddMonitor(context.Background(), name, core.Params{M: 2, K: 3, Eps: 1}); !errors.As(err, &inv) {
 			t.Errorf("AddMonitor(%q) = %v, want an InvalidError", name, err)
 		}
 	}
@@ -145,8 +144,6 @@ type windowTicks struct {
 
 func (w *windowTicks) Block(t model.Tick, _ int)       { w.ticks = append(w.ticks, t) }
 func (w *windowTicks) Position(l []byte, _, _ float64) { w.labels[string(l)] = true }
-func (w *windowTicks) Edges(int)                       {}
-func (w *windowTicks) Edge(_, _ []byte, _ float64)     {}
 
 func readAll(t *testing.T, f *Feed) *windowTicks {
 	t.Helper()
@@ -170,7 +167,7 @@ func TestRefusedWritesLeaveNoTrace(t *testing.T) {
 	fsys := waltest.New()
 	cfg := Config{WALDir: t.TempDir(), WAL: wal.Options{FS: fsys, Fsync: wal.FsyncAlways}}
 	r := NewRegistry(cfg)
-	f, err := r.Create("fleet", core.Params{M: 2, K: 2, Eps: 1}, "")
+	f, err := r.Create("fleet", core.Params{M: 2, K: 2, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +185,7 @@ func TestRefusedWritesLeaveNoTrace(t *testing.T) {
 		t.Fatalf("ingest over a failed fsync = %+v, %v; want the disk error, nothing accepted", resp, err)
 	}
 	fsys.Inject(waltest.Fault{Op: waltest.Sync, Match: "spec.jnl", Err: errDisk})
-	if _, err := f.AddMonitor(ctx, "wide", core.Params{M: 2, K: 3, Eps: 2}, ""); !errors.Is(err, errDisk) {
+	if _, err := f.AddMonitor(ctx, "wide", core.Params{M: 2, K: 3, Eps: 2}); !errors.Is(err, errDisk) {
 		t.Fatalf("monitor add over a failed journal fsync = %v, want the disk error", err)
 	}
 
@@ -256,7 +253,7 @@ func TestRefusedCreateLeavesNoLog(t *testing.T) {
 	cfg := Config{WALDir: t.TempDir(), WAL: wal.Options{FS: fsys}}
 	r := NewRegistry(cfg)
 	fsys.Inject(waltest.Fault{Op: waltest.Write, Match: "00000001.wal", Err: errDisk})
-	if _, err := r.Create("fleet", core.Params{M: 2, K: 2, Eps: 1}, ""); !errors.Is(err, errDisk) {
+	if _, err := r.Create("fleet", core.Params{M: 2, K: 2, Eps: 1}); !errors.Is(err, errDisk) {
 		t.Fatalf("create over a failed segment write = %v, want the disk error", err)
 	}
 	if wal.Exists(LogDir(cfg.WALDir, "fleet"), cfg.WAL) {
@@ -270,7 +267,7 @@ func TestRefusedCreateLeavesNoLog(t *testing.T) {
 	if n := r.Count(); n != 0 {
 		t.Errorf("recovery resurrected %d refused feeds", n)
 	}
-	if _, err := r.Create("fleet", core.Params{M: 2, K: 2, Eps: 1}, ""); err != nil {
+	if _, err := r.Create("fleet", core.Params{M: 2, K: 2, Eps: 1}); err != nil {
 		t.Errorf("retrying the refused create: %v", err)
 	}
 }

@@ -47,10 +47,6 @@ type Config struct {
 	// HistoryLimit is the number of closed-convoy events each feed retains
 	// for polling and replay. Default 1024.
 	HistoryLimit int
-	// MaxEdgesPerTick caps the proximity edges of one tick batch: the
-	// contact graph a proxgraph monitor clusters is quadratic in the worst
-	// case. Default 65536.
-	MaxEdgesPerTick int
 	// WALDir, when non-empty, makes feeds durable: each owns a log under
 	// WALDir/feeds/<escaped name>, every accepted batch is logged before it
 	// is applied, and Recover rebuilds the feeds from their logs.
@@ -82,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HistoryLimit <= 0 {
 		c.HistoryLimit = 1024
-	}
-	if c.MaxEdgesPerTick <= 0 {
-		c.MaxEdgesPerTick = 65536
 	}
 	if c.WAL.FS == nil {
 		c.WAL.FS = wal.OS
@@ -205,19 +198,14 @@ func ValidName(s string) bool {
 	return s != "" && s != "." && s != ".." && !strings.ContainsAny(s, "/ \t\n")
 }
 
-// Create registers a new feed under the name, with the given clustering
-// backend for its default monitor ("" = dbscan). On a durable registry the
-// feed's log is initialised first, so a feed that exists in memory always
-// has a manifest on disk.
-func (r *Registry) Create(name string, p core.Params, clusterer string) (*Feed, error) {
+// Create registers a new feed under the name, with p as its default
+// monitor's parameters. On a durable registry the feed's log is initialised
+// first, so a feed that exists in memory always has a manifest on disk.
+func (r *Registry) Create(name string, p core.Params) (*Feed, error) {
 	if !ValidName(name) {
 		return nil, Invalid(fmt.Errorf("feed: invalid feed name %q", name))
 	}
 	if err := p.Validate(); err != nil {
-		return nil, Invalid(err)
-	}
-	cl, err := wire.ParseClusterer(clusterer)
-	if err != nil {
 		return nil, Invalid(err)
 	}
 	r.mu.Lock()
@@ -231,8 +219,11 @@ func (r *Registry) Create(name string, p core.Params, clusterer string) (*Feed, 
 	if len(r.feeds) >= r.cfg.MaxFeeds {
 		return nil, fmt.Errorf("%w (%d)", ErrTooManyFeeds, r.cfg.MaxFeeds)
 	}
-	var w *durable
-	dir := ""
+	var (
+		w   *durable
+		dir string
+		err error
+	)
 	if r.cfg.WALDir != "" {
 		dir = LogDir(r.cfg.WALDir, name)
 		if wal.Exists(dir, r.cfg.WAL) {
@@ -241,11 +232,11 @@ func (r *Registry) Create(name string, p core.Params, clusterer string) (*Feed, 
 			// (removing the log) or restarts the server (resurrecting it).
 			return nil, fmt.Errorf("%w: %q (log on disk from an evicted feed; DELETE it or restart to recover)", ErrFeedExists, name)
 		}
-		w, err = createLog(r.cfg, name, wire.ParamsToJSON(p), cl.Name())
+		w, err = createLog(r.cfg, name, wire.ParamsToJSON(p))
 	}
 	var f *Feed
 	if err == nil {
-		f, err = build(name, p, cl, r.cfg, w)
+		f, err = build(name, p, r.cfg, w)
 	}
 	if err != nil {
 		if w != nil {

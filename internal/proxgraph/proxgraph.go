@@ -15,10 +15,11 @@
 // requirement.
 //
 // The package provides Clusterer (a core.Clusterer with Name
-// "proxgraph"), Log (an edge store that can synthesize a minimal
-// model.DB so the batch Query engine can drive it), and FromDB (derive a
-// contact log from a trajectory database — the bridge the benchmarks
-// use).
+// "proxgraph" reading a Log), Log (an edge store that can synthesize a
+// minimal model.DB so the batch Query engine can drive it), and FromDB
+// (derive a contact log from a trajectory database — the bridge the tests
+// use). It is a library option (core.WithClusterer(log.Clusterer())): the
+// daemon and the CLIs cluster positions only.
 package proxgraph
 
 import (
@@ -33,16 +34,24 @@ import (
 	"repro/internal/tsio"
 )
 
-// Backend is the clusterer name, the value of ClusterKey.Backend and the
-// wire/flag spelling selecting this backend.
+// Backend is the clusterer's Name.
 const Backend = "proxgraph"
+
+// Edge is one proximity observation between two objects at a tick: objects
+// A and B (dense IDs of the log) in contact with weight W (e.g. contact
+// duration or signal strength), thresholded against the clustering key's
+// Eps.
+type Edge struct {
+	A, B model.ObjectID
+	W    float64
+}
 
 // Components returns the connected components of the proximity graph
 // formed by the edges with W ≥ minW, keeping components with at least m
 // members. Members are ascending object IDs; components are ordered by
 // their smallest member. Objects appear only as edge endpoints — an
 // isolated object is in no component.
-func Components(edges []core.ProxEdge, minW float64, m int) [][]model.ObjectID {
+func Components(edges []Edge, minW float64, m int) [][]model.ObjectID {
 	parent := make(map[model.ObjectID]model.ObjectID)
 	var find func(x model.ObjectID) model.ObjectID
 	find = func(x model.ObjectID) model.ObjectID {
@@ -84,12 +93,10 @@ func Components(edges []core.ProxEdge, minW float64, m int) [][]model.ObjectID {
 	return out
 }
 
-// Clusterer is the graph-connectivity core.Clusterer. It clusters the
-// snapshot's Edges; when a snapshot carries none and Log is set, the
-// tick's edges are looked up there (the batch path, where the Query
-// engine replays a synthesized position database that has no edges). The
-// zero value clusters pushed edges only — the streaming path, where the
-// serve feed supplies each tick's edges in the snapshot.
+// Clusterer is the graph-connectivity core.Clusterer: each tick's edges
+// are looked up in Log by the snapshot's tick (the Query engine replays the
+// log's synthesized position database, whose positions it never reads). A
+// nil Log has no edges, so no clusters.
 type Clusterer struct {
 	Log *Log
 }
@@ -100,11 +107,10 @@ func (Clusterer) Name() string { return Backend }
 // Clusters returns the connected components of the tick's proximity graph
 // at weight threshold key.Eps with at least key.M members.
 func (c Clusterer) Clusters(key core.ClusterKey, snap core.TickSnapshot) [][]model.ObjectID {
-	edges := snap.Edges
-	if edges == nil && c.Log != nil {
-		edges = c.Log.EdgesAt(snap.T)
+	if c.Log == nil {
+		return nil
 	}
-	return Components(edges, key.Eps, key.M)
+	return Components(c.Log.EdgesAt(snap.T), key.Eps, key.M)
 }
 
 // Log is an in-memory proximity log: interned object labels (dense IDs in
@@ -113,7 +119,7 @@ func (c Clusterer) Clusters(key core.ClusterKey, snap core.TickSnapshot) [][]mod
 type Log struct {
 	labels  []string
 	byLabel map[string]model.ObjectID
-	ticks   map[model.Tick][]core.ProxEdge
+	ticks   map[model.Tick][]Edge
 	span    map[model.ObjectID][2]model.Tick // first/last contact tick
 	lo, hi  model.Tick
 	some    bool
@@ -124,7 +130,7 @@ type Log struct {
 func NewLog() *Log {
 	return &Log{
 		byLabel: make(map[string]model.ObjectID),
-		ticks:   make(map[model.Tick][]core.ProxEdge),
+		ticks:   make(map[model.Tick][]Edge),
 		span:    make(map[model.ObjectID][2]model.Tick),
 	}
 }
@@ -156,7 +162,7 @@ func (l *Log) Add(a, b string, t model.Tick, w float64) error {
 		return fmt.Errorf("proxgraph: bad weight %g for (%q, %q) at tick %d (want finite ≥ 0)", w, a, b, t)
 	}
 	ia, ib := l.intern(a), l.intern(b)
-	l.ticks[t] = append(l.ticks[t], core.ProxEdge{A: ia, B: ib, W: w})
+	l.ticks[t] = append(l.ticks[t], Edge{A: ia, B: ib, W: w})
 	for _, id := range []model.ObjectID{ia, ib} {
 		if sp, ok := l.span[id]; ok {
 			if t < sp[0] {
@@ -206,7 +212,7 @@ func (l *Log) TimeRange() (lo, hi model.Tick, ok bool) { return l.lo, l.hi, l.so
 
 // EdgesAt returns the edges recorded at tick t, in insertion order. The
 // slice is the log's own storage — callers must not mutate it.
-func (l *Log) EdgesAt(t model.Tick) []core.ProxEdge { return l.ticks[t] }
+func (l *Log) EdgesAt(t model.Tick) []Edge { return l.ticks[t] }
 
 // Records returns every edge as tsio records (labels restored), ordered
 // by tick and, within a tick, by insertion — a WriteEdgeCSV round trip

@@ -18,7 +18,7 @@ import (
 )
 
 func TestComponents(t *testing.T) {
-	edges := []core.ProxEdge{
+	edges := []Edge{
 		{A: 1, B: 2, W: 1},
 		{A: 2, B: 3, W: 1},
 		{A: 7, B: 8, W: 0.5}, // below threshold
@@ -45,26 +45,25 @@ func TestComponents(t *testing.T) {
 }
 
 func TestClustererSnapshotEdges(t *testing.T) {
-	// The stateless Clusterer (the streaming path) clusters pushed edges.
-	key := core.ClusterKey{Eps: 1, M: 2, Backend: Backend}
-	snap := core.TickSnapshot{T: 3, Edges: []core.ProxEdge{{A: 0, B: 1, W: 1}}}
-	got := Clusterer{}.Clusters(key, snap)
-	if want := [][]model.ObjectID{{0, 1}}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Clusters = %v, want %v", got, want)
-	}
-	// With a Log attached but edges pushed, the pushed edges win.
+	// The Clusterer reads the snapshot's tick only: that tick's edges come
+	// from its Log, whatever positions the snapshot carries.
+	key := core.ClusterKey{Eps: 1, M: 2}
 	l := NewLog()
 	if err := l.Add("x", "y", 3, 5); err != nil {
 		t.Fatal(err)
 	}
-	got = Clusterer{Log: l}.Clusters(key, snap)
-	if want := [][]model.ObjectID{{0, 1}}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Clusters (edges precedence) = %v, want %v", got, want)
-	}
-	// No pushed edges: the tick's edges come from the log.
-	got = Clusterer{Log: l}.Clusters(key, core.TickSnapshot{T: 3})
+	snap := core.TickSnapshot{T: 3, IDs: []model.ObjectID{0, 1}, Pts: []geom.Point{geom.Pt(0, 0), geom.Pt(1e6, 0)}}
+	got := Clusterer{Log: l}.Clusters(key, snap)
 	if want := [][]model.ObjectID{{0, 1}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Clusters (log lookup) = %v, want %v", got, want)
+	}
+	// A tick the log holds no edges at, and a clusterer without a log,
+	// cluster nothing.
+	if got := (Clusterer{Log: l}).Clusters(key, core.TickSnapshot{T: 4, IDs: snap.IDs, Pts: snap.Pts}); len(got) != 0 {
+		t.Fatalf("Clusters (tick without edges) = %v, want none", got)
+	}
+	if got := (Clusterer{}).Clusters(key, snap); len(got) != 0 {
+		t.Fatalf("Clusters (no log) = %v, want none", got)
 	}
 }
 

@@ -5,264 +5,87 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/model"
-	"repro/internal/wire"
 )
 
-// Monitors that share (e, m) but name different clustering backends must
-// never share a clustering pass: a DBSCAN monitor reads positions, a
-// proxgraph monitor reads the contact graph, and the same tick stream can
-// hold a convoy for one and not the other.
-func TestFeedBackendIsolationHTTP(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "iso", ParamsJSON{M: 2, K: 3, Eps: 1})
-	st := addMonitor(t, ts.URL, "iso", MonitorSpec{
-		ID: "graph", Params: ParamsJSON{M: 2, K: 3, Eps: 1}, Clusterer: "proxgraph"})
-	if st.Clusterer != "proxgraph" {
-		t.Fatalf("monitor clusterer = %q, want proxgraph", st.Clusterer)
-	}
-
-	// Same (e, m), different backend → two cluster groups.
-	var fs FeedStatus
-	doJSON(t, "GET", ts.URL+"/v1/feeds/iso", nil, http.StatusOK, &fs)
-	if fs.ClusterGroups != 2 {
-		t.Fatalf("cluster groups = %d, want 2 (backend is part of the key)", fs.ClusterGroups)
-	}
-	if fs.Clusterer != "dbscan" {
-		t.Fatalf("feed clusterer = %q, want dbscan", fs.Clusterer)
-	}
-
-	// Ticks 0..3: a and b are far apart geometrically (no DBSCAN cluster at
-	// e=1) but in contact on the proximity graph. Tick 4 breaks the contact.
-	ticks := int64(0)
-	for tick := model.Tick(0); tick < 4; tick++ {
-		pushTick(t, ts.URL, "iso", TickBatch{T: tick,
-			Positions: []Position{{ID: "a", X: 0, Y: 0}, {ID: "b", X: 50, Y: 50}},
-			Edges:     []EdgeJSON{{A: "a", B: "b", W: 1}}})
-		ticks++
-	}
-	pushTick(t, ts.URL, "iso", TickBatch{T: 4,
-		Positions: []Position{{ID: "a", X: 0, Y: 0}, {ID: "b", X: 50, Y: 50}}})
-	ticks++
-
-	// One pass per distinct key per tick: 2 groups × ticks.
-	doJSON(t, "GET", ts.URL+"/v1/feeds/iso", nil, http.StatusOK, &fs)
-	if want := ticks * 2; fs.ClusterPasses != want {
-		t.Fatalf("cluster passes = %d over %d ticks, want %d", fs.ClusterPasses, ticks, want)
-	}
-
-	// Only the proxgraph monitor saw a convoy: {a, b} over ticks 0..3.
-	var poll EventsResponse
-	doJSON(t, "GET", ts.URL+"/v1/feeds/iso/convoys", nil, http.StatusOK, &poll)
-	if len(poll.Events) != 1 {
-		t.Fatalf("events = %+v, want exactly one (proxgraph only)", poll.Events)
-	}
-	ev := poll.Events[0]
-	c := ev.Convoy
-	if ev.Monitor != "graph" || len(c.Objects) != 2 || c.Objects[0] != "a" || c.Objects[1] != "b" ||
-		c.Start != 0 || c.End != 3 {
-		t.Fatalf("event = %+v, want monitor graph convoy [a b]@[0,3]", ev)
+// expectRefusal sends body (JSON-encoded) and wants the 400 a spec naming
+// a non-default clusterer gets: the uniform envelope, pointing at the
+// library option.
+func expectRefusal(t *testing.T, method, url string, body any) {
+	t.Helper()
+	var env ErrorJSON
+	doJSON(t, method, url, body, http.StatusBadRequest, &env)
+	if env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, "convoys.WithClusterer") {
+		t.Fatalf("%s %s: error %+v, want a bad_request naming convoys.WithClusterer", method, url, env.Error)
 	}
 }
 
-// A feed created with clusterer "proxgraph" discovers convoys from a
-// coordinate-free contact stream (edge-only tick batches).
-func TestFeedEdgeOnlyStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	var st FeedStatus
-	doJSON(t, "POST", ts.URL+"/v1/feeds",
-		FeedSpec{Name: "contacts", Params: ParamsJSON{M: 2, K: 2, Eps: 0.5}, Clusterer: "proxgraph"},
-		http.StatusCreated, &st)
-	if st.Clusterer != "proxgraph" {
-		t.Fatalf("feed clusterer = %q, want proxgraph", st.Clusterer)
-	}
-
-	// A bare edge-only batch (no "ticks" wrapper, no positions) is a valid
-	// ingestion body.
-	body := `{"t":0,"edges":[{"a":"x","b":"y","w":1}]}`
-	resp, err := http.Post(ts.URL+"/v1/feeds/contacts/ticks", "application/json", strings.NewReader(body))
-	if err != nil {
+// TestClustererRefused: the daemon clusters positions only. A spec naming
+// proxgraph — a JSON query, the URL form, a feed, a monitor — answers 400
+// with the library pointer and leaves nothing behind; without the refusal
+// an a,b,t,w upload would be read as a trajectory database and a proxgraph
+// feed would quietly cluster positions. "dbscan", in any case, is the
+// legacy spelling of the default: accepted, and the same query — the same
+// cache entry — as no clusterer at all. (The history query's refusal is
+// TestHistoryQueryProxgraph.)
+func TestClustererRefused(t *testing.T) {
+	data := t.TempDir()
+	csv := []byte("obj,t,x,y\na,0,0,0\na,1,1,0\na,2,2,0\nb,0,0,0.5\nb,1,1,0.5\nb,2,2,0.5\n")
+	if err := os.WriteFile(filepath.Join(data, "q.csv"), csv, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bare edge-only batch: status %d, want 200", resp.StatusCode)
-	}
+	_, ts := newTestServer(t, Config{DataDir: data})
 
-	pushTick(t, ts.URL, "contacts", TickBatch{T: 1, Edges: []EdgeJSON{{A: "x", B: "y", W: 1}}})
-	got := pushTick(t, ts.URL, "contacts", TickBatch{T: 2}) // contact lost
-	if len(got.Closed) != 1 || got.Closed[0].Objects[0] != "x" || got.Closed[0].Objects[1] != "y" ||
-		got.Closed[0].Start != 0 || got.Closed[0].End != 1 {
-		t.Fatalf("closed = %+v, want [x y]@[0,1]", got.Closed)
-	}
+	// JSON /v1/query.
+	req := QueryRequest{Path: "q.csv"}
+	req.Params, req.Algo, req.Clusterer = ParamsJSON{M: 2, K: 2, Eps: 1}, AlgoCMC, "proxgraph"
+	expectRefusal(t, "POST", ts.URL+"/v1/query", req)
 
-	// An unknown backend is the client's mistake.
-	doJSON(t, "POST", ts.URL+"/v1/feeds",
-		FeedSpec{Name: "bogus", Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "voronoi"},
-		http.StatusBadRequest, nil)
-	doJSON(t, "POST", ts.URL+"/v1/feeds/contacts/monitors",
-		MonitorSpec{ID: "bad", Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "voronoi"},
-		http.StatusBadRequest, nil)
-}
-
-// Malformed proximity edges are rejected at the wire, the offending batch
-// is not applied (its tick stays available), and labels interned while
-// validating it roll back.
-func TestTickEdgeValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxEdgesPerTick: 2})
-	createFeed(t, ts.URL, "edgy", ParamsJSON{M: 2, K: 2, Eps: 1})
-
-	bad := []TickBatch{
-		{T: 0, Edges: []EdgeJSON{{A: "", B: "b", W: 1}}},                                                  // empty label
-		{T: 0, Edges: []EdgeJSON{{A: "a", B: "a", W: 1}}},                                                 // self-loop
-		{T: 0, Edges: []EdgeJSON{{A: "a", B: "b", W: -1}}},                                                // negative weight
-		{T: 0, Edges: []EdgeJSON{{A: "a", B: "b", W: 1}, {A: "b", B: "c", W: 1}, {A: "c", B: "d", W: 1}}}, // over the cap
-	}
-	for i, batch := range bad {
-		doJSON(t, "POST", ts.URL+"/v1/feeds/edgy/ticks",
-			TicksRequest{Ticks: []TickBatch{batch}}, http.StatusBadRequest, nil)
-		var st FeedStatus
-		doJSON(t, "GET", ts.URL+"/v1/feeds/edgy", nil, http.StatusOK, &st)
-		if st.Ticks != 0 || st.Objects != 0 {
-			t.Fatalf("batch %d: ticks=%d objects=%d after rejection, want 0/0 (rolled back)", i, st.Ticks, st.Objects)
-		}
-	}
-
-	// Tick 0 was never consumed by the rejected batches.
-	pushTick(t, ts.URL, "edgy", TickBatch{T: 0, Edges: []EdgeJSON{{A: "a", B: "b", W: 1}}})
-	var st FeedStatus
-	doJSON(t, "GET", ts.URL+"/v1/feeds/edgy", nil, http.StatusOK, &st)
-	if st.Ticks != 1 || st.Objects != 2 {
-		t.Fatalf("after valid batch: ticks=%d objects=%d, want 1/2", st.Ticks, st.Objects)
-	}
-}
-
-// contactLogCSV is the hand-checked fixture: a–b and b–c in contact over
-// ticks 1..5 (a convoy {a,b,c} under m=3, k=3, e=1 by transitivity), a weak
-// d–a contact below the threshold, and an undersized trailing a–b contact.
-const contactLogCSV = `a,b,t,w
-a,b,1,1
-b,c,1,1
-d,a,1,0.5
-a,b,2,1
-b,c,2,1
-a,b,3,1
-b,c,3,1
-a,b,4,1
-b,c,4,1
-a,b,5,1
-b,c,5,1
-a,b,6,1
-`
-
-// POST /v1/query?clusterer=proxgraph uploads an edge CSV instead of a
-// trajectory database and answers with graph-connectivity convoys; the
-// algorithm defaults to cmc and the CuTS family is rejected.
-func TestQueryClustererProxgraphE2E(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	post := func(url string) (*http.Response, []byte) {
+	// The URL form, over an upload that is a valid a,b,t,w contact log.
+	post := func(query string, body []byte) (int, QueryResponse, string) {
 		t.Helper()
-		resp, err := http.Post(url, "text/csv", strings.NewReader(contactLogCSV))
+		resp, err := http.Post(ts.URL+"/v1/query?"+query, "text/csv", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		return resp, data
+		raw, _ := io.ReadAll(resp.Body)
+		var qr QueryResponse
+		_ = json.Unmarshal(raw, &qr)
+		return resp.StatusCode, qr, string(raw)
+	}
+	if code, _, raw := post("m=2&k=2&e=1&clusterer=proxgraph", []byte("a,b,t,w\na,b,0,1\na,b,1,1\n")); code != http.StatusBadRequest ||
+		!strings.Contains(raw, "convoys.WithClusterer") {
+		t.Fatalf("URL clusterer=proxgraph: %d %s, want a 400 naming convoys.WithClusterer", code, raw)
 	}
 
-	resp, data := post(ts.URL + "/v1/query?m=3&k=3&e=1&clusterer=proxgraph")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	// The legacy spellings of the default share the plain query's entry.
+	code, first, raw := post("m=2&k=2&e=1&algo=cmc", csv)
+	if code != http.StatusOK || first.Cache != "miss" || len(first.Convoys) != 1 {
+		t.Fatalf("plain query: %d %s, want a computed convoy", code, raw)
 	}
-	var qr QueryResponse
-	if err := json.Unmarshal(data, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Algo != AlgoCMC || qr.Clusterer != "proxgraph" || qr.Cache != "miss" {
-		t.Fatalf("algo=%q clusterer=%q cache=%q, want cmc/proxgraph/miss", qr.Algo, qr.Clusterer, qr.Cache)
-	}
-	if len(qr.Convoys) != 1 {
-		t.Fatalf("convoys = %+v, want exactly one", qr.Convoys)
-	}
-	c := qr.Convoys[0]
-	if len(c.Objects) != 3 || c.Objects[0] != "a" || c.Objects[1] != "b" || c.Objects[2] != "c" ||
-		c.Start != 1 || c.End != 5 {
-		t.Fatalf("convoy = %+v, want [a b c]@[1,5]", c)
+	for _, spelling := range []string{"dbscan", "DBSCAN"} {
+		code, again, raw := post("m=2&k=2&e=1&algo=cmc&clusterer="+spelling, csv)
+		if code != http.StatusOK || again.Cache != "hit" {
+			t.Fatalf("clusterer=%s: %d %s, want the plain query's cache hit", spelling, code, raw)
+		}
 	}
 
-	// The identical query is a cache hit; the same parameters under the
-	// default backend are a *different* key — the same bytes parse as a
-	// different kind of input, so they must never share an answer (here
-	// the bytes are not a trajectory CSV at all, so dbscan rejects them).
-	resp, data = post(ts.URL + "/v1/query?m=3&k=3&e=1&clusterer=proxgraph")
-	if err := json.Unmarshal(data, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || qr.Cache != "hit" {
-		t.Fatalf("repeat: status %d cache %q, want 200 hit", resp.StatusCode, qr.Cache)
-	}
-	resp, data = post(ts.URL + "/v1/query?m=3&k=3&e=1&algo=cmc")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("default-backend query over edge bytes: status %d (%s), want 400", resp.StatusCode, data)
-	}
-
-	// Explicit algo=cmc is fine; the CuTS family and unknown backends 400.
-	resp, data = post(ts.URL + "/v1/query?m=3&k=3&e=1&clusterer=proxgraph&algo=cmc")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("explicit cmc: status %d: %s", resp.StatusCode, data)
-	}
-	resp, data = post(ts.URL + "/v1/query?m=3&k=3&e=1&clusterer=proxgraph&algo=cuts*")
-	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("algo=cmc")) {
-		t.Fatalf("cuts* with proxgraph: status %d (%s), want 400 naming algo=cmc", resp.StatusCode, data)
-	}
-	resp, data = post(ts.URL + "/v1/query?m=3&k=3&e=1&clusterer=voronoi")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown clusterer: status %d (%s), want 400", resp.StatusCode, data)
-	}
-
-	// A malformed edge CSV under proxgraph is the client's fault, not a 500.
-	resp, err := http.Post(ts.URL+"/v1/query?m=3&k=3&e=1&clusterer=proxgraph",
-		"text/csv", strings.NewReader("obj,t,x,y\n0,0,1,1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("trajectory bytes under proxgraph: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// The cache key separates backends even for byte-identical uploads and
-// otherwise equal parameters.
-func TestQueryCacheKeyIncludesClusterer(t *testing.T) {
-	base := QueryRequest{QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Algo: AlgoCMC}}
-	plain, err := plan(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Clusterer = "proxgraph"
-	graph, err := plan(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.key("digest") == graph.key("digest") {
-		t.Fatalf("cache key %q shared across backends", plain.key("digest"))
-	}
-	// The default backend's canonical spellings share a key (and keep the
-	// legacy key shape, so existing cache entries stay addressable).
-	base.Clusterer = "dbscan"
-	named, err := plan(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if named.key("digest") != plain.key("digest") {
-		t.Fatalf("dbscan key %q != default key %q", named.key("digest"), plain.key("digest"))
+	// A feed, and a monitor on a feed that exists: refused, and not created.
+	expectRefusal(t, "POST", ts.URL+"/v1/feeds",
+		FeedSpec{Name: "contacts", Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "proxgraph"})
+	doJSON(t, "GET", ts.URL+"/v1/feeds/contacts", nil, http.StatusNotFound, nil)
+	var st FeedStatus
+	doJSON(t, "POST", ts.URL+"/v1/feeds",
+		FeedSpec{Name: "fleet", Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "dbscan"}, http.StatusCreated, &st)
+	expectRefusal(t, "POST", ts.URL+"/v1/feeds/fleet/monitors",
+		MonitorSpec{ID: "graph", Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "proxgraph"})
+	addMonitor(t, ts.URL, "fleet", MonitorSpec{ID: "wide", Params: ParamsJSON{M: 2, K: 3, Eps: 2}, Clusterer: "DBSCAN"})
+	doJSON(t, "GET", ts.URL+"/v1/feeds/fleet", nil, http.StatusOK, &st)
+	if len(st.Monitors) != 2 || st.Monitors[0].ID != DefaultMonitorID || st.Monitors[1].ID != "wide" {
+		t.Fatalf("monitors = %+v, want default and wide only", st.Monitors)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // Config tunes the server. The zero value is usable: every field has a
 // sensible default applied by New.
 type Config struct {
-	// MaxFeeds, MaxMonitorsPerFeed, FeedBuffer, EventBuffer, HistoryLimit
-	// and MaxEdgesPerTick are the feed runtime's knobs of the same names;
+	// MaxFeeds, MaxMonitorsPerFeed, FeedBuffer, EventBuffer and
+	// HistoryLimit are the feed runtime's knobs of the same names;
 	// feed.Config documents them and holds their defaults. Over HTTP the
 	// feed and monitor caps answer 429, and a subscriber EventBuffer events
 	// behind is cut from the NDJSON tail (it reconnects with ?since=).
@@ -24,7 +24,6 @@ type Config struct {
 	FeedBuffer         int
 	EventBuffer        int
 	HistoryLimit       int
-	MaxEdgesPerTick    int
 	// IdleTimeout evicts feeds that have received no request for this
 	// long, draining them like a DELETE. 0 disables eviction.
 	IdleTimeout time.Duration
@@ -152,7 +151,6 @@ func newRegistry(c Config) *feed.Registry {
 		FeedBuffer:         c.FeedBuffer,
 		EventBuffer:        c.EventBuffer,
 		HistoryLimit:       c.HistoryLimit,
-		MaxEdgesPerTick:    c.MaxEdgesPerTick,
 		WALDir:             c.WALDir,
 		WAL: wal.Options{
 			SegmentBytes:  c.WALSegmentBytes,

@@ -364,10 +364,9 @@ func TestHistoryQueryMatchesBatch(t *testing.T) {
 			doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/query", HistoryQueryRequest{
 				Params: ParamsJSON{M: 2, K: 5, Eps: 1}, From: tc.from, To: tc.to, Partitions: tc.parts,
 			}, http.StatusOK, &resp)
-			// Like /v1/query, the default backend reports as the empty
-			// clusterer and the historical default algorithm is CMC.
-			if resp.Algo != AlgoCMC || resp.Clusterer != "" {
-				t.Fatalf("algo=%q clusterer=%q, want cmc and the default backend", resp.Algo, resp.Clusterer)
+			// The historical default algorithm is CMC.
+			if resp.Algo != AlgoCMC {
+				t.Fatalf("algo=%q, want cmc", resp.Algo)
 			}
 			if want := int(tc.hiTick-tc.loTick) + 1; resp.Ticks != want {
 				t.Fatalf("ticks = %d, want %d", resp.Ticks, want)
@@ -419,29 +418,28 @@ func TestHistoryQueryMatchesBatch(t *testing.T) {
 
 func ptrTick(t model.Tick) *model.Tick { return &t }
 
-// TestHistoryQueryProxgraph replays logged contact edges through the
-// graph-connectivity backend.
+// TestHistoryQueryProxgraph: a history query naming the proxgraph backend
+// is refused with the library pointer — the WAL holds positions only — and
+// the legacy "dbscan" spelling answers exactly what no clusterer does.
 func TestHistoryQueryProxgraph(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	_, ts := newTestServer(t, durableConfig(walRoot))
-	var st FeedStatus
-	doJSON(t, "POST", ts.URL+"/v1/feeds",
-		FeedSpec{Name: "contacts", Params: ParamsJSON{M: 2, K: 3, Eps: 0.5}, Clusterer: "proxgraph"},
-		http.StatusCreated, &st)
+	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 3, Eps: 1})
 	for tick := model.Tick(0); tick < 6; tick++ {
-		pushTick(t, ts.URL, "contacts", TickBatch{T: tick, Edges: []EdgeJSON{{A: "x", B: "y", W: 1}}})
+		pushTick(t, ts.URL, "fleet", vanBatch(tick))
 	}
-	var resp HistoryQueryResponse
-	doJSON(t, "POST", ts.URL+"/v1/feeds/contacts/query", HistoryQueryRequest{
-		Params: ParamsJSON{M: 2, K: 3, Eps: 0.5}, Clusterer: "proxgraph",
-		From: ptrTick(1), To: ptrTick(4),
-	}, http.StatusOK, &resp)
-	if len(resp.Convoys) != 1 {
-		t.Fatalf("convoys = %+v, want exactly one", resp.Convoys)
-	}
-	c := resp.Convoys[0]
-	if c.Start != 1 || c.End != 4 || !reflect.DeepEqual(c.Objects, []string{"x", "y"}) {
-		t.Errorf("convoy = %+v, want {x,y} over [1,4]", c)
+	req := HistoryQueryRequest{Params: ParamsJSON{M: 2, K: 3, Eps: 1}, From: ptrTick(1), To: ptrTick(4)}
+	graph := req
+	graph.Clusterer = "proxgraph"
+	expectRefusal(t, "POST", ts.URL+"/v1/feeds/fleet/query", graph)
+
+	var plain, legacy HistoryQueryResponse
+	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/query", req, http.StatusOK, &plain)
+	req.Clusterer = "dbscan"
+	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/query", req, http.StatusOK, &legacy)
+	plain.ElapsedMS, legacy.ElapsedMS = 0, 0
+	if len(plain.Convoys) == 0 || !reflect.DeepEqual(plain, legacy) {
+		t.Fatalf("clusterer=dbscan answered %+v, no clusterer %+v; want one non-empty answer", legacy, plain)
 	}
 }
 

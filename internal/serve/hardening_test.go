@@ -103,7 +103,7 @@ func TestQueryUploadRejectsNonFiniteCSV(t *testing.T) {
 func TestFeedIngestRejectsNonFinitePositions(t *testing.T) {
 	r := newRegistry(Config{}.withDefaults())
 	defer r.CloseAll()
-	f, err := r.Create("poison", mustParams(t), "")
+	f, err := r.Create("poison", mustParams(t))
 	if err != nil {
 		t.Fatal(err)
 	}

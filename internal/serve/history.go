@@ -7,11 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/feed"
 	"repro/internal/geom"
 	"repro/internal/model"
-	"repro/internal/proxgraph"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -30,11 +28,10 @@ import (
 // walks the in-window ones (tsio.WalkTickBlock validates each) while a
 // windowFold appends their fields straight to what the query mines.
 
-// windowFold is the tsio.TickBlockVisitor accumulating a history window:
-// with log nil its positions, as one sample column per object in
-// first-seen order (labels, views into the segment buffer, are interned:
-// copied once per object, looked up without allocating); otherwise its
-// edges, into that contact log.
+// windowFold is the tsio.TickBlockVisitor accumulating a history window's
+// positions as one sample column per object in first-seen order (labels,
+// views into the segment buffer, are interned: copied once per object,
+// looked up without allocating).
 //
 // A feed names its objects in much the same order tick after tick, so a
 // label is first checked against the object at the same position in the
@@ -51,8 +48,6 @@ type windowFold struct {
 	// prev holds the objects of the previous block by position, cur those
 	// of the block being walked.
 	prev, cur []model.ObjectID
-	log       *proxgraph.Log
-	err       error // the first edge the log refused
 }
 
 var foldPool = sync.Pool{New: func() any { return &windowFold{ids: map[string]model.ObjectID{}} }}
@@ -67,7 +62,7 @@ func (w *windowFold) release() {
 	clear(w.ids)
 	clear(w.labels) // drop the label strings; the columns are overwritten on reuse
 	w.t, w.ticks, w.labels, w.samples = 0, 0, w.labels[:0], w.samples[:0]
-	w.prev, w.cur, w.log, w.err = w.prev[:0], w.cur[:0], nil, nil
+	w.prev, w.cur = w.prev[:0], w.cur[:0]
 	foldPool.Put(w)
 }
 
@@ -77,9 +72,6 @@ func (w *windowFold) Block(t model.Tick, _ int) {
 }
 
 func (w *windowFold) Position(label []byte, x, y float64) {
-	if w.log != nil {
-		return
-	}
 	k := len(w.cur)
 	var id model.ObjectID
 	if k < len(w.prev) && w.labels[w.prev[k]] == string(label) {
@@ -99,14 +91,6 @@ func (w *windowFold) Position(label []byte, x, y float64) {
 	}
 	w.cur = append(w.cur, id)
 	w.samples[id] = append(w.samples[id], model.Sample{T: w.t, P: geom.Pt(x, y)})
-}
-
-func (w *windowFold) Edges(int) {}
-
-func (w *windowFold) Edge(a, b []byte, wt float64) {
-	if w.log != nil && w.err == nil {
-		w.err = w.log.Add(string(a), string(b), w.t, wt)
-	}
 }
 
 // db assembles the folded columns into a trajectory database — the
@@ -152,38 +136,23 @@ func (s *Server) historyQuery(ctx context.Context, f *feed.Feed, req HistoryQuer
 	defer qsp.End() // idempotent; mine ends it before collecting the profile
 	fold := newWindowFold()
 	defer fold.release() // after mine: the database's trajectories are the fold's columns
-	if pl.res.Clusterer == proxgraph.Backend {
-		fold.log = proxgraph.NewLog()
-	}
 	if err := f.ReadWindow(ctx, pl.res.From, pl.res.To, fold); err != nil {
 		return HistoryQueryResponse{}, err
 	}
 	resp = HistoryQueryResponse{
-		Convoys:   []ConvoyJSON{},
-		Params:    pl.res.Spec.Params,
-		Algo:      pl.res.Algo,
-		Clusterer: pl.res.Clusterer,
-		From:      req.From,
-		To:        req.To,
-		Ticks:     fold.ticks,
+		Convoys: []ConvoyJSON{},
+		Params:  pl.res.Spec.Params,
+		Algo:    pl.res.Algo,
+		From:    req.From,
+		To:      req.To,
+		Ticks:   fold.ticks,
 	}
-	var db *model.DB
-	var cl core.Clusterer
-	if fold.log != nil {
-		// Cluster the logged contact edges: the graph backend reads the
-		// window's edge log tick by tick, exactly like an uploaded a,b,t,w
-		// contact log.
-		if err = fold.err; err == nil {
-			db, cl, err = pl.res.ContactLog(fold.log)
-		}
-		if err != nil {
-			return HistoryQueryResponse{}, fmt.Errorf("serve: history window edges: %w", err)
-		}
-	} else if db, err = fold.db(); err != nil {
+	db, err := fold.db()
+	if err != nil {
 		return HistoryQueryResponse{}, err
 	}
 	if db.Len() == 0 {
-		return resp, nil // no positions, or no contacts, in the window: no convoys
+		return resp, nil // no positions in the window: no convoys
 	}
 	resp.Objects = db.Len()
 	release, err := s.q.acquire(ctx)
@@ -191,7 +160,7 @@ func (s *Server) historyQuery(ctx context.Context, f *feed.Feed, req HistoryQuer
 		return HistoryQueryResponse{}, err
 	}
 	defer release()
-	if resp.Convoys, resp.Stats, resp.Explain, err = s.q.mine(ctx, qsp, pl, db, cl, wire.DBLabels(db)); err != nil {
+	if resp.Convoys, resp.Stats, resp.Explain, err = s.q.mine(ctx, qsp, pl, db, wire.DBLabels(db)); err != nil {
 		return HistoryQueryResponse{}, err
 	}
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000

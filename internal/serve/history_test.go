@@ -17,7 +17,6 @@ import (
 	"repro/internal/feed"
 	"repro/internal/geom"
 	"repro/internal/model"
-	"repro/internal/proxgraph"
 	"repro/internal/tsio"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -27,8 +26,7 @@ import (
 // semantics rather than its happy case: a and b travel together on every
 // tick; c travels with them but is only sampled on every third tick, so
 // its membership at the ticks between rests on the engine's interpolation;
-// d does not exist before tick 17; x–y are in contact on every tick and
-// y–z only from tick 15 on.
+// d does not exist before tick 17.
 func gapBatch(t model.Tick) TickBatch {
 	x := float64(t) * 2
 	b := TickBatch{T: t, Positions: []Position{{ID: "a", X: x, Y: 0}, {ID: "b", X: x, Y: 0.8}}}
@@ -37,10 +35,6 @@ func gapBatch(t model.Tick) TickBatch {
 	}
 	if t >= 17 {
 		b.Positions = append(b.Positions, Position{ID: "d", X: x, Y: -0.8})
-	}
-	b.Edges = []EdgeJSON{{A: "x", B: "y", W: 1}}
-	if t >= 15 {
-		b.Edges = append(b.Edges, EdgeJSON{A: "y", B: "z", W: 2})
 	}
 	return b
 }
@@ -69,10 +63,10 @@ func segmentTicks(t *testing.T, path string) (ticks []model.Tick, offs []int) {
 // semantics: a window that straddles three WAL segments, cut so that its
 // first segment also holds out-of-window records, with an object that
 // skips ticks and one that appears mid-window, answers exactly what
-// core.Query answers over the same samples — for CMC, for CuTS* and for
-// the proxgraph backend over the logged edges. And a flipped payload byte
-// in an out-of-window record of a touched segment still fails the query:
-// records the window does not need are CRC-checked, not skipped.
+// core.Query answers over the same samples — for CMC and for CuTS* — and
+// refuses the proxgraph backend. And a flipped payload byte in an
+// out-of-window record of a touched segment still fails the query: records
+// the window does not need are CRC-checked, not skipped.
 func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	_, ts := newTestServer(t, durableConfig(walRoot)) // 512-byte segments
@@ -103,7 +97,6 @@ func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 	db := model.NewDB()
 	var labels []string
 	samples := map[string][]model.Sample{}
-	contacts := proxgraph.NewLog()
 	for tick := from; tick <= to; tick++ {
 		b := gapBatch(tick)
 		for _, p := range b.Positions {
@@ -111,11 +104,6 @@ func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 				labels = append(labels, p.ID)
 			}
 			samples[p.ID] = append(samples[p.ID], model.Sample{T: tick, P: geom.Pt(p.X, p.Y)})
-		}
-		for _, e := range b.Edges {
-			if err := contacts.Add(e.A, e.B, tick, e.W); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	for _, label := range labels {
@@ -130,10 +118,6 @@ func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 	}
 	if d := db.Traj(3); d.Label != "d" || d.Start() <= from {
 		t.Fatalf("object d = %q starting at %d; want it to appear after %d", d.Label, d.Start(), from)
-	}
-	contactDB, err := contacts.DB()
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	geo := core.Params{M: 2, K: 4, Eps: 1}
@@ -154,8 +138,6 @@ func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 		{"cuts*", HistoryQueryRequest{Algo: wire.AlgoCuTSStar}, geo, db, []core.Option{core.WithVariant(core.VariantCuTSStar)}, 2, 0},
 		{"cuts*/partitions=3", HistoryQueryRequest{Algo: wire.AlgoCuTSStar, Lambda: 2, Partitions: 3}, geo, db,
 			[]core.Option{core.WithVariant(core.VariantCuTSStar), core.WithLambda(2)}, 2, 3},
-		{"proxgraph", HistoryQueryRequest{Clusterer: proxgraph.Backend}, core.Params{M: 2, K: 4, Eps: 0.5}, contactDB,
-			[]core.Option{core.WithCMC(), core.WithClusterer(contacts.Clusterer())}, 2, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := tc.req
@@ -187,6 +169,13 @@ func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 			}
 		})
 	}
+	// The window's contact graph is not the daemon's to cluster: naming the
+	// proxgraph backend is refused (TestHistoryQueryProxgraph has the
+	// legacy "dbscan" spelling).
+	t.Run("proxgraph", func(t *testing.T) {
+		expectRefusal(t, "POST", ts.URL+"/v1/feeds/gaps/query",
+			HistoryQueryRequest{Params: wire.ParamsToJSON(geo), From: &from, To: &to, Clusterer: "proxgraph"})
+	})
 
 	// Damage the window's first segment in the one record the window does
 	// not need.

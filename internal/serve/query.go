@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"crypto/sha256"
@@ -19,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/proxgraph"
 	"repro/internal/trace"
 	"repro/internal/tsio"
 	"repro/internal/wire"
@@ -118,11 +116,8 @@ func notFound(path string) error { return fmt.Errorf("%w: %q", errDBNotFound, pa
 // clamp.
 type queryPlan struct {
 	req QueryRequest
-	// res is the resolved spec: validated params, algorithm, normalized
-	// clusterer name ("" for dbscan, so legacy cache keys are unchanged)
-	// and window bounds. A non-default clusterer changes how the request
-	// body is parsed: proxgraph queries upload an edge CSV (a,b,t,w
-	// contact log), not a trajectory database.
+	// res is the resolved spec: validated params, algorithm and window
+	// bounds.
 	res wire.Resolved
 	// workers is the effective per-stage worker count: the request's
 	// workers field clamped to the server's MaxWorkersPerQuery (0 = 1 =
@@ -153,9 +148,9 @@ func plan(req QueryRequest, maxWorkers int) (queryPlan, error) {
 // and a from/to window — which does change the answer — extends the key
 // only when present, so unwindowed keys keep their legacy shape.
 func (pl queryPlan) key(digest string) string {
-	key := fmt.Sprintf("%s|%d|%d|%g|%s|%g|%d|%s",
+	key := fmt.Sprintf("%s|%d|%d|%g|%s|%g|%d",
 		digest, pl.res.P.M, pl.res.P.K, pl.res.P.Eps, pl.res.Algo,
-		pl.res.Spec.Delta, pl.res.Spec.Lambda, pl.res.Clusterer)
+		pl.res.Spec.Delta, pl.res.Spec.Lambda)
 	if pl.res.Windowed {
 		key += fmt.Sprintf("|w%d:%d", pl.res.From, pl.res.To)
 	}
@@ -503,11 +498,10 @@ func (e *queryEngine) startQuery(ctx context.Context, pl queryPlan, reqSpan *tra
 // collected), its statistics into the per-algorithm counters, and the
 // answer in the wire schema — convoys named through labels (never nil, so
 // an empty answer encodes as []), stats when a CuTS variant ran, the stage
-// profile when the request asked for explain. A non-nil cl replaces the
-// default per-tick clusterer.
-func (e *queryEngine) mine(ctx context.Context, qsp *trace.Span, pl queryPlan, db *model.DB, cl core.Clusterer, labels func(model.ObjectID) string) (convoys []ConvoyJSON, stats *StatsJSON, explain *ExplainJSON, err error) {
+// profile when the request asked for explain.
+func (e *queryEngine) mine(ctx context.Context, qsp *trace.Span, pl queryPlan, db *model.DB, labels func(model.ObjectID) string) (convoys []ConvoyJSON, stats *StatsJSON, explain *ExplainJSON, err error) {
 	var st core.Stats
-	res, err := core.NewQuery(pl.res.Options(pl.workers, cl, &st)...).Run(ctx, db)
+	res, err := core.NewQuery(pl.res.Options(pl.workers, &st)...).Run(ctx, db)
 	qsp.End()
 	if err != nil {
 		return nil, nil, nil, err
@@ -543,17 +537,13 @@ type source struct {
 
 // loaded is a query's input, ready to mine.
 type loaded struct {
-	// digest is the SHA-256 of the bytes db (or log) was parsed from, taken
-	// by this request.
+	// digest is the SHA-256 of the bytes db was parsed from, taken by this
+	// request.
 	digest string
 	// data is those bytes; nil when a resident dataset was confirmed by a
 	// streamed hash, which keeps none.
 	data []byte
 	db   *model.DB
-	// cl is nil for a trajectory database. A proxgraph query's input is an
-	// a,b,t,w contact log instead: db is then the log's stand-in database,
-	// already cut to the query's window, and cl reads the log's edges.
-	cl core.Clusterer
 }
 
 // loadStats is what one load cost, for its span.
@@ -582,12 +572,11 @@ func (e *queryEngine) load(ctx context.Context, pl queryPlan, src source) (in lo
 			Float("digest_ms", msFloat(st.digest)).
 			Float("decode_ms", msFloat(st.decode))
 	}()
-	contactLog := pl.res.Clusterer == proxgraph.Backend
 	if src.data == nil {
-		// A coordinator ships the bytes to its shards and a contact log is
-		// parsed from them every time; any other query needs only the proof
-		// that the file still holds what the resident dataset was parsed from.
-		if db, ok := e.datasets.get(src.digest); ok && !contactLog && len(e.cfg.Shards) == 0 {
+		// A coordinator ships the bytes to its shards; any other query needs
+		// only the proof that the file still holds what the resident dataset
+		// was parsed from.
+		if db, ok := e.datasets.get(src.digest); ok && len(e.cfg.Shards) == 0 {
 			sum, herr := hashFile(src.full, &st)
 			if herr != nil {
 				return loaded{}, readErr(src.path, herr)
@@ -609,16 +598,8 @@ func (e *queryEngine) load(ctx context.Context, pl queryPlan, src source) (in lo
 	st.bytes = int64(len(src.data))
 	in = loaded{digest: src.digest, data: src.data}
 	t0 := time.Now()
-	resident := false
-	if contactLog {
-		var log *proxgraph.Log
-		if log, err = proxgraph.ReadLog(bytes.NewReader(in.data)); err == nil {
-			in.db, in.cl, err = pl.res.ContactLog(log)
-		}
-	} else {
-		in.db, resident, err = e.dataset(in.digest, in.data)
-	}
-	if err != nil {
+	var resident bool
+	if in.db, resident, err = e.dataset(in.digest, in.data); err != nil {
 		return loaded{}, badRequest(err) // unparseable database
 	}
 	if resident {
@@ -669,14 +650,13 @@ func (e *queryEngine) compute(ctx context.Context, pl queryPlan, src source, req
 	}
 	qsp.Str("digest", in.digest)
 	resp := QueryResponse{
-		Convoys:   []ConvoyJSON{},
-		Params:    pl.res.Spec.Params,
-		Algo:      pl.res.Algo,
-		Clusterer: pl.res.Clusterer,
-		From:      pl.req.From,
-		To:        pl.req.To,
-		Digest:    in.digest,
-		Cache:     "miss",
+		Convoys: []ConvoyJSON{},
+		Params:  pl.res.Spec.Params,
+		Algo:    pl.res.Algo,
+		From:    pl.req.From,
+		To:      pl.req.To,
+		Digest:  in.digest,
+		Cache:   "miss",
 	}
 	if len(e.cfg.Shards) > 0 {
 		// Coordinator mode: fan the query out over the shard fleet and merge
@@ -689,9 +669,7 @@ func (e *queryEngine) compute(ctx context.Context, pl queryPlan, src source, req
 		return e.answered(resp, pl, t0, nil), nil
 	}
 	db, labels := in.db, wire.DBLabels(in.db)
-	if in.cl != nil {
-		qsp.Str("clusterer", pl.res.Clusterer)
-	} else if pl.res.Windowed {
+	if pl.res.Windowed {
 		// Interpolation-aware slice: real samples inside the window plus
 		// virtual boundary samples, so the windowed answer equals the
 		// full answer restricted to [from, to]. The slice is a copy — the
@@ -702,7 +680,7 @@ func (e *queryEngine) compute(ctx context.Context, pl queryPlan, src source, req
 		labels = wire.DBLabels(db, sliceIDs...)
 	}
 	var explain *ExplainJSON
-	if resp.Convoys, resp.Stats, explain, err = e.mine(ctx, qsp, pl, db, in.cl, labels); err != nil {
+	if resp.Convoys, resp.Stats, explain, err = e.mine(ctx, qsp, pl, db, labels); err != nil {
 		return QueryResponse{}, err
 	}
 	return e.answered(resp, pl, t0, explain), nil

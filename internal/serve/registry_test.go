@@ -23,27 +23,27 @@ func TestRegistryMaxFeedsSentinel(t *testing.T) {
 	r := newRegistry(Config{MaxFeeds: 2}.withDefaults())
 	defer r.CloseAll()
 	for _, name := range []string{"a", "b"} {
-		if _, err := r.Create(name, testParams(), ""); err != nil {
+		if _, err := r.Create(name, testParams()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := r.Create("c", testParams(), "")
+	_, err := r.Create("c", testParams())
 	if !errors.Is(err, feed.ErrTooManyFeeds) {
 		t.Fatalf("create over cap = %v, want ErrTooManyFeeds", err)
 	}
 	// Duplicate names and invalid params report their own sentinels.
-	if _, err := r.Create("a", testParams(), ""); !errors.Is(err, feed.ErrFeedExists) {
+	if _, err := r.Create("a", testParams()); !errors.Is(err, feed.ErrFeedExists) {
 		t.Fatalf("duplicate create = %v, want ErrFeedExists", err)
 	}
 	var bre *badRequestError
-	if _, err := r.Create("c", core.Params{}, ""); !errors.As(err, &bre) {
+	if _, err := r.Create("c", core.Params{}); !errors.As(err, &bre) {
 		t.Fatalf("invalid params = %v, want badRequestError", err)
 	}
 	// Removing frees the slot.
 	if _, err := r.Remove(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Create("c", testParams(), ""); err != nil {
+	if _, err := r.Create("c", testParams()); err != nil {
 		t.Fatalf("create after remove: %v", err)
 	}
 	if _, err := r.Remove(context.Background(), "nope"); !errors.Is(err, feed.ErrNoFeed) {
@@ -53,12 +53,12 @@ func TestRegistryMaxFeedsSentinel(t *testing.T) {
 
 func TestRegistryCreateAfterCloseAll(t *testing.T) {
 	r := newRegistry(Config{}.withDefaults())
-	f, err := r.Create("a", testParams(), "")
+	f, err := r.Create("a", testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.CloseAll()
-	if _, err := r.Create("b", testParams(), ""); !errors.Is(err, feed.ErrClosing) {
+	if _, err := r.Create("b", testParams()); !errors.Is(err, feed.ErrClosing) {
 		t.Fatalf("create after CloseAll = %v, want ErrClosing", err)
 	}
 	// The drained feed's worker is gone: operations fail with ErrFeedClosed.
@@ -92,13 +92,13 @@ func TestRegistryEvictIdle(t *testing.T) {
 	clock := &testClock{t: time.Unix(1000, 0)}
 	r := feed.NewRegistry(feed.Config{Now: clock.now})
 	defer r.CloseAll()
-	stale, err := r.Create("stale", testParams(), "")
+	stale, err := r.Create("stale", testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An hour passes; only the fresh feed is touched after it.
 	clock.advance(time.Hour)
-	fresh, err := r.Create("fresh", testParams(), "")
+	fresh, err := r.Create("fresh", testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestIdleClockTouchSemantics(t *testing.T) {
 	clock := &testClock{t: time.Unix(1000, 0)}
 	r := feed.NewRegistry(feed.Config{Now: clock.now})
 	defer r.CloseAll()
-	f, err := r.Create("clock", testParams(), "")
+	f, err := r.Create("clock", testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,11 @@ func TestIdleClockTouchSemantics(t *testing.T) {
 func TestJanitorEvictsAndDrainsMonitorTable(t *testing.T) {
 	srv := New(Config{IdleTimeout: 40 * time.Millisecond})
 	defer srv.Close()
-	f, err := srv.reg.Create("sleepy", testParams(), "")
+	f, err := srv.reg.Create("sleepy", testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.AddMonitor(context.Background(), "second", core.Params{M: 2, K: 1, Eps: 1}, ""); err != nil {
+	if _, err := f.AddMonitor(context.Background(), "second", core.Params{M: 2, K: 1, Eps: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for tick := int64(0); tick < 3; tick++ {

@@ -10,12 +10,9 @@
 //     observe, per monitor, convoys the moment they close — by polling or
 //     by tailing an NDJSON event stream (events are tagged with the
 //     monitor ID; ?monitor= filters). Per tick the feed worker runs one
-//     clustering pass per *distinct* clustering key (e, m, backend) among
-//     the live monitors and fans the clusters out to every monitor in the
-//     group, so the per-tick cost is O(distinct keys), not O(monitors).
-//     Monitors choose their clustering backend at creation ("clusterer":
-//     "dbscan" over positions, or "proxgraph" over per-tick proximity
-//     edges carried in the tick batch). Deleting a
+//     DBSCAN pass per *distinct* clustering key (e, m) among the live
+//     monitors and fans the clusters out to every monitor in the group, so
+//     the per-tick cost is O(distinct keys), not O(monitors). Deleting a
 //     monitor or a feed (or shutting the server down) drains open
 //     candidates, so no convoy that satisfied the lifetime bound is ever
 //     lost.
@@ -44,18 +41,18 @@
 //	GET    /v1/healthz                      liveness + feed count
 //	GET    /v1/stats                        read-only counter snapshot (ServerStats)
 //	GET    /v1/feeds                        list feed statuses
-//	POST   /v1/feeds                        create a feed     {name, params:{m,k,e}, clusterer?}
+//	POST   /v1/feeds                        create a feed     {name, params:{m,k,e}}
 //	GET    /v1/feeds/{name}                 one feed's status (incl. monitor table)
 //	DELETE /v1/feeds/{name}                 drain + delete    → {drained:[...]}
-//	POST   /v1/feeds/{name}/ticks           ingest            {ticks:[{t, positions:[{id,x,y}], edges:[{a,b,w}]}]}
+//	POST   /v1/feeds/{name}/ticks           ingest            {ticks:[{t, positions:[{id,x,y}]}]}
 //	GET    /v1/feeds/{name}/convoys         poll closed convoys (?since=seq&monitor=id)
 //	GET    /v1/feeds/{name}/events          NDJSON tail of closed convoys (?since=seq&monitor=id)
 //	GET    /v1/feeds/{name}/monitors        list the feed's standing queries
-//	POST   /v1/feeds/{name}/monitors        add a monitor     {id, params:{m,k,e}, clusterer?}
+//	POST   /v1/feeds/{name}/monitors        add a monitor     {id, params:{m,k,e}}
 //	GET    /v1/feeds/{name}/monitors/{id}   one monitor's status
 //	DELETE /v1/feeds/{name}/monitors/{id}   drain + remove    → {id, drained:[...]}
 //	POST   /v1/feeds/{name}/query           historical query over the feed's WAL window
-//	                                        {params, from?, to?, algo?, clusterer?}
+//	                                        {params, from?, to?, algo?}
 //	GET    /v1/feeds/{name}/wal             WAL status: segments, bytes, fsync, recovery
 //	POST   /v1/query                        batch query (body = CSV/CTB upload, params
 //	                                        in the query string; or JSON {path,...})
@@ -68,6 +65,12 @@
 // internal/wire. With Config.Shards set, POST /v1/query becomes a
 // coordinator that fans the query out over a shard fleet and merges the
 // exact answer (see shard.go).
+//
+// Every surface clusters positions with the paper's DBSCAN. A "clusterer"
+// field in a query, feed or monitor spec is a legacy spelling: "dbscan" is
+// accepted and dropped, any other backend answers 400 — proximity-log
+// convoys (internal/proxgraph) are a library option,
+// convoys.WithClusterer(log.Clusterer()), shown in examples/contactlog.
 //
 // Replaying a database tick-by-tick through a feed and canonicalizing the
 // emitted convoys equals the batch CMC answer on the same database — the
@@ -387,7 +390,11 @@ func (s *Server) handleCreateFeed(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest(fmt.Errorf("decode feed spec: %w", err)))
 		return
 	}
-	f, err := s.reg.Create(spec.Name, spec.Params.Params(), spec.Clusterer)
+	if err := wire.CheckClusterer(spec.Clusterer); err != nil {
+		writeErr(w, badRequest(err))
+		return
+	}
+	f, err := s.reg.Create(spec.Name, spec.Params.Params())
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -432,7 +439,11 @@ func (s *Server) handleAddMonitor(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest(fmt.Errorf("decode monitor spec: %w", err)))
 		return
 	}
-	st, err := f.AddMonitor(r.Context(), spec.ID, spec.Params.Params(), spec.Clusterer)
+	if err := wire.CheckClusterer(spec.Clusterer); err != nil {
+		writeErr(w, badRequest(err))
+		return
+	}
+	st, err := f.AddMonitor(r.Context(), spec.ID, spec.Params.Params())
 	if err != nil {
 		writeErr(w, err)
 		return

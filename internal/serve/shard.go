@@ -73,7 +73,6 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		Convoys:   resp.Convoys,
 		Digest:    resp.Digest,
 		Algo:      resp.Algo,
-		Clusterer: resp.Clusterer,
 		Cache:     resp.Cache == "hit" || resp.Cache == "dedup",
 		ElapsedMS: resp.ElapsedMS,
 	})

@@ -14,7 +14,6 @@ type (
 	ParamsJSON   = wire.ParamsJSON
 	ConvoyJSON   = wire.ConvoyJSON
 	Position     = wire.Position
-	EdgeJSON     = wire.EdgeJSON
 	TickBatch    = wire.TickBatch
 	TicksRequest = wire.TicksRequest
 	StatsJSON    = wire.StatsJSON
@@ -46,7 +45,7 @@ type (
 	// retains (From/To delimit the window; ticks compacted past the
 	// retention horizon are gone and silently excluded). The default
 	// algorithm is cmc — the canonical semantics for a replayed live stream;
-	// the CuTS family is opt-in and dbscan-only.
+	// the CuTS family is opt-in.
 	HistoryQueryRequest = wire.QuerySpec
 )
 

@@ -106,11 +106,6 @@ func (v *countingVisitor) Position(l []byte, x, y float64) {
 	v.labelBytes += len(l)
 	v.sum += x + y
 }
-func (v *countingVisitor) Edges(int) {}
-func (v *countingVisitor) Edge(a, b []byte, w float64) {
-	v.labelBytes += len(a) + len(b)
-	v.sum += w
-}
 
 // BenchmarkTickBlockWalk prices parsing one tick block of 285 positions —
 // a Commute or Truck tick — by the walker (validate and report, nothing

@@ -11,19 +11,21 @@ import (
 // Tick-block binary format ("CTK"): the CTB-style encoding of one ingested
 // tick batch — the unit the write-ahead log appends per accepted
 // POST /v1/feeds/{name}/ticks batch. Unlike CTB (whole trajectories,
-// column-ish), a tick block is row-ish: everything one tick carried, both
-// object positions and proximity edges, so a log of blocks replays exactly
-// the batches a feed accepted, in order. Layout, integers as unsigned
-// varints unless noted:
+// column-ish), a tick block is row-ish: every object position one tick
+// carried, so a log of blocks replays exactly the batches a feed accepted,
+// in order. Layout, integers as unsigned varints unless noted:
 //
 //	magic "CTK1" (4 bytes)
 //	t (zig-zag varint; ticks may be negative)
 //	numPositions
 //	per position: labelLen, label bytes, x, y as IEEE-754 bits (8+8 LE)
-//	numEdges
+//	numEdges (0 when written; see below)
 //	per edge: aLen, a bytes, bLen, b bytes, w as IEEE-754 bits (8 LE)
 //
-// Coordinates and weights round-trip bit-exactly. Labels travel as the
+// The edge section is a legacy of feeds that carried proximity edges: the
+// encoder writes an empty one and the walker validates and skips whatever
+// an older log holds, so those logs still replay (positions only).
+// Coordinates round-trip bit-exactly. Labels travel as the
 // client's strings — dense ObjectIDs are a per-feed artifact that must not
 // be persisted (a recovered feed re-interns labels in replay order and
 // reproduces the same dense IDs).
@@ -37,18 +39,11 @@ type TickPosition struct {
 	X, Y  float64
 }
 
-// TickEdge is one proximity observation inside a TickBlock.
-type TickEdge struct {
-	A, B string
-	W    float64
-}
-
-// TickBlock is the persisted form of one tick batch: the snapshot of every
-// tracked object at one tick — positions, proximity edges, or both.
+// TickBlock is the persisted form of one tick batch: the position of every
+// tracked object at one tick.
 type TickBlock struct {
 	T         model.Tick
 	Positions []TickPosition
-	Edges     []TickEdge
 }
 
 // AppendTickBlock appends the CTK encoding of the block to dst and returns
@@ -63,15 +58,7 @@ func AppendTickBlock(dst []byte, b TickBlock) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.X))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Y))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(b.Edges)))
-	for _, e := range b.Edges {
-		dst = binary.AppendUvarint(dst, uint64(len(e.A)))
-		dst = append(dst, e.A...)
-		dst = binary.AppendUvarint(dst, uint64(len(e.B)))
-		dst = append(dst, e.B...)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.W))
-	}
-	return dst
+	return append(dst, 0) // numEdges
 }
 
 // tickBlockReader decodes CTK fields off a byte slice with bounds and
@@ -144,8 +131,8 @@ func TickBlockTick(data []byte) (model.Tick, error) {
 }
 
 // TickBlockVisitor receives the contents of one CTK block from
-// WalkTickBlock, in encoding order: Block first, then every position, then
-// Edges, then every edge. Labels are sub-slices of the walked bytes — no
+// WalkTickBlock, in encoding order: Block first, then every position.
+// Labels are sub-slices of the walked bytes — no
 // copy, no allocation — so they are only as stable as that buffer and must
 // be copied (or interned) to be kept. A block that turns out damaged has
 // already reported everything before the damage; a visitor's state is only
@@ -154,9 +141,6 @@ type TickBlockVisitor interface {
 	// Block opens the block: its tick and how many positions follow.
 	Block(t model.Tick, positions int)
 	Position(label []byte, x, y float64)
-	// Edges announces how many edges follow.
-	Edges(n int)
-	Edge(a, b []byte, w float64)
 }
 
 // WalkTickBlock parses one CTK-encoded tick block, reporting its contents
@@ -165,8 +149,9 @@ type TickBlockVisitor interface {
 // contain exactly one block — trailing bytes are an error, since the WAL
 // frames each block as one CRC-checked record. Counts are guarded against
 // the remaining input before they are reported, and non-finite coordinates
-// or weights are rejected like ReadBinary rejects them: a damaged record
-// must fail decoding rather than poison a replayed monitor.
+// are rejected like ReadBinary rejects them: a damaged record must fail
+// decoding rather than poison a replayed monitor. A legacy edge section is
+// held to the same checks (plausible count, finite weights) and skipped.
 func WalkTickBlock(data []byte, v TickBlockVisitor) error {
 	r := tickBlockReader{data: data}
 	t, err := r.header()
@@ -213,17 +198,11 @@ func WalkTickBlock(data []byte, v TickBlockVisitor) error {
 	if nEdges > uint64(r.remaining())/10 {
 		return fmt.Errorf("tsio: tick block: implausible edge count %d", nEdges)
 	}
-	if v != nil {
-		v.Edges(int(nEdges))
-	}
 	for i := uint64(0); i < nEdges; i++ {
-		a, err := r.label("edge label")
-		if err != nil {
-			return err
-		}
-		b, err := r.label("edge label")
-		if err != nil {
-			return err
+		for range 2 {
+			if _, err := r.label("edge label"); err != nil {
+				return err
+			}
 		}
 		w, err := r.float("edge weight")
 		if err != nil {
@@ -231,9 +210,6 @@ func WalkTickBlock(data []byte, v TickBlockVisitor) error {
 		}
 		if !finite(w) {
 			return fmt.Errorf("tsio: tick block: edge %d: non-finite weight", i)
-		}
-		if v != nil {
-			v.Edge(a, b, w)
 		}
 	}
 	if r.remaining() != 0 {
@@ -254,16 +230,6 @@ func (m *blockBuilder) Block(t model.Tick, positions int) {
 
 func (m *blockBuilder) Position(label []byte, x, y float64) {
 	m.b.Positions = append(m.b.Positions, TickPosition{Label: string(label), X: x, Y: y})
-}
-
-func (m *blockBuilder) Edges(n int) {
-	if n > 0 {
-		m.b.Edges = make([]TickEdge, 0, n)
-	}
-}
-
-func (m *blockBuilder) Edge(a, b []byte, w float64) {
-	m.b.Edges = append(m.b.Edges, TickEdge{A: string(a), B: string(b), W: w})
 }
 
 // DecodeTickBlock parses one CTK-encoded tick block into a TickBlock —

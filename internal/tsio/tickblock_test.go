@@ -58,7 +58,8 @@ func (r *refBlockReader) float(what string) (float64, error) {
 }
 
 // refDecodeTickBlock is the materialising decoder as it stood before the
-// walker existed, kept verbatim as the walker's independent reference.
+// walker existed, kept as the walker's independent reference; the edge
+// section it still parses and checks is discarded, as the walker skips it.
 func refDecodeTickBlock(data []byte) (TickBlock, error) {
 	var b TickBlock
 	if len(data) < len(tickBlockMagic) || string(data[:len(tickBlockMagic)]) != string(tickBlockMagic[:]) {
@@ -106,24 +107,20 @@ func refDecodeTickBlock(data []byte) (TickBlock, error) {
 	if nEdges > uint64(r.remaining())/10 {
 		return b, fmt.Errorf("tsio: tick block: implausible edge count %d", nEdges)
 	}
-	if nEdges > 0 {
-		b.Edges = make([]TickEdge, 0, nEdges)
-	}
 	for i := uint64(0); i < nEdges; i++ {
-		var e TickEdge
-		if e.A, err = r.str("edge label"); err != nil {
+		var e legacyEdge
+		if e.a, err = r.str("edge label"); err != nil {
 			return b, err
 		}
-		if e.B, err = r.str("edge label"); err != nil {
+		if e.b, err = r.str("edge label"); err != nil {
 			return b, err
 		}
-		if e.W, err = r.float("edge weight"); err != nil {
+		if e.w, err = r.float("edge weight"); err != nil {
 			return b, err
 		}
-		if !finite(e.W) {
+		if !finite(e.w) {
 			return b, fmt.Errorf("tsio: tick block: edge %d: non-finite weight", i)
 		}
-		b.Edges = append(b.Edges, e)
 	}
 	if r.remaining() != 0 {
 		return b, fmt.Errorf("tsio: tick block: %d trailing bytes", r.remaining())
@@ -131,32 +128,53 @@ func refDecodeTickBlock(data []byte) (TickBlock, error) {
 	return b, nil
 }
 
+// legacyEdge is one proximity edge of the edge section older logs hold.
+type legacyEdge struct {
+	a, b string
+	w    float64
+}
+
+// withLegacyEdges encodes b the way a log that carried proximity edges
+// wrote it: the positions as AppendTickBlock writes them, then a non-empty
+// edge section in place of its zero count.
+func withLegacyEdges(b TickBlock, edges []legacyEdge) []byte {
+	data := AppendTickBlock(nil, b)
+	data = binary.AppendUvarint(data[:len(data)-1], uint64(len(edges)))
+	for _, e := range edges {
+		data = binary.AppendUvarint(data, uint64(len(e.a)))
+		data = append(data, e.a...)
+		data = binary.AppendUvarint(data, uint64(len(e.b)))
+		data = append(data, e.b...)
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(e.w))
+	}
+	return data
+}
+
 // recorder is a visitor that keeps everything it is told, copying labels.
 type recorder struct {
-	b                TickBlock
-	positions, edges int // the announced counts
+	b         TickBlock
+	positions int // the announced count
 }
 
 func (r *recorder) Block(t model.Tick, n int) { r.b.T, r.positions = t, n }
 func (r *recorder) Position(label []byte, x, y float64) {
 	r.b.Positions = append(r.b.Positions, TickPosition{Label: string(label), X: x, Y: y})
 }
-func (r *recorder) Edges(n int) { r.edges = n }
-func (r *recorder) Edge(a, b []byte, w float64) {
-	r.b.Edges = append(r.b.Edges, TickEdge{A: string(a), B: string(b), W: w})
-}
 
-// sampleBlock is a block with both halves, a negative tick, an empty label
-// and a multi-byte one.
-var sampleBlock = TickBlock{
-	T: -7,
-	Positions: []TickPosition{
-		{Label: "a", X: 1.5, Y: -2},
-		{Label: "", X: 0, Y: math.SmallestNonzeroFloat64},
-		{Label: "véhicule-17", X: -1e300, Y: 1e-300},
-	},
-	Edges: []TickEdge{{A: "a", B: "véhicule-17", W: 0.25}, {A: "x", B: "y", W: 0}},
-}
+// sampleBlock is a block with a negative tick, an empty label and a
+// multi-byte one; sampleEdges is the edge section an older log would have
+// held beside it.
+var (
+	sampleBlock = TickBlock{
+		T: -7,
+		Positions: []TickPosition{
+			{Label: "a", X: 1.5, Y: -2},
+			{Label: "", X: 0, Y: math.SmallestNonzeroFloat64},
+			{Label: "véhicule-17", X: -1e300, Y: 1e-300},
+		},
+	}
+	sampleEdges = []legacyEdge{{"a", "véhicule-17", 0.25}, {"x", "y", 0}}
+)
 
 // checkWalkAgrees asserts that, on data, the walker, the materialising
 // decoder on top of it, the validity-only walk and the header read all
@@ -184,14 +202,11 @@ func checkWalkAgrees(t *testing.T, data []byte) {
 	if tickErr != nil || tick != want.T {
 		t.Fatalf("header tick = %d, %v; want %d", tick, tickErr, want.T)
 	}
-	if rec.positions != len(want.Positions) || rec.edges != len(want.Edges) {
-		t.Fatalf("announced %d positions, %d edges; block has %d, %d", rec.positions, rec.edges, len(want.Positions), len(want.Edges))
+	if rec.positions != len(want.Positions) {
+		t.Fatalf("announced %d positions; block has %d", rec.positions, len(want.Positions))
 	}
 	if !reflect.DeepEqual(rec.b.Positions, want.Positions) && len(want.Positions) > 0 {
 		t.Fatalf("walked positions %+v, reference %+v", rec.b.Positions, want.Positions)
-	}
-	if !reflect.DeepEqual(rec.b.Edges, want.Edges) && len(want.Edges) > 0 {
-		t.Fatalf("walked edges %+v, reference %+v", rec.b.Edges, want.Edges)
 	}
 	if again := AppendTickBlock(nil, got); string(again) != string(data) && len(data) < 1<<10 {
 		// Not every accepted encoding is canonical (varints may be padded),
@@ -204,11 +219,43 @@ func checkWalkAgrees(t *testing.T, data []byte) {
 }
 
 func TestTickBlockRoundTrip(t *testing.T) {
-	for _, b := range []TickBlock{{}, {T: model.MaxTick}, {T: model.MinTick, Edges: sampleBlock.Edges}, sampleBlock} {
+	for _, b := range []TickBlock{{}, {T: model.MaxTick}, {T: model.MinTick}, sampleBlock} {
 		data := AppendTickBlock(nil, b)
 		got, err := DecodeTickBlock(data)
 		if err != nil || !reflect.DeepEqual(got, b) {
 			t.Fatalf("round trip of %+v = %+v, %v", b, got, err)
+		}
+		checkWalkAgrees(t, data)
+	}
+}
+
+// A block an older log wrote with a non-empty edge section walks clean to
+// its positions alone; the section is still held to the checks it always
+// had — a count the remaining bytes cannot hold, or a NaN weight, refuses
+// the block.
+func TestTickBlockLegacyEdges(t *testing.T) {
+	for _, b := range []TickBlock{sampleBlock, {T: 4}} {
+		data := withLegacyEdges(b, sampleEdges)
+		got, err := DecodeTickBlock(data)
+		if err != nil || !reflect.DeepEqual(got, b) {
+			t.Fatalf("block with edges decodes to %+v, %v; want %+v", got, err, b)
+		}
+		var v labelKeeper
+		if err := WalkTickBlock(data, &v); err != nil || len(v.kept) != len(b.Positions) {
+			t.Fatalf("walk visited %d labels, %v; want the %d position labels", len(v.kept), err, len(b.Positions))
+		}
+		checkWalkAgrees(t, data)
+	}
+
+	huge := AppendTickBlock(nil, TickBlock{T: 1})
+	huge = binary.AppendUvarint(huge[:len(huge)-1], 1<<40)
+	nan := withLegacyEdges(TickBlock{T: 1}, []legacyEdge{{"a", "b", math.NaN()}})
+	for name, data := range map[string][]byte{"implausible count": huge, "NaN weight": nan} {
+		if _, err := DecodeTickBlock(data); err == nil {
+			t.Fatalf("%s: block accepted", name)
+		}
+		if err := WalkTickBlock(data, nil); err == nil {
+			t.Fatalf("%s: validity walk accepted the block", name)
 		}
 		checkWalkAgrees(t, data)
 	}
@@ -222,8 +269,8 @@ func TestWalkTickBlockLabelsAlias(t *testing.T) {
 	if err := WalkTickBlock(data, &v); err != nil {
 		t.Fatal(err)
 	}
-	if len(v.kept) != 7 { // 3 position labels + 2×2 edge labels
-		t.Fatalf("kept %d labels, want 7", len(v.kept))
+	if len(v.kept) != 3 {
+		t.Fatalf("kept %d labels, want 3", len(v.kept))
 	}
 	clear(data)
 	for i, l := range v.kept {
@@ -239,16 +286,15 @@ type labelKeeper struct{ kept [][]byte }
 
 func (v *labelKeeper) Block(model.Tick, int)           {}
 func (v *labelKeeper) Position(l []byte, _, _ float64) { v.kept = append(v.kept, l) }
-func (v *labelKeeper) Edges(int)                       {}
-func (v *labelKeeper) Edge(a, b []byte, _ float64)     { v.kept = append(v.kept, a, b) }
 
 // FuzzTickBlockWalk: whatever the bytes, the walker (reporting, and
 // validating only), DecodeTickBlock on top of it and TickBlockTick accept
 // and reject exactly what the pre-walker decoder did, with the same error
 // and the same values.
 func FuzzTickBlockWalk(f *testing.F) {
-	valid := AppendTickBlock(nil, sampleBlock)
+	valid := withLegacyEdges(sampleBlock, sampleEdges)
 	f.Add(valid)
+	f.Add(AppendTickBlock(nil, sampleBlock))
 	f.Add(AppendTickBlock(nil, TickBlock{T: 3}))
 	f.Add(valid[:len(valid)-1])                  // truncated weight
 	f.Add(valid[:7])                             // truncated inside the positions
@@ -260,7 +306,6 @@ func FuzzTickBlockWalk(f *testing.F) {
 	f.Add([]byte("CTK1\x00\x01\x05ab"))                           // label outruns the block
 	nan := AppendTickBlock(nil, TickBlock{Positions: []TickPosition{{Label: "n", X: math.NaN()}}})
 	f.Add(nan)
-	inf := AppendTickBlock(nil, TickBlock{Edges: []TickEdge{{A: "a", B: "b", W: math.Inf(1)}}})
-	f.Add(inf)
+	f.Add(withLegacyEdges(TickBlock{}, []legacyEdge{{"a", "b", math.Inf(1)}}))
 	f.Fuzz(func(t *testing.T, data []byte) { checkWalkAgrees(t, data) })
 }

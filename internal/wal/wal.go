@@ -1,6 +1,6 @@
 // Package wal is the durability layer under convoyd's feeds: a per-feed
-// append-only log of accepted tick batches (positions and proximity
-// edges), written before the batch is applied, so a restarted daemon can
+// append-only log of accepted tick batches (the positions of one tick
+// each), written before the batch is applied, so a restarted daemon can
 // replay itself back to the exact state of one that never crashed.
 //
 // One feed owns one directory:

@@ -18,8 +18,7 @@ import (
 	"repro/internal/wal"
 )
 
-// blk builds a deterministic tick block for tick t: a couple of positions
-// and one contact edge, so both payload kinds ride through the codec.
+// blk builds a deterministic tick block for tick t: a couple of positions.
 func blk(t int64) tsio.TickBlock {
 	return tsio.TickBlock{
 		T: model.Tick(t),
@@ -27,7 +26,6 @@ func blk(t int64) tsio.TickBlock {
 			{Label: fmt.Sprintf("a%d", t), X: float64(t), Y: -float64(t)},
 			{Label: "b", X: 0.5, Y: 1.5},
 		},
-		Edges: []tsio.TickEdge{{A: "a", B: "b", W: float64(t) + 0.25}},
 	}
 }
 
@@ -330,9 +328,9 @@ func TestReadRangeBounded(t *testing.T) {
 // segment/offset wrapping, rather than being skipped unread.
 func TestReadRecordsWindowAndDamage(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "feed")
-	// blk(i) frames to 64 bytes (65 from tick 10): ticks 1–3, 4–6, 7–9,
+	// blk(i) frames to 52 bytes (53 from tick 10): ticks 1–3, 4–6, 7–9,
 	// 10–11 and 12 land in five segments.
-	l, err := wal.Create(dir, nil, wal.Options{SegmentBytes: 200})
+	l, err := wal.Create(dir, nil, wal.Options{SegmentBytes: 166})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

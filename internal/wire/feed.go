@@ -36,9 +36,8 @@ type TicksError struct {
 type FeedSpec struct {
 	Name   string     `json:"name"`
 	Params ParamsJSON `json:"params"`
-	// Clusterer selects the default monitor's clustering backend: "dbscan"
-	// (default) or "proxgraph" (per-tick proximity edges, see
-	// TickBatch.Edges).
+	// Clusterer is a legacy spelling: "" or "dbscan", anything else is
+	// refused (CheckClusterer).
 	Clusterer string `json:"clusterer,omitempty"`
 }
 
@@ -47,9 +46,7 @@ type FeedSpec struct {
 type MonitorSpec struct {
 	ID     string     `json:"id"`
 	Params ParamsJSON `json:"params"`
-	// Clusterer selects the monitor's clustering backend ("" = dbscan).
-	// Monitors share a clustering pass only when (e, m) AND the backend
-	// match.
+	// Clusterer is a legacy spelling, as on FeedSpec.
 	Clusterer string `json:"clusterer,omitempty"`
 }
 
@@ -59,8 +56,6 @@ type MonitorStatus struct {
 	ID     string     `json:"id"`
 	Feed   string     `json:"feed"`
 	Params ParamsJSON `json:"params"`
-	// Clusterer is the monitor's clustering backend name.
-	Clusterer string `json:"clusterer"`
 	// LastTick is the most recent tick this monitor advanced over; null
 	// before its first (monitors added mid-stream start at the next tick).
 	LastTick *model.Tick `json:"last_tick,omitempty"`
@@ -83,8 +78,6 @@ type FeedStatus struct {
 	Name string `json:"name"`
 	// Params are the feed's creation parameters (the default monitor's).
 	Params ParamsJSON `json:"params"`
-	// Clusterer is the feed's creation backend (the default monitor's).
-	Clusterer string `json:"clusterer"`
 	// LastTick is the most recently ingested tick; null before the first.
 	LastTick *model.Tick `json:"last_tick,omitempty"`
 	// Ticks counts ingested tick batches.
@@ -100,9 +93,8 @@ type FeedStatus struct {
 	NextSeq uint64 `json:"next_seq"`
 	// Monitors lists the feed's standing queries, ID-sorted.
 	Monitors []MonitorStatus `json:"monitors"`
-	// ClusterGroups counts the distinct clustering keys (e, m, backend)
-	// among the live monitors — the number of clustering passes each tick
-	// costs.
+	// ClusterGroups counts the distinct clustering keys (e, m) among the
+	// live monitors — the number of clustering passes each tick costs.
 	ClusterGroups int `json:"cluster_groups"`
 	// ClusterPasses counts snapshot clustering passes over the feed's
 	// life: ticks × distinct keys, not ticks × monitors.

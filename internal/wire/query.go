@@ -7,7 +7,7 @@ import (
 )
 
 // QueryRequest is the JSON body form of POST /v1/query: the canonical
-// QuerySpec (m/k/e, algorithm, clusterer, window, execution knobs —
+// QuerySpec (m/k/e, algorithm, window, execution knobs —
 // every field promoted here) plus a Path referencing a database file under
 // the server's data directory. Uploads instead send the raw CSV/CTB bytes
 // with the same spec in the URL query string.
@@ -64,9 +64,6 @@ type QueryResponse struct {
 	Convoys []ConvoyJSON `json:"convoys"`
 	Params  ParamsJSON   `json:"params"`
 	Algo    string       `json:"algo"`
-	// Clusterer is the clustering backend the run used; present only for
-	// non-default backends (a plain DBSCAN answer omits it).
-	Clusterer string `json:"clusterer,omitempty"`
 	// From and To echo the request's window bounds when it was windowed.
 	From *model.Tick `json:"from,omitempty"`
 	To   *model.Tick `json:"to,omitempty"`
@@ -94,8 +91,6 @@ type HistoryQueryResponse struct {
 	Convoys []ConvoyJSON `json:"convoys"`
 	Params  ParamsJSON   `json:"params"`
 	Algo    string       `json:"algo"`
-	// Clusterer is present only for non-default backends.
-	Clusterer string `json:"clusterer,omitempty"`
 	// From and To echo the request's window bounds.
 	From *model.Tick `json:"from,omitempty"`
 	To   *model.Tick `json:"to,omitempty"`

@@ -19,9 +19,8 @@ type ShardQueryResponse struct {
 	Convoys []ConvoyJSON `json:"convoys"`
 	// Digest identifies the database the shard mined (cache key material).
 	Digest string `json:"digest"`
-	// Algo and Clusterer echo the resolved plan, for sanity checking.
-	Algo      string `json:"algo"`
-	Clusterer string `json:"clusterer,omitempty"`
+	// Algo echoes the resolved algorithm, for sanity checking.
+	Algo string `json:"algo"`
 	// Cache reports whether the shard answered from its cache.
 	Cache bool `json:"cache"`
 	// ElapsedMS is the shard-side wall time in milliseconds.

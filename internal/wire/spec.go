@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/proxgraph"
 )
 
 // SpecVersion is the current query schema version. A QuerySpec with V 0
@@ -33,13 +32,10 @@ type QuerySpec struct {
 	V int `json:"v,omitempty"`
 	// Params are the convoy query parameters (m, k, e).
 	Params ParamsJSON `json:"params"`
-	// Algo selects the algorithm: cmc, cuts, cuts+ or cuts* (default; with
-	// clusterer "proxgraph" the default becomes cmc and the CuTS family is
-	// rejected).
+	// Algo selects the algorithm: cmc, cuts, cuts+ or cuts* (default).
 	Algo string `json:"algo,omitempty"`
-	// Clusterer selects the clustering backend: "dbscan" (default) or
-	// "proxgraph" (per-tick proximity edges; the database is then an edge
-	// CSV "a,b,t,w" contact log).
+	// Clusterer is a legacy spelling: "" or "dbscan" (dropped by
+	// Normalize), anything else refused (CheckClusterer).
 	Clusterer string `json:"clusterer,omitempty"`
 	// Delta and Lambda override the automatic CuTS guidelines when > 0.
 	Delta  float64 `json:"delta,omitempty"`
@@ -220,9 +216,6 @@ func (s QuerySpec) URLValues() url.Values {
 	if s.Algo != "" {
 		q.Set("algo", s.Algo)
 	}
-	if s.Clusterer != "" {
-		q.Set("clusterer", s.Clusterer)
-	}
 	if s.Delta > 0 {
 		q.Set("delta", strconv.FormatFloat(s.Delta, 'g', -1, 64))
 	}
@@ -252,10 +245,10 @@ func (s QuerySpec) URLValues() url.Values {
 
 // Resolved is the validated, defaulted form of a QuerySpec — what
 // Normalize returns and every surface runs: Options turns it into the
-// core.Query, ContactLog into the input of a graph-backend run.
+// core.Query.
 type Resolved struct {
-	// Spec is the normalized spec: algorithm lowercased and defaulted,
-	// clusterer canonical ("" for the default backend), V set.
+	// Spec is the normalized spec: algorithm lowercased and defaulted, the
+	// legacy clusterer dropped, V set.
 	Spec QuerySpec
 	// P are the validated core parameters.
 	P core.Params
@@ -263,9 +256,6 @@ type Resolved struct {
 	IsCMC   bool
 	Variant core.Variant
 	Algo    string
-	// Clusterer is the normalized backend name, "" for the default (so
-	// legacy cache keys are unchanged).
-	Clusterer string
 	// From and To are the window bounds with sentinels substituted for the
 	// unbounded sides. Windowed reports whether any bound was given.
 	From, To model.Tick
@@ -281,21 +271,12 @@ func (s QuerySpec) Normalize() (Resolved, error) {
 	if s.V != 0 && s.V != SpecVersion {
 		return r, fmt.Errorf("unsupported query schema version %d (this server speaks v%d)", s.V, SpecVersion)
 	}
-	cl, err := ParseClusterer(s.Clusterer)
-	if err != nil {
+	if err := CheckClusterer(s.Clusterer); err != nil {
 		return r, err
 	}
-	if cl.Name() != core.DefaultBackend {
-		r.Clusterer = cl.Name()
-	}
+	s.Clusterer = ""
 	if s.Algo == "" {
 		s.Algo = DefaultAlgo
-		if r.Clusterer != "" {
-			// The CuTS family's filter step depends on Euclidean DBSCAN
-			// bounds, so a graph backend only runs under CMC — which is
-			// therefore what a proxgraph query that names no algorithm gets.
-			s.Algo = AlgoCMC
-		}
 	}
 	r.Algo = strings.ToLower(s.Algo)
 	switch r.Algo {
@@ -309,10 +290,6 @@ func (s QuerySpec) Normalize() (Resolved, error) {
 		r.Variant = core.VariantCuTSStar
 	default:
 		return r, fmt.Errorf("unknown algorithm %q (want cmc, cuts, cuts+ or cuts*)", s.Algo)
-	}
-	if r.Clusterer != "" && !r.IsCMC {
-		return r, fmt.Errorf("clusterer %q requires algo=cmc (the CuTS filter bounds are DBSCAN-specific; got algo=%q)",
-			r.Clusterer, s.Algo)
 	}
 	r.P = s.Params.Params()
 	if err := r.P.Validate(); err != nil {
@@ -359,7 +336,6 @@ func (s QuerySpec) Normalize() (Resolved, error) {
 	s.Lambda = max(s.Lambda, 0)
 	s.V = SpecVersion
 	s.Algo = r.Algo
-	s.Clusterer = r.Clusterer
 	r.Spec = s
 	return r, nil
 }
@@ -367,15 +343,11 @@ func (s QuerySpec) Normalize() (Resolved, error) {
 // Options is the one place a resolved spec becomes core.Query options:
 // params, partitions, the algorithm with its δ/λ, and the stats sink.
 // workers is the caller's to decide — a server clamps the spec's request to
-// its cap, convoyfind uses every core — and cl, when non-nil, replaces the
-// default per-tick clusterer (see ContactLog).
-func (r Resolved) Options(workers int, cl core.Clusterer, st *core.Stats) []core.Option {
+// its cap, convoyfind uses every core.
+func (r Resolved) Options(workers int, st *core.Stats) []core.Option {
 	opts := []core.Option{core.WithParams(r.P), core.WithWorkers(workers), core.WithStats(st)}
 	if n := r.Spec.Partitions; n > 1 {
 		opts = append(opts, core.WithPartitions(n))
-	}
-	if cl != nil {
-		opts = append(opts, core.WithClusterer(cl))
 	}
 	if r.IsCMC {
 		return append(opts, core.WithCMC())
@@ -384,24 +356,4 @@ func (r Resolved) Options(workers int, cl core.Clusterer, st *core.Stats) []core
 		core.WithVariant(r.Variant),
 		core.WithDelta(r.Spec.Delta),
 		core.WithLambda(r.Spec.Lambda))
-}
-
-// ContactLog is the one place a contact log (the a,b,t,w input of a
-// proxgraph query) becomes what a run mines: the records inside the
-// resolved window — per-tick clusters are a pure function of that tick's
-// edges, so dropping the others is exact — as the positionless stand-in
-// database, one row per object spanning its first to last contact, plus the
-// clusterer that reads the contact graph itself, tick by tick, from the log.
-func (r Resolved) ContactLog(log *proxgraph.Log) (*model.DB, core.Clusterer, error) {
-	if lo, hi, ok := log.TimeRange(); ok && (lo < r.From || hi > r.To) {
-		var err error
-		if log, err = log.Window(r.From, r.To); err != nil {
-			return nil, nil, err
-		}
-	}
-	db, err := log.DB()
-	if err != nil {
-		return nil, nil, err
-	}
-	return db, log.Clusterer(), nil
 }

@@ -21,6 +21,8 @@ func FuzzQuerySpec(f *testing.F) {
 			"v=1&m=2&k=5&e=1&algo=cuts%2B&delta=0.7&lambda=3&workers=2&partitions=3"},
 		{`{"params":{"m":2,"k":2,"e":1},"clusterer":"proxgraph","from":-5,"to":9,"timeout_ms":250,"explain":true}`,
 			"m=2&k=2&e=1&clusterer=proxgraph&from=-5&to=9&timeout_ms=250&explain=true"},
+		{`{"params":{"m":2,"k":2,"e":1},"clusterer":"dbscan","algo":"cmc"}`, "m=2&k=2&e=1&clusterer=dbscan&algo=cmc"},
+		{`{"params":{"m":2,"k":2,"e":1},"clusterer":"DBSCAN","from":-5}`, "m=2&k=2&e=1&clusterer=DBSCAN&to=9"},
 		{`{"params":{"m":2,"k":2,"e":1},"delta":-1,"lambda":-4}`, "m=2&k=2&e=1&delta=-1&lambda=-4"},
 		{`{"params":null,"m":1,"k":1,"e":0}`, "m=1&k=1&e=0&from=9&to=3"},
 		{`{"v":2}`, "m=2&k=2&e=NaN&delta=NaN"},

@@ -9,8 +9,10 @@ import (
 )
 
 // DecodeTicks decodes the body of POST /v1/feeds/{name}/ticks: either
-// {"ticks":[batch, ...]} or one bare batch {"t":..., "positions":[...]}
-// (or {"t":..., "edges":[...]} for a proximity-only batch).
+// {"ticks":[batch, ...]} or one bare batch {"t":..., "positions":[...]}.
+// Like any unknown key, the "edges" of a batch from a client that still
+// sends contacts is ignored — by encoding/json, as the scanner gives such
+// a body up — so an edges-only bare batch, having no positions, is refused.
 //
 // The canonical spelling — exact lower-case keys, each at most once,
 // labels without escapes — is read by a schema scanner in one pass over one
@@ -36,7 +38,7 @@ func decodeTicksReflect(body []byte) ([]TickBatch, error) {
 		return req.Ticks, nil
 	}
 	var one TickBatch
-	if err := json.Unmarshal(body, &one); err == nil && (one.Positions != nil || one.Edges != nil) {
+	if err := json.Unmarshal(body, &one); err == nil && one.Positions != nil {
 		return []TickBatch{one}, nil
 	}
 	return nil, errors.New(`decode ticks: want {"ticks":[{"t":0,"positions":[...]}]} or one bare batch`)
@@ -64,7 +66,7 @@ func scanTicks(s string) ([]TickBatch, bool) {
 	} else {
 		sc.i = 0
 		out = make([]TickBatch, 1)
-		ok = sc.batch(&out[0]) && (out[0].Positions != nil || out[0].Edges != nil)
+		ok = sc.batch(&out[0]) && out[0].Positions != nil
 	}
 	sc.ws()
 	return out, ok && sc.i == len(s)
@@ -263,9 +265,6 @@ func (sc *tickScanner) batch(b *TickBatch) bool {
 		case "positions":
 			b.Positions, ok = scanArray(sc, sc.sizeHint(), (*tickScanner).position)
 			return 2, ok
-		case "edges":
-			b.Edges, ok = scanArray(sc, sc.sizeHint(), (*tickScanner).edge)
-			return 4, ok
 		}
 		return 0, false
 	})
@@ -282,23 +281,6 @@ func (sc *tickScanner) position(p *Position) bool {
 			return 2, ok
 		case "y":
 			p.Y, ok = sc.float()
-			return 4, ok
-		}
-		return 0, false
-	})
-}
-
-func (sc *tickScanner) edge(e *EdgeJSON) bool {
-	return sc.object(func(key string) (bit uint8, ok bool) {
-		switch key {
-		case "a":
-			e.A, ok = sc.str()
-			return 1, ok
-		case "b":
-			e.B, ok = sc.str()
-			return 2, ok
-		case "w":
-			e.W, ok = sc.float()
 			return 4, ok
 		}
 		return 0, false

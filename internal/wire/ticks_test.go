@@ -38,8 +38,6 @@ var tickSpellings = []struct {
 	{"ladder", `{"ticks":[{"t":7,"positions":[{"id":"a","x":1.5,"y":-2e-05},{"id":"b","x":0,"y":1e+21}]}]}`, true},
 	{"two_batches", `{"ticks":[{"t":1,"positions":[]},{"t":2,"positions":[{"id":"a","x":0,"y":0}]}]}`, true},
 	{"bare_batch", `{"t":3,"positions":[{"id":"a","x":0,"y":0},{"id":"b","x":0.5,"y":0}]}`, true},
-	{"bare_edges_only", `{"t":3,"edges":[{"a":"p","b":"q","w":0.25}]}`, true},
-	{"positions_and_edges", `{"ticks":[{"edges":[{"w":1,"b":"q","a":"p"}],"positions":[{"y":2,"x":1,"id":"p"}],"t":-4}]}`, true},
 	{"empty_ticks", `{"ticks":[]}`, true},
 	{"empty_batch", `{"ticks":[{}]}`, true},
 	{"missing_fields", `{"ticks":[{"positions":[{},{"id":"a"}]}]}`, true},
@@ -50,6 +48,10 @@ var tickSpellings = []struct {
 	{"underflow", `{"t":1,"positions":[{"id":"a","x":1e-999,"y":0}]}`, true},
 
 	{"null_ticks_bare_positions", `{"ticks":null,"positions":[]}`, false},
+	// "edges" is a key of the contact batches feeds no longer take: unknown
+	// to the scanner, ignored by encoding/json.
+	{"bare_edges_only", `{"t":3,"edges":[{"a":"p","b":"q","w":0.25}]}`, false},
+	{"positions_and_edges", `{"ticks":[{"edges":[{"w":1,"b":"q","a":"p"}],"positions":[{"y":2,"x":1,"id":"p"}],"t":-4}]}`, false},
 	{"ticks_and_positions", `{"ticks":[],"positions":[]}`, false},
 	{"escaped_label", `{"t":1,"positions":[{"id":"a\nb\"c","x":1,"y":2}]}`, false},
 	{"surrogate_pair_label", `{"t":1,"positions":[{"id":"\ud83d\ude9a","x":1,"y":2}]}`, false},
@@ -110,6 +112,16 @@ func TestDecodeTicksSpellings(t *testing.T) {
 			checkDecodeTicks(t, []byte(tc.body))
 		})
 	}
+	t.Run("edges_ignored", func(t *testing.T) {
+		if _, err := DecodeTicks([]byte(`{"t":3,"edges":[{"a":"p","b":"q","w":0.25}]}`)); err == nil {
+			t.Error("an edges-only batch has no positions, yet decoded")
+		}
+		got, err := DecodeTicks([]byte(`{"ticks":[{"edges":[{"w":1,"b":"q","a":"p"}],"positions":[{"y":2,"x":1,"id":"p"}],"t":-4}]}`))
+		want := []TickBatch{{T: -4, Positions: []Position{{ID: "p", X: 1, Y: 2}}}}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("positions beside edges = %+v, %v; want %+v", got, err, want)
+		}
+	})
 	t.Run("commute_tick", func(t *testing.T) {
 		body, n := commuteTick(t, 0.1)
 		got, ok := scanTicks(string(body))

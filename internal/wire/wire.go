@@ -7,9 +7,14 @@
 // It is also the one front-end between a request and a run: a QuerySpec —
 // decoded from JSON, from a URL, or spelled by convoyfind's flags — becomes
 // a Resolved through Normalize (every validation, every default), and a
-// Resolved becomes core.Query options through Options (and a contact log
-// its input through ContactLog). No surface validates, defaults or
-// translates a query on its own; a new query decision is a field here.
+// Resolved becomes core.Query options through Options. No surface
+// validates, defaults or translates a query on its own; a new query
+// decision is a field here.
+//
+// Every surface clusters positions with the paper's DBSCAN. Other
+// per-tick clusterers (internal/proxgraph's contact logs) are a library
+// option, core.WithClusterer; "clusterer" survives on the wire only as a
+// legacy spelling of the default (CheckClusterer).
 //
 // Ticks travel as plain int64 and object identities as string labels —
 // dense ObjectIDs are a per-database implementation detail that must not
@@ -23,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/proxgraph"
 )
 
 // ParamsJSON is the wire form of the convoy query parameters (m, k, e).
@@ -103,23 +107,11 @@ type Position struct {
 	Y  float64 `json:"y"`
 }
 
-// EdgeJSON is one proximity observation in a tick batch: objects a and b
-// were in contact at the batch's tick with weight w. Edges feed
-// graph-connectivity monitors (clusterer "proxgraph"); geometric monitors
-// ignore them.
-type EdgeJSON struct {
-	A string  `json:"a"`
-	B string  `json:"b"`
-	W float64 `json:"w"`
-}
-
 // TickBatch is the ingestion unit of POST /v1/feeds/{name}/ticks: the
-// snapshot of every tracked object at one tick — positions, proximity
-// edges, or both (a coordinate-free contact feed sends only edges).
+// position of every tracked object at one tick.
 type TickBatch struct {
 	T         model.Tick `json:"t"`
 	Positions []Position `json:"positions"`
-	Edges     []EdgeJSON `json:"edges,omitempty"`
 }
 
 // TicksRequest is the body of POST /v1/feeds/{name}/ticks. Either a single
@@ -181,20 +173,19 @@ const (
 )
 
 // DefaultAlgo is the algorithm of a query that names none (Normalize
-// resolves it; a graph backend's is cmc instead): the one place every
-// surface's default lives.
+// resolves it): the one place every surface's default lives.
 const DefaultAlgo = AlgoCuTSStar
 
-// ParseClusterer resolves a clustering backend name from the wire ("" and
-// "dbscan" are the built-in default; "proxgraph" is the graph-connectivity
-// backend clustering each tick's proximity edges).
-func ParseClusterer(name string) (core.Clusterer, error) {
-	switch strings.ToLower(name) {
-	case "", core.DefaultBackend:
-		return core.DefaultClusterer, nil
-	case proxgraph.Backend:
-		return proxgraph.Clusterer{}, nil
-	default:
-		return nil, fmt.Errorf("unknown clusterer %q (want %s or %s)", name, core.DefaultBackend, proxgraph.Backend)
+// CheckClusterer checks the legacy "clusterer" field of a query, feed or
+// monitor spec — or of a feed log written when the daemon had one. ""
+// and "dbscan" (any case) name the one backend every surface runs and
+// mean nothing; any other name is refused, pointing at the library:
+// accepted, an a,b,t,w contact log would be read as a trajectory
+// database, or a proxgraph feed would quietly cluster positions.
+func CheckClusterer(name string) error {
+	if name == "" || strings.EqualFold(name, core.DefaultBackend) {
+		return nil
 	}
+	return fmt.Errorf("clusterer %q is a library option (convoys.WithClusterer, see examples/contactlog); "+
+		"the daemon and the CLIs cluster positions with %s only", name, core.DefaultBackend)
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"context"
 	"encoding/json"
 	"math"
 	"net/url"
@@ -12,13 +11,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/model"
-	"repro/internal/proxgraph"
 )
 
 // TestSpecDecodeCompat pins every legacy body spelling: flat m/k/e, the
-// "eps" alias, and the canonical nested params object — all must decode to
-// the same spec, and nested params must win over flat keys when both
-// appear.
+// "eps" alias, the canonical nested params object and the legacy
+// "clusterer" naming the default — all must decode to the same params and
+// normalize to the same spec (so the same cache key), and nested params
+// must win over flat keys when both appear.
 func TestSpecDecodeCompat(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,6 +29,12 @@ func TestSpecDecodeCompat(t *testing.T) {
 		{"flat_eps_alias", `{"m":3,"k":4,"eps":1.5}`, ParamsJSON{M: 3, K: 4, Eps: 1.5}},
 		{"e_beats_eps", `{"m":3,"k":4,"e":1.5,"eps":9}`, ParamsJSON{M: 3, K: 4, Eps: 1.5}},
 		{"nested_beats_flat", `{"params":{"m":3,"k":4,"e":1.5},"m":9,"k":9,"e":9}`, ParamsJSON{M: 3, K: 4, Eps: 1.5}},
+		{"clusterer_dbscan", `{"params":{"m":3,"k":4,"e":1.5},"clusterer":"dbscan"}`, ParamsJSON{M: 3, K: 4, Eps: 1.5}},
+		{"clusterer_DBSCAN", `{"params":{"m":3,"k":4,"e":1.5},"clusterer":"DBSCAN"}`, ParamsJSON{M: 3, K: 4, Eps: 1.5}},
+	}
+	want, err := QuerySpec{Params: ParamsJSON{M: 3, K: 4, Eps: 1.5}}.Normalize()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -39,6 +44,9 @@ func TestSpecDecodeCompat(t *testing.T) {
 			}
 			if s.Params != tc.want {
 				t.Fatalf("decoded params %+v, want %+v", s.Params, tc.want)
+			}
+			if r, err := s.Normalize(); err != nil || !reflect.DeepEqual(r, want) {
+				t.Fatalf("normalized to %+v, %v; want %+v", r, err, want)
 			}
 		})
 	}
@@ -82,7 +90,6 @@ func TestSpecURLRoundTrip(t *testing.T) {
 	in := QuerySpec{
 		Params:     ParamsJSON{M: 2, K: 3, Eps: 4.25},
 		Algo:       "cuts*",
-		Clusterer:  "dbscan",
 		Delta:      0.75,
 		Lambda:     9,
 		Workers:    4,
@@ -97,7 +104,7 @@ func TestSpecURLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.V = SpecVersion // URLValues always stamps the version
-	if out.Params != in.Params || out.Algo != in.Algo || out.Clusterer != in.Clusterer ||
+	if out.Params != in.Params || out.Algo != in.Algo ||
 		out.Delta != in.Delta || out.Lambda != in.Lambda || out.Workers != in.Workers ||
 		out.Partitions != in.Partitions || out.TimeoutMS != in.TimeoutMS ||
 		out.Explain != in.Explain || out.V != in.V {
@@ -132,7 +139,7 @@ func TestNormalize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.IsCMC || r.Algo != AlgoCuTSStar || r.Clusterer != "" {
+		if r.IsCMC || r.Algo != AlgoCuTSStar {
 			t.Fatalf("defaults wrong: %+v", r)
 		}
 		if r.Windowed || r.From != model.MinTick || r.To != model.MaxTick {
@@ -140,18 +147,6 @@ func TestNormalize(t *testing.T) {
 		}
 		if r.Spec.V != SpecVersion {
 			t.Fatalf("normalized spec not stamped v%d: %+v", SpecVersion, r.Spec)
-		}
-	})
-
-	t.Run("proxgraph_defaults_to_cmc", func(t *testing.T) {
-		s := base
-		s.Clusterer = "proxgraph"
-		r, err := s.Normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.IsCMC || r.Algo != AlgoCMC || r.Clusterer != "proxgraph" {
-			t.Fatalf("proxgraph default wrong: %+v", r)
 		}
 	})
 
@@ -186,8 +181,9 @@ func TestNormalize(t *testing.T) {
 	}{
 		{"bad_version", func(s *QuerySpec) { s.V = 2 }, "schema version"},
 		{"bad_algo", func(s *QuerySpec) { s.Algo = "bfs" }, "unknown algorithm"},
-		{"bad_clusterer", func(s *QuerySpec) { s.Clusterer = "kmeans" }, "unknown clusterer"},
-		{"proxgraph_cuts", func(s *QuerySpec) { s.Clusterer = "proxgraph"; s.Algo = "cuts" }, "requires algo=cmc"},
+		{"bad_clusterer", func(s *QuerySpec) { s.Clusterer = "kmeans" }, "convoys.WithClusterer"},
+		{"proxgraph", func(s *QuerySpec) { s.Clusterer = "proxgraph" }, "convoys.WithClusterer"},
+		{"proxgraph_cuts", func(s *QuerySpec) { s.Clusterer = "proxgraph"; s.Algo = "cuts" }, "convoys.WithClusterer"},
 		{"bad_params", func(s *QuerySpec) { s.Params.M = 0 }, "m"},
 		{"nan_e", func(s *QuerySpec) { s.Params.Eps = math.NaN() }, "finite"},
 		{"inf_e", func(s *QuerySpec) { s.Params.Eps = math.Inf(1) }, "finite"},
@@ -239,9 +235,9 @@ func TestErrorEnvelope(t *testing.T) {
 }
 
 // An unlabeled object is "o<ID>" by the ID the client's database gave it,
-// not by the dense one a time slice renumbers it to, and a contact log is
-// cut to the resolved window — the two decisions every surface takes here.
-func TestLabelsAndContactLogFollowTheWindow(t *testing.T) {
+// not by the dense one a time slice renumbers it to — the decision every
+// surface takes here.
+func TestLabelsFollowTheWindow(t *testing.T) {
 	db := model.NewDB()
 	for i, span := range [][2]model.Tick{{0, 3}, {0, 9}, {5, 9}} {
 		label := ""
@@ -262,35 +258,5 @@ func TestLabelsAndContactLogFollowTheWindow(t *testing.T) {
 	}
 	if got := ConvoyToJSON(c, DBLabels(db)).Objects; !reflect.DeepEqual(got, []string{"o0", "o1"}) {
 		t.Errorf("unwindowed names = %v, want [o0 o1]", got)
-	}
-
-	log := proxgraph.NewLog()
-	for tick := model.Tick(0); tick < 10; tick++ {
-		if err := log.Add("a", "b", tick, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	from, to := model.Tick(3), model.Tick(6)
-	for _, spec := range []QuerySpec{
-		{Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "proxgraph"},
-		{Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "proxgraph", From: &from, To: &to},
-	} {
-		res, err := spec.Normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cdb, cl, err := res.ContactLog(log)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st core.Stats
-		got, err := core.NewQuery(res.Options(1, cl, &st)...).Run(context.Background(), cdb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := core.Convoy{Objects: []model.ObjectID{0, 1}, Start: max(res.From, 0), End: min(res.To, 9)}
-		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-			t.Errorf("window [%d, %d]: convoys = %v, want [%v]", res.From, res.To, got, want)
-		}
 	}
 }

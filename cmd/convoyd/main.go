@@ -5,7 +5,7 @@
 // Usage:
 //
 //	convoyd -addr :8764 [-data dir] [-idle 10m] [-query-workers 8] [-cache 64] [-max-monitors 64] [-request-timeout 30s]
-//	        [-data-dir dir] [-no-wal] [-wal-fsync always|interval|never] [-wal-fsync-interval 100ms]
+//	        [-data-dir dir] [-wal-fsync always|interval|never] [-wal-fsync-interval 100ms]
 //	        [-wal-segment-bytes 4194304] [-wal-segment-age 0] [-wal-retain-ticks 0]
 //	        [-shard | -shards host:port,host:port,...]
 //	        [-metrics-addr :9090] [-pprof] [-log-format text|json] [-log-level info] [-slow-query 250ms] [-trace-sample 0.01]
@@ -43,8 +43,8 @@
 // every batch (crash-proof, slowest), "interval" syncs on a -wal-fsync-
 // interval timer (the default; a crash loses at most the last interval),
 // "never" leaves it to the OS. -wal-retain-ticks bounds the log (and the
-// historical-query window); -no-wal keeps feeds in-memory even with a
-// -data-dir. Two endpoints ride on the log:
+// historical-query window); without -data-dir feeds are in-memory. Two
+// endpoints ride on the log:
 //
 //	curl -X POST localhost:8764/v1/feeds/fleet/query -d '{"params":{"m":2,"k":3,"e":1},"from":0,"to":500}'
 //	curl localhost:8764/v1/feeds/fleet/wal
@@ -160,7 +160,6 @@ func main() {
 		shardList   = flag.String("shards", "", "comma-separated shard base URLs (host:port or http://host:port); serve as a distributed-query coordinator fanning every batch query out over these shards (mutually exclusive with -shard)")
 
 		walDir           = flag.String("data-dir", "", "durable-feed directory: per-feed write-ahead logs live under <dir>/feeds and are replayed on start (empty = feeds are in-memory)")
-		noWAL            = flag.Bool("no-wal", false, "kill switch: keep feeds in-memory even when -data-dir is set")
 		walFsync         = flag.String("wal-fsync", "interval", "WAL tick durability: always (sync every batch), interval (timer) or never")
 		walFsyncInterval = flag.Duration("wal-fsync-interval", 100*time.Millisecond, "fsync timer period under -wal-fsync=interval")
 		walSegBytes      = flag.Int64("wal-segment-bytes", 4<<20, "rotate a feed's active WAL segment beyond this size")
@@ -196,11 +195,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "convoyd:", err)
 		os.Exit(2)
 	}
-	feedDir := *walDir
-	if *noWAL {
-		feedDir = ""
-	}
-
 	logger, err := buildLogger(*logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "convoyd:", err)
@@ -211,7 +205,7 @@ func main() {
 	reg := metrics.NewRegistry()
 	srv := serve.New(serve.Config{
 		DataDir:            *dataDir,
-		WALDir:             feedDir,
+		WALDir:             *walDir,
 		WALFsync:           fsync,
 		WALFsyncInterval:   *walFsyncInterval,
 		WALSegmentBytes:    *walSegBytes,
@@ -231,8 +225,8 @@ func main() {
 		ShardMode:          *shardMode,
 	})
 	reg.PublishExpvar("convoyd")
-	if feedDir != "" {
-		logger.Info("durable feeds enabled", "data_dir", feedDir, "fsync", fsync.String())
+	if *walDir != "" {
+		logger.Info("durable feeds enabled", "data_dir", *walDir, "fsync", fsync.String())
 	}
 	if *shardMode {
 		logger.Info("shard mode: serving POST /v1/shard/query")

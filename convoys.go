@@ -240,13 +240,15 @@ func WithPartitions(n int) QueryOption { return core.WithPartitions(n) }
 // clustering passes) into st, written once per Run/Seq completion.
 func WithStats(st *Stats) QueryOption { return core.WithStats(st) }
 
-// WithIncremental tunes the CMC scan's incremental clustering fast path.
-// A threshold in (0, 1] re-clusters only the neighborhoods disturbed since
-// the previous tick whenever the churned fraction of objects stays under
-// it; threshold ≤ 0 disables the fast path entirely. The default (option
-// absent) is DefaultChurnThreshold for CMC scans on the default DBSCAN
-// backend. Answers are identical either way — the option trades
-// memory (carried per-tick state) for per-tick clustering time.
+// WithIncremental tunes the incremental clustering fast path of the CMC
+// scan and of the CuTS family's refinement windows. A threshold in (0, 1]
+// re-clusters only the neighborhoods disturbed since the previous tick
+// whenever the churned fraction of objects stays under it; threshold ≤ 0
+// disables the fast path entirely. The default (option absent) is
+// DefaultChurnThreshold on the default DBSCAN backend. This option is the
+// one switch: no flag or environment variable overrides it. Answers are
+// identical either way — the option trades memory (carried per-tick state)
+// for per-tick clustering time.
 func WithIncremental(threshold float64) QueryOption { return core.WithIncremental(threshold) }
 
 // DefaultChurnThreshold is the churn fraction above which an incremental

@@ -499,9 +499,8 @@ func Refine(db *model.DB, p Params, cands []Candidate) Result {
 // scans). emit returning false abandons the remaining candidates;
 // cancelling ctx aborts with ctx.Err() at candidate granularity. The
 // windows are clustered by the same kind of source as a CMC scan's ticks —
-// threshold is the query's WithIncremental value, so ≤ 0 or the env kill
-// switch keep refinement on the stateless path too — and meter counts
-// their passes.
+// threshold is the query's WithIncremental value, so ≤ 0 keeps refinement
+// on the stateless path too — and meter counts their passes.
 func refineScan(ctx context.Context, db *model.DB, p Params, cands []Candidate, workers int, threshold float64, meter *scanMeter, emit func(i int, raw []Convoy) bool) error {
 	// The window scans share the refine span's timer — their clustering and
 	// chaining time accumulates across candidates — but not ctx: they stay

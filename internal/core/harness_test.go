@@ -344,7 +344,6 @@ func TestPropParallelRefineEqualsSerial(t *testing.T) {
 // are clustered by the incremental engine — which changes nothing but the
 // pass split — and at low churn it makes incremental passes.
 func TestRefinementClustersThroughTheEngine(t *testing.T) {
-	engine := !IncrementalDisabled()
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(false, true) {
 			st, ok := sweep(t, sc, want, algo, 0, false)
@@ -352,7 +351,7 @@ func TestRefinementClustersThroughTheEngine(t *testing.T) {
 				on, off := st[wi][0], st[wi][1]
 				what := fmt.Sprintf("%s workers=%d", queryAlgos[algo].name, wi+1)
 				sameWork(t, what, on, off)
-				if engine && sc.lowChurn && on.NumCandidates > 0 && on.ClusterPassesIncremental == 0 {
+				if sc.lowChurn && on.NumCandidates > 0 && on.ClusterPassesIncremental == 0 {
 					t.Errorf("%s: low churn but no incremental refinement pass (%d full)", what, on.ClusterPassesFull)
 				}
 			}
@@ -366,7 +365,6 @@ func TestRefinementClustersThroughTheEngine(t *testing.T) {
 // the from-scratch scan does, and at 100 % churn every pass falls back to
 // full.
 func TestCMCIncrementalMatchesFromScratch(t *testing.T) {
-	engine := !IncrementalDisabled()
 	for _, sc := range churnFamily.scenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
 			want := sc.want
@@ -378,9 +376,9 @@ func TestCMCIncrementalMatchesFromScratch(t *testing.T) {
 				for wi, s := range st {
 					on, off := s[0], s[1]
 					switch {
-					case engine && sc.lowChurn && on.ClusterPassesIncremental == 0:
+					case sc.lowChurn && on.ClusterPassesIncremental == 0:
 						t.Errorf("workers=%d: low churn but no incremental pass (%d full)", wi+1, on.ClusterPassesFull)
-					case engine && sc.lowChurn && on.ObjectsReclustered >= off.ObjectsReclustered/2:
+					case sc.lowChurn && on.ObjectsReclustered >= off.ObjectsReclustered/2:
 						t.Errorf("workers=%d: reclustered %d objects, from scratch %d — no reuse", wi+1, on.ObjectsReclustered, off.ObjectsReclustered)
 					case sc.fullChurn && on.ClusterPassesIncremental != 0:
 						t.Errorf("workers=%d: 100%% churn, yet %d incremental passes", wi+1, on.ClusterPassesIncremental)
@@ -496,15 +494,15 @@ func TestPropMonitorsEqualStreamers(t *testing.T) {
 
 // TestStreamerIncrementalMatchesFromScratch: the shared ClusterSource feeds
 // the Monitors the oracle's clusters with its incremental engine on and
-// off; Incremental and LastPass report which path ran.
+// off; its engine and LastPass report which path ran.
 func TestStreamerIncrementalMatchesFromScratch(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, incremental := range []bool{true, false} {
 			src := monitorRows(t, sc, want, incremental)
-			engine := incremental && !IncrementalDisabled()
+			engine := src.eng != nil
 			lastInc, reclustered := src.LastPass()
-			if src.Incremental() != engine || !incremental && (lastInc || reclustered == 0) || engine && sc.lowChurn && !lastInc {
-				t.Errorf("incremental=%v: Incremental() = %v, LastPass = (%v, %d)", incremental, src.Incremental(), lastInc, reclustered)
+			if engine != incremental || !incremental && (lastInc || reclustered == 0) || incremental && sc.lowChurn && !lastInc {
+				t.Errorf("incremental=%v: engine = %v, LastPass = (%v, %d)", incremental, engine, lastInc, reclustered)
 			}
 		}
 	})
@@ -526,7 +524,7 @@ func monitorRows(t *testing.T, sc scenario, want Result, incremental bool) *Clus
 		t.Fatal(err)
 	}
 	if !incremental {
-		src.SetIncremental(0)
+		src = newSource(sc.p.ClusterKey(), DefaultClusterer, 0, nil)
 	}
 	mons := make([]*Monitor, 2)
 	out := make([][]Convoy, 2)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"os"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/increment"
@@ -23,28 +21,12 @@ import (
 // (see increment.DefaultChurnThreshold).
 const DefaultChurnThreshold = increment.DefaultChurnThreshold
 
-// NoIncrementalEnv is the environment kill switch: when set (to any
-// non-empty value) incremental clustering is disabled process-wide and
-// every tick runs the from-scratch pass, whatever WithIncremental or
-// SetIncremental ask for. It exists so a misbehaving deployment can be
-// forced onto the reference path without a rebuild.
-const NoIncrementalEnv = "CONVOY_NO_INCREMENTAL"
-
-var incrementalKilled = sync.OnceValue(func() bool {
-	return os.Getenv(NoIncrementalEnv) != ""
-})
-
-// IncrementalDisabled reports whether the NoIncrementalEnv kill switch is
-// set (read once per process).
-func IncrementalDisabled() bool { return incrementalKilled() }
-
 // incrementalApplies is the one "does a source carry an engine?" decision:
 // the engine reproduces exactly the default grid-DBSCAN backend's answers,
-// so it applies to that backend at a positive churn threshold, unless the
-// env kill switch is set.
+// so it applies to that backend at a positive churn threshold.
 func incrementalApplies(c Clusterer, threshold float64) bool {
 	_, isDBSCAN := c.(DBSCANClusterer)
-	return isDBSCAN && threshold > 0 && !IncrementalDisabled()
+	return isDBSCAN && threshold > 0
 }
 
 // scanMeter aggregates the clustering-work counters of one discovery run.

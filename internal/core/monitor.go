@@ -48,7 +48,7 @@ func (k ClusterKey) Validate() error {
 // concurrent use.
 //
 // As an internal acceleration the source may carry an incremental engine
-// (on by default for the grid-DBSCAN backend, see SetIncremental) that
+// (on for the grid-DBSCAN backend, see WithIncremental) that
 // reuses the previous tick's grid and neighborhood structure — cross-tick
 // state that changes how fast an answer is computed, never what it is. The
 // Clusterer itself stays stateless.
@@ -85,11 +85,15 @@ func NewClusterSourceWith(key ClusterKey, c Clusterer) (*ClusterSource, error) {
 
 // newSource assembles a source over validated arguments — the one
 // constructor behind the public ones and the CMC scan, and so the one place
-// that decides whether a source carries an incremental engine (see
-// SetIncremental). meter, when non-nil, is bumped on every pass.
+// that decides, once, whether a source carries an incremental engine:
+// threshold > 0 is the churn threshold above which a tick rebuilds from
+// scratch, ≤ 0 runs every tick from scratch (see WithIncremental). meter,
+// when non-nil, is bumped on every pass.
 func newSource(key ClusterKey, c Clusterer, threshold float64, meter *scanMeter) *ClusterSource {
 	s := &ClusterSource{key: key, c: c, meter: meter}
-	s.SetIncremental(threshold)
+	if incrementalApplies(c, threshold) {
+		s.eng = increment.New(key.Eps, key.M, threshold)
+	}
 	return s
 }
 
@@ -102,24 +106,6 @@ func (s *ClusterSource) Clusterer() Clusterer { return s.c }
 // Passes returns the number of clustering passes so far — the counter the
 // multi-monitor sharing tests and the monitors benchmark rely on.
 func (s *ClusterSource) Passes() int64 { return s.passes }
-
-// Incremental reports whether the source currently clusters through the
-// incremental engine.
-func (s *ClusterSource) Incremental() bool { return s.eng != nil }
-
-// SetIncremental switches incremental clustering on (threshold > 0, the
-// churn threshold above which a tick rebuilds from scratch) or off
-// (threshold ≤ 0 — every tick runs the from-scratch pass). Switching on is
-// a no-op for non-default backends and under the CONVOY_NO_INCREMENTAL
-// kill switch; switching either way drops any accumulated cross-tick
-// state, so the next pass is a full one. The cluster answers are identical
-// in both modes.
-func (s *ClusterSource) SetIncremental(threshold float64) {
-	s.eng = nil
-	if incrementalApplies(s.c, threshold) {
-		s.eng = increment.New(s.key.Eps, s.key.M, threshold)
-	}
-}
 
 // LastPass describes the source's most recent clustering pass: whether it
 // was answered incrementally and how many objects were actually

@@ -132,10 +132,9 @@ func WithTolerance(t dbscan.ToleranceMode) Option { return func(q *Query) { q.to
 // Without this option the engine is on at DefaultChurnThreshold wherever it
 // applies: the default grid-DBSCAN backend. It never applies to the CuTS
 // filter (which clusters simplified polylines, not snapshots) or to
-// non-default backends, and the CONVOY_NO_INCREMENTAL environment variable
-// takes it out process-wide. The answer set is identical with and without —
-// only Stats.ClusterPassesIncremental / ObjectsReclustered and the run time
-// change.
+// non-default backends, and nothing but this option switches it. The answer
+// set is identical with and without — only Stats.ClusterPassesIncremental /
+// ObjectsReclustered and the run time change.
 func WithIncremental(threshold float64) Option {
 	return func(q *Query) { q.incremental = threshold }
 }

@@ -40,9 +40,6 @@ func drainSeq(ctx context.Context, q *Query, db *model.DB) ([]Convoy, error) {
 // worker count — one full pass per chunk, the rest incremental — and all
 // three must stay stateless under WithIncremental(-1).
 func TestParallelStreamRunsTheBatchSchedule(t *testing.T) {
-	if IncrementalDisabled() {
-		t.Skipf("%s set: incremental path unavailable", NoIncrementalEnv)
-	}
 	const workers, chunks = 4, 5
 	const ticks = (chunks-1)*scanChunk + 100 // the cap, not ⌈span/workers⌉, cuts this domain
 	rows := make([][]geom.Point, 5)

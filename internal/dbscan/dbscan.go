@@ -15,8 +15,6 @@
 package dbscan
 
 import (
-	"math"
-
 	"repro/internal/geom"
 	"repro/internal/grid"
 )
@@ -117,6 +115,3 @@ func GroupsByLabel(labels []int) [][]int {
 	}
 	return groups
 }
-
-// mathInf is a local shorthand for +Inf used by the polyline clustering.
-var mathInf = math.Inf(1)

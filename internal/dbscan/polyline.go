@@ -87,95 +87,37 @@ func (p *PolylineDistanceParams) tol(sg *simplify.Segment) float64 {
 	return sg.Tolerance
 }
 
-// Omega computes ω(o'q, o'i) (Section 5.2): the minimum over time-overlapping
-// segment pairs of dist(l'q, l'i) − δ(l'q) − δ(l'i), where dist is DLL or D*
-// according to the bound kind. It returns +Inf when no segment pair shares a
-// time interval. Two objects can be within e of each other at some shared
-// tick only if ω ≤ e.
-func Omega(a, b Polyline, p PolylineDistanceParams) float64 {
-	best := mathInf
-	i, j := 0, 0
-	for i < len(a.Segs) && j < len(b.Segs) {
-		sa, sb := &a.Segs[i], &b.Segs[j]
-		switch {
-		case sa.EndTick() < sb.StartTick():
-			i++
-		case sb.EndTick() < sa.StartTick():
-			j++
-		default:
-			var dist float64
-			if p.Bound == BoundDStar {
-				dist = geom.DStar(sa.TimedSegment, sb.TimedSegment)
-			} else {
-				dist = geom.DLL(sa.Segment, sb.Segment)
-			}
-			if v := dist - p.tol(sa) - p.tol(sb); v < best {
-				best = v
-			}
-			if sa.EndTick() <= sb.EndTick() {
-				i++
-			} else {
-				j++
+// dist is the configured bound's segment distance: D* or DLL.
+func (p *PolylineDistanceParams) dist(sa, sb *simplify.Segment) float64 {
+	if p.Bound == BoundDStar {
+		return geom.DStar(sa.TimedSegment, sb.TimedSegment)
+	}
+	return geom.DLL(sa.Segment, sb.Segment)
+}
+
+// withinBound reports whether some pair of a's and b's segments whose
+// closed tick intervals intersect — one shared end tick is enough — passes
+// the Lemma 1/3 bound dist ≤ e + δ + δ, that is ω(a, b) ≤ e (Section 5.2),
+// with early exit. Segment ends rise with their starts, so a segment of b
+// that ends before one of a's starts ends before every later one starts
+// too: one lagging index skips it for good. The pairs tested, and each test
+// (the two tolerances are summed before e is added), are the same from
+// either side, so withinBound(a, b) == withinBound(b, a).
+func withinBound(a, b *Polyline, p *PolylineDistanceParams) bool {
+	lo := 0
+	for i := range a.Segs {
+		sa := &a.Segs[i]
+		for lo < len(b.Segs) && b.Segs[lo].EndTick() < sa.StartTick() {
+			lo++
+		}
+		for j := lo; j < len(b.Segs) && b.Segs[j].StartTick() <= sa.EndTick(); j++ {
+			sb := &b.Segs[j]
+			if p.dist(sa, sb) <= p.Eps+(p.tol(sa)+p.tol(sb)) {
+				return true
 			}
 		}
 	}
-	return best
-}
-
-// withinBound reports whether some time-overlapping segment pair of a and b
-// passes the distance bound (i.e., ω(a,b) ≤ e), with early exit.
-//
-// The walk is not symmetric in its arguments: where two segments end at the
-// same tick it steps a, and so meets a's next segment against b's current
-// one, while the walk from b's side meets the opposite pair. oneWay reports
-// that this walk passed no such fork before it returned — the walk from b's
-// side then met exactly the same pairs and has the same answer. (A tie of
-// two last segments is no fork: either step ends both walks.)
-func withinBound(a, b *Polyline, p *PolylineDistanceParams) (within, oneWay bool) {
-	oneWay = true
-	i, j := 0, 0
-	for i < len(a.Segs) && j < len(b.Segs) {
-		sa, sb := &a.Segs[i], &b.Segs[j]
-		switch {
-		case sa.EndTick() < sb.StartTick():
-			i++
-		case sb.EndTick() < sa.StartTick():
-			j++
-		default:
-			var dist float64
-			if p.Bound == BoundDStar {
-				dist = geom.DStar(sa.TimedSegment, sb.TimedSegment)
-			} else {
-				dist = geom.DLL(sa.Segment, sb.Segment)
-			}
-			if dist <= p.Eps+p.tol(sa)+p.tol(sb) {
-				return true, oneWay
-			}
-			switch ea, eb := sa.EndTick(), sb.EndTick(); {
-			case ea < eb:
-				i++
-			case ea > eb:
-				j++
-			default:
-				if i+1 < len(a.Segs) || j+1 < len(b.Segs) {
-					oneWay = false
-				}
-				i++
-			}
-		}
-	}
-	return false, oneWay
-}
-
-// withinBoundBoth reports withinBound(a, b) and withinBound(b, a), walking
-// the second only where it can differ from the first.
-func withinBoundBoth(a, b *Polyline, p *PolylineDistanceParams) (ab, ba bool) {
-	ab, oneWay := withinBound(a, b, p)
-	if oneWay {
-		return ab, ab
-	}
-	ba, _ = withinBound(b, a, p)
-	return ab, ba
+	return false
 }
 
 // maxTol returns δmax under the configured tolerance mode.
@@ -203,12 +145,9 @@ type PolylineClusterer struct {
 // Adjacency builds the segment-level neighborhood graph over the partition's
 // sub-polylines under the configured distance bound, with Lemma 2 box
 // pruning and grid candidate enumeration. Every unordered pair is looked up,
-// time-checked and box-pruned once, from its lower index, and the bound is
-// walked once wherever one walk speaks for both sides. It does not always:
-// withinBound is not symmetric, and the graph is the directed one — j is in
-// NH[i] when the walk from i's side passes (either walk alone is sound; the
-// candidate lists, which must not move, depend on having both). The graph
-// lives in the clusterer's buffers: it is valid until the next call.
+// time-checked, box-pruned and tested with withinBound once, from its lower
+// index; the relation is symmetric, so a passing pair enters both lists. The
+// graph lives in the clusterer's buffers: it is valid until the next call.
 func (pc *PolylineClusterer) Adjacency(polys []Polyline, minPts int, p PolylineDistanceParams) Adjacency {
 	n := len(polys)
 	adj := &pc.adj
@@ -255,11 +194,8 @@ func (pc *PolylineClusterer) Adjacency(polys []Polyline, minPts int, p PolylineD
 			if !p.NoBoxPrune && geom.Dmin(q.Bounds, o.Bounds) > p.Eps+qTol+p.maxTol(o) {
 				continue
 			}
-			qo, oq := withinBoundBoth(q, o, &p)
-			if qo {
+			if withinBound(q, o, &p) {
 				nh = append(nh, j)
-			}
-			if oq {
 				adj.NH[j] = append(adj.NH[j], i)
 			}
 		}

@@ -35,10 +35,42 @@ func polyOf(st *simplify.Trajectory) Polyline {
 	return NewPolyline(st.Object, st.Segments)
 }
 
-// withinBoundOK is withinBound's answer alone.
-func withinBoundOK(a, b *Polyline, p *PolylineDistanceParams) bool {
-	ok, _ := withinBound(a, b, p)
-	return ok
+// overlapping reports whether two segments' closed tick intervals
+// intersect.
+func overlapping(sa, sb *simplify.Segment) bool {
+	return sa.StartTick() <= sb.EndTick() && sb.StartTick() <= sa.EndTick()
+}
+
+// Omega is ω(o'q, o'i) (Section 5.2) by brute force: the minimum over every
+// pair of segments whose tick intervals overlap of
+// dist(l'q, l'i) − δ(l'q) − δ(l'i), +Inf when no pair shares a tick. Two
+// objects can be within e of each other at some shared tick only if ω ≤ e.
+func Omega(a, b Polyline, p PolylineDistanceParams) float64 {
+	best := math.Inf(1)
+	for i := range a.Segs {
+		for j := range b.Segs {
+			sa, sb := &a.Segs[i], &b.Segs[j]
+			if overlapping(sa, sb) {
+				best = min(best, p.dist(sa, sb)-p.tol(sa)-p.tol(sb))
+			}
+		}
+	}
+	return best
+}
+
+// bruteWithin is the filter's neighborhood predicate by brute force: some
+// pair of time-overlapping segments passes dist ≤ e + δ + δ, in the
+// comparison form withinBound uses.
+func bruteWithin(a, b *Polyline, p *PolylineDistanceParams) bool {
+	for i := range a.Segs {
+		for j := range b.Segs {
+			sa, sb := &a.Segs[i], &b.Segs[j]
+			if overlapping(sa, sb) && p.dist(sa, sb) <= p.Eps+(p.tol(sa)+p.tol(sb)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestNewPolylineAggregates(t *testing.T) {
@@ -68,7 +100,7 @@ func TestOmegaDisjointTimeIsInf(t *testing.T) {
 	if w := Omega(a, b, p); !math.IsInf(w, 1) {
 		t.Errorf("Omega with disjoint times = %g, want +Inf", w)
 	}
-	if withinBoundOK(&a, &b, &p) {
+	if withinBound(&a, &b, &p) {
 		t.Error("withinBound with disjoint times must be false")
 	}
 }
@@ -84,11 +116,11 @@ func TestOmegaParallelTracks(t *testing.T) {
 	if math.Abs(w-3) > 1e-9 {
 		t.Errorf("Omega = %g, want 3", w)
 	}
-	if withinBoundOK(&a, &b, &p) {
+	if withinBound(&a, &b, &p) {
 		t.Error("withinBound at gap 3 with e=1 must be false")
 	}
 	p.Eps = 3
-	if !withinBoundOK(&a, &b, &p) {
+	if !withinBound(&a, &b, &p) {
 		t.Error("withinBound at gap 3 with e=3 must be true")
 	}
 }
@@ -100,10 +132,10 @@ func TestDStarBoundTighterThanDLL(t *testing.T) {
 	b := polyOf(simplify.Simplify(lineTraj(t, -2, 0, 1, 0, 0, 20, nil), 0.1, simplify.DPStar))
 	dll := PolylineDistanceParams{Eps: 1, Bound: BoundDLL}
 	dstar := PolylineDistanceParams{Eps: 1, Bound: BoundDStar}
-	if !withinBoundOK(&a, &b, &dll) {
+	if !withinBound(&a, &b, &dll) {
 		t.Error("DLL bound should (loosely) accept the follower pair")
 	}
-	if withinBoundOK(&a, &b, &dstar) {
+	if withinBound(&a, &b, &dstar) {
 		t.Error("D* bound should reject the follower pair at e=1")
 	}
 	wd := Omega(a, b, dstar)
@@ -123,7 +155,7 @@ func TestGlobalToleranceLooserThanActual(t *testing.T) {
 	if Omega(a, b, global) > Omega(a, b, actual)+1e-12 {
 		t.Error("global-tolerance omega should be ≤ actual-tolerance omega")
 	}
-	if withinBoundOK(&a, &b, &actual) && !withinBoundOK(&a, &b, &global) {
+	if withinBound(&a, &b, &actual) && !withinBound(&a, &b, &global) {
 		t.Error("anything accepted under actual tolerance must be accepted under global")
 	}
 }
@@ -238,7 +270,7 @@ func TestPropLemmaBoundsNeverDismiss(t *testing.T) {
 			pa := polyOf(simplify.Simplify(a, delta, cfg.method))
 			pb := polyOf(simplify.Simplify(b, delta, cfg.method))
 			params := PolylineDistanceParams{Eps: e, Bound: cfg.bound}
-			accepted := withinBoundOK(&pa, &pb, &params)
+			accepted := withinBound(&pa, &pb, &params)
 			// Scan every shared tick for a true close encounter.
 			lo := a.Start()
 			if b.Start() > lo {
@@ -264,7 +296,7 @@ func TestPropLemmaBoundsNeverDismiss(t *testing.T) {
 				gparams := params
 				gparams.Tolerance = GlobalTolerance
 				gparams.GlobalDelta = delta
-				if !withinBoundOK(&pa, &pb, &gparams) {
+				if !withinBound(&pa, &pb, &gparams) {
 					t.Fatalf("%v: global tolerance rejected a pair accepted under actual tolerance", cfg.method)
 				}
 			}
@@ -274,9 +306,9 @@ func TestPropLemmaBoundsNeverDismiss(t *testing.T) {
 
 // Property: PolylineClusterer.Adjacency — grid candidate enumeration, with
 // the Lemma-2 box pruning on and off, on one clusterer reused from set to
-// set — finds exactly the neighborhoods a brute-force scan over the same
-// withinBound predicate, asked both ways round, finds, so the components
-// the CuTS filter chains are the brute-force components.
+// set — finds exactly the neighborhoods a brute-force scan over every pair
+// of polylines and every pair of their time-overlapping segments finds, so
+// the components the CuTS filter chains are the brute-force components.
 func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	var pc PolylineClusterer
@@ -291,7 +323,7 @@ func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 		minPts := 1 + r.Intn(4)
 		want := BuildAdjacency(n, minPts, func(i int, buf []int) []int {
 			for j := 0; j < n; j++ {
-				if i == j || withinBoundOK(&polys[i], &polys[j], &params) {
+				if i == j || bruteWithin(&polys[i], &polys[j], &params) {
 					buf = append(buf, j)
 				}
 			}

@@ -52,7 +52,7 @@ type Config struct {
 	// WALDir, when non-empty, makes feeds durable (feed.Config.WALDir), and
 	// New replays the logs under it so a restarted server is
 	// state-identical to one that never stopped. Empty (the default, and
-	// convoyd without -data-dir or with -no-wal) keeps feeds in memory.
+	// convoyd without -data-dir) keeps feeds in memory.
 	WALDir string
 	// WALFsync, WALFsyncInterval, WALSegmentBytes, WALSegmentAge and
 	// WALRetainTicks are every feed log's wal.Options Fsync, FsyncInterval,

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -21,9 +20,6 @@ func staticBatch(t model.Tick) TickBatch {
 // A feed on the default backend takes the incremental path by default, and
 // the pass split plus reuse ratio surface in the feed status and /v1/stats.
 func TestFeedIncrementalCountersAndReuseRatio(t *testing.T) {
-	if core.IncrementalDisabled() {
-		t.Skipf("%s is set", core.NoIncrementalEnv)
-	}
 	_, ts := newTestServer(t, Config{})
 	createFeed(t, ts.URL, "inc", ParamsJSON{M: 2, K: 3, Eps: 1})
 	const ticks = 10
@@ -71,9 +67,6 @@ func TestFeedIncrementalCountersAndReuseRatio(t *testing.T) {
 // with the same key starts from a full pass, never from a stranger's
 // (possibly stale) snapshot diff.
 func TestMonitorRemovalDropsIncrementalState(t *testing.T) {
-	if core.IncrementalDisabled() {
-		t.Skipf("%s is set", core.NoIncrementalEnv)
-	}
 	_, ts := newTestServer(t, Config{})
 	createFeed(t, ts.URL, "life", ParamsJSON{M: 2, K: 3, Eps: 1})
 	side := MonitorSpec{ID: "side", Params: ParamsJSON{M: 2, K: 3, Eps: 2}}
@@ -104,8 +97,7 @@ func TestMonitorRemovalDropsIncrementalState(t *testing.T) {
 }
 
 // The per-feed and per-query "incremental" knobs are gone (incremental ≡
-// from-scratch is property-pinned; CONVOY_NO_INCREMENTAL remains for
-// operators). Clients that still send the old spellings — a feed-create
+// from-scratch is property-pinned). Clients that still send the old spellings — a feed-create
 // body field, a /v1/query JSON body field, a URL parameter — must keep
 // getting a 2xx and the unchanged answer: no decoder rejects the name.
 func TestRemovedIncrementalSpellingsIgnored(t *testing.T) {

@@ -91,3 +91,12 @@ func TestFacadeBinaryFiles(t *testing.T) {
 		t.Fatalf("LoadBinary: %v %v", back, err)
 	}
 }
+
+// convoys.Simplify of a trajectory without samples returns an empty
+// simplified trajectory; it used to index its first sample and panic.
+func TestFacadeSimplifyEmptyTrajectory(t *testing.T) {
+	st := convoys.Simplify(&convoys.Trajectory{Label: "x"}, 1, convoys.DP)
+	if st.Len() != 0 || len(st.Segments) != 0 || st.Tolerance != 0 {
+		t.Errorf("empty trajectory simplified to %+v", st)
+	}
+}

@@ -21,15 +21,27 @@ func cutsStarInputs(db *model.DB, p Params) ([]*simplify.Trajectory, FilterConfi
 	return sts, FilterConfig{Lambda: ComputeLambda(db, sts, p.K), Bound: VariantCuTSStar.Bound(), Delta: delta}
 }
 
-// BenchmarkComputeDelta prices the δ guideline (Section 7.4) on the ladder's
-// cattle-cuts herd: a δ = 0 Douglas–Peucker run over the sampled trajectory.
+// BenchmarkComputeDelta prices the δ guideline (Section 7.4): a δ = 0
+// Douglas–Peucker run over the sampled trajectory and the largest gap of
+// its profile, on the ladder's cattle-cuts herd and on Cattle@1, the scale
+// of the ROADMAP's CuTS-vs-CMC table.
 func BenchmarkComputeDelta(b *testing.B) {
-	db := datagen.Cattle(0.15, 101).Generate()
-	b.ReportAllocs()
-	for b.Loop() {
-		if d := ComputeDelta(db, cattleParams.Eps); d <= 0 {
-			b.Fatalf("δ = %g", d)
-		}
+	for _, bc := range []struct {
+		name string
+		p    datagen.Profile
+	}{
+		{"herd", datagen.Cattle(0.15, 101)},
+		{"cattle@1", datagen.Cattle(1, 101)},
+	} {
+		db := bc.p.Generate()
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if d := ComputeDelta(db, bc.p.Eps); d <= 0 {
+					b.Fatalf("δ = %g", d)
+				}
+			}
+		})
 	}
 }
 

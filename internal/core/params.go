@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/simplify"
@@ -17,11 +19,11 @@ const deltaSampleDivisor = 10
 
 // ComputeDelta derives a simplification tolerance δ from the data following
 // the Section 7.4 heuristic: run Douglas–Peucker with δ = 0 over a sample
-// of trajectories, record the split deviations below e in ascending order,
-// find the largest gap between adjacent values and select the smaller
-// endpoint of that gap; finally average the per-trajectory
-// selections. Falls back to e/2 when the data yields no usable profile
-// (e.g., everything collinear).
+// of trajectories, take the split deviations below e, find the largest gap
+// between adjacent values in ascending order and select the smaller
+// endpoint of that gap; finally average the per-trajectory selections.
+// Falls back to e/2 when the data yields no usable profile (e.g.,
+// everything collinear).
 func ComputeDelta(db *model.DB, e float64) float64 {
 	n := db.Len()
 	if n == 0 {
@@ -35,30 +37,100 @@ func ComputeDelta(db *model.DB, e float64) float64 {
 	if stride < 1 {
 		stride = 1
 	}
+	sc := deltaPool.Get().(*deltaScratch)
+	defer deltaPool.Put(sc)
 	var sum float64
 	var count int
 	for i := 0; i < n; i += stride {
-		dists := simplify.SplitDistances(db.Traj(i), simplify.DP, e)
-		if len(dists) == 0 {
+		sc.dists = simplify.AppendSplitDistances(sc.dists[:0], db.Traj(i), simplify.DP, e)
+		if len(sc.dists) == 0 {
 			continue
 		}
-		sel := dists[0]
-		if len(dists) > 1 {
-			bestGap := -1.0
-			for j := 1; j < len(dists); j++ {
-				if gap := dists[j] - dists[j-1]; gap > bestGap {
-					bestGap = gap
-					sel = dists[j-1]
-				}
-			}
-		}
-		sum += sel
+		sum += sc.largestGapLow()
 		count++
 	}
 	if count == 0 || sum == 0 {
 		return e / 2
 	}
 	return sum / float64(count)
+}
+
+// deltaScratch is ComputeDelta's reusable state: one trajectory's
+// deviation profile and the buckets its gap selection sorts it into.
+type deltaScratch struct {
+	dists   []float64
+	buckets []gapBucket
+}
+
+var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
+
+// gapBucket holds the smallest and the largest value that fell into one
+// bucket of largestGapLow; lo > hi marks it empty.
+type gapBucket struct{ lo, hi float64 }
+
+// maxBucketedValues is the most values largestGapLow buckets. Rounding
+// widens a bucket by about 8·n units of rounding of its width, and the
+// bucket argument needs that widening below the 1/n by which the bucket
+// width undercuts the smallest possible largest gap: n² < 2⁵⁰. Longer
+// profiles, which no trajectory yields in practice, are sorted.
+const maxBucketedValues = 1 << 24
+
+// largestGapLow returns the lower end of the largest gap between adjacent
+// values of sc.dists in ascending order — the first of several equal ones —
+// as sorting them and scanning would choose it, in linear time: the
+// maximum-gap bucket argument. The n values go into n+1 buckets of width
+// (max − min)/n, narrower than (max − min)/(n − 1), the least the largest
+// of the n − 1 gaps can be; so no two values of one bucket are a largest
+// gap apart, and the largest gap lies between the highest value of one
+// non-empty bucket and the lowest of the next. Scanning those pairs in
+// order with a strict > keeps the first. A spread too small (or too
+// large, or NaN) for a finite bucket scale falls back to the sort.
+func (sc *deltaScratch) largestGapLow() float64 {
+	vs := sc.dists
+	n := len(vs)
+	lo, hi := vs[0], vs[0]
+	for _, v := range vs[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if lo == hi { // every gap is 0, and the first is taken
+		return lo
+	}
+	scale := float64(n) / (hi - lo)
+	if !(scale > 0 && scale <= math.MaxFloat64) || n > maxBucketedValues {
+		return sortedLargestGapLow(vs)
+	}
+	buckets := slices.Grow(sc.buckets[:0], n+1)[:n+1]
+	sc.buckets = buckets
+	for b := range buckets {
+		buckets[b] = gapBucket{math.Inf(1), math.Inf(-1)}
+	}
+	for _, v := range vs {
+		b := &buckets[min(int((v-lo)*scale), n)]
+		b.lo, b.hi = min(b.lo, v), max(b.hi, v)
+	}
+	sel, prev, bestGap := lo, buckets[0].hi, -1.0
+	for _, b := range buckets[1:] {
+		if b.lo > b.hi {
+			continue
+		}
+		if gap := b.lo - prev; gap > bestGap {
+			bestGap, sel = gap, prev
+		}
+		prev = b.hi
+	}
+	return sel
+}
+
+// sortedLargestGapLow is largestGapLow by sorting vs in place.
+func sortedLargestGapLow(vs []float64) float64 {
+	slices.Sort(vs)
+	sel, bestGap := vs[0], -1.0
+	for j := 1; j < len(vs); j++ {
+		if gap := vs[j] - vs[j-1]; gap > bestGap {
+			bestGap, sel = gap, vs[j-1]
+		}
+	}
+	return sel
 }
 
 // ComputeLambda derives the time-partition length λ from the simplification

@@ -6,21 +6,29 @@ import (
 	"repro/internal/datagen"
 )
 
-// BenchmarkSimplify prices the simplification layer alone: SimplifyAll over
-// the ladder's cattle-cuts herd (13 trajectories of ≈ 26 k samples) at the
-// profile's own δ, once per method.
+// BenchmarkSimplify prices the simplification layer alone: SimplifyAll at
+// the profile's own δ, once per method, over the ladder's cattle-cuts herd
+// (13 trajectories of ≈ 26 k samples) and over Cattle@1 (13 of ≈ 175 k), the
+// scale of the ROADMAP's CuTS-vs-CMC table.
 func BenchmarkSimplify(b *testing.B) {
-	p := datagen.Cattle(0.15, 101)
-	db := p.Generate()
-	for _, m := range []Method{DP, DPPlus, DPStar} {
-		b.Run(m.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if sts := SimplifyAll(db, p.Delta, m); len(sts) != db.Len() {
-					b.Fatalf("%d simplified trajectories", len(sts))
+	for _, bc := range []struct {
+		name string
+		p    datagen.Profile
+	}{
+		{"herd", datagen.Cattle(0.15, 101)},
+		{"cattle@1", datagen.Cattle(1, 101)},
+	} {
+		db := bc.p.Generate()
+		for _, m := range []Method{DP, DPPlus, DPStar} {
+			b.Run(bc.name+"/"+m.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if sts := SimplifyAll(db, bc.p.Delta, m); len(sts) != db.Len() {
+						b.Fatalf("%d simplified trajectories", len(sts))
+					}
 				}
-			}
-			b.ReportMetric(float64(db.SumTrajLen()), "points/op")
-		})
+				b.ReportMetric(float64(db.SumTrajLen()), "points/op")
+			})
+		}
 	}
 }

@@ -178,6 +178,21 @@ func TestSingleSampleTrajectory(t *testing.T) {
 	}
 }
 
+// A trajectory without samples (one built by hand: NewTrajectory refuses
+// it) simplifies to nothing under every method, and profiles nothing.
+func TestEmptyTrajectory(t *testing.T) {
+	tr := &model.Trajectory{Label: "x"}
+	for _, m := range []Method{DP, DPPlus, DPStar} {
+		st := Simplify(tr, 1, m)
+		if st.Keep != nil || st.Segments != nil || st.Tolerance != 0 || st.Orig != tr || st.Method != m {
+			t.Errorf("%v: %+v", m, st)
+		}
+		if got := AppendSplitDistances(nil, tr, m, math.Inf(1)); got != nil {
+			t.Errorf("%v: split distances %v", m, got)
+		}
+	}
+}
+
 func TestTwoSampleTrajectory(t *testing.T) {
 	tr := mustTraj(t, s(0, 0, 0), s(9, 3, 4))
 	st := Simplify(tr, 0, DPStar)
@@ -374,24 +389,20 @@ func TestSimplifyAll(t *testing.T) {
 }
 
 func TestSplitDistances(t *testing.T) {
-	// Zig-zag with distinct amplitudes: δ=0 DP visits every interior point.
+	// Zig-zag with distinct amplitudes: δ=0 DP splits at every interior
+	// point, and the profile is appended after what dst holds.
 	tr := mustTraj(t, s(0, 0, 0), s(1, 1, 3), s(2, 2, 0), s(3, 3, 1), s(4, 4, 0))
-	dists := SplitDistances(tr, DP, math.Inf(1))
-	if len(dists) == 0 {
-		t.Fatal("no split distances recorded")
-	}
-	for i := 1; i < len(dists); i++ {
-		if dists[i] < dists[i-1] {
-			t.Fatalf("distances not ascending: %v", dists)
-		}
+	dists := AppendSplitDistances([]float64{-1}, tr, DP, math.Inf(1))
+	if len(dists) != 4 || dists[0] != -1 {
+		t.Fatalf("split distances after [-1]: %v, want -1 and one per interior point", dists)
 	}
 	// Short trajectories yield nothing.
-	if got := SplitDistances(mustTraj(t, s(0, 0, 0), s(1, 1, 1)), DP, math.Inf(1)); got != nil {
+	if got := AppendSplitDistances(nil, mustTraj(t, s(0, 0, 0), s(1, 1, 1)), DP, math.Inf(1)); got != nil {
 		t.Errorf("2-point trajectory: %v", got)
 	}
 	// Collinear: every split distance is 0… in fact no split happens at all.
 	col := mustTraj(t, s(0, 0, 0), s(1, 1, 1), s(2, 2, 2))
-	if got := SplitDistances(col, DP, math.Inf(1)); len(got) != 0 {
+	if got := AppendSplitDistances(nil, col, DP, math.Inf(1)); len(got) != 0 {
 		t.Errorf("collinear split distances: %v", got)
 	}
 }

@@ -137,6 +137,38 @@ func TestWithClustererRequiresCMC(t *testing.T) {
 	}
 }
 
+// impostorClusterer is componentClusterer under the default backend's name.
+type impostorClusterer struct{ componentClusterer }
+
+func (impostorClusterer) Name() string { return DefaultBackend }
+
+// TestCustomClustererNamedDBSCAN: the default backend is a type, not a
+// name. A custom backend that calls itself "dbscan" still requires CMC —
+// the CuTS family would otherwise run and silently ignore it — and a CMC
+// query, partitioned or not, clusters with it rather than with DBSCAN.
+func TestCustomClustererNamedDBSCAN(t *testing.T) {
+	// Two objects far apart (no DBSCAN cluster) but in contact at every tick.
+	db := buildDB(t, 0,
+		[]geom.Point{geom.Pt(0, 0), geom.Pt(0, 0), geom.Pt(0, 0)},
+		[]geom.Point{geom.Pt(100, 0), geom.Pt(100, 0), geom.Pt(100, 0)})
+	log := map[model.Tick][]contact{}
+	for tk := model.Tick(0); tk < 3; tk++ {
+		log[tk] = []contact{{0, 1, 5}}
+	}
+	c := impostorClusterer{componentClusterer{log: log}}
+	p := Params{M: 2, K: 3, Eps: 1}
+	if _, err := NewQuery(WithParams(p), WithClusterer(c)).Run(context.Background(), db); err == nil || !strings.Contains(err.Error(), "requires the CMC algorithm") {
+		t.Fatalf("CuTS* + custom clusterer named %q: err = %v, want CMC-required error", DefaultBackend, err)
+	}
+	want := Result{{Objects: ids(0, 1), Start: 0, End: 2}}
+	for _, parts := range []int{0, 2} {
+		got, err := NewQuery(WithParams(p), WithCMC(), WithClusterer(c), WithPartitions(parts)).Run(context.Background(), db)
+		if err != nil || !got.Equal(want) {
+			t.Fatalf("partitions=%d: CMC + custom clusterer named %q = %v, %v; want %v", parts, DefaultBackend, got, err, want)
+		}
+	}
+}
+
 // TestClusterSourceBackendKeys: a source owns its clusterer, so the key is
 // (e, m) alone — two sources at one key with different backends share the
 // key, not the clusters. Each answers its own backend's clusters; the

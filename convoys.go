@@ -244,11 +244,10 @@ func WithStats(st *Stats) QueryOption { return core.WithStats(st) }
 // scan and of the CuTS family's refinement windows. A threshold in (0, 1]
 // re-clusters only the neighborhoods disturbed since the previous tick
 // whenever the churned fraction of objects stays under it; threshold ≤ 0
-// disables the fast path entirely. The default (option absent) is
+// makes every tick a full pass. The default (option absent) is
 // DefaultChurnThreshold on the default DBSCAN backend. This option is the
 // one switch: no flag or environment variable overrides it. Answers are
-// identical either way — the option trades memory (carried per-tick state)
-// for per-tick clustering time.
+// identical at every threshold; only the per-tick clustering time changes.
 func WithIncremental(threshold float64) QueryOption { return core.WithIncremental(threshold) }
 
 // DefaultChurnThreshold is the churn fraction above which an incremental

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"repro/internal/dbscan"
 	"repro/internal/geom"
+	"repro/internal/increment"
 	"repro/internal/model"
 )
 
@@ -45,28 +45,39 @@ type TickSnapshot struct {
 // sub-slices of snap.IDs.
 //
 // Clusterers are stateless across ticks by design — Clusters(key, snap)
-// is a pure function of its arguments. Stateful acceleration (reusing the
-// previous tick's structure) lives one layer up, behind ClusterSource and
-// the CMC scan's incremental engine (internal/increment), which reproduce
-// the default backend's answers exactly; a custom backend therefore never
-// needs cross-tick state for correctness and never gets it.
+// is a pure function of its arguments. Cross-tick state lives one layer
+// up: a ClusterSource over the default backend keeps one incremental
+// engine (internal/increment) across its ticks, which changes how fast an
+// answer comes, never what it is. A custom backend therefore never needs
+// cross-tick state for correctness and never gets it.
 type Clusterer interface {
 	Name() string
 	Clusters(key ClusterKey, snap TickSnapshot) [][]model.ObjectID
 }
 
 // DBSCANClusterer is the paper's per-tick clustering: maximal
-// density-connected sets (grid-accelerated snapshot DBSCAN) over the
-// snapshot positions. The zero value is ready to use.
+// density-connected sets (snapshot DBSCAN) over the snapshot positions.
+// The zero value is ready to use.
 type DBSCANClusterer struct{}
 
 // Name returns DefaultBackend.
 func (DBSCANClusterer) Name() string { return DefaultBackend }
 
 // Clusters returns the maximal density-connected sets of the snapshot
-// positions at (key.Eps, key.M).
+// positions at (key.Eps, key.M): one full pass of a fresh engine, the
+// cluster list ordered by ascending member list.
 func (DBSCANClusterer) Clusters(key ClusterKey, snap TickSnapshot) [][]model.ObjectID {
-	return dbscan.SnapshotClusters(snap.IDs, snap.Pts, key.Eps, key.M)
+	out, _ := increment.New(key.Eps, key.M, 0).Tick(snap.IDs, snap.Pts)
+	return out
+}
+
+// isDefaultBackend is the one "is this the built-in DBSCAN backend?"
+// decision, made by type: a custom Clusterer that names itself
+// DefaultBackend is still custom, so it still requires CMC and is still
+// the one asked for clusters.
+func isDefaultBackend(c Clusterer) bool {
+	_, ok := c.(DBSCANClusterer)
+	return ok
 }
 
 // DefaultClusterer is the built-in DBSCAN backend, used wherever no

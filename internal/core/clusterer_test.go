@@ -3,13 +3,14 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/dbscan"
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/oracle"
 )
 
 // contact is one weighted proximity edge of componentClusterer's log.
@@ -90,29 +91,29 @@ func TestWithClustererDefaultIsIdentity(t *testing.T) {
 	}
 }
 
-// TestDBSCANClustererContract checks the backend against the raw dbscan
-// mapping and the member-ordering contract on an unsorted live-feed style
-// snapshot.
+// TestDBSCANClustererContract holds the backend to the oracle's clusters,
+// whole lists in the oracle's order, on unsorted live-feed style snapshots:
+// two groups, a border shared by two clusters, noise, and a snapshot below
+// m objects, which clusters to nothing.
 func TestDBSCANClustererContract(t *testing.T) {
-	key := ClusterKey{Eps: 1.5, M: 2}
-	ids := []model.ObjectID{9, 3, 7, 1}
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(10, 0), geom.Pt(10.5, 0)}
-	got := DBSCANClusterer{}.Clusters(key, TickSnapshot{IDs: ids, Pts: pts})
-	for _, c := range got {
-		if !sort.IntsAreSorted(c) {
-			t.Fatalf("cluster %v not ascending", c)
+	for _, tc := range []struct {
+		key ClusterKey
+		ids []model.ObjectID
+		pts []geom.Point
+	}{
+		{ClusterKey{Eps: 1.5, M: 2}, []model.ObjectID{9, 3, 7, 1},
+			[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(10, 0), geom.Pt(10.5, 0)}},
+		{ClusterKey{Eps: 1, M: 4}, []model.ObjectID{8, 2, 6, 0, 4, 3, 5, 1},
+			[]geom.Point{geom.Pt(0, 0), geom.Pt(0.2, 0), geom.Pt(0.4, 0), geom.Pt(1.4, 0),
+				geom.Pt(2.4, 0), geom.Pt(2.6, 0), geom.Pt(2.8, 0), geom.Pt(50, 50)}},
+		{ClusterKey{Eps: 1, M: 5}, []model.ObjectID{9, 3, 7, 1},
+			[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(10, 0), geom.Pt(10.5, 0)}},
+	} {
+		got := DBSCANClusterer{}.Clusters(tc.key, TickSnapshot{IDs: tc.ids, Pts: tc.pts})
+		want := oracle.Clusters(tc.ids, tc.pts, tc.key.M, tc.key.Eps)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("key %+v: clusters %v, oracle %v", tc.key, got, want)
 		}
-		if len(c) < key.M {
-			t.Fatalf("cluster %v smaller than m", c)
-		}
-	}
-	idx := dbscan.SnapshotClustersMaximal(pts, key.Eps, key.M)
-	if len(got) != len(idx) {
-		t.Fatalf("got %d clusters, dbscan has %d", len(got), len(idx))
-	}
-	// Below m objects: no clustering at all.
-	if c := (DBSCANClusterer{}).Clusters(ClusterKey{Eps: 1, M: 5}, TickSnapshot{IDs: ids, Pts: pts}); c != nil {
-		t.Fatalf("undersized snapshot clustered: %v", c)
 	}
 }
 
@@ -157,7 +158,8 @@ func TestCustomClustererNamedDBSCAN(t *testing.T) {
 	}
 	c := impostorClusterer{componentClusterer{log: log}}
 	p := Params{M: 2, K: 3, Eps: 1}
-	if _, err := NewQuery(WithParams(p), WithClusterer(c)).Run(context.Background(), db); err == nil || !strings.Contains(err.Error(), "requires the CMC algorithm") {
+	_, err := NewQuery(WithParams(p), WithClusterer(c)).Run(context.Background(), db)
+	if err == nil || !strings.Contains(err.Error(), "requires the CMC algorithm") {
 		t.Fatalf("CuTS* + custom clusterer named %q: err = %v, want CMC-required error", DefaultBackend, err)
 	}
 	want := Result{{Objects: ids(0, 1), Start: 0, End: 2}}

@@ -35,14 +35,14 @@
 // # One tick-scan kernel, parallel by scheduling
 //
 // A tick is clustered, metered and chained in exactly one place: a
-// ClusterSource turns the tick's snapshot into clusters (from scratch, or
-// by patching the previous tick through an incremental engine the source
-// constructor decides on) and a Monitor chains the cluster lists into
-// convoys. Feeds push ticks through that pair as they arrive; the batch
-// CMC scan (cmcScan — whole database, refinement window or partition)
-// drives the very same pair from a stored database, whose snapshots it
-// reads by sweeping a model.Cursor through ascending ticks rather than
-// looking every object up again at every tick. The cursor lends out its
+// ClusterSource turns the tick's snapshot into clusters — over positions
+// always through internal/increment's engine, which patches the previous
+// tick or makes a full pass, whichever the churn threshold says — and a
+// Monitor chains the cluster lists into convoys. Feeds push ticks through
+// that pair as they arrive; the batch CMC scan (cmcScan — whole database,
+// refinement window or partition) drives the very same pair from a stored
+// database, whose snapshots it reads by sweeping a model.Cursor through
+// ascending ticks rather than looking every object up again at every tick. The cursor lends out its
 // buffers: a snapshot's ID and point slices are valid until the next tick,
 // for a Clusterer and for ReplayTicks' callback alike.
 //

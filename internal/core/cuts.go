@@ -148,8 +148,8 @@ type Stats struct {
 	// cancelled mid-way.
 	ClusterPasses int64
 	// ClusterPassesFull and ClusterPassesIncremental split ClusterPasses
-	// by how the pass was answered: a from-scratch clustering run versus
-	// the incremental engine patching the previous tick's structure
+	// by how the pass was answered: a full pass versus the incremental
+	// engine patching the previous tick's structure
 	// (snapshot passes only: CMC scans and refinement windows — CuTS filter
 	// partitions always count as full). ObjectsReclustered sums, over the
 	// snapshot passes, the objects whose neighborhoods were actually
@@ -499,8 +499,8 @@ func Refine(db *model.DB, p Params, cands []Candidate) Result {
 // scans). emit returning false abandons the remaining candidates;
 // cancelling ctx aborts with ctx.Err() at candidate granularity. The
 // windows are clustered by the same kind of source as a CMC scan's ticks —
-// threshold is the query's WithIncremental value, so ≤ 0 keeps refinement
-// on the stateless path too — and meter counts their passes.
+// threshold is the query's WithIncremental value, so ≤ 0 makes every
+// refinement pass full too — and meter counts their passes.
 func refineScan(ctx context.Context, db *model.DB, p Params, cands []Candidate, workers int, threshold float64, meter *scanMeter, emit func(i int, raw []Convoy) bool) error {
 	// The window scans share the refine span's timer — their clustering and
 	// chaining time accumulates across candidates — but not ctx: they stay

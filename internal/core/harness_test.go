@@ -493,25 +493,26 @@ func TestPropMonitorsEqualStreamers(t *testing.T) {
 }
 
 // TestStreamerIncrementalMatchesFromScratch: the shared ClusterSource feeds
-// the Monitors the oracle's clusters with its incremental engine on and
-// off; its engine and LastPass report which path ran.
+// the Monitors the oracle's clusters with its engine incremental and at a
+// threshold ≤ 0, where every pass is full: its engine's counters and
+// LastPass report which passes ran.
 func TestStreamerIncrementalMatchesFromScratch(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, incremental := range []bool{true, false} {
 			src := monitorRows(t, sc, want, incremental)
-			engine := src.eng != nil
+			full, inc, _, _ := src.eng.Counters()
 			lastInc, reclustered := src.LastPass()
-			if engine != incremental || !incremental && (lastInc || reclustered == 0) || incremental && sc.lowChurn && !lastInc {
-				t.Errorf("incremental=%v: engine = %v, LastPass = (%v, %d)", incremental, engine, lastInc, reclustered)
+			if !incremental && (inc != 0 || full != src.Passes() || lastInc || reclustered == 0) || incremental && sc.lowChurn && !lastInc {
+				t.Errorf("incremental=%v: %d full and %d incremental passes, LastPass = (%v, %d)", incremental, full, inc, lastInc, reclustered)
 			}
 		}
 	})
 }
 
 // monitorRows feeds the scenario tick by tick to two Monitors — (m, k, e)
-// and (m, k+2, e) — sharing one ClusterSource, its engine on or off, checks
-// them against the oracle and the source's one pass per tick, and returns
-// the source.
+// and (m, k+2, e) — sharing one ClusterSource, its engine incremental or
+// making every pass full, checks them against the oracle and the source's
+// one pass per tick, and returns the source.
 func monitorRows(t *testing.T, sc scenario, want Result, incremental bool) *ClusterSource {
 	t.Helper()
 	longer := sc.p

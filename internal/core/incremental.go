@@ -11,23 +11,15 @@ import (
 // neighborhood structure (internal/increment) and re-clusters only the
 // objects that moved, appeared or vanished — plus their affected
 // neighborhoods — falling back to a from-scratch pass whenever the fraction
-// of dirty objects exceeds a churn threshold. The answers are identical
-// either way; only the work changes. The fast path applies to the default
-// grid-DBSCAN backend only: other backends define their own density notion
-// and always run from scratch.
+// of dirty objects exceeds a churn threshold (≤ 0: every pass is full).
+// The answers are identical either way; only the work changes. Every
+// source over the default DBSCAN backend carries the engine; other backends
+// define their own density notion and are asked afresh at every tick.
 
 // DefaultChurnThreshold is the dirty-object fraction above which the
 // incremental engine abandons patching and rebuilds the tick from scratch
 // (see increment.DefaultChurnThreshold).
 const DefaultChurnThreshold = increment.DefaultChurnThreshold
-
-// incrementalApplies is the one "does a source carry an engine?" decision:
-// the engine reproduces exactly the default grid-DBSCAN backend's answers,
-// so it applies to that backend at a positive churn threshold.
-func incrementalApplies(c Clusterer, threshold float64) bool {
-	_, isDBSCAN := c.(DBSCANClusterer)
-	return isDBSCAN && threshold > 0
-}
 
 // scanMeter aggregates the clustering-work counters of one discovery run.
 // All fields are updated atomically: a parallel scan's sources bump them

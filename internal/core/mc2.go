@@ -52,9 +52,10 @@ func jaccard(a, b []model.ObjectID) float64 {
 
 // MC2 discovers moving clusters with overlap threshold theta over the
 // database, using the same snapshot clustering (eps = p.Eps, minPts = p.M)
-// as CMC, and returns each maximal chain as a convoy-shaped answer (common
-// objects, chain interval). p.K is deliberately ignored — moving clusters
-// have no lifetime constraint.
+// as CMC — one ClusterSource over the sweep cursor — and returns each
+// maximal chain as a convoy-shaped answer (common objects, chain
+// interval). p.K is deliberately ignored — moving clusters have no
+// lifetime constraint.
 func MC2(db *model.DB, p Params, theta float64) ([]Convoy, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -74,11 +75,12 @@ func MC2(db *model.DB, p Params, theta float64) ([]Convoy, error) {
 		out = append(out, Convoy{Objects: ch.common, Start: ch.start, End: ch.end})
 	}
 	var live []*mcChain
+	src := newSource(p.ClusterKey(), DefaultClusterer, DefaultChurnThreshold, nil)
 	cur := db.Sweep(nil).Cursor()
 	for i, n := int64(0), model.TickSpan(lo, hi); i < n; i++ {
 		t := lo + model.Tick(i)
 		ids, pts := cur.At(t)
-		clusters := DefaultClusterer.Clusters(p.ClusterKey(), TickSnapshot{T: t, IDs: ids, Pts: pts})
+		clusters := src.Cluster(TickSnapshot{T: t, IDs: ids, Pts: pts})
 		extended := make([]bool, len(clusters))
 		next := make([]*mcChain, 0, len(clusters))
 		index := make(map[string]int)

@@ -47,17 +47,17 @@ func (k ClusterKey) Validate() error {
 // snapshot, so one source can drive any number of Monitors. Not safe for
 // concurrent use.
 //
-// As an internal acceleration the source may carry an incremental engine
-// (on for the grid-DBSCAN backend, see WithIncremental) that
-// reuses the previous tick's grid and neighborhood structure — cross-tick
-// state that changes how fast an answer is computed, never what it is. The
-// Clusterer itself stays stateless.
+// A source over the default DBSCAN backend clusters with an incremental
+// engine that reuses the previous tick's grid and neighborhood structure
+// (at the churn threshold of WithIncremental) — cross-tick state that
+// changes how fast an answer is computed, never what it is. A custom
+// Clusterer is asked afresh at every tick.
 type ClusterSource struct {
 	key    ClusterKey
 	c      Clusterer
 	passes int64
 
-	// eng, when non-nil, answers Cluster calls incrementally; last
+	// eng, non-nil for the default backend, answers its Cluster calls; last
 	// describes the most recent pass for the feed-level metrics, and meter,
 	// when non-nil, aggregates every pass of the scan the source belongs to.
 	eng   *increment.Engine
@@ -84,14 +84,13 @@ func NewClusterSourceWith(key ClusterKey, c Clusterer) (*ClusterSource, error) {
 }
 
 // newSource assembles a source over validated arguments — the one
-// constructor behind the public ones and the CMC scan, and so the one place
-// that decides, once, whether a source carries an incremental engine:
-// threshold > 0 is the churn threshold above which a tick rebuilds from
-// scratch, ≤ 0 runs every tick from scratch (see WithIncremental). meter,
-// when non-nil, is bumped on every pass.
+// constructor behind the public ones and the CMC scan. A source over the
+// default backend gets an engine at the churn threshold above which a tick
+// rebuilds from scratch; ≤ 0 makes every tick a full pass (see
+// WithIncremental). meter, when non-nil, is bumped on every pass.
 func newSource(key ClusterKey, c Clusterer, threshold float64, meter *scanMeter) *ClusterSource {
 	s := &ClusterSource{key: key, c: c, meter: meter}
-	if incrementalApplies(c, threshold) {
+	if isDefaultBackend(c) {
 		s.eng = increment.New(key.Eps, key.M, threshold)
 	}
 	return s

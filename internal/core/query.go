@@ -74,6 +74,9 @@ func NewQuery(opts ...Option) *Query {
 	for _, o := range opts {
 		o(q)
 	}
+	if q.clusterer == nil {
+		q.clusterer = DefaultClusterer
+	}
 	return q
 }
 
@@ -122,19 +125,18 @@ func WithTolerance(t dbscan.ToleranceMode) Option { return func(q *Query) { q.to
 // WithIncremental tunes the per-tick clustering of every snapshot the query
 // clusters — the CMC scan's ticks and the CuTS family's refinement windows,
 // which are that same scan over each candidate: it hands the threshold to
-// the ClusterSources they build.
+// the ClusterSources they build, whose engine clusters every tick.
 // threshold > 0 sets the churn threshold: the fraction of objects that may
 // move, appear or vanish in one tick before the engine abandons patching
 // the previous tick's structure and rebuilds from scratch. threshold ≤ 0
-// takes the engine out entirely (every tick runs stateless from-scratch
-// DBSCAN — the reference path).
+// makes every tick a full pass (Stats.ClusterPassesIncremental stays 0).
 //
-// Without this option the engine is on at DefaultChurnThreshold wherever it
-// applies: the default grid-DBSCAN backend. It never applies to the CuTS
-// filter (which clusters simplified polylines, not snapshots) or to
-// non-default backends, and nothing but this option switches it. The answer
-// set is identical with and without — only Stats.ClusterPassesIncremental /
-// ObjectsReclustered and the run time change.
+// Without this option the threshold is DefaultChurnThreshold. It applies to
+// the default DBSCAN backend only — not to the CuTS filter (which clusters
+// simplified polylines, not snapshots), nor to non-default backends — and
+// nothing but this option sets it. The answer set is identical at every
+// threshold — only Stats.ClusterPassesIncremental / ObjectsReclustered and
+// the run time change.
 func WithIncremental(threshold float64) Option {
 	return func(q *Query) { q.incremental = threshold }
 }
@@ -184,7 +186,7 @@ func (q *Query) Params() Params { return q.p }
 // ctx.Err(); with WithLimit the run stops early and returns the first
 // convoys delivered (canonicalized among themselves).
 func (q *Query) Run(ctx context.Context, db *model.DB) (Result, error) {
-	if q.partitions > 1 && (q.clusterer == nil || q.clusterer.Name() == DefaultBackend) {
+	if q.partitions > 1 && isDefaultBackend(q.clusterer) {
 		return q.runPartitioned(ctx, db)
 	}
 	var out []Convoy
@@ -257,10 +259,7 @@ func (q *Query) run(ctx context.Context, db *model.DB, emit func(Convoy) bool) e
 		return err
 	}
 	cl := q.clusterer
-	if cl == nil {
-		cl = DefaultClusterer
-	}
-	if !q.useCMC && cl.Name() != DefaultBackend {
+	if !q.useCMC && !isDefaultBackend(cl) {
 		return fmt.Errorf("core: clusterer %q requires the CMC algorithm (the CuTS filter bounds are DBSCAN-specific); add WithCMC", cl.Name())
 	}
 	if err := ctx.Err(); err != nil {
@@ -279,7 +278,7 @@ func (q *Query) run(ctx context.Context, db *model.DB, emit func(Convoy) bool) e
 	sp.Str("algo", algo).
 		Int("m", int64(q.p.M)).Int("k", q.p.K).Float("e", q.p.Eps).
 		Int("workers", int64(st.Workers))
-	if cl.Name() != DefaultBackend {
+	if !isDefaultBackend(cl) {
 		sp.Str("clusterer", cl.Name())
 	}
 	if q.limit > 0 {
@@ -320,7 +319,7 @@ func (q *Query) runCMC(ctx context.Context, db *model.DB, cl Clusterer, meter *s
 	}
 	ctx, sp := trace.StartSpan(ctx, "scan")
 	sp.Int("ticks", model.TickSpan(lo, hi)).
-		Str("incremental", strconv.FormatBool(incrementalApplies(cl, q.incremental)))
+		Str("incremental", strconv.FormatBool(isDefaultBackend(cl) && q.incremental > 0))
 	defer func() {
 		sp.Int("objects_reclustered", atomic.LoadInt64(&meter.reclustered))
 		sp.End()

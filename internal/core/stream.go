@@ -68,6 +68,13 @@ func (s *Streamer) Advance(t model.Tick, ids []model.ObjectID, pts []geom.Point)
 	if len(ids) != len(pts) {
 		return nil, fmt.Errorf("core: Advance: %d ids vs %d points", len(ids), len(pts))
 	}
+	for i, p := range pts {
+		if !geom.Finite(p.X) || !geom.Finite(p.Y) {
+			// Checked before any state changes, like serve's feed handler:
+			// the tick is refused, not clustered without the object.
+			return nil, fmt.Errorf("core: Advance: object %d has non-finite coordinates (%g, %g) at tick %d", ids[i], p.X, p.Y, t)
+		}
+	}
 	if dup, ok := FirstDuplicateID(ids); ok {
 		// A repeated ID would cluster with itself and corrupt the candidate
 		// sets (emitting convoys like ⟨o1,o1,o2⟩), so the snapshot is

@@ -146,6 +146,36 @@ func TestStreamerRejectsDuplicateIDs(t *testing.T) {
 	}
 }
 
+// Advance refuses a snapshot with a NaN or ±Inf coordinate before any state
+// changes, as the feed does: no clustering pass, no tick consumed, no
+// candidate touched.
+func TestStreamerRejectsNonFinite(t *testing.T) {
+	s, _ := NewStreamer(Params{M: 2, K: 2, Eps: 1})
+	ids3 := []model.ObjectID{1, 2, 3}
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(0.1, 0), geom.Pt(0.2, 0)}
+	if _, err := s.Advance(0, ids3, pts); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, p := range []geom.Point{geom.Pt(bad, 0), geom.Pt(0, bad)} {
+			poisoned := []geom.Point{pts[0], p, pts[2]}
+			if _, err := s.Advance(1, ids3, poisoned); err == nil {
+				t.Fatalf("position %v accepted", p)
+			}
+		}
+	}
+	if last, _ := s.LastTick(); last != 0 || s.ClusterPasses() != 1 || s.Live() != 1 {
+		t.Fatalf("rejected Advance changed state: last tick %d, %d passes, %d live", last, s.ClusterPasses(), s.Live())
+	}
+	if _, err := s.Advance(1, ids3, pts); err != nil {
+		t.Fatalf("clean snapshot after rejection: %v", err)
+	}
+	got := s.Close()
+	if len(got) != 1 || !got[0].Equal(Convoy{Objects: ids3, Start: 0, End: 1}) {
+		t.Fatalf("Close = %v, want ⟨1,2,3,[0,1]⟩", got)
+	}
+}
+
 func TestStreamerUnsortedIDs(t *testing.T) {
 	// Pushed IDs need not be sorted; clusters still come out canonical.
 	s, _ := NewStreamer(Params{M: 2, K: 1, Eps: 1})

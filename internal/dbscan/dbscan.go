@@ -1,7 +1,10 @@
-// Package dbscan implements the density-based clustering substrate of the
-// convoy system: classic DBSCAN over point snapshots (Ester et al., used by
-// CMC at every tick) and TRAJ-DBSCAN over simplified sub-polylines (used by
-// the CuTS filter step, Section 5.2/5.3).
+// Package dbscan implements the density-based clustering of the CuTS
+// filter step: TRAJ-DBSCAN over simplified sub-polylines (Section 5.2/5.3)
+// and the disjoint components the filter chains. It does not cluster the
+// per-tick snapshots CMC chains — internal/increment's engine is the one
+// clusterer of positions. Cluster, classic label-based DBSCAN over a point
+// set (Ester et al.), remains as the benchmark's from-scratch per-tick
+// probe.
 //
 // Semantics follow the paper's Section 3 precisely: the ε-neighborhood of a
 // point includes the point itself (NH_e(p) ∋ p), and a point is core when

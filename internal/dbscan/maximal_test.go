@@ -6,10 +6,43 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/model"
+	"repro/internal/oracle"
 )
 
+// buildAdjacency materializes the neighborhood graph of n items from the
+// neighbors callback (which includes self), each list sorted.
+func buildAdjacency(n, minPts int, neighbors func(i int, buf []int) []int) Adjacency {
+	adj := Adjacency{NH: make([][]int, n), Core: make([]bool, n)}
+	for i := 0; i < n; i++ {
+		nh := neighbors(i, nil)
+		sort.Ints(nh)
+		adj.NH[i] = nh
+		adj.Core[i] = len(nh) >= minPts
+	}
+	return adj
+}
+
+// adjOf is the snapshot neighborhood graph of pts, by brute force.
 func adjOf(pts []geom.Point, eps float64, minPts int) Adjacency {
-	return SnapshotAdjacency(pts, eps, minPts)
+	return buildAdjacency(len(pts), minPts, func(i int, buf []int) []int {
+		for j := range pts {
+			if geom.D2(pts[i], pts[j]) <= eps*eps {
+				buf = append(buf, j)
+			}
+		}
+		return buf
+	})
+}
+
+// maximalOf is the oracle's maximal clusters of pts, each point named by
+// its index.
+func maximalOf(pts []geom.Point, eps float64, minPts int) [][]int {
+	ids := make([]model.ObjectID, len(pts))
+	for i := range ids {
+		ids[i] = i
+	}
+	return oracle.Clusters(ids, pts, minPts, eps)
 }
 
 func TestClusterMaximalSharedBorder(t *testing.T) {
@@ -26,7 +59,7 @@ func TestClusterMaximalSharedBorder(t *testing.T) {
 	if adj.Core[6] {
 		t.Fatalf("point 6 should be border, NH=%v", adj.NH[6])
 	}
-	clusters := ClusterMaximal(adj)
+	clusters := maximalOf(pts, 1.0, 4)
 	if len(clusters) != 2 {
 		t.Fatalf("maximal clusters = %v, want 2", clusters)
 	}
@@ -58,9 +91,8 @@ func TestClusterMaximalDisjointGroupsMatchExclusive(t *testing.T) {
 		geom.Pt(10, 0), geom.Pt(10.5, 0),
 		geom.Pt(50, 50), // noise
 	}
-	adj := adjOf(pts, 1.0, 2)
-	maximal := ClusterMaximal(adj)
-	comps := ClusterComponents(adj)
+	maximal := maximalOf(pts, 1.0, 2)
+	comps := ClusterComponents(adjOf(pts, 1.0, 2))
 	labels := Cluster(pts, 1.0, 2)
 	groups := GroupsByLabel(labels)
 	if len(maximal) != 2 || len(comps) != 2 || len(groups) != 2 {
@@ -95,112 +127,9 @@ func equalSlices(a, b []int) bool {
 	return true
 }
 
-func TestClusterMaximalMinPtsOne(t *testing.T) {
-	// minPts=1: every point is core; clusters are plain distance components.
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(0.5, 0), geom.Pt(10, 0)}
-	clusters := SnapshotClustersMaximal(pts, 1, 1)
-	if len(clusters) != 2 {
-		t.Fatalf("clusters = %v", clusters)
-	}
-	if !equalSlices(clusters[0], []int{0, 1}) || !equalSlices(clusters[1], []int{2}) {
-		t.Errorf("clusters = %v", clusters)
-	}
-}
-
-func TestClusterMaximalEmpty(t *testing.T) {
-	if got := SnapshotClustersMaximal(nil, 1, 2); len(got) != 0 {
-		t.Errorf("empty input produced %v", got)
-	}
-}
-
-// Reference implementation of maximal density-connected sets, straight from
-// Definitions 1–2: compute density-reachability closures of each core.
-func maximalBrute(adj Adjacency) [][]int {
-	n := len(adj.NH)
-	inNH := func(p, q int) bool {
-		for _, x := range adj.NH[p] {
-			if x == q {
-				return true
-			}
-		}
-		return false
-	}
-	// reach[x] = set of points density-reachable from core x.
-	seen := map[string]bool{}
-	var out [][]int
-	for x := 0; x < n; x++ {
-		if !adj.Core[x] {
-			continue
-		}
-		reach := map[int]struct{}{x: {}}
-		queue := []int{x}
-		for head := 0; head < len(queue); head++ {
-			c := queue[head]
-			if !adj.Core[c] {
-				continue // only cores extend chains
-			}
-			for q := 0; q < n; q++ {
-				if _, ok := reach[q]; ok {
-					continue
-				}
-				if inNH(c, q) {
-					reach[q] = struct{}{}
-					queue = append(queue, q)
-				}
-			}
-		}
-		members := make([]int, 0, len(reach))
-		for m := range reach {
-			members = append(members, m)
-		}
-		sort.Ints(members)
-		key := ""
-		for _, m := range members {
-			key += string(rune(m)) + ","
-		}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, members)
-		}
-	}
-	return out
-}
-
-func TestPropMaximalMatchesDefinition(t *testing.T) {
-	r := rand.New(rand.NewSource(303))
-	for iter := 0; iter < 120; iter++ {
-		n := r.Intn(30)
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			pts[i] = geom.Pt(r.Float64()*12, r.Float64()*12)
-		}
-		eps := 0.5 + r.Float64()*2.5
-		minPts := 1 + r.Intn(4)
-		adj := adjOf(pts, eps, minPts)
-		got := ClusterMaximal(adj)
-		want := maximalBrute(adj)
-		if len(got) != len(want) {
-			t.Fatalf("cluster count: got %d want %d (n=%d eps=%g minPts=%d)\ngot=%v\nwant=%v",
-				len(got), len(want), n, eps, minPts, got, want)
-		}
-		// Compare as sets of member lists.
-		match := func(c []int, list [][]int) bool {
-			for _, w := range list {
-				if equalSlices(c, w) {
-					return true
-				}
-			}
-			return false
-		}
-		for _, c := range got {
-			if !match(c, want) {
-				t.Fatalf("cluster %v not in reference %v", c, want)
-			}
-		}
-	}
-}
-
-// Property: every maximal set is fully contained in exactly one component.
+// Property (§5): every maximal set — the oracle's clusters — is fully
+// contained in exactly one component, so filtering with components never
+// dismisses a true convoy.
 func TestPropMaximalWithinComponents(t *testing.T) {
 	r := rand.New(rand.NewSource(404))
 	for iter := 0; iter < 100; iter++ {
@@ -209,9 +138,9 @@ func TestPropMaximalWithinComponents(t *testing.T) {
 		for i := range pts {
 			pts[i] = geom.Pt(r.Float64()*15, r.Float64()*15)
 		}
-		adj := adjOf(pts, 1.0+r.Float64(), 1+r.Intn(4))
-		maximal := ClusterMaximal(adj)
-		comps := ClusterComponents(adj)
+		eps, minPts := 1.0+r.Float64(), 1+r.Intn(4)
+		maximal := maximalOf(pts, eps, minPts)
+		comps := ClusterComponents(adjOf(pts, eps, minPts))
 		compOf := map[int]int{}
 		for ci, c := range comps {
 			for _, m := range c {

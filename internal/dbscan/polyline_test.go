@@ -321,7 +321,7 @@ func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 		}
 		params := PolylineDistanceParams{Eps: 0.5 + r.Float64()*4, Bound: BoundDLL}
 		minPts := 1 + r.Intn(4)
-		want := BuildAdjacency(n, minPts, func(i int, buf []int) []int {
+		want := buildAdjacency(n, minPts, func(i int, buf []int) []int {
 			for j := 0; j < n; j++ {
 				if i == j || bruteWithin(&polys[i], &polys[j], &params) {
 					buf = append(buf, j)

@@ -11,8 +11,8 @@ import (
 
 // FuzzIncrementalTicks decodes the fuzz input into a tick-diff script —
 // add / remove / nudge / teleport operations over a small id space — and
-// asserts after every tick that the Engine's clusters equal the
-// from-scratch DBSCAN answer. The id space is kept small (64 ids) so the
+// asserts after every tick that the Engine's clusters equal the oracle's
+// (internal/oracle.Clusters). The id space is kept small (64 ids) so the
 // diff machinery sees heavy slot reuse, and the world is byte-scaled
 // (coordinates 0..255 at ε=8) so clusters actually form and dissolve. The
 // high bit of a tick's op-count byte walks a crowd of allPairsMax−4 further

@@ -9,21 +9,26 @@
 // majority. Cluster labels are then recomputed by a cheap flood fill over
 // the maintained adjacency, which touches only slice memory.
 //
-// The Engine's output is exactly the maximal-cluster answer of
-// dbscan.SnapshotClustersMaximal over the same snapshot (same ε-predicate,
-// D2(p, q) ≤ ε², which is symmetric in IEEE arithmetic — the property the
-// symmetric neighborhood patching relies on). Only the order of the
-// returned cluster list differs: the Engine orders clusters by ascending
-// member list rather than by discovery order. Every consumer in this
-// repository sorts or set-dedups cluster lists, so the discovery answers
-// are identical; tests compare order-insensitively.
+// An Engine is the repository's one clusterer of positions: every
+// snapshot DBSCAN pass — a feed's ticks, the CMC scan, the CuTS family's
+// refinement windows, a stateless core.DBSCANClusterer call — is one of its
+// passes. A cluster is a maximal density-connected set (the paper's
+// Definitions 1–2): one per core component, holding its cores and every
+// border in a core's neighborhood, so a border may belong to several
+// clusters. Two points are neighbors when D2(p, q) ≤ ε², a predicate that
+// is symmetric in IEEE arithmetic — the property the symmetric
+// neighborhood patching relies on — and that a non-finite point fails
+// even against itself, so such a point is in no neighborhood. Each
+// cluster is an ascending id list and the list is ordered by ascending
+// member list; internal/oracle's Clusters gives the same answer naively,
+// and the tests hold every pass to it.
 //
-// When the diff is not worth it the Engine falls back: a churn fraction
-// above the configured threshold, the first tick, and a Reset all trigger
-// a full (but still stateful) rebuild; degenerate input — duplicate IDs,
-// non-finite coordinates, mismatched slice lengths — drops all state and
-// takes the stateless reference path, so garbage input can never corrupt
-// the incremental state.
+// When the diff is not worth it the Engine makes a full pass instead: the
+// first tick, a Reset, a churn fraction above the configured threshold,
+// and every tick of an Engine whose threshold is ≤ 0. Degenerate input —
+// duplicate IDs, non-finite coordinates, mismatched slice lengths — gets a
+// full pass too, after which the Engine drops all state, so garbage input
+// can never seed an incremental pass.
 //
 // The full rebuild is a production path in its own right, not only a
 // fallback: on data where everything moves every tick (the paper's Truck
@@ -46,7 +51,6 @@ package increment
 import (
 	"slices"
 
-	"repro/internal/dbscan"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/model"
@@ -70,7 +74,8 @@ const DefaultChurnThreshold = 0.25
 // Pass describes what one Tick call did.
 type Pass struct {
 	// Full reports a from-scratch pass: the first tick, churn above the
-	// threshold, a degenerate snapshot, or a Reset since the last tick.
+	// threshold (or a threshold ≤ 0), a degenerate snapshot, or a Reset
+	// since the last tick.
 	Full bool
 	// Reclustered counts the objects whose neighborhoods were recomputed
 	// (the whole snapshot on a full pass; moved+appeared+vanished on an
@@ -147,8 +152,7 @@ type Engine struct {
 // New returns an empty Engine for the given clustering key. m is the
 // DBSCAN density threshold (neighborhood size including self);
 // churnThreshold is the dirty fraction above which a tick falls back to a
-// full rebuild (≤ 0 rebuilds every tick — useful only for tests; callers
-// wanting "off" should simply not route through an Engine).
+// full rebuild (≤ 0: every tick is one).
 func New(eps float64, m int, churnThreshold float64) *Engine {
 	return &Engine{eps: eps, m: m, churn: churnThreshold, slotOf: make(map[model.ObjectID]int32)}
 }
@@ -188,33 +192,30 @@ func (e *Engine) Counters() (full, incremental, reclustered, seen int64) {
 func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectID, Pass) {
 	n := len(ids)
 	e.objectsSeen += int64(n)
-	if !e.cleanInput(ids, pts) {
-		// Degenerate input: answer with the stateless reference path and
-		// drop all state, so the next good tick starts from scratch.
-		e.Reset()
-		e.fullPasses++
-		e.reclustered += int64(n)
-		return dbscan.SnapshotClusters(ids, pts, e.eps, e.m), Pass{Full: true, Reclustered: n}
-	}
 	e.gen++
 	g := e.gen
+	if !e.cleanInput(ids, pts) {
+		// Degenerate input: answer with a full pass, then drop all state,
+		// so the next good tick starts from scratch. Mismatched slices have
+		// no answer: their pass is over nothing.
+		if len(ids) != len(pts) {
+			ids, pts = nil, nil
+		}
+		out := e.full(ids, pts)
+		e.Reset()
+		return out, Pass{Full: true, Reclustered: len(ids)}
+	}
+	if !e.started || e.churn <= 0 {
+		return e.full(ids, pts), Pass{Full: true, Reclustered: n}
+	}
 
 	// Diff against the previous tick.
 	moved := e.movedIdx[:0]
 	appeared := e.appearedIdx[:0]
 	vanished := e.vanishedSl[:0]
-	fastSame := e.started && len(ids) == len(e.prevIDs)
-	if fastSame {
-		for i := range ids {
-			if ids[i] != e.prevIDs[i] {
-				fastSame = false
-				break
-			}
-		}
-	}
+	fastSame := slices.Equal(ids, e.prevIDs)
 	e.snapSlot = growTo(e.snapSlot, n)
-	switch {
-	case fastSame:
+	if fastSame {
 		// Identical id sequence: snapSlot is already correct and nothing
 		// appeared or vanished — only position compares remain.
 		for i := range ids {
@@ -222,7 +223,7 @@ func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectI
 				moved = append(moved, int32(i))
 			}
 		}
-	case e.started:
+	} else {
 		e.mapSlots()
 		for i, id := range ids {
 			s, ok := e.slotOf[id]
@@ -246,15 +247,8 @@ func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectI
 	e.movedIdx, e.appearedIdx, e.vanishedSl = moved, appeared, vanished
 
 	dirty := len(moved) + len(appeared) + len(vanished)
-	denom := n
-	if denom == 0 {
-		denom = 1
-	}
-	if !e.started || float64(dirty) > e.churn*float64(denom) {
-		e.rebuild(ids, pts)
-		e.fullPasses++
-		e.reclustered += int64(n)
-		return e.emit(), Pass{Full: true, Reclustered: n}
+	if float64(dirty) > e.churn*float64(max(n, 1)) {
+		return e.full(ids, pts), Pass{Full: true, Reclustered: n}
 	}
 
 	// Incremental pass. Phase 1: allocate slots for appeared objects and
@@ -371,6 +365,15 @@ func (e *Engine) cleanInput(ids []model.ObjectID, pts []geom.Point) bool {
 	return true
 }
 
+// full is a full pass: it rebuilds all state from the snapshot, counts the
+// pass and emits its clusters.
+func (e *Engine) full(ids []model.ObjectID, pts []geom.Point) [][]model.ObjectID {
+	e.rebuild(ids, pts)
+	e.fullPasses++
+	e.reclustered += int64(len(ids))
+	return e.emit()
+}
+
 // rebuild recomputes all state from the snapshot (slots become the
 // snapshot indices), reusing every backing array.
 func (e *Engine) rebuild(ids []model.ObjectID, pts []geom.Point) {
@@ -414,14 +417,17 @@ func (e *Engine) gridPairs(pts []geom.Point) {
 // allPairs fills every neighborhood of a rebuilt snapshot (slot = snapshot
 // index) by testing each pair once with the grid's predicate. Slot i's list
 // receives the slots below i while they are the outer loop, then i itself,
-// then the slots above it: ascending without a sort.
+// then the slots above it: ascending without a sort. Self passes the same
+// test, so a non-finite point is in no neighborhood, not even its own.
 func (e *Engine) allPairs(pts []geom.Point) {
 	eps2 := e.eps * e.eps
 	for i := range pts {
 		e.nh[i] = e.nh[i][:0]
 	}
 	for i, p := range pts {
-		e.nh[i] = append(e.nh[i], int32(i))
+		if geom.D2(p, p) <= eps2 {
+			e.nh[i] = append(e.nh[i], int32(i))
+		}
 		for j := i + 1; j < len(pts); j++ {
 			if geom.D2(p, pts[j]) <= eps2 {
 				e.nh[i] = append(e.nh[i], int32(j))
@@ -485,7 +491,7 @@ func (e *Engine) index() *grid.PointIndex {
 	if e.idx == nil {
 		cell := e.eps
 		if cell <= 0 {
-			cell = 1 // mirror dbscan.SnapshotAdjacency's degenerate-ε cell
+			cell = 1
 		}
 		e.idx = grid.NewPointIndex(nil, cell)
 	}
@@ -546,8 +552,7 @@ func (e *Engine) recompute(s int32, g uint64) {
 
 // emit flood-fills the maintained adjacency into maximal clusters: one
 // cluster per core component, holding its cores plus every border in a
-// core's neighborhood (borders may belong to several clusters, exactly
-// like dbscan.ClusterMaximal). Member lists come out as ascending ids; the
+// core's neighborhood (borders may belong to several clusters). Member lists come out as ascending ids; the
 // cluster list is ordered by ascending member list. The lists are built in
 // scratch; when they equal the ones handed out last, those are handed out
 // again (nothing is allocated), and otherwise they are copied into one

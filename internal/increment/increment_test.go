@@ -4,23 +4,18 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
-	"repro/internal/dbscan"
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/oracle"
 )
 
-// reference is the from-scratch answer the Engine must match, canonicalized
-// into the Engine's cluster-list order (ascending member list).
+// reference is the answer the Engine must match: the oracle's naive
+// snapshot clustering, in the Engine's cluster-list order (ascending member
+// list).
 func reference(ids []model.ObjectID, pts []geom.Point, eps float64, m int) [][]model.ObjectID {
-	return sortClusters(dbscan.SnapshotClusters(ids, pts, eps, m))
-}
-
-func sortClusters(cs [][]model.ObjectID) [][]model.ObjectID {
-	slices.SortFunc(cs, slices.Compare[[]model.ObjectID])
-	return cs
+	return oracle.Clusters(ids, pts, m, eps)
 }
 
 // world is a mutable population the tests evolve tick by tick.
@@ -82,12 +77,12 @@ func (w *world) snapshot() ([]model.ObjectID, []geom.Point) {
 }
 
 // checkTick feeds one snapshot and fails on any disagreement with the
-// from-scratch reference.
+// reference, cluster order included.
 func checkTick(t *testing.T, e *Engine, ids []model.ObjectID, pts []geom.Point, eps float64, m int, tick int) Pass {
 	t.Helper()
 	got, pass := e.Tick(ids, pts)
 	want := reference(ids, pts, eps, m)
-	if !reflect.DeepEqual(sortClusters(got), want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tick %d (full=%v): clusters diverged\n got %v\nwant %v", tick, pass.Full, got, want)
 	}
 	return pass
@@ -155,9 +150,11 @@ func TestEngineEpsBoundaryDither(t *testing.T) {
 	}
 }
 
-// TestEngineDegenerateInput pins the stateless fallback: non-finite
-// coordinates and duplicate ids answer via the reference path, count as
-// full passes, and drop the state (the next clean tick is full too).
+// TestEngineDegenerateInput pins what garbage input gets: non-finite
+// coordinates and duplicate ids each get a full pass that answers the
+// reference, mismatched slices a full pass that answers nil, and every one
+// drops the state — the next clean tick is a full pass although it repeats
+// the last clean one, and only the tick after it is incremental again.
 func TestEngineDegenerateInput(t *testing.T) {
 	const eps, m = 5.0, 2
 	e := New(eps, m, DefaultChurnThreshold)
@@ -167,25 +164,139 @@ func TestEngineDegenerateInput(t *testing.T) {
 	if p := checkTick(t, e, ids, pts, eps, m, 1); p.Full {
 		t.Fatalf("clean identical tick should be incremental")
 	}
+	tick := 2
+	for _, bad := range []struct {
+		name string
+		ids  []model.ObjectID
+		pts  []geom.Point
+	}{
+		{"NaN", ids, []geom.Point{geom.Pt(math.NaN(), 0), geom.Pt(1, 0), geom.Pt(2, 0)}},
+		{"+Inf", ids, []geom.Point{geom.Pt(0, 0), geom.Pt(1, math.Inf(1)), geom.Pt(2, 0)}},
+		{"duplicate ids", []model.ObjectID{0, 1, 1}, pts},
+		{"mismatched slices", ids[:2], pts},
+	} {
+		if len(bad.ids) == len(bad.pts) {
+			if p := checkTick(t, e, bad.ids, bad.pts, eps, m, tick); !p.Full {
+				t.Fatalf("%s: a degenerate tick must be a full pass", bad.name)
+			}
+		} else if got, p := e.Tick(bad.ids, bad.pts); got != nil || !p.Full {
+			t.Fatalf("%s: got %v (full=%v), want nil from a full pass", bad.name, got, p.Full)
+		}
+		if p := checkTick(t, e, ids, pts, eps, m, tick+1); !p.Full {
+			t.Fatalf("%s: the state must be dropped: the next clean tick must be a full pass", bad.name)
+		}
+		if p := checkTick(t, e, ids, pts, eps, m, tick+2); p.Full {
+			t.Fatalf("%s: the second clean tick should be incremental again", bad.name)
+		}
+		tick += 3
+	}
+	if full, inc, _, _ := e.Counters(); full != 1+4*2 || inc != 1+4 {
+		t.Fatalf("counters: full=%d inc=%d, want 9 and 5", full, inc)
+	}
+}
 
-	nan := []geom.Point{geom.Pt(math.NaN(), 0), geom.Pt(1, 0), geom.Pt(2, 0)}
-	if p := checkTick(t, e, ids, nan, eps, m, 2); !p.Full {
-		t.Fatalf("non-finite input must be a full pass")
+// TestEngineNonFinite: a point with a NaN or infinite coordinate fails
+// D2 ≤ e² against every point, itself included, so it is in no
+// neighborhood and no cluster — at m = 1 too, where any point that is its
+// own neighbor is a cluster. Every row is checked as written and against
+// the oracle, on the all-pairs scan and, padded past allPairsMax with
+// isolated points, on the grid.
+func TestEngineNonFinite(t *testing.T) {
+	const eps = 1.0
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		m    int
+		pts  []geom.Point
+		want [][]model.ObjectID
+	}{
+		{"lone NaN, m=1", 1, []geom.Point{geom.Pt(nan, 0)}, nil},
+		{"lone +Inf, m=1", 1, []geom.Point{geom.Pt(inf, 0)}, nil},
+		{"lone -Inf, m=1", 1, []geom.Point{geom.Pt(0, -inf)}, nil},
+		{"two +Inf, m=1", 1, []geom.Point{geom.Pt(inf, inf), geom.Pt(inf, inf)}, nil},
+		{"NaN beside a point, m=1", 1, []geom.Point{geom.Pt(0, nan), geom.Pt(0, 0)}, [][]model.ObjectID{{1}}},
+		{"-Inf beside a point, m=1", 1, []geom.Point{geom.Pt(0, 0), geom.Pt(-inf, 0)}, [][]model.ObjectID{{0}}},
+		{"NaN in a pair, m=2", 2, []geom.Point{geom.Pt(0, 0), geom.Pt(nan, nan), geom.Pt(0.5, 0)}, [][]model.ObjectID{{0, 2}}},
+		{"+Inf in a pair, m=2", 2, []geom.Point{geom.Pt(0, 0), geom.Pt(0.5, 0), geom.Pt(inf, 0)}, [][]model.ObjectID{{0, 1}}},
+		{"NaN cannot make a core, m=2", 2, []geom.Point{geom.Pt(0, 0), geom.Pt(nan, 0)}, nil},
+		{"two -Inf, m=2", 2, []geom.Point{geom.Pt(-inf, 0), geom.Pt(-inf, 0)}, nil},
+	} {
+		ids := make([]model.ObjectID, len(tc.pts))
+		for i := range ids {
+			ids[i] = i
+		}
+		got, _ := New(eps, tc.m, DefaultChurnThreshold).Tick(ids, tc.pts)
+		if !reflect.DeepEqual(got, tc.want) || !reflect.DeepEqual(reference(ids, tc.pts, eps, tc.m), tc.want) {
+			t.Fatalf("%s: engine %v, oracle %v, want %v", tc.name, got, reference(ids, tc.pts, eps, tc.m), tc.want)
+		}
+		pts := append([]geom.Point(nil), tc.pts...)
+		for len(pts) <= allPairsMax {
+			ids = append(ids, len(pts))
+			pts = append(pts, geom.Pt(10*float64(len(pts)), 100))
+		}
+		padded, _ := New(eps, tc.m, DefaultChurnThreshold).Tick(ids, pts)
+		if want := reference(ids, pts, eps, tc.m); !reflect.DeepEqual(padded, want) {
+			t.Fatalf("%s: padded past allPairsMax: engine %v, oracle %v", tc.name, padded, want)
+		}
 	}
-	if p := checkTick(t, e, ids, pts, eps, m, 3); !p.Full {
-		t.Fatalf("tick after degenerate input must rebuild from scratch")
-	}
+}
 
-	dup := []model.ObjectID{0, 1, 1}
-	if p := checkTick(t, e, dup, pts, eps, m, 4); !p.Full {
-		t.Fatalf("duplicate-id input must be a full pass")
+// TestEngineThresholdOff: at a churn threshold ≤ 0 every pass is full —
+// even a tick that repeats the last one — and the answers do not move.
+func TestEngineThresholdOff(t *testing.T) {
+	const eps, m = 6.0, 3
+	for _, threshold := range []float64{0, -1} {
+		w := newWorld(3, 80, 60)
+		e := New(eps, m, threshold)
+		for tick := 0; tick < 40; tick++ {
+			ids, pts := w.snapshot()
+			if p := checkTick(t, e, ids, pts, eps, m, tick); !p.Full || p.Reclustered != len(ids) {
+				t.Fatalf("threshold %g, tick %d: pass %+v, want a full pass over %d objects", threshold, tick, p, len(ids))
+			}
+			if tick%2 == 0 {
+				w.step(60, 0.05, 0.1)
+			}
+		}
+		if full, inc, _, _ := e.Counters(); full != 40 || inc != 0 {
+			t.Fatalf("threshold %g: full=%d inc=%d, want 40 and 0", threshold, full, inc)
+		}
 	}
-	if got, _ := e.Tick([]model.ObjectID{9}, []geom.Point{geom.Pt(0, 0)}); got != nil && m > 1 {
-		t.Fatalf("singleton below m must have no clusters, got %v", got)
-	}
+}
 
-	if got, _ := e.Tick(ids[:2], pts); got != nil {
-		t.Fatalf("mismatched slice lengths must answer nil, got %v", got)
+// TestEngineMinPtsOne: at m = 1 every point is a core, so the clusters are
+// the plain distance components.
+func TestEngineMinPtsOne(t *testing.T) {
+	ids := []model.ObjectID{0, 1, 2}
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(0.5, 0), geom.Pt(10, 0)}
+	want := [][]model.ObjectID{{0, 1}, {2}}
+	if got, _ := New(1, 1, DefaultChurnThreshold).Tick(ids, pts); !reflect.DeepEqual(got, want) {
+		t.Fatalf("clusters = %v, want %v", got, want)
+	}
+}
+
+// TestEngineEmpty: an empty snapshot is a full pass with no clusters.
+func TestEngineEmpty(t *testing.T) {
+	if got, p := New(1, 2, DefaultChurnThreshold).Tick(nil, nil); got != nil || !p.Full || p.Reclustered != 0 {
+		t.Fatalf("empty snapshot: %v, %+v", got, p)
+	}
+}
+
+// TestFullPassMatchesOracle: a fresh engine's full pass is the oracle's
+// clustering on random snapshots across ε and m = 1…4 — shared borders,
+// m = 1 singletons and noise included.
+func TestFullPassMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(303))
+	for iter := 0; iter < 120; iter++ {
+		n := r.Intn(30)
+		ids := make([]model.ObjectID, n)
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			ids[i] = r.Intn(1000)*n + i // distinct, unsorted
+			pts[i] = geom.Pt(r.Float64()*12, r.Float64()*12)
+		}
+		eps := 0.5 + r.Float64()*2.5
+		m := 1 + r.Intn(4)
+		checkTick(t, New(eps, m, 0), ids, pts, eps, m, iter)
 	}
 }
 

@@ -3,7 +3,9 @@
 // "Discovery of convoys in trajectory databases", VLDB 2008, §3), written to
 // be read rather than to be fast. Every execution strategy in the repository
 // — CMC and the CuTS family, serial or parallel, incremental or from
-// scratch, streamed, partitioned, fed tick by tick — is tested against it.
+// scratch, streamed, partitioned, fed tick by tick — is tested against it,
+// and its per-snapshot clustering, Clusters, is the reference of every
+// snapshot clustering pass.
 //
 // It imports only model and geom: no grid, no cursor, no incremental
 // engine, no candidate pruning and nothing of the miner it checks.
@@ -45,6 +47,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -134,10 +137,7 @@ func Convoys(db *model.DB, m int, k int64, e float64) []Convoy {
 	return maximal(found)
 }
 
-// snapshotClusters returns the density-connected clusters (DBSCAN with distance e
-// and density m, neighbourhoods including the point itself) of the objects
-// alive at tick t, each as ascending IDs. A border object within e of the
-// cores of two clusters belongs to both.
+// snapshotClusters returns Clusters of the objects alive at tick t.
 func snapshotClusters(db *model.DB, t model.Tick, m int, e float64) [][]model.ObjectID {
 	var ids []model.ObjectID
 	var pts []geom.Point
@@ -147,6 +147,17 @@ func snapshotClusters(db *model.DB, t model.Tick, m int, e float64) [][]model.Ob
 			pts = append(pts, p)
 		}
 	}
+	return Clusters(ids, pts, m, e)
+}
+
+// Clusters returns the density-connected clusters (DBSCAN with distance e
+// and density m, neighbourhoods including the point itself) of the objects
+// ids[i] at pts[i]: each cluster as ascending IDs, the list ordered by
+// ascending member list, nil when there is none. A border object within e
+// of the cores of two clusters belongs to both. A point with a NaN or
+// infinite coordinate is no one's neighbour, not even its own, so it is in
+// no cluster.
+func Clusters(ids []model.ObjectID, pts []geom.Point, m int, e float64) [][]model.ObjectID {
 	near := func(i, j int) bool { return geom.D2(pts[i], pts[j]) <= e*e }
 	isCore := make([]bool, len(pts))
 	for i := range pts {
@@ -188,11 +199,13 @@ func snapshotClusters(db *model.DB, t model.Tick, m int, e float64) [][]model.Ob
 				members = append(members, ids[i])
 			}
 		}
+		sort.Ints(members)
 		if key := fmt.Sprint(members); !seen[key] {
 			seen[key] = true
 			out = append(out, members)
 		}
 	}
+	slices.SortFunc(out, slices.Compare)
 	return out
 }
 

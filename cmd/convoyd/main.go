@@ -30,7 +30,7 @@
 // Feeds, monitors and queries cluster positions with the paper's DBSCAN.
 // "clusterer":"dbscan" is accepted as a legacy spelling; any other backend
 // answers 400: convoys in an "a,b,t,w" contact log are a library option,
-// convoys.WithClusterer(log.Clusterer()), shown in examples/contactlog.
+// convoys.WithClusterer(log.Clusterer()), shown in ExampleWithClusterer.
 //
 // # Durable feeds
 //

@@ -21,7 +21,7 @@
 //
 // Clustering is the paper's DBSCAN over positions. Convoys in an "a,b,t,w"
 // contact log (internal/proxgraph) are a library option,
-// convoys.WithClusterer(log.Clusterer()) — see examples/contactlog.
+// convoys.WithClusterer(log.Clusterer()) — see ExampleWithClusterer.
 //
 // -format json emits one JSON object per convoy (NDJSON) in the same wire
 // schema the convoyd server speaks (objects, start, end, lifetime), so

@@ -270,7 +270,7 @@ const mainArgsEnv = "CONVOYFIND_TEST_MAIN_ARGS"
 
 // TestRunProxgraphContactLog: convoyfind clusters positions only — convoys
 // in an "a,b,t,w" contact log are the library's (convoys.WithClusterer, see
-// examples/contactlog) — so -clusterer is an unknown flag, whatever backend
+// ExampleWithClusterer) — so -clusterer is an unknown flag, whatever backend
 // it names: the process exits 2 before it reads the input.
 func TestRunProxgraphContactLog(t *testing.T) {
 	if args := os.Getenv(mainArgsEnv); args != "" {

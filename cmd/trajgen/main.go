@@ -13,28 +13,42 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strings"
 
 	convoys "repro"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and streams: it returns the exit
+// status, 2 for a flag the generator cannot honour.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trajgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		profile   = flag.String("profile", "truck", "dataset profile: truck, cattle, car, taxi or custom")
-		scale     = flag.Float64("scale", 0.1, "time-domain scale for the named profiles (1 = paper size)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		out       = flag.String("out", "", "output CSV path (default stdout)")
-		objects   = flag.Int("objects", 20, "custom: number of background objects")
-		ticks     = flag.Int64("ticks", 500, "custom: time-domain length")
-		groups    = flag.Int("groups", 2, "custom: number of planted groups")
-		groupSize = flag.Int("groupsize", 3, "custom: objects per planted group")
-		spacing   = flag.Float64("spacing", 2, "custom: chain spacing within groups")
-		world     = flag.Float64("world", 500, "custom: world side length")
-		speed     = flag.Float64("speed", 3, "custom: walker speed per tick")
-		keep      = flag.Float64("keep", 1, "custom: per-tick sampling probability")
+		profile   = fs.String("profile", "truck", "dataset profile: truck, cattle, car, taxi or custom")
+		scale     = fs.Float64("scale", 0.1, "time-domain scale for the named profiles (1 = paper size)")
+		seed      = fs.Int64("seed", 1, "random seed")
+		out       = fs.String("out", "", "output CSV path (default stdout)")
+		objects   = fs.Int("objects", 20, "custom: number of background objects")
+		ticks     = fs.Int64("ticks", 500, "custom: time-domain length")
+		groups    = fs.Int("groups", 2, "custom: number of planted groups")
+		groupSize = fs.Int("groupsize", 3, "custom: objects per planted group")
+		spacing   = fs.Float64("spacing", 2, "custom: chain spacing within groups")
+		world     = fs.Float64("world", 500, "custom: world side length")
+		speed     = fs.Float64("speed", 3, "custom: walker speed per tick")
+		keep      = fs.Float64("keep", 1, "custom: per-tick sampling probability")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := validate(*profile, *scale, *ticks, *objects, *groups, *groupSize); err != nil {
+		fmt.Fprintln(stderr, "trajgen:", err)
+		return 2
+	}
 
 	var db *convoys.DB
 	switch *profile {
@@ -48,9 +62,9 @@ func main() {
 		db = convoys.TaxiProfile(*scale, *seed).Generate()
 	case "custom":
 		var gs []convoys.GroupSpec
+		span := max(*ticks*3/4, 1)
 		for g := 0; g < *groups; g++ {
-			span := *ticks * 3 / 4
-			start := convoys.Tick(int64(g) * (*ticks - span) / int64(maxInt(*groups, 2)-1+1))
+			start := convoys.Tick(int64(g) * (*ticks - span) / int64(max(*groups, 2)))
 			gs = append(gs, convoys.GroupSpec{
 				Size:    *groupSize,
 				Start:   start,
@@ -69,13 +83,10 @@ func main() {
 			SpanFrac:   [2]float64{0.5, 1},
 			Jitter:     *spacing / 10,
 		}.Generate()
-	default:
-		fmt.Fprintf(os.Stderr, "trajgen: unknown profile %q\n", *profile)
-		os.Exit(2)
 	}
 
 	st := db.Stats()
-	fmt.Fprintf(os.Stderr, "trajgen: %d objects, %d ticks, %d points (%.1f%% missing)\n",
+	fmt.Fprintf(stderr, "trajgen: %d objects, %d ticks, %d points (%.1f%% missing)\n",
 		st.NumObjects, st.TimeDomainLength, st.TotalPoints, st.MissingFraction*100)
 
 	// Output format: .ctb extension selects the compact binary encoding.
@@ -83,24 +94,43 @@ func main() {
 	var err error
 	switch {
 	case *out == "":
-		err = convoys.WriteCSV(os.Stdout, db)
+		err = convoys.WriteCSV(stdout, db)
 	case binaryOut:
 		err = convoys.SaveBinary(*out, db)
 	default:
 		err = convoys.SaveCSV(*out, db)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "trajgen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "trajgen:", err)
+		return 1
 	}
 	if *out != "" {
-		fmt.Fprintf(os.Stderr, "trajgen: wrote %s\n", *out)
+		fmt.Fprintf(stderr, "trajgen: wrote %s\n", *out)
 	}
+	return 0
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// validate refuses the flag values the selected profile cannot generate
+// from, before any generation starts.
+func validate(profile string, scale float64, ticks int64, objects, groups, groupSize int) error {
+	switch profile {
+	case "truck", "cattle", "car", "taxi":
+		if !(scale > 0) || math.IsInf(scale, 1) {
+			return fmt.Errorf("-scale must be positive and finite (got %g)", scale)
+		}
+	case "custom":
+		switch {
+		case ticks < 1:
+			return fmt.Errorf("-ticks must be ≥ 1 (got %d)", ticks)
+		case objects < 0:
+			return fmt.Errorf("-objects must be ≥ 0 (got %d)", objects)
+		case groups < 0:
+			return fmt.Errorf("-groups must be ≥ 0 (got %d)", groups)
+		case groupSize < 1:
+			return fmt.Errorf("-groupsize must be ≥ 1 (got %d)", groupSize)
+		}
+	default:
+		return fmt.Errorf("unknown profile %q", profile)
 	}
-	return b
+	return nil
 }

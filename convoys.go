@@ -73,8 +73,8 @@
 // The convoyd daemon — live feeds with standing convoy queries, a cached
 // batch query engine, a write-ahead log, tracing and metrics behind an
 // HTTP/JSON API — is built on this library but is not part of it: embed it
-// by importing internal/serve in-tree, as cmd/convoyd and
-// examples/fleetserver do.
+// by importing internal/serve in-tree, as cmd/convoyd and serve's
+// Example_fleetserver do.
 package convoys
 
 import (

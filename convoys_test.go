@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	convoys "repro"
-	"repro/internal/flock"
 )
 
 // smallDB builds a database with one obvious convoy through the façade API.
@@ -126,19 +125,6 @@ func TestFacadeSimplifyAndDelta(t *testing.T) {
 	}
 	if d := convoys.ComputeDelta(db, 1); d <= 0 || d >= 1 {
 		t.Errorf("ComputeDelta = %g", d)
-	}
-}
-
-// The flock baseline left the facade (examples/lossyflock imports
-// internal/flock directly); it still reads the facade's databases.
-func TestFacadeFlocks(t *testing.T) {
-	db := smallDB(t)
-	fs, err := flock.Discover(db, flock.Params{M: 2, K: 5, R: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 1 {
-		t.Fatalf("flocks = %v", fs)
 	}
 }
 

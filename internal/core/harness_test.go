@@ -68,6 +68,7 @@ var families = []family{
 	{"scan-chunk", "09f1fb352a15d0ab", chunkScenarios},
 	{"merge-cases", "1c8a552370daee8a", mergeScenarios},
 	{"tick-domain", "e1cea160fd48a049", tickDomainScenarios},
+	{"anchor-drift", "2fd136d58e7e1707", anchorDriftScenarios},
 	churnFamily,
 }
 
@@ -808,6 +809,38 @@ func tickDomainScenarios(t *testing.T) []scenario {
 		{name: "+2^53", db: pairAndStray(t, maxExactTick-2), p: p},
 		{name: "-2^53", db: pairAndStray(t, -maxExactTick), p: p},
 	}
+}
+
+// anchorDriftScenarios: small groups following one random walk, each
+// member at its own offset from the walk, jumping to a new offset with
+// probability 0.2 per tick — so groups form, stretch past e and re-form at
+// every scale; e ranges over [2, 6] against offsets of up to 6.
+func anchorDriftScenarios(t *testing.T) []scenario {
+	r := rand.New(rand.NewSource(606))
+	var out []scenario
+	for i := 0; i < 20; i++ {
+		objects, ticks := 3+r.Intn(4), 6+r.Intn(8)
+		anchor := make([]geom.Point, ticks)
+		x, y := r.Float64()*10, r.Float64()*10
+		for tk := range anchor {
+			x += r.Float64()*2 - 1
+			y += r.Float64()*2 - 1
+			anchor[tk] = geom.Pt(x, y)
+		}
+		var off geom.Point
+		db := grid(t, objects, ticks, func(_, tk int) geom.Point {
+			if tk == 0 {
+				off = geom.Pt(r.Float64()*3, r.Float64()*3)
+			}
+			if r.Float64() < 0.2 {
+				off = geom.Pt(r.Float64()*6, r.Float64()*6) // drift to a new offset
+			}
+			return anchor[tk].Add(off)
+		})
+		k := int64(2 + r.Intn(3))
+		out = append(out, scenario{name: fmt.Sprintf("walk%d", i), db: db, p: Params{M: 2, K: k, Eps: 2 + r.Float64()*4}})
+	}
+	return out
 }
 
 // churnScenarios: random walkers that are frozen, move 5 % of the time, or

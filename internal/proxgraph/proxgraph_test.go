@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/flock"
 	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/tsio"
@@ -292,10 +291,10 @@ func TestSynthesizedDB(t *testing.T) {
 }
 
 // A database whose last tick is MaxTick must not wrap a tick walk (`t++`
-// overflows back below hi and the loop never ends). PR 12 fixed CMC,
-// ReplayTicks and MC2; the contact-log bridge and the flock baseline walked
-// the same way. Both go through model.TickSpan now: on the 3-tick domain [MaxTick-2, MaxTick] they terminate, and the
-// derived contact log holds exactly the brute-force close pairs.
+// overflows back below hi and the loop never ends). The contact-log bridge
+// walks through model.TickSpan: on the 3-tick domain [MaxTick-2, MaxTick]
+// it terminates, and the derived contact log holds exactly the brute-force
+// close pairs.
 func TestTickWalksTerminateAtMaxTick(t *testing.T) {
 	const lo = model.MaxTick - 2
 	db := model.NewDB()
@@ -313,25 +312,17 @@ func TestTickWalksTerminateAtMaxTick(t *testing.T) {
 		}
 		db.Add(tr)
 	}
-	type answers struct {
-		log    *Log
-		flocks []flock.Flock
-	}
-	done := make(chan answers, 1) // buffered: a late finisher must not block after the timeout
+	done := make(chan *Log, 1) // buffered: a late finisher must not block after the timeout
 	go func() {
-		var a answers
-		var err error
-		if a.log, err = FromDB(db, 1); err != nil {
+		log, err := FromDB(db, 1)
+		if err != nil {
 			t.Error(err)
 		}
-		if a.flocks, err = flock.Discover(db, flock.Params{M: 2, K: 3, R: 1}); err != nil {
-			t.Error(err)
-		}
-		done <- a
+		done <- log
 	}()
-	var a answers
+	var log *Log
 	select {
-	case a = <-done:
+	case log = <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("a tick walk over [MaxTick-2, MaxTick] did not terminate")
 	}
@@ -351,15 +342,12 @@ func TestTickWalksTerminateAtMaxTick(t *testing.T) {
 				}
 			}
 		}
-		got := a.log.EdgesAt(tick)
+		got := log.EdgesAt(tick)
 		if len(got) != want || want != 1 {
 			t.Fatalf("tick MaxTick-%d: %d contacts, brute force %d (want the one a–b pair)", 2-k, len(got), want)
 		}
-		if la, lb := a.log.Label(got[0].A), a.log.Label(got[0].B); la != "a" || lb != "b" || got[0].W != 1 {
+		if la, lb := log.Label(got[0].A), log.Label(got[0].B); la != "a" || lb != "b" || got[0].W != 1 {
 			t.Fatalf("tick MaxTick-%d: contact %s–%s w=%g, want a–b w=1", 2-k, la, lb, got[0].W)
 		}
-	}
-	if len(a.flocks) != 1 || a.flocks[0].Start != lo || a.flocks[0].End != model.MaxTick {
-		t.Fatalf("flocks = %+v, want one over the whole domain", a.flocks)
 	}
 }

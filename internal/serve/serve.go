@@ -70,7 +70,7 @@
 // field in a query, feed or monitor spec is a legacy spelling: "dbscan" is
 // accepted and dropped, any other backend answers 400 — proximity-log
 // convoys (internal/proxgraph) are a library option,
-// convoys.WithClusterer(log.Clusterer()), shown in examples/contactlog.
+// convoys.WithClusterer(log.Clusterer()), shown in ExampleWithClusterer.
 //
 // Replaying a database tick-by-tick through a feed and canonicalizing the
 // emitted convoys equals the batch CMC answer on the same database — the

@@ -93,7 +93,7 @@ func pushTick(t *testing.T, base, name string, batch TickBatch) TicksResponse {
 	return resp
 }
 
-// vanBatch builds the livemonitor scenario's snapshot at tick t: vans a
+// vanBatch builds Example_fleetserver's snapshot at tick t: vans a
 // and b together throughout, c joining from tick 6 and everyone splitting
 // at tick 14.
 func vanBatch(t model.Tick) TickBatch {

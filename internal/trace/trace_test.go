@@ -144,7 +144,8 @@ func TestAttrReplaceAndTypes(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	tr := NewTracer(WithRingSize(3))
+	tr := NewTracer()
+	tr.ringSize = 3
 	for i := 0; i < 5; i++ {
 		_, sp := tr.Start(context.Background(), "t", Forced())
 		sp.Int("i", int64(i))
@@ -166,7 +167,8 @@ func TestRingEviction(t *testing.T) {
 }
 
 func TestMaxSpansDropped(t *testing.T) {
-	tr := NewTracer(WithMaxSpans(2))
+	tr := NewTracer()
+	tr.maxSpans = 2
 	ctx, root := tr.Start(context.Background(), "root", Forced())
 	for i := 0; i < 5; i++ {
 		_, sp := StartSpan(ctx, "child")
@@ -262,7 +264,8 @@ func TestContinueRemote(t *testing.T) {
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr := NewTracer(WithMaxSpans(2048))
+	tr := NewTracer()
+	tr.maxSpans = 2048
 	ctx, root := tr.Start(context.Background(), "root", Forced())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

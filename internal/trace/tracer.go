@@ -13,8 +13,8 @@ import (
 // never samples. Tracers are safe for concurrent use.
 type Tracer struct {
 	ratio    float64
-	ringSize int
-	maxSpans int
+	ringSize int // the constant ringSize; tests set their own
+	maxSpans int // the constant maxSpans; tests set their own
 
 	mu    sync.Mutex
 	ring  []TraceJSON // newest at (next-1+len)%len once full
@@ -42,30 +42,18 @@ func WithSampleRatio(r float64) Option {
 	}
 }
 
-// WithRingSize sets how many completed traces the ring retains
-// (default 256).
-func WithRingSize(n int) Option {
-	return func(t *Tracer) {
-		if n > 0 {
-			t.ringSize = n
-		}
-	}
-}
-
-// WithMaxSpans caps the spans recorded per trace (default 512); spans
-// past the cap are counted as dropped.
-func WithMaxSpans(n int) Option {
-	return func(t *Tracer) {
-		if n > 0 {
-			t.maxSpans = n
-		}
-	}
-}
+// A tracer retains the ringSize most recent completed traces, and records
+// at most maxSpans spans per trace; spans past the cap are counted as
+// dropped.
+const (
+	ringSize = 256
+	maxSpans = 512
+)
 
 // NewTracer builds a tracer. With no options it samples nothing except
-// forced traces and keeps the default ring.
+// forced traces.
 func NewTracer(opts ...Option) *Tracer {
-	t := &Tracer{ringSize: 256, maxSpans: 512}
+	t := &Tracer{ringSize: ringSize, maxSpans: maxSpans}
 	for _, o := range opts {
 		o(t)
 	}
@@ -157,9 +145,6 @@ func (t *Tracer) push(tj TraceJSON) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.total++
-	if t.ringSize <= 0 {
-		return
-	}
 	if len(t.ring) < t.ringSize {
 		t.ring = append(t.ring, tj)
 		t.next = len(t.ring) % t.ringSize

@@ -186,6 +186,6 @@ func CheckClusterer(name string) error {
 	if name == "" || strings.EqualFold(name, core.DefaultBackend) {
 		return nil
 	}
-	return fmt.Errorf("clusterer %q is a library option (convoys.WithClusterer, see examples/contactlog); "+
+	return fmt.Errorf("clusterer %q is a library option (convoys.WithClusterer, see ExampleWithClusterer); "+
 		"the daemon and the CLIs cluster positions with %s only", name, core.DefaultBackend)
 }

@@ -76,14 +76,11 @@
 //	                   families; Accept: application/openmetrics-text or
 //	                   ?exemplars=1 adds trace-ID exemplars on the latency
 //	                   histograms)
-//	GET /debug/vars    expvar mirror of the same instruments
 //	GET /debug/traces  recent request/query traces, newest first (?min_ms=)
-//	GET /v1/stats      read-only JSON counter snapshot
 //
-// By default /metrics, /debug/vars and /debug/traces are mounted on the
-// main address; -metrics-addr moves them (plus -pprof's /debug/pprof/*)
-// onto a separate listener, the usual arrangement when the API port is
-// public:
+// By default /metrics and /debug/traces are mounted on the main address;
+// -metrics-addr moves them (plus -pprof's /debug/pprof/*) onto a separate
+// listener, the usual arrangement when the API port is public:
 //
 //	convoyd -addr :8764 -metrics-addr 127.0.0.1:9090 -pprof
 //	curl 127.0.0.1:9090/metrics
@@ -104,7 +101,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -150,7 +146,7 @@ func main() {
 		history     = flag.Int("history", 0, "closed-convoy events retained per feed (0 = default 1024)")
 		monitors    = flag.Int("max-monitors", 0, "standing queries allowed per feed (0 = default 64)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "server-side cap on one batch query's wall time; queries past it abort mid-run and answer 504 (0 = uncapped)")
-		metricsAddr = flag.String("metrics-addr", "", "separate listen address for /metrics, /debug/vars, /debug/traces and -pprof (empty = mount them on the main address)")
+		metricsAddr = flag.String("metrics-addr", "", "separate listen address for /metrics, /debug/traces and -pprof (empty = mount them on the main address)")
 		pprofOn     = flag.Bool("pprof", false, "also serve /debug/pprof/* on the metrics address (or the main address when -metrics-addr is empty)")
 		logFormat   = flag.String("log-format", "text", "structured log format: text or json")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -224,7 +220,6 @@ func main() {
 		Shards:             shards,
 		ShardMode:          *shardMode,
 	})
-	reg.PublishExpvar("convoyd")
 	if *walDir != "" {
 		logger.Info("durable feeds enabled", "data_dir", *walDir, "fsync", fsync.String())
 	}
@@ -246,7 +241,6 @@ func main() {
 		obsMux = http.NewServeMux()
 	}
 	obsMux.Handle("GET /metrics", reg.Handler())
-	obsMux.Handle("GET /debug/vars", expvar.Handler())
 	obsMux.Handle("GET /debug/traces", serve.TracesHandler(tracer))
 	if *pprofOn {
 		obsMux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -3,8 +3,9 @@
 // percentiles per operation, the server's own /metrics counters scraped
 // after the run (Report.ServerMatch confirms the two request counts
 // agree), and the per-stage profile of one sampled explain=true query.
-// Against a server that predates /v1/stats the server-side view degrades
-// to a clear Report.ServerError instead of zeroed counters.
+// When the scrape fails or /metrics answers anything but 200, the
+// server-side view degrades to a clear Report.ServerError instead of
+// zeroed counters.
 //
 // Usage:
 //

@@ -135,9 +135,9 @@ type Report struct {
 	// events, clustering passes actual/naive, computes, go_* runtime
 	// gauges).
 	Server map[string]float64 `json:"server,omitempty"`
-	// ServerError explains a degraded server-side view — the target
-	// predates /v1/stats, or the scrape failed — instead of presenting
-	// zeroed counters as a silent mismatch.
+	// ServerError explains a degraded server-side view — the scrape
+	// failed or the metrics URL did not answer 200 — instead of
+	// presenting zeroed counters as a silent mismatch.
 	ServerError string `json:"server_error,omitempty"`
 	// Explain is the per-stage timing profile of one sampled
 	// explain=true query issued after the load window (nil when the
@@ -276,16 +276,10 @@ func Run(ctx context.Context, o Options) (Report, error) {
 	}
 	elapsed := time.Since(t0)
 
-	// Post-window samples, issued before the totals are read so the
+	// The post-window sample, issued before the totals are read so the
 	// request accounting stays exact on both sides: one explain=true
-	// query whose stage profile rides in the report, and a /v1/stats
-	// probe gating the server-side counter view.
+	// query whose stage profile rides in the report.
 	explain := sampleExplain(ctx, c, o)
-	var statsCode int
-	var statsErr error
-	if o.MetricsURL != "-" {
-		statsCode, statsErr = c.do(ctx, "stats_probe", "GET", "/v1/stats", "", nil)
-	}
 
 	rep := Report{
 		Scenario:    o.Scenario,
@@ -329,15 +323,8 @@ func Run(ctx context.Context, o Options) (Report, error) {
 	}
 	rep.Explain = explain
 	if o.MetricsURL != "-" {
-		switch {
-		case statsErr != nil:
-			rep.ServerError = fmt.Sprintf("probe /v1/stats: %v", statsErr)
-		case statsCode != http.StatusOK:
-			rep.ServerError = fmt.Sprintf("server answered %d to GET /v1/stats (predates the stats API?); server-side counters unavailable", statsCode)
-		default:
-			if err := scrapeInto(ctx, o, &rep); err != nil {
-				rep.ServerError = fmt.Sprintf("scrape %s: %v", o.MetricsURL, err)
-			}
+		if err := scrapeInto(ctx, o, &rep); err != nil {
+			rep.ServerError = fmt.Sprintf("scrape %s: %v", o.MetricsURL, err)
 		}
 	}
 	return rep, nil
@@ -458,6 +445,10 @@ func scrapeInto(ctx context.Context, o Options, rep *Report) error {
 		resp, err := o.Client.Do(req)
 		if err != nil {
 			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			return fmt.Errorf("server answered %s; server-side counters unavailable", resp.Status)
 		}
 		samples, err = metrics.ParseText(resp.Body)
 		resp.Body.Close()

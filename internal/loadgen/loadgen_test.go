@@ -34,7 +34,7 @@ func newTarget(t *testing.T, cfg serve.Config) (*serve.Server, string) {
 // report's request count equals the convoyd_http_requests_total the
 // generator scraped from the server it loaded.
 func TestMixedScenarioMatchesServerCounters(t *testing.T) {
-	srv, url := newTarget(t, serve.Config{})
+	_, url := newTarget(t, serve.Config{})
 	rep, err := Run(context.Background(), Options{
 		BaseURL:     url,
 		Scenario:    "mixed",
@@ -56,11 +56,6 @@ func TestMixedScenarioMatchesServerCounters(t *testing.T) {
 	}
 	if rep.ServerRequests != rep.Requests {
 		t.Errorf("ServerRequests = %d, want %d", rep.ServerRequests, rep.Requests)
-	}
-	// The snapshot agrees with the scraped view on ingestion volume.
-	snap := srv.Snapshot()
-	if got := rep.Server["convoyd_feed_ticks_total"]; int64(got) != snap.Ticks {
-		t.Errorf("scraped ticks %g != snapshot ticks %d", got, snap.Ticks)
 	}
 	if rep.Status["200"] == 0 {
 		t.Errorf("no 200s in status map: %v", rep.Status)
@@ -96,16 +91,17 @@ func TestMixedScenarioMatchesServerCounters(t *testing.T) {
 	}
 }
 
-// TestStatsProbeDegradesGracefully pins the old-server path: a target
-// without /v1/stats yields a report with a clear ServerError instead of
+// TestScrapeErrorStatusDegradesGracefully pins the unreadable-exposition
+// path: a target whose /metrics answers 503 with an empty body yields a
+// report with a ServerError naming the URL and the status, instead of
 // zeroed counters masquerading as a mismatch.
-func TestStatsProbeDegradesGracefully(t *testing.T) {
-	reg := metrics.NewRegistry()
-	srv := serve.New(serve.Config{Metrics: reg})
+func TestScrapeErrorStatusDegradesGracefully(t *testing.T) {
+	srv := serve.New(serve.Config{})
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", srv)
-	mux.Handle("GET /v1/stats", http.NotFoundHandler()) // the pre-stats generation
-	mux.Handle("GET /metrics", reg.Handler())
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	})
 	ts := httptest.NewServer(mux)
 	defer func() {
 		ts.Close()
@@ -122,8 +118,8 @@ func TestStatsProbeDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rep.ServerError, "/v1/stats") {
-		t.Errorf("ServerError = %q, want a /v1/stats explanation", rep.ServerError)
+	if !strings.Contains(rep.ServerError, ts.URL+"/metrics") || !strings.Contains(rep.ServerError, "503") {
+		t.Errorf("ServerError = %q, want the metrics URL and its 503", rep.ServerError)
 	}
 	if rep.ServerMatch || rep.ServerRequests != 0 {
 		t.Errorf("degraded report still claims a server view: match=%v requests=%d", rep.ServerMatch, rep.ServerRequests)
@@ -150,12 +146,13 @@ func TestChurnScenarioDrivesRegistry(t *testing.T) {
 	if !rep.ServerMatch {
 		t.Errorf("request accounting mismatch: client %d, server %d", rep.Requests, rep.ServerRequests)
 	}
-	snap := srv.Snapshot()
-	if snap.FeedsCreated == 0 || snap.FeedsDeleted == 0 {
-		t.Errorf("churn left no lifecycle trace: %+v", snap)
+	created := scraped(t, srv, "convoyd_feeds_created_total")
+	deleted := scraped(t, srv, "convoyd_feeds_deleted_total")
+	if created == 0 || deleted == 0 {
+		t.Errorf("churn left no lifecycle trace: created %g, deleted %g", created, deleted)
 	}
-	if snap.Feeds != 0 {
-		t.Errorf("churn leaked %d feeds", snap.Feeds)
+	if live := scraped(t, srv, "convoyd_feeds"); live != 0 {
+		t.Errorf("churn leaked %g feeds", live)
 	}
 }
 
@@ -182,8 +179,8 @@ func TestCancelStormTimesOut(t *testing.T) {
 	if rep.Status["504"] == 0 {
 		t.Errorf("no 504s under the storm: %v", rep.Status)
 	}
-	if got := srv.Snapshot().QueriesTimedOut; got == 0 {
-		t.Error("snapshot shows no timed-out queries")
+	if got := scraped(t, srv, "convoyd_queries_total", `outcome="timeout"`); got == 0 {
+		t.Error("server counted no timed-out queries")
 	}
 }
 
@@ -229,4 +226,33 @@ func TestUnknownScenario(t *testing.T) {
 			t.Errorf("scenario %s has no description", n)
 		}
 	}
+}
+
+// scraped reads srv's exposition back through ParseText and adds up the
+// series of family whose label set holds every matcher (`outcome="ok"`).
+func scraped(t *testing.T, srv *serve.Server, family string, matchers ...string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := srv.MetricsRegistry().WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
+next:
+	for k, v := range samples {
+		labels, ok := strings.CutPrefix(k, family)
+		if !ok || labels != "" && labels[0] != '{' {
+			continue
+		}
+		for _, m := range matchers {
+			if !strings.Contains(labels, "{"+m) && !strings.Contains(labels, ","+m) {
+				continue next
+			}
+		}
+		total += v
+	}
+	return total
 }

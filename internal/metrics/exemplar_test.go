@@ -88,11 +88,11 @@ func TestHandlerNegotiation(t *testing.T) {
 func TestRegisterRuntime(t *testing.T) {
 	reg := NewRegistry()
 	RegisterRuntime(reg)
-	snap := reg.Snapshot()
+	samples := scrape(t, reg)
 	for _, name := range []string{"go_goroutines", "go_gomaxprocs", "go_heap_alloc_bytes", "go_gc_pause_seconds_total"} {
-		v, ok := snap[name]
+		v, ok := samples[name]
 		if !ok {
-			t.Fatalf("%s not registered; snapshot: %v", name, snap)
+			t.Fatalf("%s not registered; scrape: %v", name, samples)
 		}
 		if name != "go_gc_pause_seconds_total" && v <= 0 {
 			t.Fatalf("%s = %v, want > 0", name, v)

@@ -1,7 +1,7 @@
 // Package metrics is the repository's observability kernel: atomic
 // counters, gauges and fixed-bucket histograms behind a registry that
-// exposes everything in the Prometheus text format and mirrors it into
-// expvar — with no dependency outside the standard library.
+// exposes everything in the Prometheus text format — with no dependency
+// outside the standard library.
 //
 // The package exists so the serving layer (internal/serve, cmd/convoyd)
 // and the load generator (internal/loadgen, cmd/convoyload) speak one
@@ -296,8 +296,8 @@ func (f *family) sorted() []*series {
 	return out
 }
 
-// A Registry holds named metric families and renders them (WriteProm,
-// Handler) or snapshots them (Snapshot, for the expvar mirror).
+// A Registry holds named metric families and renders them as one
+// exposition (WriteProm, WriteOpenMetrics, Handler).
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -383,28 +383,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 
 // With returns the counter for the label values, creating it on first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.with(values).c }
-
-// Sum adds up the family's counters whose label values match: match holds
-// one value per label, "" standing for any. The whole family is Sum() with
-// every value "".
-func (v *CounterVec) Sum(match ...string) float64 {
-	if len(match) != len(v.f.labels) {
-		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", v.f.name, len(v.f.labels), len(match)))
-	}
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	total := 0.0
-next:
-	for _, s := range v.f.series {
-		for i, want := range match {
-			if want != "" && s.labelValues[i] != want {
-				continue next
-			}
-		}
-		total += s.c.Value()
-	}
-	return total
-}
 
 // A GaugeVec is a gauge family partitioned by label values.
 type GaugeVec struct{ f *family }

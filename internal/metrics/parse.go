@@ -9,8 +9,8 @@ import (
 )
 
 // ParseText parses a Prometheus text exposition (the format WriteProm
-// emits; any 0.0.4 exposition works) into series-name → value, keyed
-// exactly like Snapshot: `name` or `name{label="v",...}`. Comment and
+// emits; any 0.0.4 exposition works) into series-name → value, keyed by
+// the series as written: `name` or `name{label="v",...}`. Comment and
 // blank lines are skipped; a malformed sample line is an error. The load
 // generator uses this to read back the server's own request accounting.
 func ParseText(r io.Reader) (map[string]float64, error) {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -80,7 +79,9 @@ func writeSeries(w io.Writer, f *family, s *series, exemplars bool) error {
 		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labelSet(f.labels, s.labelValues, ""), fmtVal(s.h.Sum())); err != nil {
 			return err
 		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelSet(f.labels, s.labelValues, ""), s.h.Count())
+		// _count is the +Inf bucket of the same read, so the two agree in
+		// every scrape however many observations land meanwhile.
+		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelSet(f.labels, s.labelValues, ""), cum[len(cum)-1])
 		return err
 	}
 }
@@ -143,41 +144,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WriteProm(w) // the peer going away mid-scrape is its problem
 	})
-}
-
-// Snapshot flattens the registry into series-name → value: plain names for
-// label-less metrics, name{label="value",...} for labeled ones, histograms
-// as _sum/_count plus p50/p95/p99 convenience quantiles. This is both the
-// expvar mirror's payload and a convenient test observable.
-func (r *Registry) Snapshot() map[string]float64 {
-	out := make(map[string]float64)
-	for _, f := range r.sortedFamilies() {
-		if f.kind == kindGaugeFunc {
-			out[f.name] = f.fn()
-			continue
-		}
-		for _, s := range f.sorted() {
-			ls := labelSet(f.labels, s.labelValues, "")
-			switch f.kind {
-			case kindCounter:
-				out[f.name+ls] = s.c.Value()
-			case kindGauge:
-				out[f.name+ls] = s.g.Value()
-			default:
-				out[f.name+"_sum"+ls] = s.h.Sum()
-				out[f.name+"_count"+ls] = float64(s.h.Count())
-				out[f.name+"_p50"+ls] = s.h.Quantile(0.50)
-				out[f.name+"_p95"+ls] = s.h.Quantile(0.95)
-				out[f.name+"_p99"+ls] = s.h.Quantile(0.99)
-			}
-		}
-	}
-	return out
-}
-
-// PublishExpvar mirrors the registry under the given expvar name
-// (readable at /debug/vars). Like expvar.Publish, a duplicate name
-// panics — publish once per process.
-func (r *Registry) PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

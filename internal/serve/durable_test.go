@@ -447,7 +447,7 @@ func TestHistoryQueryProxgraph(t *testing.T) {
 // and the 404 of both durable endpoints on an in-memory server.
 func TestWALStatusEndpoint(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
-	_, ts := newTestServer(t, durableConfig(walRoot))
+	srv, ts := newTestServer(t, durableConfig(walRoot))
 	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
 
 	var ws WALStatusJSON
@@ -470,10 +470,12 @@ func TestWALStatusEndpoint(t *testing.T) {
 	}
 
 	// The server's aggregate meters follow the same appends.
-	var stats ServerStats
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, http.StatusOK, &stats)
-	if stats.WALAppendedRecords != 3 || stats.WALAppendedBytes == 0 || stats.WALSegments == 0 {
-		t.Errorf("server stats wal meters = %+v", stats)
+	samples := scrape(t, srv)
+	if samples["convoyd_wal_appended_records_total"] != 3 ||
+		samples["convoyd_wal_appended_bytes_total"] == 0 || samples["convoyd_wal_segments"] == 0 {
+		t.Errorf("server wal meters: records %g, bytes %g, segments %g",
+			samples["convoyd_wal_appended_records_total"],
+			samples["convoyd_wal_appended_bytes_total"], samples["convoyd_wal_segments"])
 	}
 
 	// Without a data dir the durable endpoints do not exist for the feed.

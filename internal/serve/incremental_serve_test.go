@@ -18,9 +18,9 @@ func staticBatch(t model.Tick) TickBatch {
 }
 
 // A feed on the default backend takes the incremental path by default, and
-// the pass split plus reuse ratio surface in the feed status and /v1/stats.
+// the pass split plus reuse ratio surface in the feed status and /metrics.
 func TestFeedIncrementalCountersAndReuseRatio(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	createFeed(t, ts.URL, "inc", ParamsJSON{M: 2, K: 3, Eps: 1})
 	const ticks = 10
 	for tick := model.Tick(0); tick < ticks; tick++ {
@@ -45,20 +45,23 @@ func TestFeedIncrementalCountersAndReuseRatio(t *testing.T) {
 		t.Fatalf("reuse ratio = %g, want ≥ 0.5 on a frozen feed", fs.ReuseRatio)
 	}
 
-	var st ServerStats
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, http.StatusOK, &st)
-	if st.ClusterPassesFull != fs.ClusterPassesFull ||
-		st.ClusterPassesIncremental != fs.ClusterPassesIncremental ||
-		st.ObjectsReclustered != fs.ObjectsReclustered {
-		t.Fatalf("server stats split = %d/%d/%d, want feed's %d/%d/%d",
-			st.ClusterPassesFull, st.ClusterPassesIncremental, st.ObjectsReclustered,
+	samples := scrape(t, srv)
+	full := samples["convoyd_feed_cluster_passes_full_total"]
+	inc := samples["convoyd_feed_cluster_passes_incremental_total"]
+	reclustered := samples["convoyd_feed_objects_reclustered_total"]
+	if full != float64(fs.ClusterPassesFull) ||
+		inc != float64(fs.ClusterPassesIncremental) ||
+		reclustered != float64(fs.ObjectsReclustered) {
+		t.Fatalf("server split = %g/%g/%g, want feed's %d/%d/%d",
+			full, inc, reclustered,
 			fs.ClusterPassesFull, fs.ClusterPassesIncremental, fs.ObjectsReclustered)
 	}
-	if st.ObjectsSeen != 2*ticks {
-		t.Fatalf("objects seen = %d, want %d", st.ObjectsSeen, 2*ticks)
+	seen := samples["convoyd_feed_objects_seen_total"]
+	if seen != 2*ticks {
+		t.Fatalf("objects seen = %g, want %d", seen, 2*ticks)
 	}
-	if st.ReuseRatio < 0.5 {
-		t.Fatalf("server reuse ratio = %g, want ≥ 0.5", st.ReuseRatio)
+	if ratio := 1 - reclustered/seen; ratio < 0.5 {
+		t.Fatalf("server reuse ratio = %g, want ≥ 0.5", ratio)
 	}
 }
 

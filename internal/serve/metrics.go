@@ -347,122 +347,6 @@ func (m *serveMetrics) observeHTTP(route string, code int, d time.Duration, trac
 	m.httpSeconds.With(route).ObserveExemplar(d.Seconds(), traceID, unixNow())
 }
 
-// ServerStats is a read-only snapshot of the server's counters — the
-// registry janitor's evictions, the feed engine's ingestion and shared
-// clustering meters, and the query engine's cache and outcome counts.
-// Server.Snapshot assembles it from the same instruments /metrics
-// exposes; GET /v1/stats serves it as JSON.
-type ServerStats struct {
-	// Feeds is the number of currently registered feeds.
-	Feeds int `json:"feeds"`
-	// FeedsCreated / FeedsDeleted / FeedsEvicted count feed lifecycle
-	// events; Evicted is the idle janitor's work.
-	FeedsCreated int64 `json:"feeds_created"`
-	FeedsDeleted int64 `json:"feeds_deleted"`
-	FeedsEvicted int64 `json:"feeds_evicted"`
-	// Monitors is the number of standing queries across all feeds.
-	Monitors int64 `json:"monitors"`
-	// Ticks / Positions / Events count ingestion and emission across all
-	// feeds, dead ones included.
-	Ticks     int64 `json:"ticks"`
-	Positions int64 `json:"positions"`
-	Events    int64 `json:"events"`
-	// ClusterPasses counts snapshot clustering passes actually run by the
-	// feed engine; ClusterPassesNaive what ticks × monitors would have
-	// cost. Naive minus actual is the shared-clustering saving.
-	ClusterPasses      int64 `json:"cluster_passes"`
-	ClusterPassesNaive int64 `json:"cluster_passes_naive"`
-	// ClusterPassesFull / ClusterPassesIncremental split ClusterPasses by
-	// how the pass was answered: from scratch versus the incremental
-	// engine patching the previous tick's structure. ObjectsReclustered
-	// and ObjectsSeen meter the object-level work: ReuseRatio is the
-	// fraction of object appearances whose neighborhoods were reused
-	// (1 − reclustered/seen; 0 before any clustering).
-	ClusterPassesFull        int64   `json:"cluster_passes_full"`
-	ClusterPassesIncremental int64   `json:"cluster_passes_incremental"`
-	ObjectsReclustered       int64   `json:"objects_reclustered"`
-	ObjectsSeen              int64   `json:"objects_seen"`
-	ReuseRatio               float64 `json:"reuse_ratio"`
-	// Queries counts finished batch queries; Computes the discovery runs
-	// actually started (misses that reached the core). CacheHits, Misses
-	// and Dedups partition the successful queries by how they were
-	// answered.
-	Queries       int64 `json:"queries"`
-	QueryComputes int64 `json:"query_computes"`
-	CacheHits     int64 `json:"cache_hits"`
-	CacheMisses   int64 `json:"cache_misses"`
-	CacheDedups   int64 `json:"cache_dedups"`
-	// QueriesCanceled / TimedOut / Rejected count the failure outcomes
-	// (client disconnects, deadline expiries, bad requests).
-	QueriesCanceled int64 `json:"queries_canceled"`
-	QueriesTimedOut int64 `json:"queries_timed_out"`
-	QueriesRejected int64 `json:"queries_rejected"`
-	// QueryInflight is the worker-pool occupancy right now; CacheEntries
-	// the LRU result-cache size.
-	QueryInflight int64 `json:"query_inflight"`
-	CacheEntries  int   `json:"cache_entries"`
-	// WALAppendedRecords / WALAppendedBytes / WALFsyncs count write-ahead
-	// logging across all durable feeds; WALSegments is the open-segment
-	// count right now. All zero on an in-memory server.
-	WALAppendedRecords int64 `json:"wal_appended_records"`
-	WALAppendedBytes   int64 `json:"wal_appended_bytes"`
-	WALFsyncs          int64 `json:"wal_fsyncs"`
-	WALSegments        int64 `json:"wal_segments"`
-	// WALRecoveredFeeds / WALReplayedTicks / WALTruncatedBytes describe the
-	// recovery-on-start replay; WALRecoverySeconds its wall time.
-	WALRecoveredFeeds  int64   `json:"wal_recovered_feeds"`
-	WALReplayedTicks   int64   `json:"wal_replayed_ticks"`
-	WALTruncatedBytes  int64   `json:"wal_truncated_bytes"`
-	WALRecoverySeconds float64 `json:"wal_recovery_seconds"`
-}
-
-// Snapshot returns the server's counters at this instant. It is safe to
-// call concurrently with any traffic; the snapshot is not atomic across
-// fields (each field is individually consistent).
-func (s *Server) Snapshot() ServerStats {
-	m := s.cfg.metrics
-	st := ServerStats{
-		Feeds:                    s.reg.Count(),
-		FeedsCreated:             int64(m.feedsCreated.Value()),
-		FeedsDeleted:             int64(m.feedsDeleted.Value()),
-		FeedsEvicted:             int64(m.feedsEvicted.Value()),
-		Monitors:                 int64(m.monitors.Value()),
-		Ticks:                    int64(m.feedTicks.Value()),
-		Positions:                int64(m.feedPositions.Value()),
-		Events:                   int64(m.feedEvents.Value()),
-		ClusterPasses:            int64(m.feedPasses.Value()),
-		ClusterPassesNaive:       int64(m.feedPassesNaive.Value()),
-		ClusterPassesFull:        int64(m.feedPassesFull.Value()),
-		ClusterPassesIncremental: int64(m.feedPassesInc.Value()),
-		ObjectsReclustered:       int64(m.feedReclustered.Value()),
-		ObjectsSeen:              int64(m.feedObjectsSeen.Value()),
-		Queries:                  int64(m.queries.Sum("", "", "")),
-		QueryComputes:            int64(m.queryComputes.Value()),
-		CacheHits:                int64(m.queries.Sum("", "hit", "")),
-		CacheMisses:              int64(m.queries.Sum("", "miss", "")),
-		CacheDedups:              int64(m.queries.Sum("", "dedup", "")),
-		QueriesCanceled:          int64(m.queries.Sum("", "", "canceled")),
-		QueriesTimedOut:          int64(m.queries.Sum("", "", "timeout")),
-		QueriesRejected:          int64(m.queries.Sum("", "", "bad_request")),
-		QueryInflight:            int64(m.queryInflight.Value()),
-		WALAppendedRecords:       int64(m.walAppendedRecords.Value()),
-		WALAppendedBytes:         int64(m.walAppendedBytes.Value()),
-		WALFsyncs:                int64(m.walFsyncs.Value()),
-		WALSegments:              int64(m.walSegments.Value()),
-		WALRecoveredFeeds:        int64(m.walRecoveredFeeds.Value()),
-		WALReplayedTicks:         int64(m.walReplayedTicks.Value()),
-		WALTruncatedBytes:        int64(m.walTruncatedBytes.Value()),
-		WALRecoverySeconds:       m.walRecoverySeconds.Value(),
-	}
-	if st.ObjectsSeen > 0 {
-		st.ReuseRatio = 1 - float64(st.ObjectsReclustered)/float64(st.ObjectsSeen)
-	}
-	if s.q.lru != nil {
-		st.CacheEntries = s.q.lru.len()
-	}
-	return st
-}
-
 // MetricsRegistry returns the registry holding the server's instruments —
 // the configured one, or the private registry a zero config gets. Mount
 // its Handler to expose /metrics.

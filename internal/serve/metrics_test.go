@@ -17,22 +17,43 @@ import (
 	"repro/internal/tsio"
 )
 
-// scrape reads the server's registry through its HTTP handler, the way a
-// Prometheus scraper (or convoyload) would.
+// scrape reads the server's registry back through its exposition, the
+// one view a Prometheus scraper (or convoyload) has of its counters.
 func scrape(t *testing.T, s *Server) map[string]float64 {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	s.MetricsRegistry().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	samples, err := metrics.ParseText(rec.Body)
+	var b strings.Builder
+	if err := s.MetricsRegistry().WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseText(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return samples
 }
 
+// sumWhere adds up the scraped series of family whose label set holds
+// every matcher (`cache="hit"`); with no matcher it is metrics.Sum.
+func sumWhere(samples map[string]float64, family string, matchers ...string) float64 {
+	total := 0.0
+next:
+	for k, v := range samples {
+		labels, ok := strings.CutPrefix(k, family)
+		if !ok || labels != "" && labels[0] != '{' {
+			continue
+		}
+		for _, m := range matchers {
+			if !strings.Contains(labels, "{"+m) && !strings.Contains(labels, ","+m) {
+				continue next
+			}
+		}
+		total += v
+	}
+	return total
+}
+
 // TestSnapshotQueryCounters drives the query engine through every cache
-// state and checks both the exported snapshot and the /metrics view — the
-// previously package-private counters the issue asked to surface.
+// state and checks the /metrics view of each query counter.
 func TestSnapshotQueryCounters(t *testing.T) {
 	srv, ts := newTestServer(t, Config{QueryWorkers: 4})
 	url := ts.URL + "/v1/query?m=2&k=5&e=1"
@@ -43,29 +64,21 @@ func TestSnapshotQueryCounters(t *testing.T) {
 	postQuery(t, url+"&algo=cmc", body, http.StatusOK) // second miss
 	postQuery(t, ts.URL+"/v1/query?m=2&k=5&e=1&algo=nope", body, http.StatusBadRequest)
 
-	st := srv.Snapshot()
-	if st.Queries != 4 {
-		t.Errorf("Queries = %d, want 4", st.Queries)
-	}
-	if st.CacheMisses != 2 || st.CacheHits != 1 {
-		t.Errorf("misses/hits = %d/%d, want 2/1", st.CacheMisses, st.CacheHits)
-	}
-	if st.QueryComputes != 2 {
-		t.Errorf("QueryComputes = %d, want 2", st.QueryComputes)
-	}
-	if st.QueriesRejected != 1 {
-		t.Errorf("QueriesRejected = %d, want 1", st.QueriesRejected)
-	}
-	if st.QueryInflight != 0 {
-		t.Errorf("QueryInflight = %d, want 0 at rest", st.QueryInflight)
-	}
-	if st.CacheEntries != 2 {
-		t.Errorf("CacheEntries = %d, want 2", st.CacheEntries)
-	}
-
 	samples := scrape(t, srv)
 	if got := metrics.Sum(samples, "convoyd_queries_total"); got != 4 {
 		t.Errorf("convoyd_queries_total = %g, want 4", got)
+	}
+	misses := sumWhere(samples, "convoyd_queries_total", `cache="miss"`)
+	hits := sumWhere(samples, "convoyd_queries_total", `cache="hit"`)
+	dedups := sumWhere(samples, "convoyd_queries_total", `cache="dedup"`)
+	if misses != 2 || hits != 1 || dedups != 0 {
+		t.Errorf("misses/hits/dedups = %g/%g/%g, want 2/1/0", misses, hits, dedups)
+	}
+	if got := sumWhere(samples, "convoyd_queries_total", `outcome="bad_request"`); got != 1 {
+		t.Errorf("rejected queries = %g, want 1", got)
+	}
+	if got := samples["convoyd_query_inflight"]; got != 0 {
+		t.Errorf("convoyd_query_inflight = %g, want 0 at rest", got)
 	}
 	if got := samples[`convoyd_queries_total{algo="cuts*",cache="hit",outcome="ok"}`]; got != 1 {
 		t.Errorf("hit series = %g, want 1 (samples: %v)", got, samples)
@@ -102,43 +115,24 @@ func TestSnapshotFeedCounters(t *testing.T) {
 		pushTick(t, ts.URL, "vans", vanBatch(model.Tick(tick)))
 	}
 
-	st := srv.Snapshot()
-	if st.Feeds != 1 || st.FeedsCreated != 1 {
-		t.Errorf("Feeds/FeedsCreated = %d/%d, want 1/1", st.Feeds, st.FeedsCreated)
+	samples := scrape(t, srv)
+	if samples["convoyd_feeds"] != 1 || samples["convoyd_feeds_created_total"] != 1 {
+		t.Errorf("feeds/created = %g/%g, want 1/1",
+			samples["convoyd_feeds"], samples["convoyd_feeds_created_total"])
 	}
-	if st.Monitors != 2 {
-		t.Errorf("Monitors = %d, want 2", st.Monitors)
+	if got := samples["convoyd_monitors"]; got != 2 {
+		t.Errorf("convoyd_monitors = %g, want 2", got)
 	}
-	if st.Ticks != 16 {
-		t.Errorf("Ticks = %d, want 16", st.Ticks)
+	if got := samples["convoyd_feed_ticks_total"]; got != 16 {
+		t.Errorf("feed_ticks_total = %g, want 16", got)
 	}
-	if st.Positions != 48 {
-		t.Errorf("Positions = %d, want 48", st.Positions)
+	if got := samples["convoyd_feed_positions_total"]; got != 48 {
+		t.Errorf("feed_positions_total = %g, want 48", got)
 	}
-	if st.Events == 0 {
-		t.Error("Events = 0, want closed convoys")
+	if samples["convoyd_feed_events_total"] == 0 {
+		t.Error("feed_events_total = 0, want closed convoys")
 	}
 	// Shared key: one pass per tick where naive would run one per monitor.
-	if st.ClusterPasses != 16 {
-		t.Errorf("ClusterPasses = %d, want 16", st.ClusterPasses)
-	}
-	if st.ClusterPassesNaive != 32 {
-		t.Errorf("ClusterPassesNaive = %d, want 32", st.ClusterPassesNaive)
-	}
-
-	// Deleting the monitor then the feed returns the gauge to zero.
-	doJSON(t, "DELETE", ts.URL+"/v1/feeds/vans/monitors/long", nil, http.StatusOK, nil)
-	if got := srv.Snapshot().Monitors; got != 1 {
-		t.Errorf("Monitors after monitor delete = %d, want 1", got)
-	}
-	doJSON(t, "DELETE", ts.URL+"/v1/feeds/vans", nil, http.StatusOK, nil)
-	st = srv.Snapshot()
-	if st.Monitors != 0 || st.Feeds != 0 || st.FeedsDeleted != 1 {
-		t.Errorf("after feed delete: monitors=%d feeds=%d deleted=%d, want 0/0/1",
-			st.Monitors, st.Feeds, st.FeedsDeleted)
-	}
-
-	samples := scrape(t, srv)
 	if got := samples["convoyd_feed_cluster_passes_total"]; got != 16 {
 		t.Errorf("feed_cluster_passes_total = %g, want 16", got)
 	}
@@ -147,6 +141,25 @@ func TestSnapshotFeedCounters(t *testing.T) {
 	}
 	if got := samples["convoyd_feed_ingest_seconds_count"]; got != 16 {
 		t.Errorf("feed_ingest_seconds_count = %g, want 16", got)
+	}
+
+	// Deleting the monitor then the feed returns the gauge to zero.
+	doJSON(t, "DELETE", ts.URL+"/v1/feeds/vans/monitors/long", nil, http.StatusOK, nil)
+	if got := scrape(t, srv)["convoyd_monitors"]; got != 1 {
+		t.Errorf("convoyd_monitors after monitor delete = %g, want 1", got)
+	}
+	doJSON(t, "DELETE", ts.URL+"/v1/feeds/vans", nil, http.StatusOK, nil)
+	checkDrained(t, srv)
+}
+
+// checkDrained requires the scrape after one feed's delete: no monitors,
+// no feeds, one deletion.
+func checkDrained(t *testing.T, srv *Server) {
+	t.Helper()
+	samples := scrape(t, srv)
+	if samples["convoyd_monitors"] != 0 || samples["convoyd_feeds"] != 0 || samples["convoyd_feeds_deleted_total"] != 1 {
+		t.Errorf("after feed delete: monitors=%g feeds=%g deleted=%g, want 0/0/1",
+			samples["convoyd_monitors"], samples["convoyd_feeds"], samples["convoyd_feeds_deleted_total"])
 	}
 }
 
@@ -157,24 +170,20 @@ func TestSnapshotFeedCounters(t *testing.T) {
 func TestDeleteWithDeadClientStillDrains(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	createFeed(t, ts.URL, "doomed", ParamsJSON{M: 2, K: 3, Eps: 2})
-	if got := srv.Snapshot().Monitors; got != 1 {
-		t.Fatalf("Monitors = %d, want 1", got)
+	if got := scrape(t, srv)["convoyd_monitors"]; got != 1 {
+		t.Fatalf("convoyd_monitors = %g, want 1", got)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client is gone before the drain starts
 	if _, err := srv.reg.Remove(ctx, "doomed"); err != nil {
 		t.Fatalf("remove with dead client: %v", err)
 	}
-	st := srv.Snapshot()
-	if st.Monitors != 0 || st.Feeds != 0 || st.FeedsDeleted != 1 {
-		t.Errorf("after dead-client delete: monitors=%d feeds=%d deleted=%d, want 0/0/1",
-			st.Monitors, st.Feeds, st.FeedsDeleted)
-	}
+	checkDrained(t, srv)
 }
 
 // TestSnapshotJanitorEvictions pins the previously untestable janitor
-// counter: idle feeds evicted by the background janitor show up in the
-// snapshot and on /metrics.
+// counter: idle feeds evicted by the background janitor show up on
+// /metrics.
 func TestSnapshotJanitorEvictions(t *testing.T) {
 	srv, ts := newTestServer(t, Config{IdleTimeout: 30 * time.Millisecond})
 	createFeed(t, ts.URL, "idle1", ParamsJSON{M: 2, K: 3, Eps: 2})
@@ -182,23 +191,20 @@ func TestSnapshotJanitorEvictions(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := srv.Snapshot()
-		if st.FeedsEvicted == 2 && st.Feeds == 0 {
+		samples := scrape(t, srv)
+		evicted, live := samples["convoyd_feeds_evicted_total"], samples["convoyd_feeds"]
+		if evicted == 2 && live == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("janitor never evicted both feeds: %+v", st)
+			t.Fatalf("janitor never evicted both feeds: evicted %g, live %g", evicted, live)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if got := scrape(t, srv)["convoyd_feeds_evicted_total"]; got != 2 {
-		t.Errorf("convoyd_feeds_evicted_total = %g, want 2", got)
 	}
 }
 
 // TestHTTPRequestMetering checks the middleware: every API request lands
-// in convoyd_http_requests_total under its mux route, 404s included, and
-// GET /v1/stats serves the snapshot.
+// in convoyd_http_requests_total under its mux route, 404s included.
 func TestHTTPRequestMetering(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	createFeed(t, ts.URL, "f", ParamsJSON{M: 2, K: 3, Eps: 2})
@@ -212,11 +218,6 @@ func TestHTTPRequestMetering(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	var st ServerStats
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, http.StatusOK, &st)
-	if st.FeedsCreated != 1 {
-		t.Errorf("/v1/stats FeedsCreated = %d, want 1", st.FeedsCreated)
-	}
 
 	samples := scrape(t, srv)
 	if got := samples[`convoyd_http_requests_total{route="POST /v1/feeds",code="201"}`]; got != 1 {
@@ -228,13 +229,13 @@ func TestHTTPRequestMetering(t *testing.T) {
 	if got := samples[`convoyd_http_requests_total{route="unmatched",code="404"}`]; got != 1 {
 		t.Errorf("unmatched series = %g, want 1", got)
 	}
-	// 4 requests total: create, status, 404, stats (the scrape itself is
-	// not served by the API mux).
-	if got := metrics.Sum(samples, "convoyd_http_requests_total"); got != 4 {
-		t.Errorf("http_requests_total = %g, want 4", got)
+	// 3 requests total: create, status, 404 (the scrape itself is not
+	// served by the API mux).
+	if got := metrics.Sum(samples, "convoyd_http_requests_total"); got != 3 {
+		t.Errorf("http_requests_total = %g, want 3", got)
 	}
-	if got := metrics.Sum(samples, "convoyd_http_request_seconds_count"); got != 4 {
-		t.Errorf("http_request_seconds_count = %g, want 4", got)
+	if got := metrics.Sum(samples, "convoyd_http_request_seconds_count"); got != 3 {
+		t.Errorf("http_request_seconds_count = %g, want 3", got)
 	}
 }
 
@@ -251,10 +252,10 @@ func TestQueryOutcomeTimeout(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
 	}
-	if got := srv.Snapshot().QueriesTimedOut; got != 1 {
-		t.Errorf("QueriesTimedOut = %d, want 1", got)
-	}
 	samples := scrape(t, srv)
+	if got := sumWhere(samples, "convoyd_queries_total", `outcome="timeout"`); got != 1 {
+		t.Errorf("timed-out queries = %g, want 1", got)
+	}
 	if got := samples[`convoyd_queries_total{algo="cuts*",cache="none",outcome="timeout"}`]; got != 1 {
 		t.Errorf("timeout series = %g, want 1", got)
 	}

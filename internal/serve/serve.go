@@ -39,7 +39,6 @@
 // # HTTP API (all under /v1)
 //
 //	GET    /v1/healthz                      liveness + feed count
-//	GET    /v1/stats                        read-only counter snapshot (ServerStats)
 //	GET    /v1/feeds                        list feed statuses
 //	POST   /v1/feeds                        create a feed     {name, params:{m,k,e}}
 //	GET    /v1/feeds/{name}                 one feed's status (incl. monitor table)
@@ -238,7 +237,6 @@ func (s *Server) janitor() {
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/feeds", s.handleListFeeds)
 	s.mux.HandleFunc("POST /v1/feeds", s.handleCreateFeed)
 	s.mux.HandleFunc("GET /v1/feeds/{name}", s.handleFeedStatus)
@@ -363,13 +361,6 @@ func statusFor(err error) int {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "feeds": s.reg.Count()})
-}
-
-// handleStats serves the read-only counter snapshot — the JSON twin of
-// the /metrics exposition, for clients that want one struct instead of a
-// Prometheus scrape.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
 func (s *Server) handleListFeeds(w http.ResponseWriter, r *http.Request) {

@@ -1,7 +1,7 @@
 // Benchmarks of the paper's algorithms on the synthetic dataset profiles:
 // BenchmarkFigure12 times each algorithm on each profile (the paper's
 // total-query-time comparison), BenchmarkFigure15 each simplification method
-// on Cattle, and BenchmarkDiscover the façade's one-call path.
+// on Cattle, and BenchmarkDiscover the façade's default query.
 //
 // The paper's evaluation itself — the claims behind Table 3 and Figures
 // 12–19, with their tables under -v — is a test:
@@ -31,19 +31,18 @@ const benchSeed = 1
 func BenchmarkFigure12(b *testing.B) {
 	for _, prof := range datagen.AllProfiles(benchScale, benchSeed) {
 		db := prof.Generate()
-		p := core.Params{M: prof.M, K: prof.K, Eps: prof.Eps}
-		b.Run(prof.Name+"/CMC", func(b *testing.B) {
-			q := core.NewQuery(core.WithParams(p), core.WithCMC())
-			for i := 0; i < b.N; i++ {
-				if _, err := q.Run(context.Background(), db); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		for _, variant := range []core.Variant{core.VariantCuTS, core.VariantCuTSPlus, core.VariantCuTSStar} {
-			variant := variant
-			b.Run(prof.Name+"/"+variant.String(), func(b *testing.B) {
-				q := core.NewQuery(core.WithParams(p), core.WithVariant(variant))
+		algos := []struct {
+			name string
+			opt  convoys.QueryOption
+		}{
+			{"CMC", convoys.WithCMC()},
+			{convoys.CuTSVariant.String(), convoys.WithVariant(convoys.CuTSVariant)},
+			{convoys.CuTSPlusVariant.String(), convoys.WithVariant(convoys.CuTSPlusVariant)},
+			{convoys.CuTSStarVariant.String(), convoys.WithVariant(convoys.CuTSStarVariant)},
+		}
+		for _, algo := range algos {
+			b.Run(prof.Name+"/"+algo.name, func(b *testing.B) {
+				q := convoys.NewQuery(convoys.M(prof.M), convoys.K(prof.K), convoys.Eps(prof.Eps), algo.opt)
 				for i := 0; i < b.N; i++ {
 					if _, err := q.Run(context.Background(), db); err != nil {
 						b.Fatal(err)
@@ -56,7 +55,8 @@ func BenchmarkFigure12(b *testing.B) {
 
 // BenchmarkFigure15 times each simplification method on the Cattle profile
 // (the paper's vertex-reduction/time comparison), one sub-benchmark per
-// method at the profile's tuned δ.
+// method at the profile's tuned δ. Simplification is not part of the
+// facade, so this one drives internal/simplify directly.
 func BenchmarkFigure15(b *testing.B) {
 	prof := datagen.Cattle(benchScale, benchSeed+100)
 	db := prof.Generate()
@@ -71,12 +71,13 @@ func BenchmarkFigure15(b *testing.B) {
 	}
 }
 
-// BenchmarkDiscover measures the façade's one-call path on a mid-size
-// planted scenario — the number a library user would care about first.
+// BenchmarkDiscover measures the façade's default query (CuTS* with the
+// automatic δ/λ guidelines) on a mid-size planted scenario — the number a
+// library user would care about first.
 func BenchmarkDiscover(b *testing.B) {
-	sc := convoys.Scenario{
+	sc := datagen.Scenario{
 		Seed: 5, T: 400, World: 800, Speed: 3,
-		Groups: []convoys.GroupSpec{
+		Groups: []datagen.GroupSpec{
 			{Size: 4, Start: 20, End: 250, Spacing: 2},
 			{Size: 3, Start: 150, End: 390, Spacing: 2},
 		},
@@ -86,10 +87,10 @@ func BenchmarkDiscover(b *testing.B) {
 		Jitter:     0.3,
 	}
 	db := sc.Generate()
-	p := convoys.Params{M: 3, K: 50, Eps: 4}
+	q := convoys.NewQuery(convoys.M(3), convoys.K(50), convoys.Eps(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := convoys.Discover(db, p); err != nil {
+		if _, err := q.Run(context.Background(), db); err != nil {
 			b.Fatal(err)
 		}
 	}

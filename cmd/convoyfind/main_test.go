@@ -18,7 +18,6 @@ import (
 	convoys "repro"
 	"repro/internal/datagen"
 	"repro/internal/serve"
-	"repro/internal/tsio"
 	"repro/internal/wire"
 )
 
@@ -49,16 +48,25 @@ func writeFixture(t *testing.T, dir, name string) string {
 		db.Add(tr)
 	}
 	path := filepath.Join(dir, name)
-	var err error
-	if strings.HasSuffix(name, ".ctb") {
-		err = convoys.SaveBinary(path, db)
-	} else {
-		err = convoys.SaveCSV(path, db)
+	writeDB(t, path, db)
+	return path
+}
+
+// writeDB stores db at path: as CTB when the name ends in .ctb, as CSV
+// otherwise.
+func writeDB(t *testing.T, path string, db *convoys.DB) {
+	t.Helper()
+	var buf bytes.Buffer
+	write := convoys.WriteCSV
+	if strings.HasSuffix(path, ".ctb") {
+		write = convoys.WriteBinary
 	}
-	if err != nil {
+	if err := write(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRunTextOutputAllAlgorithms(t *testing.T) {
@@ -312,9 +320,7 @@ func TestCLIAndServerAgree(t *testing.T) {
 	}()
 	prof := datagen.Contact(0.2, 1)
 	positions := filepath.Join(t.TempDir(), "positions.ctb")
-	if err := tsio.SaveBinary(positions, prof.Generate()); err != nil {
-		t.Fatal(err)
-	}
+	writeDB(t, positions, prof.Generate())
 
 	// server posts the input with the options' spec on the URL, as an upload
 	// client does, and returns the answer as convoyfind -format json prints

@@ -1,8 +1,10 @@
-// Command trajgen generates synthetic trajectory datasets as CSV.
+// Command trajgen generates synthetic trajectory datasets as CSV, or as
+// binary CTB when the -out path ends in .ctb.
 //
 // Usage:
 //
 //	trajgen -profile truck -scale 0.1 -seed 1 -out truck.csv
+//	trajgen -profile cattle -scale 1 -out cattle.ctb
 //	trajgen -profile custom -objects 20 -ticks 500 -groups 3 -groupsize 4 -out custom.csv
 //
 // The four named profiles (truck, cattle, car, taxi) emulate the paper's
@@ -18,7 +20,9 @@ import (
 	"os"
 	"strings"
 
-	convoys "repro"
+	"repro/internal/datagen"
+	"repro/internal/model"
+	"repro/internal/tsio"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -32,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profile   = fs.String("profile", "truck", "dataset profile: truck, cattle, car, taxi or custom")
 		scale     = fs.Float64("scale", 0.1, "time-domain scale for the named profiles (1 = paper size)")
 		seed      = fs.Int64("seed", 1, "random seed")
-		out       = fs.String("out", "", "output CSV path (default stdout)")
+		out       = fs.String("out", "", "output path (default stdout); CSV unless the name ends in .ctb, which writes binary CTB")
 		objects   = fs.Int("objects", 20, "custom: number of background objects")
 		ticks     = fs.Int64("ticks", 500, "custom: time-domain length")
 		groups    = fs.Int("groups", 2, "custom: number of planted groups")
@@ -50,29 +54,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var db *convoys.DB
+	var db *model.DB
 	switch *profile {
 	case "truck":
-		db = convoys.TruckProfile(*scale, *seed).Generate()
+		db = datagen.Truck(*scale, *seed).Generate()
 	case "cattle":
-		db = convoys.CattleProfile(*scale, *seed).Generate()
+		db = datagen.Cattle(*scale, *seed).Generate()
 	case "car":
-		db = convoys.CarProfile(*scale, *seed).Generate()
+		db = datagen.Car(*scale, *seed).Generate()
 	case "taxi":
-		db = convoys.TaxiProfile(*scale, *seed).Generate()
+		db = datagen.Taxi(*scale, *seed).Generate()
 	case "custom":
-		var gs []convoys.GroupSpec
+		var gs []datagen.GroupSpec
 		span := max(*ticks*3/4, 1)
 		for g := 0; g < *groups; g++ {
-			start := convoys.Tick(int64(g) * (*ticks - span) / int64(max(*groups, 2)))
-			gs = append(gs, convoys.GroupSpec{
+			start := model.Tick(int64(g) * (*ticks - span) / int64(max(*groups, 2)))
+			gs = append(gs, datagen.GroupSpec{
 				Size:    *groupSize,
 				Start:   start,
-				End:     start + convoys.Tick(span) - 1,
+				End:     start + model.Tick(span) - 1,
 				Spacing: *spacing,
 			})
 		}
-		db = convoys.Scenario{
+		db = datagen.Scenario{
 			Seed:       *seed,
 			T:          *ticks,
 			World:      *world,
@@ -89,16 +93,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "trajgen: %d objects, %d ticks, %d points (%.1f%% missing)\n",
 		st.NumObjects, st.TimeDomainLength, st.TotalPoints, st.MissingFraction*100)
 
-	// Output format: .ctb extension selects the compact binary encoding.
-	binaryOut := strings.HasSuffix(strings.ToLower(*out), ".ctb")
 	var err error
-	switch {
-	case *out == "":
-		err = convoys.WriteCSV(stdout, db)
-	case binaryOut:
-		err = convoys.SaveBinary(*out, db)
-	default:
-		err = convoys.SaveCSV(*out, db)
+	if *out == "" {
+		err = tsio.WriteCSV(stdout, db)
+	} else {
+		err = save(*out, db)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "trajgen:", err)
@@ -108,6 +107,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "trajgen: wrote %s\n", *out)
 	}
 	return 0
+}
+
+// save writes db to path: as binary CTB when the name ends in .ctb (any
+// case), as CSV otherwise. A failed Close fails the save, since it can be
+// the first report of a write that never reached the disk.
+func save(path string, db *model.DB) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("close %s: %w", path, cerr)
+		}
+	}()
+	if strings.HasSuffix(strings.ToLower(path), ".ctb") {
+		return tsio.WriteBinary(f, db)
+	}
+	return tsio.WriteCSV(f, db)
 }
 
 // validate refuses the flag values the selected profile cannot generate

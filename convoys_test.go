@@ -35,25 +35,29 @@ func smallDB(t *testing.T) *convoys.DB {
 	return db
 }
 
+// smallQuery is the query smallDB is built for (m = 2, k = 5, e = 1) under
+// further options.
+func smallQuery(opts ...convoys.QueryOption) *convoys.Query {
+	return convoys.NewQuery(append([]convoys.QueryOption{convoys.M(2), convoys.K(5), convoys.Eps(1)}, opts...)...)
+}
+
 func TestDiscoverFacade(t *testing.T) {
 	db := smallDB(t)
-	p := convoys.Params{M: 2, K: 5, Eps: 1}
-	res, err := convoys.Discover(db, p)
+	res, err := smallQuery().Run(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || res[0].Size() != 2 || res[0].Lifetime() != 10 {
-		t.Fatalf("Discover = %v", res)
+		t.Fatalf("default query = %v", res)
 	}
 	// All exposed algorithms agree.
-	ref, err := convoys.CMC(db, p)
+	ref, err := smallQuery(convoys.WithCMC()).Run(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, variant := range []convoys.Variant{convoys.CuTSVariant, convoys.CuTSPlusVariant, convoys.CuTSStarVariant} {
 		var st convoys.Stats
-		got, err := convoys.NewQuery(convoys.WithParams(p), convoys.WithVariant(variant), convoys.WithStats(&st)).
-			Run(context.Background(), db)
+		got, err := smallQuery(convoys.WithVariant(variant), convoys.WithStats(&st)).Run(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +74,7 @@ func TestDiscoverFacade(t *testing.T) {
 // answers.
 func TestFacadeParallelWorkers(t *testing.T) {
 	db := smallDB(t)
-	p := convoys.Params{M: 2, K: 5, Eps: 1}
-	ref, err := convoys.CMC(db, p)
+	ref, err := smallQuery(convoys.WithCMC()).Run(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +82,7 @@ func TestFacadeParallelWorkers(t *testing.T) {
 		t.Fatalf("DefaultWorkers = %d", convoys.DefaultWorkers())
 	}
 	for _, workers := range []int{2, convoys.DefaultWorkers()} {
-		got, err := convoys.NewQuery(convoys.WithParams(p), convoys.WithCMC(), convoys.WithWorkers(workers)).
-			Run(context.Background(), db)
+		got, err := smallQuery(convoys.WithCMC(), convoys.WithWorkers(workers)).Run(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,8 +90,7 @@ func TestFacadeParallelWorkers(t *testing.T) {
 			t.Errorf("CMC on %d workers = %v, want %v", workers, got, ref)
 		}
 		var st convoys.Stats
-		res, err := convoys.NewQuery(convoys.WithParams(p), convoys.WithWorkers(workers), convoys.WithStats(&st)).
-			Run(context.Background(), db)
+		res, err := smallQuery(convoys.WithWorkers(workers), convoys.WithStats(&st)).Run(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,66 +118,39 @@ func TestFacadeCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeSimplifyAndDelta(t *testing.T) {
-	db := smallDB(t)
-	st := convoys.Simplify(db.Traj(0), 0.5, convoys.DP)
-	if st.Len() < 2 {
-		t.Errorf("simplified to %d points", st.Len())
-	}
-	if d := convoys.ComputeDelta(db, 1); d <= 0 || d >= 1 {
-		t.Errorf("ComputeDelta = %g", d)
-	}
-}
-
-// The default Clusterer is snapshot DBSCAN: the two near points form the one
-// cluster, the far point is noise.
+// The default Clusterer is snapshot DBSCAN, and WithClusterer(nil)
+// restores it: smallDB's two near objects form the convoy, the far one is
+// noise.
 func TestFacadeDBSCAN(t *testing.T) {
-	pts := []convoys.Point{convoys.Pt(0, 0), convoys.Pt(0.5, 0), convoys.Pt(10, 10)}
-	clusters := convoys.DefaultClusterer().Clusters(
-		convoys.ClusterKey{Eps: 1, M: 2},
-		convoys.TickSnapshot{IDs: []convoys.ObjectID{0, 1, 2}, Pts: pts})
-	if !reflect.DeepEqual(clusters, [][]convoys.ObjectID{{0, 1}}) {
-		t.Errorf("DBSCAN clusters = %v, want [[0 1]]", clusters)
+	want := convoys.Result{{Objects: []convoys.ObjectID{0, 1}, Start: 0, End: 9}}
+	got, err := smallQuery(convoys.WithCMC(), convoys.WithClusterer(nil)).Run(context.Background(), smallDB(t))
+	if err != nil || !got.Equal(want) {
+		t.Errorf("WithClusterer(nil) = %v, %v; want %v", got, err, want)
 	}
 }
 
-func TestFacadeProfilesAndMC2(t *testing.T) {
+// A synthetic profile generates its dataset, and its own query finds the
+// same convoys under CMC and CuTS*.
+func TestFacadeProfiles(t *testing.T) {
 	prof := convoys.TaxiProfile(0.01, 3)
 	db := prof.Generate()
 	if db.Len() == 0 {
 		t.Fatal("profile generated nothing")
 	}
-	p := convoys.Params{M: prof.M, K: prof.K, Eps: prof.Eps}
-	ref, err := convoys.CMC(db, p)
+	query := func(opts ...convoys.QueryOption) (convoys.Result, error) {
+		opts = append(opts, convoys.M(prof.M), convoys.K(prof.K), convoys.Eps(prof.Eps))
+		return convoys.NewQuery(opts...).Run(context.Background(), db)
+	}
+	ref, err := query(convoys.WithCMC())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := convoys.MC2(db, p, 0.8)
+	got, err := query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := convoys.CompareAnswers(mc, ref)
-	if rep.Reported != len(mc) || rep.Reference != len(ref) {
-		t.Errorf("accuracy counts wrong: %+v", rep)
-	}
-}
-
-func TestFacadeScenario(t *testing.T) {
-	sc := convoys.Scenario{
-		Seed: 1, T: 30, World: 100, Speed: 2,
-		Groups:   []convoys.GroupSpec{{Size: 3, Start: 0, End: 29, Spacing: 1}},
-		KeepProb: 1,
-	}
-	db := sc.Generate()
-	if db.Len() != 3 {
-		t.Fatalf("scenario objects = %d", db.Len())
-	}
-	res, err := convoys.Discover(db, convoys.Params{M: 3, K: 20, Eps: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[0].Size() != 3 {
-		t.Errorf("planted group not found: %v", res)
+	if !got.Equal(ref) {
+		t.Errorf("CuTS* = %v, CMC = %v", got, ref)
 	}
 }
 
@@ -206,7 +180,7 @@ func labeled(res convoys.Result, label func(convoys.ObjectID) string) []string {
 }
 
 // TestGraphClustererWindow is the contact-log query the daemon no longer
-// takes, through the library: GraphClusterer over a hand-checked a,b,t,w
+// takes, through the library: a log's Clusterer over a hand-checked a,b,t,w
 // log finds its one convoy (under CMC only), and over ProximityLogFromDB's
 // log cut to a window by Log.Window it answers exactly what DBSCAN answers
 // over the positions in that window at m = 2, where the two density
@@ -229,7 +203,7 @@ func TestGraphClustererWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graph := []convoys.QueryOption{convoys.M(3), convoys.K(3), convoys.Eps(1), convoys.WithClusterer(convoys.GraphClusterer(log))}
+	graph := []convoys.QueryOption{convoys.M(3), convoys.K(3), convoys.Eps(1), convoys.WithClusterer(log.Clusterer())}
 	res, err := convoys.NewQuery(append(graph, convoys.WithCMC())...).Run(ctx, ldb)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +256,7 @@ func TestGraphClustererWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := convoys.NewQuery(convoys.M(2), convoys.K(prof.K), convoys.Eps(1), convoys.WithCMC(),
-			convoys.WithClusterer(convoys.GraphClusterer(wlog))).Run(ctx, wldb)
+			convoys.WithClusterer(wlog.Clusterer())).Run(ctx, wldb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,28 +268,22 @@ func TestGraphClustererWindow(t *testing.T) {
 }
 
 // facadeSurface is every exported top-level name of package convoys: the
-// paper's library — model, Query and its options, the streaming engine,
-// clustering backends, simplification, baselines of the accuracy study,
-// file formats, synthetic data — and nothing of the daemon. A name added to
-// convoys.go must be added here, which is the point: the facade grows by
-// decision, not by drift.
+// paper's library and one way to do each thing — the model, NewQuery and
+// its options, a Streamer for live feeds, the clustering-backend seam with
+// the contact-log backend, the two database formats over io.Reader and
+// io.Writer, synthetic data — and nothing of the daemon, the evaluation or
+// the tuning internals. A name added to convoys.go must be added here, which
+// is the point: the facade grows by decision, not by drift.
 var facadeSurface = []string{
-	"AccuracyReport", "CMC", "Candidate", "Canonicalize", "CarProfile", "CattleProfile",
-	"ClusterKey", "ClusterSource", "Clusterer", "CompareAnswers", "ComputeDelta",
+	"Canonicalize", "CarProfile", "CattleProfile", "ClusterKey", "Clusterer",
 	"ContactProfile", "Convoy", "CuTSPlusVariant", "CuTSStarVariant", "CuTSVariant", "DB",
-	"DBStats", "DP", "DPPlus", "DPStar", "DefaultChurnThreshold", "DefaultClusterer",
-	"DefaultWorkers", "Discover", "EdgeRecord", "Eps", "GraphClusterer", "GroupSpec", "K",
-	"LoadBinary", "LoadCSV", "LoadEdgeCSV", "LoadProximityLog", "M", "MC2", "Monitor",
-	"NewClusterSource", "NewClusterSourceWith", "NewDB", "NewMonitor", "NewProximityLog",
-	"NewQuery", "NewStreamer", "NewTrajectory", "ObjectID", "Params", "Point", "Profile",
-	"ProxEdge", "ProximityLog", "ProximityLogFromDB", "Pt", "Query", "QueryOption",
-	"ReadBinary", "ReadCSV", "ReadEdgeCSV", "ReadProximityLog", "ReplayTicks", "Result",
-	"S", "Sample", "SaveBinary", "SaveCSV", "SaveEdgeCSV", "Scenario",
-	"SimplifiedTrajectory", "Simplify", "SimplifyMethod", "Stats", "Streamer",
-	"TaxiProfile", "Tick", "TickSnapshot", "Trajectory", "TruckProfile", "Variant",
-	"WithCMC", "WithClusterer", "WithDelta", "WithIncremental", "WithLambda", "WithLimit",
-	"WithParams", "WithPartitions", "WithStats", "WithVariant", "WithWorkers",
-	"WriteBinary", "WriteCSV", "WriteEdgeCSV",
+	"DefaultWorkers", "Eps", "K", "M", "NewDB", "NewProximityLog", "NewQuery", "NewStreamer",
+	"NewTrajectory", "ObjectID", "Params", "Point", "Profile", "ProximityLog",
+	"ProximityLogFromDB", "Pt", "Query", "QueryOption", "ReadBinary", "ReadCSV",
+	"ReadProximityLog", "ReplayTicks", "Result", "S", "Sample", "Stats", "Streamer",
+	"TaxiProfile", "Tick", "TickSnapshot", "Trajectory", "TruckProfile", "Variant", "WithCMC",
+	"WithClusterer", "WithLimit", "WithStats", "WithVariant", "WithWorkers", "WriteBinary",
+	"WriteCSV",
 }
 
 func TestFacadeSurface(t *testing.T) {

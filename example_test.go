@@ -7,8 +7,9 @@ import (
 	convoys "repro"
 )
 
-// Two scooters ride together for eight ticks, a third rides alone.
-func ExampleDiscover() {
+// Two scooters ride together for eight ticks, a third rides alone. The
+// query runs the default algorithm, CuTS*.
+func ExampleQuery_Run() {
 	db := convoys.NewDB()
 	for i, y := range []float64{0, 0.4, 99} {
 		var samples []convoys.Sample
@@ -18,7 +19,7 @@ func ExampleDiscover() {
 		tr, _ := convoys.NewTrajectory(fmt.Sprintf("scooter-%d", i+1), samples)
 		db.Add(tr)
 	}
-	result, _ := convoys.Discover(db, convoys.Params{M: 2, K: 5, Eps: 1})
+	result, _ := convoys.NewQuery(convoys.M(2), convoys.K(5), convoys.Eps(1)).Run(context.Background(), db)
 	for _, c := range result {
 		fmt.Println(c)
 	}
@@ -76,7 +77,9 @@ func ExampleQuery_Seq() {
 	// closed: ⟨o0,o1,[0,5]⟩
 }
 
-func ExampleCMC() {
+// The Coherent Moving Cluster baseline: snapshot DBSCAN at every tick, no
+// filter step — slower than CuTS*, with the same answer.
+func ExampleWithCMC() {
 	db := convoys.NewDB()
 	a, _ := convoys.NewTrajectory("a", []convoys.Sample{
 		convoys.S(0, 0, 0), convoys.S(1, 1, 0), convoys.S(2, 2, 0),
@@ -86,7 +89,8 @@ func ExampleCMC() {
 	})
 	db.Add(a)
 	db.Add(b)
-	result, _ := convoys.CMC(db, convoys.Params{M: 2, K: 3, Eps: 1})
+	q := convoys.NewQuery(convoys.M(2), convoys.K(3), convoys.Eps(1), convoys.WithCMC())
+	result, _ := q.Run(context.Background(), db)
 	fmt.Println(len(result), "convoy, lifetime", result[0].Lifetime())
 	// Output:
 	// 1 convoy, lifetime 3
@@ -135,16 +139,6 @@ func ExampleWithClusterer() {
 	}
 	// Output:
 	// [alpha bravo charlie] ticks 1 to 5
-}
-
-func ExampleSimplify() {
-	tr, _ := convoys.NewTrajectory("t", []convoys.Sample{
-		convoys.S(0, 0, 0), convoys.S(1, 1, 0.05), convoys.S(2, 2, 0), convoys.S(3, 3, 2), convoys.S(4, 4, 0),
-	})
-	st := convoys.Simplify(tr, 2.5, convoys.DP)
-	fmt.Println("kept", st.Len(), "of", tr.Len(), "points")
-	// Output:
-	// kept 2 of 5 points
 }
 
 // The paper's carpooling motivation: cars that follow the same route at the
@@ -198,12 +192,13 @@ func Example_truckfleet() {
 	db := prof.Generate()
 	st := db.Stats()
 	fmt.Printf("fleet: %d truck trips, %d ticks, %d GPS points\n", st.NumObjects, st.TimeDomainLength, st.TotalPoints)
-	params := convoys.Params{M: prof.M, K: prof.K, Eps: prof.Eps}
-	ref, _ := convoys.CMC(db, params)
+	query := func(opts ...convoys.QueryOption) *convoys.Query {
+		return convoys.NewQuery(append(opts, convoys.M(prof.M), convoys.K(prof.K), convoys.Eps(prof.Eps))...)
+	}
+	ref, _ := query(convoys.WithCMC()).Run(context.Background(), db)
 	for _, v := range []convoys.Variant{convoys.CuTSVariant, convoys.CuTSPlusVariant, convoys.CuTSStarVariant} {
 		var rs convoys.Stats
-		res, _ := convoys.NewQuery(convoys.WithParams(params), convoys.WithVariant(v), convoys.WithStats(&rs)).
-			Run(context.Background(), db)
+		res, _ := query(convoys.WithVariant(v), convoys.WithStats(&rs)).Run(context.Background(), db)
 		fmt.Printf("%-5v δ=%.2f λ=%d candidates=%d, same answer as CMC: %v\n",
 			v, rs.Delta, rs.Lambda, rs.NumCandidates, res.Equal(ref))
 	}
@@ -223,38 +218,25 @@ func Example_truckfleet() {
 }
 
 // A cattle herd: few animals, very long 1 Hz trajectories, the shape where
-// simplification pays off most. The §7.4 guideline picks δ from the
-// Douglas-Peucker split profile; each simplification method keeps a small
-// share of the points, and CuTS* finds the sub-herds with an automatic λ.
+// simplification pays off most. CuTS* picks δ by the §7.4 guideline (what
+// each simplification method keeps at that δ is core's ExampleComputeDelta)
+// and finds the sub-herds with an automatic λ.
 func Example_wildlife() {
 	prof := convoys.CattleProfile(0.05, 11)
 	db := prof.Generate()
 	st := db.Stats()
 	fmt.Printf("herd: %d animals, %d ticks, %d points\n", st.NumObjects, st.TimeDomainLength, st.TotalPoints)
-	delta := convoys.ComputeDelta(db, prof.Eps)
-	fmt.Printf("guideline: δ = %.1f at e = %g\n", delta, prof.Eps)
-	for _, m := range []convoys.SimplifyMethod{convoys.DP, convoys.DPPlus, convoys.DPStar} {
-		kept := 0
-		for _, tr := range db.Trajectories() {
-			kept += convoys.Simplify(tr, delta, m).Len()
-		}
-		fmt.Printf("  %-4v keeps %d of %d points\n", m, kept, st.TotalPoints)
-	}
 	var rs convoys.Stats
 	res, _ := convoys.NewQuery(convoys.M(prof.M), convoys.K(prof.K), convoys.Eps(prof.Eps), convoys.WithStats(&rs)).
 		Run(context.Background(), db)
-	fmt.Printf("m=%d k=%d e=%g, automatic λ=%d: %d sub-herd convoys, the first three:\n",
-		prof.M, prof.K, prof.Eps, rs.Lambda, len(res))
+	fmt.Printf("m=%d k=%d e=%g, automatic δ=%.1f λ=%d: %d sub-herd convoys, the first three:\n",
+		prof.M, prof.K, prof.Eps, rs.Delta, rs.Lambda, len(res))
 	for _, c := range res[:3] {
 		fmt.Printf("  animals %v grazed together for %d ticks [%d–%d]\n", c.Objects, c.Lifetime(), c.Start, c.End)
 	}
 	// Output:
 	// herd: 13 animals, 8781 ticks, 114153 points
-	// guideline: δ = 204.6 at e = 300
-	//   DP   keeps 419 of 114153 points
-	//   DP+  keeps 513 of 114153 points
-	//   DP*  keeps 430 of 114153 points
-	// m=2 k=9 e=300, automatic λ=9: 30 sub-herd convoys, the first three:
+	// m=2 k=9 e=300, automatic δ=204.6 λ=9: 30 sub-herd convoys, the first three:
 	//   animals [8 9] grazed together for 145 ticks [875–1019]
 	//   animals [0 1] grazed together for 222 ticks [918–1139]
 	//   animals [5 6] grazed together for 115 ticks [2117–2231]
@@ -274,7 +256,7 @@ func Example_platoon() {
 		tr, _ := convoys.NewTrajectory(fmt.Sprintf("van%d", i+1), samples)
 		db.Add(tr)
 	}
-	result, _ := convoys.Discover(db, convoys.Params{M: 3, K: 12, Eps: 1.2})
+	result, _ := convoys.NewQuery(convoys.M(3), convoys.K(12), convoys.Eps(1.2)).Run(context.Background(), db)
 	for _, c := range result {
 		names := make([]string, c.Size())
 		for i, id := range c.Objects {

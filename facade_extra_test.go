@@ -2,6 +2,7 @@ package convoys_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	convoys "repro"
@@ -29,26 +30,26 @@ func TestFacadeStreamer(t *testing.T) {
 	}
 }
 
+// A database replayed through a Streamer answers what the batch CMC query
+// answers.
 func TestFacadeStreamerMatchesBatch(t *testing.T) {
 	db := smallDB(t)
-	p := convoys.Params{M: 2, K: 5, Eps: 1}
-	want, err := convoys.CMC(db, p)
+	want, err := smallQuery(convoys.WithCMC()).Run(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := convoys.NewStreamer(p)
+	s, err := convoys.NewStreamer(convoys.Params{M: 2, K: 5, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi, _ := db.TimeRange()
 	var all []convoys.Convoy
-	for tick := lo; tick <= hi; tick++ {
-		ids, pts := db.SnapshotAt(tick)
+	err = convoys.ReplayTicks(db, func(tick convoys.Tick, ids []convoys.ObjectID, pts []convoys.Point) error {
 		got, err := s.Advance(tick, ids, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		all = append(all, got...)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	all = append(all, s.Close()...)
 	if got := convoys.Canonicalize(all); !got.Equal(want) {
@@ -76,27 +77,5 @@ func TestFacadeBinaryRoundTrip(t *testing.T) {
 				t.Fatalf("sample changed in round trip")
 			}
 		}
-	}
-}
-
-func TestFacadeBinaryFiles(t *testing.T) {
-	dir := t.TempDir()
-	db := smallDB(t)
-	path := dir + "/x.ctb"
-	if err := convoys.SaveBinary(path, db); err != nil {
-		t.Fatal(err)
-	}
-	back, err := convoys.LoadBinary(path)
-	if err != nil || back.Len() != db.Len() {
-		t.Fatalf("LoadBinary: %v %v", back, err)
-	}
-}
-
-// convoys.Simplify of a trajectory without samples returns an empty
-// simplified trajectory; it used to index its first sample and panic.
-func TestFacadeSimplifyEmptyTrajectory(t *testing.T) {
-	st := convoys.Simplify(&convoys.Trajectory{Label: "x"}, 1, convoys.DP)
-	if st.Len() != 0 || len(st.Segments) != 0 || st.Tolerance != 0 {
-		t.Errorf("empty trajectory simplified to %+v", st)
 	}
 }

@@ -174,33 +174,22 @@ func TestCustomClustererNamedDBSCAN(t *testing.T) {
 // TestClusterSourceBackendKeys: a source owns its clusterer, so the key is
 // (e, m) alone — two sources at one key with different backends share the
 // key, not the clusters. Each answers its own backend's clusters; the
-// default constructors both run DBSCAN; an invalid key is refused whatever
-// the backend.
+// public constructor runs DBSCAN and refuses an invalid key.
 func TestClusterSourceBackendKeys(t *testing.T) {
 	key := ClusterKey{Eps: 2, M: 2}
 	def, err := NewClusterSource(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := NewClusterSourceWith(key, componentClusterer{log: map[model.Tick][]contact{3: {{0, 1, 5}}}})
-	if err != nil {
-		t.Fatal(err)
+	comp := newSource(key, componentClusterer{log: map[model.Tick][]contact{3: {{0, 1, 5}}}}, DefaultChurnThreshold, nil)
+	if def.Key() != key || comp.Key() != key {
+		t.Fatalf("keys = %+v / %+v, want %+v for both", def.Key(), comp.Key(), key)
 	}
-	spelled, err := NewClusterSourceWith(key, nil)
-	if err != nil {
-		t.Fatal(err)
+	if comp.Clusterer().Name() != "components" || def.Clusterer().Name() != DefaultBackend {
+		t.Fatalf("clusterer names = %q/%q", comp.Clusterer().Name(), def.Clusterer().Name())
 	}
-	if def.Key() != key || comp.Key() != key || spelled.Key() != key {
-		t.Fatalf("keys = %+v / %+v / %+v, want %+v for all three", def.Key(), comp.Key(), spelled.Key(), key)
-	}
-	if comp.Clusterer().Name() != "components" || def.Clusterer().Name() != DefaultBackend ||
-		spelled.Clusterer().Name() != DefaultBackend {
-		t.Fatalf("clusterer names = %q/%q/%q", comp.Clusterer().Name(), def.Clusterer().Name(), spelled.Clusterer().Name())
-	}
-	for _, c := range []Clusterer{nil, componentClusterer{}} {
-		if _, err := NewClusterSourceWith(ClusterKey{Eps: 2, M: 0}, c); err == nil {
-			t.Errorf("m = 0 accepted with clusterer %v", c)
-		}
+	if _, err := NewClusterSource(ClusterKey{Eps: 2, M: 0}); err == nil {
+		t.Error("m = 0 accepted")
 	}
 
 	// The same snapshot, two answers: the objects are far apart (no DBSCAN
@@ -218,8 +207,8 @@ func TestClusterSourceBackendKeys(t *testing.T) {
 		t.Fatalf("dbscan cluster = %v, want none", got)
 	}
 	def.Snapshot(snap.IDs, snap.Pts)
-	if def.Passes() != 2 || comp.Passes() != 1 || spelled.Passes() != 0 {
-		t.Fatalf("passes = %d/%d/%d, want 2/1/0", def.Passes(), comp.Passes(), spelled.Passes())
+	if def.Passes() != 2 || comp.Passes() != 1 {
+		t.Fatalf("passes = %d/%d, want 2/1", def.Passes(), comp.Passes())
 	}
 }
 
@@ -239,10 +228,7 @@ func TestMonitorBackendIsolation(t *testing.T) {
 	for tick := model.Tick(1); tick <= 4; tick++ {
 		contacts[tick] = []contact{{0, 1, 1}} // in contact at every tick
 	}
-	compSrc, err := NewClusterSourceWith(p.ClusterKey(), componentClusterer{log: contacts})
-	if err != nil {
-		t.Fatal(err)
-	}
+	compSrc := newSource(p.ClusterKey(), componentClusterer{log: contacts}, DefaultChurnThreshold, nil)
 	defMon, err := NewMonitor(p)
 	if err != nil {
 		t.Fatal(err)

@@ -68,23 +68,15 @@ type ClusterSource struct {
 // NewClusterSource validates the key and returns a source with a zeroed
 // pass counter, clustering with the default grid-DBSCAN backend.
 func NewClusterSource(key ClusterKey) (*ClusterSource, error) {
-	return NewClusterSourceWith(key, nil)
-}
-
-// NewClusterSourceWith validates the key and returns a source clustering
-// with c (nil means DefaultClusterer).
-func NewClusterSourceWith(key ClusterKey, c Clusterer) (*ClusterSource, error) {
-	if c == nil {
-		c = DefaultClusterer
-	}
 	if err := key.Validate(); err != nil {
 		return nil, err
 	}
-	return newSource(key, c, DefaultChurnThreshold, nil), nil
+	return newSource(key, DefaultClusterer, DefaultChurnThreshold, nil), nil
 }
 
 // newSource assembles a source over validated arguments — the one
-// constructor behind the public ones and the CMC scan. A source over the
+// constructor behind NewClusterSource and the query scans (a custom backend
+// reaches a source through WithClusterer). A source over the
 // default backend gets an engine at the churn threshold above which a tick
 // rebuilds from scratch; ≤ 0 makes every tick a full pass (see
 // WithIncremental). meter, when non-nil, is bumped on every pass.

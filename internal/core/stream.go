@@ -96,17 +96,17 @@ func (s *Streamer) Close() []Convoy { return s.mon.Close() }
 // ReplayTicks walks a stored database tick by tick over its whole time
 // domain, calling fn with the snapshot of every tick (the same interpolated
 // Ot that CMC clusters, Section 4). It is the bridge between batch storage
-// and the online interfaces: the serving layer uses it to drive feeds from
-// stored databases, and the tests use it to state the Streamer/CMC
+// and the online interfaces: the library exposes it to drive a Streamer
+// from a stored database, and the tests use it to state the Streamer/CMC
 // equivalence. Iteration stops at the first error from fn, which is
 // returned. An empty database replays zero ticks. The ids and pts handed
 // to fn are the sweep cursor's buffers (model.Cursor): read-only, and valid
 // only until fn returns — copy what must outlive the call.
 //
-// This is deliberately NOT the serving layer's crash-recovery path.
+// This is deliberately NOT the feed runtime's crash-recovery path.
 // ReplayTicks densifies: it visits every tick of the domain and fills
 // gaps by interpolating each trajectory — the right semantics for turning
-// a trajectory file into a stream. WAL recovery (internal/serve over
+// a trajectory file into a stream. WAL recovery (internal/feed over
 // internal/wal) must instead reproduce only the ticks clients actually
 // POSTed, verbatim and gaps included, so it replays logged batches
 // directly and never interpolates.

@@ -30,8 +30,8 @@ import (
 //
 // Deliberately NOT the core.ReplayTicks path: that bridge walks a stored
 // database over its whole time domain, interpolating positions for every
-// tick in range, which is the right semantics for driving a feed from a
-// trajectory file but the wrong one for recovery — a live feed only
+// tick in range, which is the right semantics for turning a trajectory
+// file into a stream but the wrong one for recovery — a live feed only
 // advanced on the ticks clients actually POSTed, and recovery must
 // reproduce those ticks verbatim, gaps included.
 

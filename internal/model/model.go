@@ -61,15 +61,28 @@ var ErrUnsorted = errors.New("model: samples not strictly increasing in time")
 // ErrEmpty is returned when constructing a trajectory with no samples.
 var ErrEmpty = errors.New("model: trajectory has no samples")
 
-// NewTrajectory validates the samples (non-empty, strictly increasing time)
-// and returns a trajectory with the given label. The ID is assigned when the
-// trajectory is added to a DB.
+// ErrNonFinite is returned when constructing a trajectory from a sample
+// whose coordinates are NaN or infinite.
+var ErrNonFinite = errors.New("model: non-finite coordinates")
+
+// NewTrajectory validates the samples (non-empty, finite coordinates,
+// strictly increasing time) and returns a trajectory with the given label.
+// The ID is assigned when the trajectory is added to a DB.
+//
+// Every entry into a database refuses non-finite coordinates — the CSV and
+// tick-block readers, the feed and Streamer.Advance check them too —
+// because the CuTS filter bounds cannot hold over a NaN: a trajectory
+// carrying one would let the filter drop a convoy that CMC reports.
 func NewTrajectory(label string, samples []Sample) (*Trajectory, error) {
 	if len(samples) == 0 {
 		return nil, ErrEmpty
 	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i].T <= samples[i-1].T {
+	for i := range samples {
+		if p := samples[i].P; !p.Finite() {
+			return nil, fmt.Errorf("%w: t[%d]=%d at (%g, %g) (label %q)",
+				ErrNonFinite, i, samples[i].T, p.X, p.Y, label)
+		}
+		if i > 0 && samples[i].T <= samples[i-1].T {
 			return nil, fmt.Errorf("%w: t[%d]=%d after t[%d]=%d (label %q)",
 				ErrUnsorted, i, samples[i].T, i-1, samples[i-1].T, label)
 		}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -32,6 +33,33 @@ func TestNewTrajectoryValidation(t *testing.T) {
 	}
 	if _, err := NewTrajectory("ok", []Sample{s(1, 0, 0), s(5, 1, 1)}); err != nil {
 		t.Errorf("valid: err = %v", err)
+	}
+}
+
+// A non-finite coordinate is refused at construction, like every other
+// entry into a database refuses it. o0 and o1 are the reproducer: over them
+// CMC reports ⟨o0,o1,[3,7]⟩ under m = 2, k = 3, e = 1, while CuTS*, whose
+// filter bounds cannot hold over a NaN, reports nothing.
+func TestNewTrajectoryRejectsNonFinite(t *testing.T) {
+	nan := math.NaN()
+	o0 := []Sample{s(1, nan, 0), s(3, 3, 0), s(4, 4, 0), s(7, 7, 0)}
+	var o1 []Sample
+	for tick := Tick(0); tick <= 7; tick++ {
+		x := float64(tick)
+		if tick == 2 {
+			x = nan
+		}
+		o1 = append(o1, s(tick, x, 0.5))
+	}
+	for name, samples := range map[string][]Sample{
+		"o0":   o0,
+		"o1":   o1,
+		"+Inf": {s(0, 0, 0), s(1, math.Inf(1), 0)},
+		"-Inf": {s(0, 0, math.Inf(-1))},
+	} {
+		if _, err := NewTrajectory(name, samples); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: err = %v, want ErrNonFinite", name, err)
+		}
 	}
 }
 

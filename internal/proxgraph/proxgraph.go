@@ -25,7 +25,6 @@ package proxgraph
 import (
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"repro/internal/core"
@@ -295,16 +294,6 @@ func ReadLog(r io.Reader) (*Log, error) {
 		}
 	}
 	return l, nil
-}
-
-// LoadLog reads a CSV edge list from a file.
-func LoadLog(path string) (*Log, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("proxgraph: %w", err)
-	}
-	defer f.Close()
-	return ReadLog(f)
 }
 
 // FromDB derives a contact log from a trajectory database: at every tick,

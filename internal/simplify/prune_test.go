@@ -119,10 +119,9 @@ func FuzzSplitPrune(f *testing.F) {
 		m := []Method{DP, DPStar}[in.next()&1]
 		samples, unit := pruneSamples(in)
 		delta := float64(in.next()) / 8 * unit
-		tr, err := model.NewTrajectory("f", samples)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Built by hand: NewTrajectory refuses the NaN samples the kernels
+		// must still divide exactly as the linear scan does.
+		tr := &model.Trajectory{Label: "f", Samples: samples}
 		pruned := getScratch(samples, true)
 		defer pruned.release()
 		if len(pruned.boxes) < 3 {

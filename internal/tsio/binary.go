@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -198,11 +197,10 @@ func DecodeBinary(data []byte) (*model.DB, error) {
 			x := math.Float64frombits(binary.LittleEndian.Uint64(data))
 			y := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 			data = data[16:]
-			if !finite(x) || !finite(y) {
-				return nil, fmt.Errorf("tsio: object %d sample %d: non-finite coordinates (%g, %g)", o, i, x, y)
-			}
 			samples[i] = model.Sample{T: tick, P: geom.Pt(x, y)}
 		}
+		// NewTrajectory refuses non-finite coordinates (the format round-trips
+		// raw IEEE bits, so NaN and ±Inf payloads decode).
 		tr, err := model.NewTrajectory(label, samples)
 		if err != nil {
 			return nil, fmt.Errorf("tsio: object %d: %w", o, err)
@@ -210,27 +208,4 @@ func DecodeBinary(data []byte) (*model.DB, error) {
 		db.Add(tr)
 	}
 	return db, nil
-}
-
-// SaveBinary writes the database to a CTB file.
-func SaveBinary(path string, db *model.DB) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("tsio: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("tsio: close %s: %w", path, cerr)
-		}
-	}()
-	return WriteBinary(f, db)
-}
-
-// LoadBinary reads a database from a CTB file.
-func LoadBinary(path string) (*model.DB, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("tsio: %w", err)
-	}
-	return DecodeBinary(data)
 }

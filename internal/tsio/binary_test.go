@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -156,28 +155,6 @@ func TestDecodeRejectsCountsBeyondInput(t *testing.T) {
 		if db, err := DecodeBinary([]byte(honest)); err != nil || db.SumTrajLen() != 2 {
 			t.Fatalf("honest counts rejected: %v, %v", db, err)
 		}
-	}
-}
-
-func TestBinaryFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "db.ctb")
-	db := sampleDB(t)
-	if err := SaveBinary(path, db); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != db.Len() {
-		t.Errorf("loaded %d objects", back.Len())
-	}
-	if _, err := LoadBinary(filepath.Join(dir, "missing.ctb")); err == nil {
-		t.Error("missing file accepted")
-	}
-	if err := SaveBinary(filepath.Join(dir, "no", "dir.ctb"), db); err == nil {
-		t.Error("unwritable path accepted")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 
 	"repro/internal/model"
@@ -96,28 +95,4 @@ func ReadEdgeCSV(r io.Reader) ([]EdgeRecord, error) {
 		edges = append(edges, EdgeRecord{A: rec[0], B: rec[1], T: model.Tick(t), W: w})
 	}
 	return edges, nil
-}
-
-// SaveEdgeCSV writes the edge records to a file.
-func SaveEdgeCSV(path string, edges []EdgeRecord) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("tsio: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("tsio: close %s: %w", path, cerr)
-		}
-	}()
-	return WriteEdgeCSV(f, edges)
-}
-
-// LoadEdgeCSV reads edge records from a file.
-func LoadEdgeCSV(path string) ([]EdgeRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("tsio: %w", err)
-	}
-	defer f.Close()
-	return ReadEdgeCSV(f)
 }

@@ -2,7 +2,6 @@ package tsio
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,18 +23,6 @@ func TestEdgeCSVRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, edges) {
 		t.Fatalf("round trip = %v, want %v", back, edges)
-	}
-
-	path := filepath.Join(t.TempDir(), "edges.csv")
-	if err := SaveEdgeCSV(path, edges); err != nil {
-		t.Fatal(err)
-	}
-	back, err = LoadEdgeCSV(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, edges) {
-		t.Fatalf("file round trip = %v, want %v", back, edges)
 	}
 }
 

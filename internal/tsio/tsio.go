@@ -15,7 +15,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 
@@ -23,8 +22,10 @@ import (
 	"repro/internal/model"
 )
 
-// finite is the shared coordinate-usability predicate (see geom.Finite);
-// both readers reject non-finite coordinates at parse time.
+// finite is the shared usability predicate (see geom.Finite): the CSV and
+// tick-block readers reject non-finite coordinates, and the edge reader
+// non-finite weights, at parse time. The CTB decoder leaves coordinates to
+// model.NewTrajectory, which refuses them for every reader.
 func finite(f float64) bool { return geom.Finite(f) }
 
 // header is the mandatory first CSV line.
@@ -128,28 +129,4 @@ func ReadCSV(r io.Reader) (*model.DB, error) {
 		db.Add(tr)
 	}
 	return db, nil
-}
-
-// SaveCSV writes the database to a file.
-func SaveCSV(path string, db *model.DB) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("tsio: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("tsio: close %s: %w", path, cerr)
-		}
-	}()
-	return WriteCSV(f, db)
-}
-
-// LoadCSV reads a database from a file.
-func LoadCSV(path string) (*model.DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("tsio: %w", err)
-	}
-	defer f.Close()
-	return ReadCSV(f)
 }

@@ -3,8 +3,6 @@ package tsio
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -111,31 +109,6 @@ func TestReadEmpty(t *testing.T) {
 	db, err = ReadCSV(strings.NewReader("obj,t,x,y\n"))
 	if err != nil || db.Len() != 0 {
 		t.Errorf("header-only input: %v %v", db, err)
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "db.csv")
-	db := sampleDB(t)
-	if err := SaveCSV(path, db); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadCSV(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != db.Len() {
-		t.Errorf("loaded %d objects, want %d", back.Len(), db.Len())
-	}
-	if _, err := LoadCSV(filepath.Join(dir, "missing.csv")); err == nil {
-		t.Error("missing file: no error")
-	}
-	if err := SaveCSV(filepath.Join(dir, "nodir", "x.csv"), db); err == nil {
-		t.Error("unwritable path: no error")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("saved file missing: %v", err)
 	}
 }
 

@@ -47,6 +47,11 @@ type Window struct {
 // when the stride would degenerate. Windows are sorted ascending, jointly
 // cover [lo, hi], and every k consecutive ticks of the domain lie entirely
 // inside at least one window.
+//
+// Each cut past the first mines k−1 ticks twice, so n is first lowered to
+// 1 + span/(k−1): the windows then hold at most twice the span's ticks
+// between them, whatever n asks for. The answer is the same for every n —
+// the merge is exact — so the bound only caps the work.
 func PartitionWindows(lo, hi model.Tick, k int64, n int) []Window {
 	if hi < lo {
 		return nil
@@ -56,6 +61,9 @@ func PartitionWindows(lo, hi model.Tick, k int64, n int) []Window {
 	}
 	span := model.TickSpan(lo, hi)
 	overlap := k - 1
+	if overlap > 0 && int64(n)-1 > span/overlap {
+		n = int(span/overlap) + 1
+	}
 	if n <= 1 || span <= k || span <= overlap+1 {
 		return []Window{{Lo: lo, Hi: hi}}
 	}
@@ -242,7 +250,9 @@ func sortIDs(ids []model.ObjectID) {
 // — and merges the partial convoys into the exact global answer. The
 // answer set is identical for every partition count (the merged ≡
 // single-pass property tests), so like workers this is a performance
-// knob, not a semantic one. n ≤ 1 keeps the ordinary single-pass run.
+// knob, not a semantic one. n ≤ 1 keeps the ordinary single-pass run, and
+// PartitionWindows caps n where more windows would mine more than twice
+// the domain's ticks.
 //
 // Partitioned execution applies to Run with the default (grid-DBSCAN)
 // backend only: Seq streams from a single-pass scan regardless (partial

@@ -62,6 +62,48 @@ func TestPartitionWindowsInvariants(t *testing.T) {
 	}
 }
 
+// TestPartitionWindowsBoundWork: whatever n asks for — up to 10⁸ — the
+// windows mine at most twice the span's ticks between them, and still cover
+// the domain with consecutive windows overlapping by ≥ k−1 ticks, which puts
+// every k consecutive ticks inside one window.
+func TestPartitionWindowsBoundWork(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 2000; trial++ {
+		lo := model.Tick(rng.Intn(1000) - 500)
+		span := int64(1 + rng.Intn(5000))
+		hi := lo + model.Tick(span) - 1
+		k := int64(1 + rng.Intn(200))
+		n := 1 + rng.Intn(1<<uint(rng.Intn(28)))
+		if trial%10 == 0 {
+			n = 100_000_000
+		}
+		ws := PartitionWindows(lo, hi, k, n)
+		if len(ws) == 0 || len(ws) > n {
+			t.Fatalf("[%d,%d] k=%d n=%d: %d windows", lo, hi, k, n, len(ws))
+		}
+		if ws[0].Lo != lo || ws[len(ws)-1].Hi != hi {
+			t.Fatalf("[%d,%d] k=%d n=%d: windows %v do not span the domain", lo, hi, k, n, ws)
+		}
+		var mined int64
+		for i, w := range ws {
+			mined += int64(w.Hi-w.Lo) + 1
+			if i == 0 {
+				continue
+			}
+			prev := ws[i-1]
+			if w.Lo <= prev.Lo || w.Hi <= prev.Hi {
+				t.Fatalf("[%d,%d] k=%d n=%d: windows %d/%d (%v, %v) out of order", lo, hi, k, n, i-1, i, prev, w)
+			}
+			if overlap := int64(prev.Hi-w.Lo) + 1; overlap < k-1 {
+				t.Fatalf("[%d,%d] k=%d n=%d: windows %d/%d overlap %d < k-1", lo, hi, k, n, i-1, i, overlap)
+			}
+		}
+		if mined > 2*span {
+			t.Fatalf("[%d,%d] k=%d n=%d: %d windows mine %d ticks, more than twice the span %d", lo, hi, k, n, len(ws), mined, span)
+		}
+	}
+}
+
 // TestSliceTimeInterpolates pins the interpolation-aware slicing: a window
 // boundary falling inside a sampling gap materializes the virtual location,
 // so the sliced trajectory agrees with the original at every in-window tick.

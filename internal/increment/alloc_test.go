@@ -17,11 +17,11 @@ import (
 // of the stream, a tick that yields clusters allocates at most twice (the
 // cluster list and the one arena its member lists are carved from) and a
 // tick that yields none not at all, and a tick whose clusters repeat the
-// last tick's allocates nothing (repeatedFullPass), on either side of
-// allPairsMax. (Not under -race, whose instrumentation perturbs allocation
-// counts.)
+// last tick's allocates nothing (repeatedFullPass), on bit rows of one word
+// (12) and of two (100, allPairsMax) and on the grid above allPairsMax. (Not
+// under -race, whose instrumentation perturbs allocation counts.)
 func TestFullPassSteadyStateAllocs(t *testing.T) {
-	for _, n := range []int{12, allPairsMax, allPairsMax + 1, 285} {
+	for _, n := range []int{12, 100, allPairsMax, allPairsMax + 1, 285} {
 		const period = 60
 		ids, frames := orbitFrames(n, period, 1)
 		e := New(orbitEps, 3, DefaultChurnThreshold)

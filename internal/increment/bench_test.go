@@ -61,26 +61,38 @@ func orbitWorld(n, period, moveEvery int, extent, eps float64) ([]model.ObjectID
 // incremental pass of a Commute-sized feed where a tenth moved, packed into
 // ≈ 170 units — and churn10-n285-sparse the same in Commute's own 2 000-unit
 // world at e = 10, where a grid sized to the extent would span 40 000 cells.
+// Below allPairsMax, churn10-n31 is the incremental pass of a small feed
+// where a tenth moved, and frozen-n64 a nearly frozen stream: all 64 objects
+// jump together every tenth tick (a rows pass) and sit still in between, so
+// the first incremental tick after each jump reads the neighborhood lists
+// off the rows — the hand-over is priced with the passes it saves.
 func BenchmarkEngineTick(b *testing.B) {
 	for _, bc := range []struct {
 		name         string
-		n, moveEvery int
+		n, moveEvery int     // moveEvery < 0: all move together every −moveEvery ticks
 		extent, eps  float64 // 0: orbitFrames' world
 	}{
 		{"full-n12", 12, 1, 0, 0},
 		{"full-n31", 31, 1, 0, 0},
 		{"full-n64", 64, 1, 0, 0},
 		{"full-n285", 285, 1, 0, 0},
+		{"churn10-n31", 31, 10, 0, 0},
+		{"frozen-n64", 64, -10, 0, 0},
 		{"churn10-n285", 285, 10, 0, 0},
 		{"churn10-n285-sparse", 285, 10, 2000, 10},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			const period = 100
-			ids, frames := orbitFrames(bc.n, period, bc.moveEvery)
+			ids, frames := orbitFrames(bc.n, period, max(bc.moveEvery, 1))
 			eps := orbitEps
 			if bc.extent > 0 {
 				eps = bc.eps
 				ids, frames = orbitWorld(bc.n, period, bc.moveEvery, bc.extent, eps)
+			}
+			if every := -bc.moveEvery; every > 0 {
+				for t := range frames {
+					frames[t] = frames[t-t%every]
+				}
 			}
 			e := New(eps, 3, DefaultChurnThreshold)
 			for _, pts := range frames {
@@ -99,25 +111,30 @@ func BenchmarkEngineTick(b *testing.B) {
 }
 
 // BenchmarkFullPassNeighborhoods is the crossover behind allPairsMax: the
-// two ways a full pass can fill the neighborhoods, timed on the same warm
-// engine over the same moving snapshots at sizes around the constant.
+// two ways a full pass can cluster a snapshot — bit rows, or neighborhood
+// lists from the grid — timed from the points to the cluster ids, short
+// of the tail both share, on the same warm engine over the same moving
+// snapshots at sizes around the constant.
 func BenchmarkFullPassNeighborhoods(b *testing.B) {
-	for _, n := range []int{12, 31, 64, 128, 192, 256, 400} {
+	for _, n := range []int{12, 31, 64, 96, 128, 192, 256, 400} {
 		const period = 100
 		ids, frames := orbitFrames(n, period, 1)
 		e := New(orbitEps, 3, DefaultChurnThreshold)
 		e.Tick(ids, frames[0]) // slots = snapshot indices from here on
 		for _, path := range []struct {
 			name string
-			fill func([]geom.Point)
-		}{{"allpairs", e.allPairs}, {"grid", e.gridPairs}} {
+			pass func([]geom.Point)
+		}{
+			{"rows", func(pts []geom.Point) { e.rowsPass(ids, pts) }},
+			{"grid", func(pts []geom.Point) { e.gridPairs(pts); e.clusterLists() }},
+		} {
 			b.Run(fmt.Sprintf("%s-n%d", path.name, n), func(b *testing.B) {
 				for _, pts := range frames {
-					path.fill(pts)
+					path.pass(pts)
 				}
 				t := 0
 				for b.Loop() {
-					path.fill(frames[t%period])
+					path.pass(frames[t%period])
 					t++
 				}
 			})

@@ -45,6 +45,27 @@ func FuzzIncrementalTicks(f *testing.F) {
 		1, 1, 1,
 		0x80,
 	})
+	// Low-churn ticks right after a rows pass, which read the neighborhood
+	// lists off the bit rows: six objects (one-word rows), then a nudge, a
+	// removal and a clone on incremental ticks; the crowd with two objects
+	// (two-word rows), then a removal right away and a clone; the crowd
+	// alone, then one object appears and another is nudged.
+	f.Add([]byte{
+		6, 0, 0, 10, 10, 0, 1, 12, 10, 0, 2, 14, 10, 0, 3, 30, 30, 0, 4, 31, 30, 0, 5, 50, 50,
+		1, 2, 0, 9,
+		1, 1, 3,
+		1, 3, 4,
+	})
+	f.Add([]byte{
+		0x82, 0, 1, 61, 60, 0, 2, 63, 60,
+		1, 1, 1,
+		1, 3, 2,
+	})
+	f.Add([]byte{
+		0x80,
+		1, 0, 5, 20, 20,
+		1, 2, 5, 40,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const eps, m = 8.0, 2
 		const crowd = allPairsMax - 4

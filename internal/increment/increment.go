@@ -36,9 +36,15 @@
 // pass is one. It therefore allocates nothing at steady state beyond the
 // cluster lists it returns, and nothing at all on a tick whose clusters
 // repeat the last tick's (TestFullPassSteadyStateAllocs), and it picks
-// its neighborhood scan by snapshot size: all pairs up to allPairsMax
-// objects, the grid above. The incremental pass never rebuilds the grid it
-// queries: it inserts, removes and moves the dirty objects only.
+// its representation by snapshot size. Up to allPairsMax objects it tests
+// every pair into bit rows — one ⌈n/64⌉-word adjacency row per object —
+// and clusters word-parallel on them: cores are rows with at least m bits,
+// a component is a flood fill over core bits, its members the OR of its
+// core rows. Above allPairsMax it fills ascending neighborhood lists from
+// the grid and flood-fills those. The incremental pass works on the lists;
+// after a rows pass they are stale until the first incremental tick reads
+// them off the rows, in O(n + edges). It never rebuilds the grid it
+// queries either: it inserts, removes and moves the dirty objects only.
 //
 // An Engine is single-stream state: it is NOT safe for concurrent use.
 // Every Tick answers exactly for the snapshot it is given no matter what
@@ -49,6 +55,7 @@
 package increment
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/geom"
@@ -56,12 +63,20 @@ import (
 	"repro/internal/model"
 )
 
-// allPairsMax is the largest snapshot a full pass clusters without the grid:
-// up to this many objects, testing every pair in slot order costs less than
-// bucketing the points and sorting what the 3×3 cell scans return, and the
-// neighborhoods come out ascending by construction. The two scans break
-// even between 128 and 192 objects (BenchmarkFullPassNeighborhoods: all
-// pairs wins 6× at 12, 2.2× at 64, 1.3× at 128 and loses 1.1× at 192).
+// allPairsMax is the largest snapshot a full pass clusters on bit rows
+// instead of the grid: up to this many objects, testing every pair into
+// rows and flood-filling them a word at a time costs less than bucketing
+// the points, sorting what the 3×3 cell scans return and flood-filling the
+// lists through a queue. BenchmarkFullPassNeighborhoods, from the points
+// to the cluster ids, ns per pass (medians of 3 runs, one core of a 2-core
+// Xeon VM):
+//
+//	objects    12     31     64     96    128    192    256     400
+//	rows      252  1 360  5 079 14 290 26 236 53 116 89 932 215 641
+//	grid    2 723  9 413 17 031 24 675 38 123 58 941 78 702 129 833
+//
+// The rows win 1.5× at 128 and break even near 200; the constant stays at
+// 128, which keeps a row within two words.
 const allPairsMax = 128
 
 // DefaultChurnThreshold is the churn fraction above which an incremental
@@ -104,6 +119,15 @@ type Engine struct {
 	nh     [][]int32 // ε-neighborhood as ascending slots, self included
 	free   []int32
 
+	// The ε-adjacency of a full pass over n ≤ allPairsMax objects as bit
+	// rows (see rowsPass), with the pass's scratch sets. After such a pass
+	// the lists in nh are stale — rowsN is n, 0 while the lists are
+	// current — until the next incremental pass reads them off the rows.
+	rows  []uint64
+	sets  []uint64
+	words int
+	rowsN int
+
 	// Generation stamps replace per-tick clearing of the slot arrays.
 	gen      uint64
 	seen     []uint64 // slot → gen it was last present in (diff phase)
@@ -116,9 +140,9 @@ type Engine struct {
 
 	// idx is the grid over slot space: slot s at pos[s]. While gridOK it
 	// holds exactly the alive slots, and the incremental pass maintains it
-	// (insert, remove, move); a full pass on the grid rebuilds it, and an
-	// all-pairs pass or a Reset leaves it stale until the next incremental
-	// pass rebuilds it.
+	// (insert, remove, move); a full pass on the grid rebuilds it, and a
+	// rows pass or a Reset leaves it stale until the next incremental pass
+	// rebuilds it.
 	idx    *grid.PointIndex
 	gridOK bool
 
@@ -127,19 +151,20 @@ type Engine struct {
 	vanishedSl  []int32 // scratch: slots of vanished objects
 	newNH       []int32 // scratch: recomputed neighborhood
 
-	// Flood-fill scratch, also stamp-based.
+	// List flood-fill scratch, also stamp-based.
 	emitGen   uint64
 	visited   []uint64 // slot → emitGen it was labeled a core in
 	memberTag uint64
 	memberGen []uint64 // slot → memberTag of the component collecting it
 	queue     []int32
 	members   []int32 // member slots of every cluster of the tick, back to back
-	ends      []int   // cluster i is members[ends[i-1]:ends[i]]
 
-	// The tick's cluster lists are built and sorted in scratch (idsBuf,
-	// lists) and compared against last, the lists the engine handed out
-	// most recently: a tick that repeats them hands them out again.
+	// The tick's cluster lists are built and sorted in scratch (idsBuf cut
+	// at ends, lists) and compared against last, the lists the engine
+	// handed out most recently: a tick that repeats them hands them out
+	// again.
 	idsBuf []model.ObjectID
+	ends   []int // cluster i is idsBuf[ends[i-1]:ends[i]]
 	lists  [][]model.ObjectID
 	last   [][]model.ObjectID
 
@@ -163,6 +188,7 @@ func (e *Engine) Reset() {
 	e.started = false
 	e.mapped = false
 	e.gridOK = false
+	e.rowsN = 0
 	e.idOf = e.idOf[:0]
 	e.alive = e.alive[:0]
 	e.pos = e.pos[:0]
@@ -250,6 +276,9 @@ func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectI
 	if float64(dirty) > e.churn*float64(max(n, 1)) {
 		return e.full(ids, pts), Pass{Full: true, Reclustered: n}
 	}
+	if e.rowsN > 0 {
+		e.listsFromRows()
+	}
 
 	// Incremental pass. Phase 1: allocate slots for appeared objects and
 	// stamp every dirty slot, so the patch phases can tell clean neighbors
@@ -291,7 +320,7 @@ func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectI
 		}
 	}
 
-	// Phase 3: a stale grid (the last full pass went all-pairs) is rebuilt
+	// Phase 3: a stale grid (the last full pass was on bit rows) is rebuilt
 	// over the alive slots once; from here on it is maintained.
 	if !e.gridOK {
 		e.indexSlots()
@@ -323,7 +352,8 @@ func (e *Engine) Tick(ids []model.ObjectID, pts []geom.Point) ([][]model.ObjectI
 	}
 	e.incPasses++
 	e.reclustered += int64(dirty)
-	return e.emit(), Pass{Full: false, Reclustered: dirty}
+	e.clusterLists()
+	return e.publish(), Pass{Full: false, Reclustered: dirty}
 }
 
 // cleanInput validates one snapshot: parallel slices, finite coordinates,
@@ -366,16 +396,23 @@ func (e *Engine) cleanInput(ids []model.ObjectID, pts []geom.Point) bool {
 }
 
 // full is a full pass: it rebuilds all state from the snapshot, counts the
-// pass and emits its clusters.
+// pass and emits its clusters, from the rows up to allPairsMax objects and
+// from the lists above.
 func (e *Engine) full(ids []model.ObjectID, pts []geom.Point) [][]model.ObjectID {
 	e.rebuild(ids, pts)
 	e.fullPasses++
 	e.reclustered += int64(len(ids))
-	return e.emit()
+	if len(ids) <= allPairsMax {
+		e.rowsPass(ids, pts)
+	} else {
+		e.gridPairs(pts)
+		e.clusterLists()
+	}
+	return e.publish()
 }
 
-// rebuild recomputes all state from the snapshot (slots become the
-// snapshot indices), reusing every backing array.
+// rebuild resets the slot state to the snapshot (slots become the snapshot
+// indices), reusing every backing array; the caller fills the adjacency.
 func (e *Engine) rebuild(ids []model.ObjectID, pts []geom.Point) {
 	n := len(ids)
 	e.ensureSlots(n)
@@ -394,17 +431,11 @@ func (e *Engine) rebuild(ids []model.ObjectID, pts []geom.Point) {
 		e.snapSlot[i] = s
 		e.aliveSlots = append(e.aliveSlots, s)
 	}
-	if n <= allPairsMax {
-		e.allPairs(pts)
-		e.gridOK = false
-	} else {
-		e.gridPairs(pts)
-	}
 	e.prevIDs = append(e.prevIDs[:0], ids...)
 	e.started = true
 }
 
-// gridPairs fills every neighborhood of a rebuilt snapshot (slot =
+// gridPairs fills every neighborhood list of a rebuilt snapshot (slot =
 // snapshot index) from the grid, rebuilt over the snapshot.
 func (e *Engine) gridPairs(pts []geom.Point) {
 	e.index().Reset(pts)
@@ -412,29 +443,180 @@ func (e *Engine) gridPairs(pts []geom.Point) {
 	for i, p := range pts {
 		e.nh[i] = e.neighborhood(p, e.nh[i][:0])
 	}
+	e.rowsN = 0
 }
 
-// allPairs fills every neighborhood of a rebuilt snapshot (slot = snapshot
-// index) by testing each pair once with the grid's predicate. Slot i's list
-// receives the slots below i while they are the outer loop, then i itself,
-// then the slots above it: ascending without a sort. Self passes the same
-// test, so a non-finite point is in no neighborhood, not even its own.
-func (e *Engine) allPairs(pts []geom.Point) {
-	eps2 := e.eps * e.eps
-	for i := range pts {
-		e.nh[i] = e.nh[i][:0]
+// rowsPass clusters a rebuilt snapshot (slot = snapshot index) on bit
+// rows, one per object, into idsBuf and ends: rows holds n rows of
+// words = ⌈n/64⌉ words, bit q%64 of row s's word q/64 set when q is in s's
+// neighborhood. Up to 64 objects a row is one word, and the pass keeps its
+// sets in registers (fillWord, clusterWord); above, they are rows too
+// (fillRows, clusterRows). The grid and the lists are stale afterwards.
+func (e *Engine) rowsPass(ids []model.ObjectID, pts []geom.Point) {
+	n := len(ids)
+	e.words = (n + 63) >> 6
+	e.rows = growTo(e.rows, n*e.words)
+	clear(e.rows)
+	buf, ends := e.idsBuf[:0], e.ends[:0]
+	if e.words <= 1 {
+		fillWord(e.rows, pts, e.eps)
+		buf, ends = clusterWord(e.rows, ids, e.m, buf, ends)
+	} else {
+		fillRows(e.rows, e.words, pts, e.eps)
+		e.sets = growTo(e.sets, 4*e.words)
+		buf, ends = clusterRows(e.rows, e.words, e.sets, ids, e.m, buf, ends)
 	}
+	e.idsBuf, e.ends = buf, ends
+	e.gridOK = false
+	e.rowsN = n
+}
+
+// fillWord fills the one-word rows of n ≤ 64 objects by testing each pair
+// once with the grid's predicate. Self passes the same test, so a
+// non-finite point is in no neighborhood, not even its own. (An index is
+// below 64, so masking a shift by 63 changes nothing but spares it the
+// check for an overlong shift.)
+func fillWord(rows []uint64, pts []geom.Point, eps float64) {
+	eps2 := eps * eps
+	rows = rows[:len(pts)]
 	for i, p := range pts {
+		acc := rows[i] // the bits below i, set while they were the outer loop
 		if geom.D2(p, p) <= eps2 {
-			e.nh[i] = append(e.nh[i], int32(i))
+			acc |= 1 << (i & 63)
 		}
 		for j := i + 1; j < len(pts); j++ {
 			if geom.D2(p, pts[j]) <= eps2 {
-				e.nh[i] = append(e.nh[i], int32(j))
-				e.nh[j] = append(e.nh[j], int32(i))
+				acc |= 1 << (j & 63)
+				rows[j] |= 1 << (i & 63)
+			}
+		}
+		rows[i] = acc
+	}
+}
+
+// clusterWord appends the clusters of n ≤ 64 objects, read off their
+// one-word rows, to buf (the member ids back to back) and ends (where each
+// cluster stops). A core is a row with at least m bits. Each component
+// grows from its lowest unclaimed core: the members gain the rows of the
+// cores reached last round (front), and the next front is the member bits
+// that are unclaimed cores. The members are read off in slot order — the
+// snapshot's — so their ids need a sort only when the snapshot's ids are
+// not ascending.
+func clusterWord(rows []uint64, ids []model.ObjectID, m int, buf []model.ObjectID, ends []int) ([]model.ObjectID, []int) {
+	var core, done uint64
+	for s, r := range rows {
+		if bits.OnesCount64(r) >= m {
+			core |= 1 << s
+		}
+	}
+	asc := slices.IsSorted(ids)
+	for seeds := core; seeds != 0; seeds = core &^ done {
+		front := seeds & -seeds
+		done |= front
+		members := front
+		for front != 0 {
+			for f := front; f != 0; f &= f - 1 {
+				members |= rows[bits.TrailingZeros64(f)]
+			}
+			front = members & core &^ done
+			done |= front
+		}
+		lo := len(buf)
+		for x := members; x != 0; x &= x - 1 {
+			buf = append(buf, ids[bits.TrailingZeros64(x)])
+		}
+		if !asc {
+			slices.Sort(buf[lo:])
+		}
+		ends = append(ends, len(buf))
+	}
+	return buf, ends
+}
+
+// fillRows is fillWord over rows of w words.
+func fillRows(rows []uint64, w int, pts []geom.Point, eps float64) {
+	eps2 := eps * eps
+	for i, p := range pts {
+		ri := rows[i*w : i*w+w]
+		if geom.D2(p, p) <= eps2 {
+			ri[i>>6] |= 1 << (i & 63)
+		}
+		for j := i + 1; j < len(pts); j++ {
+			if geom.D2(p, pts[j]) <= eps2 {
+				ri[j>>6] |= 1 << (j & 63)
+				rows[j*w+i>>6] |= 1 << (i & 63)
 			}
 		}
 	}
+}
+
+// clusterRows is clusterWord over rows of w words; sets is its scratch, four
+// more rows (core, done, front, members).
+func clusterRows(rows []uint64, w int, sets []uint64, ids []model.ObjectID, m int, buf []model.ObjectID, ends []int) ([]model.ObjectID, []int) {
+	core, done, front, members := sets[:w], sets[w:2*w], sets[2*w:3*w], sets[3*w:4*w]
+	clear(core)
+	clear(done)
+	for s := range ids {
+		c := 0
+		for _, x := range rows[s*w : s*w+w] {
+			c += bits.OnesCount64(x)
+		}
+		if c >= m {
+			core[s>>6] |= 1 << (s & 63)
+		}
+	}
+	asc := slices.IsSorted(ids)
+	for k := range core {
+		for seeds := core[k] &^ done[k]; seeds != 0; seeds = core[k] &^ done[k] {
+			clear(front)
+			front[k] = seeds & -seeds
+			done[k] |= front[k]
+			copy(members, front)
+			for grown := true; grown; {
+				for fk, f := range front {
+					for ; f != 0; f &= f - 1 {
+						c := fk<<6 | bits.TrailingZeros64(f)
+						for j, x := range rows[c*w : c*w+w] {
+							members[j] |= x
+						}
+					}
+				}
+				grown = false
+				for j := range front {
+					front[j] = members[j] & core[j] &^ done[j]
+					done[j] |= front[j]
+					grown = grown || front[j] != 0
+				}
+			}
+			lo := len(buf)
+			for j, x := range members {
+				for ; x != 0; x &= x - 1 {
+					buf = append(buf, ids[j<<6|bits.TrailingZeros64(x)])
+				}
+			}
+			if !asc {
+				slices.Sort(buf[lo:])
+			}
+			ends = append(ends, len(buf))
+		}
+	}
+	return buf, ends
+}
+
+// listsFromRows brings the neighborhood lists up to date with the rows of
+// the last full pass, over slots 0..rowsN-1: ascending by construction.
+func (e *Engine) listsFromRows() {
+	w := e.words
+	for s := range e.rowsN {
+		l := e.nh[s][:0]
+		for j, x := range e.rows[s*w : s*w+w] {
+			for ; x != 0; x &= x - 1 {
+				l = append(l, int32(j<<6|bits.TrailingZeros64(x)))
+			}
+		}
+		e.nh[s] = l
+	}
+	e.rowsN = 0
 }
 
 // mapSlots brings slotOf up to date with the alive slots. A full pass leaves
@@ -550,16 +732,11 @@ func (e *Engine) recompute(s int32, g uint64) {
 	e.newNH = newNH
 }
 
-// emit flood-fills the maintained adjacency into maximal clusters: one
-// cluster per core component, holding its cores plus every border in a
-// core's neighborhood (borders may belong to several clusters). Member lists come out as ascending ids; the
-// cluster list is ordered by ascending member list. The lists are built in
-// scratch; when they equal the ones handed out last, those are handed out
-// again (nothing is allocated), and otherwise they are copied into one
-// fresh arena. Either way a returned list is never written afterwards: a
-// parallel scan hands them to its consumer long after the engine has moved
-// on, and a Monitor keeps them.
-func (e *Engine) emit() [][]model.ObjectID {
+// clusterLists flood-fills the neighborhood lists into maximal clusters in
+// idsBuf and ends: one cluster per core component, holding its cores plus
+// every border in a core's neighborhood (borders may belong to several
+// clusters), each an ascending id list.
+func (e *Engine) clusterLists() {
 	e.emitGen++
 	eg := e.emitGen
 	members, ends := e.members[:0], e.ends[:0]
@@ -594,28 +771,41 @@ func (e *Engine) emit() [][]model.ObjectID {
 		e.queue = queue
 		ends = append(ends, len(members))
 	}
-	e.members, e.ends = members, ends
-	if len(ends) == 0 {
-		return nil
-	}
 	buf := growTo(e.idsBuf, len(members))
-	lists := e.lists[:0]
 	lo := 0
 	for _, hi := range ends {
-		ids := buf[lo:hi:hi]
+		ids := buf[lo:hi]
 		for i, sl := range members[lo:hi] {
 			ids[i] = e.idOf[sl]
 		}
 		slices.Sort(ids)
-		lists = append(lists, ids)
+		lo = hi
+	}
+	e.members, e.idsBuf, e.ends = members, buf, ends
+}
+
+// publish hands out the tick's clusters, cut from idsBuf at ends, with the
+// cluster list ordered by ascending member list. When they equal the lists
+// handed out last, those are handed out again (nothing is allocated), and
+// otherwise they are copied into one fresh arena. Either way a returned
+// list is never written afterwards: a parallel scan hands them to its
+// consumer long after the engine has moved on, and a Monitor keeps them.
+func (e *Engine) publish() [][]model.ObjectID {
+	if len(e.ends) == 0 {
+		return nil
+	}
+	lists := e.lists[:0]
+	lo := 0
+	for _, hi := range e.ends {
+		lists = append(lists, e.idsBuf[lo:hi:hi])
 		lo = hi
 	}
 	slices.SortFunc(lists, slices.Compare[[]model.ObjectID])
-	e.idsBuf, e.lists = buf, lists
+	e.lists = lists
 	if slices.EqualFunc(lists, e.last, slices.Equal[[]model.ObjectID]) {
 		return e.last
 	}
-	arena := make([]model.ObjectID, len(members))
+	arena := make([]model.ObjectID, lo)
 	out := make([][]model.ObjectID, len(lists))
 	lo = 0
 	for ci, ids := range lists {

@@ -300,6 +300,59 @@ func TestFullPassMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestRowsPassMatchesOracle holds the bit-rows full pass to the oracle at
+// the word boundaries — 0, 1, 63, 64, 65, 127 and 128 objects — on integer
+// coordinates, so coincident points and pairs exactly e apart occur, with
+// ids ascending and shuffled, a sprinkle of NaN and ±Inf, and m = 1…4. Each
+// snapshot is then ticked again with one object moved: an incremental pass
+// (unless the snapshot was degenerate) that patches the neighborhood lists
+// read off the rows.
+func TestRowsPassMatchesOracle(t *testing.T) {
+	const eps = 2.0
+	r := rand.New(rand.NewSource(45))
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128} {
+		side := 2 + int(math.Sqrt(float64(n)))*2
+		for iter := 0; iter < 24; iter++ {
+			ids := make([]model.ObjectID, n)
+			pts := make([]geom.Point, n)
+			perm := r.Perm(n)
+			clean := true
+			for i := range pts {
+				ids[i] = 5 * i
+				if iter%2 == 1 {
+					ids[i] = 5 * perm[i]
+				}
+				pts[i] = geom.Pt(float64(r.Intn(side)), float64(r.Intn(side)))
+				switch k := r.Intn(12); {
+				case i > 0 && k == 0: // coincident
+					pts[i] = pts[r.Intn(i)]
+				case i > 0 && k == 1: // exactly e away
+					q := pts[r.Intn(i)]
+					pts[i] = geom.Pt(q.X+eps, q.Y)
+				case iter%4 == 3 && k == 2:
+					pts[i] = [...]geom.Point{geom.Pt(nan, 0), geom.Pt(inf, 1), geom.Pt(2, -inf)}[r.Intn(3)]
+					clean = false
+				}
+			}
+			m := 1 + r.Intn(4)
+			e := New(eps, m, DefaultChurnThreshold)
+			if p := checkTick(t, e, ids, pts, eps, m, iter); !p.Full {
+				t.Fatalf("n=%d: a fresh engine's tick was incremental", n)
+			}
+			if n == 0 {
+				continue
+			}
+			moved := append([]geom.Point(nil), pts...)
+			i := r.Intn(n)
+			moved[i] = geom.Pt(moved[i].X+1, moved[i].Y)
+			if p := checkTick(t, e, ids, moved, eps, m, iter); clean && n >= 4 && p.Full {
+				t.Fatalf("n=%d: one object moved after a clean tick, yet the pass was full", n)
+			}
+		}
+	}
+}
+
 // TestEngineCountersProveReuse pins the acceptance claim behind the bench:
 // on a low-churn stream the engine must actually skip work, not merely run.
 func TestEngineCountersProveReuse(t *testing.T) {

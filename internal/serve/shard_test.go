@@ -80,6 +80,25 @@ func TestShardedEqualsSingleNode(t *testing.T) {
 	}
 }
 
+// TestQueryPartitionsBounded: the partitions field cannot multiply a
+// query's work. Asked for 10⁸ partitions of the fixture's 10 ticks at k = 5,
+// the run mines at most 1 + 10/(k−1) = 3 windows — twice the span's ticks
+// at most — and answers what the single pass answers. (Two servers: the
+// cache key leaves the partition count out.)
+func TestQueryPartitionsBounded(t *testing.T) {
+	csv := fixtureCSV(t)
+	_, plain := newTestServer(t, Config{})
+	_, parted := newTestServer(t, Config{})
+	want := postQuery(t, plain.URL+"/v1/query?m=2&k=5&e=1&algo=cuts", csv, http.StatusOK)
+	got := postQuery(t, parted.URL+"/v1/query?m=2&k=5&e=1&algo=cuts&partitions=100000000", csv, http.StatusOK)
+	if !reflect.DeepEqual(got.Convoys, want.Convoys) {
+		t.Fatalf("partitions=10⁸ convoys = %+v, want %+v", got.Convoys, want.Convoys)
+	}
+	if got.Stats == nil || got.Stats.NumPartitions < 2 || got.Stats.NumPartitions > 3 {
+		t.Fatalf("partitions=10⁸ ran as %+v, want 2 or 3 windows", got.Stats)
+	}
+}
+
 // TestShardedStampede proves a burst of identical coordinator queries is
 // deduplicated before the fan-out: N concurrent clients cost one shard RPC
 // per shard, not N.

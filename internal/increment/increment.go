@@ -71,11 +71,11 @@ import (
 // to the cluster ids, ns per pass (medians of 3 runs, one core of a 2-core
 // Xeon VM):
 //
-//	objects    12     31     64     96    128    192    256     400
-//	rows      252  1 360  5 079 14 290 26 236 53 116 89 932 215 641
-//	grid    2 723  9 413 17 031 24 675 38 123 58 941 78 702 129 833
+//	objects    12      31     64     96    128    192    256     400
+//	rows      225   1 219  6 068 15 744 25 143 50 965 87 651 213 390
+//	grid    2 928  10 870 19 875 26 835 36 161 58 952 74 756 128 495
 //
-// The rows win 1.5× at 128 and break even near 200; the constant stays at
+// The rows win 1.4× at 128 and break even near 200; the constant stays at
 // 128, which keeps a row within two words.
 const allPairsMax = 128
 
@@ -449,9 +449,11 @@ func (e *Engine) gridPairs(pts []geom.Point) {
 // rowsPass clusters a rebuilt snapshot (slot = snapshot index) on bit
 // rows, one per object, into idsBuf and ends: rows holds n rows of
 // words = ⌈n/64⌉ words, bit q%64 of row s's word q/64 set when q is in s's
-// neighborhood. Up to 64 objects a row is one word, and the pass keeps its
-// sets in registers (fillWord, clusterWord); above, they are rows too
-// (fillRows, clusterRows). The grid and the lists are stale afterwards.
+// neighborhood. Up to 64 objects a row is one word, and fillWord and
+// clusterWord take the two steps with the row being built and the sets in
+// registers: through fillRows and clusterRows instead, truck-cmc's ladder
+// cpu_ns_per_point_tick rose 10 % (10 alternated pairs, 9 of them slower,
+// 2-core Xeon VM). The grid and the lists are stale afterwards.
 func (e *Engine) rowsPass(ids []model.ObjectID, pts []geom.Point) {
 	n := len(ids)
 	e.words = (n + 63) >> 6
@@ -463,19 +465,94 @@ func (e *Engine) rowsPass(ids []model.ObjectID, pts []geom.Point) {
 		buf, ends = clusterWord(e.rows, ids, e.m, buf, ends)
 	} else {
 		fillRows(e.rows, e.words, pts, e.eps)
-		e.sets = growTo(e.sets, 4*e.words)
-		buf, ends = clusterRows(e.rows, e.words, e.sets, ids, e.m, buf, ends)
+		e.sets = growTo(e.sets, 3*e.words)
+		buf, ends = clusterRows(e.rows, e.sets, ids, e.m, buf, ends)
 	}
 	e.idsBuf, e.ends = buf, ends
 	e.gridOK = false
 	e.rowsN = n
 }
 
-// fillWord fills the one-word rows of n ≤ 64 objects by testing each pair
-// once with the grid's predicate. Self passes the same test, so a
-// non-finite point is in no neighborhood, not even its own. (An index is
-// below 64, so masking a shift by 63 changes nothing but spares it the
-// check for an overlong shift.)
+// fillRows fills the rows of w words by testing each pair once with the
+// grid's predicate. Self passes the same test, so a non-finite point is in
+// no neighborhood, not even its own.
+func fillRows(rows []uint64, w int, pts []geom.Point, eps float64) {
+	eps2 := eps * eps
+	for i, p := range pts {
+		col, bit := i>>6, uint64(1)<<(i&63)
+		ri := rows[i*w : i*w+w]
+		if geom.D2(p, p) <= eps2 {
+			ri[col] |= bit
+		}
+		for j := i + 1; j < len(pts); j++ {
+			if geom.D2(p, pts[j]) <= eps2 {
+				ri[j>>6] |= 1 << (j & 63)
+				rows[j*w+col] |= bit
+			}
+		}
+	}
+}
+
+// clusterRows appends the clusters read off rows of w = len(sets)/3 words
+// to buf (the member ids back to back) and ends (where each cluster stops);
+// sets is its scratch, three more rows (core, done, members). A core is a
+// row with at least m bits. Each component grows from its lowest unclaimed
+// core: while the members hold a core not yet expanded, they gain its row.
+// The members are read off in slot order — the snapshot's — so their ids
+// need a sort only when the snapshot's ids are not ascending.
+func clusterRows(rows, sets []uint64, ids []model.ObjectID, m int, buf []model.ObjectID, ends []int) ([]model.ObjectID, []int) {
+	w := len(sets) / 3
+	core, done, members := sets[:w], sets[w:2*w], sets[2*w:]
+	clear(sets)
+	for s := range ids {
+		c := 0
+		for _, x := range rows[s*w : s*w+w] {
+			c += bits.OnesCount64(x)
+		}
+		if c >= m {
+			core[s>>6] |= 1 << (s & 63)
+		}
+	}
+	asc := slices.IsSorted(ids)
+	for k := range core {
+		for seeds := core[k] &^ done[k]; seeds != 0; seeds = core[k] &^ done[k] {
+			members[k] = seeds & -seeds
+			for c := k<<6 | bits.TrailingZeros64(seeds); c >= 0; c = unexpanded(members, core, done) {
+				done[c>>6] |= 1 << (c & 63)
+				for j, x := range rows[c*w : c*w+w] {
+					members[j] |= x
+				}
+			}
+			lo := len(buf)
+			for j, x := range members {
+				for ; x != 0; x &= x - 1 {
+					buf = append(buf, ids[j<<6|bits.TrailingZeros64(x)])
+				}
+				members[j] = 0
+			}
+			if !asc {
+				slices.Sort(buf[lo:])
+			}
+			ends = append(ends, len(buf))
+		}
+	}
+	return buf, ends
+}
+
+// unexpanded returns the lowest slot in members that is a core not yet
+// done, or -1.
+func unexpanded(members, core, done []uint64) int {
+	for j, x := range members {
+		if x &= core[j] &^ done[j]; x != 0 {
+			return j<<6 | bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// fillWord is fillRows over one-word rows (n ≤ 64), with row i built in a
+// register. (An index is below 64, so masking a shift by 63 changes nothing
+// but spares it the check for an overlong shift.)
 func fillWord(rows []uint64, pts []geom.Point, eps float64) {
 	eps2 := eps * eps
 	rows = rows[:len(pts)]
@@ -494,14 +571,8 @@ func fillWord(rows []uint64, pts []geom.Point, eps float64) {
 	}
 }
 
-// clusterWord appends the clusters of n ≤ 64 objects, read off their
-// one-word rows, to buf (the member ids back to back) and ends (where each
-// cluster stops). A core is a row with at least m bits. Each component
-// grows from its lowest unclaimed core: the members gain the rows of the
-// cores reached last round (front), and the next front is the member bits
-// that are unclaimed cores. The members are read off in slot order — the
-// snapshot's — so their ids need a sort only when the snapshot's ids are
-// not ascending.
+// clusterWord is clusterRows over one-word rows (n ≤ 64), with its sets in
+// registers.
 func clusterWord(rows []uint64, ids []model.ObjectID, m int, buf []model.ObjectID, ends []int) ([]model.ObjectID, []int) {
 	var core, done uint64
 	for s, r := range rows {
@@ -511,15 +582,11 @@ func clusterWord(rows []uint64, ids []model.ObjectID, m int, buf []model.ObjectI
 	}
 	asc := slices.IsSorted(ids)
 	for seeds := core; seeds != 0; seeds = core &^ done {
-		front := seeds & -seeds
-		done |= front
-		members := front
-		for front != 0 {
-			for f := front; f != 0; f &= f - 1 {
-				members |= rows[bits.TrailingZeros64(f)]
-			}
-			front = members & core &^ done
-			done |= front
+		members := seeds & -seeds
+		for x := members; x != 0; x = members & core &^ done {
+			c := bits.TrailingZeros64(x)
+			done |= 1 << c
+			members |= rows[c]
 		}
 		lo := len(buf)
 		for x := members; x != 0; x &= x - 1 {
@@ -529,76 +596,6 @@ func clusterWord(rows []uint64, ids []model.ObjectID, m int, buf []model.ObjectI
 			slices.Sort(buf[lo:])
 		}
 		ends = append(ends, len(buf))
-	}
-	return buf, ends
-}
-
-// fillRows is fillWord over rows of w words.
-func fillRows(rows []uint64, w int, pts []geom.Point, eps float64) {
-	eps2 := eps * eps
-	for i, p := range pts {
-		ri := rows[i*w : i*w+w]
-		if geom.D2(p, p) <= eps2 {
-			ri[i>>6] |= 1 << (i & 63)
-		}
-		for j := i + 1; j < len(pts); j++ {
-			if geom.D2(p, pts[j]) <= eps2 {
-				ri[j>>6] |= 1 << (j & 63)
-				rows[j*w+i>>6] |= 1 << (i & 63)
-			}
-		}
-	}
-}
-
-// clusterRows is clusterWord over rows of w words; sets is its scratch, four
-// more rows (core, done, front, members).
-func clusterRows(rows []uint64, w int, sets []uint64, ids []model.ObjectID, m int, buf []model.ObjectID, ends []int) ([]model.ObjectID, []int) {
-	core, done, front, members := sets[:w], sets[w:2*w], sets[2*w:3*w], sets[3*w:4*w]
-	clear(core)
-	clear(done)
-	for s := range ids {
-		c := 0
-		for _, x := range rows[s*w : s*w+w] {
-			c += bits.OnesCount64(x)
-		}
-		if c >= m {
-			core[s>>6] |= 1 << (s & 63)
-		}
-	}
-	asc := slices.IsSorted(ids)
-	for k := range core {
-		for seeds := core[k] &^ done[k]; seeds != 0; seeds = core[k] &^ done[k] {
-			clear(front)
-			front[k] = seeds & -seeds
-			done[k] |= front[k]
-			copy(members, front)
-			for grown := true; grown; {
-				for fk, f := range front {
-					for ; f != 0; f &= f - 1 {
-						c := fk<<6 | bits.TrailingZeros64(f)
-						for j, x := range rows[c*w : c*w+w] {
-							members[j] |= x
-						}
-					}
-				}
-				grown = false
-				for j := range front {
-					front[j] = members[j] & core[j] &^ done[j]
-					done[j] |= front[j]
-					grown = grown || front[j] != 0
-				}
-			}
-			lo := len(buf)
-			for j, x := range members {
-				for ; x != 0; x &= x - 1 {
-					buf = append(buf, ids[j<<6|bits.TrailingZeros64(x)])
-				}
-			}
-			if !asc {
-				slices.Sort(buf[lo:])
-			}
-			ends = append(ends, len(buf))
-		}
 	}
 	return buf, ends
 }

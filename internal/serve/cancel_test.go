@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -184,6 +185,55 @@ func TestDedupStampedeSharesOneRun(t *testing.T) {
 	}
 	if miss != 1 || dedup != clients-1 {
 		t.Fatalf("got %d miss / %d dedup, want 1 / %d", miss, dedup, clients-1)
+	}
+}
+
+// A joiner waited for the shared run, so it reports that run's statistics;
+// only a later cache hit, which waited for nothing, reports none.
+func TestDedupJoinerKeepsRunStats(t *testing.T) {
+	e, started, gate := gatedEngine(t, Config{})
+	data := fixtureCSV(t)
+	q := QueryRequest{QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 5, Eps: 1}, Algo: "cuts"}}
+
+	var responses [2]QueryResponse
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range responses {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			responses[i], errs[i] = e.run(context.Background(), data, q)
+		}()
+	}
+	<-started
+	for {
+		e.fmu.Lock()
+		var waiting int
+		for _, f := range e.flights {
+			waiting = f.refs
+		}
+		e.fmu.Unlock()
+		if waiting == len(responses) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+	for i, r := range responses {
+		if errs[i] != nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
+		if r.Stats == nil || !reflect.DeepEqual(r.Stats, responses[0].Stats) {
+			t.Fatalf("client %d (%s): stats %+v, want the shared run's %+v", i, r.Cache, r.Stats, responses[0].Stats)
+		}
+	}
+	if responses[0].Cache == responses[1].Cache {
+		t.Fatalf("cache states %q and %q, want one miss and one dedup", responses[0].Cache, responses[1].Cache)
+	}
+	hit, err := e.run(context.Background(), data, q)
+	if err != nil || hit.Cache != "hit" || hit.Stats != nil {
+		t.Fatalf("repeat query = cache %q, stats %+v, err %v; want a hit without stats", hit.Cache, hit.Stats, err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -543,6 +544,31 @@ func postQuery(t *testing.T, url string, body []byte, wantStatus int) QueryRespo
 		t.Fatalf("decode %q: %v", data, err)
 	}
 	return out
+}
+
+// TestCacheHitCarriesNoStats: a cache hit runs nothing, so it reports no
+// run statistics — not those of the run that filled the entry. The cache
+// key leaves the partition count out, so a query for 10⁸ partitions after a
+// plain one is a hit; it must not claim the plain run's partitions.
+func TestCacheHitCarriesNoStats(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	csv := fixtureCSV(t)
+	url := ts.URL + "/v1/query?m=2&k=5&e=1&algo=cuts"
+
+	first := postQuery(t, url, csv, http.StatusOK)
+	if first.Cache != "miss" || first.Stats == nil {
+		t.Fatalf("first query = cache %q, stats %+v", first.Cache, first.Stats)
+	}
+	hit := postQuery(t, url+"&partitions=100000000", csv, http.StatusOK)
+	if hit.Cache != "hit" {
+		t.Fatalf("second query cache = %q, want hit", hit.Cache)
+	}
+	if hit.Stats != nil {
+		t.Fatalf("a cache hit reports stats %+v: the run that filled the entry, not this request", hit.Stats)
+	}
+	if hit.ElapsedMS != 0 || !reflect.DeepEqual(hit.Convoys, first.Convoys) {
+		t.Fatalf("hit = %+v, want the first answer with elapsed_ms 0", hit)
+	}
 }
 
 func TestQueryUploadCacheAndAlgorithms(t *testing.T) {

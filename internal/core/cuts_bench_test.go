@@ -48,8 +48,12 @@ func BenchmarkComputeDelta(b *testing.B) {
 // BenchmarkFilter prices the filter step alone — partition sweep,
 // TRAJ-DBSCAN, candidate chaining — on prepared CuTS* inputs: Truck is many
 // short partitions with a dozen polylines alive, Cattle few long ones with
-// the whole herd alive.
+// the whole herd alive, and Car and Taxi at full scale as AllProfiles(1, 1)
+// draws them, each at its profile's own m, k and e: up to 83 polylines a
+// partition on Car, and on Taxi the largest partitions of all, up to 463.
 func BenchmarkFilter(b *testing.B) {
+	profiles := datagen.AllProfiles(1, 1)
+	car, taxi := profiles[2], profiles[3]
 	for _, bc := range []struct {
 		name string
 		db   *model.DB
@@ -57,6 +61,8 @@ func BenchmarkFilter(b *testing.B) {
 	}{
 		{"truck", datagen.Truck(1, 1).Generate(), truckParams},
 		{"cattle", datagen.Cattle(0.15, 101).Generate(), cattleParams},
+		{"car", car.Generate(), Params{M: car.M, K: car.K, Eps: car.Eps}},
+		{"taxi", taxi.Generate(), Params{M: taxi.M, K: taxi.K, Eps: taxi.Eps}},
 	} {
 		sts, fc := cutsStarInputs(bc.db, bc.p)
 		b.Run(bc.name, func(b *testing.B) {

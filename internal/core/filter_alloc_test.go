@@ -14,7 +14,7 @@ import (
 // partition yields no cluster (fewer than m polylines alive, or none of them
 // close), and the two allocations of the cluster lists it hands on — their
 // arena and the list of lists — when it does. The cursor, the polylines,
-// the clipped segments, the rect index and the neighbor lists are all reset,
+// the clipped segments, the sweep order and the neighbor lists are all reset,
 // not rebuilt. Truck under CuTS*: 3 492 partitions, about a dozen polylines
 // alive in each. (Not under -race, whose instrumentation perturbs allocation
 // counts.)

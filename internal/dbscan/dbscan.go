@@ -92,29 +92,3 @@ func ClusterBrute(pts []geom.Point, eps float64, minPts int) []int {
 		return buf
 	})
 }
-
-// NumClusters returns the number of distinct non-noise labels.
-func NumClusters(labels []int) int {
-	max := -1
-	for _, l := range labels {
-		if l > max {
-			max = l
-		}
-	}
-	return max + 1
-}
-
-// GroupsByLabel partitions item indices by cluster label, dropping noise.
-// The outer slice is indexed by cluster id; inner slices preserve index
-// order (ascending).
-func GroupsByLabel(labels []int) [][]int {
-	n := NumClusters(labels)
-	groups := make([][]int, n)
-	for i, l := range labels {
-		if l == Noise {
-			continue
-		}
-		groups[l] = append(groups[l], i)
-	}
-	return groups
-}

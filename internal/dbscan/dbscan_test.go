@@ -7,6 +7,27 @@ import (
 	"repro/internal/geom"
 )
 
+// numClusters returns the number of distinct non-noise labels.
+func numClusters(labels []int) int {
+	n := 0
+	for _, l := range labels {
+		n = max(n, l+1)
+	}
+	return n
+}
+
+// groupsByLabel partitions item indices by cluster label, dropping noise.
+// The outer slice is indexed by cluster id; inner slices are ascending.
+func groupsByLabel(labels []int) [][]int {
+	groups := make([][]int, numClusters(labels))
+	for i, l := range labels {
+		if l != Noise {
+			groups[l] = append(groups[l], i)
+		}
+	}
+	return groups
+}
+
 func TestClusterTwoBlobsAndNoise(t *testing.T) {
 	pts := []geom.Point{
 		// Blob A around (0,0).
@@ -17,8 +38,8 @@ func TestClusterTwoBlobsAndNoise(t *testing.T) {
 		geom.Pt(50, 50),
 	}
 	labels := Cluster(pts, 1.0, 3)
-	if n := NumClusters(labels); n != 2 {
-		t.Fatalf("NumClusters = %d, want 2 (labels %v)", n, labels)
+	if n := numClusters(labels); n != 2 {
+		t.Fatalf("numClusters = %d, want 2 (labels %v)", n, labels)
 	}
 	if labels[0] != labels[1] || labels[1] != labels[2] || labels[2] != labels[3] {
 		t.Errorf("blob A split: %v", labels)
@@ -113,23 +134,6 @@ func TestBorderPointJoinsLowestCluster(t *testing.T) {
 	}
 	if labels[3] == labels[0] {
 		t.Errorf("cores merged unexpectedly: %v", labels)
-	}
-}
-
-func TestGroupsByLabel(t *testing.T) {
-	labels := []int{0, Noise, 1, 0, 1, Noise}
-	groups := GroupsByLabel(labels)
-	if len(groups) != 2 {
-		t.Fatalf("groups = %v", groups)
-	}
-	if len(groups[0]) != 2 || groups[0][0] != 0 || groups[0][1] != 3 {
-		t.Errorf("group 0 = %v", groups[0])
-	}
-	if len(groups[1]) != 2 || groups[1][0] != 2 || groups[1][1] != 4 {
-		t.Errorf("group 1 = %v", groups[1])
-	}
-	if n := NumClusters([]int{Noise, Noise}); n != 0 {
-		t.Errorf("NumClusters all-noise = %d", n)
 	}
 }
 

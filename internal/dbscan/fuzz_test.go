@@ -1,6 +1,7 @@
 package dbscan
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -50,6 +51,18 @@ func fuzzPolyline(id model.ObjectID, next func() byte) Polyline {
 	return NewPolyline(id, segs)
 }
 
+// byteReader returns the bytes of data one call at a time, then zeros.
+func byteReader(data []byte) func() byte {
+	return func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+}
+
 // FuzzPolylineWithin: the filter's neighborhood predicate is symmetric and
 // is the brute-force one — some pair of time-overlapping segments passes
 // dist ≤ e + δ + δ — under both bounds and both tolerance modes.
@@ -66,14 +79,7 @@ func FuzzPolylineWithin(f *testing.F) {
 	// Global tolerance, D* bound, two samples exactly e + 2δ apart.
 	f.Add([]byte{3, 8, 4, 0, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return b
-		}
+		next := byteReader(data)
 		head := next()
 		p := PolylineDistanceParams{
 			Eps:         float64(next()) / 8,
@@ -88,6 +94,52 @@ func FuzzPolylineWithin(f *testing.F) {
 		}
 		if want := bruteWithin(&a, &b, &p); ab != want {
 			t.Fatalf("withinBound = %v, brute force = %v\na = %+v\nb = %+v\n%+v", ab, want, a.Segs, b.Segs, p)
+		}
+	})
+}
+
+// FuzzPolylineAdjacency: the clusterer's x sweep finds exactly the
+// brute-force neighborhood graph of up to eight lattice polylines — so MinX
+// ties and pairs exactly at the bound are common — and its components are
+// ClusterComponents of that graph, under both bounds, both tolerance modes
+// and box pruning on or off.
+func FuzzPolylineAdjacency(f *testing.F) {
+	f.Add([]byte{})
+	// Three one-segment polylines whose boxes all start at x = 0, stacked
+	// 1 = e apart in y: a three-way MinX tie, and two pairs at the bound.
+	f.Add([]byte{8, 8, 0, 2,
+		1, 0, 0, 0, 16, 0, 0, 0, 0,
+		1, 0, 0, 4, 16, 4, 0, 0, 0,
+		1, 0, 0, 8, 16, 8, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := byteReader(data)
+		head := next()
+		p := PolylineDistanceParams{
+			Eps:         float64(next()) / 8,
+			Bound:       BoundKind(head % 2),
+			Tolerance:   ToleranceMode(head / 2 % 2),
+			GlobalDelta: float64(next()%16) / 4,
+			NoBoxPrune:  head/4%2 == 1,
+		}
+		minPts := 1 + int(head/8%4)
+		polys := make([]Polyline, 1+next()%8)
+		for i := range polys {
+			polys[i] = fuzzPolyline(i, next)
+		}
+		want := buildAdjacency(len(polys), minPts, func(i int, buf []int) []int {
+			for j := range polys {
+				if i == j || bruteWithin(&polys[i], &polys[j], &p) {
+					buf = append(buf, j)
+				}
+			}
+			return buf
+		})
+		var pc PolylineClusterer
+		if got := pc.Adjacency(polys, minPts, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("adjacency %v, brute force %v\n%+v\npolys %+v", got, want, p, polys)
+		}
+		if got, wc := pc.Components(polys, minPts, p), ClusterComponents(want); !reflect.DeepEqual(got, wc) {
+			t.Fatalf("components %v, brute force %v\n%+v\npolys %+v", got, wc, p, polys)
 		}
 	})
 }

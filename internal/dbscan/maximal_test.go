@@ -94,7 +94,7 @@ func TestClusterMaximalDisjointGroupsMatchExclusive(t *testing.T) {
 	maximal := maximalOf(pts, 1.0, 2)
 	comps := ClusterComponents(adjOf(pts, 1.0, 2))
 	labels := Cluster(pts, 1.0, 2)
-	groups := GroupsByLabel(labels)
+	groups := groupsByLabel(labels)
 	if len(maximal) != 2 || len(comps) != 2 || len(groups) != 2 {
 		t.Fatalf("cluster counts differ: maximal=%d comps=%d exclusive=%d",
 			len(maximal), len(comps), len(groups))

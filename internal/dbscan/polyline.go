@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/simplify"
 )
@@ -130,24 +129,34 @@ func (p *PolylineDistanceParams) maxTol(pl *Polyline) float64 {
 
 // PolylineClusterer is TRAJ-DBSCAN over one set of sub-polylines after
 // another — the CuTS filter's λ-partitions, in order — on buffers it keeps
-// from call to call: the rect index and its rectangles, the neighbor lists,
-// the flood fill's labels and queue. A partition like the ones before it
-// then allocates nothing but the components it reports. The zero value is
-// ready to use; a clusterer is not safe for concurrent use.
+// from call to call: the x order of the sweep, the neighbor lists, the flood
+// fill's labels and queue. A partition like the ones before it then
+// allocates nothing but the components it reports. The zero value is ready
+// to use; a clusterer is not safe for concurrent use.
 type PolylineClusterer struct {
-	rects []geom.Rect
-	idx   grid.RectIndex
-	cand  []int
+	order []xKey
 	adj   Adjacency
 	fill  componentFill
 }
 
+// xKey is one polyline in the sweep's x order: its box's MinX, its index.
+type xKey struct {
+	minX float64
+	i    int
+}
+
 // Adjacency builds the segment-level neighborhood graph over the partition's
 // sub-polylines under the configured distance bound, with Lemma 2 box
-// pruning and grid candidate enumeration. Every unordered pair is looked up,
-// time-checked, box-pruned and tested with withinBound once, from its lower
-// index; the relation is symmetric, so a passing pair enters both lists. The
-// graph lives in the clusterer's buffers: it is valid until the next call.
+// pruning. Candidate pairs come from one sweep in x, whatever the partition's
+// size: the polylines are ordered by Bounds.MinX (ties by index), and each
+// polyline q meets those after it whose MinX is at most q's MaxX + e +
+// δmax(q) + δmax(all). No pair beyond that window can pass: none of its
+// segments come closer than the x gap between the boxes, and no tolerance
+// exceeds δmax. Each pair is tested once, from the earlier polyline in x
+// order — time overlap, box prune, withinBound, with the lower index first,
+// so each sum rounds as an index-order scan would round it — and a passing
+// pair enters both lists, each sorted once at the end. The graph lives in
+// the clusterer's buffers: it is valid until the next call.
 func (pc *PolylineClusterer) Adjacency(polys []Polyline, minPts int, p PolylineDistanceParams) Adjacency {
 	n := len(polys)
 	adj := &pc.adj
@@ -158,50 +167,48 @@ func (pc *PolylineClusterer) Adjacency(polys []Polyline, minPts int, p PolylineD
 		adj.NH = append(adj.NH[:cap(adj.NH)], make([][]int, n-cap(adj.NH))...)
 	}
 	adj.Core = slices.Grow(adj.Core[:0], n)[:n]
-	pc.rects = pc.rects[:0]
+	pc.order = pc.order[:0]
 	maxTolAll := 0.0
 	for i := range polys {
 		adj.NH[i] = adj.NH[i][:0]
-		pc.rects = append(pc.rects, polys[i].Bounds)
-		if t := p.maxTol(&polys[i]); t > maxTolAll {
-			maxTolAll = t
+		pc.order = append(pc.order, xKey{polys[i].Bounds.MinX, i})
+		maxTolAll = max(maxTolAll, p.maxTol(&polys[i]))
+	}
+	slices.SortFunc(pc.order, func(a, b xKey) int {
+		switch {
+		case a.minX < b.minX:
+			return -1
+		case a.minX > b.minX:
+			return 1
 		}
-	}
-	if n == 0 {
-		return *adj
-	}
-	cell := p.Eps + 2*maxTolAll
-	if cell <= 0 {
-		cell = 1
-	}
-	pc.idx.Reset(pc.rects, cell)
-	for i := range polys {
-		q := &polys[i]
-		qTol := p.maxTol(q)
-		// NH[i] already lists i's lower-indexed neighbors, ascending: each
-		// entered i when its own turn came.
-		nh := append(adj.NH[i], i)
-		own := len(nh)
-		pc.cand = pc.idx.Intersecting(q.Bounds.Inflate(p.Eps+qTol+maxTolAll), pc.cand[:0])
-		for _, j := range pc.cand {
-			if j <= i {
-				continue
+		return a.i - b.i
+	})
+	for at, a := range pc.order {
+		i := a.i
+		reach := polys[i].Bounds.MaxX + (p.Eps + p.maxTol(&polys[i]) + maxTolAll)
+		for _, b := range pc.order[at+1:] {
+			if b.minX > reach {
+				break
 			}
-			o := &polys[j]
+			j := b.i
+			q, o := &polys[min(i, j)], &polys[max(i, j)]
 			if o.T1 < q.T0 || q.T1 < o.T0 {
 				continue
 			}
-			if !p.NoBoxPrune && geom.Dmin(q.Bounds, o.Bounds) > p.Eps+qTol+p.maxTol(o) {
+			if !p.NoBoxPrune && geom.Dmin(q.Bounds, o.Bounds) > p.Eps+p.maxTol(q)+p.maxTol(o) {
 				continue
 			}
 			if withinBound(q, o, &p) {
-				nh = append(nh, j)
+				adj.NH[i] = append(adj.NH[i], j)
 				adj.NH[j] = append(adj.NH[j], i)
 			}
 		}
-		slices.Sort(nh[own:])
+	}
+	for i, nh := range adj.NH {
+		nh = append(nh, i)
+		slices.Sort(nh)
 		adj.NH[i] = nh
-		adj.Core[i] = len(nh) >= minPts // complete: no later turn adds to it
+		adj.Core[i] = len(nh) >= minPts
 	}
 	return *adj
 }

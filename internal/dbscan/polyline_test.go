@@ -193,7 +193,7 @@ func TestClusterPolylinesTwoGroups(t *testing.T) {
 		polys = append(polys, polyOf(st))
 	}
 	labels := componentLabels(t, polys, 2, PolylineDistanceParams{Eps: 2, Bound: BoundDLL})
-	if NumClusters(labels) != 2 {
+	if numClusters(labels) != 2 {
 		t.Fatalf("want 2 clusters, labels = %v", labels)
 	}
 	if labels[0] != labels[1] || labels[2] != labels[3] || labels[0] == labels[2] {
@@ -232,10 +232,11 @@ func TestClusterPolylinesZeroEps(t *testing.T) {
 	}
 }
 
-// randomWalkTraj builds a bounded random walk with occasional sampling gaps.
-func randomWalkTraj(r *rand.Rand, id int, n int) *model.Trajectory {
+// randomWalkTraj builds a random walk of n samples, with occasional
+// sampling gaps, from a start drawn in [0, extent)².
+func randomWalkTraj(r *rand.Rand, id int, n int, extent float64) *model.Trajectory {
 	samples := make([]model.Sample, 0, n)
-	x, y := r.Float64()*30, r.Float64()*30
+	x, y := r.Float64()*extent, r.Float64()*extent
 	tick := model.Tick(r.Intn(3))
 	for i := 0; i < n; i++ {
 		x += r.Float64()*4 - 2
@@ -254,8 +255,8 @@ func randomWalkTraj(r *rand.Rand, id int, n int) *model.Trajectory {
 func TestPropLemmaBoundsNeverDismiss(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for iter := 0; iter < 80; iter++ {
-		a := randomWalkTraj(r, 0, 4+r.Intn(30))
-		b := randomWalkTraj(r, 1, 4+r.Intn(30))
+		a := randomWalkTraj(r, 0, 4+r.Intn(30), 30)
+		b := randomWalkTraj(r, 1, 4+r.Intn(30), 30)
 		delta := r.Float64() * 3
 		e := 0.5 + r.Float64()*4
 		configs := []struct {
@@ -304,22 +305,52 @@ func TestPropLemmaBoundsNeverDismiss(t *testing.T) {
 	}
 }
 
-// Property: PolylineClusterer.Adjacency — grid candidate enumeration, with
-// the Lemma-2 box pruning on and off, on one clusterer reused from set to
-// set — finds exactly the neighborhoods a brute-force scan over every pair
-// of polylines and every pair of their time-overlapping segments finds, so
-// the components the CuTS filter chains are the brute-force components.
+// Property: PolylineClusterer.Adjacency — the x sweep, with the Lemma-2
+// box pruning on and off, on one clusterer reused from set to set — finds
+// exactly the neighborhoods a brute-force scan over every pair of polylines
+// and every pair of their time-overlapping segments finds, so the
+// components the CuTS filter chains are the brute-force components. The
+// sets alternate DLL over DP-simplified polylines with D* over DP*-simplified
+// ones clipped to a time window (as the CuTS* filter clips them), take
+// actual or global tolerances, and every third one is a partition of 100 to
+// 200 polylines spread wide enough that most have a few neighbors.
 func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	var pc PolylineClusterer
-	for iter := 0; iter < 40; iter++ {
-		n := 2 + r.Intn(25)
-		polys := make([]Polyline, n)
-		for i := 0; i < n; i++ {
-			tr := randomWalkTraj(r, i, 3+r.Intn(20))
-			polys[i] = polyOf(simplify.Simplify(tr, r.Float64()*2, simplify.DP))
+	for iter := 0; iter < 80; iter++ {
+		n, extent := 2+r.Intn(25), 30.0
+		if iter%3 == 2 {
+			n = 100 + r.Intn(101)
+			extent = 10 * math.Sqrt(float64(n))
 		}
-		params := PolylineDistanceParams{Eps: 0.5 + r.Float64()*4, Bound: BoundDLL}
+		method, bound := simplify.DP, BoundDLL
+		if iter%2 == 1 {
+			method, bound = simplify.DPStar, BoundDStar
+		}
+		delta := r.Float64() * 2
+		w0 := model.Tick(r.Intn(10))
+		w1 := w0 + model.Tick(r.Intn(20))
+		var polys []Polyline
+		for i := 0; i < n; i++ {
+			segs := simplify.Simplify(randomWalkTraj(r, i, 3+r.Intn(20), extent), delta, method).Segments
+			if bound == BoundDStar {
+				var clipped []simplify.Segment
+				for _, sg := range segs {
+					if sg.StartTick() <= w1 && w0 <= sg.EndTick() {
+						clipped = append(clipped, sg.ClipTime(w0, w1))
+					}
+				}
+				if segs = clipped; len(segs) == 0 {
+					continue
+				}
+			}
+			polys = append(polys, NewPolyline(i, segs))
+		}
+		n = len(polys)
+		params := PolylineDistanceParams{Eps: 0.5 + r.Float64()*4, Bound: bound}
+		if r.Intn(2) == 0 {
+			params.Tolerance, params.GlobalDelta = GlobalTolerance, delta
+		}
 		minPts := 1 + r.Intn(4)
 		want := buildAdjacency(n, minPts, func(i int, buf []int) []int {
 			for j := 0; j < n; j++ {
@@ -333,10 +364,10 @@ func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 			params.NoBoxPrune = noBoxPrune
 			got := pc.Adjacency(polys, minPts, params)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("NoBoxPrune=%v: adjacency mismatch: grid=%v brute=%v", noBoxPrune, got, want)
+				t.Fatalf("iter %d, %v, NoBoxPrune=%v: adjacency mismatch: sweep=%v brute=%v", iter, params, noBoxPrune, got, want)
 			}
 			if gc, wc := pc.Components(polys, minPts, params), ClusterComponents(want); !reflect.DeepEqual(gc, wc) {
-				t.Fatalf("NoBoxPrune=%v: component mismatch: grid=%v brute=%v", noBoxPrune, gc, wc)
+				t.Fatalf("iter %d, %v, NoBoxPrune=%v: component mismatch: sweep=%v brute=%v", iter, params, noBoxPrune, gc, wc)
 			}
 		}
 	}

@@ -253,20 +253,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// Inflate returns r grown by d on every side. Negative d shrinks the
-// rectangle (possibly into emptiness).
-func (r Rect) Inflate(d float64) Rect {
-	return Rect{MinX: r.MinX - d, MinY: r.MinY - d, MaxX: r.MaxX + d, MaxY: r.MaxY + d}
-}
-
-// Intersects reports whether the two rectangles share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	if r.IsEmpty() || s.IsEmpty() {
-		return false
-	}
-	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
-}
-
 // Dmin returns the minimum distance between any pair of points belonging to
 // the two boxes (Definition 1). Overlapping boxes have distance zero.
 // Calling Dmin with an empty rectangle returns +Inf, which is the correct

@@ -1,17 +1,15 @@
-// Package grid provides uniform-grid spatial indexes used to accelerate
-// the ε-neighborhood searches at the heart of DBSCAN (snapshot clustering)
-// and of the CuTS filter step (range search over simplified sub-polylines).
+// Package grid provides the uniform-grid point index behind the
+// ε-neighborhood searches of snapshot clustering: the incremental engine
+// keeps one PointIndex over its objects and maintains it in place from tick
+// to tick, and dbscan.Cluster builds one per snapshot. Points are bucketed into square cells of a caller-chosen size; the
+// natural cell size is the query radius e, which confines every radius-e
+// search to a 3×3 cell block.
 //
-// Two indexes are provided: PointIndex for point sets and RectIndex for
-// rectangle (bounding-box) sets. Both bucket geometry into square cells of a
-// caller-chosen size — for DBSCAN the natural cell size is the query radius
-// e, which confines every radius-e search to a 3×3 cell block.
-//
-// Candidate enumeration is deterministic: identical inputs (and, for a
-// PointIndex, identical Insert/Remove/Move histories) yield identical
-// candidate orders, which keeps the clustering — and therefore the whole
-// discovery pipeline — reproducible. The order itself is the index's
-// business: callers that need one sort.
+// Candidate enumeration is deterministic: identical inputs and identical
+// Insert/Remove/Move histories yield identical candidate orders, which
+// keeps the clustering — and therefore the whole discovery pipeline —
+// reproducible. The order itself is the index's business: callers that
+// need one sort.
 package grid
 
 import (
@@ -261,166 +259,3 @@ func growTo[T any](s []T, n int) []T {
 	}
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
-
-// maxRectCells caps the dense rect-grid resolution; when the data extent
-// divided by the requested cell size would exceed it, the cell size is
-// grown. 1<<20 cells ≈ 8 MB of slice headers at most.
-const maxRectCells = 1 << 20
-
-// RectIndex is a uniform grid over rectangles; each rectangle is registered
-// in every cell it overlaps. The grid is a dense array sized to the bounding
-// box of the indexed rectangles (hash maps proved to dominate the filter
-// step's profile), so indexing costs O(rects + cells touched) and queries
-// touch only slice memory. The zero value is an empty index; Reset fills it,
-// and refills it for the next rectangle set on the same cell buckets — the
-// filter's partition after partition — as PointIndex.Reset does for points.
-type RectIndex struct {
-	cell       float64
-	origin     geom.Point
-	nx, ny     int
-	cells      [][]int
-	used       []int // non-empty cell indices, for O(rects) clearing
-	rects      []geom.Rect
-	visited    []int // query generation stamps for deduplication
-	gen        int
-	everything geom.Rect
-}
-
-// NewRectIndex builds an index over rects with the given cell size. The
-// effective cell size may be larger when the data extent is huge relative
-// to it (resolution cap). Empty rectangles are skipped (they can never
-// match a query).
-func NewRectIndex(rects []geom.Rect, cell float64) *RectIndex {
-	idx := &RectIndex{}
-	idx.Reset(rects, cell)
-	return idx
-}
-
-// Reset re-indexes the given rectangles at the given cell size, exactly as
-// NewRectIndex would, but on the index's own buffers: only the buckets the
-// previous set populated are cleared, and their backing arrays stay, so
-// Resets over similar sets settle into a steady state with no allocation.
-// The caller keeps ownership of rects; cell must be > 0.
-func (idx *RectIndex) Reset(rects []geom.Rect, cell float64) {
-	if cell <= 0 {
-		panic("grid: cell size must be positive")
-	}
-	for _, c := range idx.used {
-		idx.cells[c] = idx.cells[c][:0]
-	}
-	idx.used = idx.used[:0]
-	bounds := geom.EmptyRect()
-	for _, r := range rects {
-		bounds = bounds.Union(r)
-	}
-	idx.cell, idx.rects, idx.everything = cell, rects, bounds
-	// Stale stamps are harmless: gen only grows, so none equals a later one.
-	if len(rects) <= cap(idx.visited) {
-		idx.visited = idx.visited[:len(rects)]
-	} else {
-		idx.visited = make([]int, len(rects))
-	}
-	if bounds.IsEmpty() {
-		idx.nx, idx.ny, idx.cells = 0, 0, idx.cells[:0]
-		return
-	}
-	idx.origin = geom.Pt(bounds.MinX, bounds.MinY)
-	w := bounds.MaxX - bounds.MinX
-	h := bounds.MaxY - bounds.MinY
-	if !geom.Finite(w) || !geom.Finite(h) {
-		// Defensive single-cell fallback: NaN/Inf
-		// rectangle bounds must not panic the allocation below. The
-		// everything-box becomes the whole plane — a poisoned union would
-		// fail every Intersects pre-check and hide the finite rectangles.
-		idx.origin = geom.Pt(0, 0)
-		idx.nx, idx.ny = 1, 1
-		idx.everything = geom.Rect{
-			MinX: math.Inf(-1), MinY: math.Inf(-1),
-			MaxX: math.Inf(1), MaxY: math.Inf(1),
-		}
-	} else {
-		// Grow the cell until the grid fits the resolution cap. The cap is
-		// checked by division — nx*ny can wrap the int range on huge
-		// (finite) extents.
-		for {
-			nx := int(w/idx.cell) + 1
-			ny := int(h/idx.cell) + 1
-			if nx > 0 && ny > 0 && nx <= maxRectCells && ny <= maxRectCells/nx {
-				idx.nx, idx.ny = nx, ny
-				break
-			}
-			idx.cell *= 2
-		}
-	}
-	// Reslicing within capacity keeps the hidden buckets' backing arrays;
-	// every populated bucket was emptied above, so a resurrected one is empty.
-	idx.cells = growTo(idx.cells, idx.nx*idx.ny)
-	for i, r := range rects {
-		if r.IsEmpty() {
-			continue
-		}
-		lox, loy, hix, hiy := idx.cellRange(r)
-		for cx := lox; cx <= hix; cx++ {
-			row := cx * idx.ny
-			for cy := loy; cy <= hiy; cy++ {
-				c := row + cy
-				if len(idx.cells[c]) == 0 {
-					idx.used = append(idx.used, c)
-				}
-				idx.cells[c] = append(idx.cells[c], i)
-			}
-		}
-	}
-}
-
-// cellRange returns the clamped cell-coordinate range covered by r. Queries
-// extending beyond the data bounds clamp to the border cells, which is
-// correct because no rectangle lives outside the bounds.
-func (idx *RectIndex) cellRange(r geom.Rect) (lox, loy, hix, hiy int) {
-	lox = clampCell(int(math.Floor((r.MinX-idx.origin.X)/idx.cell)), idx.nx)
-	hix = clampCell(int(math.Floor((r.MaxX-idx.origin.X)/idx.cell)), idx.nx)
-	loy = clampCell(int(math.Floor((r.MinY-idx.origin.Y)/idx.cell)), idx.ny)
-	hiy = clampCell(int(math.Floor((r.MaxY-idx.origin.Y)/idx.cell)), idx.ny)
-	return lox, loy, hix, hiy
-}
-
-func clampCell(c, n int) int {
-	if c < 0 {
-		return 0
-	}
-	if c >= n {
-		return n - 1
-	}
-	return c
-}
-
-// Intersecting appends to dst the indices of all rectangles that intersect
-// query, deduplicated, and returns the extended slice. Not safe for
-// concurrent use (the dedup stamps are shared state).
-func (idx *RectIndex) Intersecting(query geom.Rect, dst []int) []int {
-	if query.IsEmpty() || len(idx.cells) == 0 || !query.Intersects(idx.everything) {
-		return dst
-	}
-	idx.gen++
-	g := idx.gen
-	lox, loy, hix, hiy := idx.cellRange(query)
-	for cx := lox; cx <= hix; cx++ {
-		row := cx * idx.ny
-		for cy := loy; cy <= hiy; cy++ {
-			for _, i := range idx.cells[row+cy] {
-				if idx.visited[i] == g {
-					continue
-				}
-				idx.visited[i] = g
-				if idx.rects[i].Intersects(query) {
-					dst = append(dst, i)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// Len returns the number of indexed rectangles (including empty ones, which
-// are never returned by queries).
-func (idx *RectIndex) Len() int { return len(idx.rects) }

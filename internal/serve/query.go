@@ -206,7 +206,8 @@ func hashFile(full string, st *loadStats) ([sha256.Size]byte, error) {
 	return hashStream(f, st)
 }
 
-// cached returns the LRU answer for the key, marked as a hit.
+// cached returns the LRU answer for the key, marked as a hit: no run
+// statistics, no elapsed time.
 func (e *queryEngine) cached(key string) (QueryResponse, bool) {
 	if e.lru == nil {
 		return QueryResponse{}, false
@@ -689,11 +690,15 @@ func (e *queryEngine) compute(ctx context.Context, pl queryPlan, src source, req
 // answered completes a computed answer: elapsed time, a cache entry, and
 // only then the profile — explain runs share their result with later plain
 // queries, but a profile always describes the request that asked for it,
-// never a stranger's cached run.
+// never a stranger's cached run. The entry keeps no stats either: they
+// describe this run, and the key leaves out inputs such as the partition
+// count that change the run but not the answer.
 func (e *queryEngine) answered(resp QueryResponse, pl queryPlan, t0 time.Time, explain *ExplainJSON) QueryResponse {
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	if e.lru != nil {
-		e.lru.put(pl.key(resp.Digest), resp, 1)
+		entry := resp
+		entry.Stats = nil
+		e.lru.put(pl.key(resp.Digest), entry, 1)
 	}
 	resp.Explain = explain
 	return resp

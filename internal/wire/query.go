@@ -67,7 +67,9 @@ type QueryResponse struct {
 	// From and To echo the request's window bounds when it was windowed.
 	From *model.Tick `json:"from,omitempty"`
 	To   *model.Tick `json:"to,omitempty"`
-	// Stats carries the CuTS run statistics (absent for CMC).
+	// Stats carries the CuTS run statistics of the run this request
+	// performed or, as "dedup", waited for (absent for CMC, and on a cache
+	// hit, which ran nothing).
 	Stats *StatsJSON `json:"stats,omitempty"`
 	// Digest identifies the database contents (sha256, hex).
 	Digest string `json:"digest"`

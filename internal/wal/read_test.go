@@ -1,6 +1,7 @@
 package wal_test
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -66,4 +67,66 @@ func TestReadRecordsConcurrentWithAppend(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReadRecordsSurvivesCompaction: a read snapshots the segment list, and
+// appends made while it runs rotate and compact segments it has not walked
+// yet. The read must still walk every record it snapshotted; the compacted
+// files must be gone once it ends; and the compacted count must be the one
+// of a twin log that nobody read.
+func TestReadRecordsSurvivesCompaction(t *testing.T) {
+	opt := wal.Options{Fsync: wal.FsyncNever, SegmentBytes: 128, RetainTicks: 5}
+	dir := t.TempDir()
+	l, err := wal.Create(dir, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	twin, err := wal.Create(t.TempDir(), nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	appendBoth := func(from, to int64) {
+		for i := from; i <= to; i++ {
+			if err := l.Append(blk(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Append(blk(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendBoth(1, 20)
+	first := model.Tick(l.Status().FirstTick)
+	var got []model.Tick
+	err = l.ReadRecords(0, 0, false, func(tick model.Tick, payload []byte) error {
+		if got == nil {
+			appendBoth(21, 60)
+		}
+		got = append(got, tick)
+		return tsio.WalkTickBlock(payload, nil)
+	})
+	if err != nil {
+		t.Fatalf("read beside compacting appends: %v", err)
+	}
+	if len(got) == 0 || got[0] != first || got[len(got)-1] != 20 {
+		t.Fatalf("read ticks %v, want %d…20", got, first)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] != got[i-1]+1 {
+			t.Fatalf("read gap: tick %d follows %d", got[i], got[i-1])
+		}
+	}
+	st, want := l.Status(), twin.Status()
+	if st.CompactedSegments == 0 || st.CompactedSegments != want.CompactedSegments {
+		t.Errorf("compacted %d segments, a log nobody read compacted %d", st.CompactedSegments, want.CompactedSegments)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != st.Segments {
+		t.Errorf("%d segment files on disk after the read, Status counts %d", len(files), st.Segments)
+	}
 }

@@ -34,7 +34,7 @@ type manifest struct {
 const manifestVersion = 1
 
 // Log is one feed's write-ahead log: a directory of tick segments plus a
-// spec journal, owned by exactly one process at a time (the feed worker
+// spec journal, owned by exactly one process at a time (its feed
 // serializes appends; the interval-sync goroutine only ever fsyncs).
 type Log struct {
 	dir string
@@ -59,6 +59,11 @@ type Log struct {
 	// it out under l.mu and puts it back when done, so concurrent reads
 	// never share it: one that finds it taken makes its own.
 	reader *readScratch
+	// reads counts the range reads running. Each walks a snapshot of segs,
+	// so while one runs compaction drops a segment from segs but leaves
+	// its file, listed in doomed; the last read to end removes them.
+	reads  int
+	doomed []string
 
 	lastSync        time.Time
 	appendedRecords int64
@@ -354,6 +359,12 @@ func (l *Log) compactLocked() {
 	removed := 0
 	for _, seg := range l.segs {
 		if seg.index != newest.index && seg.hasTick && seg.last < horizon {
+			if l.reads > 0 {
+				l.doomed = append(l.doomed, seg.path)
+				l.compacted++
+				removed++
+				continue
+			}
 			// Best-effort: a segment that refuses to delete stays counted.
 			if err := l.opt.FS.Remove(seg.path); err == nil {
 				l.compacted++
@@ -424,7 +435,8 @@ func (l *Log) ReadRange(from, to model.Tick, bounded bool, fn func(tsio.TickBloc
 // read buffer, valid only until fn returns.
 //
 // Safe to call concurrently with Append: the snapshot taken under the lock
-// bounds each segment read to its validated length, and appends are
+// bounds each segment read to its validated length, a segment compacted
+// while the read runs keeps its file until the read ends, and appends are
 // visible immediately regardless of the fsync policy (reads go through the
 // file system, durability is Sync's concern alone).
 func (l *Log) ReadRecords(from, to model.Tick, bounded bool, fn func(t model.Tick, payload []byte) error) error {
@@ -447,8 +459,9 @@ func (l *Log) readRecords(from, to model.Tick, bounded bool, fn func(path string
 		rs = new(readScratch)
 	}
 	rs.segs = append(rs.segs[:0], l.segs...)
+	l.reads++
 	l.mu.Unlock()
-	defer l.putReader(rs)
+	defer l.endRead(rs)
 	for _, seg := range rs.segs {
 		if seg.records == 0 {
 			continue
@@ -488,14 +501,22 @@ type readScratch struct {
 	segs []segmentMeta
 }
 
-// putReader hands a read's scratch back for the next read. A closed log
-// keeps none.
-func (l *Log) putReader(rs *readScratch) {
+// endRead hands a read's scratch back for the next read — a closed log
+// keeps none — and, if no other read is running, removes the segment files
+// compaction left for the reads (best-effort: a file that refuses to go is
+// an orphan the next Open replays as the oldest segment).
+func (l *Log) endRead(rs *readScratch) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if !l.closed {
 		l.reader = rs
 	}
-	l.mu.Unlock()
+	if l.reads--; l.reads == 0 {
+		for _, path := range l.doomed {
+			_ = l.opt.FS.Remove(path)
+		}
+		l.doomed = nil
+	}
 }
 
 // Status snapshots the log's meters.

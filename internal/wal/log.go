@@ -359,18 +359,17 @@ func (l *Log) compactLocked() {
 	removed := 0
 	for _, seg := range l.segs {
 		if seg.index != newest.index && seg.hasTick && seg.last < horizon {
+			// Best-effort: a segment that refuses to delete stays counted.
+			// A running read may still open it: its file waits for endRead.
 			if l.reads > 0 {
 				l.doomed = append(l.doomed, seg.path)
-				l.compacted++
-				removed++
+			} else if err := l.opt.FS.Remove(seg.path); err != nil {
+				kept = append(kept, seg)
 				continue
 			}
-			// Best-effort: a segment that refuses to delete stays counted.
-			if err := l.opt.FS.Remove(seg.path); err == nil {
-				l.compacted++
-				removed++
-				continue
-			}
+			l.compacted++
+			removed++
+			continue
 		}
 		kept = append(kept, seg)
 	}

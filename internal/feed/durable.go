@@ -74,8 +74,8 @@ const (
 	opIncremental = "incremental"
 )
 
-// durable bundles one durable feed's persistence handles. The feed worker
-// owns it like the rest of the feed state (the wal package's own locks
+// durable bundles one durable feed's persistence handles. The feed's lock
+// guards it like the rest of the feed state (the wal package's own locks
 // only serialize against the interval-fsync goroutine).
 type durable struct {
 	log *wal.Log
@@ -127,8 +127,8 @@ func createLog(cfg Config, name string, p wire.ParamsJSON) (*durable, error) {
 }
 
 // recoverFeed rebuilds one feed from its WAL directory: manifest →
-// creation, tick segments + spec journal → replay, then the worker
-// starts. The returned feed is registered by the caller.
+// creation, tick segments + spec journal → replay. The returned feed is
+// registered by the caller.
 func recoverFeed(cfg Config, dir string) (*Feed, error) {
 	t0 := cfg.Now()
 	log, meta, err := wal.Open(dir, cfg.WAL)
@@ -165,10 +165,10 @@ func recoverFeed(cfg Config, dir string) (*Feed, error) {
 		ops = append(ops, op)
 	}
 
-	// Replay: the worker is not running yet, so the feed state is safe to
-	// touch directly. Journal ops recorded at stream position (started,
-	// afterTick) apply once the replayed stream reaches that position —
-	// before the first batch whose tick is past it.
+	// Replay: the feed is not registered yet, so its state is safe to
+	// touch without the lock. Journal ops recorded at stream position
+	// (started, afterTick) apply once the replayed stream reaches that
+	// position — before the first batch whose tick is past it.
 	f.recovering = true
 	rec := &wire.WALRecoveryJSON{}
 	opIdx := 0
@@ -217,12 +217,11 @@ func recoverFeed(cfg Config, dir string) (*Feed, error) {
 	rec.DurationMS = msFloat(cfg.Now().Sub(t0))
 	w.recovery = rec
 	f.touch()
-	go f.run()
 	return f, nil
 }
 
-// applySpecOp re-applies one journaled operation during replay (worker
-// not yet running).
+// applySpecOp re-applies one journaled operation during replay (feed not
+// yet registered).
 func (f *Feed) applySpecOp(op specOp) error {
 	switch op.Op {
 	case opMonitorAdd:
@@ -306,20 +305,18 @@ func (r *Registry) Recover() {
 	}
 }
 
-// WALStatus snapshots the feed's log and recovery stats through the
-// mailbox, so the counters are coherent with the stream position
-// (ErrNoWAL on an in-memory feed).
+// WALStatus snapshots the feed's log and recovery stats under the feed's
+// lock, so the counters are coherent with the stream position (ErrNoWAL on
+// an in-memory feed).
 func (f *Feed) WALStatus(ctx context.Context) (wire.WALStatusJSON, error) {
-	v, err := f.do(ctx, func(f *Feed) (any, error) {
-		if f.w == nil {
-			return nil, ErrNoWAL
-		}
-		return walStatusJSON(f.name, f.cfg.WAL.Fsync, f.w.log.Status(), f.w.recovery), nil
-	})
-	if err != nil {
+	if err := f.acquire(ctx); err != nil {
 		return wire.WALStatusJSON{}, err
 	}
-	return v.(wire.WALStatusJSON), nil
+	defer f.release()
+	if f.w == nil {
+		return wire.WALStatusJSON{}, ErrNoWAL
+	}
+	return walStatusJSON(f.name, f.cfg.WAL.Fsync, f.w.log.Status(), f.w.recovery), nil
 }
 
 // walStatusJSON renders a log snapshot in its wire form.
@@ -347,18 +344,19 @@ func walStatusJSON(feed string, fsync wal.FsyncPolicy, st wal.Status, rec *wire.
 }
 
 // ReadWindow walks the logged tick blocks with from ≤ t ≤ to through v in
-// ingestion order — the read under a history query. It runs through the
-// mailbox, so it is serialized against appends (ErrNoWAL on an in-memory
-// feed).
+// ingestion order — the read under a history query (ErrNoWAL on an
+// in-memory feed). It holds the feed's lock, so no append runs beside it,
+// and none can compact away a segment the read has snapshotted.
 func (f *Feed) ReadWindow(ctx context.Context, from, to model.Tick, v tsio.TickBlockVisitor) error {
 	f.touch()
-	_, err := f.do(ctx, func(f *Feed) (any, error) {
-		if f.w == nil {
-			return nil, ErrNoWAL
-		}
-		return nil, f.w.log.ReadRecords(from, to, true, func(_ model.Tick, payload []byte) error {
-			return tsio.WalkTickBlock(payload, v)
-		})
+	if err := f.acquire(ctx); err != nil {
+		return err
+	}
+	defer f.release()
+	if f.w == nil {
+		return ErrNoWAL
+	}
+	return f.w.log.ReadRecords(from, to, true, func(_ model.Tick, payload []byte) error {
+		return tsio.WalkTickBlock(payload, v)
 	})
-	return err
 }

@@ -16,35 +16,21 @@ import (
 	"repro/internal/wire"
 )
 
-// A Feed is one live position stream behind a dedicated worker goroutine
-// with a bounded command mailbox. It hosts a *table of monitors* — standing
-// convoy queries, each a core.Monitor with its own (m, k, e), added and
-// removed at runtime — over the single ingested stream. Per tick the worker
-// runs one DBSCAN pass per *distinct* ClusterKey (e, m) among the live
-// monitors and fans the clusters out to every monitor in the group, so N
-// monitors sharing a key cost one clustering pass, not N.
+// A Feed is one live position stream behind one lock. It hosts a *table of
+// monitors* — standing convoy queries, each a core.Monitor with its own
+// (m, k, e), added and removed at runtime — over the single ingested
+// stream. Per tick it runs one DBSCAN pass per *distinct* ClusterKey (e, m)
+// among the live monitors and fans the clusters out to every monitor in the
+// group, so N monitors sharing a key cost one clustering pass, not N.
 //
 // All feed state — the monitor table, the label→ID mapping, the event
-// history, the subscriber set — is owned by the worker and touched by no
-// one else, so the feed is race-free by construction; the mailbox depth is
-// the ingestion backpressure point (senders block once it fills).
+// history, the subscriber set — is touched only by the caller holding the
+// feed's lock, so a feed's operations run one at a time, each inline on its
+// caller's goroutine. Waiting for the lock is the ingestion backpressure.
 
 // DefaultMonitorID names the monitor created implicitly from the feed's
 // creation parameters.
 const DefaultMonitorID = "default"
-
-// command is one mailbox message: an operation the worker runs with
-// exclusive access to the feed state. The worker sends the outcome on
-// reply (buffered, never blocks).
-type command struct {
-	op    func(*Feed) (any, error)
-	reply chan reply
-}
-
-type reply struct {
-	val any
-	err error
-}
 
 // monitor is one entry of the monitor table: a standing convoy query over
 // the feed's stream.
@@ -57,21 +43,24 @@ type monitor struct {
 	closed uint64 // events this monitor has emitted
 }
 
-// Feed is one registered feed; its methods are safe for concurrent use.
+// Feed is one registered feed. Its methods are safe for concurrent use and
+// run one at a time; a caller whose context ends while it waits for the
+// feed returns ctx.Err(), and nothing of its operation runs.
 type Feed struct {
 	name string
 	p    core.Params // creation params (the default monitor's)
 	cfg  Config
 
-	cmds chan command
-	// done is closed after the worker drains; senders select on it so a
-	// request can never deadlock against a dying feed.
-	done chan struct{}
+	// lock is held by the one operation running on the feed: a one-slot
+	// channel, full while held, so a waiter can give up when its context
+	// ends. Waiters take it in arrival order.
+	lock chan struct{}
 	// lastActive is the unix-nano time of the last request, read by the
 	// idle-eviction janitor.
 	lastActive atomic.Int64
 
-	// Worker-owned state below; only the worker goroutine touches it.
+	// State below is touched only under lock (or before the feed is
+	// registered).
 	monitors map[string]*monitor
 	// order holds the live monitors sorted by ID — maintained on
 	// add/remove so the per-tick fan-out and the status/drain paths walk a
@@ -102,34 +91,33 @@ type Feed struct {
 
 	// history is a ring of the last cfg.HistoryLimit events: once full, the
 	// event numbered seq lives at seq % HistoryLimit.
-	history  []wire.Event
-	nextSeq  uint64 // seq of the next event to emit
-	subs     map[chan wire.Event]struct{}
-	draining bool
+	history []wire.Event
+	nextSeq uint64 // seq of the next event to emit
+	subs    map[chan wire.Event]struct{}
+	closed  bool // set by close: later operations fail with ErrFeedClosed
 
 	// w is the feed's write-ahead log bundle; nil for in-memory feeds
-	// (Config.WALDir unset). recovering is true only during the pre-worker
+	// (Config.WALDir unset). recovering is true only during recovery's
 	// replay, when applyBatch must not re-log what it reads from the log.
 	w          *durable
 	recovering bool
 }
 
-// build assembles a feed with its default monitor but does not start the
-// worker — recovery replays into the quiescent feed first.
+// build assembles an unregistered feed with its default monitor; recovery
+// replays into it before it is registered.
 func build(name string, p core.Params, cfg Config, w *durable) (*Feed, error) {
 	f := &Feed{
 		name:     name,
 		p:        p,
 		cfg:      cfg,
-		cmds:     make(chan command, cfg.FeedBuffer),
-		done:     make(chan struct{}),
+		lock:     make(chan struct{}, 1),
 		monitors: make(map[string]*monitor),
 		sources:  make(map[core.ClusterKey]*core.ClusterSource),
 		ids:      make(map[string]model.ObjectID),
 		subs:     make(map[chan wire.Event]struct{}),
 		w:        w,
 	}
-	// The worker goroutine doesn't run yet, so the table is safe to touch.
+	// Nobody else can reach the feed yet, so the table is safe to touch.
 	if err := f.insertMonitor(DefaultMonitorID, p); err != nil {
 		return nil, err
 	}
@@ -138,7 +126,7 @@ func build(name string, p core.Params, cfg Config, w *durable) (*Feed, error) {
 }
 
 // insertMonitor adds a monitor to the table and ensures a cluster source
-// for its key exists (worker only, or before the worker starts).
+// for its key exists (lock held, or before the feed is registered).
 func (f *Feed) insertMonitor(id string, p core.Params) error {
 	if _, ok := f.monitors[id]; ok {
 		return fmt.Errorf("%w: %q", ErrMonitorExists, id)
@@ -168,27 +156,6 @@ func (f *Feed) insertMonitor(id string, p core.Params) error {
 	return nil
 }
 
-// run is the worker loop: execute commands until a close command flips
-// draining, then fail whatever is still queued.
-func (f *Feed) run() {
-	for cmd := range f.cmds {
-		val, err := cmd.op(f)
-		cmd.reply <- reply{val, err}
-		if f.draining {
-			break
-		}
-	}
-	close(f.done)
-	for {
-		select {
-		case cmd := <-f.cmds:
-			cmd.reply <- reply{nil, ErrFeedClosed}
-		default:
-			return
-		}
-	}
-}
-
 // touch marks the feed active for the idle-eviction janitor. Ingestion
 // and event consumption touch; pure status reads do not, so monitoring
 // dashboards polling statuses cannot keep an abandoned feed alive.
@@ -197,32 +164,23 @@ func (f *Feed) touch() { f.lastActive.Store(f.cfg.Now().UnixNano()) }
 // IdleSince reports the time of the feed's last touching request.
 func (f *Feed) IdleSince() time.Time { return time.Unix(0, f.lastActive.Load()) }
 
-// do submits an operation and waits for its outcome. Blocking on a full
-// mailbox is the backpressure contract; the context and the feed's own
-// death both release the caller.
-func (f *Feed) do(ctx context.Context, op func(*Feed) (any, error)) (any, error) {
-	cmd := command{op: op, reply: make(chan reply, 1)}
+// acquire takes the feed's lock; the caller releases it. A caller whose
+// ctx ends while it waits returns ctx.Err(), and nothing of its operation
+// runs. On a closed feed it fails with ErrFeedClosed.
+func (f *Feed) acquire(ctx context.Context) error {
 	select {
-	case f.cmds <- cmd:
-	case <-f.done:
-		return nil, ErrFeedClosed
+	case f.lock <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	select {
-	case r := <-cmd.reply:
-		return r.val, r.err
-	case <-f.done:
-		// The worker may have replied in the instant before it died;
-		// prefer the real outcome when it is there.
-		select {
-		case r := <-cmd.reply:
-			return r.val, r.err
-		default:
-			return nil, ErrFeedClosed
-		}
+	if f.closed {
+		f.release()
+		return ErrFeedClosed
 	}
+	return nil
 }
+
+func (f *Feed) release() { <-f.lock }
 
 // emit appends one closed convoy to the history ring, tagged with the
 // monitor that closed it, fans it out to subscribers and returns the event.
@@ -259,7 +217,7 @@ func (f *Feed) emit(monitorID string, c core.Convoy) wire.Event {
 }
 
 // drainMonitor closes one monitor, emits its still-open convoys as tagged
-// events, and returns their wire forms (worker only).
+// events, and returns their wire forms (lock held).
 func (f *Feed) drainMonitor(fm *monitor) []wire.ConvoyJSON {
 	out := []wire.ConvoyJSON{}
 	for _, c := range fm.mon.Close() {
@@ -275,36 +233,37 @@ func (f *Feed) drainMonitor(fm *monitor) []wire.ConvoyJSON {
 // clustering key among the live monitors runs exactly one clustering pass;
 // the clusters fan out to every monitor in that key's group. On a sampled
 // request, ctx's span collects the batches' wal_append_ms, cluster_ms and
-// chain_ms.
+// chain_ms. A caller whose ctx ends while it waits for the feed gets
+// ctx.Err() and no batch of it is applied.
 func (f *Feed) Ingest(ctx context.Context, batches []wire.TickBatch) (wire.TicksResponse, error) {
 	f.touch()
-	// Wall time includes the mailbox wait: the histogram is the feed's
+	// Wall time includes the wait for the lock: the histogram is the feed's
 	// backpressure lag as a client experiences it.
 	t0 := f.cfg.Now()
 	defer func() { f.cfg.Observer.OnIngest(f.cfg.Now().Sub(t0)) }()
 	sp := trace.FromContext(ctx)
-	v, err := f.do(ctx, func(f *Feed) (any, error) {
-		resp := wire.TicksResponse{Closed: []wire.ConvoyJSON{}}
-		for _, b := range batches {
-			closed, err := f.applyBatch(b, sp)
-			resp.Closed = append(resp.Closed, closed...)
-			if err != nil {
-				return resp, err
-			}
-			resp.Accepted++
+	if err := f.acquire(ctx); err != nil {
+		return wire.TicksResponse{}, err
+	}
+	defer f.release()
+	resp := wire.TicksResponse{Closed: []wire.ConvoyJSON{}}
+	for _, b := range batches {
+		closed, err := f.applyBatch(b, sp)
+		resp.Closed = append(resp.Closed, closed...)
+		if err != nil {
+			return resp, err
 		}
-		return resp, nil
-	})
-	resp, _ := v.(wire.TicksResponse)
-	return resp, err
+		resp.Accepted++
+	}
+	return resp, nil
 }
 
-// applyBatch validates and applies one tick batch (worker only, or during
-// the pre-worker recovery replay). On a durable feed the batch is logged
-// after validation and *before* any monitor advances — the write-ahead
-// contract: an acknowledged batch is re-applied by recovery, a refused one
-// leaves no trace on disk (wal.Log.Append cuts a failed record back) or in
-// memory. Returns the convoys the batch closed. sp, the sampled request's
+// applyBatch validates and applies one tick batch (lock held, or during
+// recovery's replay). On a durable feed the batch is logged after
+// validation and *before* any monitor advances — the write-ahead contract:
+// an acknowledged batch is re-applied by recovery, a refused one leaves no
+// trace on disk (wal.Log.Append cuts a failed record back) or in memory.
+// Returns the convoys the batch closed. sp, the sampled request's
 // span (nil otherwise, and in recovery), accumulates where the batch's
 // time went as wal_append_ms, cluster_ms and chain_ms.
 func (f *Feed) applyBatch(b wire.TickBatch, sp *trace.Span) ([]wire.ConvoyJSON, error) {
@@ -408,7 +367,7 @@ func (f *Feed) applyBatch(b wire.TickBatch, sp *trace.Span) ([]wire.ConvoyJSON, 
 }
 
 // intern returns the dense ID of a label, assigning the next one to a label
-// the feed has not seen (worker only). A new label is cloned: a decoded
+// the feed has not seen (lock held). A new label is cloned: a decoded
 // batch's labels are substrings of its request body, which the label table
 // must not keep alive.
 func (f *Feed) intern(label string) model.ObjectID {
@@ -423,7 +382,7 @@ func (f *Feed) intern(label string) model.ObjectID {
 }
 
 // firstDuplicate reports the first repeated ID of a batch — the ID
-// core.FirstDuplicateID reports — without its set (worker only). The IDs
+// core.FirstDuplicateID reports — without its set (lock held). The IDs
 // are interned, so dense: a stamp per label does, whatever order the batch
 // lists them in.
 func (f *Feed) firstDuplicate(ids []model.ObjectID) (model.ObjectID, bool) {
@@ -485,7 +444,7 @@ func tickBatch(blk tsio.TickBlock) wire.TickBatch {
 	return b
 }
 
-// monitorStatus snapshots one monitor's counters (worker only).
+// monitorStatus snapshots one monitor's counters (lock held).
 func (f *Feed) monitorStatus(fm *monitor) wire.MonitorStatus {
 	st := wire.MonitorStatus{
 		ID:     fm.id,
@@ -502,36 +461,36 @@ func (f *Feed) monitorStatus(fm *monitor) wire.MonitorStatus {
 
 // Status snapshots the feed counters, including the monitor table.
 func (f *Feed) Status(ctx context.Context) (wire.FeedStatus, error) {
-	v, err := f.do(ctx, func(f *Feed) (any, error) {
-		st := wire.FeedStatus{
-			Name:                     f.name,
-			Params:                   wire.ParamsToJSON(f.p),
-			Ticks:                    f.ticks,
-			Objects:                  len(f.labels),
-			Closed:                   f.nextSeq,
-			NextSeq:                  f.nextSeq,
-			Monitors:                 make([]wire.MonitorStatus, 0, len(f.monitors)),
-			ClusterGroups:            len(f.sources),
-			ClusterPasses:            f.clusterPasses,
-			ClusterPassesFull:        f.passesFull,
-			ClusterPassesIncremental: f.passesInc,
-			ObjectsReclustered:       f.reclustered,
-		}
-		if f.objectsSeen > 0 {
-			st.ReuseRatio = 1 - float64(f.reclustered)/float64(f.objectsSeen)
-		}
-		for _, fm := range f.order {
-			st.Live += fm.mon.Live()
-			st.Monitors = append(st.Monitors, f.monitorStatus(fm))
-		}
-		if f.started {
-			t := f.lastTick
-			st.LastTick = &t
-		}
-		return st, nil
-	})
-	st, _ := v.(wire.FeedStatus)
-	return st, err
+	if err := f.acquire(ctx); err != nil {
+		return wire.FeedStatus{}, err
+	}
+	defer f.release()
+	st := wire.FeedStatus{
+		Name:                     f.name,
+		Params:                   wire.ParamsToJSON(f.p),
+		Ticks:                    f.ticks,
+		Objects:                  len(f.labels),
+		Closed:                   f.nextSeq,
+		NextSeq:                  f.nextSeq,
+		Monitors:                 make([]wire.MonitorStatus, 0, len(f.monitors)),
+		ClusterGroups:            len(f.sources),
+		ClusterPasses:            f.clusterPasses,
+		ClusterPassesFull:        f.passesFull,
+		ClusterPassesIncremental: f.passesInc,
+		ObjectsReclustered:       f.reclustered,
+	}
+	if f.objectsSeen > 0 {
+		st.ReuseRatio = 1 - float64(f.reclustered)/float64(f.objectsSeen)
+	}
+	for _, fm := range f.order {
+		st.Live += fm.mon.Live()
+		st.Monitors = append(st.Monitors, f.monitorStatus(fm))
+	}
+	if f.started {
+		t := f.lastTick
+		st.LastTick = &t
+	}
+	return st, nil
 }
 
 // AddMonitor registers a standing query on the feed at runtime. A monitor
@@ -543,56 +502,56 @@ func (f *Feed) AddMonitor(ctx context.Context, id string, p core.Params) (wire.M
 		return wire.MonitorStatus{}, Invalid(fmt.Errorf("feed: invalid monitor id %q", id))
 	}
 	f.touch()
-	v, err := f.do(ctx, func(f *Feed) (any, error) {
-		if err := f.insertMonitor(id, p); err != nil {
-			return wire.MonitorStatus{}, err
+	if err := f.acquire(ctx); err != nil {
+		return wire.MonitorStatus{}, err
+	}
+	defer f.release()
+	if err := f.insertMonitor(id, p); err != nil {
+		return wire.MonitorStatus{}, err
+	}
+	if f.w != nil {
+		pj := wire.ParamsToJSON(p)
+		op := specOp{Op: opMonitorAdd, ID: id, Params: &pj}
+		if err := f.appendSpecOp(op); err != nil {
+			// A just-inserted monitor has no live candidates, so the
+			// unwind drains nothing and emits no events.
+			_, _ = f.dropMonitor(id)
+			return wire.MonitorStatus{}, fmt.Errorf("feed: journal monitor add: %w", err)
 		}
-		if f.w != nil {
-			pj := wire.ParamsToJSON(p)
-			op := specOp{Op: opMonitorAdd, ID: id, Params: &pj}
-			if err := f.appendSpecOp(op); err != nil {
-				// A just-inserted monitor has no live candidates, so the
-				// unwind drains nothing and emits no events.
-				_, _ = f.dropMonitor(id)
-				return wire.MonitorStatus{}, fmt.Errorf("feed: journal monitor add: %w", err)
-			}
-		}
-		return f.monitorStatus(f.monitors[id]), nil
-	})
-	st, _ := v.(wire.MonitorStatus)
-	return st, err
+	}
+	return f.monitorStatus(f.monitors[id]), nil
 }
 
 // Monitor snapshots one monitor's status.
 func (f *Feed) Monitor(ctx context.Context, id string) (wire.MonitorStatus, error) {
-	v, err := f.do(ctx, func(f *Feed) (any, error) {
-		fm, ok := f.monitors[id]
-		if !ok {
-			return wire.MonitorStatus{}, fmt.Errorf("%w: %q", ErrNoMonitor, id)
-		}
-		return f.monitorStatus(fm), nil
-	})
-	st, _ := v.(wire.MonitorStatus)
-	return st, err
+	if err := f.acquire(ctx); err != nil {
+		return wire.MonitorStatus{}, err
+	}
+	defer f.release()
+	fm, ok := f.monitors[id]
+	if !ok {
+		return wire.MonitorStatus{}, fmt.Errorf("%w: %q", ErrNoMonitor, id)
+	}
+	return f.monitorStatus(fm), nil
 }
 
 // Monitors snapshots the monitor table, ID-sorted.
 func (f *Feed) Monitors(ctx context.Context) ([]wire.MonitorStatus, error) {
-	v, err := f.do(ctx, func(f *Feed) (any, error) {
-		out := make([]wire.MonitorStatus, 0, len(f.order))
-		for _, fm := range f.order {
-			out = append(out, f.monitorStatus(fm))
-		}
-		return out, nil
-	})
-	sts, _ := v.([]wire.MonitorStatus)
-	return sts, err
+	if err := f.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer f.release()
+	out := make([]wire.MonitorStatus, 0, len(f.order))
+	for _, fm := range f.order {
+		out = append(out, f.monitorStatus(fm))
+	}
+	return out, nil
 }
 
 // dropMonitor drains one monitor — its open candidates with sufficient
 // lifetime become tagged events — and drops it from the table, releasing
-// its cluster source when no other monitor shares the key (worker only,
-// or during recovery replay).
+// its cluster source when no other monitor shares the key (lock held, or
+// during recovery replay).
 func (f *Feed) dropMonitor(id string) ([]wire.ConvoyJSON, error) {
 	fm, ok := f.monitors[id]
 	if !ok {
@@ -625,37 +584,37 @@ func (f *Feed) dropMonitor(id string) ([]wire.ConvoyJSON, error) {
 // two replays the removal rather than resurrecting the monitor.
 func (f *Feed) RemoveMonitor(ctx context.Context, id string) (wire.MonitorCloseResponse, error) {
 	f.touch()
-	v, err := f.do(ctx, func(f *Feed) (any, error) {
-		if _, ok := f.monitors[id]; !ok {
-			return wire.MonitorCloseResponse{}, fmt.Errorf("%w: %q", ErrNoMonitor, id)
+	if err := f.acquire(ctx); err != nil {
+		return wire.MonitorCloseResponse{}, err
+	}
+	defer f.release()
+	if _, ok := f.monitors[id]; !ok {
+		return wire.MonitorCloseResponse{}, fmt.Errorf("%w: %q", ErrNoMonitor, id)
+	}
+	if f.w != nil {
+		if err := f.appendSpecOp(specOp{Op: opMonitorRemove, ID: id}); err != nil {
+			return wire.MonitorCloseResponse{}, fmt.Errorf("feed: journal monitor remove: %w", err)
 		}
-		if f.w != nil {
-			if err := f.appendSpecOp(specOp{Op: opMonitorRemove, ID: id}); err != nil {
-				return wire.MonitorCloseResponse{}, fmt.Errorf("feed: journal monitor remove: %w", err)
-			}
-		}
-		drained, err := f.dropMonitor(id)
-		if err != nil {
-			return wire.MonitorCloseResponse{}, err
-		}
-		return wire.MonitorCloseResponse{ID: id, Drained: drained}, nil
-	})
-	resp, _ := v.(wire.MonitorCloseResponse)
-	return resp, err
+	}
+	drained, err := f.dropMonitor(id)
+	if err != nil {
+		return wire.MonitorCloseResponse{}, err
+	}
+	return wire.MonitorCloseResponse{ID: id, Drained: drained}, nil
 }
 
 // EventsSince returns the retained events with seq ≥ since.
 func (f *Feed) EventsSince(ctx context.Context, since uint64) (wire.EventsResponse, error) {
 	f.touch()
-	v, err := f.do(ctx, func(f *Feed) (any, error) {
-		return wire.EventsResponse{Events: f.replay(since), NextSeq: f.nextSeq}, nil
-	})
-	resp, _ := v.(wire.EventsResponse)
-	return resp, err
+	if err := f.acquire(ctx); err != nil {
+		return wire.EventsResponse{}, err
+	}
+	defer f.release()
+	return wire.EventsResponse{Events: f.replay(since), NextSeq: f.nextSeq}, nil
 }
 
-// replay copies the retained events with seq ≥ since, oldest first (worker
-// only).
+// replay copies the retained events with seq ≥ since, oldest first (lock
+// held).
 func (f *Feed) replay(since uint64) []wire.Event {
 	out := []wire.Event{}
 	n := uint64(len(f.history))
@@ -671,56 +630,55 @@ func (f *Feed) replay(since uint64) []wire.Event {
 // beyond its buffer; cancel unregisters it.
 func (f *Feed) Subscribe(ctx context.Context, since uint64) (replayed []wire.Event, events <-chan wire.Event, cancel func(), err error) {
 	f.touch()
-	ch := make(chan wire.Event, f.cfg.EventBuffer)
-	v, err := f.do(ctx, func(f *Feed) (any, error) {
-		f.subs[ch] = struct{}{}
-		return f.replay(since), nil
-	})
-	if err != nil {
+	if err := f.acquire(ctx); err != nil {
 		return nil, nil, nil, err
 	}
+	defer f.release()
+	ch := make(chan wire.Event, f.cfg.EventBuffer)
+	f.subs[ch] = struct{}{}
 	cancel = func() {
 		// Best-effort: the feed may already be gone, which also closes ch.
-		_, _ = f.do(context.Background(), func(f *Feed) (any, error) {
-			if _, ok := f.subs[ch]; ok {
-				delete(f.subs, ch)
-				close(ch)
-			}
-			return nil, nil
-		})
-	}
-	return v.([]wire.Event), ch, cancel, nil
-}
-
-// close drains every monitor in the table — open candidates with
-// sufficient lifetime become final tagged events — closes every
-// subscriber, and stops the worker; later operations fail with
-// ErrFeedClosed. It ignores the caller's context: once a feed leaves the
-// registry nobody else can drain it.
-func (f *Feed) close() (wire.FeedCloseResponse, error) {
-	v, err := f.do(context.Background(), func(f *Feed) (any, error) {
-		resp := wire.FeedCloseResponse{Drained: []wire.ConvoyJSON{}}
-		for _, fm := range f.order {
-			resp.Drained = append(resp.Drained, f.drainMonitor(fm)...)
+		if f.acquire(context.Background()) != nil {
+			return
 		}
-		for ch := range f.subs {
+		defer f.release()
+		if _, ok := f.subs[ch]; ok {
 			delete(f.subs, ch)
 			close(ch)
 		}
-		// The table dies with the feed: its monitors leave the count even
-		// though the map itself is not cleared.
-		f.cfg.Observer.OnMonitors(-len(f.order))
-		if f.w != nil {
-			// Release the file handles with the feed; the files stay on
-			// disk (the registry removes the directory on removal, keeps it
-			// on idle eviction so a restart resurrects the feed).
-			if err := f.w.close(); err != nil {
-				f.cfg.Logger.Error("wal close failed", "feed", f.name, "error", err.Error())
-			}
+	}
+	return f.replay(since), ch, cancel, nil
+}
+
+// close drains every monitor in the table — open candidates with
+// sufficient lifetime become final tagged events — and closes every
+// subscriber; later operations fail with ErrFeedClosed. It ignores the
+// caller's context: once a feed leaves the registry nobody else can drain
+// it.
+func (f *Feed) close() (wire.FeedCloseResponse, error) {
+	if err := f.acquire(context.Background()); err != nil {
+		return wire.FeedCloseResponse{}, err
+	}
+	defer f.release()
+	resp := wire.FeedCloseResponse{Drained: []wire.ConvoyJSON{}}
+	for _, fm := range f.order {
+		resp.Drained = append(resp.Drained, f.drainMonitor(fm)...)
+	}
+	for ch := range f.subs {
+		delete(f.subs, ch)
+		close(ch)
+	}
+	// The table dies with the feed: its monitors leave the count even
+	// though the map itself is not cleared.
+	f.cfg.Observer.OnMonitors(-len(f.order))
+	if f.w != nil {
+		// Release the file handles with the feed; the files stay on disk
+		// (the registry removes the directory on removal, keeps it on idle
+		// eviction so a restart resurrects the feed).
+		if err := f.w.close(); err != nil {
+			f.cfg.Logger.Error("wal close failed", "feed", f.name, "error", err.Error())
 		}
-		f.draining = true
-		return resp, nil
-	})
-	resp, _ := v.(wire.FeedCloseResponse)
-	return resp, err
+	}
+	f.closed = true
+	return resp, nil
 }

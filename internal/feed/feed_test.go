@@ -46,24 +46,22 @@ func TestInternClonesLabel(t *testing.T) {
 	for _, p := range batches[0].Positions {
 		sent[p.ID] = unsafe.StringData(p.ID)
 	}
-	_, err = f.do(context.Background(), func(f *Feed) (any, error) {
-		if len(f.labels) != 2 || len(f.ids) != 2 {
-			t.Errorf("feed interned %d labels / %d ids, want 2", len(f.labels), len(f.ids))
-		}
-		for _, label := range f.labels {
-			if unsafe.StringData(label) == sent[label] {
-				t.Errorf("label table entry %q points into the request body", label)
-			}
-		}
-		for key := range f.ids {
-			if unsafe.StringData(key) == sent[key] {
-				t.Errorf("id map key %q points into the request body", key)
-			}
-		}
-		return nil, nil
-	})
-	if err != nil {
+	if err := f.acquire(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	defer f.release()
+	if len(f.labels) != 2 || len(f.ids) != 2 {
+		t.Errorf("feed interned %d labels / %d ids, want 2", len(f.labels), len(f.ids))
+	}
+	for _, label := range f.labels {
+		if unsafe.StringData(label) == sent[label] {
+			t.Errorf("label table entry %q points into the request body", label)
+		}
+	}
+	for key := range f.ids {
+		if unsafe.StringData(key) == sent[key] {
+			t.Errorf("id map key %q points into the request body", key)
+		}
 	}
 }
 

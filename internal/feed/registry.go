@@ -1,9 +1,11 @@
 // Package feed is the convoy daemon's live half with no network in it: the
-// named-feed registry and the runtime behind each feed — a worker goroutine
-// with a bounded command mailbox, a table of standing convoy queries
-// (monitors) sharing one clustering pass per distinct key, a ring of
-// closed-convoy events, the write-ahead log (log before apply) and the
-// recovery that replays it. It speaks internal/wire's shapes and links no
+// named-feed registry and the runtime behind each feed — one lock under
+// which every operation runs inline on its caller's goroutine, a table of
+// standing convoy queries (monitors) sharing one clustering pass per
+// distinct key, a ring of closed-convoy events, the write-ahead log (log
+// before apply) and the recovery that replays it. A feed starts no
+// goroutine; a durable one's log starts its interval-fsync goroutine
+// under wal.FsyncInterval. It speaks internal/wire's shapes and links no
 // HTTP stack; internal/serve maps requests onto it.
 //
 // Everything it touches outside memory comes in through Config: the file
@@ -38,9 +40,6 @@ type Config struct {
 	// included. Monitors sharing a clustering key share one pass per tick,
 	// but each chains its own candidates. Default 64.
 	MaxMonitorsPerFeed int
-	// FeedBuffer is the depth of each feed's command mailbox, the ingestion
-	// backpressure point: senders block once it is full. Default 64.
-	FeedBuffer int
 	// EventBuffer is the per-subscriber event channel depth; a subscriber
 	// that falls this far behind is cut off. Default 256.
 	EventBuffer int
@@ -70,9 +69,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxMonitorsPerFeed <= 0 {
 		c.MaxMonitorsPerFeed = 64
 	}
-	if c.FeedBuffer <= 0 {
-		c.FeedBuffer = 64
-	}
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = 256
 	}
@@ -96,12 +92,11 @@ func (c Config) withDefaults() Config {
 
 // Observer receives the runtime's meters. The serving layer implements it
 // over its metrics registry, so this package stays metrics-free, as
-// wal.Observer keeps the log. Calls arrive from every feed's worker
-// concurrently.
+// wal.Observer keeps the log. Calls arrive from every feed concurrently.
 type Observer interface {
 	// OnTick reports one applied tick batch.
 	OnTick(TickMeters)
-	// OnIngest reports one ingest call's wall time, mailbox wait included.
+	// OnIngest reports one ingest call's wall time, lock wait included.
 	OnIngest(time.Duration)
 	// OnEvent reports one closed-convoy event emitted.
 	OnEvent()
@@ -164,8 +159,8 @@ func (e *InvalidError) Unwrap() error { return e.err }
 func Invalid(err error) error { return &InvalidError{err} }
 
 // Registry is the named-feed table. It guards only the map — every
-// per-feed operation goes through the feed's own mailbox — so its critical
-// sections are tiny and never wait on feed work.
+// per-feed operation takes the feed's own lock — so its critical sections
+// are tiny and never wait on feed work.
 type Registry struct {
 	cfg Config
 
@@ -251,7 +246,6 @@ func (r *Registry) Create(name string, p core.Params) (*Feed, error) {
 		}
 		return nil, err
 	}
-	go f.run()
 	r.feeds[name] = f
 	r.cfg.Observer.OnFeeds(1, 0, 0)
 	return f, nil
@@ -277,8 +271,8 @@ func (r *Registry) Get(name string) (*Feed, error) {
 
 // Remove unregisters and drains a feed, and deletes its log. The drain
 // deliberately ignores ctx: once the feed is out of the map nobody else can
-// close it, so a caller that goes away mid-removal must not orphan an
-// undrained worker (which would also leave the monitor count counting its
+// close it, so a caller that goes away mid-removal must not leave an
+// undrained feed (which would also leave the monitor count counting its
 // table forever).
 func (r *Registry) Remove(_ context.Context, name string) (wire.FeedCloseResponse, error) {
 	r.mu.Lock()
@@ -290,8 +284,8 @@ func (r *Registry) Remove(_ context.Context, name string) (wire.FeedCloseRespons
 	if !ok {
 		if r.cfg.WALDir != "" && ValidName(name) {
 			if dir := LogDir(r.cfg.WALDir, name); wal.Exists(dir, r.cfg.WAL) {
-				// An idle-evicted durable feed: its worker is gone but its
-				// log is not. Removal still means "forget the feed", so the
+				// An idle-evicted durable feed: drained, but its log is on
+				// disk. Removal still means "forget the feed", so the
 				// directory goes; there is nothing left to drain.
 				if err := r.cfg.WAL.FS.RemoveAll(dir); err != nil {
 					return wire.FeedCloseResponse{}, fmt.Errorf("feed: remove feed wal: %w", err)

@@ -14,14 +14,13 @@ import (
 // Config tunes the server. The zero value is usable: every field has a
 // sensible default applied by New.
 type Config struct {
-	// MaxFeeds, MaxMonitorsPerFeed, FeedBuffer, EventBuffer and
-	// HistoryLimit are the feed runtime's knobs of the same names;
-	// feed.Config documents them and holds their defaults. Over HTTP the
-	// feed and monitor caps answer 429, and a subscriber EventBuffer events
-	// behind is cut from the NDJSON tail (it reconnects with ?since=).
+	// MaxFeeds, MaxMonitorsPerFeed, EventBuffer and HistoryLimit are the
+	// feed runtime's knobs of the same names; feed.Config documents them
+	// and holds their defaults. Over HTTP the feed and monitor caps answer
+	// 429, and a subscriber EventBuffer events behind is cut from the
+	// NDJSON tail (it reconnects with ?since=).
 	MaxFeeds           int
 	MaxMonitorsPerFeed int
-	FeedBuffer         int
 	EventBuffer        int
 	HistoryLimit       int
 	// IdleTimeout evicts feeds that have received no request for this
@@ -147,7 +146,6 @@ func newRegistry(c Config) *feed.Registry {
 	return feed.NewRegistry(feed.Config{
 		MaxFeeds:           c.MaxFeeds,
 		MaxMonitorsPerFeed: c.MaxMonitorsPerFeed,
-		FeedBuffer:         c.FeedBuffer,
 		EventBuffer:        c.EventBuffer,
 		HistoryLimit:       c.HistoryLimit,
 		WALDir:             c.WALDir,

@@ -23,8 +23,8 @@ import (
 // stream slice. Unlike /v1/query the answer is never cached: the log
 // grows with every tick, so a window's contents are a moving target.
 //
-// The read is record → column: feed.Feed.ReadWindow, through the feed's
-// mailbox, has the log CRC-check every record of every touched segment and
+// The read is record → column: feed.Feed.ReadWindow, under the feed's
+// lock, has the log CRC-check every record of every touched segment and
 // walks the in-window ones (tsio.WalkTickBlock validates each) while a
 // windowFold appends their fields straight to what the query mines.
 

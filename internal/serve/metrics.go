@@ -44,7 +44,7 @@ import (
 //	monitors                          standing queries across all feeds
 //	feed_ticks_total                  tick batches ingested (rate() = tick rate)
 //	feed_positions_total              positions ingested
-//	feed_ingest_seconds               ingestion latency incl. mailbox wait
+//	feed_ingest_seconds               ingestion latency incl. lock wait
 //	                                  (the feed's backpressure lag)
 //	feed_events_total                 closed-convoy events emitted
 //	feed_cluster_passes_total         snapshot DBSCAN passes actually run
@@ -73,7 +73,7 @@ import (
 //
 // serveMetrics also implements feed.Observer and wal.Observer, the feed
 // runtime's and the log's metrics-free hooks; callbacks arrive from every
-// feed worker and each log's interval-fsync goroutine, which the atomic
+// feed's callers and each log's interval-fsync goroutine, which the atomic
 // instruments tolerate.
 type serveMetrics struct {
 	reg *metrics.Registry
@@ -151,7 +151,7 @@ func newServeMetrics(reg *metrics.Registry) *serveMetrics {
 	m.feedEvents = reg.Counter("convoyd_feed_events_total",
 		"Closed-convoy events emitted across all feeds.")
 	m.feedIngestSeconds = reg.Histogram("convoyd_feed_ingest_seconds",
-		"Tick-ingestion latency in seconds, mailbox wait included — the feed's backpressure lag.", nil)
+		"Tick-ingestion latency in seconds, lock wait included — the feed's backpressure lag.", nil)
 	m.feedPasses = reg.Counter("convoyd_feed_cluster_passes_total",
 		"Snapshot clustering passes actually run (one per distinct key per tick).")
 	m.feedPassesNaive = reg.Counter("convoyd_feed_cluster_passes_naive_total",
@@ -217,7 +217,7 @@ func (m *serveMetrics) OnTick(t feed.TickMeters) {
 	m.feedObjectsSeen.Add(float64(t.Seen))
 }
 
-// OnIngest implements feed.Observer: one ingest call, mailbox wait included.
+// OnIngest implements feed.Observer: one ingest call, lock wait included.
 func (m *serveMetrics) OnIngest(d time.Duration) { m.feedIngestSeconds.Observe(d.Seconds()) }
 
 // OnEvent implements feed.Observer: one closed-convoy event.

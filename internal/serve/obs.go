@@ -38,7 +38,7 @@ func withLogger(ctx context.Context, l *slog.Logger) context.Context {
 }
 
 // loggerFrom returns the request-scoped logger, or fallback outside a
-// request (feed workers, the janitor).
+// request.
 func loggerFrom(ctx context.Context, fallback *slog.Logger) *slog.Logger {
 	if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok {
 		return l

@@ -3,13 +3,13 @@
 //
 // It hosts two engines:
 //
-//   - Feeds — named live position streams, each behind its own goroutine
-//     and bounded mailbox. A feed hosts a *monitor table*: standing convoy
-//     queries (core.Monitor, one per (m, k, e)) added and removed at
-//     runtime over HTTP. Clients push per-tick position batches once and
-//     observe, per monitor, convoys the moment they close — by polling or
-//     by tailing an NDJSON event stream (events are tagged with the
-//     monitor ID; ?monitor= filters). Per tick the feed worker runs one
+//   - Feeds — named live position streams, each behind its own lock,
+//     held by one request at a time. A feed hosts a *monitor table*:
+//     standing convoy queries (core.Monitor, one per (m, k, e)) added and
+//     removed at runtime over HTTP. Clients push per-tick position batches
+//     once and observe, per monitor, convoys the moment they close — by
+//     polling or by tailing an NDJSON event stream (events are tagged with
+//     the monitor ID; ?monitor= filters). Per tick the feed runs one
 //     DBSCAN pass per *distinct* clustering key (e, m) among the live
 //     monitors and fans the clusters out to every monitor in the group, so
 //     the per-tick cost is O(distinct keys), not O(monitors). Deleting a
@@ -26,7 +26,7 @@
 //     discovery run mid-clustering and frees the worker slot, and identical
 //     concurrent queries collapse into one shared run (Cache: "dedup").
 //
-// The feed runtime — mailboxes, monitor tables, event rings, the WAL and
+// The feed runtime — feed locks, monitor tables, event rings, the WAL and
 // recovery — is internal/feed, which links no HTTP stack; this package maps
 // requests onto it. When configured with a WAL directory (convoyd
 // -data-dir), feeds are durable: every accepted tick batch is written
@@ -502,8 +502,8 @@ func decodeTicks(r *http.Request) ([]TickBatch, int, error) {
 }
 
 // handleTicks ingests tick batches. On a sampled request the http span gets
-// two children, decode (read + parse) and apply (mailbox wait + the feed
-// worker's work, split further by the feed's stage attributes).
+// two children, decode (read + parse) and apply (the wait for the feed's
+// lock + the feed's work, split further by the feed's stage attributes).
 func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	f, err := s.reg.Get(r.PathValue("name"))
 	if err != nil {

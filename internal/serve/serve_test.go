@@ -360,7 +360,7 @@ func TestReplayEqualsOracle(t *testing.T) {
 // TestConcurrentFeeds drives ≥ 8 feeds ingesting simultaneously (the
 // acceptance criterion's -race workload) plus listing traffic.
 func TestConcurrentFeeds(t *testing.T) {
-	_, ts := newTestServer(t, Config{FeedBuffer: 4})
+	_, ts := newTestServer(t, Config{})
 	const feeds = 10
 	var wg sync.WaitGroup
 	for i := 0; i < feeds; i++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -395,5 +396,52 @@ func TestPartitionedStats(t *testing.T) {
 	}
 	if st.ClusterPasses == 0 {
 		t.Fatal("no cluster passes recorded")
+	}
+}
+
+// TestLimitedRunIgnoresPartitions: a limited Run answers what the limited
+// single pass answers — the first n convoys in stream order — whatever the
+// partition count, not the first n of the partitioned plan's canonical
+// merge. Under CMC group b (ticks 10–50) closes first but sorts after
+// group a (ticks 0–100).
+func TestLimitedRunIgnoresPartitions(t *testing.T) {
+	gone := geom.Pt(math.NaN(), 0)
+	var rows [][]geom.Point
+	for i := range 3 {
+		var a, b []geom.Point
+		for tick := 0; tick <= 100; tick++ {
+			a = append(a, geom.Pt(float64(i), 0))
+			if tick >= 10 && tick <= 50 {
+				b = append(b, geom.Pt(float64(1000+i), 0))
+			} else {
+				b = append(b, gone)
+			}
+		}
+		rows = append(rows, a, b)
+	}
+	db := buildDB(t, 0, rows...)
+	limited := func(opt Option, parts int) Result {
+		t.Helper()
+		res, err := NewQuery(WithParams(Params{M: 3, K: 5, Eps: 1.5}), opt,
+			WithLimit(1), WithPartitions(parts)).Run(context.Background(), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if got, want := limited(WithCMC(), 0), (Result{{Objects: ids(1, 3, 5), Start: 10, End: 50}}); !got.Equal(want) {
+		t.Fatalf("cmc single pass, limit 1: %v, want %v", got, want)
+	}
+	for _, algo := range []struct {
+		name string
+		opt  Option
+	}{{"cmc", WithCMC()}, {"cuts", WithVariant(VariantCuTS)},
+		{"cuts+", WithVariant(VariantCuTSPlus)}, {"cuts*", WithVariant(VariantCuTSStar)}} {
+		want := limited(algo.opt, 0)
+		for _, parts := range []int{2, 3} {
+			if got := limited(algo.opt, parts); !got.Equal(want) {
+				t.Errorf("%s, %d partitions, limit 1: %v, single pass %v", algo.name, parts, got, want)
+			}
+		}
 	}
 }

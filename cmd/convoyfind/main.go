@@ -30,7 +30,8 @@
 // waiting for the full answer. With -limit the scan stops after that many:
 // it returns within one clustering pass per worker and abandons everything
 // but the few chunks of ticks (or candidates) already in flight — the bound
-// documented on Query.Seq. -format json-array wraps the same objects in one
+// documented on Query.Seq. The answer is the first convoys the single pass
+// closes, so -limit runs one pass whatever -partitions says. -format json-array wraps the same objects in one
 // indented JSON array.
 //
 // -explain traces the discovery and prints the per-stage timing profile
@@ -75,7 +76,7 @@ func main() {
 		format  = flag.String("format", "text", "output format: text, json (NDJSON), jsonl (NDJSON, streamed as found) or json-array")
 		workers = flag.Int("workers", 0, "goroutines per discovery stage (0 = all CPU cores, 1 = serial)")
 		limit   = flag.Int("limit", 0, "stop after this many convoys, abandoning the scan beyond the chunks already in flight (0 = all)")
-		parts   = flag.Int("partitions", 0, "split the time range into this many overlapping windows, mine them independently and merge — the answer is identical, the scan parallelises (0/1 = single pass)")
+		parts   = flag.Int("partitions", 0, "split the time range into this many overlapping windows, mine them independently and merge — the answer is identical, the scan parallelises (0/1 = single pass, as is any -limit run)")
 		timeout = flag.Duration("timeout", 0, "abort discovery after this long (0 = no deadline)")
 	)
 	flag.Parse()

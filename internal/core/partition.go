@@ -254,10 +254,12 @@ func sortIDs(ids []model.ObjectID) {
 // PartitionWindows caps n where more windows would mine more than twice
 // the domain's ticks.
 //
-// Partitioned execution applies to Run with the default (grid-DBSCAN)
-// backend only: Seq streams from a single-pass scan regardless (partial
-// convoys are not final until the merge, so there is nothing to stream
-// early), and a non-default clusterer keeps the single-pass plan — a
+// Partitioned execution applies to an unlimited Run with the default
+// (grid-DBSCAN) backend only: Seq streams from a single-pass scan
+// regardless (partial convoys are not final until the merge, so there is
+// nothing to stream early), so does a Run under WithLimit (its answer is
+// the first n convoys to close, which only the single pass orders), and a
+// non-default clusterer keeps the single-pass plan — a
 // backend like proxgraph clusters its own side data in its own ID space,
 // which a sliced database cannot re-index. (Window a contact log by
 // slicing the log itself: proxgraph.Log.Window.)
@@ -308,7 +310,6 @@ func (q *Query) runPartitioned(ctx context.Context, db *model.DB) (Result, error
 		sliced, ids := SliceTime(db, windows[i].Lo, windows[i].Hi)
 		sub := *q
 		sub.partitions = 0
-		sub.limit = 0
 		sub.workers = 1 // parallelism is spent across partitions, not within
 		sub.statsOut = &stats[i]
 		res, err := sub.Run(mctx, sliced)
@@ -354,9 +355,6 @@ func (q *Query) runPartitioned(ctx context.Context, db *model.DB) (Result, error
 	gsp.Int("partials", int64(countConvoys(parts))).Int("merged", int64(len(merged)))
 	gsp.End()
 	sp.Int("cluster_passes", st.ClusterPasses)
-	if q.limit > 0 && len(merged) > q.limit {
-		merged = merged[:q.limit]
-	}
 	return merged, nil
 }
 

@@ -186,7 +186,7 @@ func (q *Query) Params() Params { return q.p }
 // ctx.Err(); with WithLimit the run stops early and returns the first
 // convoys delivered (canonicalized among themselves).
 func (q *Query) Run(ctx context.Context, db *model.DB) (Result, error) {
-	if q.partitions > 1 && isDefaultBackend(q.clusterer) {
+	if q.partitions > 1 && q.limit <= 0 && isDefaultBackend(q.clusterer) {
 		return q.runPartitioned(ctx, db)
 	}
 	var out []Convoy

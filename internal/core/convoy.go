@@ -1,8 +1,9 @@
 // Package core implements the paper's convoy-discovery algorithms: the
 // convoy query model (Definition 3), the CMC baseline (Algorithm 1), the
 // CuTS filter-refinement family — CuTS, CuTS+ and CuTS* (Algorithms 2–3,
-// Sections 5–6) — the MC2 moving-cluster baseline used by the appendix
-// accuracy study, and the δ/λ parameter guidelines of Section 7.4.
+// Sections 5–6) — and the δ/λ parameter guidelines of Section 7.4. The
+// appendix's MC2 moving-cluster baseline is test code beside the paper's
+// claims (internal/oracle).
 //
 // # Answer semantics
 //

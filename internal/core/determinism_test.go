@@ -48,23 +48,5 @@ func TestPropRunsAreDeterministic(t *testing.T) {
 				t.Fatalf("%v stats not deterministic: %+v vs %+v", variant, st1, st2)
 			}
 		}
-
-		// MC2 and the flock-free paths too.
-		mc1, err := MC2(db, p, 0.6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mc2, err := MC2(db, p, 0.6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(mc1) != len(mc2) {
-			t.Fatal("MC2 not deterministic")
-		}
-		for i := range mc1 {
-			if !mc1[i].Equal(mc2[i]) {
-				t.Fatal("MC2 answers not deterministic")
-			}
-		}
 	}
 }

@@ -337,11 +337,11 @@ func claimMC2Differs(t *testing.T, profiles []profile) {
 	differs := 0
 	for _, prof := range profiles {
 		for _, theta := range []float64{0.4, 0.6, 0.8, 1.0} {
-			mc, err := core.MC2(prof.db, prof.p, theta)
+			mc, err := mc2(prof.db, prof.p, theta)
 			if err != nil {
 				t.Fatalf("%s θ=%g: %v", prof.Name, theta, err)
 			}
-			rep := core.CompareAnswers(mc, prof.want)
+			rep := compareAnswers(mc, prof.want)
 			tb.row("%s\t%.1f\t%d\t%d\t%.1f\t%.1f", prof.Name, theta, rep.Reported, rep.Reference, rep.FalsePositives, rep.FalseNegatives)
 			if rep.FalsePositives > 0 || rep.FalseNegatives > 0 {
 				differs++

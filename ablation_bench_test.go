@@ -16,6 +16,8 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dbscan"
 	"repro/internal/geom"
+	"repro/internal/model"
+	"repro/internal/oracle"
 )
 
 // benchQuery times a full CuTS run under the given options on the Cattle
@@ -70,7 +72,8 @@ func BenchmarkAblationToleranceMode(b *testing.B) {
 }
 
 // BenchmarkAblationGridVsBrute isolates the snapshot-DBSCAN neighbor search
-// (the inner loop of CMC and of the refinement step).
+// (the inner loop of CMC and of the refinement step); the brute row is the
+// oracle's all-pairs clustering.
 func BenchmarkAblationGridVsBrute(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	pts := make([]geom.Point, 600)
@@ -88,9 +91,13 @@ func BenchmarkAblationGridVsBrute(b *testing.B) {
 			dbscan.Cluster(pts, 40, 3)
 		}
 	})
+	ids := make([]model.ObjectID, len(pts))
+	for i := range ids {
+		ids[i] = i
+	}
 	b.Run("brute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dbscan.ClusterBrute(pts, 40, 3)
+			oracle.Clusters(ids, pts, 3, 40)
 		}
 	})
 }

@@ -65,7 +65,7 @@ func BenchmarkFigure15(b *testing.B) {
 		m := m
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				simplify.SimplifyAll(db, delta, m)
+				simplify.SimplifyAllWorkers(context.Background(), db, delta, m, 1)
 			}
 		})
 	}

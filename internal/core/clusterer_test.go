@@ -182,11 +182,11 @@ func TestClusterSourceBackendKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp := newSource(key, componentClusterer{log: map[model.Tick][]contact{3: {{0, 1, 5}}}}, DefaultChurnThreshold, nil)
-	if def.Key() != key || comp.Key() != key {
-		t.Fatalf("keys = %+v / %+v, want %+v for both", def.Key(), comp.Key(), key)
+	if def.key != key || comp.key != key {
+		t.Fatalf("keys = %+v / %+v, want %+v for both", def.key, comp.key, key)
 	}
-	if comp.Clusterer().Name() != "components" || def.Clusterer().Name() != DefaultBackend {
-		t.Fatalf("clusterer names = %q/%q", comp.Clusterer().Name(), def.Clusterer().Name())
+	if comp.c.Name() != "components" || def.c.Name() != DefaultBackend {
+		t.Fatalf("clusterer names = %q/%q", comp.c.Name(), def.c.Name())
 	}
 	if _, err := NewClusterSource(ClusterKey{Eps: 2, M: 0}); err == nil {
 		t.Error("m = 0 accepted")

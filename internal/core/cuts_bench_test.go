@@ -17,7 +17,7 @@ var cattleParams = Params{M: 2, K: 27, Eps: 300}
 // simplification, the guideline's λ.
 func cutsStarInputs(db *model.DB, p Params) ([]*simplify.Trajectory, FilterConfig) {
 	delta := ComputeDelta(db, p.Eps)
-	sts := simplify.SimplifyAll(db, delta, simplify.DPStar)
+	sts := simplifyAll(db, delta, simplify.DPStar)
 	return sts, FilterConfig{Lambda: ComputeLambda(db, sts, p.K), Bound: VariantCuTSStar.Bound(), Delta: delta}
 }
 

@@ -73,7 +73,7 @@ func TestFilterCandidatesUnchanged(t *testing.T) {
 		want := oracleAnswer(db, p)
 		delta := ComputeDelta(db, p.Eps)
 		for _, v := range []Variant{VariantCuTS, VariantCuTSPlus, VariantCuTSStar} {
-			sts := simplify.SimplifyAll(db, delta, v.SimplifyMethod())
+			sts := simplifyAll(db, delta, v.SimplifyMethod())
 			fc := FilterConfig{Lambda: ComputeLambda(db, sts, p.K), Bound: v.Bound(), Delta: delta}
 			cands := Filter(db, p, sts, fc)
 			for _, c := range want {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/oracle"
-	"repro/internal/simplify"
 )
 
 // The differential harness: every way this package answers a convoy query,
@@ -454,7 +453,7 @@ func TestFilterProducesSuperset(t *testing.T) {
 
 // filterCandidates is variant v's filter step at the δ and λ run st resolved.
 func filterCandidates(sc scenario, v Variant, st Stats) []Candidate {
-	sts := simplify.SimplifyAll(sc.db, st.Delta, v.SimplifyMethod())
+	sts := simplifyAll(sc.db, st.Delta, v.SimplifyMethod())
 	return Filter(sc.db, sc.p, sts, FilterConfig{Lambda: st.Lambda, Bound: v.Bound(), Tolerance: sc.tol, Delta: st.Delta})
 }
 

@@ -88,12 +88,6 @@ func newSource(key ClusterKey, c Clusterer, threshold float64, meter *scanMeter)
 	return s
 }
 
-// Key returns the source's clustering key.
-func (s *ClusterSource) Key() ClusterKey { return s.key }
-
-// Clusterer returns the backend computing the source's clusters.
-func (s *ClusterSource) Clusterer() Clusterer { return s.c }
-
 // Passes returns the number of clustering passes so far — the counter the
 // multi-monitor sharing tests and the monitors benchmark rely on.
 func (s *ClusterSource) Passes() int64 { return s.passes }
@@ -161,9 +155,6 @@ func NewMonitor(p Params) (*Monitor, error) {
 	}
 	return &Monitor{p: p}, nil
 }
-
-// Params returns the monitor's convoy query parameters.
-func (m *Monitor) Params() Params { return m.p }
 
 // Live returns the number of open convoy candidates.
 func (m *Monitor) Live() int { return len(m.live) }

@@ -83,7 +83,7 @@ func TestComputeLambdaBounds(t *testing.T) {
 		tr, _ := model.NewTrajectory("", samples)
 		db.Add(tr)
 	}
-	sts := simplify.SimplifyAll(db, 1.0, simplify.DP)
+	sts := simplifyAll(db, 1.0, simplify.DP)
 	for _, k := range []int64{1, 5, 50, 1000} {
 		lam := ComputeLambda(db, sts, k)
 		if lam < 1 || lam > k {
@@ -126,9 +126,9 @@ func TestComputeLambdaGrowsWithReduction(t *testing.T) {
 	}
 	const k = 1 << 30 // effectively uncapped
 	straight := mk(false)
-	lamStraight := ComputeLambda(straight, simplify.SimplifyAll(straight, 0.5, simplify.DP), k)
+	lamStraight := ComputeLambda(straight, simplifyAll(straight, 0.5, simplify.DP), k)
 	zig := mk(true)
-	lamZig := ComputeLambda(zig, simplify.SimplifyAll(zig, 0.5, simplify.DP), k)
+	lamZig := ComputeLambda(zig, simplifyAll(zig, 0.5, simplify.DP), k)
 	if lamStraight >= lamZig {
 		t.Errorf("λ(straight)=%d should be below λ(zigzag)=%d per the Section 7.4 formula",
 			lamStraight, lamZig)

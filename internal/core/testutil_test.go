@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/simplify"
 )
 
 // absent marks a missing sample in test position tables.
@@ -50,4 +51,10 @@ func buildDB(t *testing.T, startTick model.Tick, rows ...[]geom.Point) *model.DB
 		db.Add(tr)
 	}
 	return db
+}
+
+// simplifyAll simplifies every trajectory of db serially, in ID order.
+func simplifyAll(db *model.DB, delta float64, m simplify.Method) []*simplify.Trajectory {
+	sts, _ := simplify.SimplifyAllWorkers(context.Background(), db, delta, m, 1)
+	return sts
 }

@@ -109,25 +109,25 @@ func TestSpanAttrsAnnotated(t *testing.T) {
 	q := NewQuery(WithParams(Params{M: 3, K: 3, Eps: 2.5}), WithVariant(VariantCuTSStar), WithWorkers(4))
 	tj := traceQuery(t, q, db)
 	run := tj.Root.Find("run")
-	if run.Attr("algo") != "CuTS*" || run.Attr("m") != "3" || run.Attr("workers") != "4" {
+	if run.Attrs["algo"] != "CuTS*" || run.Attrs["m"] != "3" || run.Attrs["workers"] != "4" {
 		t.Fatalf("run attrs = %v", run.Attrs)
 	}
-	if run.Attr("cluster_passes") == "" {
+	if run.Attrs["cluster_passes"] == "" {
 		t.Fatalf("run missing cluster_passes: %v", run.Attrs)
 	}
 	filter := run.Find("filter")
-	if filter.Attr("par_jobs") == "" || filter.Attr("par_workers") == "" {
+	if filter.Attrs["par_jobs"] == "" || filter.Attrs["par_workers"] == "" {
 		t.Fatalf("filter missing par fan-out attrs: %v", filter.Attrs)
 	}
-	if filter.Attr("lambda") == "" || filter.Attr("candidates") == "" {
+	if filter.Attrs["lambda"] == "" || filter.Attrs["candidates"] == "" {
 		t.Fatalf("filter attrs = %v", filter.Attrs)
 	}
 	simp := run.Find("simplify")
-	if simp.Attr("vertex_kept") == "" || simp.Attr("vertex_total") == "" {
+	if simp.Attrs["vertex_kept"] == "" || simp.Attrs["vertex_total"] == "" {
 		t.Fatalf("simplify attrs = %v", simp.Attrs)
 	}
 	refine := run.Find("refine")
-	if refine.Attr("candidates") == "" {
+	if refine.Attrs["candidates"] == "" {
 		t.Fatalf("refine attrs = %v", refine.Attrs)
 	}
 }
@@ -141,7 +141,7 @@ func TestCMCScanMetersClusterTime(t *testing.T) {
 		t.Fatal("no scan span")
 	}
 	for _, key := range []string{"cluster_ms", "chain_ms"} {
-		if scan.Attr(key) == "" {
+		if scan.Attrs[key] == "" {
 			t.Fatalf("scan missing %s: %v", key, scan.Attrs)
 		}
 	}
@@ -227,10 +227,10 @@ func TestDeltaGuidelineIsInTheSimplifyStage(t *testing.T) {
 		return sp
 	}
 	auto, given := simplifySpan(), simplifySpan(WithDelta(274.2))
-	if auto.Attr("delta_auto") != "1" || given.Attr("delta_auto") != "0" {
-		t.Errorf("delta_auto = %q with the guideline, %q with WithDelta; want 1 and 0", auto.Attr("delta_auto"), given.Attr("delta_auto"))
+	if auto.Attrs["delta_auto"] != "1" || given.Attrs["delta_auto"] != "0" {
+		t.Errorf("delta_auto = %q with the guideline, %q with WithDelta; want 1 and 0", auto.Attrs["delta_auto"], given.Attrs["delta_auto"])
 	}
-	if given.Attr("delta") != "274.2" {
-		t.Errorf("simplify span reports δ = %s, want the 274.2 it was given", given.Attr("delta"))
+	if given.Attrs["delta"] != "274.2" {
+		t.Errorf("simplify span reports δ = %s, want the 274.2 it was given", given.Attrs["delta"])
 	}
 }

@@ -78,17 +78,3 @@ func Cluster(pts []geom.Point, eps float64, minPts int) []int {
 		return idx.Within(pts[i], eps, buf)
 	})
 }
-
-// ClusterBrute is the O(N²) reference implementation of Cluster, used by
-// tests and as the cost model behind the paper's refinement-unit metric.
-func ClusterBrute(pts []geom.Point, eps float64, minPts int) []int {
-	eps2 := eps * eps
-	return Generic(len(pts), minPts, func(i int, buf []int) []int {
-		for j := range pts {
-			if geom.D2(pts[i], pts[j]) <= eps2 {
-				buf = append(buf, j)
-			}
-		}
-		return buf
-	})
-}

@@ -2,6 +2,7 @@ package dbscan
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -137,8 +138,9 @@ func TestBorderPointJoinsLowestCluster(t *testing.T) {
 	}
 }
 
-// The equivalence property: grid-accelerated DBSCAN produces exactly the
-// same labeling as the brute-force reference on random inputs.
+// The equivalence property: grid-accelerated DBSCAN labels the oracle's
+// maximal clusters on random inputs. Each label is one maximal set, less the
+// borders a lower label claimed, and noise is what no maximal set holds.
 func TestPropGridEqualsBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
 	for iter := 0; iter < 120; iter++ {
@@ -155,13 +157,38 @@ func TestPropGridEqualsBrute(t *testing.T) {
 		}
 		eps := 0.3 + r.Float64()*3
 		minPts := 1 + r.Intn(5)
-		a := Cluster(pts, eps, minPts)
-		b := ClusterBrute(pts, eps, minPts)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("label mismatch at %d: grid=%v brute=%v (eps=%g minPts=%d, n=%d)",
-					i, a[i], b[i], eps, minPts, n)
+		labels := Cluster(pts, eps, minPts)
+		groups, maximal := groupsByLabel(labels), maximalOf(pts, eps, minPts)
+		if len(groups) != len(maximal) {
+			t.Fatalf("%d labels, %d maximal sets (eps=%g minPts=%d, n=%d)", len(groups), len(maximal), eps, minPts, n)
+		}
+		claimed := make([]bool, len(maximal))
+	next:
+		for l, g := range groups {
+			for i, c := range maximal {
+				if !claimed[i] && subsetInts(g, c) {
+					claimed[i] = true
+					continue next
+				}
+			}
+			t.Fatalf("label %d = %v is inside no maximal set %v (eps=%g minPts=%d)", l, g, maximal, eps, minPts)
+		}
+		for _, c := range maximal {
+			for _, m := range c {
+				if labels[m] == Noise {
+					t.Fatalf("point %d of maximal set %v labeled noise (eps=%g minPts=%d)", m, c, eps, minPts)
+				}
 			}
 		}
 	}
+}
+
+// subsetInts reports whether every member of a is in b.
+func subsetInts(a, b []int) bool {
+	for _, x := range a {
+		if !slices.Contains(b, x) {
+			return false
+		}
+	}
+	return true
 }

@@ -101,7 +101,7 @@ func FuzzPolylineWithin(f *testing.F) {
 // FuzzPolylineAdjacency: the clusterer's x sweep finds exactly the
 // brute-force neighborhood graph of up to eight lattice polylines — so MinX
 // ties and pairs exactly at the bound are common — and its components are
-// ClusterComponents of that graph, under both bounds, both tolerance modes
+// clusterComponents of that graph, under both bounds, both tolerance modes
 // and box pruning on or off.
 func FuzzPolylineAdjacency(f *testing.F) {
 	f.Add([]byte{})
@@ -138,7 +138,7 @@ func FuzzPolylineAdjacency(f *testing.F) {
 		if got := pc.Adjacency(polys, minPts, p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("adjacency %v, brute force %v\n%+v\npolys %+v", got, want, p, polys)
 		}
-		if got, wc := pc.Components(polys, minPts, p), ClusterComponents(want); !reflect.DeepEqual(got, wc) {
+		if got, wc := pc.Components(polys, minPts, p), clusterComponents(want); !reflect.DeepEqual(got, wc) {
 			t.Fatalf("components %v, brute force %v\n%+v\npolys %+v", got, wc, p, polys)
 		}
 	})

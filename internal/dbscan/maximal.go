@@ -3,7 +3,7 @@ package dbscan
 import "slices"
 
 // This file provides the clustering view the CuTS filter step needs on top
-// of a neighborhood graph: ClusterComponents, the coarsened, disjoint view.
+// of a neighborhood graph: its components, the coarsened, disjoint view.
 // Maximal density-connected sets — the paper's Definition 2/3 clusters,
 // which CMC chains at every tick and internal/increment computes — may
 // overlap on border points; merging the overlapping ones gives the
@@ -21,25 +21,19 @@ type Adjacency struct {
 	Core []bool
 }
 
-// ClusterComponents returns the merged disjoint components: connected
-// components of the graph with an edge p–q whenever q ∈ NH(p) and at least
-// one of p, q is core. Overlapping maximal sets (sharing borders) collapse
-// into one component. Members sorted ascending; components ordered by their
-// smallest core index; noise omitted.
-func ClusterComponents(adj Adjacency) [][]int {
-	var f componentFill
-	return f.components(adj)
-}
-
-// componentFill is ClusterComponents' flood fill with its buffers kept, for
-// a caller that fills one graph after another.
+// componentFill finds the merged disjoint components of one graph after
+// another, its buffers kept: the connected components of the graph with an
+// edge p–q whenever q ∈ NH(p) and at least one of p, q is core. Overlapping
+// maximal sets (sharing borders) collapse into one component.
 type componentFill struct {
 	comp  []int // component of each item, -1 while it has none
 	queue []int // every component's members back to back, in flood order
 	ends  []int // ends[c]: where component c's members end in queue
 }
 
-// components reports the components as fresh lists carved from one arena.
+// components reports the components as fresh lists carved from one arena:
+// members sorted ascending, components ordered by their smallest core
+// index, noise omitted.
 func (f *componentFill) components(adj Adjacency) [][]int {
 	comp, queue, ends := f.comp[:0], f.queue[:0], f.ends[:0]
 	for range adj.NH {

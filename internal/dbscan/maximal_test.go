@@ -35,6 +35,12 @@ func adjOf(pts []geom.Point, eps float64, minPts int) Adjacency {
 	})
 }
 
+// clusterComponents is the components of one graph, by a fresh fill.
+func clusterComponents(adj Adjacency) [][]int {
+	var f componentFill
+	return f.components(adj)
+}
+
 // maximalOf is the oracle's maximal clusters of pts, each point named by
 // its index.
 func maximalOf(pts []geom.Point, eps float64, minPts int) [][]int {
@@ -48,7 +54,7 @@ func maximalOf(pts []geom.Point, eps float64, minPts int) [][]int {
 func TestClusterMaximalSharedBorder(t *testing.T) {
 	// Two 3-core groups with one border point reachable from both. With
 	// minPts=4 the border belongs to BOTH maximal sets, while
-	// ClusterComponents merges everything into one component.
+	// clusterComponents merges everything into one component.
 	pts := []geom.Point{
 		geom.Pt(0, 0), geom.Pt(0.2, 0), geom.Pt(0.4, 0), // cores of A
 		geom.Pt(2.4, 0), geom.Pt(2.6, 0), geom.Pt(2.8, 0), // cores of B
@@ -74,7 +80,7 @@ func TestClusterMaximalSharedBorder(t *testing.T) {
 			t.Errorf("cluster %d misses the shared border: %v", i, c)
 		}
 	}
-	comps := ClusterComponents(adj)
+	comps := clusterComponents(adj)
 	if len(comps) != 1 {
 		t.Fatalf("components = %v, want single merged component", comps)
 	}
@@ -92,7 +98,7 @@ func TestClusterMaximalDisjointGroupsMatchExclusive(t *testing.T) {
 		geom.Pt(50, 50), // noise
 	}
 	maximal := maximalOf(pts, 1.0, 2)
-	comps := ClusterComponents(adjOf(pts, 1.0, 2))
+	comps := clusterComponents(adjOf(pts, 1.0, 2))
 	labels := Cluster(pts, 1.0, 2)
 	groups := groupsByLabel(labels)
 	if len(maximal) != 2 || len(comps) != 2 || len(groups) != 2 {
@@ -140,7 +146,7 @@ func TestPropMaximalWithinComponents(t *testing.T) {
 		}
 		eps, minPts := 1.0+r.Float64(), 1+r.Intn(4)
 		maximal := maximalOf(pts, eps, minPts)
-		comps := ClusterComponents(adjOf(pts, eps, minPts))
+		comps := clusterComponents(adjOf(pts, eps, minPts))
 		compOf := map[int]int{}
 		for ci, c := range comps {
 			for _, m := range c {

@@ -214,7 +214,7 @@ func (pc *PolylineClusterer) Adjacency(polys []Polyline, minPts int, p PolylineD
 }
 
 // Components returns the merged disjoint segment-level components used by
-// the CuTS filter step (Algorithm 2, line 11), as ClusterComponents reports
+// the CuTS filter step (Algorithm 2, line 11), as componentFill reports
 // them. The lists are the caller's: they are carved from one fresh arena.
 func (pc *PolylineClusterer) Components(polys []Polyline, minPts int, p PolylineDistanceParams) [][]int {
 	return pc.fill.components(pc.Adjacency(polys, minPts, p))

@@ -88,7 +88,7 @@ func TestNewPolylineAggregates(t *testing.T) {
 	if p.MaxTol > 1.0+1e-9 {
 		t.Errorf("MaxTol = %g exceeds δ", p.MaxTol)
 	}
-	if !p.Bounds.Contains(geom.Pt(0, 0)) || !p.Bounds.Contains(geom.Pt(9, 0)) {
+	if b := p.Bounds; b.ExtendPoint(geom.Pt(0, 0)) != b || b.ExtendPoint(geom.Pt(9, 0)) != b {
 		t.Errorf("Bounds = %v", p.Bounds)
 	}
 }
@@ -366,7 +366,7 @@ func TestPropClusterPolylinesMatchesBrute(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d, %v, NoBoxPrune=%v: adjacency mismatch: sweep=%v brute=%v", iter, params, noBoxPrune, got, want)
 			}
-			if gc, wc := pc.Components(polys, minPts, params), ClusterComponents(want); !reflect.DeepEqual(gc, wc) {
+			if gc, wc := pc.Components(polys, minPts, params), clusterComponents(want); !reflect.DeepEqual(gc, wc) {
 				t.Fatalf("iter %d, %v, NoBoxPrune=%v: component mismatch: sweep=%v brute=%v", iter, params, noBoxPrune, gc, wc)
 			}
 		}

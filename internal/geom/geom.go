@@ -83,9 +83,6 @@ type Segment struct {
 	A, B Point
 }
 
-// Seg is shorthand for constructing a Segment.
-func Seg(a, b Point) Segment { return Segment{A: a, B: b} }
-
 // String renders the segment as "A–B".
 func (s Segment) String() string { return fmt.Sprintf("%v–%v", s.A, s.B) }
 
@@ -204,27 +201,12 @@ func EmptyRect() Rect {
 	}
 }
 
-// RectOf returns the minimum bounding box of a set of points. With no points
-// it returns EmptyRect().
-func RectOf(pts ...Point) Rect {
-	r := EmptyRect()
-	for _, p := range pts {
-		r = r.ExtendPoint(p)
-	}
-	return r
-}
-
 // IsEmpty reports whether the rectangle contains no points.
 func (r Rect) IsEmpty() bool { return r.MinX > r.MaxX || r.MinY > r.MaxY }
 
 // String renders the rectangle as "[minX,minY..maxX,maxY]".
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g,%g..%g,%g]", r.MinX, r.MinY, r.MaxX, r.MaxY)
-}
-
-// Contains reports whether p lies inside or on the border of r.
-func (r Rect) Contains(p Point) bool {
-	return r.MinX <= p.X && p.X <= r.MaxX && r.MinY <= p.Y && p.Y <= r.MaxY
 }
 
 // ExtendPoint returns the smallest rectangle covering both r and p.

@@ -9,6 +9,17 @@ import (
 
 const eps = 1e-9
 
+func seg(a, b Point) Segment { return Segment{A: a, B: b} }
+
+// rectOf is the bounding box of pts: EmptyRect extended by each.
+func rectOf(pts ...Point) Rect {
+	r := EmptyRect()
+	for _, p := range pts {
+		r = r.ExtendPoint(p)
+	}
+	return r
+}
+
 func almostEqual(a, b float64) bool {
 	if math.IsInf(a, 1) && math.IsInf(b, 1) {
 		return true
@@ -73,7 +84,7 @@ func TestVectorOps(t *testing.T) {
 }
 
 func TestDPL(t *testing.T) {
-	l := Seg(Pt(0, 0), Pt(10, 0))
+	l := seg(Pt(0, 0), Pt(10, 0))
 	cases := []struct {
 		p    Point
 		want float64
@@ -94,7 +105,7 @@ func TestDPL(t *testing.T) {
 }
 
 func TestDPLDegenerateSegment(t *testing.T) {
-	l := Seg(Pt(2, 2), Pt(2, 2))
+	l := seg(Pt(2, 2), Pt(2, 2))
 	if got := DPL(Pt(5, 6), l); !almostEqual(got, 5) {
 		t.Errorf("DPL to degenerate segment = %g, want 5", got)
 	}
@@ -106,21 +117,21 @@ func TestDLL(t *testing.T) {
 		want float64
 	}{
 		// Parallel horizontal segments, vertical gap 2.
-		{Seg(Pt(0, 0), Pt(10, 0)), Seg(Pt(0, 2), Pt(10, 2)), 2},
+		{seg(Pt(0, 0), Pt(10, 0)), seg(Pt(0, 2), Pt(10, 2)), 2},
 		// Crossing segments.
-		{Seg(Pt(0, 0), Pt(10, 10)), Seg(Pt(0, 10), Pt(10, 0)), 0},
+		{seg(Pt(0, 0), Pt(10, 10)), seg(Pt(0, 10), Pt(10, 0)), 0},
 		// Touching at an endpoint.
-		{Seg(Pt(0, 0), Pt(5, 5)), Seg(Pt(5, 5), Pt(9, 0)), 0},
+		{seg(Pt(0, 0), Pt(5, 5)), seg(Pt(5, 5), Pt(9, 0)), 0},
 		// Collinear, disjoint: gap 3 along the x axis.
-		{Seg(Pt(0, 0), Pt(2, 0)), Seg(Pt(5, 0), Pt(9, 0)), 3},
+		{seg(Pt(0, 0), Pt(2, 0)), seg(Pt(5, 0), Pt(9, 0)), 3},
 		// Collinear, overlapping.
-		{Seg(Pt(0, 0), Pt(5, 0)), Seg(Pt(3, 0), Pt(9, 0)), 0},
+		{seg(Pt(0, 0), Pt(5, 0)), seg(Pt(3, 0), Pt(9, 0)), 0},
 		// Perpendicular, closest at endpoint-to-interior.
-		{Seg(Pt(0, 3), Pt(0, 10)), Seg(Pt(-5, 0), Pt(5, 0)), 3},
+		{seg(Pt(0, 3), Pt(0, 10)), seg(Pt(-5, 0), Pt(5, 0)), 3},
 		// Degenerate vs segment.
-		{Seg(Pt(4, 4), Pt(4, 4)), Seg(Pt(0, 0), Pt(8, 0)), 4},
+		{seg(Pt(4, 4), Pt(4, 4)), seg(Pt(0, 0), Pt(8, 0)), 4},
 		// Two degenerate segments.
-		{Seg(Pt(0, 0), Pt(0, 0)), Seg(Pt(3, 4), Pt(3, 4)), 5},
+		{seg(Pt(0, 0), Pt(0, 0)), seg(Pt(3, 4), Pt(3, 4)), 5},
 	}
 	for _, c := range cases {
 		if got := DLL(c.a, c.b); !almostEqual(got, c.want) {
@@ -134,10 +145,10 @@ func TestDLL(t *testing.T) {
 }
 
 func TestRectBasics(t *testing.T) {
-	r := RectOf(Pt(1, 2), Pt(5, -3), Pt(3, 7))
+	r := rectOf(Pt(1, 2), Pt(5, -3), Pt(3, 7))
 	want := Rect{MinX: 1, MinY: -3, MaxX: 5, MaxY: 7}
 	if r != want {
-		t.Fatalf("RectOf = %v, want %v", r, want)
+		t.Fatalf("rectOf = %v, want %v", r, want)
 	}
 	if r.IsEmpty() {
 		t.Error("non-empty rect reported empty")
@@ -145,8 +156,8 @@ func TestRectBasics(t *testing.T) {
 	if !EmptyRect().IsEmpty() {
 		t.Error("EmptyRect not empty")
 	}
-	if !r.Contains(Pt(3, 0)) || r.Contains(Pt(0, 0)) {
-		t.Error("Contains misbehaves")
+	if r.ExtendPoint(Pt(3, 0)) != r || r.ExtendPoint(Pt(0, 0)) == r {
+		t.Error("ExtendPoint grows the rect for a point inside, or not for one outside")
 	}
 	if u := EmptyRect().Union(r); u != r {
 		t.Errorf("Union with empty = %v", u)
@@ -154,7 +165,7 @@ func TestRectBasics(t *testing.T) {
 	if u := r.Union(EmptyRect()); u != r {
 		t.Errorf("Union with empty (rhs) = %v", u)
 	}
-	s := RectOf(Pt(10, 10), Pt(12, 12))
+	s := rectOf(Pt(10, 10), Pt(12, 12))
 	if got := r.Union(s); got != (Rect{1, -3, 12, 12}) {
 		t.Errorf("Union = %v", got)
 	}
@@ -187,7 +198,7 @@ func TestDmin(t *testing.T) {
 }
 
 func TestSegmentHelpers(t *testing.T) {
-	s := Seg(Pt(0, 0), Pt(10, 0))
+	s := seg(Pt(0, 0), Pt(10, 0))
 	if got := s.At(0.25); got != Pt(2.5, 0) {
 		t.Errorf("At = %v", got)
 	}
@@ -233,7 +244,7 @@ func TestPropDPLIsMinOverSamples(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 300; i++ {
 		p := boundedPoint(r)
-		l := Seg(boundedPoint(r), boundedPoint(r))
+		l := seg(boundedPoint(r), boundedPoint(r))
 		got := DPL(p, l)
 		if got < 0 {
 			t.Fatalf("negative distance")
@@ -259,8 +270,8 @@ func TestPropDPLIsMinOverSamples(t *testing.T) {
 func TestPropDLLLowerBoundsPointPairs(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
-		lu := Seg(boundedPoint(r), boundedPoint(r))
-		lv := Seg(boundedPoint(r), boundedPoint(r))
+		lu := seg(boundedPoint(r), boundedPoint(r))
+		lv := seg(boundedPoint(r), boundedPoint(r))
 		dll := DLL(lu, lv)
 		for j := 0; j < 16; j++ {
 			a := lu.At(r.Float64())
@@ -283,8 +294,8 @@ func TestPropDLLLowerBoundsPointPairs(t *testing.T) {
 func TestPropDminLowerBoundsDLL(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 300; i++ {
-		lu := Seg(boundedPoint(r), boundedPoint(r))
-		lv := Seg(boundedPoint(r), boundedPoint(r))
+		lu := seg(boundedPoint(r), boundedPoint(r))
+		lv := seg(boundedPoint(r), boundedPoint(r))
 		dmin := Dmin(lu.Bounds(), lv.Bounds())
 		if dll := DLL(lu, lv); dmin > dll+1e-9 {
 			t.Fatalf("Dmin=%g exceeds DLL=%g (lu=%v lv=%v)", dmin, dll, lu, lv)
@@ -295,8 +306,8 @@ func TestPropDminLowerBoundsDLL(t *testing.T) {
 func TestPropRectUnionMonotone(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy float64) bool {
 		a, b, c := Pt(ax, ay), Pt(bx, by), Pt(cx, cy)
-		u := RectOf(a, b).Union(RectOf(c))
-		return u.Contains(a) && u.Contains(b) && u.Contains(c)
+		u := rectOf(a, b).Union(rectOf(c))
+		return u.ExtendPoint(a) == u && u.ExtendPoint(b) == u && u.ExtendPoint(c) == u
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Error(err)

@@ -117,8 +117,8 @@ func FuzzPointIndexOps(f *testing.F) {
 					live++
 				}
 			}
-			if idx.Len() != live {
-				t.Fatalf("op %d: Len = %d, want %d", op, idx.Len(), live)
+			if idx.n != live {
+				t.Fatalf("op %d: Len = %d, want %d", op, idx.n, live)
 			}
 		}
 	})

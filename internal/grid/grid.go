@@ -249,9 +249,6 @@ func within[T int | int32](idx *PointIndex, p geom.Point, r float64, dst []T) []
 	return dst
 }
 
-// Len returns the number of indexed points.
-func (idx *PointIndex) Len() int { return idx.n }
-
 // growTo reslices s to length n, reallocating only past its capacity.
 func growTo[T any](s []T, n int) []T {
 	if n <= cap(s) {

@@ -16,8 +16,8 @@ func TestPointIndexSmall(t *testing.T) {
 		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0.5, 0.5), geom.Pt(10, 10), geom.Pt(-3, 0),
 	}
 	idx := NewPointIndex(pts, 1.0)
-	if idx.Len() != 5 {
-		t.Fatalf("Len = %d", idx.Len())
+	if idx.n != 5 {
+		t.Fatalf("Len = %d", idx.n)
 	}
 	got := idx.Within(geom.Pt(0, 0), 1.0, nil)
 	sort.Ints(got)
@@ -238,8 +238,8 @@ func TestPointIndexResetEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if reused.Len() != fresh.Len() {
-			t.Fatalf("set %d: Len = %d, want %d", si, reused.Len(), fresh.Len())
+		if reused.n != fresh.n {
+			t.Fatalf("set %d: Len = %d, want %d", si, reused.n, fresh.n)
 		}
 	}
 }

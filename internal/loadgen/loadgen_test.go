@@ -13,8 +13,9 @@ import (
 )
 
 // newTarget hosts a fresh convoyd server with /metrics mounted next to
-// the API — the same layout cmd/convoyd serves.
-func newTarget(t *testing.T, cfg serve.Config) (*serve.Server, string) {
+// the API — the same layout cmd/convoyd serves — and returns its registry
+// and URL.
+func newTarget(t *testing.T, cfg serve.Config) (*metrics.Registry, string) {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	cfg.Metrics = reg
@@ -27,7 +28,7 @@ func newTarget(t *testing.T, cfg serve.Config) (*serve.Server, string) {
 		ts.Close()
 		srv.Close()
 	})
-	return srv, ts.URL
+	return reg, ts.URL
 }
 
 // TestMixedScenarioMatchesServerCounters is the acceptance property: the
@@ -132,7 +133,7 @@ func TestScrapeErrorStatusDegradesGracefully(t *testing.T) {
 // TestChurnScenarioDrivesRegistry checks a second preset end to end and
 // the registry lifecycle counters it is meant to exercise.
 func TestChurnScenarioDrivesRegistry(t *testing.T) {
-	srv, url := newTarget(t, serve.Config{})
+	reg, url := newTarget(t, serve.Config{})
 	rep, err := Run(context.Background(), Options{
 		BaseURL:     url,
 		Scenario:    "churn",
@@ -146,12 +147,12 @@ func TestChurnScenarioDrivesRegistry(t *testing.T) {
 	if !rep.ServerMatch {
 		t.Errorf("request accounting mismatch: client %d, server %d", rep.Requests, rep.ServerRequests)
 	}
-	created := scraped(t, srv, "convoyd_feeds_created_total")
-	deleted := scraped(t, srv, "convoyd_feeds_deleted_total")
+	created := scraped(t, reg, "convoyd_feeds_created_total")
+	deleted := scraped(t, reg, "convoyd_feeds_deleted_total")
 	if created == 0 || deleted == 0 {
 		t.Errorf("churn left no lifecycle trace: created %g, deleted %g", created, deleted)
 	}
-	if live := scraped(t, srv, "convoyd_feeds"); live != 0 {
+	if live := scraped(t, reg, "convoyd_feeds"); live != 0 {
 		t.Errorf("churn leaked %g feeds", live)
 	}
 }
@@ -159,7 +160,7 @@ func TestChurnScenarioDrivesRegistry(t *testing.T) {
 // TestCancelStormTimesOut checks the cancel preset produces server-side
 // 504s (aborted discoveries) without any client-side aborts.
 func TestCancelStormTimesOut(t *testing.T) {
-	srv, url := newTarget(t, serve.Config{})
+	reg, url := newTarget(t, serve.Config{})
 	rep, err := Run(context.Background(), Options{
 		BaseURL:     url,
 		Scenario:    "cancel",
@@ -179,7 +180,7 @@ func TestCancelStormTimesOut(t *testing.T) {
 	if rep.Status["504"] == 0 {
 		t.Errorf("no 504s under the storm: %v", rep.Status)
 	}
-	if got := scraped(t, srv, "convoyd_queries_total", `outcome="timeout"`); got == 0 {
+	if got := scraped(t, reg, "convoyd_queries_total", `outcome="timeout"`); got == 0 {
 		t.Error("server counted no timed-out queries")
 	}
 }
@@ -228,12 +229,12 @@ func TestUnknownScenario(t *testing.T) {
 	}
 }
 
-// scraped reads srv's exposition back through ParseText and adds up the
+// scraped reads reg's exposition back through ParseText and adds up the
 // series of family whose label set holds every matcher (`outcome="ok"`).
-func scraped(t *testing.T, srv *serve.Server, family string, matchers ...string) float64 {
+func scraped(t *testing.T, reg *metrics.Registry, family string, matchers ...string) float64 {
 	t.Helper()
 	var b strings.Builder
-	if err := srv.MetricsRegistry().WriteProm(&b); err != nil {
+	if err := reg.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	samples, err := metrics.ParseText(strings.NewReader(b.String()))

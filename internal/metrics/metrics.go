@@ -384,17 +384,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // With returns the counter for the label values, creating it on first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.with(values).c }
 
-// A GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, kindGauge, labels, nil, nil)}
-}
-
-// With returns the gauge for the label values, creating it on first use.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.with(values).g }
-
 // A HistogramVec is a histogram family partitioned by label values.
 type HistogramVec struct{ f *family }
 

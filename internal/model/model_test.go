@@ -261,7 +261,7 @@ func TestPropInterpolationBounded(t *testing.T) {
 			if !ok {
 				t.Fatalf("LocationAt(%d) failed inside span", tick)
 			}
-			if !tr.Bounds().Contains(p) {
+			if b := tr.Bounds(); b.ExtendPoint(p) != b {
 				t.Fatalf("interpolated point %v outside bounds %v", p, tr.Bounds())
 			}
 		}

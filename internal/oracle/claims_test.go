@@ -185,10 +185,16 @@ func claimAnswers(t *testing.T, profiles []profile) {
 	tb.log(t)
 }
 
+// simplifyAll simplifies every trajectory of db serially, in ID order.
+func simplifyAll(db *model.DB, delta float64, m simplify.Method) []*simplify.Trajectory {
+	sts, _ := simplify.SimplifyAllWorkers(context.Background(), db, delta, m, 1)
+	return sts
+}
+
 // uncovered returns the oracle convoys no filter candidate covers, with the
 // δ and λ a run resolved.
 func uncovered(prof profile, v core.Variant, st core.Stats) []core.Convoy {
-	sts := simplify.SimplifyAll(prof.db, st.Delta, v.SimplifyMethod())
+	sts := simplifyAll(prof.db, st.Delta, v.SimplifyMethod())
 	cands := core.Filter(prof.db, prof.p, sts, core.FilterConfig{
 		Lambda: st.Lambda, Bound: v.Bound(), Tolerance: dbscan.ActualTolerance, Delta: st.Delta,
 	})
@@ -273,7 +279,7 @@ func claimSweeps(t *testing.T, profiles []profile) {
 	for _, delta := range deltaSweep(cattle) {
 		for _, m := range []simplify.Method{simplify.DP, simplify.DPPlus, simplify.DPStar} {
 			kept, total := 0, 0
-			for _, st := range simplify.SimplifyAll(cattle.db, delta, m) {
+			for _, st := range simplifyAll(cattle.db, delta, m) {
 				kept += st.Len()
 				total += st.Orig.Len()
 			}

@@ -268,7 +268,7 @@ func TestFigure2bMC2FalsePositive(t *testing.T) {
 	}
 }
 
-func TestMC2Validation(t *testing.T) {
+func TestMC2ThetaValidation(t *testing.T) {
 	db := figure2aDB(t)
 	p := core.Params{M: 2, K: 1, Eps: 1.2}
 	if _, err := mc2(db, p, -0.1); err == nil {
@@ -283,6 +283,9 @@ func TestMC2Validation(t *testing.T) {
 	if _, err := mc2(db, core.Params{M: 0, K: 1, Eps: 1}, 0.5); err == nil {
 		t.Error("invalid params accepted")
 	}
+}
+
+func TestMC2EmptyDB(t *testing.T) {
 	if mc, err := mc2(model.NewDB(), core.Params{M: 2, K: 1, Eps: 1}, 0.5); err != nil || len(mc) != 0 {
 		t.Errorf("empty DB: %v, %v", mc, err)
 	}

@@ -214,8 +214,8 @@ func (l *Log) TimeRange() (lo, hi model.Tick, ok bool) { return l.lo, l.hi, l.so
 func (l *Log) EdgesAt(t model.Tick) []Edge { return l.ticks[t] }
 
 // Records returns every edge as tsio records (labels restored), ordered
-// by tick and, within a tick, by insertion — a WriteEdgeCSV round trip
-// reproduces the log.
+// by tick and, within a tick, by insertion — written back as an edge CSV,
+// they read back as the same log.
 func (l *Log) Records() []tsio.EdgeRecord {
 	ts := make([]model.Tick, 0, len(l.ticks))
 	for t := range l.ticks {

@@ -67,9 +67,8 @@ type Config struct {
 	MaxBodyBytes int64
 	// Metrics receives the server's instrument families (the convoyd_*
 	// catalogue; see serveMetrics). Nil means a private registry: the
-	// instruments still update, but nothing is exposed until
-	// MetricsRegistry().Handler() is mounted. A registry must not be
-	// shared between two servers — family names would collide.
+	// instruments still update, but nothing exposes them. A registry must
+	// not be shared between two servers — family names would collide.
 	Metrics *metrics.Registry
 	// Logger receives the server's structured records: request logs for
 	// failures and slow requests, feed lifecycle events, janitor evictions.

@@ -346,8 +346,3 @@ func (m *serveMetrics) observeHTTP(route string, code int, d time.Duration, trac
 	m.httpRequests.With(route, strconv.Itoa(code)).Inc()
 	m.httpSeconds.With(route).ObserveExemplar(d.Seconds(), traceID, unixNow())
 }
-
-// MetricsRegistry returns the registry holding the server's instruments —
-// the configured one, or the private registry a zero config gets. Mount
-// its Handler to expose /metrics.
-func (s *Server) MetricsRegistry() *metrics.Registry { return s.cfg.metrics.reg }

@@ -22,7 +22,7 @@ import (
 func scrape(t *testing.T, s *Server) map[string]float64 {
 	t.Helper()
 	var b strings.Builder
-	if err := s.MetricsRegistry().WriteProm(&b); err != nil {
+	if err := s.cfg.metrics.reg.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	samples, err := metrics.ParseText(strings.NewReader(b.String()))
@@ -296,7 +296,7 @@ func seedCSVLarge(t *testing.T) []byte {
 func TestReadmeMetricCatalogueMatchesRegistry(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	rec := httptest.NewRecorder()
-	srv.MetricsRegistry().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	srv.cfg.metrics.reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	var exported []string
 	for _, m := range regexp.MustCompile(`(?m)^# TYPE convoyd_(\S+) `).FindAllStringSubmatch(rec.Body.String(), -1) {
 		exported = append(exported, m[1])

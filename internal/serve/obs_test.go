@@ -189,7 +189,7 @@ func TestTraceparentThroughHTTP(t *testing.T) {
 	if got.TraceID != wantTrace || got.Root == nil || got.Root.Name != "http" {
 		t.Fatalf("recorded trace = %+v", got)
 	}
-	if got.Root.Attr("route") != "GET /v1/healthz" || got.Root.Attr("status") != "200" {
+	if got.Root.Attrs["route"] != "GET /v1/healthz" || got.Root.Attrs["status"] != "200" {
 		t.Fatalf("root attrs = %v", got.Root.Attrs)
 	}
 	if got.Root.SpanID != sid.String() {
@@ -198,7 +198,7 @@ func TestTraceparentThroughHTTP(t *testing.T) {
 
 	// The traced request's ID lands as an exemplar on the latency bucket.
 	var om bytes.Buffer
-	s.MetricsRegistry().WriteOpenMetrics(&om)
+	s.cfg.metrics.reg.WriteOpenMetrics(&om)
 	if !strings.Contains(om.String(), `trace_id="`+wantTrace+`"`) {
 		t.Fatal("OpenMetrics exposition missing the request's trace exemplar")
 	}

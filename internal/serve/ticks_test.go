@@ -105,7 +105,7 @@ func tickSplit(tb testing.TB, traces []trace.TraceJSON) (n int, ms map[string]fl
 	tb.Helper()
 	ms = map[string]float64{}
 	for _, tj := range traces {
-		if tj.Root == nil || tj.Root.Attr("route") != "POST /v1/feeds/{name}/ticks" {
+		if tj.Root == nil || tj.Root.Attrs["route"] != "POST /v1/feeds/{name}/ticks" {
 			continue
 		}
 		decode, apply := tj.Root.Find("decode"), tj.Root.Find("apply")
@@ -117,9 +117,9 @@ func tickSplit(tb testing.TB, traces []trace.TraceJSON) (n int, ms map[string]fl
 		ms["decode"] += decode.DurationMS
 		ms["apply"] += apply.DurationMS
 		for _, key := range []string{"wal_append_ms", "cluster_ms", "chain_ms"} {
-			v, err := strconv.ParseFloat(apply.Attr(key), 64)
+			v, err := strconv.ParseFloat(apply.Attrs[key], 64)
 			if err != nil {
-				tb.Fatalf("apply span attribute %s = %q", key, apply.Attr(key))
+				tb.Fatalf("apply span attribute %s = %q", key, apply.Attrs[key])
 			}
 			ms[key] += v
 		}
@@ -138,11 +138,11 @@ func TestTickSpansCoverRequest(t *testing.T) {
 	url := ts.URL + "/v1/feeds/f/ticks"
 	stream := newCommuteStream(t, 0.1, 40)
 
-	before := tr.Completed()
+	before := len(tr.Recent(0))
 	for i := 0; i < 20; i++ {
 		postTick(t, ts.Client(), url, stream.body(i), "")
 	}
-	if got := tr.Completed(); got != before {
+	if got := len(tr.Recent(0)); got != before {
 		t.Fatalf("unsampled ticks completed %d traces", got-before)
 	}
 	ctx := context.Background()
@@ -170,7 +170,7 @@ func TestTickSpansCoverRequest(t *testing.T) {
 		t.Errorf("apply stages sum to %.3f ms of an apply span of %.3f ms", stages, ms["apply"])
 	}
 	for _, tj := range tr.Recent(0) {
-		if d := tj.Root.Find("decode"); d != nil && (d.Attr("ticks") != "1" || d.Attr("bytes") == "0") {
+		if d := tj.Root.Find("decode"); d != nil && (d.Attrs["ticks"] != "1" || d.Attrs["bytes"] == "0") {
 			t.Fatalf("decode span attrs = %v", d.Attrs)
 		}
 	}

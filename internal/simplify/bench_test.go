@@ -1,12 +1,13 @@
 package simplify
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datagen"
 )
 
-// BenchmarkSimplify prices the simplification layer alone: SimplifyAll at
+// BenchmarkSimplify prices the simplification layer alone: SimplifyAllWorkers at
 // the profile's own δ, once per method, over the ladder's cattle-cuts herd
 // (13 trajectories of ≈ 26 k samples) and over Cattle@1 (13 of ≈ 175 k), the
 // scale of the ROADMAP's CuTS-vs-CMC table.
@@ -23,7 +24,7 @@ func BenchmarkSimplify(b *testing.B) {
 			b.Run(bc.name+"/"+m.String(), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if sts := SimplifyAll(db, bc.p.Delta, m); len(sts) != db.Len() {
+					if sts, _ := SimplifyAllWorkers(context.Background(), db, bc.p.Delta, m, 1); len(sts) != db.Len() {
 						b.Fatalf("%d simplified trajectories", len(sts))
 					}
 				}

@@ -20,7 +20,7 @@ import (
 // samples i and j under the given method: segment distance for DP/DP+,
 // synchronous time-ratio distance for DP*.
 func refDeviation(samples []model.Sample, i, j, idx int, m Method) float64 {
-	chord := geom.Seg(samples[i].P, samples[j].P)
+	chord := geom.Segment{A: samples[i].P, B: samples[j].P}
 	if m != DPStar {
 		return geom.DPL(samples[idx].P, chord)
 	}

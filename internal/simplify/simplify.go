@@ -603,16 +603,11 @@ func (sc *scratch) simplify(tr *model.Trajectory, delta float64, m Method) *Traj
 	return st
 }
 
-// SimplifyAll simplifies every trajectory of the database with the same
-// tolerance and method, in ID order.
-func SimplifyAll(db *model.DB, delta float64, m Method) []*Trajectory {
-	out, _ := SimplifyAllWorkers(context.Background(), db, delta, m, 1)
-	return out
-}
-
-// SimplifyAllWorkers is SimplifyAll on a bounded worker pool: trajectories
-// are independent, and each worker writes only its own ID slot, so the
-// result is identical (and identically ordered) for every worker count.
+// SimplifyAllWorkers simplifies every trajectory of the database with the
+// same tolerance and method, in ID order, on a bounded worker pool:
+// trajectories are independent, and each worker writes only its own ID
+// slot, so the result is identical (and identically ordered) for every
+// worker count.
 // workers ≤ 1 runs serially. Cancelling ctx aborts between trajectories
 // and returns ctx.Err() with a nil slice.
 func SimplifyAllWorkers(ctx context.Context, db *model.DB, delta float64, m Method, workers int) ([]*Trajectory, error) {

@@ -1,6 +1,7 @@
 package simplify
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -377,9 +378,9 @@ func TestSimplifyAll(t *testing.T) {
 	db := model.NewDB()
 	db.Add(mustTraj(t, s(0, 0, 0), s(1, 1, 1), s(2, 2, 0)))
 	db.Add(mustTraj(t, s(0, 5, 5), s(1, 6, 6)))
-	sts := SimplifyAll(db, 0.5, DP)
-	if len(sts) != 2 {
-		t.Fatalf("SimplifyAll returned %d", len(sts))
+	sts, err := SimplifyAllWorkers(context.Background(), db, 0.5, DP, 1)
+	if err != nil || len(sts) != 2 {
+		t.Fatalf("SimplifyAllWorkers returned %d, %v", len(sts), err)
 	}
 	for id, st := range sts {
 		if st.Object != id {

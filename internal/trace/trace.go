@@ -108,14 +108,6 @@ func (s *Span) TraceID() string {
 	return s.td.id.String()
 }
 
-// SpanID returns the span's own hex ID, or "" on a nil span.
-func (s *Span) SpanID() string {
-	if s == nil {
-		return ""
-	}
-	return s.id.String()
-}
-
 // IDs returns the raw trace and span IDs (zero values on nil), for
 // building an outgoing traceparent header.
 func (s *Span) IDs() (TraceID, SpanID) {
@@ -416,14 +408,6 @@ type SpanJSON struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 	// Children are the span's sub-spans, in completion order.
 	Children []*SpanJSON `json:"children,omitempty"`
-}
-
-// Attr returns the named attribute, or "" when unset.
-func (s *SpanJSON) Attr(key string) string {
-	if s == nil {
-		return ""
-	}
-	return s.Attrs[key]
 }
 
 // Find returns the first descendant (including s itself) with the given

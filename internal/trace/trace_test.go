@@ -59,9 +59,6 @@ func TestNilTracer(t *testing.T) {
 	if got := tr.Recent(0); got != nil {
 		t.Fatalf("nil tracer Recent = %v", got)
 	}
-	if tr.Completed() != 0 {
-		t.Fatalf("nil tracer Completed != 0")
-	}
 }
 
 func TestSpanTreeAssembly(t *testing.T) {
@@ -93,7 +90,7 @@ func TestSpanTreeAssembly(t *testing.T) {
 	if sub.SpanCount != 3 {
 		t.Fatalf("subtree span count = %d, want 3", sub.SpanCount)
 	}
-	if got := sub.Root.Find("filter").Attr("cluster_ms"); got != "2" {
+	if got := sub.Root.Find("filter").Attrs["cluster_ms"]; got != "2" {
 		t.Fatalf("AddFloat accumulated %q, want 2", got)
 	}
 	if len(sub.Orphans) != 0 {
@@ -124,8 +121,8 @@ func TestSpanTreeAssembly(t *testing.T) {
 	if runNode.Children[0].Name != "simplify" || runNode.Children[1].Name != "filter" {
 		t.Fatalf("stage order = %v, %v", runNode.Children[0].Name, runNode.Children[1].Name)
 	}
-	if tr.Completed() != 1 {
-		t.Fatalf("Completed = %d", tr.Completed())
+	if n := len(tr.Recent(0)); n != 1 {
+		t.Fatalf("%d traces recorded, want 1", n)
 	}
 }
 
@@ -135,10 +132,10 @@ func TestAttrReplaceAndTypes(t *testing.T) {
 	sp.Str("k", "a").Str("k", "b").Int("n", 7).Float("f", 1.25)
 	sp.End()
 	tj, _ := sp.Collect()
-	if got := tj.Root.Attr("k"); got != "b" {
+	if got := tj.Root.Attrs["k"]; got != "b" {
 		t.Fatalf("replace: got %q", got)
 	}
-	if tj.Root.Attr("n") != "7" || tj.Root.Attr("f") != "1.25" {
+	if tj.Root.Attrs["n"] != "7" || tj.Root.Attrs["f"] != "1.25" {
 		t.Fatalf("attrs = %v", tj.Root.Attrs)
 	}
 }
@@ -157,12 +154,9 @@ func TestRingEviction(t *testing.T) {
 	}
 	// Newest first: 4, 3, 2.
 	for i, want := range []string{"4", "3", "2"} {
-		if got := recent[i].Root.Attr("i"); got != want {
+		if got := recent[i].Root.Attrs["i"]; got != want {
 			t.Fatalf("recent[%d] = %s, want %s", i, got, want)
 		}
-	}
-	if tr.Completed() != 5 {
-		t.Fatalf("Completed = %d, want 5", tr.Completed())
 	}
 }
 
@@ -292,7 +286,7 @@ func TestConcurrentSpans(t *testing.T) {
 	if tj.SpanCount != 1+8*50*2 {
 		t.Fatalf("span count = %d", tj.SpanCount)
 	}
-	if got := tj.Root.Attr("total"); got != "8" {
+	if got := tj.Root.Attrs["total"]; got != "8" {
 		t.Fatalf("AddFloat under concurrency = %q", got)
 	}
 }

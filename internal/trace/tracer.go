@@ -16,10 +16,9 @@ type Tracer struct {
 	ringSize int // the constant ringSize; tests set their own
 	maxSpans int // the constant maxSpans; tests set their own
 
-	mu    sync.Mutex
-	ring  []TraceJSON // newest at (next-1+len)%len once full
-	next  int
-	total uint64
+	mu   sync.Mutex
+	ring []TraceJSON // newest at (next-1+len)%len once full
+	next int
 }
 
 // Option configures a Tracer.
@@ -144,7 +143,6 @@ func (t *Tracer) Start(ctx context.Context, name string, opts ...StartOption) (c
 func (t *Tracer) push(tj TraceJSON) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.total++
 	if len(t.ring) < t.ringSize {
 		t.ring = append(t.ring, tj)
 		t.next = len(t.ring) % t.ringSize
@@ -173,17 +171,6 @@ func (t *Tracer) Recent(minDur time.Duration) []TraceJSON {
 		}
 	}
 	return out
-}
-
-// Completed returns the number of traces completed since construction
-// (including traces since evicted from the ring).
-func (t *Tracer) Completed() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 func formatInt(v int64) string { return strconv.FormatInt(v, 10) }

@@ -31,27 +31,6 @@ type EdgeRecord struct {
 // edgeHeader is the mandatory first CSV line of an edge list.
 var edgeHeader = []string{"a", "b", "t", "w"}
 
-// WriteEdgeCSV writes the edge records in CSV format, in slice order.
-func WriteEdgeCSV(w io.Writer, edges []EdgeRecord) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(edgeHeader); err != nil {
-		return fmt.Errorf("tsio: write header: %w", err)
-	}
-	for _, e := range edges {
-		rec := []string{
-			e.A,
-			e.B,
-			strconv.FormatInt(int64(e.T), 10),
-			strconv.FormatFloat(e.W, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("tsio: write edge: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // ReadEdgeCSV parses a CSV proximity-edge file, preserving file order.
 // Non-finite weights are rejected at parse time (like coordinates in
 // ReadCSV); everything else is the consumer's concern.

@@ -345,8 +345,12 @@ func walStatusJSON(feed string, fsync wal.FsyncPolicy, st wal.Status, rec *wire.
 
 // ReadWindow walks the logged tick blocks with from ≤ t ≤ to through v in
 // ingestion order — the read under a history query (ErrNoWAL on an
-// in-memory feed). It holds the feed's lock, so no append runs beside it,
-// and none can compact away a segment the read has snapshotted.
+// in-memory feed). It holds the feed's lock, which orders the read against
+// close: close waits for a running read before it closes the log, and a
+// read after close fails with ErrFeedClosed, so Registry.Remove never
+// deletes the log's directory under a read. (Compaction needs no lock: the
+// log keeps a compacted segment's file until the last read that
+// snapshotted it ends.)
 func (f *Feed) ReadWindow(ctx context.Context, from, to model.Tick, v tsio.TickBlockVisitor) error {
 	f.touch()
 	if err := f.acquire(ctx); err != nil {

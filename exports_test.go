@@ -61,137 +61,122 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	c := newModuleChecker(t, ".")
-	var ladderRefs map[types.Object]bool
-	for _, path := range c.paths {
-		c.check(path)
-	}
-	ladderRefs = c.refsFrom("repro/bench/ladder")
-
-	aliased := c.rootAliases()
-	var unused []string
+	m := loadModule(t)
+	aliased := m.rootAliases()
 	seen := map[string]bool{}
-	for _, d := range c.exportedDecls() {
+	var unused []string
+	for _, d := range m.exportedDecls() {
 		key := d.key()
 		seen[key] = true
-		refd := c.referencedOutside(d)
+		used, byLadder := m.references(d)
 		reason, kept := keptExports[key]
 		switch {
-		case kept && reason == ladder && !ladderRefs[d.obj]:
-			t.Errorf("%s is kept for the ladder, which does not reference it", key)
-		case kept && refd:
-			t.Errorf("%s is kept as unreferenced, but a non-test file references it", key)
-		case kept, refd:
-		case aliased[d.recv]:
-		case d.recv != nil && c.satisfiesInterface(d):
+		case kept && used:
+			t.Errorf("keptExports lists %s, but a non-test file references it", key)
+		case kept && reason == ladder && !byLadder:
+			t.Errorf("keptExports lists %s for the ladder, which does not reference it", key)
+		case kept, used, aliased[d.recv]:
+		case d.recv != nil && m.satisfiesInterface(d):
 		default:
-			unused = append(unused, fmt.Sprintf("%s (%s)", key, c.fset.Position(d.obj.Pos())))
+			unused = append(unused, fmt.Sprintf("%s (%s)", key, m.fset.Position(d.obj.Pos())))
 		}
 	}
 	for key := range keptExports {
 		if !seen[key] {
-			t.Errorf("keptExports names %s, which is not an exported name under internal/", key)
+			t.Errorf("keptExports lists %s, which is not an exported name under internal/", key)
 		}
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("no non-test file outside its own references %s: delete it, move it into a test, or list it in keptExports", u)
+		t.Errorf("no non-test code outside its declaration references %s: delete it, move it into a test, or list it in keptExports", u)
 	}
 }
 
-// moduleChecker type-checks the module's packages from their non-test
-// files, recording every identifier use in one Info.
-type moduleChecker struct {
+// module is the module's packages and the ladder, type-checked from their
+// non-test files.
+type module struct {
 	t     *testing.T
-	root  string
 	fset  *token.FileSet
 	std   types.Importer
 	info  *types.Info
 	pkgs  map[string]*types.Package
 	files map[string][]*ast.File
-	paths []string // every package of the module, and the ladder
+	paths []string                     // every package of the module, then the ladder
+	uses  map[types.Object][]token.Pos // where each object is referenced
 }
 
-func newModuleChecker(t *testing.T, root string) *moduleChecker {
-	c := &moduleChecker{
+func loadModule(t *testing.T) *module {
+	m := &module{
 		t:     t,
-		root:  root,
 		fset:  token.NewFileSet(),
 		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
+		uses:  map[types.Object][]token.Pos{},
 	}
-	c.std = importer.ForCompiler(c.fset, "source", nil)
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
+	m.std = importer.ForCompiler(m.fset, "source", nil)
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if p != root && (strings.HasPrefix(name, ".") || name == "testdata" || p == filepath.Join(root, "bench")) {
+		if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || p == "bench") {
 			return filepath.SkipDir
 		}
 		if bp, err := build.ImportDir(p, 0); err == nil && len(bp.GoFiles) > 0 {
-			c.paths = append(c.paths, c.importPath(p))
+			m.paths = append(m.paths, strings.TrimSuffix("repro/"+filepath.ToSlash(p), "/."))
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.paths = append(c.paths, "repro/bench/ladder")
-	return c
+	m.paths = append(m.paths, "repro/bench/ladder")
+	for _, path := range m.paths {
+		m.check(path)
+	}
+	for id, obj := range m.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		m.uses[obj] = append(m.uses[obj], id.Pos())
+	}
+	return m
 }
 
-func (c *moduleChecker) importPath(dir string) string {
-	rel, err := filepath.Rel(c.root, dir)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	if rel == "." {
-		return "repro"
-	}
-	return "repro/" + filepath.ToSlash(rel)
-}
-
-func (c *moduleChecker) Import(path string) (*types.Package, error) {
+// Import resolves the module's own packages from source, once each.
+func (m *module) Import(path string) (*types.Package, error) {
 	if path == "repro" || strings.HasPrefix(path, "repro/") {
-		return c.check(path), nil
+		return m.check(path), nil
 	}
-	return c.std.Import(path)
+	return m.std.Import(path)
 }
 
-// check type-checks one package of the module (once) from its non-test
-// files.
-func (c *moduleChecker) check(path string) *types.Package {
-	if p, ok := c.pkgs[path]; ok {
+func (m *module) check(path string) *types.Package {
+	if p, ok := m.pkgs[path]; ok {
 		return p
 	}
-	dir := filepath.Join(c.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "repro"), "/")))
+	dir := "." + strings.TrimPrefix(path, "repro")
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
-		c.t.Fatalf("%s: %v", path, err)
+		m.t.Fatalf("%s: %v", path, err)
 	}
 	var files []*ast.File
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(c.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
-			c.t.Fatal(err)
+			m.t.Fatal(err)
 		}
 		files = append(files, f)
 	}
-	conf := types.Config{Importer: c}
-	p, err := conf.Check(path, c.fset, files, c.info)
+	p, err := (&types.Config{Importer: m}).Check(path, m.fset, files, m.info)
 	if err != nil {
-		c.t.Fatalf("%s: %v", path, err)
+		m.t.Fatalf("%s: %v", path, err)
 	}
-	c.pkgs[path], c.files[path] = p, files
+	m.pkgs[path], m.files[path] = p, files
 	return p
 }
 
-// decl is one exported function, method or type under internal/.
+// decl is one exported function, method or defined type under internal/.
 type decl struct {
 	obj      types.Object
 	recv     *types.TypeName // a method's receiver type; nil otherwise
@@ -199,39 +184,41 @@ type decl struct {
 }
 
 func (d decl) key() string {
-	pkg := d.obj.Pkg().Name()
+	name := d.obj.Pkg().Name() + "."
 	if d.recv != nil {
-		return pkg + "." + d.recv.Name() + "." + d.obj.Name()
+		name += d.recv.Name() + "."
 	}
-	return pkg + "." + d.obj.Name()
+	return name + d.obj.Name()
 }
 
-func (c *moduleChecker) exportedDecls() []decl {
+func (m *module) exportedDecls() []decl {
 	var out []decl
-	for _, path := range c.paths {
+	for _, path := range m.paths {
 		if !strings.HasPrefix(path, "repro/internal/") || testSupport[path] {
 			continue
 		}
-		for _, f := range c.files[path] {
+		for _, f := range m.files[path] {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					if !d.Name.IsExported() {
 						continue
 					}
-					fn := c.info.Defs[d.Name].(*types.Func)
 					var recv *types.TypeName
-					if sig := fn.Type().(*types.Signature); sig.Recv() != nil {
-						recv = receiverType(sig.Recv().Type())
-						if !recv.Exported() {
+					if d.Recv != nil {
+						t := m.info.Defs[d.Name].Type().(*types.Signature).Recv().Type()
+						if p, ok := t.(*types.Pointer); ok {
+							t = p.Elem()
+						}
+						if recv = t.(*types.Named).Origin().Obj(); !recv.Exported() {
 							continue
 						}
 					}
-					out = append(out, decl{fn, recv, d.Pos(), d.End()})
+					out = append(out, decl{m.info.Defs[d.Name], recv, d.Pos(), d.End()})
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						if ts, ok := s.(*ast.TypeSpec); ok && ts.Name.IsExported() && !ts.Assign.IsValid() {
-							out = append(out, decl{c.info.Defs[ts.Name], nil, ts.Pos(), ts.End()})
+							out = append(out, decl{m.info.Defs[ts.Name], nil, ts.Pos(), ts.End()})
 						}
 					}
 				}
@@ -241,65 +228,31 @@ func (c *moduleChecker) exportedDecls() []decl {
 	return out
 }
 
-func receiverType(t types.Type) *types.TypeName {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	return t.(*types.Named).Origin().Obj()
-}
-
-func origin(obj types.Object) types.Object {
-	if fn, ok := obj.(*types.Func); ok {
-		return fn.Origin()
-	}
-	return obj
-}
-
-// referencedOutside reports whether a non-test file of the module other
-// than d's own uses d. The ladder's uses do not count.
-func (c *moduleChecker) referencedOutside(d decl) bool {
-	for id, obj := range c.info.Uses {
-		if origin(obj) != d.obj {
-			continue
-		}
-		if id.Pos() >= d.pos && id.Pos() < d.end {
-			continue
-		}
-		if !strings.HasPrefix(filepath.ToSlash(c.fset.Position(id.Pos()).Filename), "bench/") {
-			return true
+// references reports whether non-test code of the module outside d's own
+// declaration uses d, and whether the ladder does.
+func (m *module) references(d decl) (used, byLadder bool) {
+	for _, pos := range m.uses[d.obj] {
+		switch {
+		case pos >= d.pos && pos < d.end:
+		case strings.HasPrefix(m.fset.Position(pos).Filename, "bench/"):
+			byLadder = true
+		default:
+			used = true
 		}
 	}
-	return false
-}
-
-// refsFrom returns the objects the package at path uses.
-func (c *moduleChecker) refsFrom(path string) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	for _, f := range c.files[path] {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := c.info.Uses[id]; obj != nil {
-					out[origin(obj)] = true
-				}
-			}
-			return true
-		})
-	}
-	return out
+	return used, byLadder
 }
 
 // rootAliases returns the internal types the root package aliases: their
 // methods are the library's surface.
-func (c *moduleChecker) rootAliases() map[*types.TypeName]bool {
+func (m *module) rootAliases() map[*types.TypeName]bool {
 	out := map[*types.TypeName]bool{}
-	scope := c.pkgs["repro"].Scope()
+	scope := m.pkgs["repro"].Scope()
 	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || !tn.IsAlias() {
-			continue
-		}
-		if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
-			out[n.Origin().Obj()] = true
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+			if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+				out[n.Origin().Obj()] = true
+			}
 		}
 	}
 	return out
@@ -308,22 +261,23 @@ func (c *moduleChecker) rootAliases() map[*types.TypeName]bool {
 // satisfiesInterface reports whether method d is part of an interface
 // that d's receiver implements: error, one package errors looks for, or one
 // declared by a package the module imports.
-func (c *moduleChecker) satisfiesInterface(d decl) bool {
+func (m *module) satisfiesInterface(d decl) bool {
 	named := d.recv.Type()
 	implements := func(iface *types.Interface) bool {
-		has := false
+		return types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)
+	}
+	declares := func(iface *types.Interface) bool {
 		for i := 0; i < iface.NumMethods(); i++ {
-			has = has || iface.Method(i).Name() == d.obj.Name()
+			if iface.Method(i).Name() == d.obj.Name() {
+				return true
+			}
 		}
-		return has && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface))
+		return false
 	}
 	errIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-	if implements(errIface) {
-		return true
-	}
 	switch d.obj.Name() {
-	case "Unwrap", "Is", "As":
-		if types.Implements(named, errIface) || types.Implements(types.NewPointer(named), errIface) {
+	case "Error", "Unwrap", "Is", "As":
+		if implements(errIface) {
 			return true
 		}
 	}
@@ -336,12 +290,10 @@ func (c *moduleChecker) satisfiesInterface(d decl) bool {
 		seen[p] = true
 		scope := p.Scope()
 		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			if iface, ok := tn.Type().Underlying().(*types.Interface); ok && implements(iface) {
-				return true
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok && declares(iface) && implements(iface) {
+					return true
+				}
 			}
 		}
 		for _, imp := range p.Imports() {
@@ -351,8 +303,8 @@ func (c *moduleChecker) satisfiesInterface(d decl) bool {
 		}
 		return false
 	}
-	for _, path := range c.paths {
-		if walk(c.pkgs[path]) {
+	for _, path := range m.paths {
+		if walk(m.pkgs[path]) {
 			return true
 		}
 	}

@@ -31,8 +31,8 @@
 // it returns within one clustering pass per worker and abandons everything
 // but the few chunks of ticks (or candidates) already in flight — the bound
 // documented on Query.Seq. The answer is the first convoys the single pass
-// closes, so -limit runs one pass whatever -partitions says. -format json-array wraps the same objects in one
-// indented JSON array.
+// closes, so -limit runs one pass whatever -partitions says. -format
+// json-array wraps the same objects in one indented JSON array.
 //
 // -explain traces the discovery and prints the per-stage timing profile
 // (the same stage breakdown POST /v1/query?...&explain=true returns) to

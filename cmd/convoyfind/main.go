@@ -3,7 +3,7 @@
 // Usage:
 //
 //	convoyfind -input traj.csv -m 3 -k 180 -e 8 [-algo cuts*] [-delta δ] [-lambda λ]
-//	           [-workers N] [-partitions N] [-limit N] [-timeout 30s]
+//	           [-workers N] [-limit N] [-timeout 30s]
 //	           [-stats] [-explain] [-format text|json|jsonl|json-array]
 //
 // The input is "obj,t,x,y" CSV with a header line or the binary CTB format
@@ -30,9 +30,8 @@
 // waiting for the full answer. With -limit the scan stops after that many:
 // it returns within one clustering pass per worker and abandons everything
 // but the few chunks of ticks (or candidates) already in flight — the bound
-// documented on Query.Seq. The answer is the first convoys the single pass
-// closes, so -limit runs one pass whatever -partitions says. -format
-// json-array wraps the same objects in one indented JSON array.
+// documented on Query.Seq. The answer is the first convoys the scan closes.
+// -format json-array wraps the same objects in one indented JSON array.
 //
 // -explain traces the discovery and prints the per-stage timing profile
 // (the same stage breakdown POST /v1/query?...&explain=true returns) to
@@ -76,7 +75,6 @@ func main() {
 		format  = flag.String("format", "text", "output format: text, json (NDJSON), jsonl (NDJSON, streamed as found) or json-array")
 		workers = flag.Int("workers", 0, "goroutines per discovery stage (0 = all CPU cores, 1 = serial)")
 		limit   = flag.Int("limit", 0, "stop after this many convoys, abandoning the scan beyond the chunks already in flight (0 = all)")
-		parts   = flag.Int("partitions", 0, "split the time range into this many overlapping windows, mine them independently and merge — the answer is identical, the scan parallelises (0/1 = single pass, as is any -limit run)")
 		timeout = flag.Duration("timeout", 0, "abort discovery after this long (0 = no deadline)")
 	)
 	flag.Parse()
@@ -103,7 +101,7 @@ func main() {
 	opts := options{
 		input: *input, m: *m, k: *k, e: *e, algo: *algo,
 		delta: *delta, lambda: *lambda, workers: *workers,
-		limit: *limit, partitions: *parts, stats: *stats, explain: *explain, format: *format,
+		limit: *limit, stats: *stats, explain: *explain, format: *format,
 	}
 	if err := run(ctx, os.Stdout, opts); err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -128,24 +126,19 @@ type options struct {
 	lambda  int64
 	workers int
 	limit   int
-	// partitions splits the scan into overlapping time windows mined
-	// independently and merged (-partitions); the answer never depends
-	// on it.
-	partitions int
-	stats      bool
-	explain    bool
-	format     string
+	stats   bool
+	explain bool
+	format  string
 }
 
 // spec spells the options as the wire's query: the one vocabulary the CLI
 // shares with convoyd, validated and defaulted by its Normalize alone.
 func (o options) spec() wire.QuerySpec {
 	return wire.QuerySpec{
-		Params:     wire.ParamsJSON{M: o.m, K: o.k, Eps: o.e},
-		Algo:       o.algo,
-		Delta:      o.delta,
-		Lambda:     o.lambda,
-		Partitions: o.partitions,
+		Params: wire.ParamsJSON{M: o.m, K: o.k, Eps: o.e},
+		Algo:   o.algo,
+		Delta:  o.delta,
+		Lambda: o.lambda,
 	}
 }
 

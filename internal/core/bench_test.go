@@ -86,8 +86,7 @@ func BenchmarkTruckCMC(b *testing.B) {
 // scheduled a tick at a time and seq-w2 cost 60× run-w2.
 //
 // The plan/ rows are the table behind ROADMAP item 5: the paper's four
-// profiles under CMC and CuTS*, serial and at two workers, as the single-pass
-// plan (p1) and as WithPartitions(2)'s partition → mine → merge (p2).
+// profiles under CMC and CuTS*, serial and at two workers.
 func BenchmarkScanSchedule(b *testing.B) {
 	db := datagen.Truck(1, 1).Generate()
 	ctx := context.Background()
@@ -124,18 +123,15 @@ func BenchmarkScanSchedule(b *testing.B) {
 			opt  Option
 		}{{"cmc", WithCMC()}, {"cuts*", WithVariant(VariantCuTSStar)}} {
 			for _, workers := range []int{1, 2} {
-				for _, partitions := range []int{1, 2} {
-					q := NewQuery(WithParams(Params{M: prof.M, K: prof.K, Eps: prof.Eps}), algo.opt,
-						WithWorkers(workers), WithPartitions(partitions))
-					b.Run(fmt.Sprintf("plan/%s/%s/w%d-p%d", strings.ToLower(prof.Name), algo.name, workers, partitions), func(b *testing.B) {
-						b.ReportAllocs()
-						for b.Loop() {
-							if _, err := q.Run(ctx, db); err != nil {
-								b.Fatal(err)
-							}
+				q := NewQuery(WithParams(Params{M: prof.M, K: prof.K, Eps: prof.Eps}), algo.opt, WithWorkers(workers))
+				b.Run(fmt.Sprintf("plan/%s/%s/w%d", strings.ToLower(prof.Name), algo.name, workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						if _, err := q.Run(ctx, db); err != nil {
+							b.Fatal(err)
 						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}

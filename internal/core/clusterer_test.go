@@ -163,11 +163,9 @@ func TestCustomClustererNamedDBSCAN(t *testing.T) {
 		t.Fatalf("CuTS* + custom clusterer named %q: err = %v, want CMC-required error", DefaultBackend, err)
 	}
 	want := Result{{Objects: ids(0, 1), Start: 0, End: 2}}
-	for _, parts := range []int{0, 2} {
-		got, err := NewQuery(WithParams(p), WithCMC(), WithClusterer(c), WithPartitions(parts)).Run(context.Background(), db)
-		if err != nil || !got.Equal(want) {
-			t.Fatalf("partitions=%d: CMC + custom clusterer named %q = %v, %v; want %v", parts, DefaultBackend, got, err, want)
-		}
+	got, err := NewQuery(WithParams(p), WithCMC(), WithClusterer(c)).Run(context.Background(), db)
+	if err != nil || !got.Equal(want) {
+		t.Fatalf("CMC + custom clusterer named %q = %v, %v; want %v", DefaultBackend, got, err, want)
 	}
 }
 

@@ -132,7 +132,7 @@ type Stats struct {
 	Delta         float64       // the δ actually used
 	Lambda        int64         // the λ actually used
 	Workers       int           // effective worker count (1 = serial)
-	NumPartitions int           // partitions scanned
+	NumPartitions int           // λ-partitions the CuTS filter scanned (0 under CMC)
 	NumCandidates int           // candidates handed to refinement
 	RefineUnits   float64       // Σ candidate refinement units
 	VertexKept    int           // Σ |o'| over all simplified trajectories

@@ -23,8 +23,9 @@ import (
 // transcription of the paper's definition. Its rows are
 //
 //	cmc, cuts, cuts+, cuts* × workers {1, 2} × incremental on/off
-//	    × WithPartitions {0, 2} × Run / collected Seq,
+//	    × Run / collected Seq,
 //	plus a Streamer and two Monitors on one ClusterSource, fed tick by tick,
+//	and each algorithm mined over two windows and merged (mineMerged),
 //
 // and every row must answer exactly what the oracle answers. Each test
 // below runs one slice of the rows, or one column of the work they report,
@@ -130,19 +131,18 @@ func oracleAnswer(db *model.DB, p Params) Result {
 var cutsVariants = map[string]Variant{"cuts": VariantCuTS, "cuts+": VariantCuTSPlus, "cuts*": VariantCuTSStar}
 
 // row is one batch row of the harness: queryAlgos[algo] at a worker count,
-// with the incremental engine on (DefaultChurnThreshold) or off (-1), over
-// a number of partitions, answered by Run or by a collected Seq.
+// with the incremental engine on (DefaultChurnThreshold) or off (-1),
+// answered by Run or by a collected Seq.
 type row struct {
 	algo      int
 	workers   int
 	threshold float64
-	parts     int
 	seq       bool
 }
 
 func (r row) String() string {
-	return fmt.Sprintf("%s workers=%d incremental=%v partitions=%d seq=%v",
-		queryAlgos[r.algo].name, r.workers, r.threshold >= 0, r.parts, r.seq)
+	return fmt.Sprintf("%s workers=%d incremental=%v seq=%v",
+		queryAlgos[r.algo].name, r.workers, r.threshold >= 0, r.seq)
 }
 
 // runRow answers sc with one row — the scenario's δ, λ and tolerance, then
@@ -186,7 +186,7 @@ func checkRow(t *testing.T, sc scenario, want Result, r row, extra ...Option) (s
 	ctx := context.Background()
 	_, cuts := cutsVariants[queryAlgos[r.algo].name]
 	opts := append([]Option{WithParams(sc.p), queryAlgos[r.algo].opt, WithDelta(sc.delta), WithLambda(sc.lambda), WithTolerance(sc.tol),
-		WithWorkers(r.workers), WithIncremental(r.threshold), WithPartitions(r.parts), WithStats(&s)}, extra...)
+		WithWorkers(r.workers), WithIncremental(r.threshold), WithStats(&s)}, extra...)
 	q := NewQuery(opts...)
 	var got []Convoy
 	var err error
@@ -217,11 +217,11 @@ func checkRow(t *testing.T, sc scenario, want Result, r row, extra ...Option) (s
 
 // sweep runs queryAlgos[algo] at workers {1, 2} × incremental {on, off};
 // st[w][i] is the run at the w-th worker count, i-th threshold.
-func sweep(t *testing.T, sc scenario, want Result, algo, parts int, seq bool) (st [2][2]Stats, ok bool) {
+func sweep(t *testing.T, sc scenario, want Result, algo int, seq bool) (st [2][2]Stats, ok bool) {
 	t.Helper()
 	for wi, workers := range []int{1, 2} {
 		for ii, threshold := range []float64{DefaultChurnThreshold, -1} {
-			if st[wi][ii], ok = runRow(t, sc, want, row{algo, workers, threshold, parts, seq}); !ok {
+			if st[wi][ii], ok = runRow(t, sc, want, row{algo, workers, threshold, seq}); !ok {
 				return st, false
 			}
 		}
@@ -268,7 +268,7 @@ func TestPropCMCMatchesBruteForce(t *testing.T) {
 func TestTickScanKernelDifferential(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(true, false) {
-			st, _ := sweep(t, sc, want, algo, 0, false)
+			st, _ := sweep(t, sc, want, algo, false)
 			for wi, s := range st {
 				sameWork(t, fmt.Sprintf("cmc workers=%d", wi+1), s[0], s[1])
 			}
@@ -281,7 +281,7 @@ func TestTickScanKernelDifferential(t *testing.T) {
 func TestPropCuTSFamilyEqualsCMC(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(false, true) {
-			sweep(t, sc, want, algo, 0, false)
+			sweep(t, sc, want, algo, false)
 		}
 	})
 }
@@ -292,33 +292,43 @@ func TestPropCuTSFamilyEqualsCMC(t *testing.T) {
 func TestPropSeqCollectEqualsRun(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(true, true) {
-			sweep(t, sc, want, algo, 0, true)
+			sweep(t, sc, want, algo, true)
 		}
 	})
 }
 
-// TestPartitionedEquivalence: every algorithm over two time partitions, at
-// every worker count, with the engine on and off, equals the oracle.
+// TestPartitionedEquivalence: every algorithm, mined over two overlapping
+// time windows and merged the way the sharded coordinator merges them,
+// equals the oracle.
 func TestPartitionedEquivalence(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(true, true) {
-			sweep(t, sc, want, algo, 2, false)
+			_, cuts := cutsVariants[queryAlgos[algo].name]
+			got, err := mineMerged(context.Background(), sc.db, sc.p, 2,
+				queryAlgos[algo].opt, WithDelta(sc.delta), WithLambda(sc.lambda), WithTolerance(sc.tol))
+			switch {
+			case sc.refused && cuts && !errors.Is(err, ErrTickDomain):
+				t.Fatalf("%s merged: err = %v, want ErrTickDomain", queryAlgos[algo].name, err)
+			case sc.refused && cuts:
+			case err != nil:
+				t.Fatalf("%s merged: %v", queryAlgos[algo].name, err)
+			case !got.Equal(want):
+				t.Fatalf("%s merged: %d answers ≠ oracle\n%s", queryAlgos[algo].name, len(got), answerDiff(got, want))
+			}
 		}
 	})
 }
 
-// TestPropParallelPipelineEqualsSerial: whole or partitioned, every
-// algorithm hands refinement as many candidates at two workers as at one.
+// TestPropParallelPipelineEqualsSerial: every algorithm hands refinement as
+// many candidates at two workers as at one.
 func TestPropParallelPipelineEqualsSerial(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(true, true) {
-			for _, parts := range []int{0, 2} {
-				one, ok := runRow(t, sc, want, row{algo, 1, DefaultChurnThreshold, parts, false})
-				two, _ := runRow(t, sc, want, row{algo, 2, DefaultChurnThreshold, parts, false})
-				if ok && one.NumCandidates != two.NumCandidates {
-					t.Errorf("%s partitions=%d: %d candidates at workers=1, %d at workers=2",
-						queryAlgos[algo].name, parts, one.NumCandidates, two.NumCandidates)
-				}
+			one, ok := runRow(t, sc, want, row{algo, 1, DefaultChurnThreshold, false})
+			two, _ := runRow(t, sc, want, row{algo, 2, DefaultChurnThreshold, false})
+			if ok && one.NumCandidates != two.NumCandidates {
+				t.Errorf("%s: %d candidates at workers=1, %d at workers=2",
+					queryAlgos[algo].name, one.NumCandidates, two.NumCandidates)
 			}
 		}
 	})
@@ -330,8 +340,8 @@ func TestPropParallelPipelineEqualsSerial(t *testing.T) {
 func TestPropParallelRefineEqualsSerial(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(false, true) {
-			one, ok := runRow(t, sc, want, row{algo, 1, -1, 0, false})
-			two, _ := runRow(t, sc, want, row{algo, 2, -1, 0, false})
+			one, ok := runRow(t, sc, want, row{algo, 1, -1, false})
+			two, _ := runRow(t, sc, want, row{algo, 2, -1, false})
 			if ok && (one.ClusterPasses != two.ClusterPasses || one.RefineUnits != two.RefineUnits) {
 				t.Errorf("%s: passes %d/%d, refinement units %g/%g at workers 1/2", queryAlgos[algo].name,
 					one.ClusterPasses, two.ClusterPasses, one.RefineUnits, two.RefineUnits)
@@ -346,7 +356,7 @@ func TestPropParallelRefineEqualsSerial(t *testing.T) {
 func TestRefinementClustersThroughTheEngine(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(false, true) {
-			st, ok := sweep(t, sc, want, algo, 0, false)
+			st, ok := sweep(t, sc, want, algo, false)
 			for wi := 0; ok && wi < 2; wi++ {
 				on, off := st[wi][0], st[wi][1]
 				what := fmt.Sprintf("%s workers=%d", queryAlgos[algo].name, wi+1)
@@ -372,7 +382,7 @@ func TestCMCIncrementalMatchesFromScratch(t *testing.T) {
 				t.Fatalf("no convoy; the comparison would be vacuous")
 			}
 			for _, algo := range algosOf(true, false) {
-				st, _ := sweep(t, sc, want, algo, 0, false)
+				st, _ := sweep(t, sc, want, algo, false)
 				for wi, s := range st {
 					on, off := s[0], s[1]
 					switch {
@@ -397,7 +407,7 @@ func TestPropQueryRunEqualsLegacyAPI(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(false, true) {
 			v := cutsVariants[queryAlgos[algo].name]
-			s, ok := runRow(t, sc, want, row{algo, 1, DefaultChurnThreshold, 0, false})
+			s, ok := runRow(t, sc, want, row{algo, 1, DefaultChurnThreshold, false})
 			if !ok {
 				continue
 			}
@@ -418,7 +428,7 @@ func TestPropQueryRunEqualsLegacyAPI(t *testing.T) {
 func TestPropCuTSGuidelinesAndGlobalTolEqualCMC(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(false, true) {
-			r := row{algo, 1, DefaultChurnThreshold, 0, false}
+			r := row{algo, 1, DefaultChurnThreshold, false}
 			s, ok := runRow(t, sc, want, r, WithDelta(0), WithLambda(0), WithTolerance(dbscan.ActualTolerance))
 			if ok {
 				runRow(t, sc, want, r, WithDelta(s.Delta), WithLambda(s.Lambda), WithTolerance(dbscan.GlobalTolerance))
@@ -435,7 +445,7 @@ func TestFilterProducesSuperset(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(false, true) {
 			v := cutsVariants[queryAlgos[algo].name]
-			s, ok := runRow(t, sc, want, row{algo, 1, DefaultChurnThreshold, 0, false})
+			s, ok := runRow(t, sc, want, row{algo, 1, DefaultChurnThreshold, false})
 			if !ok {
 				continue
 			}
@@ -464,7 +474,7 @@ func TestPropAblationSwitchesPreserveAnswers(t *testing.T) {
 	harness(t, func(t *testing.T, sc scenario, want Result) {
 		for _, algo := range algosOf(false, true) {
 			for _, off := range [][3]bool{{true, false, false}, {false, true, false}, {false, false, true}, {true, true, true}} {
-				r := row{algo, 1, DefaultChurnThreshold, 0, false}
+				r := row{algo, 1, DefaultChurnThreshold, false}
 				if _, ok := runRow(t, sc, want, r, WithAblation(off[0], off[1], off[2])); !ok {
 					break
 				}
@@ -788,7 +798,7 @@ func chunkScenarios(t *testing.T) []scenario {
 }
 
 // mergeScenarios: partition_test.go's hand-built cases around the windows
-// WithPartitions cuts.
+// PartitionWindows cuts.
 func mergeScenarios(t *testing.T) []scenario {
 	var out []scenario
 	for _, c := range mergeCases(t) {

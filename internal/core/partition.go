@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // Temporal partitioning: the partition → local-mine → merge scheme of
@@ -33,8 +30,10 @@ import (
 //     inherited. A final lifetime ≥ k filter plus Canonicalize therefore
 //     yields the single-pass answer, member for member, tick for tick.
 //
-// The merged ≡ single-pass property is pinned by race-enabled tests across
-// algorithm variants, partition counts and worker counts.
+// Query.Run itself is always the single pass; the sharded coordinator
+// (internal/dist) is what cuts the domain into windows and merges. The
+// merged ≡ single-pass property is pinned against the oracle by this
+// package's merge tests and by the coordinator's shard tests.
 
 // Window is one temporal partition: an inclusive tick interval.
 type Window struct {
@@ -243,133 +242,4 @@ func sortIDs(ids []model.ObjectID) {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-}
-
-// WithPartitions splits the run into n overlapping temporal partitions
-// (overlap k−1), mines each independently — in parallel under WithWorkers
-// — and merges the partial convoys into the exact global answer. The
-// answer set is identical for every partition count (the merged ≡
-// single-pass property tests), so like workers this is a performance
-// knob, not a semantic one. n ≤ 1 keeps the ordinary single-pass run, and
-// PartitionWindows caps n where more windows would mine more than twice
-// the domain's ticks.
-//
-// Partitioned execution applies to an unlimited Run with the default
-// (grid-DBSCAN) backend only: Seq streams from a single-pass scan
-// regardless (partial convoys are not final until the merge, so there is
-// nothing to stream early), so does a Run under WithLimit (its answer is
-// the first n convoys to close, which only the single pass orders), and a
-// non-default clusterer keeps the single-pass plan — a
-// backend like proxgraph clusters its own side data in its own ID space,
-// which a sliced database cannot re-index. (Window a contact log by
-// slicing the log itself: proxgraph.Log.Window.)
-func WithPartitions(n int) Option { return func(q *Query) { q.partitions = n } }
-
-// runPartitioned executes the partition → local-mine → merge plan behind
-// WithPartitions: slice the database into overlapping windows, run an
-// ordinary sub-query per window on the par pool, remap each window's
-// answers into the global ID space and stitch them with MergePartials.
-func (q *Query) runPartitioned(ctx context.Context, db *model.DB) (Result, error) {
-	st := Stats{Variant: q.variant, Workers: q.workers}
-	if st.Workers < 1 {
-		st.Workers = 1
-	}
-	statsOut := q.statsOut
-	defer func() {
-		if statsOut != nil {
-			*statsOut = st
-		}
-	}()
-	if err := q.p.Validate(); err != nil {
-		return nil, err
-	}
-	lo, hi, ok := db.TimeRange()
-	if !ok {
-		return nil, nil
-	}
-	windows := PartitionWindows(lo, hi, q.p.K, q.partitions)
-	if len(windows) == 1 {
-		// A degenerate partitioning (short domain, n ≤ 1) is exactly the
-		// ordinary single-pass run.
-		sub := *q
-		sub.partitions = 0
-		sub.statsOut = &st
-		return sub.Run(ctx, db)
-	}
-	ctx, sp := trace.StartSpan(ctx, "run")
-	sp.Str("algo", q.algoName()).Int("m", int64(q.p.M)).Int("k", q.p.K).Float("e", q.p.Eps).
-		Int("partitions", int64(len(windows))).Int("workers", int64(st.Workers))
-	defer sp.End()
-
-	st.NumPartitions = len(windows)
-	parts := make([][]Convoy, len(windows))
-	stats := make([]Stats, len(windows))
-	errs := make([]error, len(windows))
-	mctx, msp := trace.StartSpan(ctx, "partitions")
-	err := par.For(mctx, len(windows), q.workers, func(i int) {
-		sliced, ids := SliceTime(db, windows[i].Lo, windows[i].Hi)
-		sub := *q
-		sub.partitions = 0
-		sub.workers = 1 // parallelism is spent across partitions, not within
-		sub.statsOut = &stats[i]
-		res, err := sub.Run(mctx, sliced)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		parts[i] = RemapConvoys(res, ids)
-	})
-	msp.End()
-	if err == nil {
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range stats {
-		st.NumCandidates += s.NumCandidates
-		st.RefineUnits += s.RefineUnits
-		st.ClusterPasses += s.ClusterPasses
-		st.ClusterPassesFull += s.ClusterPassesFull
-		st.ClusterPassesIncremental += s.ClusterPassesIncremental
-		st.ObjectsReclustered += s.ObjectsReclustered
-		st.VertexKept += s.VertexKept
-		st.VertexTotal += s.VertexTotal
-		st.SimplifyTime += s.SimplifyTime
-		st.FilterTime += s.FilterTime
-		st.RefineTime += s.RefineTime
-		if s.Delta > st.Delta {
-			st.Delta = s.Delta
-		}
-		if s.Lambda > st.Lambda {
-			st.Lambda = s.Lambda
-		}
-	}
-	_, gsp := trace.StartSpan(ctx, "merge")
-	merged := MergePartials(windows, parts, q.p)
-	gsp.Int("partials", int64(countConvoys(parts))).Int("merged", int64(len(merged)))
-	gsp.End()
-	sp.Int("cluster_passes", st.ClusterPasses)
-	return merged, nil
-}
-
-// algoName names the query's algorithm for trace annotations.
-func (q *Query) algoName() string {
-	if q.useCMC {
-		return "cmc"
-	}
-	return q.variant.String()
-}
-
-func countConvoys(parts [][]Convoy) int {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	return n
 }

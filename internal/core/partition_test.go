@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -141,7 +140,7 @@ func TestSliceTimeInterpolates(t *testing.T) {
 
 // convoyDB builds a randomized database with engineered convoy structure:
 // objects joining and leaving shared anchors, sampling gaps, staggered
-// lifespans — adversarial inputs for the partitioned plan.
+// lifespans — adversarial inputs for every plan, the merge included.
 func convoyDB(t *testing.T, rng *rand.Rand) *model.DB {
 	t.Helper()
 	const (
@@ -204,32 +203,36 @@ func scenarioWindows(t *testing.T, k int64) []Window {
 	return ws
 }
 
-// runBoth runs the query partitioned, via WithPartitions and via the
-// explicit SliceTime/MergePartials pipeline, and requires both answers to
-// be the oracle's.
-func runBoth(t *testing.T, db *model.DB, p Params, n int) Result {
-	t.Helper()
-	want := oracleAnswer(db, p)
-	got, err := NewQuery(WithParams(p), WithCMC(), WithPartitions(n)).Run(context.Background(), db)
-	if err != nil {
-		t.Fatal(err)
+// mineMerged answers the query the way the sharded coordinator does: cut
+// db's domain into n windows, mine each sliced window with opts, remap the
+// answers into db's ID space and stitch them with MergePartials.
+func mineMerged(ctx context.Context, db *model.DB, p Params, n int, opts ...Option) (Result, error) {
+	lo, hi, ok := db.TimeRange()
+	if !ok {
+		return nil, nil
 	}
-	if !got.Equal(want) {
-		t.Fatalf("WithPartitions(%d) ≠ oracle\ngot:\n%v\nwant:\n%v", n, got, want)
-	}
-	// The explicit pipeline: slice, mine, remap, merge.
-	lo, hi, _ := db.TimeRange()
 	ws := PartitionWindows(lo, hi, p.K, n)
 	parts := make([][]Convoy, len(ws))
 	for i, w := range ws {
 		sliced, ids := SliceTime(db, w.Lo, w.Hi)
-		res, err := NewQuery(WithParams(p), WithCMC()).Run(context.Background(), sliced)
+		res, err := NewQuery(append([]Option{WithParams(p)}, opts...)...).Run(ctx, sliced)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		parts[i] = RemapConvoys(res, ids)
 	}
-	merged := MergePartials(ws, parts, p)
+	return MergePartials(ws, parts, p), nil
+}
+
+// runMerged runs CMC over n windows and merges (mineMerged), and requires
+// the answer to be the oracle's.
+func runMerged(t *testing.T, db *model.DB, p Params, n int) Result {
+	t.Helper()
+	want := oracleAnswer(db, p)
+	merged, err := mineMerged(context.Background(), db, p, n, WithCMC())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !merged.Equal(want) {
 		t.Fatalf("MergePartials ≠ oracle\nmerged:\n%v\nwant:\n%v", merged, want)
 	}
@@ -326,7 +329,7 @@ func mergeLeaveAndRejoin(t *testing.T) mergeCase {
 // is reassembled from its two partials.
 func TestMergeBoundarySpan(t *testing.T) {
 	c := mergeBoundarySpan(t)
-	res := runBoth(t, c.db, c.p, c.parts)
+	res := runMerged(t, c.db, c.p, c.parts)
 	expect(t, res, []model.ObjectID{0, 1}, 3, 8)
 }
 
@@ -338,7 +341,7 @@ func TestMergeThreePartitions(t *testing.T) {
 	if ws := PartitionWindows(lo, hi, c.p.K, 3); len(ws) != 3 {
 		t.Fatalf("want 3 windows, got %v", ws)
 	}
-	res := runBoth(t, c.db, c.p, c.parts)
+	res := runMerged(t, c.db, c.p, c.parts)
 	expect(t, res, []model.ObjectID{0, 1}, 1, 10)
 }
 
@@ -348,7 +351,7 @@ func TestMergeThreePartitions(t *testing.T) {
 // reports — and must come out exactly once.
 func TestMergeLifetimeExactlyKInOverlap(t *testing.T) {
 	c := mergeLifetimeExactlyKInOverlap(t)
-	res := runBoth(t, c.db, c.p, c.parts)
+	res := runMerged(t, c.db, c.p, c.parts)
 	expect(t, res, []model.ObjectID{0, 1}, 4, 5)
 	expect(t, res, []model.ObjectID{2, 3}, 5, 6)
 	if len(res) != 2 {
@@ -361,87 +364,9 @@ func TestMergeLifetimeExactlyKInOverlap(t *testing.T) {
 // stitched across the gap (4+1=5 < 7); the shrunken convoy extends exactly.
 func TestMergeLeaveAndRejoin(t *testing.T) {
 	c := mergeLeaveAndRejoin(t)
-	res := runBoth(t, c.db, c.p, c.parts)
+	res := runMerged(t, c.db, c.p, c.parts)
 	expect(t, res, []model.ObjectID{0, 1}, 0, 9)
 	expect(t, res, []model.ObjectID{0, 1, 2}, 0, 5)
 	expect(t, res, []model.ObjectID{0, 1, 2, 3}, 2, 4)
 	expect(t, res, []model.ObjectID{0, 1, 3}, 7, 9)
-}
-
-// TestPartitionedCancellation: a cancelled partitioned run returns the
-// context error, not a partial answer.
-func TestPartitionedCancellation(t *testing.T) {
-	db := convoyDB(t, rand.New(rand.NewSource(9)))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := NewQuery(WithParams(Params{M: 2, K: 3, Eps: 4}), WithCMC(),
-		WithPartitions(4), WithWorkers(2)).Run(ctx, db)
-	if err != context.Canceled {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
-// TestPartitionedStats: the partitioned run aggregates sub-run statistics
-// and reports the partition count.
-func TestPartitionedStats(t *testing.T) {
-	db := convoyDB(t, rand.New(rand.NewSource(3)))
-	var st Stats
-	_, err := NewQuery(WithParams(Params{M: 2, K: 3, Eps: 4}), WithCMC(),
-		WithPartitions(3), WithStats(&st)).Run(context.Background(), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NumPartitions != 3 {
-		t.Fatalf("NumPartitions = %d, want 3", st.NumPartitions)
-	}
-	if st.ClusterPasses == 0 {
-		t.Fatal("no cluster passes recorded")
-	}
-}
-
-// TestLimitedRunIgnoresPartitions: a limited Run answers what the limited
-// single pass answers — the first n convoys in stream order — whatever the
-// partition count, not the first n of the partitioned plan's canonical
-// merge. Under CMC group b (ticks 10–50) closes first but sorts after
-// group a (ticks 0–100).
-func TestLimitedRunIgnoresPartitions(t *testing.T) {
-	gone := geom.Pt(math.NaN(), 0)
-	var rows [][]geom.Point
-	for i := range 3 {
-		var a, b []geom.Point
-		for tick := 0; tick <= 100; tick++ {
-			a = append(a, geom.Pt(float64(i), 0))
-			if tick >= 10 && tick <= 50 {
-				b = append(b, geom.Pt(float64(1000+i), 0))
-			} else {
-				b = append(b, gone)
-			}
-		}
-		rows = append(rows, a, b)
-	}
-	db := buildDB(t, 0, rows...)
-	limited := func(opt Option, parts int) Result {
-		t.Helper()
-		res, err := NewQuery(WithParams(Params{M: 3, K: 5, Eps: 1.5}), opt,
-			WithLimit(1), WithPartitions(parts)).Run(context.Background(), db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if got, want := limited(WithCMC(), 0), (Result{{Objects: ids(1, 3, 5), Start: 10, End: 50}}); !got.Equal(want) {
-		t.Fatalf("cmc single pass, limit 1: %v, want %v", got, want)
-	}
-	for _, algo := range []struct {
-		name string
-		opt  Option
-	}{{"cmc", WithCMC()}, {"cuts", WithVariant(VariantCuTS)},
-		{"cuts+", WithVariant(VariantCuTSPlus)}, {"cuts*", WithVariant(VariantCuTSStar)}} {
-		want := limited(algo.opt, 0)
-		for _, parts := range []int{2, 3} {
-			if got := limited(algo.opt, parts); !got.Equal(want) {
-				t.Errorf("%s, %d partitions, limit 1: %v, single pass %v", algo.name, parts, got, want)
-			}
-		}
-	}
 }

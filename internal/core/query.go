@@ -46,10 +46,6 @@ type Query struct {
 	limit     int
 	statsOut  *Stats
 
-	// partitions > 1 selects the partition → local-mine → merge execution
-	// plan for Run; see WithPartitions.
-	partitions int
-
 	// incremental is the churn threshold handed to the sources a CMC scan
 	// or a refinement builds (DefaultChurnThreshold unless WithIncremental
 	// says otherwise; ≤ 0 is off).
@@ -186,9 +182,6 @@ func (q *Query) Params() Params { return q.p }
 // ctx.Err(); with WithLimit the run stops early and returns the first
 // convoys delivered (canonicalized among themselves).
 func (q *Query) Run(ctx context.Context, db *model.DB) (Result, error) {
-	if q.partitions > 1 && q.limit <= 0 && isDefaultBackend(q.clusterer) {
-		return q.runPartitioned(ctx, db)
-	}
 	var out []Convoy
 	err := q.stream(ctx, db, func(c Convoy) bool {
 		out = append(out, c)

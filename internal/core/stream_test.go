@@ -267,8 +267,8 @@ func pairAndStray(t *testing.T, start model.Tick) *model.DB {
 // simplified segments carry float64 times, which cannot tell ticks beyond
 // ±2^53 apart, a CuTS query over such a domain is refused with
 // ErrTickDomain instead of mined on the wrong instants. CMC — serial,
-// parallel and partitioned — keeps working there and still equals
-// the Streamer replay.
+// parallel, and over windows merged as the sharded coordinator merges them
+// — keeps working there and still equals the Streamer replay.
 func TestCuTSRefusesTicksBeyondFloat64(t *testing.T) {
 	db := pairAndStray(t, model.MaxTick-2)
 	p := Params{M: 2, K: 2, Eps: 1}
@@ -298,10 +298,15 @@ func TestCuTSRefusesTicksBeyondFloat64(t *testing.T) {
 	if err != nil || len(want) != 1 {
 		t.Fatalf("streamDB = %v, %v; want the one ⟨0,1⟩ convoy", want, err)
 	}
-	for _, opts := range [][]Option{nil, {WithWorkers(4)}, {WithPartitions(2)}, {WithPartitions(3), WithWorkers(2)}} {
+	for _, opts := range [][]Option{nil, {WithWorkers(4)}} {
 		got, err := NewQuery(append([]Option{WithParams(p), WithCMC()}, opts...)...).Run(ctx, db)
 		if err != nil || !got.Equal(want) {
 			t.Errorf("CMC with %d extra option(s) = %v, %v; want %v", len(opts), got, err, want)
+		}
+	}
+	for _, n := range []int{2, 3} {
+		if got, err := mineMerged(ctx, db, p, n, WithCMC()); err != nil || !got.Equal(want) {
+			t.Errorf("CMC over %d windows, merged = %v, %v; want %v", n, got, err, want)
 		}
 	}
 }

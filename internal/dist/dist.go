@@ -136,9 +136,6 @@ func (c *Coordinator) Query(ctx context.Context, data []byte, spec wire.QuerySpe
 		s := spec
 		from, to := windows[i].Lo, windows[i].Hi
 		s.From, s.To = &from, &to
-		// The shard mines its window locally; partitioning again inside the
-		// shard is its own choice, not the coordinator's.
-		s.Partitions = 0
 		cl := Client{Base: c.Shards[i%len(c.Shards)], HTTP: c.HTTP}
 		resps[i], errs[i] = cl.Query(ctx, data, s)
 	})

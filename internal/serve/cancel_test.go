@@ -22,7 +22,7 @@ import (
 
 // cmcQuery is the standard request the tests below issue.
 func cmcQuery() QueryRequest {
-	return QueryRequest{QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 5, Eps: 1}, Algo: "cmc"}}
+	return QueryRequest{QuerySpec: wire.QuerySpec{Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}, Algo: "cmc"}}
 }
 
 // gatedEngine builds an engine whose compute blocks on the returned gate
@@ -199,7 +199,7 @@ func TestDedupStampedeSharesOneRun(t *testing.T) {
 func TestDedupJoinerKeepsRunStats(t *testing.T) {
 	e, started, gate := gatedEngine(t, Config{})
 	data := fixtureCSV(t)
-	q := QueryRequest{QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 5, Eps: 1}, Algo: "cuts"}}
+	q := QueryRequest{QuerySpec: wire.QuerySpec{Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}, Algo: "cuts"}}
 
 	var responses [2]QueryResponse
 	var errs [2]error
@@ -416,7 +416,7 @@ func TestPathQueryStaleMemoNeverPoisonsCache(t *testing.T) {
 	// Prime the path→digest memo with content A.
 	var first QueryResponse
 	doJSON(t, "POST", ts.URL+"/v1/query", QueryRequest{
-		Path: "db.csv", QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 5, Eps: 1}, Algo: "cmc"},
+		Path: "db.csv", QuerySpec: wire.QuerySpec{Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}, Algo: "cmc"},
 	}, http.StatusOK, &first)
 	if len(first.Convoys) != 2 {
 		t.Fatalf("content A yields %d convoys, want 2", len(first.Convoys))
@@ -439,7 +439,7 @@ func TestPathQueryStaleMemoNeverPoisonsCache(t *testing.T) {
 	// reads B and must report/cache B's digest, not the memoized one.
 	var second QueryResponse
 	doJSON(t, "POST", ts.URL+"/v1/query", QueryRequest{
-		Path: "db.csv", QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 4, Eps: 1}, Algo: "cmc"},
+		Path: "db.csv", QuerySpec: wire.QuerySpec{Params: wire.ParamsJSON{M: 2, K: 4, Eps: 1}, Algo: "cmc"},
 	}, http.StatusOK, &second)
 	if second.Digest == first.Digest {
 		t.Fatalf("changed file served under the stale digest %s", first.Digest)

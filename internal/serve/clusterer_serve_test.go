@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // expectRefusal sends body (JSON-encoded) and wants the 400 a spec naming
@@ -16,7 +18,7 @@ import (
 // library option.
 func expectRefusal(t *testing.T, method, url string, body any) {
 	t.Helper()
-	var env ErrorJSON
+	var env wire.ErrorJSON
 	doJSON(t, method, url, body, http.StatusBadRequest, &env)
 	if env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, "convoys.WithClusterer") {
 		t.Fatalf("%s %s: error %+v, want a bad_request naming convoys.WithClusterer", method, url, env.Error)
@@ -41,7 +43,7 @@ func TestClustererRefused(t *testing.T) {
 
 	// JSON /v1/query.
 	req := QueryRequest{Path: "q.csv"}
-	req.Params, req.Algo, req.Clusterer = ParamsJSON{M: 2, K: 2, Eps: 1}, AlgoCMC, "proxgraph"
+	req.Params, req.Algo, req.Clusterer = wire.ParamsJSON{M: 2, K: 2, Eps: 1}, AlgoCMC, "proxgraph"
 	expectRefusal(t, "POST", ts.URL+"/v1/query", req)
 
 	// The URL form, over an upload that is a valid a,b,t,w contact log.
@@ -76,14 +78,14 @@ func TestClustererRefused(t *testing.T) {
 
 	// A feed, and a monitor on a feed that exists: refused, and not created.
 	expectRefusal(t, "POST", ts.URL+"/v1/feeds",
-		FeedSpec{Name: "contacts", Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "proxgraph"})
+		FeedSpec{Name: "contacts", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "proxgraph"})
 	doJSON(t, "GET", ts.URL+"/v1/feeds/contacts", nil, http.StatusNotFound, nil)
 	var st FeedStatus
 	doJSON(t, "POST", ts.URL+"/v1/feeds",
-		FeedSpec{Name: "fleet", Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "dbscan"}, http.StatusCreated, &st)
+		FeedSpec{Name: "fleet", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "dbscan"}, http.StatusCreated, &st)
 	expectRefusal(t, "POST", ts.URL+"/v1/feeds/fleet/monitors",
-		MonitorSpec{ID: "graph", Params: ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "proxgraph"})
-	addMonitor(t, ts.URL, "fleet", MonitorSpec{ID: "wide", Params: ParamsJSON{M: 2, K: 3, Eps: 2}, Clusterer: "DBSCAN"})
+		MonitorSpec{ID: "graph", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}, Clusterer: "proxgraph"})
+	addMonitor(t, ts.URL, "fleet", MonitorSpec{ID: "wide", Params: wire.ParamsJSON{M: 2, K: 3, Eps: 2}, Clusterer: "DBSCAN"})
 	doJSON(t, "GET", ts.URL+"/v1/feeds/fleet", nil, http.StatusOK, &st)
 	if len(st.Monitors) != 2 || st.Monitors[0].ID != DefaultMonitorID || st.Monitors[1].ID != "wide" {
 		t.Fatalf("monitors = %+v, want default and wide only", st.Monitors)

@@ -37,7 +37,7 @@ func truckCTB(t testing.TB, dir, name string, scale float64) (*model.DB, []byte)
 }
 
 func pathQuery(path string, m int, k int64, e float64, algo string) QueryRequest {
-	return QueryRequest{Path: path, QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: m, K: k, Eps: e}, Algo: algo}}
+	return QueryRequest{Path: path, QuerySpec: wire.QuerySpec{Params: wire.ParamsJSON{M: m, K: k, Eps: e}, Algo: algo}}
 }
 
 // datasetLoads reads the store's three instruments off /metrics.

@@ -84,7 +84,7 @@ func durableConfig(dir string) Config {
 func TestDurableFeedCrashRecovery(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	_, ts := newTestServer(t, durableConfig(walRoot))
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 
 	// The scripted life, replayable against any server.
 	steps := []func(t *testing.T, base string){}
@@ -95,9 +95,9 @@ func TestDurableFeedCrashRecovery(t *testing.T) {
 		steps = append(steps, tickStep(tick))
 	}
 	steps = append(steps, func(t *testing.T, base string) {
-		var st MonitorStatus
+		var st wire.MonitorStatus
 		doJSON(t, "POST", base+"/v1/feeds/fleet/monitors",
-			MonitorSpec{ID: "wide", Params: ParamsJSON{M: 2, K: 3, Eps: 2}}, http.StatusCreated, &st)
+			MonitorSpec{ID: "wide", Params: wire.ParamsJSON{M: 2, K: 3, Eps: 2}}, http.StatusCreated, &st)
 	})
 	for tick := model.Tick(5); tick < 12; tick++ {
 		steps = append(steps, tickStep(tick))
@@ -164,7 +164,7 @@ func TestDurableFeedCrashRecovery(t *testing.T) {
 func TestDurableFeedTornTailRecovery(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	_, ts := newTestServer(t, durableConfig(walRoot))
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 	var want feedSnapshot
 	for tick := model.Tick(0); tick < 8; tick++ {
 		pushTick(t, ts.URL, "fleet", vanBatch(tick))
@@ -217,10 +217,10 @@ func TestDurableFeedTornTailRecovery(t *testing.T) {
 func TestRecoverySkipsLegacyIncrementalOp(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	_, ts := newTestServer(t, durableConfig(walRoot))
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 	for tick := model.Tick(0); tick < 16; tick++ {
 		if tick == 5 {
-			addMonitor(t, ts.URL, "fleet", MonitorSpec{ID: "wide", Params: ParamsJSON{M: 2, K: 3, Eps: 2}})
+			addMonitor(t, ts.URL, "fleet", MonitorSpec{ID: "wide", Params: wire.ParamsJSON{M: 2, K: 3, Eps: 2}})
 		}
 		pushTick(t, ts.URL, "fleet", vanBatch(tick))
 	}
@@ -282,7 +282,7 @@ func TestRecoverySkipsDuplicateBatch(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	srv := New(durableConfig(walRoot))
 	ts := httptest.NewServer(srv)
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 	for tick := model.Tick(0); tick < 6; tick++ {
 		pushTick(t, ts.URL, "fleet", vanBatch(tick))
 	}
@@ -342,7 +342,7 @@ func sortConvoys(cs []ConvoyJSON) {
 func TestHistoryQueryMatchesBatch(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	_, ts := newTestServer(t, durableConfig(walRoot))
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 	for tick := model.Tick(0); tick < 20; tick++ {
 		pushTick(t, ts.URL, "fleet", vanBatch(tick))
 	}
@@ -352,7 +352,7 @@ func TestHistoryQueryMatchesBatch(t *testing.T) {
 		from, to *model.Tick
 		loTick   model.Tick // the window the batches actually span
 		hiTick   model.Tick
-		parts    int // the spec's partitions: the oracle stays single-pass
+		legacy   int // the removed "partitions" field an old client sends: decoding drops it
 	}{
 		{"bounded", ptrTick(3), ptrTick(16), 3, 16, 0},
 		{"unbounded", nil, nil, 0, 19, 0},
@@ -361,9 +361,9 @@ func TestHistoryQueryMatchesBatch(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var resp HistoryQueryResponse
-			doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/query", HistoryQueryRequest{
-				Params: ParamsJSON{M: 2, K: 5, Eps: 1}, From: tc.from, To: tc.to, Partitions: tc.parts,
-			}, http.StatusOK, &resp)
+			doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/query", legacyQuery{HistoryQueryRequest{
+				Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}, From: tc.from, To: tc.to,
+			}, tc.legacy}, http.StatusOK, &resp)
 			// The historical default algorithm is CMC.
 			if resp.Algo != AlgoCMC {
 				t.Fatalf("algo=%q, want cmc", resp.Algo)
@@ -405,14 +405,14 @@ func TestHistoryQueryMatchesBatch(t *testing.T) {
 
 	// An inverted window is the client's mistake.
 	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/query", HistoryQueryRequest{
-		Params: ParamsJSON{M: 2, K: 5, Eps: 1}, From: ptrTick(9), To: ptrTick(3),
+		Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}, From: ptrTick(9), To: ptrTick(3),
 	}, http.StatusBadRequest, nil)
 
 	// timeout_ms bounds a historical query like any other (it used to be
 	// dropped: only the server's cap applied). One nanosecond has expired
 	// before the window is read.
 	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/query", HistoryQueryRequest{
-		Params: ParamsJSON{M: 2, K: 5, Eps: 1}, TimeoutMS: 1e-6,
+		Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}, TimeoutMS: 1e-6,
 	}, http.StatusGatewayTimeout, nil)
 }
 
@@ -424,11 +424,11 @@ func ptrTick(t model.Tick) *model.Tick { return &t }
 func TestHistoryQueryProxgraph(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	_, ts := newTestServer(t, durableConfig(walRoot))
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 3, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 3, Eps: 1})
 	for tick := model.Tick(0); tick < 6; tick++ {
 		pushTick(t, ts.URL, "fleet", vanBatch(tick))
 	}
-	req := HistoryQueryRequest{Params: ParamsJSON{M: 2, K: 3, Eps: 1}, From: ptrTick(1), To: ptrTick(4)}
+	req := HistoryQueryRequest{Params: wire.ParamsJSON{M: 2, K: 3, Eps: 1}, From: ptrTick(1), To: ptrTick(4)}
 	graph := req
 	graph.Clusterer = "proxgraph"
 	expectRefusal(t, "POST", ts.URL+"/v1/feeds/fleet/query", graph)
@@ -448,7 +448,7 @@ func TestHistoryQueryProxgraph(t *testing.T) {
 func TestWALStatusEndpoint(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	srv, ts := newTestServer(t, durableConfig(walRoot))
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 
 	var ws WALStatusJSON
 	doJSON(t, "GET", ts.URL+"/v1/feeds/fleet/wal", nil, http.StatusOK, &ws)
@@ -480,10 +480,10 @@ func TestWALStatusEndpoint(t *testing.T) {
 
 	// Without a data dir the durable endpoints do not exist for the feed.
 	_, tsMem := newTestServer(t, Config{})
-	createFeed(t, tsMem.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, tsMem.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 	doJSON(t, "GET", tsMem.URL+"/v1/feeds/fleet/wal", nil, http.StatusNotFound, nil)
 	doJSON(t, "POST", tsMem.URL+"/v1/feeds/fleet/query",
-		HistoryQueryRequest{Params: ParamsJSON{M: 2, K: 5, Eps: 1}}, http.StatusNotFound, nil)
+		HistoryQueryRequest{Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}}, http.StatusNotFound, nil)
 }
 
 // TestDurableFeedLifecycle covers the registry's custody of the WAL
@@ -493,7 +493,7 @@ func TestWALStatusEndpoint(t *testing.T) {
 func TestDurableFeedLifecycle(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	srv, ts := newTestServer(t, durableConfig(walRoot))
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 	pushTick(t, ts.URL, "fleet", vanBatch(0))
 	dir := feed.LogDir(walRoot, "fleet")
 
@@ -515,7 +515,7 @@ func TestDurableFeedLifecycle(t *testing.T) {
 
 	// The name is taken by the on-disk history until a DELETE or restart.
 	doJSON(t, "POST", ts.URL+"/v1/feeds",
-		FeedSpec{Name: "fleet", Params: ParamsJSON{M: 2, K: 5, Eps: 1}}, http.StatusConflict, nil)
+		FeedSpec{Name: "fleet", Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}}, http.StatusConflict, nil)
 
 	// DELETE of the evicted feed forgets the history with nothing to drain.
 	var closed FeedCloseResponse
@@ -528,7 +528,7 @@ func TestDurableFeedLifecycle(t *testing.T) {
 	}
 
 	// The name is free again; a live feed's DELETE also removes its log.
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 	pushTick(t, ts.URL, "fleet", vanBatch(0))
 	doJSON(t, "DELETE", ts.URL+"/v1/feeds/fleet", nil, http.StatusOK, &closed)
 	if wal.Exists(dir, wal.Options{}) {
@@ -541,7 +541,7 @@ func TestDurableFeedLifecycle(t *testing.T) {
 func TestEvictedDurableFeedResurrects(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	srv, ts := newTestServer(t, durableConfig(walRoot))
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 	for tick := model.Tick(0); tick < 4; tick++ {
 		pushTick(t, ts.URL, "fleet", vanBatch(tick))
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // The serving layer end to end, embedded the way cmd/convoyd embeds it: a
@@ -54,8 +55,8 @@ func Example_fleetserver() {
 
 	// The feed's default monitor wants pairs within 1 for five ticks; a
 	// second, more patient one on the same (e, m) wants twelve.
-	do("POST", "/v1/feeds", serve.FeedSpec{Name: "vans", Params: serve.ParamsJSON{M: 2, K: 5, Eps: 1}}, nil)
-	do("POST", "/v1/feeds/vans/monitors", serve.MonitorSpec{ID: "long-haul", Params: serve.ParamsJSON{M: 2, K: 12, Eps: 1}}, nil)
+	do("POST", "/v1/feeds", serve.FeedSpec{Name: "vans", Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}}, nil)
+	do("POST", "/v1/feeds/vans/monitors", serve.MonitorSpec{ID: "long-haul", Params: wire.ParamsJSON{M: 2, K: 12, Eps: 1}}, nil)
 
 	// The dispatcher's tail ends when the feed is deleted.
 	events, err := http.Get(ts.URL + "/v1/feeds/vans/events")
@@ -79,7 +80,7 @@ func Example_fleetserver() {
 	// the platoon splits at tick 14.
 	for t := model.Tick(0); t < 20; t++ {
 		x := float64(t) * 2
-		pos := []serve.Position{{ID: "van1", X: x, Y: 0}, {ID: "van2", X: x, Y: 0.8}, {ID: "van3", X: x - 40, Y: 30}}
+		pos := []wire.Position{{ID: "van1", X: x, Y: 0}, {ID: "van2", X: x, Y: 0.8}, {ID: "van3", X: x - 40, Y: 30}}
 		switch {
 		case t >= 14:
 			pos[1].Y, pos[2].X, pos[2].Y = 40, x, 80

@@ -140,12 +140,12 @@ func TestWindowFoldRepeatedLabel(t *testing.T) {
 // every tick, so a block rarely lists an object where the previous one did.
 func foldFeedBatch(prefix string, t model.Tick) TickBatch {
 	x := float64(t)
-	var ps []Position
+	var ps []wire.Position
 	for i := 0; i < 6; i++ {
 		if i == 5 && t >= 14 && t < 20 {
 			continue
 		}
-		p := Position{ID: fmt.Sprintf("%s%d", prefix, i), X: x, Y: 0.5 * float64(i)}
+		p := wire.Position{ID: fmt.Sprintf("%s%d", prefix, i), X: x, Y: 0.5 * float64(i)}
 		if i >= 3 && i < 5 {
 			p.Y = 50 + 0.5*float64(i)
 			if t < 8 || t >= 28 {
@@ -171,7 +171,7 @@ func foldFeedBatch(prefix string, t model.Tick) TickBatch {
 // overlaps the next read).
 func TestHistoryQueriesInterleavedOnPooledFolds(t *testing.T) {
 	_, ts := newTestServer(t, durableConfig(filepath.Join(t.TempDir(), "data")))
-	params := ParamsJSON{M: 2, K: 5, Eps: 1}
+	params := wire.ParamsJSON{M: 2, K: 5, Eps: 1}
 	const ticks = 200
 	want := map[string][]ConvoyJSON{}
 	for _, name := range []string{"left", "right"} {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Regression: the cache key used to include δ/λ even for algo=cmc, which
@@ -113,7 +114,7 @@ func TestFeedIngestRejectsNonFinitePositions(t *testing.T) {
 	} {
 		resp, err := f.Ingest(context.Background(), []TickBatch{{
 			T: 0,
-			Positions: []Position{
+			Positions: []wire.Position{
 				{ID: "ok", X: 1, Y: 1},
 				{ID: "bad", X: bad[0], Y: bad[1]},
 			},
@@ -128,7 +129,7 @@ func TestFeedIngestRejectsNonFinitePositions(t *testing.T) {
 	// The feed survives and still accepts clean ticks.
 	resp, err := f.Ingest(context.Background(), []TickBatch{{
 		T:         0,
-		Positions: []Position{{ID: "a", X: 0, Y: 0}, {ID: "b", X: 0.5, Y: 0}},
+		Positions: []wire.Position{{ID: "a", X: 0, Y: 0}, {ID: "b", X: 0.5, Y: 0}},
 	}})
 	if err != nil || resp.Accepted != 1 {
 		t.Fatalf("clean tick after rejection: %v, accepted=%d", err, resp.Accepted)
@@ -137,5 +138,5 @@ func TestFeedIngestRejectsNonFinitePositions(t *testing.T) {
 
 func mustParams(t *testing.T) core.Params {
 	t.Helper()
-	return ParamsJSON{M: 2, K: 2, Eps: 1}.Params()
+	return wire.ParamsJSON{M: 2, K: 2, Eps: 1}.Params()
 }

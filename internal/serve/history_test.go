@@ -29,12 +29,12 @@ import (
 // d does not exist before tick 17.
 func gapBatch(t model.Tick) TickBatch {
 	x := float64(t) * 2
-	b := TickBatch{T: t, Positions: []Position{{ID: "a", X: x, Y: 0}, {ID: "b", X: x, Y: 0.8}}}
+	b := TickBatch{T: t, Positions: []wire.Position{{ID: "a", X: x, Y: 0}, {ID: "b", X: x, Y: 0.8}}}
 	if t%3 == 0 {
-		b.Positions = append(b.Positions, Position{ID: "c", X: x, Y: 1.6})
+		b.Positions = append(b.Positions, wire.Position{ID: "c", X: x, Y: 1.6})
 	}
 	if t >= 17 {
-		b.Positions = append(b.Positions, Position{ID: "d", X: x, Y: -0.8})
+		b.Positions = append(b.Positions, wire.Position{ID: "d", X: x, Y: -0.8})
 	}
 	return b
 }
@@ -59,6 +59,13 @@ func segmentTicks(t *testing.T, path string) (ticks []model.Tick, offs []int) {
 	return ticks, offs
 }
 
+// legacyQuery is a query body as a client of the removed partitioned plan
+// spelled it: the spec plus a "partitions" field, which decoding drops.
+type legacyQuery struct {
+	HistoryQueryRequest
+	Partitions int `json:"partitions,omitempty"`
+}
+
 // TestHistoryWindowGapsAcrossSegments pins the record → column path's
 // semantics: a window that straddles three WAL segments, cut so that its
 // first segment also holds out-of-window records, with an object that
@@ -70,7 +77,7 @@ func segmentTicks(t *testing.T, path string) (ticks []model.Tick, offs []int) {
 func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 	walRoot := filepath.Join(t.TempDir(), "data")
 	_, ts := newTestServer(t, durableConfig(walRoot)) // 512-byte segments
-	createFeed(t, ts.URL, "gaps", ParamsJSON{M: 2, K: 4, Eps: 1})
+	createFeed(t, ts.URL, "gaps", wire.ParamsJSON{M: 2, K: 4, Eps: 1})
 	const last = 40
 	for tick := model.Tick(0); tick <= last; tick++ {
 		pushTick(t, ts.URL, "gaps", gapBatch(tick))
@@ -128,31 +135,32 @@ func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 		db   *model.DB
 		opts []core.Option
 		min  int // convoys the case must find, so "both empty" cannot pass
-		// parts, when > 0, is the partition count the run's stats must
-		// report: the spec's partitions reached core.Query (the oracle stays
-		// single-pass — partitioning never changes the answer).
-		parts int
+		// legacy, when > 0, is the removed "partitions" field an old client
+		// sends. Decoding drops it: a CuTS run is the single pass,
+		// λ-partition count and all.
+		legacy int
 	}{
 		{"cmc", HistoryQueryRequest{Algo: AlgoCMC}, geo, db, []core.Option{core.WithCMC()}, 2, 0},
-		{"cmc/partitions=3", HistoryQueryRequest{Algo: AlgoCMC, Partitions: 3}, geo, db, []core.Option{core.WithCMC()}, 2, 0},
+		{"cmc/partitions=3", HistoryQueryRequest{Algo: AlgoCMC}, geo, db, []core.Option{core.WithCMC()}, 2, 3},
 		{"cuts*", HistoryQueryRequest{Algo: wire.AlgoCuTSStar}, geo, db, []core.Option{core.WithVariant(core.VariantCuTSStar)}, 2, 0},
-		{"cuts*/partitions=3", HistoryQueryRequest{Algo: wire.AlgoCuTSStar, Lambda: 2, Partitions: 3}, geo, db,
+		{"cuts*/partitions=3", HistoryQueryRequest{Algo: wire.AlgoCuTSStar, Lambda: 2}, geo, db,
 			[]core.Option{core.WithVariant(core.VariantCuTSStar), core.WithLambda(2)}, 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := tc.req
 			req.Params, req.From, req.To = wire.ParamsToJSON(tc.p), &from, &to
 			var resp HistoryQueryResponse
-			doJSON(t, "POST", ts.URL+"/v1/feeds/gaps/query", req, http.StatusOK, &resp)
+			doJSON(t, "POST", ts.URL+"/v1/feeds/gaps/query", legacyQuery{req, tc.legacy}, http.StatusOK, &resp)
 			if want := int(to-from) + 1; resp.Ticks != want {
 				t.Fatalf("ticks = %d, want %d", resp.Ticks, want)
 			}
-			if tc.parts > 0 && (resp.Stats == nil || resp.Stats.NumPartitions != tc.parts) {
-				t.Errorf("stats = %+v, want a run over %d partitions", resp.Stats, tc.parts)
-			}
-			res, err := core.NewQuery(append(tc.opts, core.WithParams(tc.p))...).Run(context.Background(), tc.db)
+			var st core.Stats
+			res, err := core.NewQuery(append(tc.opts, core.WithParams(tc.p), core.WithStats(&st))...).Run(context.Background(), tc.db)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.legacy > 0 && tc.req.Algo != AlgoCMC && (resp.Stats == nil || resp.Stats.NumPartitions != st.NumPartitions) {
+				t.Errorf("stats = %+v, want the single pass's %d λ-partitions", resp.Stats, st.NumPartitions)
 			}
 			if len(res) < tc.min {
 				t.Fatalf("oracle found %d convoys, the case needs ≥ %d to mean anything: %v", len(res), tc.min, res)
@@ -209,12 +217,12 @@ func TestHistoryWindowGapsAcrossSegments(t *testing.T) {
 // explain the body carries no profile at all.
 func TestHistoryQueryExplainAndMetrics(t *testing.T) {
 	srv, ts := newTestServer(t, durableConfig(filepath.Join(t.TempDir(), "data")))
-	createFeed(t, ts.URL, "gaps", ParamsJSON{M: 2, K: 4, Eps: 1})
+	createFeed(t, ts.URL, "gaps", wire.ParamsJSON{M: 2, K: 4, Eps: 1})
 	for tick := model.Tick(0); tick <= 12; tick++ {
 		pushTick(t, ts.URL, "gaps", gapBatch(tick))
 	}
 	url := ts.URL + "/v1/feeds/gaps/query"
-	req := HistoryQueryRequest{Params: ParamsJSON{M: 2, K: 4, Eps: 1}}
+	req := HistoryQueryRequest{Params: wire.ParamsJSON{M: 2, K: 4, Eps: 1}}
 
 	var plain map[string]json.RawMessage
 	doJSON(t, "POST", url, req, http.StatusOK, &plain)

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // staticBatch is a frozen two-object snapshot: the best case for the
 // incremental fast path (after the first tick every pass is a no-op).
 func staticBatch(t model.Tick) TickBatch {
-	return TickBatch{T: t, Positions: []Position{
+	return TickBatch{T: t, Positions: []wire.Position{
 		{ID: "a", X: 0, Y: 0}, {ID: "b", X: 0.5, Y: 0}}}
 }
 
@@ -21,7 +22,7 @@ func staticBatch(t model.Tick) TickBatch {
 // the pass split plus reuse ratio surface in the feed status and /metrics.
 func TestFeedIncrementalCountersAndReuseRatio(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "inc", ParamsJSON{M: 2, K: 3, Eps: 1})
+	createFeed(t, ts.URL, "inc", wire.ParamsJSON{M: 2, K: 3, Eps: 1})
 	const ticks = 10
 	for tick := model.Tick(0); tick < ticks; tick++ {
 		pushTick(t, ts.URL, "inc", staticBatch(tick))
@@ -71,8 +72,8 @@ func TestFeedIncrementalCountersAndReuseRatio(t *testing.T) {
 // (possibly stale) snapshot diff.
 func TestMonitorRemovalDropsIncrementalState(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "life", ParamsJSON{M: 2, K: 3, Eps: 1})
-	side := MonitorSpec{ID: "side", Params: ParamsJSON{M: 2, K: 3, Eps: 2}}
+	createFeed(t, ts.URL, "life", wire.ParamsJSON{M: 2, K: 3, Eps: 1})
+	side := MonitorSpec{ID: "side", Params: wire.ParamsJSON{M: 2, K: 3, Eps: 2}}
 	addMonitor(t, ts.URL, "life", side)
 
 	// Two sources (e=1 and e=2). Tick 0 is full for both; tick 1 is

@@ -15,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/tsio"
+	"repro/internal/wire"
 )
 
 // scrape reads the server's registry back through its exposition, the
@@ -105,11 +106,11 @@ func TestSnapshotQueryCounters(t *testing.T) {
 // monitor gauge, and shared clustering passes actual vs naive.
 func TestSnapshotFeedCounters(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "vans", ParamsJSON{M: 2, K: 3, Eps: 2})
+	createFeed(t, ts.URL, "vans", wire.ParamsJSON{M: 2, K: 3, Eps: 2})
 	// A second monitor sharing (e, m) with the default one: two monitors,
 	// one clustering pass per tick.
 	doJSON(t, "POST", ts.URL+"/v1/feeds/vans/monitors",
-		MonitorSpec{ID: "long", Params: ParamsJSON{M: 2, K: 5, Eps: 2}}, http.StatusCreated, nil)
+		MonitorSpec{ID: "long", Params: wire.ParamsJSON{M: 2, K: 5, Eps: 2}}, http.StatusCreated, nil)
 
 	for tick := 0; tick < 16; tick++ {
 		pushTick(t, ts.URL, "vans", vanBatch(model.Tick(tick)))
@@ -169,7 +170,7 @@ func checkDrained(t *testing.T, srv *Server) {
 // table forever.
 func TestDeleteWithDeadClientStillDrains(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "doomed", ParamsJSON{M: 2, K: 3, Eps: 2})
+	createFeed(t, ts.URL, "doomed", wire.ParamsJSON{M: 2, K: 3, Eps: 2})
 	if got := scrape(t, srv)["convoyd_monitors"]; got != 1 {
 		t.Fatalf("convoyd_monitors = %g, want 1", got)
 	}
@@ -186,8 +187,8 @@ func TestDeleteWithDeadClientStillDrains(t *testing.T) {
 // /metrics.
 func TestSnapshotJanitorEvictions(t *testing.T) {
 	srv, ts := newTestServer(t, Config{IdleTimeout: 30 * time.Millisecond})
-	createFeed(t, ts.URL, "idle1", ParamsJSON{M: 2, K: 3, Eps: 2})
-	createFeed(t, ts.URL, "idle2", ParamsJSON{M: 2, K: 3, Eps: 2})
+	createFeed(t, ts.URL, "idle1", wire.ParamsJSON{M: 2, K: 3, Eps: 2})
+	createFeed(t, ts.URL, "idle2", wire.ParamsJSON{M: 2, K: 3, Eps: 2})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -207,7 +208,7 @@ func TestSnapshotJanitorEvictions(t *testing.T) {
 // in convoyd_http_requests_total under its mux route, 404s included.
 func TestHTTPRequestMetering(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "f", ParamsJSON{M: 2, K: 3, Eps: 2})
+	createFeed(t, ts.URL, "f", wire.ParamsJSON{M: 2, K: 3, Eps: 2})
 	if resp, err := http.Get(ts.URL + "/v1/feeds/f"); err != nil {
 		t.Fatal(err)
 	} else {

@@ -11,12 +11,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // addMonitor registers a monitor on a feed and asserts success.
-func addMonitor(t *testing.T, base, feed string, spec MonitorSpec) MonitorStatus {
+func addMonitor(t *testing.T, base, feed string, spec MonitorSpec) wire.MonitorStatus {
 	t.Helper()
-	var st MonitorStatus
+	var st wire.MonitorStatus
 	doJSON(t, "POST", base+"/v1/feeds/"+feed+"/monitors", spec, http.StatusCreated, &st)
 	if st.ID != spec.ID || st.Feed != feed {
 		t.Fatalf("created monitor %+v, want id %q on %q", st, spec.ID, feed)
@@ -26,35 +27,35 @@ func addMonitor(t *testing.T, base, feed string, spec MonitorSpec) MonitorStatus
 
 func TestMonitorTableCRUD(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 
 	// The creation params became the default monitor.
-	var monitors []MonitorStatus
+	var monitors []wire.MonitorStatus
 	doJSON(t, "GET", ts.URL+"/v1/feeds/fleet/monitors", nil, http.StatusOK, &monitors)
 	if len(monitors) != 1 || monitors[0].ID != DefaultMonitorID {
 		t.Fatalf("initial monitors = %+v", monitors)
 	}
 
-	addMonitor(t, ts.URL, "fleet", MonitorSpec{ID: "patient", Params: ParamsJSON{M: 2, K: 10, Eps: 1}})
-	addMonitor(t, ts.URL, "fleet", MonitorSpec{ID: "wide", Params: ParamsJSON{M: 2, K: 5, Eps: 3}})
+	addMonitor(t, ts.URL, "fleet", MonitorSpec{ID: "patient", Params: wire.ParamsJSON{M: 2, K: 10, Eps: 1}})
+	addMonitor(t, ts.URL, "fleet", MonitorSpec{ID: "wide", Params: wire.ParamsJSON{M: 2, K: 5, Eps: 3}})
 
 	// Duplicates conflict; bad IDs and params are client mistakes.
 	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/monitors",
-		MonitorSpec{ID: "patient", Params: ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusConflict, nil)
+		MonitorSpec{ID: "patient", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusConflict, nil)
 	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/monitors",
-		MonitorSpec{ID: "a/b", Params: ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusBadRequest, nil)
+		MonitorSpec{ID: "a/b", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusBadRequest, nil)
 	// "." and ".." would be path-cleaned out of the monitor's own routes,
 	// leaving a resource that can be created but never queried or deleted.
 	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/monitors",
-		MonitorSpec{ID: ".", Params: ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusBadRequest, nil)
+		MonitorSpec{ID: ".", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusBadRequest, nil)
 	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/monitors",
-		MonitorSpec{ID: "..", Params: ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusBadRequest, nil)
+		MonitorSpec{ID: "..", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusBadRequest, nil)
 	doJSON(t, "POST", ts.URL+"/v1/feeds",
-		FeedSpec{Name: "..", Params: ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusBadRequest, nil)
+		FeedSpec{Name: "..", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusBadRequest, nil)
 	doJSON(t, "POST", ts.URL+"/v1/feeds/fleet/monitors",
-		MonitorSpec{ID: "bad", Params: ParamsJSON{M: 0, K: 0, Eps: -1}}, http.StatusBadRequest, nil)
+		MonitorSpec{ID: "bad", Params: wire.ParamsJSON{M: 0, K: 0, Eps: -1}}, http.StatusBadRequest, nil)
 	doJSON(t, "POST", ts.URL+"/v1/feeds/nope/monitors",
-		MonitorSpec{ID: "x", Params: ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusNotFound, nil)
+		MonitorSpec{ID: "x", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}}, http.StatusNotFound, nil)
 	doJSON(t, "GET", ts.URL+"/v1/feeds/fleet/monitors/nope", nil, http.StatusNotFound, nil)
 	doJSON(t, "DELETE", ts.URL+"/v1/feeds/fleet/monitors/nope", nil, http.StatusNotFound, nil)
 
@@ -66,7 +67,7 @@ func TestMonitorTableCRUD(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 
-	var mst MonitorStatus
+	var mst wire.MonitorStatus
 	doJSON(t, "GET", ts.URL+"/v1/feeds/fleet/monitors/patient", nil, http.StatusOK, &mst)
 	if mst.Params.K != 10 {
 		t.Fatalf("patient status = %+v", mst)
@@ -86,14 +87,14 @@ func TestMonitorTableCRUD(t *testing.T) {
 
 func TestMonitorLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxMonitorsPerFeed: 2})
-	createFeed(t, ts.URL, "small", ParamsJSON{M: 2, K: 2, Eps: 1}) // default = 1 of 2
-	addMonitor(t, ts.URL, "small", MonitorSpec{ID: "second", Params: ParamsJSON{M: 2, K: 3, Eps: 1}})
+	createFeed(t, ts.URL, "small", wire.ParamsJSON{M: 2, K: 2, Eps: 1}) // default = 1 of 2
+	addMonitor(t, ts.URL, "small", MonitorSpec{ID: "second", Params: wire.ParamsJSON{M: 2, K: 3, Eps: 1}})
 	doJSON(t, "POST", ts.URL+"/v1/feeds/small/monitors",
-		MonitorSpec{ID: "third", Params: ParamsJSON{M: 2, K: 4, Eps: 1}},
+		MonitorSpec{ID: "third", Params: wire.ParamsJSON{M: 2, K: 4, Eps: 1}},
 		http.StatusTooManyRequests, nil)
 	// Removing one frees a slot.
 	doJSON(t, "DELETE", ts.URL+"/v1/feeds/small/monitors/second", nil, http.StatusOK, nil)
-	addMonitor(t, ts.URL, "small", MonitorSpec{ID: "third", Params: ParamsJSON{M: 2, K: 4, Eps: 1}})
+	addMonitor(t, ts.URL, "small", MonitorSpec{ID: "third", Params: wire.ParamsJSON{M: 2, K: 4, Eps: 1}})
 }
 
 // The acceptance property: each of N monitors registered on one feed emits
@@ -104,17 +105,17 @@ func TestMonitorLimit(t *testing.T) {
 func TestPropFeedMonitorsEqualStreamers(t *testing.T) {
 	specs := []MonitorSpec{
 		// "default" is created with the feed below (m=3, k=4, e=1.5).
-		{ID: "quick", Params: ParamsJSON{M: 3, K: 2, Eps: 1.5}},   // shares (e, m) with default
-		{ID: "patient", Params: ParamsJSON{M: 3, K: 8, Eps: 1.5}}, // shares (e, m) with default
-		{ID: "wide", Params: ParamsJSON{M: 3, K: 4, Eps: 2.5}},    // own key (different e)
-		{ID: "pairs", Params: ParamsJSON{M: 2, K: 4, Eps: 1.5}},   // own key (different m)
+		{ID: "quick", Params: wire.ParamsJSON{M: 3, K: 2, Eps: 1.5}},   // shares (e, m) with default
+		{ID: "patient", Params: wire.ParamsJSON{M: 3, K: 8, Eps: 1.5}}, // shares (e, m) with default
+		{ID: "wide", Params: wire.ParamsJSON{M: 3, K: 4, Eps: 2.5}},    // own key (different e)
+		{ID: "pairs", Params: wire.ParamsJSON{M: 2, K: 4, Eps: 1.5}},   // own key (different m)
 	}
 	const distinctKeys = 3
 	for seed := int64(1); seed <= 3; seed++ {
 		db := randomDB(t, seed)
 
 		_, ts := newTestServer(t, Config{})
-		createFeed(t, ts.URL, "multi", ParamsJSON{M: 3, K: 4, Eps: 1.5})
+		createFeed(t, ts.URL, "multi", wire.ParamsJSON{M: 3, K: 4, Eps: 1.5})
 		for _, spec := range specs {
 			addMonitor(t, ts.URL, "multi", spec)
 		}
@@ -127,9 +128,9 @@ func TestPropFeedMonitorsEqualStreamers(t *testing.T) {
 		ticks := int64(0)
 		err := core.ReplayTicks(db, func(tick model.Tick, ids []model.ObjectID, pts []geom.Point) error {
 			ticks++
-			batch := TickBatch{T: tick, Positions: make([]Position, len(ids))}
+			batch := TickBatch{T: tick, Positions: make([]wire.Position, len(ids))}
 			for i, id := range ids {
-				batch.Positions[i] = Position{ID: strconv.Itoa(id), X: pts[i].X, Y: pts[i].Y}
+				batch.Positions[i] = wire.Position{ID: strconv.Itoa(id), X: pts[i].X, Y: pts[i].Y}
 			}
 			pushTick(t, ts.URL, "multi", batch)
 			return nil
@@ -156,7 +157,7 @@ func TestPropFeedMonitorsEqualStreamers(t *testing.T) {
 		for _, ev := range poll.Events {
 			collect(ev.Monitor, []ConvoyJSON{ev.Convoy})
 		}
-		all := append([]MonitorSpec{{ID: DefaultMonitorID, Params: ParamsJSON{M: 3, K: 4, Eps: 1.5}}}, specs...)
+		all := append([]MonitorSpec{{ID: DefaultMonitorID, Params: wire.ParamsJSON{M: 3, K: 4, Eps: 1.5}}}, specs...)
 		for _, spec := range all {
 			var del MonitorCloseResponse
 			doJSON(t, "DELETE", ts.URL+"/v1/feeds/multi/monitors/"+spec.ID, nil, http.StatusOK, &del)
@@ -178,8 +179,8 @@ func TestPropFeedMonitorsEqualStreamers(t *testing.T) {
 // and the NDJSON tail without disturbing the feed-level cursor.
 func TestMonitorTaggedEventsAndFilter(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "tagged", ParamsJSON{M: 2, K: 3, Eps: 1})
-	addMonitor(t, ts.URL, "tagged", MonitorSpec{ID: "quick", Params: ParamsJSON{M: 2, K: 1, Eps: 1}})
+	createFeed(t, ts.URL, "tagged", wire.ParamsJSON{M: 2, K: 3, Eps: 1})
+	addMonitor(t, ts.URL, "tagged", MonitorSpec{ID: "quick", Params: wire.ParamsJSON{M: 2, K: 1, Eps: 1}})
 
 	// Tail only the quick monitor's events, from the start.
 	resp, err := http.Get(ts.URL + "/v1/feeds/tagged/events?monitor=quick")
@@ -202,10 +203,10 @@ func TestMonitorTaggedEventsAndFilter(t *testing.T) {
 	// Two objects together for ticks 0..3, apart at 4: the default (k=3)
 	// and quick (k=1) monitors both close a convoy at the split.
 	for tick := model.Tick(0); tick < 4; tick++ {
-		pushTick(t, ts.URL, "tagged", TickBatch{T: tick, Positions: []Position{
+		pushTick(t, ts.URL, "tagged", TickBatch{T: tick, Positions: []wire.Position{
 			{ID: "a", X: float64(tick), Y: 0}, {ID: "b", X: float64(tick), Y: 0.5}}})
 	}
-	pushTick(t, ts.URL, "tagged", TickBatch{T: 4, Positions: []Position{
+	pushTick(t, ts.URL, "tagged", TickBatch{T: 4, Positions: []wire.Position{
 		{ID: "a", X: 0, Y: 0}, {ID: "b", X: 70, Y: 70}}})
 
 	var poll EventsResponse
@@ -252,18 +253,18 @@ func TestMonitorTaggedEventsAndFilter(t *testing.T) {
 // bad batches of ever-new IDs cannot grow its memory.
 func TestRejectedBatchRollsBackLabels(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "clean", ParamsJSON{M: 2, K: 2, Eps: 1})
-	pushTick(t, ts.URL, "clean", TickBatch{T: 0, Positions: []Position{
+	createFeed(t, ts.URL, "clean", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
+	pushTick(t, ts.URL, "clean", TickBatch{T: 0, Positions: []wire.Position{
 		{ID: "a", X: 0, Y: 0}, {ID: "b", X: 0.5, Y: 0}}})
 
 	// Fresh labels + a duplicate: rejected, and the fresh labels roll back.
 	doJSON(t, "POST", ts.URL+"/v1/feeds/clean/ticks",
-		TicksRequest{Ticks: []TickBatch{{T: 1, Positions: []Position{
+		wire.TicksRequest{Ticks: []TickBatch{{T: 1, Positions: []wire.Position{
 			{ID: "new1", X: 0, Y: 0}, {ID: "new2", X: 1, Y: 1}, {ID: "new1", X: 2, Y: 2}}}}},
 		http.StatusBadRequest, nil)
 	// Fresh labels + a stale tick: same.
 	doJSON(t, "POST", ts.URL+"/v1/feeds/clean/ticks",
-		TicksRequest{Ticks: []TickBatch{{T: 0, Positions: []Position{
+		wire.TicksRequest{Ticks: []TickBatch{{T: 0, Positions: []wire.Position{
 			{ID: "new3", X: 0, Y: 0}, {ID: "new4", X: 1, Y: 1}}}}},
 		http.StatusBadRequest, nil)
 
@@ -273,7 +274,7 @@ func TestRejectedBatchRollsBackLabels(t *testing.T) {
 		t.Fatalf("objects = %d after rejected batches, want 2 (a, b)", st.Objects)
 	}
 	// The feed still works, and a label from a rejected batch is re-usable.
-	resp := pushTick(t, ts.URL, "clean", TickBatch{T: 1, Positions: []Position{
+	resp := pushTick(t, ts.URL, "clean", TickBatch{T: 1, Positions: []wire.Position{
 		{ID: "a", X: 1, Y: 0}, {ID: "new1", X: 1.5, Y: 0}}})
 	if resp.Accepted != 1 {
 		t.Fatalf("clean tick after rejections: %+v", resp)
@@ -284,7 +285,7 @@ func TestRejectedBatchRollsBackLabels(t *testing.T) {
 // empty result (a typo'd dispatcher must hear about it).
 func TestMonitorFilterUnknownIs404(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "typo", ParamsJSON{M: 2, K: 2, Eps: 1})
+	createFeed(t, ts.URL, "typo", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
 	doJSON(t, "GET", ts.URL+"/v1/feeds/typo/convoys?monitor=defualt", nil, http.StatusNotFound, nil)
 	resp, err := http.Get(ts.URL + "/v1/feeds/typo/events?monitor=defualt")
 	if err != nil {
@@ -302,10 +303,10 @@ func TestMonitorFilterUnknownIs404(t *testing.T) {
 // table, so no monitor's open convoys are lost on shutdown.
 func TestFeedShutdownDrainsAllMonitors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "gone", ParamsJSON{M: 2, K: 3, Eps: 1})
-	addMonitor(t, ts.URL, "gone", MonitorSpec{ID: "second", Params: ParamsJSON{M: 2, K: 2, Eps: 1}})
+	createFeed(t, ts.URL, "gone", wire.ParamsJSON{M: 2, K: 3, Eps: 1})
+	addMonitor(t, ts.URL, "gone", MonitorSpec{ID: "second", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}})
 	for tick := model.Tick(0); tick < 5; tick++ {
-		pushTick(t, ts.URL, "gone", TickBatch{T: tick, Positions: []Position{
+		pushTick(t, ts.URL, "gone", TickBatch{T: tick, Positions: []wire.Position{
 			{ID: "x", X: float64(tick), Y: 0}, {ID: "y", X: float64(tick), Y: 0.5}}})
 	}
 	var del FeedCloseResponse
@@ -324,15 +325,15 @@ func TestFeedShutdownDrainsAllMonitors(t *testing.T) {
 // its query over the suffix it saw, not the feed's full history.
 func TestMonitorAddedMidStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "late", ParamsJSON{M: 2, K: 2, Eps: 1})
+	createFeed(t, ts.URL, "late", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
 	pair := func(tick model.Tick) TickBatch {
-		return TickBatch{T: tick, Positions: []Position{
+		return TickBatch{T: tick, Positions: []wire.Position{
 			{ID: "a", X: float64(tick), Y: 0}, {ID: "b", X: float64(tick), Y: 0.5}}}
 	}
 	for tick := model.Tick(0); tick < 3; tick++ {
 		pushTick(t, ts.URL, "late", pair(tick))
 	}
-	addMonitor(t, ts.URL, "late", MonitorSpec{ID: "late-joiner", Params: ParamsJSON{M: 2, K: 2, Eps: 1}})
+	addMonitor(t, ts.URL, "late", MonitorSpec{ID: "late-joiner", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}})
 	for tick := model.Tick(3); tick < 6; tick++ {
 		pushTick(t, ts.URL, "late", pair(tick))
 	}

@@ -131,7 +131,7 @@ func TestQueryExplainJSONBody(t *testing.T) {
 	defer ts.Close()
 
 	body, _ := json.Marshal(QueryRequest{
-		Path: "db.csv", QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 5, Eps: 1}, Algo: "cmc", Explain: true},
+		Path: "db.csv", QuerySpec: wire.QuerySpec{Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}, Algo: "cmc", Explain: true},
 	})
 	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -276,7 +276,7 @@ func TestRequestLoggerCarriesIDs(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	body, _ := json.Marshal(FeedSpec{Name: "f1", Params: ParamsJSON{M: 2, K: 3, Eps: 1}})
+	body, _ := json.Marshal(FeedSpec{Name: "f1", Params: wire.ParamsJSON{M: 2, K: 3, Eps: 1}})
 	resp, err := http.Post(ts.URL+"/v1/feeds", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -143,9 +143,8 @@ func plan(req QueryRequest, maxWorkers int) (queryPlan, error) {
 // key is the cache key for this plan over a database with the digest. The
 // key holds only answer-determining inputs: δ/λ are already normalized out
 // for algo=cmc by the validator (equivalent CMC queries with different δ/λ
-// must share an entry), the worker and partition counts never participate
-// (parallel and partitioned output equals serial output by construction),
-// and a from/to window — which does change the answer — extends the key
+// must share an entry), the worker count never participates (parallel
+// output equals serial output by construction), and a from/to window — which does change the answer — extends the key
 // only when present, so unwindowed keys keep their legacy shape.
 func (pl queryPlan) key(digest string) string {
 	key := fmt.Sprintf("%s|%d|%d|%g|%s|%g|%d",
@@ -691,8 +690,8 @@ func (e *queryEngine) compute(ctx context.Context, pl queryPlan, src source, req
 // only then the profile — explain runs share their result with later plain
 // queries, but a profile always describes the request that asked for it,
 // never a stranger's cached run. The entry keeps no stats either: they
-// describe this run, and the key leaves out inputs such as the partition
-// count that change the run but not the answer.
+// describe this run, and the key leaves out the worker count, which changes
+// the run but not the answer.
 func (e *queryEngine) answered(resp QueryResponse, pl queryPlan, t0 time.Time, explain *ExplainJSON) QueryResponse {
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	if e.lru != nil {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/feed"
+	"repro/internal/wire"
 )
 
 // Unit coverage of the registry paths behind the HTTP handlers: the
@@ -136,7 +137,7 @@ func TestIdleClockTouchSemantics(t *testing.T) {
 		t.Fatalf("status read touched the idle clock: %v", got)
 	}
 	if _, err := f.Ingest(context.Background(), []TickBatch{
-		{T: 0, Positions: []Position{{ID: "a", X: 0, Y: 0}}}}); err != nil {
+		{T: 0, Positions: []wire.Position{{ID: "a", X: 0, Y: 0}}}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.IdleSince(); !got.Equal(clock.now()) {
@@ -157,7 +158,7 @@ func TestJanitorEvictsAndDrainsMonitorTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tick := int64(0); tick < 3; tick++ {
-		if _, err := f.Ingest(context.Background(), []TickBatch{{T: tick, Positions: []Position{
+		if _, err := f.Ingest(context.Background(), []TickBatch{{T: tick, Positions: []wire.Position{
 			{ID: "a", X: float64(tick), Y: 0}, {ID: "b", X: float64(tick), Y: 0.5}}}}); err != nil {
 			t.Fatal(err)
 		}

@@ -698,7 +698,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // queryFromURL decodes upload-style query parameters through the
 // canonical decoder (wire.SpecFromURL): m and k are integers and rejected
 // (not truncated) when fractional, "eps" is accepted as an alias of "e",
-// and from/to/partitions/v ride along with the legacy knobs.
+// and from/to/v ride along with the legacy knobs.
 func queryFromURL(r *http.Request) (QueryRequest, error) {
 	spec, err := wire.SpecFromURL(r.URL.Query())
 	if err != nil {

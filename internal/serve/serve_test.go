@@ -76,7 +76,7 @@ func doJSON(t testing.TB, method, url string, body any, wantStatus int, out any)
 }
 
 // createFeed registers a feed and asserts success.
-func createFeed(t *testing.T, base, name string, p ParamsJSON) {
+func createFeed(t *testing.T, base, name string, p wire.ParamsJSON) {
 	t.Helper()
 	var st FeedStatus
 	doJSON(t, "POST", base+"/v1/feeds", FeedSpec{Name: name, Params: p}, http.StatusCreated, &st)
@@ -90,7 +90,7 @@ func pushTick(t *testing.T, base, name string, batch TickBatch) TicksResponse {
 	t.Helper()
 	var resp TicksResponse
 	doJSON(t, "POST", base+"/v1/feeds/"+name+"/ticks",
-		TicksRequest{Ticks: []TickBatch{batch}}, http.StatusOK, &resp)
+		wire.TicksRequest{Ticks: []TickBatch{batch}}, http.StatusOK, &resp)
 	return resp
 }
 
@@ -101,13 +101,13 @@ func vanBatch(t model.Tick) TickBatch {
 	x := float64(t) * 2
 	switch {
 	case t < 6:
-		return TickBatch{T: t, Positions: []Position{
+		return TickBatch{T: t, Positions: []wire.Position{
 			{ID: "a", X: x, Y: 0}, {ID: "b", X: x, Y: 0.8}, {ID: "c", X: x - 40, Y: 30}}}
 	case t < 14:
-		return TickBatch{T: t, Positions: []Position{
+		return TickBatch{T: t, Positions: []wire.Position{
 			{ID: "a", X: x, Y: 0}, {ID: "b", X: x, Y: 0.8}, {ID: "c", X: x, Y: 1.6}}}
 	default:
-		return TickBatch{T: t, Positions: []Position{
+		return TickBatch{T: t, Positions: []wire.Position{
 			{ID: "a", X: x, Y: 0}, {ID: "b", X: x, Y: 40}, {ID: "c", X: x, Y: 80}}}
 	}
 }
@@ -118,12 +118,12 @@ func vanBatch(t model.Tick) TickBatch {
 // own event carries.
 func TestFeedHistoryRingWraps(t *testing.T) {
 	_, ts := newTestServer(t, Config{HistoryLimit: 4})
-	createFeed(t, ts.URL, "ring", ParamsJSON{M: 2, K: 1, Eps: 1})
+	createFeed(t, ts.URL, "ring", wire.ParamsJSON{M: 2, K: 1, Eps: 1})
 	// a and b meet on even ticks and part on odd ones: event n is the
 	// one-tick convoy at tick 2n, closed by tick 2n+1.
 	const events = 11
 	for tick := model.Tick(0); tick < 2*events; tick++ {
-		resp := pushTick(t, ts.URL, "ring", TickBatch{T: tick, Positions: []Position{
+		resp := pushTick(t, ts.URL, "ring", TickBatch{T: tick, Positions: []wire.Position{
 			{ID: "a", X: 0, Y: 0}, {ID: "b", X: 0, Y: float64(tick%2) * 10}}})
 		if tick%2 == 0 {
 			continue
@@ -159,7 +159,7 @@ func TestFeedHistoryRingWraps(t *testing.T) {
 
 func TestFeedLifecycleEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 
 	var closed []ConvoyJSON
 	for tick := model.Tick(0); tick < 20; tick++ {
@@ -211,9 +211,9 @@ func TestFeedLifecycleEndToEnd(t *testing.T) {
 
 func TestDeleteDrainsOpenConvoys(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "open", ParamsJSON{M: 2, K: 3, Eps: 1})
+	createFeed(t, ts.URL, "open", wire.ParamsJSON{M: 2, K: 3, Eps: 1})
 	for tick := model.Tick(0); tick < 5; tick++ {
-		pushTick(t, ts.URL, "open", TickBatch{T: tick, Positions: []Position{
+		pushTick(t, ts.URL, "open", TickBatch{T: tick, Positions: []wire.Position{
 			{ID: "x", X: float64(tick), Y: 0}, {ID: "y", X: float64(tick), Y: 0.5}}})
 	}
 	var del FeedCloseResponse
@@ -336,9 +336,9 @@ func TestReplayEqualsOracle(t *testing.T) {
 					_, tsB := newTestServer(t, durableConfig(img))
 					base = tsB.URL
 				}
-				batch := TickBatch{T: tick, Positions: make([]Position, len(ids))}
+				batch := TickBatch{T: tick, Positions: make([]wire.Position, len(ids))}
 				for i, id := range ids {
-					batch.Positions[i] = Position{ID: strconv.Itoa(id), X: pts[i].X, Y: pts[i].Y}
+					batch.Positions[i] = wire.Position{ID: strconv.Itoa(id), X: pts[i].X, Y: pts[i].Y}
 				}
 				emitted = append(emitted, wireConvoys(t, pushTick(t, base, "replay", batch).Closed)...)
 				return nil
@@ -368,9 +368,9 @@ func TestConcurrentFeeds(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			name := fmt.Sprintf("feed-%d", i)
-			createFeed(t, ts.URL, name, ParamsJSON{M: 2, K: 3, Eps: 1})
+			createFeed(t, ts.URL, name, wire.ParamsJSON{M: 2, K: 3, Eps: 1})
 			for tick := model.Tick(0); tick < 25; tick++ {
-				pushTick(t, ts.URL, name, TickBatch{T: tick, Positions: []Position{
+				pushTick(t, ts.URL, name, TickBatch{T: tick, Positions: []wire.Position{
 					{ID: "p", X: float64(tick), Y: 0},
 					{ID: "q", X: float64(tick), Y: 0.5},
 					{ID: "lone", X: float64(tick) * 3, Y: 40},
@@ -407,22 +407,22 @@ func TestErrorPaths(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/feeds/nope/ticks", TickBatch{T: 0}, http.StatusNotFound, nil)
 
 	// Bad creations: invalid params, bad names, duplicates.
-	doJSON(t, "POST", ts.URL+"/v1/feeds", FeedSpec{Name: "bad", Params: ParamsJSON{M: 0, K: 0, Eps: -1}},
+	doJSON(t, "POST", ts.URL+"/v1/feeds", FeedSpec{Name: "bad", Params: wire.ParamsJSON{M: 0, K: 0, Eps: -1}},
 		http.StatusBadRequest, nil)
-	doJSON(t, "POST", ts.URL+"/v1/feeds", FeedSpec{Name: "a/b", Params: ParamsJSON{M: 2, K: 2, Eps: 1}},
+	doJSON(t, "POST", ts.URL+"/v1/feeds", FeedSpec{Name: "a/b", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}},
 		http.StatusBadRequest, nil)
-	createFeed(t, ts.URL, "dup", ParamsJSON{M: 2, K: 2, Eps: 1})
-	doJSON(t, "POST", ts.URL+"/v1/feeds", FeedSpec{Name: "dup", Params: ParamsJSON{M: 2, K: 2, Eps: 1}},
+	createFeed(t, ts.URL, "dup", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
+	doJSON(t, "POST", ts.URL+"/v1/feeds", FeedSpec{Name: "dup", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}},
 		http.StatusConflict, nil)
 
 	// Non-monotonic ticks are rejected, earlier ticks stick, and the
 	// error body reports how much of the batch was applied.
-	pushTick(t, ts.URL, "dup", TickBatch{T: 5, Positions: []Position{{ID: "a", X: 0, Y: 0}}})
+	pushTick(t, ts.URL, "dup", TickBatch{T: 5, Positions: []wire.Position{{ID: "a", X: 0, Y: 0}}})
 	var te TicksError
 	doJSON(t, "POST", ts.URL+"/v1/feeds/dup/ticks",
-		TicksRequest{Ticks: []TickBatch{
-			{T: 6, Positions: []Position{{ID: "a", X: 0, Y: 0}}},
-			{T: 3, Positions: []Position{{ID: "a", X: 0, Y: 0}}},
+		wire.TicksRequest{Ticks: []TickBatch{
+			{T: 6, Positions: []wire.Position{{ID: "a", X: 0, Y: 0}}},
+			{T: 3, Positions: []wire.Position{{ID: "a", X: 0, Y: 0}}},
 		}},
 		http.StatusBadRequest, &te)
 	if te.Accepted != 1 || te.Error.Message == "" {
@@ -437,10 +437,10 @@ func TestErrorPaths(t *testing.T) {
 	// Positions must carry ids, and one object can't appear twice in a
 	// tick (a repeated ID would fake a convoy out of one real object).
 	doJSON(t, "POST", ts.URL+"/v1/feeds/dup/ticks",
-		TicksRequest{Ticks: []TickBatch{{T: 9, Positions: []Position{{X: 1, Y: 1}}}}},
+		wire.TicksRequest{Ticks: []TickBatch{{T: 9, Positions: []wire.Position{{X: 1, Y: 1}}}}},
 		http.StatusBadRequest, nil)
 	doJSON(t, "POST", ts.URL+"/v1/feeds/dup/ticks",
-		TicksRequest{Ticks: []TickBatch{{T: 9, Positions: []Position{
+		wire.TicksRequest{Ticks: []TickBatch{{T: 9, Positions: []wire.Position{
 			{ID: "a", X: 1, Y: 1}, {ID: "a", X: 1, Y: 1}}}}},
 		http.StatusBadRequest, nil)
 	resp, err := http.Post(ts.URL+"/v1/feeds/dup/ticks", "application/json", strings.NewReader("{nope"))
@@ -477,7 +477,7 @@ func TestErrorPaths(t *testing.T) {
 		t.Errorf("empty upload: status %d", resp.StatusCode)
 	}
 	doJSON(t, "POST", ts.URL+"/v1/query",
-		QueryRequest{Path: "x.csv", QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 2, Eps: 1}}},
+		QueryRequest{Path: "x.csv", QuerySpec: wire.QuerySpec{Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}}},
 		http.StatusForbidden, nil)
 
 	// A path that names something other than a regular file names no
@@ -495,9 +495,9 @@ func TestErrorPaths(t *testing.T) {
 	}
 	_, dts := newTestServer(t, Config{DataDir: dir})
 	for _, path := range paths {
-		var ej ErrorJSON
+		var ej wire.ErrorJSON
 		doJSON(t, "POST", dts.URL+"/v1/query",
-			QueryRequest{Path: path, QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 2, Eps: 1}}},
+			QueryRequest{Path: path, QuerySpec: wire.QuerySpec{Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}}},
 			http.StatusNotFound, &ej)
 		if ej.Error.Code != wire.CodeNotFound {
 			t.Errorf("path %q: error code %q, want %q", path, ej.Error.Code, wire.CodeNotFound)
@@ -548,8 +548,8 @@ func postQuery(t *testing.T, url string, body []byte, wantStatus int) QueryRespo
 
 // TestCacheHitCarriesNoStats: a cache hit runs nothing, so it reports no
 // run statistics — not those of the run that filled the entry. The cache
-// key leaves the partition count out, so a query for 10⁸ partitions after a
-// plain one is a hit; it must not claim the plain run's partitions.
+// key leaves the worker count out, so a query at two workers after a serial
+// one is a hit; it must not claim the serial run's statistics.
 func TestCacheHitCarriesNoStats(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	csv := fixtureCSV(t)
@@ -559,7 +559,7 @@ func TestCacheHitCarriesNoStats(t *testing.T) {
 	if first.Cache != "miss" || first.Stats == nil {
 		t.Fatalf("first query = cache %q, stats %+v", first.Cache, first.Stats)
 	}
-	hit := postQuery(t, url+"&partitions=100000000", csv, http.StatusOK)
+	hit := postQuery(t, url+"&workers=2", csv, http.StatusOK)
 	if hit.Cache != "hit" {
 		t.Fatalf("second query cache = %q, want hit", hit.Cache)
 	}
@@ -619,7 +619,7 @@ func TestQueryPathReferenceAndCTB(t *testing.T) {
 
 	var resp QueryResponse
 	doJSON(t, "POST", ts.URL+"/v1/query",
-		QueryRequest{Path: "two.csv", QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 5, Eps: 1}}},
+		QueryRequest{Path: "two.csv", QuerySpec: wire.QuerySpec{Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}}},
 		http.StatusOK, &resp)
 	if len(resp.Convoys) != 2 {
 		t.Fatalf("path query = %+v", resp)
@@ -628,9 +628,9 @@ func TestQueryPathReferenceAndCTB(t *testing.T) {
 	// Path traversal stays confined to the data dir: the ".." collapses
 	// inside it, the file isn't there, and the error echoes only the
 	// client's own path (no server-side layout).
-	var ej ErrorJSON
+	var ej wire.ErrorJSON
 	doJSON(t, "POST", ts.URL+"/v1/query",
-		QueryRequest{Path: "../../../etc/passwd", QuerySpec: wire.QuerySpec{Params: ParamsJSON{M: 2, K: 5, Eps: 1}}},
+		QueryRequest{Path: "../../../etc/passwd", QuerySpec: wire.QuerySpec{Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}}},
 		http.StatusNotFound, &ej)
 	if strings.Contains(ej.Error.Message, dir) {
 		t.Errorf("error leaks data dir: %q", ej.Error.Message)
@@ -653,14 +653,14 @@ func TestQueryPathReferenceAndCTB(t *testing.T) {
 
 func TestEventsStreamTailsLiveConvoys(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "tail", ParamsJSON{M: 2, K: 3, Eps: 1})
+	createFeed(t, ts.URL, "tail", wire.ParamsJSON{M: 2, K: 3, Eps: 1})
 
 	// Close one convoy before subscribing (replay) and one after (live).
 	for tick := model.Tick(0); tick < 4; tick++ {
-		pushTick(t, ts.URL, "tail", TickBatch{T: tick, Positions: []Position{
+		pushTick(t, ts.URL, "tail", TickBatch{T: tick, Positions: []wire.Position{
 			{ID: "r1", X: float64(tick), Y: 0}, {ID: "r2", X: float64(tick), Y: 0.5}}})
 	}
-	pushTick(t, ts.URL, "tail", TickBatch{T: 4, Positions: []Position{
+	pushTick(t, ts.URL, "tail", TickBatch{T: 4, Positions: []wire.Position{
 		{ID: "r1", X: 0, Y: 0}, {ID: "r2", X: 50, Y: 50}}})
 
 	resp, err := http.Get(ts.URL + "/v1/feeds/tail/events")
@@ -702,10 +702,10 @@ func TestEventsStreamTailsLiveConvoys(t *testing.T) {
 
 	// A second convoy closes while the stream is attached.
 	for tick := model.Tick(5); tick < 9; tick++ {
-		pushTick(t, ts.URL, "tail", TickBatch{T: tick, Positions: []Position{
+		pushTick(t, ts.URL, "tail", TickBatch{T: tick, Positions: []wire.Position{
 			{ID: "r1", X: float64(tick), Y: 0}, {ID: "r2", X: float64(tick), Y: 0.5}}})
 	}
-	pushTick(t, ts.URL, "tail", TickBatch{T: 9, Positions: []Position{
+	pushTick(t, ts.URL, "tail", TickBatch{T: 9, Positions: []wire.Position{
 		{ID: "r1", X: 0, Y: 0}, {ID: "r2", X: 50, Y: 50}}})
 	live := waitEvent("live event")
 	if live.Seq != 1 || live.Convoy.Start != 5 || live.Convoy.End != 8 {
@@ -718,7 +718,7 @@ func TestEventsStreamTailsLiveConvoys(t *testing.T) {
 // header deadlocks a client that subscribes first and pushes second).
 func TestEventsStreamSubscribeFirst(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createFeed(t, ts.URL, "fresh", ParamsJSON{M: 2, K: 2, Eps: 1})
+	createFeed(t, ts.URL, "fresh", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
 
 	type getResult struct {
 		resp *http.Response
@@ -742,10 +742,10 @@ func TestEventsStreamSubscribeFirst(t *testing.T) {
 	defer stream.Body.Close()
 
 	for tick := model.Tick(0); tick < 3; tick++ {
-		pushTick(t, ts.URL, "fresh", TickBatch{T: tick, Positions: []Position{
+		pushTick(t, ts.URL, "fresh", TickBatch{T: tick, Positions: []wire.Position{
 			{ID: "a", X: 0, Y: 0}, {ID: "b", X: 0.5, Y: 0}}})
 	}
-	pushTick(t, ts.URL, "fresh", TickBatch{T: 3, Positions: []Position{
+	pushTick(t, ts.URL, "fresh", TickBatch{T: 3, Positions: []wire.Position{
 		{ID: "a", X: 0, Y: 0}, {ID: "b", X: 90, Y: 90}}})
 
 	line := make(chan string, 1)
@@ -771,7 +771,7 @@ func TestEventsStreamSubscribeFirst(t *testing.T) {
 
 func TestIdleEviction(t *testing.T) {
 	_, ts := newTestServer(t, Config{IdleTimeout: 50 * time.Millisecond})
-	createFeed(t, ts.URL, "sleepy", ParamsJSON{M: 2, K: 2, Eps: 1})
+	createFeed(t, ts.URL, "sleepy", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		req, _ := http.NewRequest("GET", ts.URL+"/v1/feeds/sleepy", nil)
@@ -794,9 +794,9 @@ func TestServerCloseDrainsFeeds(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	createFeed(t, ts.URL, "f", ParamsJSON{M: 2, K: 2, Eps: 1})
+	createFeed(t, ts.URL, "f", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
 	for tick := model.Tick(0); tick < 3; tick++ {
-		pushTick(t, ts.URL, "f", TickBatch{T: tick, Positions: []Position{
+		pushTick(t, ts.URL, "f", TickBatch{T: tick, Positions: []wire.Position{
 			{ID: "a", X: 0, Y: 0}, {ID: "b", X: 0.5, Y: 0}}})
 	}
 	if err := srv.Close(); err != nil {
@@ -804,7 +804,7 @@ func TestServerCloseDrainsFeeds(t *testing.T) {
 	}
 	// The feed is gone and creation is refused after shutdown.
 	doJSON(t, "GET", ts.URL+"/v1/feeds/f", nil, http.StatusNotFound, nil)
-	doJSON(t, "POST", ts.URL+"/v1/feeds", FeedSpec{Name: "g", Params: ParamsJSON{M: 2, K: 2, Eps: 1}},
+	doJSON(t, "POST", ts.URL+"/v1/feeds", FeedSpec{Name: "g", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}},
 		http.StatusGone, nil)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err) // idempotent
@@ -861,11 +861,11 @@ func TestLRUCacheEviction(t *testing.T) {
 
 func TestFeedLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxFeeds: 2})
-	createFeed(t, ts.URL, "one", ParamsJSON{M: 2, K: 2, Eps: 1})
-	createFeed(t, ts.URL, "two", ParamsJSON{M: 2, K: 2, Eps: 1})
-	doJSON(t, "POST", ts.URL+"/v1/feeds", FeedSpec{Name: "three", Params: ParamsJSON{M: 2, K: 2, Eps: 1}},
+	createFeed(t, ts.URL, "one", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
+	createFeed(t, ts.URL, "two", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
+	doJSON(t, "POST", ts.URL+"/v1/feeds", FeedSpec{Name: "three", Params: wire.ParamsJSON{M: 2, K: 2, Eps: 1}},
 		http.StatusTooManyRequests, nil)
 	// Deleting frees a slot.
 	doJSON(t, "DELETE", ts.URL+"/v1/feeds/one", nil, http.StatusOK, nil)
-	createFeed(t, ts.URL, "three", ParamsJSON{M: 2, K: 2, Eps: 1})
+	createFeed(t, ts.URL, "three", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
 }

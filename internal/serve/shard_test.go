@@ -72,19 +72,12 @@ func TestShardedEqualsSingleNode(t *testing.T) {
 			}
 		}
 	}
-
-	// Local multi-partition mining (no fleet) is the same exact answer.
-	part := postQuery(t, plain.URL+"/v1/query?m=2&k=5&e=1&partitions=3", csv, http.StatusOK)
-	if !reflect.DeepEqual(part.Convoys, want.Convoys) {
-		t.Fatalf("partitions=3 convoys = %+v, want %+v", part.Convoys, want.Convoys)
-	}
 }
 
-// TestQueryPartitionsBounded: the partitions field cannot multiply a
-// query's work. Asked for 10⁸ partitions of the fixture's 10 ticks at k = 5,
-// the run mines at most 1 + 10/(k−1) = 3 windows — twice the span's ticks
-// at most — and answers what the single pass answers. (Two servers: the
-// cache key leaves the partition count out.)
+// TestQueryPartitionsBounded: an old client's partitions field, whatever it
+// asks for, is ignored. Asked for 10⁸ partitions, the query runs the single
+// pass: the same answer, and stats.partitions is the CuTS filter's
+// λ-partition count. (Two servers, so neither answer is a cache hit.)
 func TestQueryPartitionsBounded(t *testing.T) {
 	csv := fixtureCSV(t)
 	_, plain := newTestServer(t, Config{})
@@ -94,8 +87,8 @@ func TestQueryPartitionsBounded(t *testing.T) {
 	if !reflect.DeepEqual(got.Convoys, want.Convoys) {
 		t.Fatalf("partitions=10⁸ convoys = %+v, want %+v", got.Convoys, want.Convoys)
 	}
-	if got.Stats == nil || got.Stats.NumPartitions < 2 || got.Stats.NumPartitions > 3 {
-		t.Fatalf("partitions=10⁸ ran as %+v, want 2 or 3 windows", got.Stats)
+	if want.Stats == nil || got.Stats == nil || got.Stats.NumPartitions != want.Stats.NumPartitions || got.Stats.Lambda != want.Stats.Lambda {
+		t.Fatalf("partitions=10⁸ ran as %+v, want the single pass %+v", got.Stats, want.Stats)
 	}
 }
 
@@ -162,7 +155,7 @@ func TestShardRPCGates(t *testing.T) {
 
 	// Not started with -shard: the route answers 403 in the envelope.
 	_, plain := newTestServer(t, Config{})
-	var ej ErrorJSON
+	var ej wire.ErrorJSON
 	doJSON(t, "POST", plain.URL+"/v1/shard/query?v=1&m=2&k=5&e=1&from=0&to=9", nil, http.StatusForbidden, &ej)
 	if ej.Error.Code != wire.CodeForbidden {
 		t.Fatalf("disabled shard code = %q", ej.Error.Code)
@@ -183,7 +176,7 @@ func TestShardRPCGates(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, data)
 		}
-		var ej ErrorJSON
+		var ej wire.ErrorJSON
 		if err := unmarshalStrict(data, &ej); err != nil || ej.Error.Code != wire.CodeBadRequest {
 			t.Fatalf("%s: envelope %s (err %v)", name, data, err)
 		}
@@ -290,7 +283,7 @@ func TestQueryLegacyDecodeCompat(t *testing.T) {
 func TestErrorEnvelopeSweep(t *testing.T) {
 	csv := fixtureCSV(t)
 	_, ts := newTestServer(t, Config{MaxFeeds: 1, MaxBodyBytes: 256})
-	createFeed(t, ts.URL, "fleet", ParamsJSON{M: 2, K: 5, Eps: 1})
+	createFeed(t, ts.URL, "fleet", wire.ParamsJSON{M: 2, K: 5, Eps: 1})
 	// Two objects together over [MaxTick-1, MaxTick]: ticks the default
 	// CuTS* cannot represent. (The upload used to hang the filter's window
 	// walk, pinning a worker slot past timeout_ms and the server's cap.)
@@ -322,9 +315,9 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 		{name: "unknown feed", method: "GET", url: "/v1/feeds/nope", status: http.StatusNotFound},
 		{name: "unknown monitor", method: "GET", url: "/v1/feeds/fleet/monitors/999", status: http.StatusNotFound},
 		{name: "duplicate feed", method: "POST", url: "/v1/feeds",
-			body: FeedSpec{Name: "fleet", Params: ParamsJSON{M: 2, K: 5, Eps: 1}}, status: http.StatusConflict},
+			body: FeedSpec{Name: "fleet", Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}}, status: http.StatusConflict},
 		{name: "feed limit", method: "POST", url: "/v1/feeds",
-			body: FeedSpec{Name: "overflow", Params: ParamsJSON{M: 2, K: 5, Eps: 1}}, status: http.StatusTooManyRequests},
+			body: FeedSpec{Name: "overflow", Params: wire.ParamsJSON{M: 2, K: 5, Eps: 1}}, status: http.StatusTooManyRequests},
 		{name: "history inverted window", method: "POST", url: "/v1/feeds/fleet/query",
 			body: map[string]any{"m": 2, "k": 5, "e": 1, "from": 9, "to": 2}, status: http.StatusBadRequest},
 		{name: "oversized upload", method: "POST", url: "/v1/query?m=2&k=5&e=1", raw: csv,
@@ -359,7 +352,7 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d (want %d): %s", resp.StatusCode, tc.status, data)
 			}
-			var ej ErrorJSON
+			var ej wire.ErrorJSON
 			if err := unmarshalStrict(data, &ej); err != nil {
 				t.Fatalf("not the envelope: %s (%v)", data, err)
 			}

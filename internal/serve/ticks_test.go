@@ -15,10 +15,11 @@ import (
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // commuteStream is a run of consecutive datagen.Commute ticks in the
-// spelling every client sends (json.Marshal of a TicksRequest; bench/ladder
+// spelling every client sends (json.Marshal of a wire.TicksRequest; bench/ladder
 // hand-spells the same keys). A body is assembled per tick around the
 // pre-encoded positions array, so a stream can be cycled past its end under
 // ever-increasing tick numbers.
@@ -38,9 +39,9 @@ func newCommuteStream(tb testing.TB, scale float64, ticks int) *commuteStream {
 	s := &commuteStream{}
 	for t := from; t < from+model.Tick(ticks); t++ {
 		ids, pts := db.SnapshotAt(t)
-		positions := make([]Position, len(ids))
+		positions := make([]wire.Position, len(ids))
 		for i, id := range ids {
-			positions[i] = Position{ID: db.Traj(id).Label, X: pts[i].X, Y: pts[i].Y}
+			positions[i] = wire.Position{ID: db.Traj(id).Label, X: pts[i].X, Y: pts[i].Y}
 		}
 		data, err := json.Marshal(positions)
 		if err != nil {
@@ -65,11 +66,11 @@ func (s *commuteStream) body(i int) []byte {
 // monitor plus three, on two clustering keys — on the server at base.
 func ladderFeed(tb testing.TB, base, name string) {
 	tb.Helper()
-	doJSON(tb, "POST", base+"/v1/feeds", FeedSpec{Name: name, Params: ParamsJSON{M: 3, K: 480, Eps: 10}}, http.StatusCreated, nil)
+	doJSON(tb, "POST", base+"/v1/feeds", FeedSpec{Name: name, Params: wire.ParamsJSON{M: 3, K: 480, Eps: 10}}, http.StatusCreated, nil)
 	for _, m := range []MonitorSpec{
-		{ID: "short", Params: ParamsJSON{M: 3, K: 240, Eps: 10}},
-		{ID: "long", Params: ParamsJSON{M: 3, K: 960, Eps: 10}},
-		{ID: "wide", Params: ParamsJSON{M: 3, K: 480, Eps: 15}},
+		{ID: "short", Params: wire.ParamsJSON{M: 3, K: 240, Eps: 10}},
+		{ID: "long", Params: wire.ParamsJSON{M: 3, K: 960, Eps: 10}},
+		{ID: "wide", Params: wire.ParamsJSON{M: 3, K: 480, Eps: 15}},
 	} {
 		doJSON(tb, "POST", base+"/v1/feeds/"+name+"/monitors", m, http.StatusCreated, nil)
 	}
@@ -181,7 +182,7 @@ func TestTickSpansCoverRequest(t *testing.T) {
 // label table nor the WAL.
 func TestTicksRejectionUnchanged(t *testing.T) {
 	_, ts := newTestServer(t, Config{WALDir: t.TempDir(), WALFsync: wal.FsyncNever, MaxBodyBytes: 4096})
-	createFeed(t, ts.URL, "f", ParamsJSON{M: 2, K: 2, Eps: 1})
+	createFeed(t, ts.URL, "f", wire.ParamsJSON{M: 2, K: 2, Eps: 1})
 	url := ts.URL + "/v1/feeds/f/ticks"
 	post := func(body []byte) int {
 		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
@@ -189,7 +190,7 @@ func TestTicksRejectionUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var envelope ErrorJSON
+		var envelope wire.ErrorJSON
 		if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error.Message == "" {
 			t.Fatalf("status %d without an error envelope (%v)", resp.StatusCode, err)
 		}

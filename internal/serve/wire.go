@@ -11,30 +11,23 @@ import (
 // (internal/dist). This file aliases it into the serve namespace, so code
 // that embeds the server keeps spelling serve.FeedSpec and friends.
 type (
-	ParamsJSON   = wire.ParamsJSON
-	ConvoyJSON   = wire.ConvoyJSON
-	Position     = wire.Position
-	TickBatch    = wire.TickBatch
-	TicksRequest = wire.TicksRequest
-	StatsJSON    = wire.StatsJSON
-	ErrorJSON    = wire.ErrorJSON
-	ErrorBody    = wire.ErrorBody
+	ConvoyJSON = wire.ConvoyJSON
+	TickBatch  = wire.TickBatch
+	StatsJSON  = wire.StatsJSON
+	ErrorBody  = wire.ErrorBody
 
-	ExplainJSON      = wire.ExplainJSON
-	ExplainStageJSON = wire.ExplainStageJSON
+	ExplainJSON = wire.ExplainJSON
 
 	TicksResponse        = wire.TicksResponse
 	TicksError           = wire.TicksError
 	FeedSpec             = wire.FeedSpec
 	MonitorSpec          = wire.MonitorSpec
-	MonitorStatus        = wire.MonitorStatus
 	MonitorCloseResponse = wire.MonitorCloseResponse
 	FeedStatus           = wire.FeedStatus
 	Event                = wire.Event
 	EventsResponse       = wire.EventsResponse
 	FeedCloseResponse    = wire.FeedCloseResponse
 	WALStatusJSON        = wire.WALStatusJSON
-	WALRecoveryJSON      = wire.WALRecoveryJSON
 
 	QueryRequest         = wire.QueryRequest
 	QueryResponse        = wire.QueryResponse

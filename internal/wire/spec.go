@@ -45,11 +45,6 @@ type QuerySpec struct {
 	// to their MaxWorkersPerQuery. The answer set is identical for every
 	// worker count, so workers never enters a cache key.
 	Workers int `json:"workers,omitempty"`
-	// Partitions > 1 runs the query as overlapping temporal partitions
-	// mined in parallel and merged exactly (core.WithPartitions). Like
-	// workers it cannot change the answer set, so it stays out of cache
-	// keys. A coordinator ignores it (the shard count decides).
-	Partitions int `json:"partitions,omitempty"`
 	// From and To restrict the query to the inclusive tick window; absent
 	// means unbounded on that side. A windowed answer is the query over the
 	// database sliced to the window (interpolation-aware), which is exactly
@@ -174,11 +169,6 @@ func SpecFromURL(q url.Values) (QuerySpec, error) {
 	} else if ok {
 		s.Workers = int(w)
 	}
-	if n, ok, err := integer("partitions", false); err != nil {
-		return s, err
-	} else if ok {
-		s.Partitions = int(n)
-	}
 	if from, ok, err := integer("from", false); err != nil {
 		return s, err
 	} else if ok {
@@ -224,9 +214,6 @@ func (s QuerySpec) URLValues() url.Values {
 	}
 	if s.Workers > 0 {
 		q.Set("workers", strconv.Itoa(s.Workers))
-	}
-	if s.Partitions > 0 {
-		q.Set("partitions", strconv.Itoa(s.Partitions))
 	}
 	if s.From != nil {
 		q.Set("from", strconv.FormatInt(int64(*s.From), 10))
@@ -302,9 +289,6 @@ func (s QuerySpec) Normalize() (Resolved, error) {
 	if s.Workers < 0 {
 		return r, fmt.Errorf("workers must be ≥ 0 (got %d)", s.Workers)
 	}
-	if s.Partitions < 0 {
-		return r, fmt.Errorf("partitions must be ≥ 0 (got %d)", s.Partitions)
-	}
 	// timeout_ms must be a usable duration: finite, non-negative and small
 	// enough that the milliseconds→Duration conversion cannot overflow
 	// (NaN/Inf pass a plain "< 0" check and would silently mean "no
@@ -341,14 +325,11 @@ func (s QuerySpec) Normalize() (Resolved, error) {
 }
 
 // Options is the one place a resolved spec becomes core.Query options:
-// params, partitions, the algorithm with its δ/λ, and the stats sink.
+// params, the algorithm with its δ/λ, and the stats sink.
 // workers is the caller's to decide — a server clamps the spec's request to
 // its cap, convoyfind uses every core.
 func (r Resolved) Options(workers int, st *core.Stats) []core.Option {
 	opts := []core.Option{core.WithParams(r.P), core.WithWorkers(workers), core.WithStats(st)}
-	if n := r.Spec.Partitions; n > 1 {
-		opts = append(opts, core.WithPartitions(n))
-	}
 	if r.IsCMC {
 		return append(opts, core.WithCMC())
 	}

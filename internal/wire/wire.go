@@ -126,7 +126,7 @@ type StatsJSON struct {
 	Delta         float64 `json:"delta"`
 	Lambda        int64   `json:"lambda"`
 	Workers       int     `json:"workers"`
-	NumPartitions int     `json:"partitions"`
+	NumPartitions int     `json:"partitions"` // the CuTS filter's λ-partitions (0 under CMC)
 	NumCandidates int     `json:"candidates"`
 	RefineUnits   float64 `json:"refine_units"`
 	ClusterPasses int64   `json:"cluster_passes"`

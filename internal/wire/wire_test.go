@@ -65,22 +65,36 @@ func TestSpecDecodeFull(t *testing.T) {
 		"from": 10,
 		"to": 20,
 		"timeout_ms": 1500,
-		"explain": true,
-		"incremental": false
+		"incremental": false,
+		"explain": true
 	}`
 	var s QuerySpec
 	if err := json.Unmarshal([]byte(body), &s); err != nil {
 		t.Fatal(err)
 	}
 	if s.V != 1 || s.Algo != "cuts+" || s.Clusterer != "dbscan" || s.Delta != 0.5 ||
-		s.Lambda != 7 || s.Workers != 4 || s.Partitions != 3 || s.TimeoutMS != 1500 || !s.Explain {
+		s.Lambda != 7 || s.Workers != 4 || s.TimeoutMS != 1500 || !s.Explain {
 		t.Fatalf("decoded spec %+v", s)
 	}
 	if s.From == nil || *s.From != 10 || s.To == nil || *s.To != 20 {
 		t.Fatalf("window not decoded: from=%v to=%v", s.From, s.To)
 	}
-	// "incremental" is a removed knob old clients may still send: it
-	// decodes to nothing rather than to an error.
+	// "partitions" and "incremental" are removed knobs old clients may
+	// still send: they decode to nothing rather than to an error.
+	var kept []string
+	for _, line := range strings.Split(body, "\n") {
+		if !strings.Contains(line, `"partitions"`) && !strings.Contains(line, `"incremental"`) {
+			kept = append(kept, line)
+		}
+	}
+	trimmed := strings.Join(kept, "\n")
+	var without QuerySpec
+	if err := json.Unmarshal([]byte(trimmed), &without); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, without) {
+		t.Fatalf("the removed knobs changed the decoded spec\n with: %+v\n   without: %+v", s, without)
+	}
 }
 
 // TestSpecURLRoundTrip pins URLValues as the inverse of SpecFromURL for a
@@ -88,16 +102,15 @@ func TestSpecDecodeFull(t *testing.T) {
 func TestSpecURLRoundTrip(t *testing.T) {
 	from, to := model.Tick(5), model.Tick(42)
 	in := QuerySpec{
-		Params:     ParamsJSON{M: 2, K: 3, Eps: 4.25},
-		Algo:       "cuts*",
-		Delta:      0.75,
-		Lambda:     9,
-		Workers:    4,
-		Partitions: 2,
-		From:       &from,
-		To:         &to,
-		TimeoutMS:  250,
-		Explain:    true,
+		Params:    ParamsJSON{M: 2, K: 3, Eps: 4.25},
+		Algo:      "cuts*",
+		Delta:     0.75,
+		Lambda:    9,
+		Workers:   4,
+		From:      &from,
+		To:        &to,
+		TimeoutMS: 250,
+		Explain:   true,
 	}
 	out, err := SpecFromURL(in.URLValues())
 	if err != nil {
@@ -106,12 +119,19 @@ func TestSpecURLRoundTrip(t *testing.T) {
 	in.V = SpecVersion // URLValues always stamps the version
 	if out.Params != in.Params || out.Algo != in.Algo ||
 		out.Delta != in.Delta || out.Lambda != in.Lambda || out.Workers != in.Workers ||
-		out.Partitions != in.Partitions || out.TimeoutMS != in.TimeoutMS ||
+		out.TimeoutMS != in.TimeoutMS ||
 		out.Explain != in.Explain || out.V != in.V {
 		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
 	}
 	if out.From == nil || *out.From != from || out.To == nil || *out.To != to {
 		t.Fatalf("window lost: from=%v to=%v", out.From, out.To)
+	}
+	// ?partitions= is a removed knob old clients may still send: it
+	// decodes to nothing rather than to an error.
+	q := in.URLValues()
+	q.Set("partitions", "3")
+	if legacy, err := SpecFromURL(q); err != nil || !reflect.DeepEqual(legacy, out) {
+		t.Fatalf("partitions=3 decoded to %+v, %v; want %+v", legacy, err, out)
 	}
 }
 
@@ -188,7 +208,6 @@ func TestNormalize(t *testing.T) {
 		{"nan_e", func(s *QuerySpec) { s.Params.Eps = math.NaN() }, "finite"},
 		{"inf_e", func(s *QuerySpec) { s.Params.Eps = math.Inf(1) }, "finite"},
 		{"neg_workers", func(s *QuerySpec) { s.Workers = -1 }, "workers"},
-		{"neg_partitions", func(s *QuerySpec) { s.Partitions = -2 }, "partitions"},
 		{"nan_timeout", func(s *QuerySpec) { s.TimeoutMS = math.NaN() }, "timeout_ms"},
 		{"inf_timeout", func(s *QuerySpec) { s.TimeoutMS = math.Inf(1) }, "timeout_ms"},
 		{"neg_timeout", func(s *QuerySpec) { s.TimeoutMS = -1 }, "timeout_ms"},

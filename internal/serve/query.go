@@ -144,8 +144,9 @@ func plan(req QueryRequest, maxWorkers int) (queryPlan, error) {
 // key holds only answer-determining inputs: δ/λ are already normalized out
 // for algo=cmc by the validator (equivalent CMC queries with different δ/λ
 // must share an entry), the worker count never participates (parallel
-// output equals serial output by construction), and a from/to window — which does change the answer — extends the key
-// only when present, so unwindowed keys keep their legacy shape.
+// output equals serial output by construction), and a from/to window —
+// which does change the answer — extends the key only when present, so
+// unwindowed keys keep their legacy shape.
 func (pl queryPlan) key(digest string) string {
 	key := fmt.Sprintf("%s|%d|%d|%g|%s|%g|%d",
 		digest, pl.res.P.M, pl.res.P.K, pl.res.P.Eps, pl.res.Algo,
